@@ -38,16 +38,21 @@ type report = {
 
 (* ---- path-stack frames ----
 
-   One frame per open element: where its entries begin on the data stack,
-   its identity for tiebreaks, its key when scan-evaluable, and the ids of
-   any incomplete sorted runs (fragments) created for it. *)
+   One fixed-size frame per open element: where its entries begin on the
+   data stack, its identity for tiebreaks, its key when scan-evaluable,
+   and how many incomplete sorted runs (fragments) were created for it.
+   The fragment ids themselves are path-stack entries of their own, just
+   below the frame, in creation order (oldest lowest).  Ids are only ever
+   added for the top frame, so an element's ids never interleave with
+   those of its ancestors or descendants: popping the frame and then
+   [nfrags] entries recovers exactly its ids. *)
 type frame = {
   loc : int;           (* data-stack position of the element's Start entry *)
   children_loc : int;  (* data-stack position just after the Start entry *)
   fpos : int;          (* document position *)
   flevel : int;        (* level, root = 1 *)
   fkey : Key.t option; (* key when the criterion is scan-evaluable *)
-  frags : int list;    (* fragment run ids, in creation order *)
+  nfrags : int;        (* fragment id entries directly below the frame *)
 }
 
 let encode_frame f =
@@ -57,8 +62,7 @@ let encode_frame f =
   Extmem.Codec.put_varint buf f.fpos;
   Extmem.Codec.put_varint buf f.flevel;
   Key.encode_opt buf f.fkey;
-  Extmem.Codec.put_varint buf (List.length f.frags);
-  List.iter (Extmem.Codec.put_varint buf) f.frags;
+  Extmem.Codec.put_varint buf f.nfrags;
   Buffer.contents buf
 
 let decode_frame s =
@@ -68,9 +72,15 @@ let decode_frame s =
   let fpos = Extmem.Codec.get_varint c in
   let flevel = Extmem.Codec.get_varint c in
   let fkey = Key.decode_opt c in
-  let n = Extmem.Codec.get_varint c in
-  let rec ids n acc = if n = 0 then List.rev acc else ids (n - 1) (Extmem.Codec.get_varint c :: acc) in
-  { loc; children_loc; fpos; flevel; fkey; frags = ids n [] }
+  let nfrags = Extmem.Codec.get_varint c in
+  { loc; children_loc; fpos; flevel; fkey; nfrags }
+
+let encode_frag_id id =
+  let buf = Buffer.create 4 in
+  Extmem.Codec.put_varint buf id;
+  Buffer.contents buf
+
+let decode_frag_id s = Extmem.Codec.get_varint (Extmem.Codec.cursor s)
 
 (* ---- output-location stack entries (Figure 4, lines 13-20) ---- *)
 
@@ -103,6 +113,11 @@ type state = {
   mutable n_external : int;
   mutable n_fragment_runs : int;
   mutable n_fragment_merges : int;
+  (* the top path-stack frame's [children_loc] and [flevel], so
+     degeneration need not read the path stack after every event; the
+     path stack stays the only store of frames *)
+  mutable top_children_loc : int;
+  mutable top_flevel : int;
   (* root fusion: when [fuse], the root's collapse opens its final
      sort/merge as a pull stream here instead of materialising the root
      run; the output phase consumes it *)
@@ -126,11 +141,32 @@ let push_payload st payload = Extmem.Ext_stack.push st.session.Session.data_stac
 let push_end st ~level ~pos ~key =
   push_payload st (Entry.encode_end_to st.session.Session.enc_scratch ~level ~pos ~key)
 
-let push_frame st f = Extmem.Ext_stack.push st.session.Session.path_stack (encode_frame f)
+let degeneration st = st.session.Session.config.Config.degeneration
+
+let cache_top st f =
+  st.top_children_loc <- f.children_loc;
+  st.top_flevel <- f.flevel
+
+let push_frame st f =
+  Extmem.Ext_stack.push st.session.Session.path_stack (encode_frame f);
+  cache_top st f
 
 let pop_frame st = decode_frame (Extmem.Ext_stack.pop st.session.Session.path_stack)
 
-let peek_frame st = decode_frame (Extmem.Ext_stack.top st.session.Session.path_stack)
+(* Pop an element's frame and then its fragment ids, which come off
+   newest first; consing them back yields creation order.  The parent's
+   frame is now on top: re-read it into the cache when degeneration will
+   consult it (without degeneration the path stack is left alone). *)
+let pop_element st =
+  let path = st.session.Session.path_stack in
+  let frame = pop_frame st in
+  let rec ids n acc =
+    if n = 0 then acc else ids (n - 1) (decode_frag_id (Extmem.Ext_stack.pop path) :: acc)
+  in
+  let frags = ids frame.nfrags [] in
+  if degeneration st && not (Extmem.Ext_stack.is_empty path) then
+    cache_top st (decode_frame (Extmem.Ext_stack.top path));
+  (frame, frags)
 
 let packed st = st.session.Session.config.Config.encoding = Config.Packed
 
@@ -157,33 +193,33 @@ let collect_payloads st ~from_ =
    sorting arena, sort them in memory now and park them as an incomplete
    sorted run, exactly like external merge sort's initial run creation. *)
 let maybe_degenerate st =
-  if
-    st.session.Session.config.Config.degeneration
-    && not (Extmem.Ext_stack.is_empty st.session.Session.path_stack)
-  then begin
-    let top = peek_frame st in
+  let path = st.session.Session.path_stack in
+  if degeneration st && not (Extmem.Ext_stack.is_empty path) then begin
     (* below the depth limit nothing needs sorting: the region will be
        copied verbatim at the element's end, so never fragment it *)
     let below_limit =
       match depth_limit st with
-      | Some d -> top.flevel >= d + 1
+      | Some d -> st.top_flevel >= d + 1
       | None -> false
     in
     if not below_limit then begin
-    let region = Extmem.Ext_stack.length st.session.Session.data_stack - top.children_loc in
+    let children_loc = st.top_children_loc in
+    let region = Extmem.Ext_stack.length st.session.Session.data_stack - children_loc in
     if region >= Session.arena_bytes st.session && region > 0 then begin
       in_span st "fragment_write" @@ fun () ->
-      let views = collect_views st ~from_:top.children_loc in
+      let views = collect_views st ~from_:children_loc in
       let forest =
         Subtree_sort.sort_forest ~depth_limit:(depth_limit st) (Subtree_sort.build_forest views)
       in
       let frag = Subtree_sort.write_fragment st.session forest in
       Log.debug (fun m ->
-          m "degeneration: level %d filled the arena, fragment run %d (%d bytes)" top.flevel frag
-            region);
-      Extmem.Ext_stack.truncate_to st.session.Session.data_stack top.children_loc;
-      ignore (pop_frame st);
-      push_frame st { top with frags = top.frags @ [ frag ] };
+          m "degeneration: level %d filled the arena, fragment run %d (%d bytes)" st.top_flevel
+            frag region);
+      Extmem.Ext_stack.truncate_to st.session.Session.data_stack children_loc;
+      (* the new id goes just below the frame: O(1) path-stack work *)
+      let top = pop_frame st in
+      Extmem.Ext_stack.push path (encode_frag_id frag);
+      push_frame st { top with nfrags = top.nfrags + 1 };
       st.n_fragment_runs <- st.n_fragment_runs + 1
     end
     end
@@ -306,20 +342,20 @@ let collapse_copy st frame resolved_key =
    phase pulls it straight into the XML writer.  The stream is built
    before truncating the stack — run formation consumes the stack here,
    but the final merge is deferred to the consumer. *)
-let open_root_source st frame =
+let open_root_source st frame frags =
   in_span st "root_sort" @@ fun () ->
   let data = st.session.Session.data_stack in
   let result =
-    if frame.frags <> [] then begin
+    if frags <> [] then begin
       let tail = collect_views st ~from_:frame.children_loc in
       let fragments =
-        if tail = [] then frame.frags
+        if tail = [] then frags
         else begin
           let forest =
             Subtree_sort.sort_forest ~depth_limit:(depth_limit st) (Subtree_sort.build_forest tail)
           in
           st.n_fragment_runs <- st.n_fragment_runs + 1;
-          frame.frags @ [ Subtree_sort.write_fragment st.session forest ]
+          frags @ [ Subtree_sort.write_fragment st.session forest ]
         end
       in
       let start_view =
@@ -353,19 +389,19 @@ let open_root_source st frame =
 
 (* Merge an element's fragments (plus its unsorted tail children) into its
    complete run. *)
-let collapse_fragments st frame resolved_key =
+let collapse_fragments st frame frags resolved_key =
   in_span st "fragment_merge" @@ fun () ->
   let data = st.session.Session.data_stack in
   let size = Extmem.Ext_stack.length data - frame.loc in
   let tail = collect_views st ~from_:frame.children_loc in
   let fragments =
-    if tail = [] then frame.frags
+    if tail = [] then frags
     else begin
       let forest =
         Subtree_sort.sort_forest ~depth_limit:(depth_limit st) (Subtree_sort.build_forest tail)
       in
       st.n_fragment_runs <- st.n_fragment_runs + 1;
-      frame.frags @ [ Subtree_sort.write_fragment st.session forest ]
+      frags @ [ Subtree_sort.write_fragment st.session forest ]
     end
   in
   (* the element's own Start entry is the first entry at frame.loc *)
@@ -403,7 +439,7 @@ let on_start st (p : Xmlio.Event.packed) =
       fpos = st.pos;
       flevel = st.level;
       fkey = key;
-      frags = [];
+      nfrags = 0;
     };
   maybe_degenerate st
 
@@ -418,16 +454,16 @@ let on_text st content =
 
 let on_end st =
   let key_end = Ordering.Evaluator.on_end st.evaluator in
-  let frame = pop_frame st in
+  let frame, frags = pop_element st in
   st.level <- st.level - 1;
   let resolved_key =
     match frame.fkey with
     | Some k -> k
     | None -> Option.value key_end ~default:Key.Null
   in
-  if st.fuse && frame.flevel = 1 then st.root <- Some (open_root_source st frame)
+  if st.fuse && frame.flevel = 1 then st.root <- Some (open_root_source st frame frags)
   else begin
-      if frame.frags <> [] then collapse_fragments st frame resolved_key
+      if frags <> [] then collapse_fragments st frame frags resolved_key
       else begin
         if not (packed st) then
           push_end st ~level:frame.flevel ~pos:frame.fpos ~key:(Some resolved_key);
@@ -575,6 +611,8 @@ let open_sorted ~session ~config ~ordering ~input ~io_meter ~sim_meter =
       n_external = 0;
       n_fragment_runs = 0;
       n_fragment_merges = 0;
+      top_children_loc = 0;
+      top_flevel = 0;
       fuse = config.Config.root_fusion;
       root = None;
       spans;

@@ -32,6 +32,7 @@ type t = {
   mutable flushed : int;   (* device allocation frontier, in blocks *)
   scratch : bytes;         (* for reads that bypass the window *)
   mutable scratch_idx : int; (* block currently in scratch, -1 = none *)
+  trailer : bytes;         (* the top entry's u32 length, reused by pop/top *)
   (* paging metrics (see Obs.Probe.ext_stack) *)
   mutable pushes : int;
   mutable pops : int;
@@ -66,6 +67,7 @@ let create ?(name = "ext stack") ?(resident_blocks = 1) ?arena ?(borrow = false)
     flushed = 0;
     scratch = Bytes.create bs;
     scratch_idx = -1;
+    trailer = Bytes.create 4;
     pushes = 0;
     pops = 0;
     page_ins = 0;
@@ -238,6 +240,17 @@ let append_substring st s off n =
   in
   go off n
 
+(* One byte of framing; crosses block boundaries exactly as
+   [append_substring] would, so the window sees the same sequence of
+   appends and evictions whether an entry is written whole or in pieces. *)
+let append_byte st c =
+  ensure_tail st;
+  let frame = frame_of st (st.len / st.bs) in
+  Bytes.unsafe_set frame.data (st.len mod st.bs) (Char.unsafe_chr c);
+  frame.dirty <- true;
+  st.len <- st.len + 1;
+  if st.len > st.high_water then st.high_water <- st.len
+
 let varint_size n =
   let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
   go n 1
@@ -246,18 +259,26 @@ let framed_size payload =
   let n = String.length payload in
   varint_size n + n + 4
 
+(* The frame ([Codec.put_varint] header, payload, [Codec.put_u32]
+   trailer) is written straight into the window. *)
 let push st payload =
-  let buf = Buffer.create (framed_size payload) in
-  Codec.put_varint buf (String.length payload);
-  Buffer.add_string buf payload;
-  Codec.put_u32 buf (String.length payload);
-  let framed = Buffer.contents buf in
-  append_substring st framed 0 (String.length framed);
+  let n = String.length payload in
+  let rec header v =
+    if v < 0x80 then append_byte st v
+    else begin
+      append_byte st (0x80 lor (v land 0x7f));
+      header (v lsr 7)
+    end
+  in
+  header n;
+  append_substring st payload 0 n;
+  append_byte st (n land 0xff);
+  append_byte st ((n lsr 8) land 0xff);
+  append_byte st ((n lsr 16) land 0xff);
+  append_byte st ((n lsr 24) land 0xff);
   st.pushes <- st.pushes + 1;
   st.scratch_idx <- -1
 
-(* Copy [n] bytes starting at logical offset [pos] into [dst.(dst_off..)],
-   paging resident blocks in at the front of the window as a pop would. *)
 (* Bring block [b] into the window, reading it back from the device when it
    was flushed earlier.  Blocks are added at the front (pops walking down)
    or at the back (an entry spanning upward past the window). *)
@@ -276,6 +297,8 @@ let make_resident st b =
     Deque.push_back st.resident frame
   done
 
+(* Copy [n] bytes starting at logical offset [pos] into [dst.(dst_off..)],
+   paging blocks in at the front of the window as a pop would. *)
 let read_resident st pos dst dst_off n =
   let rec go pos dst_off n =
     if n > 0 then begin
@@ -307,33 +330,42 @@ let truncate_to st pos =
   release_surplus st;
   st.scratch_idx <- -1
 
-let read_top_entry st =
+(* Payload length of the top entry, from its u32 trailer. *)
+let top_payload_length st =
   if st.len = 0 then invalid_arg "Ext_stack: empty stack";
-  let tail = Bytes.create 4 in
-  read_resident st (st.len - 4) tail 0 4;
-  let n = Codec.get_u32_at (Bytes.unsafe_to_string tail) 0 in
+  read_resident st (st.len - 4) st.trailer 0 4;
+  Codec.get_u32_at (Bytes.unsafe_to_string st.trailer) 0
+
+let top_entry_start st n =
   let start = st.len - 4 - n - varint_size n in
   if start < 0 then raise (Codec.Corrupt "Ext_stack: bad entry frame");
+  start
+
+let read_top_payload st n start =
   let payload = Bytes.create n in
   read_resident st (start + varint_size n) payload 0 n;
-  (Bytes.unsafe_to_string payload, start)
+  Bytes.unsafe_to_string payload
 
 let pop st =
-  let payload, start = read_top_entry st in
+  let n = top_payload_length st in
+  let start = top_entry_start st n in
+  let payload = read_top_payload st n start in
   truncate_to st start;
   st.pops <- st.pops + 1;
   payload
 
 let top st =
-  let payload, _ = read_top_entry st in
+  let n = top_payload_length st in
+  let payload = read_top_payload st n (top_entry_start st n) in
   maybe_evict st;
   payload
 
-(* Forward scan: resident blocks are free; evicted blocks are streamed
-   through the scratch buffer without touching the window. *)
-let read_byte_scanning st pos =
-  let b = pos / st.bs in
-  if is_resident st b then Bytes.get (frame_of st b).data (pos mod st.bs)
+(* Forward scan: resident blocks are read in place; evicted blocks are
+   streamed through the scratch buffer without touching the window.  A
+   scan visits blocks in ascending order and each block change in the
+   scratch costs one page-in. *)
+let scan_block st b =
+  if is_resident st b then (Deque.get st.resident (b - st.front_idx)).data
   else begin
     if st.scratch_idx <> b then begin
       assert (b < st.flushed);
@@ -341,56 +373,44 @@ let read_byte_scanning st pos =
       st.page_ins <- st.page_ins + 1;
       st.scratch_idx <- b
     end;
-    Bytes.get st.scratch (pos mod st.bs)
+    st.scratch
   end
 
+(* Copy [n] bytes from [pos] one block span at a time. *)
 let read_bytes_scanning st pos dst dst_off n =
-  for i = 0 to n - 1 do
-    Bytes.set dst (dst_off + i) (read_byte_scanning st (pos + i))
+  let pos = ref pos and dst_off = ref dst_off and n = ref n in
+  while !n > 0 do
+    let within = !pos mod st.bs in
+    let k = min !n (st.bs - within) in
+    Bytes.blit (scan_block st (!pos / st.bs)) within dst !dst_off k;
+    pos := !pos + k;
+    dst_off := !dst_off + k;
+    n := !n - k
   done
+
+(* The entry starting at [!cur]; advances [cur] past its trailer, which
+   is skipped unread. *)
+let scan_entry st cur =
+  let n = ref 0 and shift = ref 0 and continue = ref true in
+  while !continue do
+    let b = Char.code (Bytes.get (scan_block st (!cur / st.bs)) (!cur mod st.bs)) in
+    incr cur;
+    n := !n lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    if b land 0x80 = 0 then continue := false
+  done;
+  let payload = Bytes.create !n in
+  read_bytes_scanning st !cur payload 0 !n;
+  cur := !cur + !n + 4;
+  if !cur > st.len then raise (Codec.Corrupt "Ext_stack: truncated entry during scan");
+  Bytes.unsafe_to_string payload
 
 let iter_entries_from st ~pos f =
   let cur = ref pos in
   while !cur < st.len do
-    (* varint length *)
-    let n = ref 0 and shift = ref 0 and continue = ref true in
-    while !continue do
-      let b = Char.code (read_byte_scanning st !cur) in
-      incr cur;
-      n := !n lor ((b land 0x7f) lsl !shift);
-      shift := !shift + 7;
-      if b land 0x80 = 0 then continue := false
-    done;
-    let payload = Bytes.create !n in
-    read_bytes_scanning st !cur payload 0 !n;
-    cur := !cur + !n + 4;
-    if !cur > st.len then raise (Codec.Corrupt "Ext_stack: truncated entry during scan");
-    f (Bytes.unsafe_to_string payload)
+    f (scan_entry st cur)
   done
 
 let cursor_from st ~pos =
   let cur = ref pos in
-  fun () ->
-    if !cur >= st.len then None
-    else begin
-      let n = ref 0 and shift = ref 0 and continue = ref true in
-      while !continue do
-        let b = Char.code (read_byte_scanning st !cur) in
-        incr cur;
-        n := !n lor ((b land 0x7f) lsl !shift);
-        shift := !shift + 7;
-        if b land 0x80 = 0 then continue := false
-      done;
-      let payload = Bytes.create !n in
-      read_bytes_scanning st !cur payload 0 !n;
-      cur := !cur + !n + 4;
-      if !cur > st.len then raise (Codec.Corrupt "Ext_stack: truncated entry during scan");
-      Some (Bytes.unsafe_to_string payload)
-    end
-
-let read_all_from st ~pos =
-  let n = st.len - pos in
-  if n < 0 then invalid_arg "Ext_stack.read_all_from: position above top";
-  let out = Bytes.create n in
-  read_bytes_scanning st pos out 0 n;
-  Bytes.unsafe_to_string out
+  fun () -> if !cur >= st.len then None else Some (scan_entry st cur)

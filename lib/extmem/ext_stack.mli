@@ -90,10 +90,6 @@ val cursor_from : t -> pos:int -> unit -> string option
     was when created; pushing, popping or truncating while a cursor is
     live is a programming error. *)
 
-val read_all_from : t -> pos:int -> string
-(** The raw framed bytes from [pos] to the top, as one string.  Same I/O
-    behaviour as {!iter_entries_from}. *)
-
 val resident_blocks : t -> int
 (** Number of blocks currently held in memory (<= the configured limit
     plus {!borrowed}, except transiently while popping an entry larger

@@ -821,17 +821,6 @@ let test_ext_stack_scan_and_truncate () =
   check Alcotest.string "pop after truncate" "keep-1" (Extmem.Ext_stack.pop st);
   check Alcotest.string "pop after truncate 2" "keep-0" (Extmem.Ext_stack.pop st)
 
-let test_ext_stack_read_all_from () =
-  let d = Extmem.Device.in_memory ~block_size:8 () in
-  let st = Extmem.Ext_stack.create d in
-  Extmem.Ext_stack.push st "below";
-  let mark = Extmem.Ext_stack.length st in
-  Extmem.Ext_stack.push st "x";
-  Extmem.Ext_stack.push st "yy";
-  let raw = Extmem.Ext_stack.read_all_from st ~pos:mark in
-  check Alcotest.int "framed size" (Extmem.Ext_stack.framed_size "x" + Extmem.Ext_stack.framed_size "yy")
-    (String.length raw)
-
 let test_ext_stack_interleaved_after_spill () =
   (* Regression shape: spill, pop below the window, then push again over
      previously flushed blocks. *)
@@ -916,6 +905,120 @@ let prop_ext_stack_model =
         else drain (Extmem.Ext_stack.pop st :: acc)
       in
       drain [] = List.map snd !model)
+
+(* Per-byte reference for the forward scans over a shadow copy of the
+   stack's bytes: each header and payload byte is read on its own (the
+   trailer is skipped), from the window when its block is resident and
+   otherwise through a one-block scratch that costs a page-in whenever it
+   changes block.  The window is the [resident] blocks ending at the
+   block that holds the top byte. *)
+let reference_scan ~bs ~resident ~scratch shadow pos =
+  let len = Buffer.length shadow in
+  let top_block = (len + bs - 1) / bs in
+  let page_ins = ref 0 in
+  let byte p =
+    let b = p / bs in
+    let in_window = resident > 0 && b >= top_block - resident && b < top_block in
+    if (not in_window) && !scratch <> b then begin
+      incr page_ins;
+      scratch := b
+    end;
+    Buffer.nth shadow p
+  in
+  let payloads = ref [] and cur = ref pos in
+  while !cur < len do
+    let n = ref 0 and shift = ref 0 and more = ref true in
+    while !more do
+      let c = Char.code (byte !cur) in
+      incr cur;
+      n := !n lor ((c land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      more := c land 0x80 <> 0
+    done;
+    payloads := String.init !n (fun i -> byte (!cur + i)) :: !payloads;
+    cur := !cur + !n + 4
+  done;
+  (List.rev !payloads, !page_ins)
+
+let prop_ext_stack_blockwise_scan =
+  (* ops: 0-2 push, 3 pop, 4 top, 5 truncate to the middle mark, 6 scan
+     both ways from the entry [size mod depth] *)
+  let gen =
+    QCheck.make
+      ~print:(fun (bs, w, borrow, ops) ->
+        Printf.sprintf "bs=%d w=%d borrow=%b ops=[%s]" bs w borrow
+          (String.concat ";" (List.map (fun (op, n) -> Printf.sprintf "(%d,%d)" op n) ops)))
+      QCheck.Gen.(
+        quad (int_range 8 48) (int_range 1 3) bool
+          (list_size (int_range 1 80) (pair (int_bound 6) (int_bound 150))))
+  in
+  QCheck.Test.make ~name:"Ext_stack block-wise scans match a per-byte reader" ~count:300 gen
+    (fun (bs, w, borrow, ops) ->
+      let d = Extmem.Device.in_memory ~block_size:bs () in
+      let budget = Extmem.Memory_budget.create ~blocks:(w + 3) ~block_size:bs in
+      let arena = Extmem.Frame_arena.create ~budget () in
+      let st = Extmem.Ext_stack.create ~resident_blocks:w ~arena ~borrow d in
+      let model = ref [] (* (position, payload), newest first *) in
+      let shadow = Buffer.create 1024 in
+      let scratch = ref (-1) in
+      let reset_to pos =
+        Buffer.truncate shadow pos;
+        scratch := -1
+      in
+      let scan_matches pos =
+        let expected = List.rev_map snd (List.filter (fun (p, _) -> p >= pos) !model) in
+        let check_one name run =
+          let before = Extmem.Ext_stack.page_ins st in
+          let got = run () in
+          let page_ins = Extmem.Ext_stack.page_ins st - before in
+          let ref_payloads, ref_page_ins =
+            reference_scan ~bs ~resident:(Extmem.Ext_stack.resident_blocks st) ~scratch shadow
+              pos
+          in
+          if got <> expected || ref_payloads <> expected then
+            QCheck.Test.fail_reportf "%s: payloads differ from pos %d" name pos;
+          if page_ins <> ref_page_ins then
+            QCheck.Test.fail_reportf "%s: %d page-ins, per-byte reader %d" name page_ins
+              ref_page_ins
+        in
+        check_one "iter_entries_from" (fun () ->
+            let acc = ref [] in
+            Extmem.Ext_stack.iter_entries_from st ~pos (fun e -> acc := e :: !acc);
+            List.rev !acc);
+        check_one "cursor_from" (fun () ->
+            let next = Extmem.Ext_stack.cursor_from st ~pos in
+            let rec drain acc = match next () with Some e -> drain (e :: acc) | None -> List.rev acc in
+            drain [])
+      in
+      List.iter
+        (fun (op, n) ->
+          match (op, !model) with
+          | (0 | 1 | 2), _ ->
+              let payload = String.init n (fun i -> Char.chr (32 + ((i * 7) + n) mod 95)) in
+              let pos = Extmem.Ext_stack.length st in
+              Extmem.Ext_stack.push st payload;
+              Extmem.Codec.put_varint shadow n;
+              Buffer.add_string shadow payload;
+              Extmem.Codec.put_u32 shadow n;
+              scratch := -1;
+              model := (pos, payload) :: !model
+          | 3, (pos, payload) :: rest ->
+              if Extmem.Ext_stack.pop st <> payload then QCheck.Test.fail_reportf "pop";
+              reset_to pos;
+              model := rest
+          | 4, (_, payload) :: _ ->
+              if Extmem.Ext_stack.top st <> payload then QCheck.Test.fail_reportf "top"
+          | 5, (_ :: _ as m) ->
+              let k = List.length m / 2 in
+              let pos, _ = List.nth m k in
+              Extmem.Ext_stack.truncate_to st pos;
+              reset_to pos;
+              model := List.filteri (fun i _ -> i > k) m
+          | 6, (_ :: _ as m) -> scan_matches (fst (List.nth m (n mod List.length m)))
+          | _ -> ())
+        ops;
+      (match !model with [] -> () | m -> scan_matches (fst (List.nth m (List.length m - 1))));
+      true)
 
 let prop_ext_stack_push_io_linear =
   QCheck.Test.make ~name:"Ext_stack push-only I/O is <= bytes/B + O(1)" ~count:100
@@ -1698,7 +1801,6 @@ let () =
           Alcotest.test_case "paging counters" `Quick test_ext_stack_paging_counters;
           Alcotest.test_case "large entry" `Quick test_ext_stack_large_entry;
           Alcotest.test_case "scan and truncate" `Quick test_ext_stack_scan_and_truncate;
-          Alcotest.test_case "read_all_from" `Quick test_ext_stack_read_all_from;
           Alcotest.test_case "interleaved after spill" `Quick test_ext_stack_interleaved_after_spill;
           Alcotest.test_case "borrow window" `Quick test_ext_stack_borrow_window;
           Alcotest.test_case "borrow released on truncate" `Quick
@@ -1715,6 +1817,7 @@ let () =
           Alcotest.test_case "borrow across session reclaim" `Quick
             test_ext_stack_borrow_across_session_reclaim;
           qcheck prop_ext_stack_model;
+          qcheck prop_ext_stack_blockwise_scan;
           qcheck prop_ext_stack_push_io_linear;
         ] );
       ( "pager",

@@ -378,6 +378,49 @@ let test_sort_flat_wide_no_degen_external () =
   in
   check Alcotest.bool "external subtree sort used" true (r.Nexsort.external_sorts > 0)
 
+let test_sort_flat_fragments_path_stack_constant () =
+  (* every fragment id lives in its own path-stack entry below the root's
+     frame, so the frame stays a few bytes and degeneration's per-event
+     look at the top frame never pages: stack I/O stays O(1) however many
+     fragments the root collects *)
+  let xml, _ =
+    Xmlgen.Gen.to_string (fun sink -> Xmlgen.Gen.exact_shape ~seed:5 ~fanouts:[ 5_000 ] sink)
+  in
+  let config = Config.make ~block_size:256 ~memory_blocks:16 () in
+  let sorted, r = Nexsort.sort_string ~config ~ordering:by_id xml in
+  check Alcotest.bool
+    (Printf.sprintf "hundreds of fragments (%d)" r.Nexsort.fragment_runs)
+    true
+    (r.Nexsort.fragment_runs > 400);
+  let path_ios = Extmem.Io_stats.total (List.assoc "path stack" r.Nexsort.breakdown) in
+  check Alcotest.bool
+    (Printf.sprintf "path-stack I/O %d <= 64" path_ios)
+    true (path_ios <= 64);
+  check Alcotest.string "byte-identical to Tree_sort" (Baselines.Tree_sort.sort_string by_id xml)
+    sorted
+
+let test_sort_nested_fragmented_elements () =
+  (* a fragmented element nested between fragments of its fragmented
+     parent: the child's ids sit above the parent's frame and must come
+     off with the child, leaving exactly the parent's ids (older and
+     newer) under the parent's frame, and the parent's cached top-frame
+     fields must be restored when the child closes *)
+  let leaves tag n mult =
+    String.concat ""
+      (List.init n (fun i -> Printf.sprintf "<%s id=\"%d\">v%d</%s>" tag ((i * mult) mod n) i tag))
+  in
+  let xml =
+    "<r id=\"0\">" ^ leaves "a" 300 7919 ^ "<big id=\"150\">" ^ leaves "g" 300 337
+    ^ "</big>" ^ leaves "b" 300 211 ^ "</r>"
+  in
+  let config = tiny_config () in
+  let sorted, r = Nexsort.sort_string ~config ~ordering:by_id xml in
+  check Alcotest.bool
+    (Printf.sprintf "both elements merged fragments (%d merges)" r.Nexsort.fragment_merges)
+    true
+    (r.Nexsort.fragment_merges >= 2);
+  check Alcotest.string "byte-identical to the oracle" (Verify.Oracle.sort_string by_id xml) sorted
+
 let test_sort_subtree_keys () =
   (* subtree-derived keys force the reverse-scan external path *)
   let ordering =
@@ -1091,6 +1134,10 @@ let () =
           Alcotest.test_case "degeneration off" `Quick test_sort_degeneration_off;
           Alcotest.test_case "flat wide (fragments)" `Quick test_sort_flat_wide;
           Alcotest.test_case "flat wide external" `Quick test_sort_flat_wide_no_degen_external;
+          Alcotest.test_case "flat fragments keep path-stack I/O constant" `Quick
+            test_sort_flat_fragments_path_stack_constant;
+          Alcotest.test_case "nested fragmented elements" `Quick
+            test_sort_nested_fragmented_elements;
           Alcotest.test_case "subtree-derived keys" `Quick test_sort_subtree_keys;
           Alcotest.test_case "by_text ordering" `Quick test_sort_by_text_ordering;
           Alcotest.test_case "depth limited" `Quick test_sort_depth_limited;
