@@ -308,6 +308,42 @@ let run_fault_case ~seed j =
 
 exception Update_fail of string
 
+(* The positional index must agree with a re-parse of the base it
+   describes: every top-level key maps to the reader offset just after
+   its (last) start tag, and the index holds nothing else. *)
+let check_index ~ordering t doc =
+  let reader = Extmem.Block_reader.of_device (Extmem.Device.of_string ~block_size:512 doc) in
+  let p = Xmlio.Parser.of_reader reader in
+  let rec offsets depth acc =
+    match Xmlio.Parser.next p with
+    | None -> acc
+    | Some (Xmlio.Event.Start (name, attrs)) ->
+        let acc =
+          if depth <> 1 then acc
+          else
+            let key = Option.get (Ordering.key_of_start ordering name attrs) in
+            (key, Extmem.Block_reader.position reader)
+            :: List.filter (fun (k, _) -> not (Nexsort.Key.equal k key)) acc
+        in
+        offsets (depth + 1) acc
+    | Some (Xmlio.Event.End _) -> offsets (depth - 1) acc
+    | Some (Xmlio.Event.Text _) -> offsets depth acc
+  in
+  let want = offsets 0 [] in
+  List.iter
+    (fun (k, off) ->
+      if Xmerge.Ingest.find_offset t k <> Some off then
+        raise
+          (Update_fail
+             (Printf.sprintf "index offset of key %s disagrees with a re-parse (%d)"
+                (Nexsort.Key.to_string k) off)))
+    want;
+  if Xmerge.Ingest.index_keys t <> List.length want then
+    raise
+      (Update_fail
+         (Printf.sprintf "index holds %d keys, a re-parse finds %d" (Xmerge.Ingest.index_keys t)
+            (List.length want)))
+
 let run_update_case ~seed j =
   let case_seed = seed + 224737 + (61 * j) in
   let rng = Xmlgen.Splitmix.create case_seed in
@@ -387,13 +423,14 @@ let run_update_case ~seed j =
               ignore (Xmerge.Ingest.flush t);
               let out = Xmerge.Ingest.contents t in
               let rep = Verify.Validator.of_string ~ordering out in
-              match rep.Verify.Validator.findings with
+              (match rep.Verify.Validator.findings with
               | [] -> ()
               | f :: _ ->
                   raise
                     (Update_fail
                        (Printf.sprintf "flush left an unsorted document (at %s)"
-                          f.Verify.Validator.path))
+                          f.Verify.Validator.path)));
+              check_index ~ordering t out
             in
             match
               List.iteri

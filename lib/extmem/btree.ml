@@ -105,10 +105,13 @@ let alloc_block t =
   let block = Device.allocate t.dev 1 in
   block
 
-let create ?arena ?(who = "btree") ?policy ?(frames = 8) ~cmp dev =
+(* A tree whose meta page is the next block of [dev]. *)
+let fresh ?arena ?(who = "btree") ?policy ?(frames = 8) ~cmp dev =
   let pager = Pager.create ?arena ~who ?policy ~frames dev in
-  let meta_block = Device.allocate dev 1 in
-  let t = { dev; pager; cmp; meta_block; root = 0; count = 0 } in
+  { dev; pager; cmp; meta_block = Device.allocate dev 1; root = 0; count = 0 }
+
+let create ?arena ?who ?policy ?frames ~cmp dev =
+  let t = fresh ?arena ?who ?policy ?frames ~cmp dev in
   let root = alloc_block t in
   t.root <- root;
   store t root (Leaf { next = None; entries = [] });
@@ -158,6 +161,14 @@ type split_result =
   | Ok_no_split
   | Split of string * int (* separator, new right sibling block *)
 
+let varint_size n =
+  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
+  go n 1
+
+let string_size s = varint_size (String.length s) + String.length s
+
+let entry_size (k, v) = string_size k + string_size v
+
 let split_leaf t block (l : (string * string) list) next =
   let n = List.length l in
   let rec take k acc = function
@@ -165,7 +176,21 @@ let split_leaf t block (l : (string * string) list) next =
     | [] -> (List.rev acc, [])
     | x :: tl -> take (k - 1) (x :: acc) tl
   in
-  let left, right = take (n / 2) [] l in
+  let fits entries = node_fits t (Leaf { next; entries }) in
+  let left, right =
+    match take (n / 2) [] l with
+    | left, right when fits left && fits right -> (left, right)
+    | _ ->
+        (* entries of very different sizes: halve the bytes instead of
+           the count (each half then stays under half a block plus
+           1.5 quarter-block entries) *)
+        let total = List.fold_left (fun acc e -> acc + entry_size e) 0 l in
+        let rec cut k acc = function
+          | e :: rest when 2 * (acc + entry_size e) <= total -> cut (k + 1) (acc + entry_size e) rest
+          | _ -> k
+        in
+        take (max 1 (cut 0 0 l)) [] l
+  in
   match right with
   | [] -> invalid_arg "Btree: entry too large to split"
   | (sep, _) :: _ ->
@@ -321,3 +346,142 @@ let height t =
     | Internal i -> go (List.hd i.children) (acc + 1)
   in
   go t.root 1
+
+(* ---- bulk loading ----
+
+   Bottom-up construction from a sorted stream: the leaf being filled
+   and one open internal node per level are the only nodes in memory.
+   A node is written once, when the next entry (or child) would overflow
+   it; its smallest key then becomes its separator in the level above.
+   The newest entry is held back until a strictly greater key arrives, so
+   an equal key can still replace it. *)
+
+type level = {
+  mutable lo : string; (* smallest key below the node: its separator upstairs *)
+  mutable first : int; (* leftmost child *)
+  mutable rest : (string * int) list; (* (separator, child), newest first *)
+  mutable n : int;
+  mutable bytes : int; (* serialized size of [rest] *)
+}
+
+type loader = {
+  tree : t;
+  page : Bytes.t;
+  mutable last : (string * string) option;
+  mutable leaf_block : int;
+  mutable leaf_lo : string;
+  mutable leaf : (string * string) list; (* newest first *)
+  mutable leaf_n : int;
+  mutable leaf_bytes : int;
+  mutable levels : level list; (* lowest internal level first *)
+}
+
+let bulk_loader ?arena ?who ?policy ?frames ~cmp dev =
+  let tree = fresh ?arena ?who ?policy ?frames ~cmp dev in
+  {
+    tree;
+    page = Bytes.create (Device.block_size dev);
+    last = None;
+    leaf_block = alloc_block tree;
+    leaf_lo = "";
+    leaf = [];
+    leaf_n = 0;
+    leaf_bytes = 0;
+    levels = [];
+  }
+
+let write_direct ld block node =
+  let s = encode_node node in
+  Bytes.fill ld.page 0 (Bytes.length ld.page) '\000';
+  Bytes.blit_string s 0 ld.page 0 (String.length s);
+  Device.write_block ld.tree.dev block ld.page
+
+let write_leaf ld ~next =
+  write_direct ld ld.leaf_block (Leaf { next; entries = List.rev ld.leaf })
+
+let write_internal ld l =
+  let block = alloc_block ld.tree in
+  write_direct ld block
+    (Internal
+       { children = l.first :: List.rev_map snd l.rest; seps = List.rev_map fst l.rest });
+  block
+
+let rec push_up ld i ~lo block =
+  match List.nth_opt ld.levels i with
+  | None -> ld.levels <- ld.levels @ [ { lo; first = block; rest = []; n = 0; bytes = 0 } ]
+  | Some l ->
+      let add = string_size lo + varint_size block in
+      if 1 + varint_size (l.n + 1) + varint_size l.first + l.bytes + add
+         <= Device.block_size ld.tree.dev
+      then begin
+        l.rest <- (lo, block) :: l.rest;
+        l.n <- l.n + 1;
+        l.bytes <- l.bytes + add
+      end
+      else begin
+        push_up ld (i + 1) ~lo:l.lo (write_internal ld l);
+        l.lo <- lo;
+        l.first <- block;
+        l.rest <- [];
+        l.n <- 0;
+        l.bytes <- 0
+      end
+
+(* Append an entry to the open leaf, first writing the leaf out (chained
+   to a freshly allocated successor) when the entry would overflow it. *)
+let place ld (k, v) =
+  let dev = ld.tree.dev in
+  let e = entry_size (k, v) in
+  (* the successor will be the next block allocated *)
+  if ld.leaf_n > 0
+     && 1 + varint_size (Device.block_count dev + 1) + varint_size (ld.leaf_n + 1)
+        + ld.leaf_bytes + e
+        > Device.block_size dev
+  then begin
+    let next = alloc_block ld.tree in
+    write_leaf ld ~next:(Some next);
+    push_up ld 0 ~lo:ld.leaf_lo ld.leaf_block;
+    ld.leaf_block <- next;
+    ld.leaf <- [];
+    ld.leaf_n <- 0;
+    ld.leaf_bytes <- 0
+  end;
+  if ld.leaf_n = 0 then ld.leaf_lo <- k;
+  ld.leaf <- (k, v) :: ld.leaf;
+  ld.leaf_n <- ld.leaf_n + 1;
+  ld.leaf_bytes <- ld.leaf_bytes + e;
+  ld.tree.count <- ld.tree.count + 1
+
+let bulk_add ld ~key ~value =
+  if String.length key + String.length value > max_entry ld.tree then
+    invalid_arg "Btree.bulk_add: entry exceeds a quarter block";
+  match ld.last with
+  | Some (k, _) when ld.tree.cmp k key > 0 -> invalid_arg "Btree.bulk_add: keys out of order"
+  | Some (k, _) when ld.tree.cmp k key = 0 -> ld.last <- Some (key, value)
+  | last ->
+      Option.iter (place ld) last;
+      ld.last <- Some (key, value)
+
+let bulk_finish ld =
+  Option.iter (place ld) ld.last;
+  write_leaf ld ~next:None;
+  let t = ld.tree in
+  t.root <-
+    (if ld.levels = [] then ld.leaf_block
+     else begin
+       push_up ld 0 ~lo:ld.leaf_lo ld.leaf_block;
+       (* close the open node of every level, bottom up; the topmost is
+          the root *)
+       let rec close i =
+         let l = List.nth ld.levels i in
+         let block = write_internal ld l in
+         if i + 1 < List.length ld.levels then begin
+           push_up ld (i + 1) ~lo:l.lo block;
+           close (i + 1)
+         end
+         else block
+       in
+       close 0
+     end);
+  write_meta t;
+  t

@@ -75,3 +75,34 @@ val pager : t -> Pager.t
 
 val height : t -> int
 (** Levels from root to leaves (1 = root is a leaf). *)
+
+(** {1 Bulk loading}
+
+    Bottom-up construction from entries already in ascending key order:
+    each node is filled as far as the block allows and written exactly
+    once, left to right, holding one node per level in memory.  The
+    result is an ordinary tree (searchable, updatable, {!flush} +
+    {!reopen}-able) no taller than one built by {!insert}s. *)
+
+type loader
+
+val bulk_loader :
+  ?arena:Frame_arena.t ->
+  ?who:string ->
+  ?policy:Pager.policy ->
+  ?frames:int ->
+  cmp:(string -> string -> int) ->
+  Device.t ->
+  loader
+(** Start a tree on an empty device region, as {!create} does. *)
+
+val bulk_add : loader -> key:string -> value:string -> unit
+(** Append the next entry.  A key equal (under [cmp]) to the previous
+    one replaces it, as {!insert} would.
+    @raise Invalid_argument when the key sorts before the previous one
+    or key + value exceed a quarter block; the loader is left as before
+    the call. *)
+
+val bulk_finish : loader -> t
+(** Write the remaining nodes and the meta page and return the tree.  The
+    loader must not be used afterwards. *)

@@ -314,6 +314,14 @@ type flush_report = {
   indexed_keys : int;
 }
 
+(* The positional index of one base generation.  It lives on its own
+   device, replaced whole together with the base it describes. *)
+type index = {
+  tree : Extmem.Btree.t;
+  dev : Extmem.Device.t;
+  complete : bool; (* every top-level subtree has its entry *)
+}
+
 type t = {
   config : Nexsort.Config.t;
   ordering : Ordering.t;
@@ -323,51 +331,75 @@ type t = {
   root_name : string;
   mutable base : Extmem.Device.t;
   mutable generation : int; (* flush count; names each new base device *)
-  mutable index : Extmem.Btree.t;
-  index_dev : Extmem.Device.t;
-  mutable index_complete : bool;
-  mutable indexed : int;
+  mutable index : index;
   mutable next_seq : int;
   mutable batch_docs : int;
   mutable destroyed : bool;
 }
 
-(* The index key is the display form of the sort key: deterministic per
-   key, and a (theoretical) collision only disables the no-op shortcut,
-   never changes a result. *)
-let index_key k = Key.to_string k
+(* The index key is the key's wire encoding, ordered by
+   [Key.compare_cursors]: exactly {!Key.compare}, so distinct keys never
+   share an entry, and the order in which a merge emits top-level
+   subtrees — ascending, as the bulk loader needs. *)
+let index_key k =
+  let b = Buffer.create 16 in
+  Key.encode b k;
+  Buffer.contents b
+
+let index_cmp a b = Key.compare_cursors (Extmem.Codec.cursor a) (Extmem.Codec.cursor b)
 
 let index_frames = 4
 
-let rebuild_index t =
-  Extmem.Device.set_byte_length t.index_dev 0;
-  t.index <- Extmem.Btree.create ~frames:index_frames ~cmp:String.compare t.index_dev;
-  t.index_complete <- true;
-  t.indexed <- 0;
-  let reader = Extmem.Block_reader.of_device t.base in
-  let p = Xmlio.Parser.of_reader reader in
-  let depth = ref 0 in
-  let rec go () =
-    match Xmlio.Parser.next p with
-    | None -> ()
-    | Some e ->
-        (match e with
-        | Xmlio.Event.Start (name, attrs) ->
-            incr depth;
-            if !depth = 2 then begin
-              let key = key_of_start t.ordering name attrs in
-              let offset = Extmem.Block_reader.position reader in
-              try
-                Extmem.Btree.insert t.index ~key:(index_key key)
-                  ~value:(string_of_int offset);
-                t.indexed <- t.indexed + 1
-              with Invalid_argument _ -> t.index_complete <- false
-            end
-        | Xmlio.Event.End _ -> decr depth
-        | Xmlio.Event.Text _ -> ());
-        go ()
+(* A base generation being written: the XML writer onto its device, and
+   the bulk load of its positional index from the same events.  A
+   top-level subtree's offset is where the sink stands just after its
+   start tag closes — the writer emits the ">" (or the "/>" of an empty
+   element) lazily, as the first bytes after the start event — which is
+   the reader offset a parser reports for that start tag. *)
+type base_writer = {
+  emit : Xmlio.Event.t -> unit;
+  finish : unit -> index; (* closes the writer; the device is then complete *)
+}
+
+let open_base ~config ~ordering dev =
+  let bw = Extmem.Block_writer.create dev in
+  (* blocks big enough for the quarter-block entry limit even under tiny
+     sort geometries; the pager is standalone (unaccounted), like any
+     side index *)
+  let index_dev =
+    Extmem.Device.in_memory ~block_size:(max 1024 config.Nexsort.Config.block_size) ()
   in
-  go ()
+  let loader = Extmem.Btree.bulk_loader ~frames:index_frames ~cmp:index_cmp index_dev in
+  let complete = ref true in
+  let open_key = ref None in
+  let sink s =
+    Extmem.Block_writer.write_string bw s;
+    match !open_key with
+    | None -> ()
+    | Some key -> (
+        open_key := None;
+        let offset = Extmem.Block_writer.position bw in
+        try Extmem.Btree.bulk_add loader ~key ~value:(string_of_int offset)
+        with Invalid_argument _ -> complete := false)
+  in
+  let writer = Xmlio.Writer.to_fn sink in
+  let depth = ref 0 in
+  let emit e =
+    Xmlio.Writer.event writer e;
+    match e with
+    | Xmlio.Event.Start (name, attrs) ->
+        incr depth;
+        if !depth = 2 then open_key := Some (index_key (key_of_start ordering name attrs))
+    | Xmlio.Event.End _ -> decr depth
+    | Xmlio.Event.Text _ -> ()
+  in
+  let finish () =
+    Xmlio.Writer.close writer;
+    let extent = Extmem.Block_writer.close bw in
+    Extmem.Device.set_byte_length dev extent.Extmem.Extent.bytes;
+    { tree = Extmem.Btree.bulk_finish loader; dev = index_dev; complete = !complete }
+  in
+  { emit; finish }
 
 let pq_cmp a b =
   let c = Keypath.compare_encoded a b in
@@ -375,53 +407,61 @@ let pq_cmp a b =
   else compare (Keypath.decode_payload a) (Keypath.decode_payload b)
 
 let create ?(config = Nexsort.Config.make ()) ?session ~ordering ~base () =
-  let sorted =
-    let bs = config.Nexsort.Config.block_size in
+  let bs = config.Nexsort.Config.block_size in
+  let base_dev = Nexsort.Config.scratch_device config ~name:"ingest-base-0" in
+  (* the initial sort streams straight onto the base device *)
+  let root_name = ref None in
+  let index =
     let input = Extmem.Device.of_string ~block_size:bs base in
-    let output = Extmem.Device.in_memory ~block_size:bs () in
-    ignore (Nexsort.sort_device ~config ?session ~ordering ~input ~output ());
-    Extmem.Device.contents output
+    let stream = Nexsort.open_stream ~config ?session ~ordering ~input () in
+    match
+      let w = open_base ~config ~ordering base_dev in
+      let rec pump () =
+        match Nexsort.stream_events stream with
+        | None -> ()
+        | Some e ->
+            (match (e, !root_name) with
+            | Xmlio.Event.Start (name, _), None -> root_name := Some name
+            | _ -> ());
+            w.emit e;
+            pump ()
+      in
+      pump ();
+      w.finish ()
+    with
+    | index ->
+        ignore (Nexsort.stream_finish stream);
+        index
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        (try ignore (Nexsort.stream_finish stream) with _ -> ());
+        Printexc.raise_with_backtrace e bt
   in
   let root_name =
-    let p = Xmlio.Parser.of_string sorted in
-    match Xmlio.Parser.next p with
-    | Some (Xmlio.Event.Start (name, _)) -> name
-    | _ -> invalid_arg "Ingest: base document has no root element"
+    match !root_name with
+    | Some name -> name
+    | None -> invalid_arg "Ingest: base document has no root element"
   in
-  let bs = config.Nexsort.Config.block_size in
   let budget =
     Extmem.Memory_budget.create ~blocks:config.Nexsort.Config.memory_blocks ~block_size:bs
   in
   let arena = Extmem.Frame_arena.create ~budget () in
-  let base_dev = Nexsort.Config.scratch_device config ~name:"ingest-base-0" in
   let pq_temp = Nexsort.Config.scratch_device config ~name:"ingest-pq" in
-  (* The index lives on its own device with blocks big enough for the
-     quarter-block entry limit even under tiny sort geometries; its
-     pager is standalone (unaccounted), like any side index. *)
-  let index_dev = Extmem.Device.in_memory ~block_size:(max 1024 bs) () in
-  Extmem.Device.load_string base_dev sorted;
   let pq = Extsort.Ext_pq.create ~arena ~budget ~temp:pq_temp ~cmp:pq_cmp () in
-  let t =
-    {
-      config;
-      ordering;
-      budget;
-      arena;
-      pq;
-      root_name;
-      base = base_dev;
-      generation = 0;
-      index = Extmem.Btree.create ~frames:index_frames ~cmp:String.compare index_dev;
-      index_dev;
-      index_complete = false;
-      indexed = 0;
-      next_seq = 0;
-      batch_docs = 0;
-      destroyed = false;
-    }
-  in
-  rebuild_index t;
-  t
+  {
+    config;
+    ordering;
+    budget;
+    arena;
+    pq;
+    root_name;
+    base = base_dev;
+    generation = 0;
+    index;
+    next_seq = 0;
+    batch_docs = 0;
+    destroyed = false;
+  }
 
 let check_live t = if t.destroyed then invalid_arg "Ingest: session destroyed"
 
@@ -452,10 +492,10 @@ let pending t = Extsort.Ext_pq.length t.pq
    earlier upsert may have created what the delete targets). *)
 let index_droppable t ops op =
   marker_of_attrs op.node.Tree.attrs = Delete
-  && t.index_complete
+  && t.index.complete
   && (match op.path with
      | _root :: top :: _ ->
-         (not (Extmem.Btree.mem t.index (index_key top.Keypath.key)))
+         (not (Extmem.Btree.mem t.index.tree (index_key top.Keypath.key)))
          && not
               (List.exists
                  (fun other ->
@@ -468,6 +508,8 @@ let index_droppable t ops op =
      | _ -> false)
 
 let base_bytes t = Extmem.Device.byte_length t.base
+
+let index_keys t = Extmem.Btree.length t.index.tree
 
 let flush t =
   check_live t;
@@ -485,7 +527,7 @@ let flush t =
       pq_run_blocks = Extsort.Ext_pq.run_blocks t.pq;
       flush_io;
       base_bytes = base_bytes t;
-      indexed_keys = t.indexed;
+      indexed_keys = index_keys t;
     }
   in
   let rec drain acc =
@@ -516,8 +558,10 @@ let flush t =
       List.iter (graft ~ordering:t.ordering root) live_ops;
       let update_events = events_of_unode root in
       (* Devices are append-allocated and cannot be rewound, so each
-         flush writes the new base to a fresh scratch device and drops
-         the old one (reclaimed with the in-memory backend). *)
+         flush writes the new base, and its index, to fresh devices and
+         drops the old ones (reclaimed with the in-memory backend).  Both
+         are swapped in only once the merge has completed: a fault
+         mid-flush leaves the old base and its index as they were. *)
       let spare =
         Nexsort.Config.scratch_device t.config
           ~name:(Printf.sprintf "ingest-base-%d" (t.generation + 1))
@@ -528,8 +572,7 @@ let flush t =
           (Extmem.Io_stats.snapshot (Extmem.Device.stats spare))
       in
       let pb = Xmlio.Parser.of_reader (Extmem.Block_reader.of_device t.base) in
-      let bw = Extmem.Block_writer.create spare in
-      let writer = Xmlio.Writer.to_block_writer bw in
+      let w = open_base ~config:t.config ~ordering:t.ordering spare in
       let updates = ref update_events in
       let pull_updates () =
         match !updates with
@@ -542,19 +585,23 @@ let flush t =
         Batch_update.apply_events ~ordering:t.ordering
           ~base:(fun () -> Xmlio.Parser.next pb)
           ~updates:pull_updates
-          ~emit:(Xmlio.Writer.event writer)
+          ~emit:w.emit
       in
-      Xmlio.Writer.close writer;
-      let extent = Extmem.Block_writer.close bw in
-      Extmem.Device.set_byte_length spare extent.Extmem.Extent.bytes;
+      let index = w.finish () in
       let io_after =
         Extmem.Io_stats.add
           (Extmem.Io_stats.snapshot (Extmem.Device.stats t.base))
           (Extmem.Io_stats.snapshot (Extmem.Device.stats spare))
       in
       t.base <- spare;
+      t.index <- index;
       t.generation <- t.generation + 1;
-      rebuild_index t;
+      (* The old generation just became garbage all at once: megabytes of
+         in-memory device blocks.  The merge allocates too little for the
+         GC's allocation-paced cycles to notice, so without a collection
+         here two or three dead generations pile up and raise peak memory
+         by that much; a full major costs a few milliseconds per flush. *)
+      Gc.full_major ();
       finish ~merge ~batch_ops:(List.length ops) ~index_dropped ~skipped:false
         ~flush_io:(Extmem.Io_stats.diff io_after io_before)
         ()
@@ -595,11 +642,11 @@ let contents t =
 
 let base_device t = t.base
 
-let index_keys t = t.indexed
+let index_device t = t.index.dev
 
 let find_offset t key =
   check_live t;
-  Option.map int_of_string (Extmem.Btree.find t.index (index_key key))
+  Option.map int_of_string (Extmem.Btree.find t.index.tree (index_key key))
 
 let destroy t =
   if not t.destroyed then begin

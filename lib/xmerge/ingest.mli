@@ -22,6 +22,14 @@
     each root child's key to its byte offset in the base document, and
     lets a flush drop delete operations whose top-level subtree does not
     exist — a batch of only such no-ops skips the merge pass entirely.
+    The index is built in the same pass that writes its base (the initial
+    sort's output, or a flush's merge output): the writer reports each
+    top-level start tag's key and offset, and those arrive in key order,
+    so they are bulk-loaded bottom-up onto a fresh index device.  Keys
+    are {!Nexsort.Key.encode}d and compared by
+    {!Nexsort.Key.compare_cursors}.  A flush swaps base and index in
+    together after its merge completes, so a failed flush leaves both
+    as they were.
 
     Folding semantics: operations are replayed in arrival order per
     target, so [delete] then upsert becomes a replace, an upsert after a
@@ -48,7 +56,7 @@ type flush_report = {
   pq_run_blocks : int;  (** blocks ever spilled to the queue's run store *)
   flush_io : Extmem.Io_stats.t;  (** base-device I/O delta of this flush *)
   base_bytes : int;  (** size of the (new) base document *)
-  indexed_keys : int;  (** entries in the rebuilt positional index *)
+  indexed_keys : int;  (** entries (distinct keys) in the positional index *)
 }
 
 val flush_report_json : flush_report -> Obs.Json.t
@@ -62,8 +70,9 @@ val create :
   base:string ->
   unit ->
   t
-(** Sort [base] (via NEXSORT, under [config]) onto the ingest's own
-    device pair and build the positional index.  [session] runs the
+(** Sort [base] (via NEXSORT, under [config]) straight onto the ingest's
+    base device, building the positional index from the same output
+    stream.  [session] runs the
     initial sort over a pre-built session (the engine path; destroyed by
     the sort as usual).  The ingest holds its own memory budget of
     [config]'s geometry for the queue; flushes additionally use one
@@ -96,7 +105,12 @@ val base_device : t -> Extmem.Device.t
     non-skipped flush). *)
 
 val index_keys : t -> int
-(** Entries in the positional index (top-level subtrees of the base). *)
+(** Entries in the positional index: the distinct keys of the base's
+    top-level subtrees. *)
+
+val index_device : t -> Extmem.Device.t
+(** The device holding the current positional index (a fresh one after
+    each non-skipped flush, holding that generation's tree only). *)
 
 val find_offset : t -> Nexsort.Key.t -> int option
 (** Position of the top-level subtree with the given key in the current

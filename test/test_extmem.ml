@@ -1301,6 +1301,74 @@ let prop_btree_survives_reopen =
           = Extmem.Btree.find t (Printf.sprintf "%02d" k))
         kvs)
 
+(* Bulk loading against sequential inserts: ascending keys with runs of
+   duplicates (the last value wins), values up to the quarter-block
+   limit, block sizes 128..4096. *)
+let prop_btree_bulk_load_matches_inserts =
+  QCheck.Test.make ~name:"Btree bulk load = sequential inserts" ~count:150
+    QCheck.(
+      pair (int_range 128 4096)
+        (list_of_size Gen.(int_range 0 400) (pair (int_bound 3) (int_bound 4096))))
+    (fun (block_size, steps) ->
+      let max_value = (block_size / 4) - 6 in
+      (* a gap of 0 repeats the previous key *)
+      let _, rev_entries =
+        List.fold_left
+          (fun (k, acc) (gap, len) ->
+            let k = k + gap in
+            let tag = string_of_int (List.length acc) in
+            let len = max (String.length tag) (len mod (max_value + 1)) in
+            (k, (Printf.sprintf "k%05d" k, tag ^ String.make (len - String.length tag) 'v') :: acc))
+          (0, []) steps
+      in
+      let entries = List.rev rev_entries in
+      let bulk_dev = Extmem.Device.in_memory ~block_size () in
+      let loader = Extmem.Btree.bulk_loader ~cmp:compare bulk_dev in
+      List.iter (fun (key, value) -> Extmem.Btree.bulk_add loader ~key ~value) entries;
+      let bulk = Extmem.Btree.bulk_finish loader in
+      let ins = Extmem.Btree.create ~cmp:compare (Extmem.Device.in_memory ~block_size ()) in
+      List.iter (fun (key, value) -> Extmem.Btree.insert ins ~key ~value) entries;
+      let all t =
+        let got = ref [] in
+        Extmem.Btree.iter t (fun k v -> got := (k, v) :: !got);
+        List.rev !got
+      in
+      let probes = List.init 8 (fun i -> Printf.sprintf "k%05d" (i * 97)) @ List.map fst entries in
+      let same_finds t = List.for_all (fun k -> Extmem.Btree.find t k = Extmem.Btree.find ins k) probes in
+      Extmem.Btree.flush bulk;
+      let reopened = Extmem.Btree.reopen ~cmp:compare bulk_dev in
+      if all bulk <> all ins then QCheck.Test.fail_report "iter differs";
+      if Extmem.Btree.length bulk <> Extmem.Btree.length ins then
+        QCheck.Test.fail_reportf "length %d vs %d" (Extmem.Btree.length bulk)
+          (Extmem.Btree.length ins);
+      if not (same_finds bulk) then QCheck.Test.fail_report "find differs";
+      if all reopened <> all ins || Extmem.Btree.length reopened <> Extmem.Btree.length ins
+         || not (same_finds reopened)
+      then QCheck.Test.fail_report "differs after flush + reopen";
+      if Extmem.Btree.height bulk > Extmem.Btree.height ins then
+        QCheck.Test.fail_reportf "height %d > %d" (Extmem.Btree.height bulk)
+          (Extmem.Btree.height ins);
+      true)
+
+let test_btree_bulk_rejects () =
+  let loader = Extmem.Btree.bulk_loader ~cmp:compare (Extmem.Device.in_memory ~block_size:128 ()) in
+  Extmem.Btree.bulk_add loader ~key:"b" ~value:"1";
+  (match Extmem.Btree.bulk_add loader ~key:"a" ~value:"2" with
+  | () -> Alcotest.fail "out-of-order key accepted"
+  | exception Invalid_argument _ -> ());
+  (match Extmem.Btree.bulk_add loader ~key:"c" ~value:(String.make 40 'v') with
+  | () -> Alcotest.fail "oversized entry accepted"
+  | exception Invalid_argument _ -> ());
+  (* a rejected entry leaves the loader as it was *)
+  Extmem.Btree.bulk_add loader ~key:"b" ~value:"3";
+  Extmem.Btree.bulk_add loader ~key:"c" ~value:"4";
+  let t = Extmem.Btree.bulk_finish loader in
+  let got = ref [] in
+  Extmem.Btree.iter t (fun k v -> got := (k, v) :: !got);
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "entries" [ ("b", "3"); ("c", "4") ] (List.rev !got)
+
 (* ------------------------------------------------------------------ *)
 (* Trace *)
 
@@ -1844,6 +1912,8 @@ let () =
           Alcotest.test_case "custom order" `Quick test_btree_custom_order;
           qcheck prop_btree_matches_map;
           qcheck prop_btree_survives_reopen;
+          qcheck prop_btree_bulk_load_matches_inserts;
+          Alcotest.test_case "bulk load rejects" `Quick test_btree_bulk_rejects;
         ] );
       ( "trace",
         [

@@ -789,6 +789,213 @@ let prop_ingest_partition_invariant =
             QCheck.Test.fail_reportf "oracle:@.%s@.ingest:@.%s" oracle got
           else true))
 
+(* The positional index against its definition: re-parse the base and
+   record the reader offset just after each top-level start tag, the
+   last occurrence of a key winning. *)
+let reparse_offsets doc =
+  let reader = Extmem.Block_reader.of_device (Extmem.Device.of_string ~block_size:128 doc) in
+  let p = Xmlio.Parser.of_reader reader in
+  let rec go depth acc =
+    match Xmlio.Parser.next p with
+    | None -> List.rev acc
+    | Some (Xmlio.Event.Start (name, attrs)) ->
+        let acc =
+          if depth <> 1 then acc
+          else
+            let key = Option.get (Ordering.key_of_start by_id name attrs) in
+            let off = Extmem.Block_reader.position reader in
+            (key, off) :: List.filter (fun (k, _) -> not (Key.equal k key)) acc
+        in
+        go (depth + 1) acc
+    | Some (Xmlio.Event.End _) -> go (depth - 1) acc
+    | Some (Xmlio.Event.Text _) -> go depth acc
+  in
+  go 0 []
+
+let index_mismatch t =
+  let want = reparse_offsets (Xmerge.Ingest.contents t) in
+  let show = function Some o -> string_of_int o | None -> "none" in
+  match
+    List.find_opt (fun (k, off) -> Xmerge.Ingest.find_offset t k <> Some off) want
+  with
+  | Some (k, off) ->
+      Some
+        (Printf.sprintf "key %s: index %s, re-parse %d" (Key.to_string k)
+           (show (Xmerge.Ingest.find_offset t k)) off)
+  | None ->
+      if List.length want = Xmerge.Ingest.index_keys t then None
+      else
+        Some
+          (Printf.sprintf "index holds %d keys, re-parse %d" (Xmerge.Ingest.index_keys t)
+             (List.length want))
+
+let check_index what t =
+  match index_mismatch t with
+  | None -> ()
+  | Some msg -> Alcotest.failf "%s: %s" what msg
+
+(* Numeric keys that agree in their first six digits index apart: the
+   two offsets differ, and a delete of the absent 1000003 is dropped. *)
+let test_ingest_index_seven_digit_ids () =
+  let t =
+    Xmerge.Ingest.create ~config:ingest_config ~ordering:by_id
+      ~base:{|<r><a id="1000002"/><a id="1000001"/></r>|} ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Xmerge.Ingest.destroy t)
+    (fun () ->
+      let off id = Xmerge.Ingest.find_offset t (Key.of_string id) in
+      check Alcotest.int "two entries" 2 (Xmerge.Ingest.index_keys t);
+      check Alcotest.bool "distinct offsets" true (off "1000001" <> off "1000002");
+      check_index "after create" t;
+      Xmerge.Ingest.add_update t {|<r><a id="1000003" __op="delete"/></r>|};
+      let r = Xmerge.Ingest.flush t in
+      check Alcotest.bool "skipped" true r.Xmerge.Ingest.skipped;
+      check Alcotest.int "index-dropped" 1 r.Xmerge.Ingest.index_dropped;
+      check Alcotest.int "no io" 0 (Extmem.Io_stats.total r.Xmerge.Ingest.flush_io))
+
+(* Random edit scripts over a base with self-closing top-level elements
+   (the "/>" offset case) and duplicate top-level keys: after [create]
+   and after every flush, the index built in the writing pass must equal
+   a re-parse of the base. *)
+let prop_ingest_index_matches_reparse =
+  QCheck.Test.make ~name:"ingest index = re-parse after every flush" ~count:60
+    QCheck.(
+      let ids = [| "1"; "2"; "5"; "1000001"; "1000002"; "x" |] in
+      let id_gen = Gen.(map (fun i -> ids.(i)) (int_bound (Array.length ids - 1))) in
+      let top_gen =
+        Gen.(
+          pair id_gen (int_bound 3) >|= fun (id, kind) ->
+          match kind with
+          | 0 -> Printf.sprintf {|<a id="%s"/>|} id
+          | 1 -> Printf.sprintf {|<b id="%s"><n>t%s</n></b>|} id id
+          | 2 -> Printf.sprintf {|<a id="%s">text</a>|} id
+          | _ -> Printf.sprintf {|<a id="%s" w="1"><m/><m/></a>|} id)
+      in
+      let op_gen =
+        Gen.(
+          pair id_gen (int_bound 4) >|= fun (id, kind) ->
+          ( id,
+            match kind with
+            | 0 -> Printf.sprintf {|<a id="%s" v="u"/>|} id
+            | 1 -> Printf.sprintf {|<a id="%s"><m k="%s"/></a>|} id id
+            | 2 -> Printf.sprintf {|<a id="%s" __op="delete"/>|} id
+            | 3 -> Printf.sprintf {|<b id="%s" __op="delete"/>|} id
+            | _ -> Printf.sprintf {|<a id="%s" __op="replace"/>|} id ))
+      in
+      let doc_gen =
+        Gen.(
+          list_size (int_range 1 3) op_gen >|= fun ops ->
+          let rec dedup seen = function
+            | [] -> []
+            | (id, op) :: rest ->
+                if List.mem id seen then dedup seen rest else op :: dedup (id :: seen) rest
+          in
+          "<r>" ^ String.concat "" (dedup [] ops) ^ "</r>")
+      in
+      make
+        ~print:(fun (base, docs, cuts) ->
+          Printf.sprintf "base: %s\ndocs:\n%s\ncuts: %s" base (String.concat "\n" docs)
+            (String.concat "" (List.map (fun b -> if b then "|" else ".") cuts)))
+        Gen.(
+          triple
+            (list_size (int_range 0 8) top_gen >|= fun tops -> "<r>" ^ String.concat "" tops ^ "</r>")
+            (list_size (int_range 1 8) doc_gen)
+            (list_size (int_range 1 8) bool)))
+    (fun (base, docs, cuts) ->
+      let t = Xmerge.Ingest.create ~config:ingest_config ~ordering:by_id ~base () in
+      Fun.protect
+        ~finally:(fun () -> Xmerge.Ingest.destroy t)
+        (fun () ->
+          let verify what =
+            match index_mismatch t with
+            | None -> ()
+            | Some msg ->
+                QCheck.Test.fail_reportf "%s: %s@.base now:@.%s" what msg
+                  (Xmerge.Ingest.contents t)
+          in
+          verify "after create";
+          List.iteri
+            (fun i doc ->
+              Xmerge.Ingest.add_update t doc;
+              if Option.value (List.nth_opt cuts i) ~default:false then begin
+                ignore (Xmerge.Ingest.flush t);
+                verify (Printf.sprintf "after doc %d" i)
+              end)
+            docs;
+          ignore (Xmerge.Ingest.flush t);
+          verify "after the last flush";
+          true))
+
+let ingest_records n =
+  "<r>"
+  ^ String.concat ""
+      (List.init n (fun i -> Printf.sprintf {|<a id="%d"><n>record %d</n></a>|} (n - i) i))
+  ^ "</r>"
+
+(* Base and index are swapped in together only after the merge: a flush
+   that faults leaves the old contents and the old offsets. *)
+let test_ingest_failed_flush_keeps_generation () =
+  let base = ingest_records 20 in
+  let failed = ref 0 in
+  for seed = 0 to 49 do
+    let config =
+      (* memory enough to sort in memory, so most faults land in flushes *)
+      Nexsort.Config.make ~block_size:128 ~memory_blocks:64
+        ~device:(Extmem.Device_spec.parse (Printf.sprintf "faulty:p=0.05,seed=%d/mem" seed))
+        ()
+    in
+    match Xmerge.Ingest.create ~config ~ordering:by_id ~base () with
+    | exception Extmem.Device.Fault _ -> ()
+    | t ->
+        Fun.protect
+          ~finally:(fun () -> Xmerge.Ingest.destroy t)
+          (fun () ->
+            let before = Xmerge.Ingest.contents t in
+            let offsets = reparse_offsets before in
+            let index_dev = Xmerge.Ingest.index_device t in
+            Xmerge.Ingest.add_update t {|<r><a id="5" __op="delete"/><a id="100"/></r>|};
+            match Xmerge.Ingest.flush t with
+            | _ -> ()
+            | exception Extmem.Device.Fault _ ->
+                incr failed;
+                check Alcotest.string "old contents" before (Xmerge.Ingest.contents t);
+                check Alcotest.bool "old index device" true
+                  (Xmerge.Ingest.index_device t == index_dev);
+                List.iter
+                  (fun (k, off) ->
+                    check (Alcotest.option Alcotest.int) "old offset" (Some off)
+                      (Xmerge.Ingest.find_offset t k))
+                  offsets)
+  done;
+  check Alcotest.bool "some flush faulted" true (!failed > 0)
+
+(* Each flush loads its index onto a fresh device: after 20 flushes the
+   index device holds exactly what a fresh build over the same base
+   holds, not 20 generations. *)
+let test_ingest_index_one_generation () =
+  let t = Xmerge.Ingest.create ~config:ingest_config ~ordering:by_id ~base:(ingest_records 30) () in
+  Fun.protect
+    ~finally:(fun () -> Xmerge.Ingest.destroy t)
+    (fun () ->
+      for i = 1 to 20 do
+        Xmerge.Ingest.add_update t
+          (Printf.sprintf {|<r><a id="%d" __op="delete"/><a id="%d"/></r>|} i (100 + i));
+        let r = Xmerge.Ingest.flush t in
+        check Alcotest.bool "merged" false r.Xmerge.Ingest.skipped;
+        check_index (Printf.sprintf "after flush %d" i) t
+      done;
+      let fresh =
+        Xmerge.Ingest.create ~config:ingest_config ~ordering:by_id
+          ~base:(Xmerge.Ingest.contents t) ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Xmerge.Ingest.destroy fresh)
+        (fun () ->
+          check Alcotest.int "one generation of index blocks"
+            (Extmem.Device.block_count (Xmerge.Ingest.index_device fresh))
+            (Extmem.Device.block_count (Xmerge.Ingest.index_device t))))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -838,6 +1045,13 @@ let () =
           Alcotest.test_case "empty flush" `Quick test_ingest_empty_flush_is_noop;
           Alcotest.test_case "rejects malformed" `Quick test_ingest_rejects_malformed;
           qcheck prop_ingest_partition_invariant;
+          Alcotest.test_case "seven-digit ids index apart" `Quick
+            test_ingest_index_seven_digit_ids;
+          qcheck prop_ingest_index_matches_reparse;
+          Alcotest.test_case "failed flush keeps the old generation" `Quick
+            test_ingest_failed_flush_keeps_generation;
+          Alcotest.test_case "index holds one generation" `Quick
+            test_ingest_index_one_generation;
         ] );
       ( "seqnum",
         [
