@@ -309,11 +309,13 @@ let run_fault_case ~seed j =
 exception Update_fail of string
 
 (* The positional index must agree with a re-parse of the base it
-   describes: every top-level key maps to the reader offset just after
+   describes: every top-level key maps to the parser offset just after
    its (last) start tag, and the index holds nothing else. *)
 let check_index ~ordering t doc =
-  let reader = Extmem.Block_reader.of_device (Extmem.Device.of_string ~block_size:512 doc) in
-  let p = Xmlio.Parser.of_reader reader in
+  let p =
+    Xmlio.Parser.of_reader
+      (Extmem.Block_reader.of_device (Extmem.Device.of_string ~block_size:512 doc))
+  in
   let rec offsets depth acc =
     match Xmlio.Parser.next p with
     | None -> acc
@@ -322,7 +324,7 @@ let check_index ~ordering t doc =
           if depth <> 1 then acc
           else
             let key = Option.get (Ordering.key_of_start ordering name attrs) in
-            (key, Extmem.Block_reader.position reader)
+            (key, Xmlio.Parser.offset p)
             :: List.filter (fun (k, _) -> not (Nexsort.Key.equal k key)) acc
         in
         offsets (depth + 1) acc
@@ -419,9 +421,29 @@ let run_update_case ~seed j =
         Fun.protect
           ~finally:(fun () -> Xmerge.Ingest.destroy t)
           (fun () ->
+            (* the content oracle: every document applied on its own, in
+               arrival order, by a sort-and-merge on a fault-free device *)
+            let expected = ref (Xmerge.Ingest.contents t) in
+            let oracle_config = Nexsort.Config.make ~block_size:512 ~memory_blocks:16 () in
             let validate_flush () =
               ignore (Xmerge.Ingest.flush t);
               let out = Xmerge.Ingest.contents t in
+              if not (String.equal out !expected) then begin
+                let n = min (String.length out) (String.length !expected) in
+                let rec first i = if i < n && out.[i] = !expected.[i] then first (i + 1) else i in
+                let at = first 0 in
+                let around s =
+                  let lo = max 0 (at - 60) in
+                  String.escaped (String.sub s lo (min (String.length s - lo) 120))
+                in
+                raise
+                  (Update_fail
+                     (Printf.sprintf
+                        "flush result differs from sequential application at byte %d:\n\
+                        \  ingest: %s\n\
+                        \  oracle: %s"
+                        at (around out) (around !expected)))
+              end;
               let rep = Verify.Validator.of_string ~ordering out in
               (match rep.Verify.Validator.findings with
               | [] -> ()
@@ -436,6 +458,10 @@ let run_update_case ~seed j =
               List.iteri
                 (fun i doc ->
                   Xmerge.Ingest.add_update t doc;
+                  expected :=
+                    fst
+                      (Xmerge.Batch_update.sort_and_apply_strings ~config:oracle_config ~ordering
+                         ~base:!expected ~updates:doc ());
                   if (i + Xmlgen.Splitmix.int rng 2) mod 2 = 0 then validate_flush ())
                 docs;
               if Xmerge.Ingest.pending t > 0 then validate_flush ()

@@ -38,34 +38,25 @@ let ensure_block r =
     r.cur_block <- want
   end
 
-let peek_char r =
-  if at_end r then None
+let block_size r = Bytes.length r.buf
+
+let read_span r dst off len =
+  let bs = Bytes.length r.buf in
+  let within = r.pos mod bs in
+  let n = min len (min (bs - within) (r.extent.Extent.bytes - r.pos)) in
+  if n <= 0 then 0
   else begin
     ensure_block r;
-    Some (Bytes.get r.buf (r.pos mod Bytes.length r.buf))
+    Bytes.blit r.buf within dst off n;
+    r.pos <- r.pos + n;
+    n
   end
 
-let read_char r =
-  match peek_char r with
-  | None -> None
-  | Some c ->
-      r.pos <- r.pos + 1;
-      Some c
-
 let read_bytes r dst off len =
-  let bs = Bytes.length r.buf in
-  let remaining = r.extent.Extent.bytes - r.pos in
-  let len = min len remaining in
   let rec go off len got =
-    if len = 0 then got
-    else begin
-      ensure_block r;
-      let within = r.pos mod bs in
-      let n = min len (bs - within) in
-      Bytes.blit r.buf within dst off n;
-      r.pos <- r.pos + n;
-      go (off + n) (len - n) (got + n)
-    end
+    match read_span r dst off len with
+    | 0 -> got
+    | n -> go (off + n) (len - n) (got + n)
   in
   go off len 0
 

@@ -27,11 +27,15 @@ val length : t -> int
 
 val at_end : t -> bool
 
-val read_char : t -> char option
-(** Next byte, or [None] at end of stream. *)
+val block_size : t -> int
 
-val peek_char : t -> char option
-(** Next byte without consuming it. *)
+val read_span : t -> bytes -> int -> int -> int
+(** [read_span r buf off len] reads up to [len] bytes, stopping at the
+    end of the block holding the current position, and returns how many
+    it read (0 only at end of stream or when [len] is 0).  A span never
+    crosses a block boundary, so it costs at most one block read, and a
+    scanner that refills a block-sized window with spans reads exactly
+    the blocks a byte-at-a-time scan would, at the same points. *)
 
 val read_bytes : t -> bytes -> int -> int -> int
 (** [read_bytes r buf off len] reads up to [len] bytes; returns the number

@@ -92,10 +92,13 @@ let decode_op record =
    An update document is cut into per-subtree operations: any element
    carrying an [__op] marker is one operation, as is any markerless
    subtree with no markers below it (a whole-subtree upsert).  Elements
-   above the cuts are spine: name and attributes only — their direct
-   text children, if any, become a text-shell upsert of their own so no
-   content is lost.  The root is always spine (a marker on the root has
-   no meaning under the structural merge and is rejected). *)
+   above the cuts are spine: name and attributes only.  The merge
+   matches a Null run (texts and unkeyed elements) by position, so an
+   element that holds text or has no key is never spine: it is one
+   operation, markers below it included.  The root is always spine (a
+   marker on the root has no meaning under the structural merge and is
+   rejected); when it holds text, its whole Null run is one text-shell
+   operation. *)
 
 let key_of_start ordering name attrs =
   match Ordering.key_of_start ordering name attrs with
@@ -111,23 +114,34 @@ let decompose ~ordering (root : Tree.element) =
   let ops = ref [] in
   let comp name attrs = { Keypath.key = key_of_start ordering name attrs; pos = 0 } in
   let emit spine path node = ops := { seq = 0; spine; path; node } :: !ops in
+  let unkeyed (el : Tree.element) =
+    Key.equal (key_of_start ordering el.Tree.name el.Tree.attrs) Key.Null
+  in
+  let is_text = function Tree.Text _ -> true | Tree.Element _ -> false in
   let rec go rev_spine rev_path (el : Tree.element) ~depth =
     let marked = List.mem_assoc op_attr el.Tree.attrs in
     if depth = 0 && marked then invalid_arg "Ingest: __op marker on the document root";
     let rev_path = comp el.Tree.name el.Tree.attrs :: rev_path in
-    if depth > 0 && (marked || not (List.exists has_marker_below el.Tree.children)) then
-      emit (List.rev rev_spine) (List.rev rev_path) el
+    let texts = List.exists is_text el.Tree.children in
+    if
+      depth > 0
+      && (marked || texts || unkeyed el || not (List.exists has_marker_below el.Tree.children))
+    then emit (List.rev rev_spine) (List.rev rev_path) el
     else begin
-      let texts =
-        List.filter (function Tree.Text _ -> true | Tree.Element _ -> false) el.Tree.children
+      (* only the root gets here holding text *)
+      let in_shell = function
+        | Tree.Text _ -> true
+        | Tree.Element c -> texts && unkeyed c
       in
-      if texts <> [] then
-        emit (List.rev rev_spine) (List.rev rev_path) { el with Tree.children = texts };
+      if texts then
+        emit (List.rev rev_spine) (List.rev rev_path)
+          { el with Tree.children = List.filter in_shell el.Tree.children };
       let rev_spine = (el.Tree.name, el.Tree.attrs) :: rev_spine in
       List.iter
         (function
-          | Tree.Text _ -> ()
-          | Tree.Element c -> go rev_spine rev_path c ~depth:(depth + 1))
+          | Tree.Element c as child when not (in_shell child) ->
+              go rev_spine rev_path c ~depth:(depth + 1)
+          | Tree.Element _ | Tree.Text _ -> ())
         el.Tree.children
     end
   in
@@ -149,16 +163,24 @@ type unode = {
   mutable u_attrs : Xmlio.Event.attr list; (* marker stripped *)
   mutable u_marker : marker;
   mutable u_seq : int;
-  mutable u_texts : string list;
-  mutable u_elems : unode list;
+  mutable u_nulls : uchild list; (* the Null run: texts and unkeyed children, in order *)
+  mutable u_elems : unode list; (* keyed children, in any order *)
 }
 
+and uchild =
+  | Utext of string
+  | Uelem of unode
+
+let is_null u = Key.equal u.u_key Key.Null
+
 let rec unode_of_tree ~ordering ~seq (el : Tree.element) =
-  let texts, elems =
+  let nulls, elems =
     List.partition_map
       (function
-        | Tree.Text s -> Left s
-        | Tree.Element c -> Right (unode_of_tree ~ordering ~seq c))
+        | Tree.Text s -> Left (Utext s)
+        | Tree.Element c ->
+            let u = unode_of_tree ~ordering ~seq c in
+            if is_null u then Left (Uelem u) else Right u)
       el.Tree.children
   in
   {
@@ -167,7 +189,7 @@ let rec unode_of_tree ~ordering ~seq (el : Tree.element) =
     u_attrs = strip_op el.Tree.attrs;
     u_marker = marker_of_attrs el.Tree.attrs;
     u_seq = seq;
-    u_texts = texts;
+    u_nulls = nulls;
     u_elems = elems;
   }
 
@@ -176,35 +198,39 @@ let union_attrs left right =
 
 let same_child name key u = String.equal u.u_name name && Key.compare u.u_key key = 0
 
-(* Combine an incoming node with the accumulated sibling list, replaying
-   sequential semantics: the later operation's marker decides, and a
-   delete composed with surviving newer content becomes a replace (the
-   base element must die, the newer content must live). *)
-let rec combine elems n =
+(* Fold an incoming node [n] into the accumulated node [e] it matches,
+   replaying sequential semantics: the later operation's marker decides,
+   and a delete composed with surviving newer content becomes a replace
+   (the base element must die, the newer content must live). *)
+let rec fold_pair e n =
+  if n.u_seq >= e.u_seq then
+    match n.u_marker with
+    | Delete | Replace -> n
+    | Upsert -> (
+        match e.u_marker with
+        | Delete -> { n with u_marker = Replace }
+        | (Replace | Upsert) as m -> merge_nodes e n ~marker:m ~seq:n.u_seq)
+  else
+    (* [n] is older than what already shaped this node *)
+    match e.u_marker with
+    | Delete -> e (* deleted later: the older op is moot *)
+    | Replace -> e (* replaced wholesale later *)
+    | Upsert -> (
+        match n.u_marker with
+        | Delete -> { e with u_marker = Replace }
+        | Replace -> merge_nodes n e ~marker:Replace ~seq:e.u_seq
+        | Upsert -> merge_nodes n e ~marker:Upsert ~seq:e.u_seq)
+
+(* Combine an incoming keyed node with the accumulated keyed siblings. *)
+and combine elems n =
   match List.partition (same_child n.u_name n.u_key) elems with
   | [], _ -> elems @ [ n ]
-  | e :: _, rest ->
-      let keep u = rest @ [ u ] in
-      if n.u_seq >= e.u_seq then
-        match n.u_marker with
-        | Delete | Replace -> keep n
-        | Upsert -> (
-            match e.u_marker with
-            | Delete -> keep { n with u_marker = Replace }
-            | (Replace | Upsert) as m -> keep (merge_nodes e n ~marker:m ~seq:n.u_seq))
-      else
-        (* [n] is older than what already shaped this node *)
-        match e.u_marker with
-        | Delete -> keep e (* deleted later: the older op is moot *)
-        | Replace -> keep e (* replaced wholesale later *)
-        | Upsert -> (
-            match n.u_marker with
-            | Delete -> keep { e with u_marker = Replace }
-            | Replace -> keep (merge_nodes n e ~marker:Replace ~seq:e.u_seq)
-            | Upsert -> keep (merge_nodes n e ~marker:Upsert ~seq:e.u_seq))
+  | e :: _, rest -> rest @ [ fold_pair e n ]
 
 (* Upsert-merge [r] (later) onto [l] (earlier): attribute union left
-   first, Struct_merge's text rule, children combined recursively. *)
+   first, keyed children combined recursively.  The Null runs are
+   concatenated: within one merge pass at most one document feeds a
+   node's Null run (see [split_passes]), so one of them is empty. *)
 and merge_nodes l r ~marker ~seq =
   {
     u_name = l.u_name;
@@ -212,9 +238,16 @@ and merge_nodes l r ~marker ~seq =
     u_attrs = union_attrs l.u_attrs r.u_attrs;
     u_marker = marker;
     u_seq = seq;
-    u_texts = (if l.u_texts = r.u_texts then l.u_texts else l.u_texts @ r.u_texts);
+    u_nulls = l.u_nulls @ r.u_nulls;
     u_elems = List.fold_left combine l.u_elems r.u_elems;
   }
+
+(* Add an operation's node to [cur]'s children: a keyed node combines
+   with its keyed siblings, an unkeyed one joins the end of the Null run,
+   which one document feeds in its document order. *)
+let add_child cur n =
+  if is_null n then cur.u_nulls <- cur.u_nulls @ [ Uelem n ]
+  else cur.u_elems <- combine cur.u_elems n
 
 (* Graft one operation onto the accumulator root, walking its spine. *)
 let graft ~ordering root op =
@@ -225,18 +258,14 @@ let graft ~ordering root op =
          root.u_name);
   match op.spine with
   | [] ->
-      (* text-shell of the root itself *)
-      let texts =
-        List.filter_map
-          (function Tree.Text s -> Some s | Tree.Element _ -> None)
-          op.node.Tree.children
-      in
-      root.u_texts <- (if root.u_texts = texts then root.u_texts else root.u_texts @ texts);
+      (* the root's text shell: its whole Null run *)
+      let run = unode_of_tree ~ordering ~seq:op.seq op.node in
+      root.u_nulls <- root.u_nulls @ run.u_nulls;
       root.u_seq <- max root.u_seq op.seq
   | (_, root_attrs) :: spine_rest ->
       root.u_attrs <- union_attrs root.u_attrs (strip_op root_attrs);
       let rec descend cur = function
-        | [] -> cur.u_elems <- combine cur.u_elems (unode_of_tree ~ordering ~seq:op.seq op.node)
+        | [] -> add_child cur (unode_of_tree ~ordering ~seq:op.seq op.node)
         | (name, attrs) :: rest -> (
             let key = key_of_start ordering name attrs in
             match List.find_opt (same_child name key) cur.u_elems with
@@ -261,7 +290,7 @@ let graft ~ordering root op =
                     u_attrs = strip_op attrs;
                     u_marker = Upsert;
                     u_seq = op.seq;
-                    u_texts = [];
+                    u_nulls = [];
                     u_elems = [];
                   }
                 in
@@ -270,9 +299,10 @@ let graft ~ordering root op =
       in
       descend root spine_rest
 
-(* Serialize the folded accumulator as a sorted event stream: texts
-   first, element children by (key, tag) — the sibling order
-   Struct_merge checks — markers re-attached for Batch_update. *)
+(* Serialize the folded accumulator as a sorted event stream: the Null
+   run first, in its order (the sorter's (key, position) order), then
+   keyed elements by (key, tag) — the sibling order Struct_merge checks.
+   Markers are re-attached for Batch_update. *)
 let events_of_unode root =
   let acc = ref [] in
   let emit e = acc := e :: !acc in
@@ -284,7 +314,7 @@ let events_of_unode root =
       | Upsert -> u.u_attrs
     in
     emit (Xmlio.Event.Start (u.u_name, attrs));
-    List.iter (fun t -> emit (Xmlio.Event.Text t)) u.u_texts;
+    List.iter (function Utext t -> emit (Xmlio.Event.Text t) | Uelem c -> go c) u.u_nulls;
     let sorted =
       List.stable_sort
         (fun a b ->
@@ -306,6 +336,7 @@ type flush_report = {
   batch_docs : int;
   index_dropped : int;
   skipped : bool;
+  passes : int;
   merge : Batch_update.report option;
   pq : Extsort.Ext_pq.stats;
   pq_run_blocks : int;
@@ -330,10 +361,10 @@ type t = {
   pq : Extsort.Ext_pq.t;
   root_name : string;
   mutable base : Extmem.Device.t;
-  mutable generation : int; (* flush count; names each new base device *)
+  mutable generation : int; (* bases written by flushes; names each new base device *)
   mutable index : index;
   mutable next_seq : int;
-  mutable batch_docs : int;
+  mutable doc_starts : int list; (* first op seq of each pending document, newest first *)
   mutable destroyed : bool;
 }
 
@@ -355,7 +386,7 @@ let index_frames = 4
    top-level subtree's offset is where the sink stands just after its
    start tag closes — the writer emits the ">" (or the "/>" of an empty
    element) lazily, as the first bytes after the start event — which is
-   the reader offset a parser reports for that start tag. *)
+   {!Xmlio.Parser.offset} right after that start tag's event. *)
 type base_writer = {
   emit : Xmlio.Event.t -> unit;
   finish : unit -> index; (* closes the writer; the device is then complete *)
@@ -459,7 +490,7 @@ let create ?(config = Nexsort.Config.make ()) ?session ~ordering ~base () =
     generation = 0;
     index;
     next_seq = 0;
-    batch_docs = 0;
+    doc_starts = [];
     destroyed = false;
   }
 
@@ -477,13 +508,13 @@ let add_update t doc =
       (Printf.sprintf "Ingest: update root <%s> does not match base root <%s>" tree.Tree.name
          t.root_name);
   let ops = decompose ~ordering:t.ordering tree in
+  t.doc_starts <- t.next_seq :: t.doc_starts;
   List.iter
     (fun op ->
       let op = { op with seq = t.next_seq } in
       t.next_seq <- t.next_seq + 1;
       Extsort.Ext_pq.insert t.pq (encode_op op))
-    ops;
-  t.batch_docs <- t.batch_docs + 1
+    ops
 
 let pending t = Extsort.Ext_pq.length t.pq
 
@@ -507,6 +538,86 @@ let index_droppable t ops op =
                  ops)
      | _ -> false)
 
+(* The sites whose Null run an operation feeds, each named by its path
+   of (tag, key) steps: the parent of an unkeyed node, and every node of
+   the subtree with a text or unkeyed child.  (Spine steps are keyed.) *)
+let null_sites ~ordering op =
+  let step name attrs = name ^ "\000" ^ index_key (key_of_start ordering name attrs) in
+  let unkeyed name attrs = Key.equal (key_of_start ordering name attrs) Key.Null in
+  let site rev = String.concat "\001" rev in
+  let rev = List.rev_map (fun (name, attrs) -> step name attrs) op.spine in
+  let node = op.node in
+  let acc = if rev <> [] && unkeyed node.Tree.name node.Tree.attrs then [ site rev ] else [] in
+  let rec subtree rev acc (el : Tree.element) =
+    let rev = step el.Tree.name el.Tree.attrs :: rev in
+    let feeds = function
+      | Tree.Text _ -> true
+      | Tree.Element c -> unkeyed c.Tree.name c.Tree.attrs
+    in
+    let acc = if List.exists feeds el.Tree.children then site rev :: acc else acc in
+    List.fold_left
+      (fun acc -> function Tree.Element c -> subtree rev acc c | Tree.Text _ -> acc)
+      acc el.Tree.children
+  in
+  subtree rev acc node
+
+(* Cut a batch into merge passes over whole documents, in arrival order.
+   The merge matches a Null run positionally, so two documents feeding
+   one Null run cannot be folded into one: a pass ends before a document
+   that feeds a Null run an earlier document of the pass fed.  Each pass
+   then folds to what applying its documents one at a time gives.  Ops
+   keep their drain order within a pass. *)
+let split_passes ~ordering ~doc_starts ops =
+  let ndocs = Array.length doc_starts in
+  (* the document of an op: the last one starting at or before its seq *)
+  let doc_of seq =
+    let rec go lo hi =
+      if hi - lo <= 1 then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if doc_starts.(mid) <= seq then go mid hi else go lo mid
+    in
+    go 0 ndocs
+  in
+  let sites = Array.make ndocs [] in
+  List.iter
+    (fun op ->
+      let d = doc_of op.seq in
+      sites.(d) <- null_sites ~ordering op @ sites.(d))
+    ops;
+  let pass_of_doc = Array.make ndocs 0 in
+  let fed = Hashtbl.create 16 in
+  let pass = ref 0 in
+  for d = 0 to ndocs - 1 do
+    if List.exists (Hashtbl.mem fed) sites.(d) then begin
+      incr pass;
+      Hashtbl.reset fed
+    end;
+    List.iter (fun s -> Hashtbl.replace fed s ()) sites.(d);
+    pass_of_doc.(d) <- !pass
+  done;
+  List.init (!pass + 1) (fun p -> List.filter (fun op -> pass_of_doc.(doc_of op.seq) = p) ops)
+  |> List.filter (( <> ) [])
+
+(* Counters summed over a flush's passes; spans are the last pass's. *)
+let add_reports (acc : Batch_update.report option) (r : Batch_update.report) =
+  match acc with
+  | None -> r
+  | Some a ->
+      {
+        Batch_update.merge =
+          {
+            r.merge with
+            Struct_merge.left_events = a.merge.left_events + r.merge.left_events;
+            right_events = a.merge.right_events + r.merge.right_events;
+            output_events = a.merge.output_events + r.merge.output_events;
+            matched_elements = a.merge.matched_elements + r.merge.matched_elements;
+          };
+        deletes = a.deletes + r.deletes;
+        replaces = a.replaces + r.replaces;
+        unmatched_deletes = a.unmatched_deletes + r.unmatched_deletes;
+      }
+
 let base_bytes t = Extmem.Device.byte_length t.base
 
 let index_keys t = Extmem.Btree.length t.index.tree
@@ -514,14 +625,16 @@ let index_keys t = Extmem.Btree.length t.index.tree
 let flush t =
   check_live t;
   let pq_stats () = Extsort.Ext_pq.stats t.pq in
-  let batch_docs = t.batch_docs in
-  let finish ?merge ~batch_ops ~index_dropped ~skipped ~flush_io () =
-    t.batch_docs <- 0;
+  let doc_starts = Array.of_list (List.rev t.doc_starts) in
+  t.doc_starts <- [];
+  let batch_docs = Array.length doc_starts in
+  let finish ?merge ~passes ~batch_ops ~index_dropped ~skipped ~flush_io () =
     {
       batch_ops;
       batch_docs;
       index_dropped;
       skipped;
+      passes;
       merge;
       pq = pq_stats ();
       pq_run_blocks = Extsort.Ext_pq.run_blocks t.pq;
@@ -536,75 +649,82 @@ let flush t =
     | Some r -> drain (decode_op r :: acc)
   in
   let ops = drain [] in
-  if ops = [] then finish ~batch_ops:0 ~index_dropped:0 ~skipped:true ~flush_io:(Extmem.Io_stats.create ()) ()
+  if ops = [] then
+    finish ~passes:0 ~batch_ops:0 ~index_dropped:0 ~skipped:true
+      ~flush_io:(Extmem.Io_stats.create ()) ()
   else begin
     let live_ops = List.filter (fun op -> not (index_droppable t ops op)) ops in
     let index_dropped = List.length ops - List.length live_ops in
     if live_ops = [] then
-      finish ~batch_ops:(List.length ops) ~index_dropped ~skipped:true
+      finish ~passes:0 ~batch_ops:(List.length ops) ~index_dropped ~skipped:true
         ~flush_io:(Extmem.Io_stats.create ()) ()
     else begin
-      let root =
-        {
-          u_name = t.root_name;
-          u_key = Key.Null;
-          u_attrs = [];
-          u_marker = Upsert;
-          u_seq = 0;
-          u_texts = [];
-          u_elems = [];
-        }
-      in
-      List.iter (graft ~ordering:t.ordering root) live_ops;
-      let update_events = events_of_unode root in
       (* Devices are append-allocated and cannot be rewound, so each
-         flush writes the new base, and its index, to fresh devices and
-         drops the old ones (reclaimed with the in-memory backend).  Both
-         are swapped in only once the merge has completed: a fault
-         mid-flush leaves the old base and its index as they were. *)
-      let spare =
-        Nexsort.Config.scratch_device t.config
-          ~name:(Printf.sprintf "ingest-base-%d" (t.generation + 1))
+         pass writes the new base, and its index, to fresh devices and
+         drops the old ones (reclaimed with the in-memory backend).  The
+         last pass's base and index are swapped in only once every merge
+         has completed: a fault mid-flush leaves the old base and its
+         index as they were. *)
+      let merge_pass (src, _, flush_io, report) (i, pass_ops) =
+        let root =
+          {
+            u_name = t.root_name;
+            u_key = Key.Null;
+            u_attrs = [];
+            u_marker = Upsert;
+            u_seq = 0;
+            u_nulls = [];
+            u_elems = [];
+          }
+        in
+        List.iter (graft ~ordering:t.ordering root) pass_ops;
+        let spare =
+          Nexsort.Config.scratch_device t.config
+            ~name:(Printf.sprintf "ingest-base-%d" (t.generation + 1 + i))
+        in
+        let io () =
+          Extmem.Io_stats.add
+            (Extmem.Io_stats.snapshot (Extmem.Device.stats src))
+            (Extmem.Io_stats.snapshot (Extmem.Device.stats spare))
+        in
+        let io_before = io () in
+        let pb = Xmlio.Parser.of_reader (Extmem.Block_reader.of_device src) in
+        let w = open_base ~config:t.config ~ordering:t.ordering spare in
+        let updates = ref (events_of_unode root) in
+        let pull_updates () =
+          match !updates with
+          | [] -> None
+          | e :: rest ->
+              updates := rest;
+              Some e
+        in
+        let merge =
+          Batch_update.apply_events ~ordering:t.ordering
+            ~base:(fun () -> Xmlio.Parser.next pb)
+            ~updates:pull_updates
+            ~emit:w.emit
+        in
+        let index = w.finish () in
+        let flush_io = Extmem.Io_stats.add flush_io (Extmem.Io_stats.diff (io ()) io_before) in
+        (spare, Some index, flush_io, Some (add_reports report merge))
       in
-      let io_before =
-        Extmem.Io_stats.add
-          (Extmem.Io_stats.snapshot (Extmem.Device.stats t.base))
-          (Extmem.Io_stats.snapshot (Extmem.Device.stats spare))
+      let passes = split_passes ~ordering:t.ordering ~doc_starts live_ops in
+      let base, index, flush_io, merge =
+        List.fold_left merge_pass
+          (t.base, None, Extmem.Io_stats.create (), None)
+          (List.mapi (fun i p -> (i, p)) passes)
       in
-      let pb = Xmlio.Parser.of_reader (Extmem.Block_reader.of_device t.base) in
-      let w = open_base ~config:t.config ~ordering:t.ordering spare in
-      let updates = ref update_events in
-      let pull_updates () =
-        match !updates with
-        | [] -> None
-        | e :: rest ->
-            updates := rest;
-            Some e
-      in
-      let merge =
-        Batch_update.apply_events ~ordering:t.ordering
-          ~base:(fun () -> Xmlio.Parser.next pb)
-          ~updates:pull_updates
-          ~emit:w.emit
-      in
-      let index = w.finish () in
-      let io_after =
-        Extmem.Io_stats.add
-          (Extmem.Io_stats.snapshot (Extmem.Device.stats t.base))
-          (Extmem.Io_stats.snapshot (Extmem.Device.stats spare))
-      in
-      t.base <- spare;
-      t.index <- index;
-      t.generation <- t.generation + 1;
+      t.base <- base;
+      t.index <- Option.get index;
+      t.generation <- t.generation + List.length passes;
       (* The old generation just became garbage all at once: megabytes of
          in-memory device blocks.  The merge allocates too little for the
          GC's allocation-paced cycles to notice, so without a collection
          here two or three dead generations pile up and raise peak memory
          by that much; a full major costs a few milliseconds per flush. *)
       Gc.full_major ();
-      finish ~merge ~batch_ops:(List.length ops) ~index_dropped ~skipped:false
-        ~flush_io:(Extmem.Io_stats.diff io_after io_before)
-        ()
+      finish ?merge ~passes:(List.length passes) ~batch_ops:(List.length ops) ~index_dropped
+        ~skipped:false ~flush_io ()
     end
   end
 
@@ -614,6 +734,7 @@ let flush_report_json (r : flush_report) =
       ("batch_docs", Obs.Json.Int r.batch_docs);
       ("index_dropped", Obs.Json.Int r.index_dropped);
       ("skipped", Obs.Json.Bool r.skipped);
+      ("passes", Obs.Json.Int r.passes);
       ( "merge",
         match r.merge with
         | None -> Obs.Json.Null

@@ -28,18 +28,22 @@
     so they are bulk-loaded bottom-up onto a fresh index device.  Keys
     are {!Nexsort.Key.encode}d and compared by
     {!Nexsort.Key.compare_cursors}.  A flush swaps base and index in
-    together after its merge completes, so a failed flush leaves both
+    together after its merges complete, so a failed flush leaves both
     as they were.
 
     Folding semantics: operations are replayed in arrival order per
     target, so [delete] then upsert becomes a replace, an upsert after a
     replace merges into the replacement, and a later delete wins over
-    everything before it.  The fold is exactly associative with
-    sequential application, which the test suite checks by comparing any
-    partition of an edit script into flushes against one oracle re-sort
-    (the known exception is the {!Struct_merge} text-coalescing rule:
-    colliding upserts whose text children differ concatenate, so equal
-    text merged in one flush can differ from two flushes).
+    everything before it.  Texts and unkeyed elements (the
+    {!Nexsort.Key.Null} run of a node) keep their document order, and
+    {!Struct_merge} matches them positionally, which no fold of two
+    documents can reproduce; so an element that holds text or has no key
+    is never split into several records, and a flush runs one merge
+    pass per stretch of documents in which no two feed the same Null run
+    (one pass when no two documents feed one).  A flush thus gives what
+    applying its documents one at a time gives, which the test suite
+    checks by comparing any partition of an edit script into flushes
+    against one oracle re-sort.
 
     The ordering must be scan-evaluable (a {!Struct_merge}
     requirement). *)
@@ -51,7 +55,10 @@ type flush_report = {
   batch_docs : int;  (** update documents the batch came from *)
   index_dropped : int;  (** deletes dropped by the positional index *)
   skipped : bool;  (** the whole batch was a no-op: no merge pass ran *)
-  merge : Batch_update.report option;  (** [None] when [skipped] *)
+  passes : int;  (** merge passes run: more than one when documents share a Null run *)
+  merge : Batch_update.report option;
+      (** [None] when [skipped]; counters summed over the passes, spans
+          of the last *)
   pq : Extsort.Ext_pq.stats;  (** cumulative queue counters at flush time *)
   pq_run_blocks : int;  (** blocks ever spilled to the queue's run store *)
   flush_io : Extmem.Io_stats.t;  (** base-device I/O delta of this flush *)

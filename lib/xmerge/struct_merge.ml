@@ -16,20 +16,43 @@ type report = {
   spans : Obs.Span.t;
 }
 
-(* One-token-lookahead stream with sortedness checking. *)
+(* One-token-lookahead stream.  Adjacent text events are read as one:
+   a sorted stream splits a text run wherever a keyed element moved out
+   of it, and a parser would read the same run whole, so texts compare
+   as runs.  [behind] holds the event that ended a run. *)
 type stream = {
   next_fn : unit -> Xmlio.Event.t option;
   mutable ahead : Xmlio.Event.t option option;
+  mutable behind : Xmlio.Event.t option option;
   mutable consumed : int;
 }
 
-let stream next_fn = { next_fn; ahead = None; consumed = 0 }
+let stream next_fn = { next_fn; ahead = None; behind = None; consumed = 0 }
+
+let pull s =
+  match s.behind with
+  | Some e ->
+      s.behind <- None;
+      e
+  | None -> s.next_fn ()
 
 let peek s =
   match s.ahead with
   | Some e -> e
   | None ->
-      let e = s.next_fn () in
+      let e =
+        match pull s with
+        | Some (Xmlio.Event.Text t) ->
+            let rec run acc =
+              match s.next_fn () with
+              | Some (Xmlio.Event.Text u) -> run (u :: acc)
+              | next ->
+                  s.behind <- Some next;
+                  Some (Xmlio.Event.Text (String.concat "" (List.rev acc)))
+            in
+            run [ t ]
+        | e -> e
+      in
       s.ahead <- Some e;
       e
 
@@ -99,20 +122,19 @@ let merge_events ?(on_match = fun ~left_attrs:_ ~right_attrs:_ -> Merge)
     incr output_events;
     emit e
   in
-  (* gather the run of leading text children from a stream *)
-  let rec texts s acc =
-    match peek s with
-    | Some (Xmlio.Event.Text t) ->
-        ignore (advance s);
-        texts s (t :: acc)
-    | Some _ | None -> List.rev acc
-  in
   let check_sorted side prev cur =
     if not (check_key_order prev cur) then
       raise
         (Not_sorted
            (Printf.sprintf "%s input: children out of order (%s after %s)" side (snd cur)
               (snd prev)))
+  in
+  (* a text child may only follow siblings in the Null run *)
+  let text_mark = Some (Key.Null, "#text") in
+  let check_text = function
+    | Some (k, _) when Key.compare k Key.Null > 0 ->
+        raise (Not_sorted "text child after element children")
+    | Some _ | None -> ()
   in
   (* both streams positioned at matching Start events *)
   let rec merge_matched () =
@@ -122,44 +144,65 @@ let merge_events ?(on_match = fun ~left_attrs:_ ~right_attrs:_ -> Merge)
           invalid_arg (Printf.sprintf "Struct_merge: mismatched roots <%s> vs <%s>" n1 n2);
         incr matched;
         emit (Xmlio.Event.Start (n1, rewrite_attrs (union_attrs a1 a2)));
-        (* text children sort first: resolve them up front *)
-        let t1 = texts l [] and t2 = texts r [] in
-        if t1 = t2 then List.iter (fun t -> emit (Xmlio.Event.Text t)) t1
-        else begin
-          List.iter (fun t -> emit (Xmlio.Event.Text t)) t1;
-          List.iter (fun t -> emit (Xmlio.Event.Text t)) t2
-        end;
         merge_children None None;
         emit (Xmlio.Event.End n1)
     | _ -> invalid_arg "Struct_merge: inputs must each contain a root element"
-  (* merge the remaining element children of the currently open pair;
-     [prev_l]/[prev_r] are the last seen (key, tag) for sortedness checks *)
+  (* Merge the remaining children of the currently open pair;
+     [prev_l]/[prev_r] are the last seen (key, tag) for sortedness checks.
+     Text children carry [Key.Null], as do elements without a key, and
+     both tie-break by document position: a side's Null run may mix them
+     in any order, but no text may follow a keyed element.  Within the
+     runs the left side goes first, a text equal on both sides is kept
+     once, and null-keyed elements with equal tags match. *)
   and merge_children prev_l prev_r =
     let head s =
       match peek s with
       | Some (Xmlio.Event.Start (n, a)) -> `Elem (key_of_start ordering n a, n, a)
+      | Some (Xmlio.Event.Text t) -> `Text t
       | Some (Xmlio.Event.End _) -> `Done
-      | Some (Xmlio.Event.Text _) ->
-          (* sorted inputs put all text first; trailing text would be
-             unsorted *)
-          raise (Not_sorted "text child after element children")
       | None -> raise (Not_sorted "unexpected end of stream inside an element")
     in
-    match (head l, head r) with
+    let check side prev = function
+      | `Elem (k, n, _) -> Option.iter (fun p -> check_sorted side p (k, n)) prev
+      | `Text _ -> check_text prev
+      | `Done -> ()
+    in
+    let hl, hr = (head l, head r) in
+    check "left" prev_l hl;
+    check "right" prev_r hr;
+    match (hl, hr) with
     | `Done, `Done ->
         ignore (advance l);
         ignore (advance r)
-    | `Elem (k, n, _), `Done ->
-        Option.iter (fun p -> check_sorted "left" p (k, n)) prev_l;
+    | (`Elem _ | `Text _), `Done ->
         copy_rest "left" l prev_l;
         ignore (advance r)
-    | `Done, `Elem (k, n, _) ->
-        Option.iter (fun p -> check_sorted "right" p (k, n)) prev_r;
+    | `Done, (`Elem _ | `Text _) ->
         copy_rest "right" r prev_r;
         ignore (advance l)
+    | `Text t1, `Text t2 ->
+        ignore (advance l);
+        emit (Xmlio.Event.Text t1);
+        if String.equal t1 t2 then begin
+          ignore (advance r);
+          merge_children text_mark text_mark
+        end
+        else merge_children text_mark prev_r
+    | `Text t, `Elem _ ->
+        ignore (advance l);
+        emit (Xmlio.Event.Text t);
+        merge_children text_mark prev_r
+    | `Elem (k, n, _), `Text t ->
+        if Key.compare k Key.Null <= 0 then begin
+          copy_subtree l emit;
+          merge_children (Some (k, n)) prev_r
+        end
+        else begin
+          ignore (advance r);
+          emit (Xmlio.Event.Text t);
+          merge_children prev_l text_mark
+        end
     | `Elem (k1, n1, _), `Elem (k2, n2, a2) ->
-        Option.iter (fun p -> check_sorted "left" p (k1, n1)) prev_l;
-        Option.iter (fun p -> check_sorted "right" p (k2, n2)) prev_r;
         let c = compare_child (k1, n1) (k2, n2) in
         if c < 0 then begin
           copy_subtree l emit;
@@ -192,8 +235,12 @@ let merge_events ?(on_match = fun ~left_attrs:_ ~right_attrs:_ -> Merge)
           Option.iter (fun p -> check_sorted side p mark) prev;
           if s == r then copy_subtree_rewritten s else copy_subtree s emit;
           go (Some mark)
+      | Some (Xmlio.Event.Text _ as e) ->
+          check_text prev;
+          ignore (advance s);
+          emit e;
+          go text_mark
       | Some (Xmlio.Event.End _) -> ignore (advance s)
-      | Some (Xmlio.Event.Text _) -> raise (Not_sorted "text child after element children")
       | None -> raise (Not_sorted "unexpected end of stream inside an element")
     in
     go prev

@@ -14,9 +14,14 @@
     observed).  Sort keys should be unique among siblings for meaningful
     matching, as in the paper.
 
-    Text children: a matched pair contributes the left element's text
-    children, followed by the right's when they differ (no silent data
-    loss; equal text is emitted once). *)
+    Text children share {!Nexsort.Key.Null} with elements that have no
+    key, and the sorter orders that run by document position: a text may
+    sit between null-keyed elements but never after a keyed one.
+    Adjacent text events are one text (a sorted stream may split a run a
+    parser reads whole).  A matched pair merges its two Null runs left
+    first: a text equal on both sides at the same point is emitted once,
+    null-keyed elements with equal tags match, and everything else is
+    copied (no silent data loss). *)
 
 exception Not_sorted of string
 (** An input stream violated the sorted-children invariant. *)

@@ -5,24 +5,38 @@ type child =
   | Elem of { off : int; name : string; attrs : Xmlio.Event.attr list }
   | Text of { off : int; len : int }
 
+(* A byte window over the document, refilled one block span at a time;
+   [pos] is the document offset of [win.[wpos]]. *)
 type scanner = {
   reader : Extmem.Block_reader.t;
+  win : Bytes.t;
+  mutable wpos : int;
+  mutable wlen : int;
   mutable pos : int;
 }
 
 let scanner dev off =
   let reader = Extmem.Block_reader.of_device dev in
   Extmem.Block_reader.seek reader off;
-  { reader; pos = off }
+  let win = Bytes.create (Extmem.Block_reader.block_size reader) in
+  { reader; win; wpos = 0; wlen = 0; pos = off }
+
+let available s =
+  s.wpos < s.wlen
+  ||
+  let n = Extmem.Block_reader.read_span s.reader s.win 0 (Bytes.length s.win) in
+  s.wpos <- 0;
+  s.wlen <- n;
+  n > 0
 
 let next_char s =
-  match Extmem.Block_reader.read_char s.reader with
-  | Some c ->
-      s.pos <- s.pos + 1;
-      c
-  | None -> invalid_arg "Subdoc: unexpected end of document"
+  if not (available s) then invalid_arg "Subdoc: unexpected end of document";
+  let c = Bytes.unsafe_get s.win s.wpos in
+  s.wpos <- s.wpos + 1;
+  s.pos <- s.pos + 1;
+  c
 
-let peek_char s = Extmem.Block_reader.peek_char s.reader
+let peek_char s = if available s then Some (Bytes.unsafe_get s.win s.wpos) else None
 
 let fail_unsupported c =
   invalid_arg (Printf.sprintf "Subdoc: unsupported markup starting with %C" c)

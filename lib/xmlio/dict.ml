@@ -99,21 +99,29 @@ let intern d s =
       let h = hash_string s in
       match find_locked_string d s h with Some id -> id | None -> add_locked d s h)
 
+(* The probe for [intern_bytes], a top-level function so the hot path
+   allocates no closure: only the result pair, and the string on a miss. *)
+let rec probe_bytes d b off len h i =
+  match d.table.(i) with
+  | 0 ->
+      let s = Bytes.sub_string b off len in
+      (add_locked d s h, s)
+  | slot ->
+      let id = slot - 1 in
+      let s = Extmem.Vec.get d.by_id id in
+      if d.hash_of_id.(id) = h && eq_range s b off len then (id, s)
+      else probe_bytes d b off len h ((i + 1) land d.mask)
+
 let intern_bytes d b off len =
-  Mutex.protect d.lock (fun () ->
-      let h = hash_bytes b off len in
-      let rec probe i =
-        match d.table.(i) with
-        | 0 ->
-            let s = Bytes.sub_string b off len in
-            (add_locked d s h, s)
-        | slot ->
-            let id = slot - 1 in
-            let s = Extmem.Vec.get d.by_id id in
-            if d.hash_of_id.(id) = h && eq_range s b off len then (id, s)
-            else probe ((i + 1) land d.mask)
-      in
-      probe (h land d.mask))
+  let h = hash_bytes b off len in
+  Mutex.lock d.lock;
+  match probe_bytes d b off len h (h land d.mask) with
+  | r ->
+      Mutex.unlock d.lock;
+      r
+  | exception e ->
+      Mutex.unlock d.lock;
+      raise e
 
 let find d s = Mutex.protect d.lock (fun () -> find_locked_string d s (hash_string s))
 

@@ -2,9 +2,12 @@
 
     A hand-written, event-based parser in the spirit of SAX, which the
     paper uses to drive the sorting-phase scan (Figure 4, line 2).  It
-    reads characters from a pluggable source — a string or a
-    {!Extmem.Block_reader.t}, so parsing a disk-resident document costs
-    exactly [ceil(n/B)] block reads — and produces {!Event.t}s on demand.
+    scans a window of input bytes in place — the whole string, or one
+    block span of a {!Extmem.Block_reader.t} at a time, so parsing a
+    disk-resident document costs exactly [ceil(n/B)] block reads — and
+    produces {!Event.t}s on demand.  Text runs, attribute values and names
+    are found by index loops over the window and copied out in one piece;
+    line endings are normalized (CRLF and lone CR read as LF) on the fly.
 
     Supported syntax: elements with attributes (single- or double-quoted),
     character data with the predefined and numeric entity references,
@@ -33,10 +36,13 @@ val of_string : ?dict:Dict.t -> ?keep_whitespace:bool -> string -> t
 
 val of_reader : ?dict:Dict.t -> ?keep_whitespace:bool -> Extmem.Block_reader.t -> t
 (** Parse from a device-backed stream; every block crossed is counted by
-    the reader's device. *)
+    the reader's device.  The parser scans a block-sized window that it
+    refills with one {!Extmem.Block_reader.read_span} at a time, so the
+    reader's position runs up to a block ahead of the parse (see
+    {!offset}). *)
 
 val of_fn : ?dict:Dict.t -> ?keep_whitespace:bool -> (unit -> char option) -> t
-(** Parse from an arbitrary character source. *)
+(** Parse from an arbitrary character source, one byte at a time. *)
 
 val next : t -> Event.t option
 (** The next event, or [None] once the root element has been closed and
@@ -57,6 +63,11 @@ val depth : t -> int
 
 val line : t -> int
 val col : t -> int
+
+val offset : t -> int
+(** The number of raw input bytes the parser has consumed.  Right after
+    a [Start] event it is the offset just past the start tag's ['>'] (or
+    ["/>"]).  It does not depend on the source or its block size. *)
 
 val doctype_subset : t -> string option
 (** The internal subset of the document's DOCTYPE (the text between the

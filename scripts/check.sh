@@ -19,6 +19,11 @@ dune runtest
 # reproducer even when runtest output is captured.
 dune exec bin/nexfuzz.exe -- --smoke
 
+# Update-ingest sweep well past the smoke's 16 cases: 200 seeded edit
+# scripts through Xmerge.Ingest under faults and memory pressure, each
+# flush validated as sorted and its positional index re-checked.
+dune exec bin/nexfuzz.exe -- --updates --update-cases 200
+
 # Bench smoke: a quick run must produce a metrics report that parses and
 # carries the paper's per-phase I/O breakdown (§4.2), and no I/O counter
 # may regress against the committed BENCH_smoke.json.  The gate never

@@ -739,6 +739,143 @@ let prop_events_balanced =
       depth = 0 && starts = Xmlio.Tree.element_count t)
 
 (* ------------------------------------------------------------------ *)
+(* Window boundaries: the parser scans a window of input bytes, refilled
+   from its source.  Every source and block size must give the same
+   events, offsets and errors as the one-byte window of [of_fn]. *)
+
+let gen_window_doc =
+  let open QCheck.Gen in
+  let name = oneofl [ "a"; "b"; "item"; "x:y"; "n\xc3\xa9"; "long_element_name" ] in
+  let text_piece =
+    oneofl
+      [ "hello"; " "; "\r"; "\n"; "\r\n"; "\t"; "&amp;"; "&lt;"; "&#65;"; "&#x263A;"; "&#13;";
+        "<![CDATA[x]]y<&>]]>"; "<!-- c -->"; "<?pi x?>"; "caf\xc3\xa9"; "\xe2\x82\xac"; "]]"; ">" ]
+  in
+  let attr_piece =
+    oneofl [ "v"; " "; "\t"; "\n"; "\r"; "\r\n"; "&amp;"; "&#9;"; "&quot;"; "\xc3\xa9"; "'" ]
+  in
+  let attrs =
+    (* distinct names so well-formed documents stay well-formed *)
+    list_size (int_range 0 6) attr_piece >>= fun v1 ->
+    list_size (int_range 0 6) attr_piece >>= fun v2 ->
+    int_range 0 2 >|= fun n ->
+    List.filteri (fun i _ -> i < n)
+      [ Printf.sprintf " id=\"%s\"" (String.concat "" v1);
+        Printf.sprintf "\r\n\tk=\"%s\"" (String.concat "" v2) ]
+    |> String.concat ""
+  in
+  let ws = oneofl [ ""; " "; "\r\n"; "\n  "; "\r" ] in
+  let rec elem d =
+    if d = 0 then map3 (Printf.sprintf "<%s%s%s/>") name attrs ws
+    else
+      map3
+        (fun (n, a) kids w -> Printf.sprintf "<%s%s>%s</%s%s>" n a (String.concat "" kids) n w)
+        (pair name attrs)
+        (list_size (int_range 0 5)
+           (frequency
+              [ (2, map (String.concat "") (list_size (int_range 1 4) text_piece)); (3, elem (d - 1)) ]))
+        ws
+  in
+  map3
+    (fun pre e post -> pre ^ e ^ post)
+    (oneofl [ ""; "<?xml version=\"1.0\"?>\r\n"; "<!DOCTYPE r [<!ELEMENT r ANY>]>\n"; "<!-- x -->\r" ])
+    (int_range 0 4 >>= elem)
+    (oneofl [ ""; "\r\n"; "<!-- t -->"; " \r" ])
+
+(* a well-formed document, or one truncated or mutated at a random byte *)
+let gen_window_case =
+  let open QCheck.Gen in
+  gen_window_doc >>= fun doc ->
+  int_range 0 (max 0 (String.length doc - 1)) >>= fun i ->
+  let cut = String.sub doc 0 i and rest = String.sub doc i (String.length doc - i) in
+  frequency
+    [
+      (3, return doc);
+      (1, return cut);
+      (1, char >|= fun c -> cut ^ String.make 1 c ^ String.sub rest 1 (String.length rest - 1));
+      (1, oneofl [ "<"; "&"; "\r"; "]]>"; "\""; "</"; "\000" ] >|= fun s -> cut ^ s ^ rest);
+    ]
+
+type window_outcome =
+  | Parsed
+  | Failed of int * int * string
+
+(* Every event (as a debug string) with the offset right after it, and
+   how the parse ended. *)
+let window_trace p =
+  let rec go acc =
+    match Xmlio.Parser.next p with
+    | Some e -> go ((Xmlio.Event.to_debug_string e, Xmlio.Parser.offset p) :: acc)
+    | None -> (List.rev acc, Parsed)
+    | exception Xmlio.Parser.Error { line; col; msg } -> (List.rev acc, Failed (line, col, msg))
+  in
+  go []
+
+let show_window_trace (evs, outcome) =
+  String.concat "\n" (List.map (fun (e, off) -> Printf.sprintf "%s @%d" e off) evs)
+  ^
+  match outcome with
+  | Parsed -> "\nend"
+  | Failed (l, c, m) -> Printf.sprintf "\nerror %d:%d %s" l c m
+
+let byte_source s =
+  let i = ref 0 in
+  fun () ->
+    if !i >= String.length s then None
+    else begin
+      incr i;
+      Some s.[!i - 1]
+    end
+
+let prop_window_boundaries =
+  QCheck.Test.make ~name:"every window size parses alike" ~count:400
+    (QCheck.make ~print:(fun (k, d) -> Printf.sprintf "keep_ws=%b %S" k d)
+       QCheck.Gen.(pair bool gen_window_case))
+    (fun (keep_whitespace, doc) ->
+      let reference = window_trace (Xmlio.Parser.of_fn ~keep_whitespace (byte_source doc)) in
+      let agree what t =
+        t = reference
+        || QCheck.Test.fail_reportf "%s differs from the one-byte window:@.%s@.---@.%s" what
+             (show_window_trace reference) (show_window_trace t)
+      in
+      agree "of_string" (window_trace (Xmlio.Parser.of_string ~keep_whitespace doc))
+      && agree "of_string with dict"
+           (window_trace (Xmlio.Parser.of_string ~dict:(Xmlio.Dict.create ()) ~keep_whitespace doc))
+      && List.for_all
+           (fun bs ->
+             let dev = Extmem.Device.of_string ~block_size:bs doc in
+             let t =
+               window_trace
+                 (Xmlio.Parser.of_reader ~keep_whitespace (Extmem.Block_reader.of_device dev))
+             in
+             let reads = (Extmem.Device.stats dev).Extmem.Io_stats.reads in
+             let blocks = (String.length doc + bs - 1) / bs in
+             agree (Printf.sprintf "of_reader at B=%d" bs) t
+             && (reads = blocks || (snd t <> Parsed && reads < blocks)
+                || QCheck.Test.fail_reportf "B=%d: %d block reads for %d blocks" bs reads blocks))
+           [ 1; 2; 7; 64; 4096 ])
+
+(* A CR as the last byte of one window and its LF as the first byte of
+   the next still fold into one newline: the CR state survives the
+   refill. *)
+let test_parse_crlf_across_windows () =
+  let doc = "<r>ab\r\ncd</r>" in
+  let bs = String.index doc '\r' + 1 in
+  let parse_reader doc =
+    Xmlio.Parser.of_reader (Extmem.Block_reader.of_device (Extmem.Device.of_string ~block_size:bs doc))
+  in
+  check (Alcotest.list event) "one newline"
+    [ Xmlio.Event.Start ("r", []); Xmlio.Event.Text "ab\ncd"; Xmlio.Event.End "r" ]
+    (Xmlio.Parser.to_list (parse_reader doc));
+  check (Alcotest.list event) "one-byte window"
+    [ Xmlio.Event.Start ("r", []); Xmlio.Event.Text "ab\ncd"; Xmlio.Event.End "r" ]
+    (Xmlio.Parser.to_list (Xmlio.Parser.of_fn (byte_source doc)));
+  match Xmlio.Parser.to_list (parse_reader "<r>ab\r\ncd</x>") with
+  | _ -> Alcotest.fail "expected a mismatched end tag"
+  | exception Xmlio.Parser.Error { line; col; _ } ->
+      check Alcotest.(pair int int) "error position" (2, 7) (line, col)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "xmlio"
@@ -771,6 +908,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "error position" `Quick test_parse_error_position;
           Alcotest.test_case "reader io counting" `Quick test_parse_from_reader_counts_io;
+          Alcotest.test_case "CRLF across windows" `Quick test_parse_crlf_across_windows;
+          qcheck prop_window_boundaries;
         ] );
       ( "writer",
         [
