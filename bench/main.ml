@@ -22,7 +22,6 @@ let no_fuse = ref false
 let metrics_file = ref None
 let wall_file = ref None
 let trace_file = ref None
-let policy = ref Extmem.Frame_arena.Lru
 let jobs = ref 1
 
 (* --cost: put a simulated-time (hdd) layer on every device — the
@@ -42,22 +41,20 @@ let maybe_costed dev =
 module Config = struct
   include Nexsort.Config
 
-  (* every bench config inherits the harness-wide device spec, replacement
-     policy and worker count; --no-fuse overrides the fusion default for
-     experiments that don't pin it *)
+  (* every bench config inherits the harness-wide device spec and worker
+     count; --no-fuse overrides the fusion default for experiments that
+     don't pin it *)
   let make ?block_size ?memory_blocks ?threshold ?depth_limit ?degeneration ?root_fusion
-      ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ?pager_policy ?jobs:j
-      ?tracer () =
+      ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ?jobs:j ?tracer () =
     let root_fusion =
       match root_fusion with
       | Some _ as r -> r
       | None -> if !no_fuse then Some false else None
     in
-    let pager_policy = Option.value pager_policy ~default:!policy in
     let jobs = Option.value j ~default:!jobs in
     Nexsort.Config.make ?block_size ?memory_blocks ?threshold ?depth_limit ?degeneration
-      ?root_fusion ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace
-      ~pager_policy ~jobs ?tracer ~device:(bench_spec ()) ()
+      ?root_fusion ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ~jobs
+      ?tracer ~device:(bench_spec ()) ()
 end
 
 let ordering = Ordering.by_attr "id"
@@ -680,51 +677,15 @@ let ingest () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* P-sweep: frame replacement policies — identical output, different
-   paging.  This is a CI gate (scripts/check.sh runs it): any policy
-   producing a different output digest is a correctness bug in the frame
-   arena, so the experiment exits non-zero on a mismatch. *)
+(* P-sweep: the index B-tree's buffer-pool replacement policies —
+   identical output, different paging.  This is a CI gate
+   (scripts/check.sh runs it): a policy producing a different output
+   digest is a correctness bug in the cache, and four identical sets of
+   counters mean the policy no longer reaches the pool, so the
+   experiment exits non-zero on either. *)
 
 let policy_sweep () =
   heading "P-sweep / replacement policies: byte-identical output, different paging";
-  let mismatches = ref 0 in
-  let check_digests label runs =
-    match runs with
-    | [] -> ()
-    | (_, reference, _) :: _ ->
-        List.iter
-          (fun (p, digest, detail) ->
-            let ok = String.equal digest reference in
-            if not ok then incr mismatches;
-            Printf.printf "  %-8s %-5s : md5=%s  %s\n"
-              (Extmem.Frame_arena.policy_to_string p)
-              (if ok then "OK" else "DIFF")
-              digest detail)
-          runs;
-        if List.for_all (fun (_, d, _) -> String.equal d reference) runs then
-          subnote "  %s: all policies byte-identical" label
-  in
-  (* nexsort: the session arena's stacks and sort leases run under every
-     policy; the sorted document must not depend on replacement order *)
-  let doc, stats = fig5_doc () in
-  subnote "nexsort input: %d elements; block size 1 KiB, memory 16 blocks"
-    stats.Xmlgen.Gen.elements;
-  let nx_runs =
-    List.map
-      (fun p ->
-        let config = Config.make ~block_size:1024 ~memory_blocks:16 ~pager_policy:p () in
-        let input = with_block_size 1024 doc in
-        let nx_out = Extmem.Device.in_memory ~name:"out" ~block_size:1024 () in
-        let report = Nexsort.sort_device ~config ~ordering ~input ~output:nx_out () in
-        let digest = Digest.to_hex (Digest.string (Extmem.Device.contents nx_out)) in
-        ( p,
-          digest,
-          Printf.sprintf "io=%d" (Extmem.Io_stats.total report.Nexsort.total_io) ))
-      Extmem.Frame_arena.all_policies
-  in
-  check_digests "nexsort" nx_runs;
-  (* indexed merge: the index B-tree's buffer pool is where the policies
-     actually diverge — same merged output, different hit/miss counters *)
   (* sized so the index outgrows its 8-frame pool and the policies
      actually have to evict (and so diverge in their counters) *)
   let employees = if !quick then 48 else 96 in
@@ -733,23 +694,38 @@ let policy_sweep () =
       ~employees_per_branch:employees ()
   in
   subnote "indexed merge: company pair, %d employees/branch, 8-frame index pool" employees;
-  let im_runs =
+  let runs =
     List.map
       (fun p ->
         let out, r =
           Xmerge.Indexed_merge.merge_strings ~policy:p ~ordering:Xmlgen.Company.ordering
             pair.Xmlgen.Company.personnel pair.Xmlgen.Company.payroll
         in
+        let open Xmerge.Indexed_merge in
         ( p,
           Digest.to_hex (Digest.string out),
-          Printf.sprintf "hits=%d misses=%d evictions=%d writebacks=%d"
-            r.Xmerge.Indexed_merge.pager_hits r.Xmerge.Indexed_merge.pager_misses
-            r.Xmerge.Indexed_merge.pager_evictions r.Xmerge.Indexed_merge.pager_writebacks ))
+          (r.pager_hits, r.pager_misses, r.pager_evictions, r.pager_writebacks) ))
       Extmem.Frame_arena.all_policies
   in
-  check_digests "indexed merge" im_runs;
+  let _, reference, _ = List.hd runs in
+  let mismatches = ref 0 in
+  List.iter
+    (fun (p, digest, (hits, misses, evictions, writebacks)) ->
+      let ok = String.equal digest reference in
+      if not ok then incr mismatches;
+      Printf.printf "  %-8s %-5s : md5=%s  hits=%d misses=%d evictions=%d writebacks=%d\n"
+        (Extmem.Frame_arena.policy_to_string p)
+        (if ok then "OK" else "DIFF")
+        digest hits misses evictions writebacks)
+    runs;
   if !mismatches > 0 then begin
     Printf.eprintf "policy-sweep: %d run(s) diverged from the reference digest\n" !mismatches;
+    exit 1
+  end;
+  subnote "  indexed merge: all policies byte-identical";
+  let counters = List.sort_uniq compare (List.map (fun (_, _, c) -> c) runs) in
+  if List.length counters < 2 then begin
+    prerr_endline "policy-sweep: every policy reported the same pager counters";
     exit 1
   end
 
@@ -1159,17 +1135,6 @@ let () =
             exit 2)
     | "--jobs" :: [] ->
         prerr_endline "--jobs requires a worker count";
-        exit 2
-    | "--policy" :: name :: rest -> (
-        match Extmem.Frame_arena.policy_of_string name with
-        | Some p ->
-            policy := p;
-            parse rest
-        | None ->
-            Printf.eprintf "--policy: unknown policy %S (lru, clock, mru, stack)\n" name;
-            exit 2)
-    | "--policy" :: [] ->
-        prerr_endline "--policy requires a policy argument";
         exit 2
     | "--" :: rest -> parse rest
     | a :: rest -> a :: parse rest

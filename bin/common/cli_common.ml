@@ -42,21 +42,6 @@ let encoding_term =
         ~doc:"Entry encoding: $(b,plain), $(b,dict) (name compression) or $(b,packed) (dict + \
               end-tag elimination; scan-evaluable orderings only).")
 
-let policy_term =
-  let policies =
-    List.map
-      (fun p -> (Extmem.Frame_arena.policy_to_string p, p))
-      Extmem.Frame_arena.all_policies
-  in
-  Arg.(
-    value
-    & opt (Arg.enum policies) Extmem.Frame_arena.Lru
-    & info [ "policy" ] ~docv:"POLICY"
-        ~doc:
-          "Frame replacement policy for paged components: $(b,lru), $(b,clock), $(b,mru) or \
-           $(b,stack) (the paper's no-prefetch stack pager).  Sorted output is identical under \
-           every policy; only paging counters move.")
-
 let no_fuse_term =
   Arg.(
     value & flag
@@ -108,13 +93,13 @@ let config_term =
              identical for every value; 1 (the default) runs fully single-threaded.")
   in
   let build block_size memory_blocks threshold depth_limit no_degeneration keep_whitespace no_fuse
-      encoding pager_policy jobs =
+      encoding jobs =
     (* Config.make rejects inconsistent sizes; surface that as a clean
        one-line CLI error instead of an uncaught exception *)
     match
       Nexsort.Config.make ~block_size ~memory_blocks ?threshold ?depth_limit
         ~degeneration:(not no_degeneration) ~root_fusion:(not no_fuse) ~encoding ~keep_whitespace
-        ~pager_policy ~jobs ()
+        ~jobs ()
     with
     | config -> Ok config
     | exception Invalid_argument msg -> Error msg
@@ -122,7 +107,7 @@ let config_term =
   Term.term_result'
     Term.(
       const build $ block_size $ memory_blocks $ threshold $ depth_limit $ no_degeneration
-      $ keep_whitespace $ no_fuse_term $ encoding_term $ policy_term $ jobs)
+      $ keep_whitespace $ no_fuse_term $ encoding_term $ jobs)
 
 let device_term =
   let parse s =
@@ -170,7 +155,7 @@ let trace_term =
         ~doc:
           "Write a Chrome trace_event timeline of the run to $(docv) (open in Perfetto or \
            chrome://tracing; analyse offline with $(b,nextrace)).  Spans, per-worker tracks, \
-           arena evictions and per-I/O latencies are recorded into bounded per-domain ring \
+           run installs and per-I/O latencies are recorded into bounded per-domain ring \
            buffers; overflow drops events (counted) rather than blocking.")
 
 (* Fail before doing any work if the trace path cannot be written, so a

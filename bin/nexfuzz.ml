@@ -2,7 +2,7 @@
 
    Each differential case generates a pathological document, sorts it with
    NEXSORT and the baselines across a sampled config matrix (block size,
-   memory budget, replacement policy, fusion, encoding, device spec), and
+   memory budget, fusion, encoding, jobs, device spec), and
    demands byte-identical agreement with the in-memory reference oracle
    plus a pass through the independent streaming validator and the
    resource-invariant probes.
@@ -20,8 +20,6 @@
 open Cmdliner
 module Ordering = Nexsort.Ordering
 
-let policies = [| Extmem.Frame_arena.Lru; Clock; Mru; Stack |]
-
 (* ------------------------------------------------------------------ *)
 (* Config matrix *)
 
@@ -37,7 +35,6 @@ let orderings =
 
 let differential_config ~seed i =
   let rng = Xmlgen.Splitmix.create (seed + (7919 * i)) in
-  let policy = policies.(i mod 4) in
   let fuse = i / 4 mod 2 = 0 in
   let ordering_spec = orderings.(i mod Array.length orderings) in
   let ordering = Ordering.of_spec_string ordering_spec in
@@ -59,12 +56,11 @@ let differential_config ~seed i =
   let jobs = [| 1; 2; 4 |].(i / 4 mod 3) in
   let config =
     Nexsort.Config.make ~block_size ~memory_blocks ?depth_limit ~root_fusion:fuse ~encoding
-      ~device ~pager_policy:policy ~jobs ()
+      ~device ~jobs ()
   in
   let cli_flags =
-    Printf.sprintf "-O '%s' -B %d -M %d --policy %s --encoding %s --jobs %d%s%s%s" ordering_spec
-      block_size memory_blocks
-      (Extmem.Frame_arena.policy_to_string policy)
+    Printf.sprintf "-O '%s' -B %d -M %d --encoding %s --jobs %d%s%s%s" ordering_spec block_size
+      memory_blocks
       (match encoding with Plain -> "plain" | Dict -> "dict" | Packed -> "packed")
       jobs
       (if fuse then "" else " --no-fuse")
@@ -236,7 +232,6 @@ let run_fault_case ~seed j =
     Xmlgen.Gen.to_string (Xmlgen.Gen.pathological ~seed:doc_seed ~max_elements:250)
   in
   let ordering = Ordering.by_attr "id" in
-  let policy = policies.(j mod 4) in
   let fuse = j / 4 mod 2 = 0 in
   let block_size = 512 in
   let kind = j mod 3 in
@@ -249,8 +244,7 @@ let run_fault_case ~seed j =
     else Extmem.Device_spec.default
   in
   let config =
-    Nexsort.Config.make ~block_size ~memory_blocks:16 ~root_fusion:fuse ~device
-      ~pager_policy:policy ~jobs ()
+    Nexsort.Config.make ~block_size ~memory_blocks:16 ~root_fusion:fuse ~device ~jobs ()
   in
   let ( >>= ) r f = Result.bind r f in
   Verify.Probes.clear ();
@@ -351,7 +345,6 @@ let run_update_case ~seed j =
   let rng = Xmlgen.Splitmix.create case_seed in
   let base, _ = Xmlgen.Gen.to_string (Xmlgen.Gen.pathological ~seed:case_seed ~max_elements:120) in
   let ordering = Ordering.by_attr "id" in
-  let policy = policies.(j mod 4) in
   let kind = j mod 3 in
   let device =
     if kind = 0 then
@@ -363,9 +356,7 @@ let run_update_case ~seed j =
   (* kind 2 starves the queue's insert tier so flushes ride on spilled
      runs (and compactions) instead of the in-memory heap *)
   let memory_blocks = if kind = 2 then 8 else 16 in
-  let config =
-    Nexsort.Config.make ~block_size:512 ~memory_blocks ~device ~pager_policy:policy ()
-  in
+  let config = Nexsort.Config.make ~block_size:512 ~memory_blocks ~device () in
   let root, tops =
     match Xmlio.Tree.of_string base with
     | Xmlio.Tree.Element e ->
@@ -633,10 +624,7 @@ let run smoke seed cases fault_cases update_cases only faults_only updates_only 
             (Xmlgen.Gen.pathological ~seed:(seed + 104729 + (31 * j)) ~max_elements:250)
         in
         print_failure ~seed ~kind:"fault" ~case:j
-          ~cli_flags:
-            (Printf.sprintf "--policy %s --jobs %d"
-               (Extmem.Frame_arena.policy_to_string policies.(j mod 4))
-               [| 1; 2; 4 |].(j / 4 mod 3))
+          ~cli_flags:(Printf.sprintf "--jobs %d" [| 1; 2; 4 |].(j / 4 mod 3))
           ~doc msg
   in
   let updates_aborted = ref 0 in
@@ -683,9 +671,8 @@ let run smoke seed cases fault_cases update_cases only faults_only updates_only 
           Printf.printf "differential: %d cases through one engine across %d tenants\n" cases
             tenants
         else
-          Printf.printf
-            "differential: %d cases across %d policies x fuse/no-fuse x %d orderings\n" cases
-            (Array.length policies) (Array.length orderings);
+          Printf.printf "differential: %d cases across fuse/no-fuse x %d orderings\n" cases
+            (Array.length orderings);
       if not updates_only then
         Printf.printf "fault schedules: %d cases (%d aborted cleanly, %d completed validated)\n"
           fault_cases !faulted !completed;

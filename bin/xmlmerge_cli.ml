@@ -26,6 +26,22 @@ let ordering_term =
     & info [ "ordering"; "O" ] ~docv:"SPEC"
         ~doc:"Ordering specification (see $(b,nexsort --help)); must be scan-evaluable.")
 
+let policy_term =
+  let policies =
+    List.map
+      (fun p -> (Extmem.Frame_arena.policy_to_string p, p))
+      Extmem.Frame_arena.all_policies
+  in
+  Arg.(
+    value
+    & opt (Arg.enum policies) Extmem.Frame_arena.Lru
+    & info [ "policy" ] ~docv:"POLICY"
+        ~doc:
+          "With $(b,--indexed): replacement policy of the index B-tree's buffer pool, \
+           $(b,lru), $(b,clock), $(b,mru) or $(b,stack) (evict the lowest block index).  The \
+           merged output is identical under every policy; only the index pager counters move. \
+           No other mode reads it.")
+
 let struct_merge_report ~tool (r : Xmerge.Struct_merge.report) =
   let rep = Obs.Report.create ~tool in
   Obs.Report.add rep "counts"
@@ -135,7 +151,7 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
         `Error (false, "--ingest does not compose with --update/--indexed/--presorted")
     | _ when flush_every < 1 -> `Error (false, "--flush-every must be >= 1")
     | _ when ingest_mode ->
-        let config = Nexsort.Config.make ?device ~pager_policy:policy ~tracer () in
+        let config = Nexsort.Config.make ?device ~tracer () in
         run_ingest ~ordering ~config ~metrics ~finish left right_paths flush_every output
     | _ when List.length right_paths <> 1 ->
         `Error (false, "expected exactly one RIGHT document (or pass --ingest)")
@@ -326,7 +342,7 @@ let cmd =
                 ~doc:
                   "Use the index-assisted nested-loop merge instead of sort-then-merge (works on \
                    unsorted inputs; reports the index buffer pool's hit/miss statistics).")
-        $ Cli_common.policy_term
+        $ policy_term
         $ Cli_common.device_term
         $ Cli_common.no_fuse_term
         $ Cli_common.metrics_term

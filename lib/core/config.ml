@@ -15,15 +15,14 @@ type t = {
   path_stack_blocks : int;
   keep_whitespace : bool;
   device : Extmem.Device_spec.t;
-  pager_policy : Extmem.Pager.policy;
   jobs : int;
   tracer : Obs.Tracer.t;
 }
 
 let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(degeneration = true)
     ?(root_fusion = true) ?(encoding = Dict) ?data_stack_blocks ?(path_stack_blocks = 2)
-    ?(keep_whitespace = false) ?(device = Extmem.Device_spec.default)
-    ?(pager_policy = Extmem.Pager.Lru) ?(jobs = 1) ?(tracer = Obs.Tracer.null) () =
+    ?(keep_whitespace = false) ?(device = Extmem.Device_spec.default) ?(jobs = 1)
+    ?(tracer = Obs.Tracer.null) () =
   let threshold = Option.value threshold ~default:(2 * block_size) in
   (* The data stack oscillates: entries accumulate until a subtree reaches
      the threshold and is truncated away.  A window that covers twice the
@@ -61,7 +60,6 @@ let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(de
     path_stack_blocks;
     keep_whitespace;
     device;
-    pager_policy;
     jobs;
     tracer;
   }
@@ -123,11 +121,9 @@ let pp_encoding ppf = function
 
 let pp ppf t =
   Format.fprintf ppf
-    "{B=%dB; M=%d blocks (%d KiB); t=%dB; depth_limit=%s; degeneration=%b; fusion=%b; encoding=%a; \
-     policy=%s}"
+    "{B=%dB; M=%d blocks (%d KiB); t=%dB; depth_limit=%s; degeneration=%b; fusion=%b; encoding=%a}"
     t.block_size t.memory_blocks
     (memory_bytes t / 1024)
     t.threshold
     (match t.depth_limit with Some d -> string_of_int d | None -> "none")
     t.degeneration t.root_fusion pp_encoding t.encoding
-    (Extmem.Frame_arena.policy_to_string t.pager_policy)

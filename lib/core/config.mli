@@ -38,12 +38,6 @@ type t = {
   device : Extmem.Device_spec.t;
       (** device stack for the sort's internal devices (stacks, runs,
           scratch): backend plus middleware layers; see {!Extmem.Device_spec} *)
-  pager_policy : Extmem.Pager.policy;
-      (** default replacement policy for frame-arena caches attached
-          during the sort (NEXSORT's own streaming path holds no cache,
-          so this mainly steers auxiliary structures like the indexed
-          merge's B-tree pager); the data stack always pages under the
-          paper's no-prefetch stack rule *)
   jobs : int;
       (** worker domains for parallel subtree sorting (1..64); 1 runs
           the sort single-threaded on today's exact code path.  Output
@@ -69,7 +63,6 @@ val make :
   ?path_stack_blocks:int ->
   ?keep_whitespace:bool ->
   ?device:Extmem.Device_spec.t ->
-  ?pager_policy:Extmem.Pager.policy ->
   ?jobs:int ->
   ?tracer:Obs.Tracer.t ->
   unit ->

@@ -72,14 +72,8 @@ let create ?budget ?pool ?ext_budget ?(poll = ignore) (config : Config.t) =
         Extmem.Memory_budget.create ~blocks:(job_blocks ?pool config)
           ~block_size:config.Config.block_size
   in
-  let arena =
-    Extmem.Frame_arena.create ~budget ~default_policy:config.Config.pager_policy ()
-  in
+  let arena = Extmem.Frame_arena.create ~budget () in
   let tracer = config.Config.tracer in
-  if Obs.Tracer.enabled tracer then
-    Extmem.Frame_arena.set_observer arena (fun ~who ev _block ->
-        let tag = match ev with Extmem.Frame_arena.Evict -> "evict:" | Writeback -> "writeback:" in
-        Obs.Tracer.instant_s tracer (tag ^ who));
   let stack_dev name = Config.scratch_device config ~name in
   let dict = Xmlio.Dict.create () in
   let runs = Extmem.Run_store.create (stack_dev "runs") in

@@ -20,10 +20,8 @@ type t = {
   arena : Extmem.Frame_arena.t;
       (** the session-wide frame arena over {!field-budget}: every
           block-holding component (stack windows, stream buffers, sort
-          leases, pager caches) draws its frames here under a [who]
-          label, so budget exhaustion and the metrics report name the
-          owners; its default replacement policy follows
-          [config.pager_policy] *)
+          leases) draws its frames here under a [who] label, so budget
+          exhaustion and the metrics report name the owners *)
   dict : Xmlio.Dict.t;
   data_stack : Extmem.Ext_stack.t;
   path_stack : Extmem.Ext_stack.t;

@@ -857,7 +857,6 @@ let config_json (c : Config.t) =
       ("path_stack_blocks", Int c.Config.path_stack_blocks);
       ("keep_whitespace", Bool c.Config.keep_whitespace);
       ("device", Str (Extmem.Device_spec.to_string c.Config.device));
-      ("policy", Str (Extmem.Frame_arena.policy_to_string c.Config.pager_policy));
       ("jobs", Int c.Config.jobs);
     ]
 

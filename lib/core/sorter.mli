@@ -135,7 +135,8 @@ val metrics_report : ?tool:string -> config:Config.t -> report -> Obs.Report.t
     (parameter echo), [counts], [io] (the §4.2 per-phase breakdown —
     [input] / [subtree_sorts] / [stack_paging] / [runs] / [output] — plus
     [total] and the raw per-component stats), [pager] (cache totals over
-    the session arena; zero for the streaming NEXSORT pipeline), [arena]
+    the session arena; always zero, since a session attaches no cache,
+    but kept so every report has the same shape), [arena]
     (per-owner frame accounting), [gc] (allocation words/collections over
     the sort, schema v2), [phases] (the span tree), [metrics] (registry
     dump) and [timing].  [tool] defaults to ["nexsort"]. *)

@@ -18,7 +18,7 @@ type node =
 
 type t = {
   dev : Device.t;
-  pager : Pager.t;
+  cache : Frame_arena.cache;
   cmp : string -> string -> int;
   meta_block : int;
   mutable root : int;
@@ -86,9 +86,9 @@ let decode_node s =
       Internal { children = first :: children; seps }
   | k -> raise (Codec.Corrupt (Printf.sprintf "Btree: bad node kind %d" k))
 
-let load t block = decode_node (Pager.read_page t.pager block)
+let load t block = decode_node (Frame_arena.read_page t.cache block)
 
-let store t block node = Pager.write_page t.pager block (encode_node node)
+let store t block node = Frame_arena.write_page t.cache block (encode_node node)
 
 let node_fits t node = String.length (encode_node node) <= Device.block_size t.dev
 
@@ -99,29 +99,34 @@ let write_meta t =
   Codec.put_u8 b magic;
   Codec.put_varint b t.root;
   Codec.put_varint b t.count;
-  Pager.write_page t.pager t.meta_block (Buffer.contents b)
+  Frame_arena.write_page t.cache t.meta_block (Buffer.contents b)
 
 let alloc_block t =
   let block = Device.allocate t.dev 1 in
   block
 
-(* A tree whose meta page is the next block of [dev]. *)
-let fresh ?arena ?(who = "btree") ?policy ?(frames = 8) ~cmp dev =
-  let pager = Pager.create ?arena ~who ?policy ~frames dev in
-  { dev; pager; cmp; meta_block = Device.allocate dev 1; root = 0; count = 0 }
+(* The tree's buffer pool: [frames] frames from a private unbudgeted
+   arena. *)
+let attach_cache ?policy ~frames dev =
+  Frame_arena.attach (Frame_arena.create ()) ~who:"btree" ?policy ~frames dev
 
-let create ?arena ?who ?policy ?frames ~cmp dev =
-  let t = fresh ?arena ?who ?policy ?frames ~cmp dev in
+(* A tree whose meta page is the next block of [dev]. *)
+let fresh ?policy ?(frames = 8) ~cmp dev =
+  let cache = attach_cache ?policy ~frames dev in
+  { dev; cache; cmp; meta_block = Device.allocate dev 1; root = 0; count = 0 }
+
+let create ?policy ?frames ~cmp dev =
+  let t = fresh ?policy ?frames ~cmp dev in
   let root = alloc_block t in
   t.root <- root;
   store t root (Leaf { next = None; entries = [] });
   write_meta t;
   t
 
-let reopen ?arena ?(who = "btree") ?policy ?(frames = 8) ~cmp dev =
-  let pager = Pager.create ?arena ~who ?policy ~frames dev in
-  let t = { dev; pager; cmp; meta_block = 0; root = 0; count = 0 } in
-  let c = Codec.cursor (Pager.read_page pager 0) in
+let reopen ?policy ?(frames = 8) ~cmp dev =
+  let cache = attach_cache ?policy ~frames dev in
+  let t = { dev; cache; cmp; meta_block = 0; root = 0; count = 0 } in
+  let c = Codec.cursor (Frame_arena.read_page cache 0) in
   if Codec.get_u8 c <> magic then raise (Codec.Corrupt "Btree.reopen: bad magic");
   t.root <- Codec.get_varint c;
   t.count <- Codec.get_varint c;
@@ -131,9 +136,9 @@ let length t = t.count
 
 let flush t =
   write_meta t;
-  Pager.flush t.pager
+  Frame_arena.flush t.cache
 
-let pager t = t.pager
+let cache t = t.cache
 
 (* ---- search ---- *)
 
@@ -376,8 +381,8 @@ type loader = {
   mutable levels : level list; (* lowest internal level first *)
 }
 
-let bulk_loader ?arena ?who ?policy ?frames ~cmp dev =
-  let tree = fresh ?arena ?who ?policy ?frames ~cmp dev in
+let bulk_loader ?policy ?frames ~cmp dev =
+  let tree = fresh ?policy ?frames ~cmp dev in
   {
     tree;
     page = Bytes.create (Device.block_size dev);

@@ -3,8 +3,10 @@
     The "additional index" of the paper's §1: the naive nested-loop merge
     scans half of a subtree on average to find a matching element —
     {e "unless there is an additional index"}.  This is that index: a
-    disk-resident B+-tree over a {!Device.t}, accessed through a
-    {!Pager.t} so hot paths stay cached within a bounded frame budget.
+    disk-resident B+-tree over a {!Device.t}, accessed page by page
+    through a {!Frame_arena.cache} — the B-tree's own buffer pool, the one
+    replacement-policy cache in the system — so hot paths stay cached
+    within a bounded frame budget.
     The indexed-merge comparator in [bench/main.exe motivation] is built
     on it.
 
@@ -23,22 +25,18 @@
 type t
 
 val create :
-  ?arena:Frame_arena.t ->
-  ?who:string ->
-  ?policy:Pager.policy ->
+  ?policy:Frame_arena.policy ->
   ?frames:int ->
   cmp:(string -> string -> int) ->
   Device.t ->
   t
 (** Initialise a fresh tree on an empty device region (allocates the meta
-    page and an empty root leaf).  [frames] (default 8) is the pager's
-    cache budget, drawn from [arena] under [who] (default ["btree"])
-    when given; [policy] selects the pager's replacement policy. *)
+    page and an empty root leaf).  [frames] (default 8) is the size of the
+    buffer pool, a private unbudgeted arena's cache owned by ["btree"];
+    [policy] (default {!Frame_arena.Lru}) is its replacement policy. *)
 
 val reopen :
-  ?arena:Frame_arena.t ->
-  ?who:string ->
-  ?policy:Pager.policy ->
+  ?policy:Frame_arena.policy ->
   ?frames:int ->
   cmp:(string -> string -> int) ->
   Device.t ->
@@ -70,8 +68,8 @@ val iter : t -> (string -> string -> unit) -> unit
 val flush : t -> unit
 (** Write all dirty pages back to the device. *)
 
-val pager : t -> Pager.t
-(** The underlying pager (for cache statistics). *)
+val cache : t -> Frame_arena.cache
+(** The buffer pool (for {!Frame_arena.hits} and the other counters). *)
 
 val height : t -> int
 (** Levels from root to leaves (1 = root is a leaf). *)
@@ -87,9 +85,7 @@ val height : t -> int
 type loader
 
 val bulk_loader :
-  ?arena:Frame_arena.t ->
-  ?who:string ->
-  ?policy:Pager.policy ->
+  ?policy:Frame_arena.policy ->
   ?frames:int ->
   cmp:(string -> string -> int) ->
   Device.t ->

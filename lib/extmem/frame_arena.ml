@@ -1,8 +1,8 @@
 (* One pool of block frames for the whole session.  Every component that
    holds blocks in memory draws them from here — either as a [lease]
    (plain accounting plus recycled buffers: stack windows, stream
-   buffers, sort arenas, merge fan-in) or as a [cache] (a pager-style
-   mapped frame set with a replacement policy and pin counts).  All
+   buffers, sort arenas, merge fan-in) or as a [cache] (a mapped frame
+   set with a replacement policy: the B-tree's buffer pool).  All
    reservations flow through the shared [Memory_budget] under the
    owner's [who] label, so exhaustion messages and metrics name the
    component that holds each frame. *)
@@ -20,13 +20,6 @@ let policy_to_string = function
   | Clock -> "clock"
   | Mru -> "mru"
   | Stack -> "stack"
-
-let policy_of_string = function
-  | "lru" -> Some Lru
-  | "clock" -> Some Clock
-  | "mru" -> Some Mru
-  | "stack" -> Some Stack
-  | _ -> None
 
 (* Per-owner record: current/peak frame counts plus cumulative cache
    counters.  Kept for the arena's life so metrics still cover owners
@@ -50,27 +43,17 @@ type owner_stats = {
   writebacks : int;
 }
 
-type event = Evict | Writeback
-
 type t = {
   budget : Memory_budget.t option;
-  arena_policy : policy;
   pool : (int, bytes list ref) Hashtbl.t; (* buffer size -> free buffers *)
   table : (string, owner) Hashtbl.t;
   lock : Mutex.t; (* guards [pool] and [table]; never held across budget calls *)
-  mutable observer : (who:string -> event -> int -> unit) option;
-      (* caches are main-thread, so firing without the lock is safe *)
 }
 
-let create ?budget ?(default_policy = Lru) () =
-  { budget; arena_policy = default_policy; pool = Hashtbl.create 4; table = Hashtbl.create 8;
-    lock = Mutex.create (); observer = None }
-
-let set_observer t f = t.observer <- Some f
+let create ?budget () =
+  { budget; pool = Hashtbl.create 4; table = Hashtbl.create 8; lock = Mutex.create () }
 
 let budget t = t.budget
-
-let default_policy t = t.arena_policy
 
 let owner_u t who =
   match Hashtbl.find_opt t.table who with
@@ -157,7 +140,7 @@ let carve t ~who ~blocks =
   | None -> invalid_arg "Frame_arena.carve: arena has no budget to carve from"
   | Some b ->
       let sub = Memory_budget.carve b ~who ~blocks () in
-      create ~budget:sub ~default_policy:t.arena_policy ()
+      create ~budget:sub ()
 
 let close t =
   match t.budget with
@@ -214,11 +197,8 @@ let with_lease t ~who n f =
 
 (* {2 Caches}
 
-   The mapped-frame machinery formerly private to [Pager], generalised
-   with pin counts and two more policies.  With every pin count at zero
-   the victim choices reduce exactly to the original Lru/Clock code, so
-   access patterns (and therefore I/O counts) are unchanged for callers
-   that never pin. *)
+   Mapped frames over one device, faulted in page by page through a
+   replacement policy, written back only when dirty. *)
 
 type frame = {
   mutable block : int; (* -1 = free *)
@@ -226,7 +206,6 @@ type frame = {
   mutable dirty : bool;
   mutable stamp : int;       (* LRU/MRU timestamp *)
   mutable referenced : bool; (* Clock bit *)
-  mutable pins : int;        (* > 0 = never evicted *)
 }
 
 type cache = {
@@ -246,19 +225,19 @@ type cache = {
   mutable detached : bool;
 }
 
-let attach t ?(who = "pager") ?policy ~frames dev =
+let attach t ?(who = "pager") ?(policy = Lru) ~frames dev =
   if frames < 1 then invalid_arg "Frame_arena.attach: frames must be >= 1";
   reserve t ~who frames;
   let bs = Device.block_size dev in
   let mk _ =
-    { block = -1; data = take t bs; dirty = false; stamp = 0; referenced = false; pins = 0 }
+    { block = -1; data = take t bs; dirty = false; stamp = 0; referenced = false }
   in
   {
     c_arena = t;
     c_owner = owner t who;
     c_who = who;
     dev;
-    c_policy = (match policy with Some p -> p | None -> t.arena_policy);
+    c_policy = policy;
     frames = Array.init frames mk;
     map = Hashtbl.create (2 * frames);
     tick = 0;
@@ -269,12 +248,6 @@ let attach t ?(who = "pager") ?policy ~frames dev =
     writebacks = 0;
     detached = false;
   }
-
-let cache_device c = c.dev
-
-let cache_policy c = c.c_policy
-
-let cache_frames c = Array.length c.frames
 
 let hits c = c.hits
 
@@ -289,72 +262,43 @@ let write_back c f =
     Device.write_block c.dev f.block f.data;
     f.dirty <- false;
     c.writebacks <- c.writebacks + 1;
-    c.c_owner.o_writebacks <- c.c_owner.o_writebacks + 1;
-    match c.c_arena.observer with
-    | Some obs -> obs ~who:c.c_who Writeback f.block
-    | None -> ()
+    c.c_owner.o_writebacks <- c.c_owner.o_writebacks + 1
   end
 
-(* Victim scans.  Free frames always win (the last free frame found, as
-   in the original pager); among occupied frames Lru takes the strictly
-   lowest stamp, Mru the strictly highest, Stack the lowest block index
-   (the paper's no-prefetch rule: the block deepest below the stack top
-   goes first).  Pinned frames are invisible; -1 means everything is
-   pinned. *)
+(* Victim scans.  Free frames always win (the last free frame found);
+   among occupied frames Lru takes the strictly lowest stamp, Mru the
+   strictly highest, Stack the lowest block index (the paper's
+   no-prefetch rule: the block deepest below the stack top goes
+   first). *)
 
 let victim_scan c better =
   let fs = c.frames in
-  let best = ref (-1) in
-  for i = 0 to Array.length fs - 1 do
-    let f = fs.(i) in
-    if f.pins = 0 then begin
-      if f.block = -1 then best := i
-      else if !best = -1 then best := i
-      else begin
-        let b = fs.(!best) in
-        if b.block <> -1 && better f b then best := i
-      end
-    end
+  let best = ref 0 in
+  for i = 1 to Array.length fs - 1 do
+    let f = fs.(i) and b = fs.(!best) in
+    if f.block = -1 || (b.block <> -1 && better f b) then best := i
   done;
   !best
 
-let victim_lru c = victim_scan c (fun f b -> f.stamp < b.stamp)
-
-let victim_mru c = victim_scan c (fun f b -> f.stamp > b.stamp)
-
-let victim_stack c = victim_scan c (fun f b -> f.block < b.block)
-
-let victim_clock c =
-  let n = Array.length c.frames in
-  if not (Array.exists (fun f -> f.pins = 0) c.frames) then -1
-  else
-    let rec spin guard =
-      let f = c.frames.(c.hand) in
-      let i = c.hand in
-      c.hand <- (c.hand + 1) mod n;
-      if f.pins > 0 then spin (guard + 1)
-      else if f.block = -1 then i
-      else if f.referenced && guard < 2 * n then begin
-        f.referenced <- false;
-        spin (guard + 1)
-      end
-      else i
-    in
-    spin 0
+(* Second chance: a referenced frame loses its bit and is skipped once.
+   Free frames are never referenced, so they are taken on sight, and one
+   sweep clears every bit, so the hand stops within [n + 1] steps. *)
+let rec victim_clock c =
+  let i = c.hand in
+  let f = c.frames.(i) in
+  c.hand <- (i + 1) mod Array.length c.frames;
+  if f.referenced then begin
+    f.referenced <- false;
+    victim_clock c
+  end
+  else i
 
 let victim c =
-  let i =
-    match c.c_policy with
-    | Lru -> victim_lru c
-    | Clock -> victim_clock c
-    | Mru -> victim_mru c
-    | Stack -> victim_stack c
-  in
-  if i < 0 then
-    raise
-      (Memory_budget.Exhausted
-         (Printf.sprintf "%s: all %d frames are pinned" c.c_who (Array.length c.frames)));
-  i
+  match c.c_policy with
+  | Lru -> victim_scan c (fun f b -> f.stamp < b.stamp)
+  | Clock -> victim_clock c
+  | Mru -> victim_scan c (fun f b -> f.stamp > b.stamp)
+  | Stack -> victim_scan c (fun f b -> f.block < b.block)
 
 let touch c f =
   c.tick <- c.tick + 1;
@@ -378,9 +322,6 @@ let frame_for c block =
       if f.block <> -1 then begin
         c.evictions <- c.evictions + 1;
         c.c_owner.o_evictions <- c.c_owner.o_evictions + 1;
-        (match c.c_arena.observer with
-        | Some obs -> obs ~who:c.c_who Evict f.block
-        | None -> ());
         write_back c f;
         Hashtbl.remove c.map f.block
       end;
@@ -391,42 +332,6 @@ let frame_for c block =
       Hashtbl.replace c.map block i;
       touch c f;
       f
-
-let pin c block =
-  let f = frame_for c block in
-  f.pins <- f.pins + 1
-
-let unpin c block =
-  match Hashtbl.find_opt c.map block with
-  | Some i ->
-      let f = c.frames.(i) in
-      if f.pins = 0 then invalid_arg "Frame_arena.unpin: frame not pinned";
-      f.pins <- f.pins - 1
-  | None -> invalid_arg "Frame_arena.unpin: block not resident"
-
-let pinned c block =
-  match Hashtbl.find_opt c.map block with
-  | Some i -> c.frames.(i).pins
-  | None -> 0
-
-let read_byte c off =
-  let bs = Device.block_size c.dev in
-  let f = frame_for c (off / bs) in
-  Bytes.get f.data (off mod bs)
-
-let write_byte c off ch =
-  let bs = Device.block_size c.dev in
-  let block = off / bs in
-  while block >= Device.block_count c.dev do
-    ignore (Device.allocate c.dev 1)
-  done;
-  let f = frame_for c block in
-  Bytes.set f.data (off mod bs) ch;
-  f.dirty <- true
-
-let read c ~pos ~len = String.init len (fun i -> read_byte c (pos + i))
-
-let write c ~pos s = String.iteri (fun i ch -> write_byte c (pos + i) ch) s
 
 let read_page c block =
   if block >= Device.block_count c.dev then
@@ -453,7 +358,6 @@ let detach c =
     Array.iter
       (fun f ->
         f.block <- -1;
-        f.pins <- 0;
         give c.c_arena f.data)
       c.frames;
     Hashtbl.reset c.map;

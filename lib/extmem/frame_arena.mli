@@ -14,20 +14,22 @@
        layout (stack windows, stream buffers, run-formation arenas,
        merge fan-in);}
     {- a {b cache}: a mapped set of frames over one device with a
-       replacement policy, pin counts, dirty tracking and write-back on
-       eviction — the machinery behind {!Pager}.}}
+       replacement policy, dirty tracking and write-back on eviction.
+       Its one user is {!Btree}'s buffer pool: the sorter's stacks page
+       by the paper's fixed no-prefetch rule on leases and attach no
+       cache.}}
 
     Every reservation is recorded under its owner's [who] label, so
     budget exhaustion names the holders and per-owner hit/miss/eviction
     counters can be exported to metrics.  An arena created without a
     budget performs no accounting (frames are still pooled) — handy for
-    standalone pagers and tests.
+    a B-tree's private pool and for tests.
 
     Thread-safety: the shared owner table and buffer pool are protected
     by an internal mutex, so {!reserve}/{!release}/{!take}/{!give} (and
     the lease operations built on them) are safe from any domain.  A
     {b cache} is single-domain: its frame map and counters are
-    deliberately unlocked for the pager hot path.  Parallel phases
+    deliberately unlocked for the page-access hot path.  Parallel phases
     should {!carve} a per-domain sub-arena instead of sharing one. *)
 
 type t
@@ -45,29 +47,12 @@ val all_policies : policy list
 
 val policy_to_string : policy -> string
 
-val policy_of_string : string -> policy option
-
 (** {1 Arena} *)
 
-val create : ?budget:Memory_budget.t -> ?default_policy:policy -> unit -> t
-(** An arena drawing from [budget] (when given); [default_policy]
-    (default [Lru]) applies to caches attached without an explicit
-    policy. *)
+val create : ?budget:Memory_budget.t -> unit -> t
+(** An arena drawing from [budget] (when given). *)
 
 val budget : t -> Memory_budget.t option
-
-val default_policy : t -> policy
-
-(** Replacement traffic visible to an observer: a frame chosen as victim
-    while holding a block ([Evict]), and a dirty frame flushed to its
-    device ([Writeback], also on explicit flushes). *)
-type event = Evict | Writeback
-
-val set_observer : t -> (who:string -> event -> int -> unit) -> unit
-(** Fire the hook on every eviction and write-back in caches attached to
-    this arena, with the cache owner's name and the block index.  Caches
-    are main-thread objects, so the hook runs unlocked on the caller's
-    domain.  Carved sub-arenas do not inherit the observer. *)
 
 val take : t -> int -> bytes
 (** [take t size] is a zero-filled buffer of [size] bytes, recycled from
@@ -79,8 +64,8 @@ val give : t -> bytes -> unit
 
 val carve : t -> who:string -> blocks:int -> t
 (** [carve t ~who ~blocks] reserves a [blocks]-frame slab from the
-    arena's budget under [who] and wraps it in a fresh private arena
-    (same default policy).  Intended for worker domains: every lease,
+    arena's budget under [who] and wraps it in a fresh private arena.
+    Intended for worker domains: every lease,
     cache and buffer the worker takes then lives entirely in its own
     arena, with no shared mutable frame state on the hot path, while the
     parent's ledger pins the slab under the carver's name.
@@ -125,52 +110,23 @@ val with_lease : t -> who:string -> int -> (lease -> 'a) -> 'a
 
 (** {1 Caches}
 
-    The pager machinery: a set of frames mapped onto one device's
-    blocks, faulting misses in through the chosen replacement policy,
-    with pin counts protecting frames from eviction.  With no pins held
-    the Lru and Clock victim choices are exactly the original [Pager]
-    ones, so access patterns are unchanged for non-pinning callers. *)
+    A set of frames mapped onto one device's blocks, accessed a whole
+    page at a time.  A miss faults the block in, evicting the victim the
+    replacement policy picks; a free frame is always taken first.  All
+    policies write a frame back only when it is dirty. *)
 
 type cache
 
 val attach : t -> ?who:string -> ?policy:policy -> frames:int -> Device.t -> cache
-(** [attach t ~frames dev] reserves [frames] frames under [who] (default
-    ["pager"]) and maps them onto [dev].  [policy] defaults to the
-    arena's {!default_policy}. *)
+(** [attach t ~frames dev] reserves [frames] (>= 1) frames under [who]
+    (default ["pager"]) and maps them onto [dev].  [policy] defaults to
+    {!Lru}. *)
 
 val detach : cache -> unit
 (** Flush dirty frames, return the buffers to the pool and release the
     reservation.  Idempotent; using the cache afterwards is a
     programming error.  The owner's cumulative counters survive in
     {!owners}. *)
-
-val cache_device : cache -> Device.t
-
-val cache_policy : cache -> policy
-
-val cache_frames : cache -> int
-
-val pin : cache -> int -> unit
-(** Fault the block in (counting a hit or miss as any access does) and
-    increment its pin count; a pinned frame is never chosen for
-    eviction.  @raise Memory_budget.Exhausted via the fault when every
-    frame is already pinned. *)
-
-val unpin : cache -> int -> unit
-(** @raise Invalid_argument when the block is not resident or not
-    pinned. *)
-
-val pinned : cache -> int -> int
-(** Current pin count of a block (0 when not resident). *)
-
-val read_byte : cache -> int -> char
-
-val write_byte : cache -> int -> char -> unit
-(** Extends the device as needed; the touched frame becomes dirty. *)
-
-val read : cache -> pos:int -> len:int -> string
-
-val write : cache -> pos:int -> string -> unit
 
 val read_page : cache -> int -> string
 (** Whole-block read.  @raise Invalid_argument on an unallocated

@@ -995,17 +995,6 @@ module Probe = struct
         float_of_int (Extmem.Device.block_count dev));
     Registry.gauge reg ~unit_:"ms" (p "sim_ms") (fun () -> Extmem.Device.simulated_ms dev)
 
-  let pager reg ~prefix pg =
-    let p name = Printf.sprintf "pager.%s.%s" prefix name in
-    Registry.gauge reg ~unit_:"accesses" (p "hits") (fun () ->
-        float_of_int (Extmem.Pager.hits pg));
-    Registry.gauge reg ~unit_:"accesses" (p "misses") (fun () ->
-        float_of_int (Extmem.Pager.misses pg));
-    Registry.gauge reg ~unit_:"frames" (p "evictions") (fun () ->
-        float_of_int (Extmem.Pager.evictions pg));
-    Registry.gauge reg ~unit_:"blocks" (p "writebacks") (fun () ->
-        float_of_int (Extmem.Pager.writebacks pg))
-
   let ext_stack reg ~prefix st =
     let p name = Printf.sprintf "stack.%s.%s" prefix name in
     Registry.gauge reg ~unit_:"entries" (p "pushes") (fun () ->

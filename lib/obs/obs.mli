@@ -290,10 +290,6 @@ module Probe : sig
       (allocated size), [dev.<prefix>.sim_ms] (when a cost layer is
       attached). *)
 
-  val pager : Registry.t -> prefix:string -> Extmem.Pager.t -> unit
-  (** [pager.<prefix>.hits|misses|evictions|writebacks] (block
-      accesses). *)
-
   val ext_stack : Registry.t -> prefix:string -> Extmem.Ext_stack.t -> unit
   (** [stack.<prefix>.pushes|pops] (entries),
       [stack.<prefix>.page_ins|writebacks] (blocks),

@@ -183,6 +183,7 @@ let merge_devices ?policy ~ordering ~left ~right ~output () =
   let right_io = Extmem.Io_stats.snapshot (Extmem.Device.stats right) in
   let index_io = Extmem.Io_stats.snapshot (Extmem.Device.stats index_dev) in
   let output_io = Extmem.Io_stats.snapshot (Extmem.Device.stats output) in
+  let cache = Extmem.Btree.cache index in
   {
     matched_elements = !matched_count;
     index_entries = !entries;
@@ -194,10 +195,10 @@ let merge_devices ?policy ~ordering ~left ~right ~output () =
     total_io =
       Extmem.Io_stats.add left_io
         (Extmem.Io_stats.add right_io (Extmem.Io_stats.add index_io output_io));
-    pager_hits = Extmem.Pager.hits (Extmem.Btree.pager index);
-    pager_misses = Extmem.Pager.misses (Extmem.Btree.pager index);
-    pager_evictions = Extmem.Pager.evictions (Extmem.Btree.pager index);
-    pager_writebacks = Extmem.Pager.writebacks (Extmem.Btree.pager index);
+    pager_hits = Extmem.Frame_arena.hits cache;
+    pager_misses = Extmem.Frame_arena.misses cache;
+    pager_evictions = Extmem.Frame_arena.evictions cache;
+    pager_writebacks = Extmem.Frame_arena.writebacks cache;
     wall_seconds = Unix.gettimeofday () -. t0;
     spans = Obs.Spans.close spans;
   }

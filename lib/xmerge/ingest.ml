@@ -395,8 +395,8 @@ type base_writer = {
 let open_base ~config ~ordering dev =
   let bw = Extmem.Block_writer.create dev in
   (* blocks big enough for the quarter-block entry limit even under tiny
-     sort geometries; the pager is standalone (unaccounted), like any
-     side index *)
+     sort geometries; the B-tree's buffer pool is standalone
+     (unaccounted), like any side index *)
   let index_dev =
     Extmem.Device.in_memory ~block_size:(max 1024 config.Nexsort.Config.block_size) ()
   in

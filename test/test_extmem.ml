@@ -1040,134 +1040,230 @@ let prop_ext_stack_push_io_linear =
       ios <= (total_bytes / bs) + 2)
 
 (* ------------------------------------------------------------------ *)
-(* Pager *)
+(* Frame-arena caches (the B-tree's buffer pool) *)
 
-let pager_test policy () =
+module Fa = Extmem.Frame_arena
+
+let cache ?policy ~frames d = Fa.attach (Fa.create ()) ?policy ~frames d
+
+let page bs s = s ^ String.make (bs - String.length s) '\000'
+
+let cache_test policy () =
   let d = Extmem.Device.in_memory ~block_size:8 () in
   ignore (Extmem.Device.allocate d 8);
-  let p = Extmem.Pager.create ~policy ~frames:3 d in
-  (* write a pattern through the pager, read it back *)
-  Extmem.Pager.write p ~pos:0 "abcdefghijklmnopqrstuvwxyz0123456789";
-  check Alcotest.string "read back" "abcdefghijklmnopqrstuvwxyz0123456789"
-    (Extmem.Pager.read p ~pos:0 ~len:36);
-  Extmem.Pager.flush p;
+  let c = cache ~policy ~frames:3 d in
+  (* write five pages through three frames, read them back *)
+  let pages = [ "abcdefgh"; "ijklmnop"; "qrstuvwx"; "yz012345"; "6789" ] in
+  List.iteri (Fa.write_page c) pages;
+  check (Alcotest.list Alcotest.string) "read back" (List.map (page 8) pages)
+    (List.init 5 (Fa.read_page c));
+  ignore (Fa.read_page c 4);
+  Fa.flush c;
   (* after flush the device must contain the data *)
   let b = Bytes.make 8 '?' in
   Extmem.Device.read_block d 0 b;
   check Alcotest.string "flushed" "abcdefgh" (Bytes.to_string b);
-  check Alcotest.bool "some hits" true (Extmem.Pager.hits p > 0);
-  check Alcotest.bool "some misses" true (Extmem.Pager.misses p > 0)
+  check Alcotest.bool "some hits" true (Fa.hits c > 0);
+  check Alcotest.bool "some misses" true (Fa.misses c > 0)
 
-let test_pager_lru_eviction_order () =
+let test_cache_lru_eviction_order () =
   let d = Extmem.Device.in_memory ~block_size:4 () in
   ignore (Extmem.Device.allocate d 10);
-  let p = Extmem.Pager.create ~policy:Extmem.Pager.Lru ~frames:2 d in
-  ignore (Extmem.Pager.read_byte p 0);  (* block 0 *)
-  ignore (Extmem.Pager.read_byte p 4);  (* block 1 *)
-  ignore (Extmem.Pager.read_byte p 0);  (* touch block 0 *)
-  ignore (Extmem.Pager.read_byte p 8);  (* block 2 evicts block 1 (LRU) *)
-  let misses_before = Extmem.Pager.misses p in
-  ignore (Extmem.Pager.read_byte p 0);  (* block 0 should still be resident *)
-  check Alcotest.int "block 0 still cached" misses_before (Extmem.Pager.misses p);
-  ignore (Extmem.Pager.read_byte p 4);  (* block 1 was evicted: miss *)
-  check Alcotest.int "block 1 missed" (misses_before + 1) (Extmem.Pager.misses p)
+  let c = cache ~policy:Fa.Lru ~frames:2 d in
+  ignore (Fa.read_page c 0);
+  ignore (Fa.read_page c 1);
+  ignore (Fa.read_page c 0);  (* touch block 0 *)
+  ignore (Fa.read_page c 2);  (* evicts block 1 (LRU) *)
+  let misses_before = Fa.misses c in
+  ignore (Fa.read_page c 0);  (* block 0 should still be resident *)
+  check Alcotest.int "block 0 still cached" misses_before (Fa.misses c);
+  ignore (Fa.read_page c 1);  (* block 1 was evicted: miss *)
+  check Alcotest.int "block 1 missed" (misses_before + 1) (Fa.misses c)
 
-let test_pager_eviction_writeback_counters () =
+let test_cache_victim_order () =
+  (* Two frames.  Each sequence fills both (free frames win, so its
+     first two blocks never evict each other) and its last access faults
+     once; the row names the block the policy must evict and the one it
+     must keep.  Both are observed through the miss counter. *)
+  let rows =
+    [
+      (* stamps 2@1 4@2 2@3; the clock sweeps both bits and comes back to 2 *)
+      (Fa.Lru, [ 2; 4; 2; 6 ], 4, 2);
+      (Fa.Mru, [ 2; 4; 2; 6 ], 2, 4);
+      (Fa.Stack, [ 2; 4; 2; 6 ], 2, 4);
+      (Fa.Clock, [ 2; 4; 2; 6 ], 2, 4);
+      (* stamps 4@1 2@2 4@3: now the newest block is not the lowest *)
+      (Fa.Lru, [ 4; 2; 4; 6 ], 2, 4);
+      (Fa.Mru, [ 4; 2; 4; 6 ], 4, 2);
+      (Fa.Stack, [ 4; 2; 4; 6 ], 2, 4);
+      (Fa.Clock, [ 4; 2; 4; 6 ], 4, 2);
+      (* no re-touch: Mru drops the block just loaded, Clock the first *)
+      (Fa.Lru, [ 2; 4; 6 ], 2, 4);
+      (Fa.Mru, [ 2; 4; 6 ], 4, 2);
+      (Fa.Stack, [ 2; 4; 6 ], 2, 4);
+      (Fa.Clock, [ 2; 4; 6 ], 2, 4);
+    ]
+  in
+  List.iter
+    (fun (policy, seq, evicted, kept) ->
+      let d = Extmem.Device.in_memory ~block_size:4 () in
+      ignore (Extmem.Device.allocate d 8);
+      let c = cache ~policy ~frames:2 d in
+      List.iter (fun b -> ignore (Fa.read_page c b)) seq;
+      let label what =
+        Printf.sprintf "%s %s: %s" (Fa.policy_to_string policy)
+          (String.concat "," (List.map string_of_int seq))
+          what
+      in
+      check Alcotest.int (label "one eviction") 1 (Fa.evictions c);
+      let misses = Fa.misses c in
+      ignore (Fa.read_page c kept);
+      check Alcotest.int (label (Printf.sprintf "%d kept" kept)) misses (Fa.misses c);
+      ignore (Fa.read_page c evicted);
+      check Alcotest.int (label (Printf.sprintf "%d evicted" evicted)) (misses + 1) (Fa.misses c))
+    rows
+
+let test_cache_eviction_writeback_counters () =
   let d = Extmem.Device.in_memory ~block_size:4 () in
   ignore (Extmem.Device.allocate d 10);
-  let p = Extmem.Pager.create ~policy:Extmem.Pager.Lru ~frames:2 d in
-  ignore (Extmem.Pager.read_byte p 0);   (* miss, empty frame *)
-  ignore (Extmem.Pager.read_byte p 4);   (* miss, empty frame *)
-  check Alcotest.int "no evictions while frames are free" 0 (Extmem.Pager.evictions p);
-  ignore (Extmem.Pager.read_byte p 8);   (* evicts clean block 0 *)
-  check Alcotest.int "clean eviction counted" 1 (Extmem.Pager.evictions p);
-  check Alcotest.int "clean eviction writes nothing" 0 (Extmem.Pager.writebacks p);
-  Extmem.Pager.write_byte p 4 'x';       (* dirty block 1, now MRU *)
-  ignore (Extmem.Pager.read_byte p 0);   (* evicts clean block 2 *)
-  check Alcotest.int "second clean eviction" 2 (Extmem.Pager.evictions p);
-  check Alcotest.int "still no writeback" 0 (Extmem.Pager.writebacks p);
-  ignore (Extmem.Pager.read_byte p 8);   (* evicts dirty block 1 *)
-  check Alcotest.int "dirty eviction counted" 3 (Extmem.Pager.evictions p);
-  check Alcotest.int "dirty eviction written back" 1 (Extmem.Pager.writebacks p);
-  Extmem.Pager.flush p;
-  check Alcotest.int "flush of clean frames writes nothing" 1 (Extmem.Pager.writebacks p);
-  check Alcotest.char "evicted write landed" 'x' (Extmem.Pager.read_byte p 4)
+  let c = cache ~policy:Fa.Lru ~frames:2 d in
+  ignore (Fa.read_page c 0);   (* miss, empty frame *)
+  ignore (Fa.read_page c 1);   (* miss, empty frame *)
+  check Alcotest.int "no evictions while frames are free" 0 (Fa.evictions c);
+  ignore (Fa.read_page c 2);   (* evicts clean block 0 *)
+  check Alcotest.int "clean eviction counted" 1 (Fa.evictions c);
+  check Alcotest.int "clean eviction writes nothing" 0 (Fa.writebacks c);
+  Fa.write_page c 1 "x";       (* dirty block 1, now MRU *)
+  ignore (Fa.read_page c 0);   (* evicts clean block 2 *)
+  check Alcotest.int "second clean eviction" 2 (Fa.evictions c);
+  check Alcotest.int "still no writeback" 0 (Fa.writebacks c);
+  ignore (Fa.read_page c 2);   (* evicts dirty block 1 *)
+  check Alcotest.int "dirty eviction counted" 3 (Fa.evictions c);
+  check Alcotest.int "dirty eviction written back" 1 (Fa.writebacks c);
+  Fa.flush c;
+  check Alcotest.int "flush of clean frames writes nothing" 1 (Fa.writebacks c);
+  check Alcotest.string "evicted write landed" (page 4 "x") (Fa.read_page c 1)
 
-let test_pager_write_extends_device () =
+let test_cache_write_extends_device () =
   let d = Extmem.Device.in_memory ~block_size:4 () in
-  let p = Extmem.Pager.create ~frames:2 d in
-  Extmem.Pager.write_byte p 9 'z';
-  Extmem.Pager.flush p;
+  let c = cache ~frames:2 d in
+  Fa.write_page c 2 "z";
+  Fa.flush c;
   check Alcotest.bool "extended" true (Extmem.Device.block_count d >= 3);
-  check Alcotest.char "value" 'z' (Extmem.Pager.read_byte p 9)
+  check Alcotest.string "value" (page 4 "z") (Fa.read_page c 2)
 
-let prop_pager_matches_device =
-  QCheck.Test.make ~name:"Pager read/write matches a plain byte array" ~count:150
+let test_cache_policies_same_contents () =
+  (* the policies evict different frames but must produce identical
+     final device contents under the same read/write workload *)
+  let run policy =
+    let d = Extmem.Device.in_memory ~block_size:4 () in
+    ignore (Extmem.Device.allocate d 16);
+    let c = cache ~policy ~frames:3 d in
+    let rng = ref 123456789 in
+    for i = 0 to 499 do
+      rng := (!rng * 1103515245) + 12345;
+      let block = abs !rng mod 16 in
+      if i mod 3 = 0 then ignore (Fa.read_page c block)
+      else Fa.write_page c block (String.make (1 + (i mod 4)) (Char.chr (65 + (i mod 26))))
+    done;
+    Fa.flush c;
+    Extmem.Device.contents d
+  in
+  let lru = run Fa.Lru in
+  List.iter
+    (fun p -> check Alcotest.string ("lru = " ^ Fa.policy_to_string p) lru (run p))
+    Fa.all_policies
+
+let test_cache_clean_evictions_cost_no_writes () =
+  (* dirty-only write-back, asserted through the device's accounting:
+     a read-only workload that overflows the pool many times over must
+     not write a single block *)
+  let check_policy policy =
+    let d = Extmem.Device.in_memory ~block_size:4 () in
+    ignore (Extmem.Device.allocate d 32);
+    let c = cache ~policy ~frames:2 d in
+    Extmem.Io_stats.reset (Extmem.Device.stats d);
+    for i = 0 to 127 do
+      ignore (Fa.read_page c (i mod 32))
+    done;
+    Fa.flush c;
+    let s = Extmem.Device.stats d in
+    check Alcotest.bool "evictions happened" true (Fa.misses c > 2);
+    check Alcotest.int "clean evictions write nothing" 0 s.Extmem.Io_stats.writes;
+    (* one dirty page: exactly the dirty frame is written back *)
+    Fa.write_page c 0 "!";
+    ignore (Fa.read_page c 2);
+    ignore (Fa.read_page c 4);
+    Fa.flush c;
+    check Alcotest.int "only the dirty frame written" 1 s.Extmem.Io_stats.writes
+  in
+  List.iter check_policy Fa.all_policies
+
+let prop_cache_matches_device =
+  QCheck.Test.make ~name:"Cache read/write matches a plain byte array" ~count:150
     QCheck.(
-      triple (int_range 1 4)
-        (list (pair (int_bound 63) printable_char))
-        bool)
-    (fun (frames, writes, use_clock) ->
+      triple (int_range 1 4) (int_bound 3)
+        (list (pair (int_bound 7) (string_of_size (Gen.int_bound 8)))))
+    (fun (frames, pidx, writes) ->
+      let policy = List.nth Fa.all_policies pidx in
       let d = Extmem.Device.in_memory ~block_size:8 () in
       ignore (Extmem.Device.allocate d 8);
-      let policy = if use_clock then Extmem.Pager.Clock else Extmem.Pager.Lru in
-      let p = Extmem.Pager.create ~policy ~frames d in
+      let c = cache ~policy ~frames d in
       let model = Bytes.make 64 '\000' in
       List.iter
-        (fun (off, c) ->
-          Extmem.Pager.write_byte p off c;
-          Bytes.set model off c)
+        (fun (b, s) ->
+          Fa.write_page c b s;
+          Bytes.blit_string (page 8 s) 0 model (8 * b) 8)
         writes;
       let ok = ref true in
-      for i = 0 to 63 do
-        if Extmem.Pager.read_byte p i <> Bytes.get model i then ok := false
+      for b = 0 to 7 do
+        if Fa.read_page c b <> Bytes.sub_string model (8 * b) 8 then ok := false
       done;
-      Extmem.Pager.flush p;
+      Fa.flush c;
       !ok && Extmem.Device.contents d = Bytes.to_string model)
 
-let prop_pager_policies_with_pins =
-  (* every replacement policy, with a strict subset of the frames pinned
-     across the whole run: reads/writes must still match a plain byte
-     array, pinned blocks must survive all the eviction traffic, and the
-     flushed device must be byte-identical to the model *)
-  QCheck.Test.make ~name:"Frame cache matches a byte array under every policy with pins"
-    ~count:200
+type cache_op = Read of int | Write of int * string
+
+let prop_cache_page_model =
+  (* interleaved page reads and writes under every policy, some past the
+     end of the device: every read must return the model's page at that
+     moment (a read of an unallocated page is refused), the flushed
+     device must equal the model, and the owner's counters must survive
+     the detach *)
+  QCheck.Test.make ~name:"Frame cache matches a page model under every policy" ~count:200
     QCheck.(
-      quad (int_range 2 4) (int_bound 3)
-        (list_of_size (Gen.int_range 1 3) (int_bound 7))
-        (list (pair (int_bound 63) printable_char)))
-    (fun (frames, pidx, pin_blocks, writes) ->
-      let policy = List.nth Extmem.Frame_arena.all_policies pidx in
+      triple (int_range 1 4) (int_bound 3)
+        (list
+           (map
+              (fun (w, b, s) -> if w then Write (b, s) else Read b)
+              (triple bool (int_bound 11) (string_of_size (Gen.int_bound 8))))))
+    (fun (frames, pidx, ops) ->
+      let policy = List.nth Fa.all_policies pidx in
       let d = Extmem.Device.in_memory ~block_size:8 () in
       ignore (Extmem.Device.allocate d 8);
-      let arena = Extmem.Frame_arena.create () in
-      let c = Extmem.Frame_arena.attach arena ~who:"prop" ~policy ~frames d in
-      (* at most frames-1 pinned blocks, so eviction always has a victim *)
-      let pins =
-        List.filteri (fun i _ -> i < frames - 1) (List.sort_uniq compare pin_blocks)
-      in
-      List.iter (Extmem.Frame_arena.pin c) pins;
-      let model = Bytes.make 64 '\000' in
-      List.iter
-        (fun (off, ch) ->
-          Extmem.Frame_arena.write_byte c off ch;
-          Bytes.set model off ch)
-        writes;
+      let arena = Fa.create () in
+      let c = Fa.attach arena ~who:"prop" ~policy ~frames d in
+      let model = ref (Array.make 8 (page 8 "")) in
       let ok = ref true in
-      for i = 0 to 63 do
-        if Extmem.Frame_arena.read_byte c i <> Bytes.get model i then ok := false
-      done;
       List.iter
-        (fun b -> if Extmem.Frame_arena.pinned c b = 0 then ok := false)
-        pins;
-      List.iter (Extmem.Frame_arena.unpin c) pins;
-      Extmem.Frame_arena.flush c;
-      let same = Extmem.Device.contents d = Bytes.to_string model in
-      Extmem.Frame_arena.detach c;
-      (* the owner's counters survive the detach *)
+        (function
+          | Write (b, s) ->
+              Fa.write_page c b s;
+              let m = !model in
+              if b >= Array.length m then
+                model := Array.init (b + 1) (fun i -> if i < Array.length m then m.(i) else page 8 "");
+              !model.(b) <- page 8 s
+          | Read b -> (
+              match Fa.read_page c b with
+              | got -> if b >= Array.length !model || got <> !model.(b) then ok := false
+              | exception Invalid_argument _ -> if b < Array.length !model then ok := false))
+        ops;
+      Fa.flush c;
+      let same = Extmem.Device.contents d = String.concat "" (Array.to_list !model) in
+      Fa.detach c;
       let survived =
-        List.mem_assoc "prop" (Extmem.Frame_arena.owners arena)
-        && (Extmem.Frame_arena.totals arena).Extmem.Frame_arena.misses > 0
+        List.mem_assoc "prop" (Fa.owners arena)
+        && (Fa.totals arena).Fa.misses = Fa.misses c
       in
       !ok && same && survived)
 
@@ -1191,6 +1287,37 @@ let test_btree_basic () =
   Extmem.Btree.insert t ~key:"b" ~value:"two";
   check Alcotest.int "replace keeps length" 3 (Extmem.Btree.length t);
   check (Alcotest.option Alcotest.string) "replaced" (Some "two") (Extmem.Btree.find t "b")
+
+let test_btree_policies () =
+  (* the policy reaches the tree's buffer pool: one insert/find workload
+     on a 3-frame pool answers identically under every policy, and the
+     policies do not all fault the same pages in *)
+  let run policy =
+    let d = Extmem.Device.in_memory ~block_size:256 () in
+    let t = Extmem.Btree.create ~policy ~frames:3 ~cmp:compare d in
+    for i = 0 to 399 do
+      let k = Printf.sprintf "%05d" ((i * 48271) mod 99991) in
+      Extmem.Btree.insert t ~key:k ~value:("v" ^ k)
+    done;
+    (* keys 3i for i < 134 were inserted, the rest are absent *)
+    let finds =
+      List.init 200 (fun i ->
+          Extmem.Btree.find t (Printf.sprintf "%05d" (3 * i * 48271 mod 99991)))
+    in
+    (finds, Fa.misses (Extmem.Btree.cache t))
+  in
+  let runs = List.map run Fa.all_policies in
+  let finds, _ = List.hd runs in
+  List.iter2
+    (fun p (f, _) ->
+      check
+        (Alcotest.list (Alcotest.option Alcotest.string))
+        ("finds under " ^ Fa.policy_to_string p)
+        finds f)
+    Fa.all_policies runs;
+  check Alcotest.int "finds that hit" 134 (List.length (List.filter Option.is_some finds));
+  let misses = List.sort_uniq compare (List.map snd runs) in
+  check Alcotest.bool "at least two distinct miss counts" true (List.length misses >= 2)
 
 let test_btree_splits_and_order () =
   let t, _ = new_btree () in
@@ -1756,52 +1883,6 @@ let test_cost_layer () =
   Extmem.Device.write_block d 3 (Bytes.make 4 'z');
   check Alcotest.bool "ssd write charged" true (Extmem.Cost_model.elapsed_ms c < 1.)
 
-let test_pager_policies_same_contents () =
-  (* LRU and Clock evict different frames but must produce identical
-     final device contents under the same write workload *)
-  let run policy =
-    let d = Extmem.Device.in_memory ~block_size:4 () in
-    ignore (Extmem.Device.allocate d 16);
-    let p = Extmem.Pager.create ~policy ~frames:3 d in
-    let rng = ref 123456789 in
-    for i = 0 to 499 do
-      rng := (!rng * 1103515245) + 12345;
-      let off = abs !rng mod 64 in
-      if i mod 3 = 0 then ignore (Extmem.Pager.read_byte p off)
-      else Extmem.Pager.write_byte p off (Char.chr (65 + (i mod 26)))
-    done;
-    Extmem.Pager.flush p;
-    Extmem.Device.contents d
-  in
-  check Alcotest.string "lru = clock"
-    (run Extmem.Pager.Lru) (run Extmem.Pager.Clock)
-
-let test_pager_clean_evictions_cost_no_writes () =
-  (* dirty-only write-back, asserted through the device's accounting:
-     a read-only workload that overflows the pool many times over must
-     not write a single block *)
-  let check_policy policy =
-    let d = Extmem.Device.in_memory ~block_size:4 () in
-    ignore (Extmem.Device.allocate d 32);
-    let p = Extmem.Pager.create ~policy ~frames:2 d in
-    Extmem.Io_stats.reset (Extmem.Device.stats d);
-    for i = 0 to 127 do
-      ignore (Extmem.Pager.read_byte p (i * 4 mod 128))
-    done;
-    Extmem.Pager.flush p;
-    let s = Extmem.Device.stats d in
-    check Alcotest.bool "evictions happened" true (Extmem.Pager.misses p > 2);
-    check Alcotest.int "clean evictions write nothing" 0 s.Extmem.Io_stats.writes;
-    (* one dirty byte: exactly the dirty frame is written back *)
-    Extmem.Pager.write_byte p 0 '!';
-    ignore (Extmem.Pager.read_byte p 8);
-    ignore (Extmem.Pager.read_byte p 16);
-    Extmem.Pager.flush p;
-    check Alcotest.int "only the dirty frame written" 1 s.Extmem.Io_stats.writes
-  in
-  check_policy Extmem.Pager.Lru;
-  check_policy Extmem.Pager.Clock
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1898,16 +1979,17 @@ let () =
         ] );
       ( "pager",
         [
-          Alcotest.test_case "lru basics" `Quick (pager_test Extmem.Pager.Lru);
-          Alcotest.test_case "clock basics" `Quick (pager_test Extmem.Pager.Clock);
-          Alcotest.test_case "lru eviction order" `Quick test_pager_lru_eviction_order;
-          Alcotest.test_case "write extends device" `Quick test_pager_write_extends_device;
-          Alcotest.test_case "policies agree on contents" `Quick test_pager_policies_same_contents;
-          Alcotest.test_case "dirty-only writeback" `Quick test_pager_clean_evictions_cost_no_writes;
+          Alcotest.test_case "lru basics" `Quick (cache_test Fa.Lru);
+          Alcotest.test_case "clock basics" `Quick (cache_test Fa.Clock);
+          Alcotest.test_case "lru eviction order" `Quick test_cache_lru_eviction_order;
+          Alcotest.test_case "victim order per policy" `Quick test_cache_victim_order;
+          Alcotest.test_case "write extends device" `Quick test_cache_write_extends_device;
+          Alcotest.test_case "policies agree on contents" `Quick test_cache_policies_same_contents;
+          Alcotest.test_case "dirty-only writeback" `Quick test_cache_clean_evictions_cost_no_writes;
           Alcotest.test_case "eviction/writeback counters" `Quick
-            test_pager_eviction_writeback_counters;
-          qcheck prop_pager_matches_device;
-          qcheck prop_pager_policies_with_pins;
+            test_cache_eviction_writeback_counters;
+          qcheck prop_cache_matches_device;
+          qcheck prop_cache_page_model;
         ] );
       ( "btree",
         [
@@ -1918,6 +2000,7 @@ let () =
           Alcotest.test_case "persistence" `Quick test_btree_persistence;
           Alcotest.test_case "entry too large" `Quick test_btree_entry_too_large;
           Alcotest.test_case "custom order" `Quick test_btree_custom_order;
+          Alcotest.test_case "policies agree on finds" `Quick test_btree_policies;
           qcheck prop_btree_matches_map;
           qcheck prop_btree_survives_reopen;
           qcheck prop_btree_bulk_load_matches_inserts;

@@ -283,9 +283,9 @@ let prop_extsort_io_bounded =
 (* ------------------------------------------------------------------ *)
 (* External priority queue *)
 
-let make_pq ?buffer_blocks ?(block_size = 64) ?(blocks = 4) ?policy () =
+let make_pq ?buffer_blocks ?(block_size = 64) ?(blocks = 4) () =
   let budget = Extmem.Memory_budget.create ~blocks ~block_size in
-  let arena = Extmem.Frame_arena.create ~budget ?default_policy:policy () in
+  let arena = Extmem.Frame_arena.create ~budget () in
   let temp = Extmem.Device.in_memory ~block_size () in
   let pq = Extsort.Ext_pq.create ~arena ?buffer_blocks ~budget ~temp ~cmp:compare () in
   (pq, budget)
@@ -415,8 +415,8 @@ let test_pq_meld_consumed_donor () =
   check Alcotest.int "quiescent" 0 (Extmem.Memory_budget.used_blocks budget)
 
 (* Differential wall: random insert / delete-min / meld traces against a
-   sorted-list reference model, across block-size x memory x policy
-   geometries, with a destroy-probe quiescence check after every trace. *)
+   sorted-list reference model, across block-size x memory geometries,
+   with a destroy-probe quiescence check after every trace. *)
 
 type pq_op = Pq_insert of int * string | Pq_delete of int | Pq_meld
 
@@ -441,22 +441,16 @@ let pq_trace_arb =
            ops))
     QCheck.Gen.(list_size (int_range 0 120) pq_op_gen)
 
-let pq_geometries =
-  [
-    (32, 4, Extmem.Frame_arena.Lru);
-    (32, 8, Extmem.Frame_arena.Clock);
-    (64, 5, Extmem.Frame_arena.Mru);
-    (128, 6, Extmem.Frame_arena.Stack);
-  ]
+let pq_geometries = [ (32, 4); (32, 8); (64, 5); (128, 6) ]
 
 let prop_pq_differential =
   QCheck.Test.make ~name:"ext pq = reference heap over random traces" ~count:60 pq_trace_arb
     (fun ops ->
       List.for_all
-        (fun (block_size, blocks, policy) ->
+        (fun (block_size, blocks) ->
           (* two queues sharing one budget; meld folds q1 into q0 *)
           let budget = Extmem.Memory_budget.create ~blocks:(2 * blocks) ~block_size in
-          let arena = Extmem.Frame_arena.create ~budget ~default_policy:policy () in
+          let arena = Extmem.Frame_arena.create ~budget () in
           let mk () =
             Extsort.Ext_pq.create ~arena ~buffer_blocks:2 ~budget
               ~temp:(Extmem.Device.in_memory ~block_size ())
