@@ -121,11 +121,13 @@ let device_term =
     & opt (some (conv (parse, pp))) None
     & info [ "device" ] ~docv:"SPEC"
         ~doc:
-          "Device stack specification: zero or more middleware layers, then a backend — e.g. \
-           $(b,mem), $(b,file:PATH), $(b,traced/mem), $(b,faulty:p=0.001,seed=42/file:PATH), \
-           $(b,cost:profile=hdd/mem).  Layers compose; $(b,traced) records the access pattern, \
-           $(b,faulty) injects seeded random faults, $(b,cost) charges simulated \
-           seek/transfer time (reported with $(b,--stats)).")
+          "Device specification: zero or more layers, then a backend — e.g. $(b,mem), \
+           $(b,file:PATH), $(b,traced/mem), $(b,faulty:p=0.001,seed=42/file:PATH), \
+           $(b,cost:profile=hdd/mem).  $(b,traced) records the access pattern and $(b,cost) \
+           charges simulated seek/transfer time (reported with $(b,--stats)); both see only \
+           I/Os that completed.  $(b,faulty) injects seeded random faults beneath them, so a \
+           faulted I/O is neither counted, traced nor charged; only the order of $(b,faulty) \
+           layers among themselves matters.")
 
 let pp_io name (s : Extmem.Io_stats.t) =
   Printf.eprintf "  %-24s %8d reads %8d writes\n" name s.Extmem.Io_stats.reads

@@ -196,7 +196,7 @@ let shrink fails doc =
    torn page.  The sorter must surface the typed error, not the torn
    data. *)
 let torn_layer ~n ~offset =
-  Extmem.Layer.make ~name:"torn" (fun inner ->
+  Extmem.Layer.make (fun inner ->
       let count = ref 0 in
       {
         inner with

@@ -25,24 +25,16 @@ let run verbose algorithm config ordering stats metrics trace targets select dev
   | Error msg -> `Error (false, msg)
   | Ok tracer ->
   let xml = Cli_common.read_file input_path in
-  let block_size = config.Nexsort.Config.block_size in
   let spec = Option.value device ~default:Extmem.Device_spec.default in
   (* the spec governs both endpoints and the sorter's internal devices *)
   let config = { config with Nexsort.Config.device = spec; tracer } in
-  let built_in = Extmem.Device_spec.build_scratch spec ~name:"input" ~block_size in
+  let built_in = Nexsort.Config.build_device config ~name:"input" in
   let input = built_in.Extmem.Device_spec.device in
   Extmem.Device.load_string input xml;
-  let output = Extmem.Device_spec.scratch spec ~name:"output" ~block_size in
-  Nexsort.Config.attach_tracing config ~name:"input" input;
-  Nexsort.Config.attach_tracing config ~name:"output" output;
-  Option.iter
-    (Nexsort.Config.attach_trace_observer config ~name:"input")
-    built_in.Extmem.Device_spec.trace;
+  let output = Nexsort.Config.scratch_device config ~name:"output" in
   let device_stats () =
     if stats && device <> None then begin
-      Printf.eprintf "device: %s (input layers: %s)\n"
-        (Extmem.Device_spec.to_string spec)
-        (String.concat " -> " (Extmem.Device.layers input));
+      Printf.eprintf "device: %s\n" (Extmem.Device_spec.to_string spec);
       (match built_in.Extmem.Device_spec.trace with
       | Some trace ->
           Printf.eprintf "input access pattern: %s\n"

@@ -64,45 +64,44 @@ let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(de
     tracer;
   }
 
-(* Per-device I/O latency instrumentation: a [Layer.timed] middleware
-   whose histograms flush with the trace and whose hook emits one
-   Complete event per block I/O onto the emitting domain's track.  Names
-   are interned once here, so the hot path is clock reads + ring stores. *)
-let attach_tracing t ~name dev =
-  let tracer = t.tracer in
-  if Obs.Tracer.enabled tracer then begin
-    let lat = Extmem.Io_stats.Latency.create () in
-    Obs.Tracer.register_latency tracer ~device:name lat;
-    let read_id = Obs.Tracer.intern tracer ("read:" ^ name) in
-    let write_id = Obs.Tracer.intern tracer ("write:" ^ name) in
-    let hook op _block ~start_ns ~dur_ns =
-      let id = match op with Extmem.Backend.Read -> read_id | Extmem.Backend.Write -> write_id in
-      Obs.Tracer.complete tracer id ~start_ns ~dur_ns
-    in
-    Extmem.Device.push_layer dev
-      (Extmem.Layer.timed ~clock:(fun () -> Obs.Tracer.now_ns tracer) ~hook lat)
-  end
+(* The event tracer's device subscriber: one Complete event per block I/O
+   ([read:<name>]/[write:<name>]) on the emitting domain's track, its
+   duration into the device name's latency histograms and, on a device
+   built with a [traced] layer, the block index as an [access.*] counter
+   (a block-position-over-time graph in Perfetto).  Names are interned
+   once here, so the hot path is a histogram update and ring stores. *)
+let subscribe_tracer tracer ~name ~access dev =
+  let lat = Obs.Tracer.io_latency tracer ~device:name in
+  let ids prefix =
+    ( Obs.Tracer.intern tracer (prefix ^ "read:" ^ name),
+      Obs.Tracer.intern tracer (prefix ^ "write:" ^ name) )
+  in
+  let pick (r, w) = function Extmem.Device.Read -> r | Extmem.Device.Write -> w in
+  let io = ids "" in
+  let on_io op ~start_ns ~dur_ns =
+    Obs.Tracer.observe_io lat op dur_ns;
+    Obs.Tracer.complete tracer (pick io op) ~start_ns ~dur_ns
+  in
+  let f =
+    if access then
+      let acc = ids "access." in
+      fun op block ~start_ns ~dur_ns ->
+        on_io op ~start_ns ~dur_ns;
+        Obs.Tracer.counter tracer (pick acc op) block
+    else fun op _block ~start_ns ~dur_ns -> on_io op ~start_ns ~dur_ns
+  in
+  ignore
+    (Extmem.Device.subscribe ~clock:(fun () -> Obs.Tracer.now_ns tracer) dev f
+      : Extmem.Device.subscription)
 
-(* Unify the debug access-pattern layer with the event tracer: a spec's
-   [traced] layer keeps its in-memory block list, and additionally mirrors
-   each access as a counter event (value = block index), which renders as
-   a block-position-over-time graph on the emitting domain's track. *)
-let attach_trace_observer t ~name tr =
-  let tracer = t.tracer in
-  if Obs.Tracer.enabled tracer then begin
-    let read_id = Obs.Tracer.intern tracer ("access.read:" ^ name) in
-    let write_id = Obs.Tracer.intern tracer ("access.write:" ^ name) in
-    Extmem.Trace.set_observer tr (fun op block ->
-        let id = match op with Extmem.Backend.Read -> read_id | Extmem.Backend.Write -> write_id in
-        Obs.Tracer.counter tracer id block)
-  end
-
-let scratch_device t ~name =
+let build_device t ~name =
   let built = Extmem.Device_spec.build_scratch t.device ~name ~block_size:t.block_size in
-  let dev = built.Extmem.Device_spec.device in
-  attach_tracing t ~name dev;
-  Option.iter (attach_trace_observer t ~name) built.Extmem.Device_spec.trace;
-  dev
+  if Obs.Tracer.enabled t.tracer then
+    subscribe_tracer t.tracer ~name ~access:(built.Extmem.Device_spec.trace <> None)
+      built.Extmem.Device_spec.device;
+  built
+
+let scratch_device t ~name = (build_device t ~name).Extmem.Device_spec.device
 
 let memory_bytes t = t.block_size * t.memory_blocks
 

@@ -37,7 +37,7 @@ type t = {
   keep_whitespace : bool;   (** preserve whitespace-only text nodes *)
   device : Extmem.Device_spec.t;
       (** device stack for the sort's internal devices (stacks, runs,
-          scratch): backend plus middleware layers; see {!Extmem.Device_spec} *)
+          scratch): backend plus layers; see {!Extmem.Device_spec} *)
   jobs : int;
       (** worker domains for parallel subtree sorting (1..64); 1 runs
           the sort single-threaded on today's exact code path.  Output
@@ -45,10 +45,10 @@ type t = {
           "Parallel execution" section *)
   tracer : Obs.Tracer.t;
       (** event-trace sink for the session ({!Obs.Tracer.null} = tracing
-          off, the default).  When enabled, every scratch device gets a
-          [Layer.timed] latency middleware, phase spans and pool/arena
-          events flow onto per-domain tracks, and the CLI flushes the
-          trace with [--trace FILE] *)
+          off, the default).  When enabled, every device from
+          {!build_device} gets the tracer's I/O subscriber, phase spans
+          and pool events flow onto per-domain tracks, and the CLI flushes
+          the trace with [--trace FILE] *)
 }
 
 val make :
@@ -79,24 +79,20 @@ val make :
 
 val memory_bytes : t -> int
 
+val build_device : t -> name:string -> Extmem.Device_spec.built
+(** The one device builder: the sort's internal devices (stacks, run
+    store, scratch) and the CLIs' and bench's input/output endpoints.  It
+    builds [name] through the configured {!field-device} spec
+    ({!Extmem.Device_spec.build_scratch}) with the config's block size.
+    When the config's tracer is enabled, the device also gets the
+    tracer's subscriber: per-I/O Complete events named
+    [read:<name>]/[write:<name>], the [<name>] latency histograms under
+    the trace's [ioLatency], and, if the spec has a [traced] layer,
+    [access.read:<name>]/[access.write:<name>] counter events whose value
+    is the block index. *)
+
 val scratch_device : t -> name:string -> Extmem.Device.t
-(** Build one internal device (stack, run store, scratch) through the
-    configured {!field-device} spec, with the config's block size.  When
-    the config's tracer is enabled the device carries a timing layer
-    (see {!attach_tracing}). *)
-
-val attach_tracing : t -> name:string -> Extmem.Device.t -> unit
-(** Push an {!Extmem.Layer.timed} latency middleware onto [dev] wired to
-    the config's tracer: per-I/O Complete events named
-    [read:<name>]/[write:<name>] plus a registered latency histogram.
-    No-op when tracing is disabled.  Used for endpoint (input/output)
-    devices the config did not build itself. *)
-
-val attach_trace_observer : t -> name:string -> Extmem.Trace.t -> unit
-(** Mirror a [traced] debug layer's block accesses into the tracer as
-    [access.read:<name>]/[access.write:<name>] counter events (value =
-    block index — a block-position-over-time graph in Perfetto).  No-op
-    when tracing is disabled; {!Extmem.Trace.detach} silences it. *)
+(** [build_device] without the trace and cost handles. *)
 
 val validate_ordering : t -> Ordering.t -> unit
 (** @raise Invalid_argument when the encoding is [Packed] but the

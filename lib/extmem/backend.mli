@@ -3,9 +3,10 @@
     A backend is a record of functions moving whole blocks between memory
     and some store — the narrow waist every {!Device.t} is built on.
     Backends know nothing about range checks, I/O accounting, tracing or
-    fault injection; all of that is layered on top by {!Layer} middleware
-    and driven by {!Device}.  This mirrors TPIE's split between its BTE
-    (block transfer engine) and the stream/collection layers above it.
+    fault injection: {!Layer} interceptors wrap a backend to inject
+    faults, and {!Device} counts each I/O and tells its subscribers.  This
+    mirrors TPIE's split between its BTE (block transfer engine) and the
+    stream/collection layers above it.
 
     Two primitive backends are provided: an in-memory virtual disk and a
     real file.  New backends (mmap, remote, compressed, …) only need to
@@ -16,7 +17,7 @@ type op =
   | Write
 
 exception Fault of op * int
-(** Raised by fault-injection middleware (see {!Layer.faulty}) in place of
+(** Raised by fault-injection layers (see {!Layer.faulty}) in place of
     performing the I/O.  Lives here so both {!Device} and layers can refer
     to it without a dependency cycle. *)
 

@@ -5,7 +5,7 @@
     more than sequential transfers on a spinning disk.  A cost model
     charges each block I/O a transfer cost plus, when the access does not
     continue where the previous one on the same device left off, a seek
-    penalty.  Attached to devices as {!Layer.costed} middleware, it lets
+    penalty.  Subscribed to a device with {!Device.attach_cost}, it lets
     benchmarks report a simulated time that rewards sequential layouts the
     way real hardware does, while staying deterministic and
     hardware-independent. *)
@@ -25,15 +25,14 @@ val ssd : params
     reads. *)
 
 type t
-(** A cost accumulator.  One accumulator may be shared by several devices
-    (each {!Layer.costed} application tracks its own disk-head position);
-    the elapsed time is the sum over all of them. *)
+(** A cost accumulator, one per {!Device.attach_cost}. *)
 
 val create : ?params:params -> unit -> t
 (** Fresh zeroed meter; default parameters are {!hdd}. *)
 
 val charge : t -> sequential:bool -> Backend.op -> unit
-(** Charge one block I/O.  Middleware calls this; tests may too. *)
+(** Charge one block I/O.  The device subscriber calls this; tests may
+    too. *)
 
 val params : t -> params
 

@@ -4,61 +4,68 @@ type op = Backend.op =
 
 exception Fault = Backend.Fault
 
+type subscriber = op -> int -> start_ns:int -> dur_ns:int -> unit
+
+type subscription = {
+  notify : subscriber;
+  sub_clock : (unit -> int) option;
+}
+
 type t = {
   name : string;
   block_size : int;
   mutable blocks : int;
   mutable logical_len : int option;
   base : Backend.t;       (* the raw store; bypassed only by [contents]/preload *)
-  mutable top : Backend.t;  (* base under the middleware stack *)
-  mutable stack : Layer.t list;  (* outermost first; last is the counted layer *)
+  mutable top : Backend.t;  (* base under the interceptors *)
   stats : Io_stats.t;
+  mutable subs : subscription list;  (* in subscription order *)
+  mutable clock : (unit -> int) option;  (* the first timing subscriber's *)
   mutable cost : Cost_model.t option;
 }
 
-(* Rebuilding re-runs each layer's [wrap]; layers keep their state in the
-   layer value (see Layer), so a rebuild changes no observable counts. *)
-let rebuild d = d.top <- Layer.apply d.stack d.base
-
-let of_backend ?(layers = []) base =
-  let stats = Io_stats.create () in
-  let stack = layers @ [ Layer.counted stats ] in
-  let d =
-    {
-      name = base.Backend.name;
-      block_size = base.Backend.block_size;
-      blocks = 0;
-      logical_len = None;
-      base;
-      top = base;
-      stack;
-      stats;
-      cost = None;
-    }
-  in
-  rebuild d;
-  d
+let of_backend base =
+  {
+    name = base.Backend.name;
+    block_size = base.Backend.block_size;
+    blocks = 0;
+    logical_len = None;
+    base;
+    top = base;
+    stats = Io_stats.create ();
+    subs = [];
+    clock = None;
+    cost = None;
+  }
 
 let in_memory ?(name = "mem") ~block_size () =
   of_backend (Backend.mem ~name ~block_size ())
 
 let file ?name ~block_size ~path () = of_backend (Backend.file ?name ~block_size ~path ())
 
-let push_layer d layer =
-  d.stack <- layer :: d.stack;
-  rebuild d
+let push_layer d layer = d.top <- Layer.wrap layer d.top
 
-let remove_layer d layer =
-  if List.memq layer d.stack then begin
-    d.stack <- List.filter (fun l -> not (l == layer)) d.stack;
-    rebuild d;
-    true
-  end
-  else false
+let set_subs d subs =
+  d.subs <- subs;
+  d.clock <- List.find_map (fun s -> s.sub_clock) subs
+
+let subscribe ?clock d f =
+  let s = { notify = f; sub_clock = clock } in
+  set_subs d (d.subs @ [ s ]);
+  s
+
+let unsubscribe d s = set_subs d (List.filter (fun s' -> s' != s) d.subs)
 
 let attach_cost ?params d =
   let c = Cost_model.create ?params () in
-  push_layer d (Layer.costed c);
+  (* the simulated disk head: the block after this meter's previous
+     access on this device; -1 = no access yet (the first one seeks) *)
+  let head = ref (-1) in
+  ignore
+    (subscribe d (fun op i ~start_ns:_ ~dur_ns:_ ->
+         Cost_model.charge c ~sequential:(i = !head) op;
+         head := i + 1)
+      : subscription);
   d.cost <- Some c;
   c
 
@@ -77,8 +84,6 @@ let set_byte_length d n = d.logical_len <- Some n
 
 let stats d = d.stats
 
-let layers d = List.map Layer.name d.stack
-
 let cost d = d.cost
 
 let simulated_ms d =
@@ -93,21 +98,60 @@ let allocate d n =
   d.blocks <- d.blocks + n;
   first
 
+let rec notify subs op i start_ns dur_ns =
+  match subs with
+  | [] -> ()
+  | s :: rest ->
+      s.notify op i ~start_ns ~dur_ns;
+      notify rest op i start_ns dur_ns
+
+let backend_io d op i buf =
+  match op with
+  | Read -> d.top.Backend.read_block i buf
+  | Write -> d.top.Backend.write_block i buf
+
+let count d = function
+  | Read -> Io_stats.record_read d.stats
+  | Write -> Io_stats.record_write d.stats
+
+(* One I/O: through the interceptors to the backend (a fault raises out
+   of here before anything is counted or told), then the count, then the
+   subscribers.  The clock is read only when a subscriber asked for
+   timing, and the path allocates nothing. *)
+let complete d op i buf =
+  match d.subs with
+  | [] ->
+      backend_io d op i buf;
+      count d op
+  | subs -> (
+      match d.clock with
+      | None ->
+          backend_io d op i buf;
+          count d op;
+          notify subs op i 0 0
+      | Some clock ->
+          let t0 = clock () in
+          backend_io d op i buf;
+          let dt = clock () - t0 in
+          count d op;
+          notify subs op i t0 dt)
+
 let read_block d i buf =
   if i < 0 || i >= d.blocks then
     invalid_arg (Printf.sprintf "Device.read_block(%s): block %d out of range [0,%d)" d.name i d.blocks);
   if Bytes.length buf < d.block_size then invalid_arg "Device.read_block: buffer too small";
-  d.top.Backend.read_block i buf
+  complete d Read i buf
 
 let write_block d i buf =
   if i < 0 || i > d.blocks then
     invalid_arg (Printf.sprintf "Device.write_block(%s): block %d out of range [0,%d]" d.name i d.blocks);
   if Bytes.length buf < d.block_size then invalid_arg "Device.write_block: buffer too small";
   if i = d.blocks then ignore (allocate d 1);
-  d.top.Backend.write_block i buf
+  complete d Write i buf
 
-(* Preload bytes through the raw backend: not counted as I/O, not visible
-   to middleware.  Used by [of_string] and Device_spec loading. *)
+(* Preload bytes through the raw backend: not counted as I/O, not seen by
+   interceptors or subscribers.  Used by [of_string] and Device_spec
+   loading. *)
 let load_string d s =
   let bs = d.block_size in
   let nblocks = (String.length s + bs - 1) / bs in

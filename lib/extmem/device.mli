@@ -1,4 +1,4 @@
-(** Block devices with exact I/O accounting, built as a composable stack.
+(** Block devices with exact I/O accounting and one I/O event per device.
 
     A device is a linear array of fixed-size blocks.  All data that is
     "on disk" in the sense of the external-memory model of Aggarwal and
@@ -8,12 +8,15 @@
     of I/O operations, which is exactly what this module provides.
 
     Internally a device is a raw {!Backend.t} (in-memory or file; see
-    {!Backend}) wrapped in a stack of {!Layer} middleware.  The bottom
-    layer is always the accounting layer feeding {!stats}; further layers —
-    tracing ({!Trace.attach}), fault injection ({!Layer.faulty}), simulated
-    cost ({!attach_cost}) — can be stacked freely with {!push_layer}, at
-    construction time or later, and {e compose}: installing one never
-    displaces another.  Devices are normally built from a textual spec via
+    {!Backend}) behind zero or more {!Layer} interceptors, the layers that
+    can fail or alter an I/O (fault injection).  Above them the device
+    itself does the accounting: each I/O that comes back from the backend
+    is counted in {!stats} and then delivered, as one event, to the
+    device's subscribers in subscription order.  Everything that watches
+    I/O is a subscriber: access-pattern traces ({!Trace.attach}),
+    simulated cost ({!attach_cost}), and the event tracer's latency
+    histograms and per-I/O events.  An I/O an interceptor fails is seen by
+    none of them.  Devices are normally built from a textual spec via
     {!Device_spec}.
 
     Devices are append-allocated: {!allocate} extends the device and
@@ -29,10 +32,9 @@ type op = Backend.op =
 exception Fault of op * int
 (** Alias of {!Backend.Fault}, raised by fault-injection layers. *)
 
-val of_backend : ?layers:Layer.t list -> Backend.t -> t
-(** Wrap a raw backend into a device.  An accounting layer feeding
-    {!stats} is always installed at the bottom of the stack; [layers] are
-    stacked above it, head of the list outermost. *)
+val of_backend : Backend.t -> t
+(** Wrap a raw backend into a device with no interceptors and no
+    subscribers. *)
 
 val in_memory : ?name:string -> block_size:int -> unit -> t
 (** [in_memory ~block_size ()] is a fresh virtual disk.  [block_size] must
@@ -50,28 +52,38 @@ val of_string : ?name:string -> block_size:int -> string -> t
 
 val load_string : t -> string -> unit
 (** Preload the device with the bytes of a string through the raw backend:
-    no I/O is counted and no middleware observes it.  Records the byte
-    length.  Works on any backend (used to stage real input files onto
-    file-backed devices). *)
+    no I/O is counted and no interceptor or subscriber sees it.  Records
+    the byte length.  Works on any backend (used to stage real input files
+    onto file-backed devices). *)
 
 val push_layer : t -> Layer.t -> unit
-(** Stack one more middleware layer on top of the device's current stack.
-    The new layer sees each subsequent I/O first. *)
+(** Stack one more interceptor over the device's backend, outside the
+    ones already there and beneath the accounting.  An interceptor stays
+    for the device's lifetime. *)
 
-val remove_layer : t -> Layer.t -> bool
-(** Remove a previously pushed layer (compared by physical equality) from
-    anywhere in the stack, rebuilding the stack without it.  Returns
-    [false] when the layer is not on this device.  Layers keep their state
-    in the layer value, so the surviving layers observe no discontinuity.
-    {!Trace.detach} is built on this. *)
+type subscription
+
+val subscribe :
+  ?clock:(unit -> int) ->
+  t ->
+  (op -> int -> start_ns:int -> dur_ns:int -> unit) ->
+  subscription
+(** [subscribe dev f] calls [f op block ~start_ns ~dur_ns] after every
+    I/O on [dev] that the backend completed (and {!stats} counted), after
+    the subscribers that came before.  When a subscriber passes [clock] (a
+    monotonic ns counter), the device reads the first such clock around
+    each I/O and every subscriber receives the start and duration;
+    otherwise both are [0] and no clock is read.  With no subscriber the
+    I/O path reads no clock and allocates nothing. *)
+
+val unsubscribe : t -> subscription -> unit
+(** Stop delivering events to a subscriber.  Idempotent. *)
 
 val attach_cost : ?params:Cost_model.params -> t -> Cost_model.t
-(** Push a {!Layer.costed} layer with a fresh meter and return the meter;
-    {!simulated_ms} reports its elapsed time from now on. *)
-
-val layers : t -> string list
-(** Names of the stacked layers, outermost first; always ends with
-    ["stats"]. *)
+(** Subscribe a fresh cost meter and return it; {!simulated_ms} reports
+    its elapsed time from now on.  The meter keeps its own simulated disk
+    head: an access is sequential when it follows this meter's previous
+    access on this device. *)
 
 val name : t -> string
 val block_size : t -> int
@@ -91,7 +103,7 @@ val stats : t -> Io_stats.t
 (** The device's I/O counters (live; mutated by every read/write). *)
 
 val cost : t -> Cost_model.t option
-(** The meter installed by {!attach_cost} (or by a [cost] spec layer). *)
+(** The meter attached by the last {!attach_cost} (or [cost] spec layer). *)
 
 val simulated_ms : t -> float
 (** Simulated time charged to this device's cost meter; [0.] when no cost
@@ -117,7 +129,8 @@ val contents : t -> string
     counted as I/O; for tests and for writing final output files). *)
 
 val flush : t -> unit
-(** Flush the stack down to the backend (no-op for the built-in ones). *)
+(** Flush through the interceptors to the backend (no-op for the built-in
+    ones). *)
 
 val close : t -> unit
 (** Release OS resources (no-op for in-memory devices). *)

@@ -124,12 +124,13 @@ let build ?name ~block_size t =
     | Mem -> Device.in_memory ?name ~block_size ()
     | File path -> Device.file ?name ~block_size ~path ()
   in
-  (* push innermost-first so the head of [t.layers] ends up outermost *)
+  (* push innermost-first so the head of [t.layers] ends up the outermost
+     interceptor *)
   let trace = ref None and cost = ref None in
   List.iter
     (fun layer ->
       match layer with
-      | Stats -> () (* accounting is always installed at the bottom *)
+      | Stats -> () (* every device counts its own I/O *)
       | Traced ->
           let tr = Trace.attach device in
           if !trace = None then trace := Some tr
@@ -137,8 +138,6 @@ let build ?name ~block_size t =
       | Cost params -> cost := Some (Device.attach_cost ~params device))
     (List.rev t.layers);
   { device; trace = !trace; cost = !cost }
-
-let device ?name ~block_size t = (build ?name ~block_size t).device
 
 let build_scratch ~name ~block_size t =
   (* scratch devices share the spec's layers but must not collide on a

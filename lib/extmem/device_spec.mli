@@ -2,8 +2,8 @@
 
     Every consumer of block storage — the sorter's session, the baselines,
     the CLIs ([--device]), the benchmark harness, the tests — constructs
-    its devices through this factory, so any backend and any middleware
-    combination can be injected anywhere without code changes.
+    its devices through this factory, so any backend and any combination
+    of layers can be injected anywhere without code changes.
 
     Grammar (layers outermost first, backend last):
     {v
@@ -17,7 +17,14 @@
     v}
 
     Examples: ["mem"], ["file:/tmp/dev.img"], ["traced/mem"],
-    ["faulty:p=0.001,seed=42/file:run.dev"], ["cost:profile=ssd/mem"]. *)
+    ["faulty:p=0.001,seed=42/file:run.dev"], ["cost:profile=ssd/mem"].
+
+    A [faulty] layer becomes an interceptor beneath the device's
+    accounting ({!Layer}); [traced] and [cost] become subscribers to the
+    device's I/O event ({!Device.subscribe}).  So a faulted I/O is neither
+    traced nor charged wherever the layers sit in the spec, and only the
+    relative order of [faulty] layers matters (the outer one is consulted
+    first). *)
 
 type backend_spec =
   | Mem
@@ -55,12 +62,9 @@ type built = {
 }
 
 val build : ?name:string -> block_size:int -> t -> built
-(** Instantiate the stack: backend at the bottom, accounting just above
-    it, then the spec's layers with the head of [layers] outermost. *)
-
-val device : ?name:string -> block_size:int -> t -> Device.t
-(** [build] when the trace/cost handles are not needed (they remain
-    reachable through {!Device.cost} / {!Device.simulated_ms}). *)
+(** Instantiate the device: the backend behind the spec's [faulty]
+    interceptors (the head of [layers] outermost), with a subscriber for
+    each [traced] and [cost] layer. *)
 
 val build_scratch : name:string -> block_size:int -> t -> built
 (** A scratch/per-component device under the same spec: identical layers,

@@ -29,75 +29,3 @@ let pp ppf s =
   Format.fprintf ppf "{reads=%d; writes=%d; total=%d}" s.reads s.writes (total s)
 
 let to_string s = Format.asprintf "%a" pp s
-
-module Latency = struct
-  (* log2 latency histograms, one per direction; bucket layout mirrors
-     Obs.Histogram so both render identically in reports *)
-  let n_buckets = 63
-
-  type histo = {
-    mutable h_count : int;
-    mutable h_sum : int;
-    mutable h_max : int;
-    h_buckets : int array;
-  }
-
-  type t = { read : histo; write : histo }
-
-  let make_histo () = { h_count = 0; h_sum = 0; h_max = 0; h_buckets = Array.make n_buckets 0 }
-  let create () = { read = make_histo (); write = make_histo () }
-
-  let bucket_index v =
-    if v <= 0 then 0
-    else begin
-      (* index = bit length of v, capped *)
-      let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
-      let b = bits 0 v in
-      if b >= n_buckets then n_buckets - 1 else b
-    end
-
-  let bucket_bound i = if i = 0 then 1 else if i >= n_buckets - 1 then max_int else 1 lsl i
-
-  let observe h v =
-    let v = if v < 0 then 0 else v in
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum + v;
-    if v > h.h_max then h.h_max <- v;
-    let i = bucket_index v in
-    h.h_buckets.(i) <- h.h_buckets.(i) + 1
-
-  let count h = h.h_count
-  let sum_ns h = h.h_sum
-  let max_ns h = h.h_max
-
-  let buckets h =
-    let out = ref [] in
-    for i = n_buckets - 1 downto 0 do
-      if h.h_buckets.(i) > 0 then out := (bucket_bound i, h.h_buckets.(i)) :: !out
-    done;
-    !out
-
-  let percentile h q =
-    if h.h_count = 0 then 0
-    else begin
-      let rank = int_of_float (Float.round (q *. float_of_int h.h_count)) in
-      let rank = if rank < 1 then 1 else if rank > h.h_count then h.h_count else rank in
-      let rec scan i seen =
-        if i >= n_buckets then h.h_max
-        else
-          let seen = seen + h.h_buckets.(i) in
-          if seen >= rank then min (bucket_bound i) h.h_max else scan (i + 1) seen
-      in
-      scan 0 0
-    end
-
-  let accumulate ~into src =
-    let acc_histo ~into src =
-      into.h_count <- into.h_count + src.h_count;
-      into.h_sum <- into.h_sum + src.h_sum;
-      if src.h_max > into.h_max then into.h_max <- src.h_max;
-      Array.iteri (fun i c -> into.h_buckets.(i) <- into.h_buckets.(i) + c) src.h_buckets
-    in
-    acc_histo ~into:into.read src.read;
-    acc_histo ~into:into.write src.write
-end

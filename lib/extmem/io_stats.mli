@@ -38,34 +38,3 @@ val pp : Format.formatter -> t -> unit
 (** Prints as ["{reads=<r>; writes=<w>; total=<t>}"]. *)
 
 val to_string : t -> string
-
-(** Per-operation latency distributions: a pair of log2 histograms
-    (read/write), filled by the [Layer.timed] middleware.  Bucket layout
-    mirrors [Obs.Histogram]: bucket [i] counts values with bit-length
-    [i], i.e. upper bound [2^i] (first bucket [< 1], last unbounded). *)
-module Latency : sig
-  type histo
-
-  type t = { read : histo; write : histo }
-
-  val create : unit -> t
-  (** Fresh zeroed histograms. *)
-
-  val observe : histo -> int -> unit
-  (** Record one latency sample (ns; negative samples clamp to 0). *)
-
-  val count : histo -> int
-  val sum_ns : histo -> int
-  val max_ns : histo -> int
-
-  val buckets : histo -> (int * int) list
-  (** Non-empty buckets as [(upper_bound, count)], ascending. *)
-
-  val percentile : histo -> float -> int
-  (** [percentile h q] for [q] in [0,1]: the bucket upper bound at which
-      the cumulative count reaches [q * count], capped at the observed
-      max; 0 when empty. *)
-
-  val accumulate : into:t -> t -> unit
-  (** Merge [src]'s samples into [into]. *)
-end

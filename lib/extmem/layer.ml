@@ -1,81 +1,23 @@
-type t = {
-  name : string;
-  wrap : Backend.t -> Backend.t;
-}
+type t = Backend.t -> Backend.t
 
-let name l = l.name
+let make wrap = wrap
 
-let make ~name wrap = { name; wrap }
+let wrap layer backend = layer backend
 
-let apply layers backend = List.fold_right (fun l acc -> l.wrap acc) layers backend
-
-(* Wrap just the data path of [next], leaving identity and resource
+(* Fail an I/O when [fails op i] holds, leaving identity and resource
    management to the inner backend. *)
-let on_io next ~read ~write =
-  { next with Backend.read_block = read; write_block = write }
-
-let counted stats =
+let fault_hook fails next =
+  let check op i = if fails op i then raise (Backend.Fault (op, i)) in
   {
-    name = "stats";
-    wrap =
-      (fun next ->
-        on_io next
-          ~read:(fun i buf ->
-            Io_stats.record_read stats;
-            next.Backend.read_block i buf)
-          ~write:(fun i buf ->
-            Io_stats.record_write stats;
-            next.Backend.write_block i buf));
-  }
-
-let observed hook =
-  {
-    name = "observe";
-    wrap =
-      (fun next ->
-        on_io next
-          ~read:(fun i buf ->
-            hook Backend.Read i;
-            next.Backend.read_block i buf)
-          ~write:(fun i buf ->
-            hook Backend.Write i;
-            next.Backend.write_block i buf));
-  }
-
-let timed ~clock ?hook lat =
-  let hook = match hook with Some h -> h | None -> fun _op _i ~start_ns:_ ~dur_ns:_ -> () in
-  {
-    name = "timed";
-    wrap =
-      (fun next ->
-        on_io next
-          ~read:(fun i buf ->
-            let t0 = clock () in
-            next.Backend.read_block i buf;
-            let dt = clock () - t0 in
-            Io_stats.Latency.observe lat.Io_stats.Latency.read dt;
-            hook Backend.Read i ~start_ns:t0 ~dur_ns:dt)
-          ~write:(fun i buf ->
-            let t0 = clock () in
-            next.Backend.write_block i buf;
-            let dt = clock () - t0 in
-            Io_stats.Latency.observe lat.Io_stats.Latency.write dt;
-            hook Backend.Write i ~start_ns:t0 ~dur_ns:dt));
-  }
-
-let fault_hook hook =
-  {
-    name = "fault";
-    wrap =
-      (fun next ->
-        let check op i = if hook op i then raise (Backend.Fault (op, i)) in
-        on_io next
-          ~read:(fun i buf ->
-            check Backend.Read i;
-            next.Backend.read_block i buf)
-          ~write:(fun i buf ->
-            check Backend.Write i;
-            next.Backend.write_block i buf));
+    next with
+    Backend.read_block =
+      (fun i buf ->
+        check Backend.Read i;
+        next.Backend.read_block i buf);
+    write_block =
+      (fun i buf ->
+        check Backend.Write i;
+        next.Backend.write_block i buf);
   }
 
 (* splitmix64: a tiny deterministic PRNG so seeded fault injection is
@@ -94,43 +36,5 @@ let uniform state =
 
 let faulty ?(seed = 42) ~p () =
   if p < 0. || p > 1. then invalid_arg "Layer.faulty: p must lie in [0,1]";
-  (* PRNG state lives in the layer value, not the [wrap] closure, so
-     rebuilding a device's stack (push/remove of another layer) continues
-     the fault sequence instead of restarting it *)
   let state = ref (Int64.of_int seed) in
-  {
-    name = Printf.sprintf "faulty(p=%g,seed=%d)" p seed;
-    wrap =
-      (fun next ->
-        let check op i = if uniform state < p then raise (Backend.Fault (op, i)) in
-        on_io next
-          ~read:(fun i buf ->
-            check Backend.Read i;
-            next.Backend.read_block i buf)
-          ~write:(fun i buf ->
-            check Backend.Write i;
-            next.Backend.write_block i buf));
-  }
-
-let costed cost =
-  (* the simulated disk head: block index the previous access on this
-     device ended at; -1 = no access yet (first access seeks).  Held per
-     layer value (not per [wrap] call) so stack rebuilds keep the head
-     position. *)
-  let head = ref (-1) in
-  {
-    name = "cost";
-    wrap =
-      (fun next ->
-        let charge op i =
-          Cost_model.charge cost ~sequential:(i = !head) op;
-          head := i + 1
-        in
-        on_io next
-          ~read:(fun i buf ->
-            charge Backend.Read i;
-            next.Backend.read_block i buf)
-          ~write:(fun i buf ->
-            charge Backend.Write i;
-            next.Backend.write_block i buf));
-  }
+  fault_hook (fun _op _i -> uniform state < p)

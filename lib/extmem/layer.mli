@@ -1,47 +1,25 @@
-(** Stackable device middleware.
+(** Device interceptors: the layers that can fail or alter a block I/O.
 
-    A layer wraps a {!Backend.t} with extra behaviour on the block-I/O
-    path — counting, tracing, fault injection, simulated cost — and
-    returns a backend again, so layers compose like function composition.
-    Unlike the old single-slot [set_fault]/[set_tracer] hooks, any number
-    of layers can be active on one device at once; installing one never
-    displaces another.
+    An interceptor wraps a {!Backend.t} with extra behaviour on the
+    block-I/O path and returns a backend again.  {!Device.push_layer}
+    stacks one over the device's backend, {e beneath} the device's
+    accounting: a device counts an I/O, and tells its subscribers
+    ({!Device.subscribe}), only after every interceptor has let it
+    through to the backend.  An I/O an interceptor fails — including a
+    write it damages before raising — is therefore seen by nothing: not
+    counted, traced, timed or charged.
 
-    In a stack, the outermost layer sees each I/O first.  A fault layer
-    placed outside the accounting layer aborts the I/O {e before} it is
-    counted (the historical semantics: failed I/Os do not count). *)
+    Watching I/O is not an interceptor's job; that is what device
+    subscribers are for. *)
 
 type t
 
-val name : t -> string
-(** Human-readable tag, e.g. ["stats"], ["faulty(p=0.001,seed=42)"]. *)
+val make : (Backend.t -> Backend.t) -> t
+(** Build a custom interceptor.  The wrapper must delegate to the inner
+    backend for anything it does not change. *)
 
-val make : name:string -> (Backend.t -> Backend.t) -> t
-(** Build a custom layer.  The wrapper must delegate to the inner backend
-    for anything it does not change. *)
-
-val apply : t list -> Backend.t -> Backend.t
-(** [apply layers backend] stacks [layers] over [backend]; the head of the
-    list becomes the outermost layer. *)
-
-val counted : Io_stats.t -> t
-(** Count every read and write into the given stats.  Every {!Device.t}
-    installs one of these at the bottom of its stack. *)
-
-val observed : (Backend.op -> int -> unit) -> t
-(** Call the hook before every block I/O with the operation and block
-    index.  {!Trace.attach} is built on this. *)
-
-val timed :
-  clock:(unit -> int) ->
-  ?hook:(Backend.op -> int -> start_ns:int -> dur_ns:int -> unit) ->
-  Io_stats.Latency.t ->
-  t
-(** Measure each I/O with [clock] (a monotonic ns counter) and record the
-    duration into the latency histograms; [hook], when given, then
-    receives the operation, block index, start and duration (used to emit
-    per-I/O trace events).  An I/O that raises is not recorded, matching
-    {!counted}'s failed-I/Os-don't-count semantics. *)
+val wrap : t -> Backend.t -> Backend.t
+(** [wrap layer backend] is [backend] behind [layer]. *)
 
 val fault_hook : (Backend.op -> int -> bool) -> t
 (** Deterministic fault injection: before each I/O the predicate decides
@@ -50,12 +28,6 @@ val fault_hook : (Backend.op -> int -> bool) -> t
 val faulty : ?seed:int -> p:float -> unit -> t
 (** Seeded random fault injection: each I/O independently fails with
     probability [p], driven by a splitmix64 PRNG seeded with [seed] —
-    the same seed always yields the same fault sequence.
+    the same seed always yields the same fault sequence.  Stacked fault
+    layers are consulted outermost first, so their order matters.
     @raise Invalid_argument unless [0 <= p <= 1]. *)
-
-val costed : Cost_model.t -> t
-(** Charge each I/O to the given cost meter, with a seek penalty whenever
-    the access does not continue where the previous access on this device
-    left off.  Several devices may share one meter; each layer {e value}
-    tracks its own head position (so a device rebuilding its stack keeps
-    the simulated head where it was). *)

@@ -10,33 +10,15 @@ type summary = {
 type t = {
   trace : int Vec.t;
   dev : Device.t;
-  layer : Layer.t;
-  observer : (Backend.op -> int -> unit) option ref;
-  mutable active : bool;
+  sub : Device.subscription;
 }
 
 let attach dev =
   let trace = Vec.create () in
-  let observer = ref None in
-  let layer =
-    Layer.observed (fun op i ->
-        Vec.push trace i;
-        match !observer with Some f -> f op i | None -> ())
-  in
-  Device.push_layer dev layer;
-  { trace; dev; layer; observer; active = true }
+  let sub = Device.subscribe dev (fun _op i ~start_ns:_ ~dur_ns:_ -> Vec.push trace i) in
+  { trace; dev; sub }
 
-(* Forward every recorded access to an external sink (e.g. Obs.Tracer)
-   in addition to the in-memory trace; detach stops both at once. *)
-let set_observer t f = t.observer := Some f
-
-(* Really pop the observer layer off the device stack (idempotent); a
-   detached trace keeps its recorded blocks but costs the device nothing. *)
-let detach t =
-  if t.active then begin
-    t.active <- false;
-    ignore (Device.remove_layer t.dev t.layer)
-  end
+let detach t = Device.unsubscribe t.dev t.sub
 
 let length t = Vec.length t.trace
 

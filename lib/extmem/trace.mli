@@ -6,7 +6,9 @@
     element ordering of disk-resident XML documents".  On a spinning disk
     that means seeks.  A trace records the sequence of block indices a
     device was asked for and summarises how sequential it was, so the
-    claim can be quantified (benchmark [motivation]). *)
+    claim can be quantified (benchmark [motivation]).  Like every device
+    subscriber, a trace sees only I/Os that completed: a faulted access
+    is not recorded. *)
 
 type summary = {
   accesses : int;      (** total traced I/Os *)
@@ -22,19 +24,14 @@ type summary = {
 type t
 
 val attach : Device.t -> t
-(** Start tracing the device by pushing an observation layer onto its
-    middleware stack.  Traces compose: several can be attached to one
-    device, alongside fault-injection and cost layers. *)
+(** Start tracing the device: subscribe a recorder of every completed
+    I/O's block index ({!Device.subscribe}).  Traces compose with every
+    other subscriber; several can be attached to one device. *)
 
 val detach : t -> unit
-(** Stop recording and remove the observation layer from the device's
-    stack ({!Device.remove_layer}), so repeated attach/detach cycles do
-    not grow the stack.  Idempotent; the recorded trace stays readable. *)
-
-val set_observer : t -> (Backend.op -> int -> unit) -> unit
-(** Forward every access this trace records to an external sink as well
-    (e.g. an [Obs.Tracer] track).  {!detach} silences the observer along
-    with the trace — one layer, one removal. *)
+(** Stop recording: unsubscribe the recorder, so repeated attach/detach
+    cycles leave nothing behind.  Idempotent; the recorded trace stays
+    readable. *)
 
 val length : t -> int
 

@@ -529,8 +529,12 @@ module Tracer = struct
     mutable tracks : track list; (* reversed creation order *)
     by_domain : (int * track) list Atomic.t;
     mutable next_tid : int;
-    mutable latencies : (string * Extmem.Io_stats.Latency.t) list;
+    mutable latencies : (string * io_latency) list; (* reversed creation order *)
   }
+
+  (* a device's read/write latency histograms; devices of one name on
+     several domains (workers' temp devices) share them, hence the lock *)
+  and io_latency = { lat_lock : Mutex.t; lat_read : Histogram.t; lat_write : Histogram.t }
 
   let null =
     {
@@ -661,17 +665,40 @@ module Tracer = struct
   let end_s t name = if t.enabled then emit t End (intern t name) (now_ns t) 0
   let instant_s t name = if t.enabled then emit t Instant (intern t name) (now_ns t) 0
 
-  let register_latency t ~device lat =
-    if t.enabled then begin
+  let io_latency t ~device =
+    let fresh () =
+      {
+        lat_lock = Mutex.create ();
+        lat_read = Histogram.make ~name:("read:" ^ device) ~unit_:"ns";
+        lat_write = Histogram.make ~name:("write:" ^ device) ~unit_:"ns";
+      }
+    in
+    if not t.enabled then fresh ()
+    else begin
       Mutex.lock t.lock;
-      t.latencies <- (device, lat) :: t.latencies;
-      Mutex.unlock t.lock
+      let l =
+        match List.assoc_opt device t.latencies with
+        | Some l -> l
+        | None ->
+            let l = fresh () in
+            t.latencies <- (device, l) :: t.latencies;
+            l
+      in
+      Mutex.unlock t.lock;
+      l
     end
+
+  let observe_io l op dur_ns =
+    Mutex.lock l.lat_lock;
+    Histogram.observe
+      (match op with Extmem.Backend.Read -> l.lat_read | Extmem.Backend.Write -> l.lat_write)
+      dur_ns;
+    Mutex.unlock l.lat_lock
 
   let dropped t = List.fold_left (fun acc tr -> acc + tr.t_dropped) 0 t.tracks
 
   (* Re-arm the tracer for another measured run: zero every ring and forget
-     registered latency meters, but keep the epoch, interned names and
+     the device latency histograms, but keep the epoch, interned names and
      domain bindings.  Only call while no worker domains are emitting. *)
   let reset t =
     if t.enabled then begin
@@ -756,42 +783,21 @@ module Tracer = struct
     in
     ({ r_kind = kind; r_name = name; r_ts_ns = ts; r_value = value }, tid)
 
-  let latency_to_json lat =
+  let latency_to_json l =
     let histo h =
       Json.Obj
         [
-          ("count", Json.Int (Extmem.Io_stats.Latency.count h));
-          ("sum_ns", Json.Int (Extmem.Io_stats.Latency.sum_ns h));
-          ("max_ns", Json.Int (Extmem.Io_stats.Latency.max_ns h));
+          ("count", Json.Int (Histogram.count h));
+          ("sum_ns", Json.Int (Histogram.sum h));
+          ("max_ns", Json.Int (Histogram.max_value h));
           ( "buckets",
             Json.List
               (List.map
                  (fun (bound, c) -> Json.Obj [ ("lt", Json.Int bound); ("count", Json.Int c) ])
-                 (Extmem.Io_stats.Latency.buckets h)) );
+                 (Histogram.buckets h)) );
         ]
     in
-    Json.Obj
-      [
-        ("read", histo lat.Extmem.Io_stats.Latency.read);
-        ("write", histo lat.Extmem.Io_stats.Latency.write);
-      ]
-
-  (* Merge same-named devices (sessions recreate scratch devices under a
-     stable name) so the flushed section has unique keys. *)
-  let merged_latencies t =
-    let order = ref [] in
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (dev, lat) ->
-        match Hashtbl.find_opt tbl dev with
-        | Some acc -> Extmem.Io_stats.Latency.accumulate ~into:acc lat
-        | None ->
-            let acc = Extmem.Io_stats.Latency.create () in
-            Extmem.Io_stats.Latency.accumulate ~into:acc lat;
-            Hashtbl.add tbl dev acc;
-            order := dev :: !order)
-      (List.rev t.latencies);
-    List.rev_map (fun dev -> (dev, Hashtbl.find tbl dev)) !order
+    Json.Obj [ ("read", histo l.lat_read); ("write", histo l.lat_write) ]
 
   let to_json t =
     let names = Array.of_list (List.rev t.rev_names) in
@@ -844,7 +850,8 @@ module Tracer = struct
               ("capacity", Json.Int t.capacity);
               ("dropped", Json.Int (dropped t));
             ] );
-        ("ioLatency", Json.Obj (List.map (fun (dev, lat) -> (dev, latency_to_json lat)) (merged_latencies t)));
+        ( "ioLatency",
+          Json.Obj (List.rev_map (fun (dev, l) -> (dev, latency_to_json l)) t.latencies) );
       ]
 
   let write_file t path =

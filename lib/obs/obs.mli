@@ -191,15 +191,25 @@ module Tracer : sig
   val end_s : t -> string -> unit
   val instant_s : t -> string -> unit
 
-  val register_latency : t -> device:string -> Extmem.Io_stats.Latency.t -> unit
-  (** Attach a per-device I/O latency histogram to the flushed trace
-      (same-named devices are merged at flush). *)
+  type io_latency
+  (** One device name's read and write latency histograms ({!Histogram},
+      ns). *)
+
+  val io_latency : t -> device:string -> io_latency
+  (** Find or create the histograms of the named device; every device of
+      that name shares them.  They flush under ["ioLatency"], in creation
+      order.  On a disabled tracer the result is a fresh pair that is
+      never flushed. *)
+
+  val observe_io : io_latency -> Extmem.Backend.op -> int -> unit
+  (** Record one I/O's duration (ns) in the read or write histogram.
+      Safe to call from several domains at once. *)
 
   val dropped : t -> int
   (** Total records dropped to full rings, across all tracks. *)
 
   val reset : t -> unit
-  (** Zero every ring and forget registered latency meters, keeping the
+  (** Zero every ring and forget the device latency histograms, keeping the
       epoch, interned names and domain bindings.  Only call while no
       worker domain is emitting. *)
 

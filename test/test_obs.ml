@@ -309,6 +309,104 @@ let test_tracer_multi_domain () =
     (fun name l -> check (Alcotest.list Alcotest.int) (name ^ " intact") expect (List.rev !l))
     tbl
 
+(* Per-device latency histograms, pinned through the flushed JSON: a
+   fake clock gives each I/O a known duration. *)
+let test_tracer_io_latency_json () =
+  let t = Tracer.create () in
+  let readings = ref [ 0; 0; 10; 11; 20; 120; 130; 230; 240; 5240; 6000; 6003 ] in
+  let clock () =
+    match !readings with
+    | r :: rest ->
+        readings := rest;
+        r
+    | [] -> Alcotest.fail "clock read too often"
+  in
+  let subscribe d =
+    let lat = Tracer.io_latency t ~device:"dev" in
+    ignore
+      (Extmem.Device.subscribe ~clock d (fun op _ ~start_ns:_ ~dur_ns ->
+           Tracer.observe_io lat op dur_ns)
+        : Extmem.Device.subscription)
+  in
+  let d1 = Extmem.Device.of_string ~block_size:8 (String.make 32 'x') in
+  let d2 = Extmem.Device.of_string ~block_size:8 (String.make 32 'x') in
+  subscribe d1;
+  ignore (Tracer.io_latency t ~device:"idle");
+  (* a second device of the same name shares the first one's histograms *)
+  subscribe d2;
+  let buf = Bytes.create 8 in
+  List.iter (fun i -> Extmem.Device.read_block d1 i buf) [ 0; 1; 2 ];
+  List.iter (fun i -> Extmem.Device.read_block d2 i buf) [ 0; 1 ];
+  Extmem.Device.write_block d2 3 buf;
+  let empty = {|{"count":0,"sum_ns":0,"max_ns":0,"buckets":[]}|} in
+  check Alcotest.string "ioLatency"
+    ({|{"dev":{"read":{"count":5,"sum_ns":5201,"max_ns":5000,"buckets":|}
+    ^ {|[{"lt":1,"count":1},{"lt":2,"count":1},{"lt":128,"count":2},{"lt":8192,"count":1}]},|}
+    ^ {|"write":{"count":1,"sum_ns":3,"max_ns":3,"buckets":[{"lt":4,"count":1}]}},|}
+    ^ {|"idle":{"read":|} ^ empty ^ {|,"write":|} ^ empty ^ "}}")
+    (match Obs.Json.member "ioLatency" (Tracer.to_json t) with
+    | Some j -> Obs.Json.to_string ~minify:true j
+    | None -> Alcotest.fail "no ioLatency");
+  Tracer.reset t;
+  check Alcotest.bool "reset forgets the histograms" true
+    (Obs.Json.member "ioLatency" (Tracer.to_json t) = Some (Obs.Json.Obj []))
+
+(* The one device builder's tracer subscriber: one Complete event per
+   completed I/O, access.* counters on a traced device only, and nothing
+   at all for a faulted I/O. *)
+let test_tracer_device_subscriber () =
+  let t = Tracer.create () in
+  let config spec =
+    Nexsort.Config.make ~block_size:64 ~device:(Extmem.Device_spec.parse spec) ~tracer:t ()
+  in
+  let out =
+    (Nexsort.Config.build_device (config "traced/mem") ~name:"output").Extmem.Device_spec.device
+  in
+  let inp = Nexsort.Config.scratch_device (config "mem") ~name:"input" in
+  let buf = Bytes.make 64 'x' in
+  List.iter (fun i -> Extmem.Device.write_block out i buf) [ 0; 1; 2 ];
+  Extmem.Device.read_block out 1 buf;
+  Extmem.Device.write_block inp 0 buf;
+  Extmem.Device.read_block inp 0 buf;
+  Extmem.Device.push_layer out (Extmem.Layer.fault_hook (fun _ i -> i = 2));
+  (match Extmem.Device.read_block out 2 buf with
+  | () -> Alcotest.fail "expected a fault"
+  | exception Extmem.Device.Fault _ -> ());
+  let json = Tracer.to_json t in
+  let events kind name =
+    List.filter_map
+      (fun e ->
+        match Tracer.record_of_json e with
+        | { Tracer.r_kind; r_name; r_value; _ }, _ when r_kind = kind && r_name = name ->
+            Some r_value
+        | _ -> None
+        | exception Failure _ -> None)
+      (trace_events json)
+  in
+  let count kind name = List.length (events kind name) in
+  check Alcotest.int "write:output" 3 (count Tracer.Complete "write:output");
+  check Alcotest.int "read:output" 1 (count Tracer.Complete "read:output");
+  check (Alcotest.list Alcotest.int) "access.write:output" [ 0; 1; 2 ]
+    (events Tracer.Count "access.write:output");
+  check (Alcotest.list Alcotest.int) "access.read:output" [ 1 ]
+    (events Tracer.Count "access.read:output");
+  check Alcotest.int "write:input" 1 (count Tracer.Complete "write:input");
+  check Alcotest.int "read:input" 1 (count Tracer.Complete "read:input");
+  check Alcotest.int "no access.* on an untraced device" 0
+    (count Tracer.Count "access.read:input" + count Tracer.Count "access.write:input");
+  let latency_count dev op =
+    match
+      Option.bind (Obs.Json.member "ioLatency" json) (fun l ->
+          Option.bind (Obs.Json.member dev l) (fun d ->
+              Option.bind (Obs.Json.member op d) (Obs.Json.member "count")))
+    with
+    | Some (Obs.Json.Int n) -> n
+    | _ -> Alcotest.failf "no ioLatency.%s.%s.count" dev op
+  in
+  check Alcotest.int "ioLatency output reads" 1 (latency_count "output" "read");
+  check Alcotest.int "ioLatency output writes" 3 (latency_count "output" "write");
+  check Alcotest.int "ioLatency input reads" 1 (latency_count "input" "read")
+
 (* ------------------------------------------------------------------ *)
 (* Report *)
 
@@ -368,6 +466,8 @@ let () =
           QCheck_alcotest.to_alcotest test_tracer_record_roundtrip;
           Alcotest.test_case "ring overflow accounting" `Quick test_tracer_overflow;
           Alcotest.test_case "multi-domain hammer" `Quick test_tracer_multi_domain;
+          Alcotest.test_case "ioLatency json" `Quick test_tracer_io_latency_json;
+          Alcotest.test_case "device subscriber" `Quick test_tracer_device_subscriber;
         ] );
       ( "report", [ Alcotest.test_case "sections" `Quick test_report_sections ] );
     ]
