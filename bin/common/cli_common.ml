@@ -12,6 +12,16 @@ let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
+(* The endpoints of a two-document job: block devices over the [left]
+   and [right] files and the [output] file, under the config's layers;
+   the output replaces its file only when [f] returns. *)
+let with_merge_endpoints config ~left ~right ~output f =
+  let dev (b : Extmem.Device_spec.built) = b.Extmem.Device_spec.device in
+  Nexsort.Config.with_input ~name:"left" config left (fun l ->
+      Nexsort.Config.with_input ~name:"right" config right (fun r ->
+          Nexsort.Config.with_output config output (fun o ->
+              f ~left:(dev l) ~right:(dev r) ~output:(dev o))))
+
 let ordering_term =
   let doc =
     "Ordering specification: comma-separated $(b,tag=criterion) rules plus an optional default \
@@ -123,11 +133,15 @@ let device_term =
         ~doc:
           "Device specification: zero or more layers, then a backend — e.g. $(b,mem), \
            $(b,file:PATH), $(b,traced/mem), $(b,faulty:p=0.001,seed=42/file:PATH), \
-           $(b,cost:profile=hdd/mem).  $(b,traced) records the access pattern and $(b,cost) \
-           charges simulated seek/transfer time (reported with $(b,--stats)); both see only \
-           I/Os that completed.  $(b,faulty) injects seeded random faults beneath them, so a \
-           faulted I/O is neither counted, traced nor charged; only the order of $(b,faulty) \
-           layers among themselves matters.")
+           $(b,cost:profile=hdd/mem).  The input and output are always block devices over the \
+           named files themselves, read and written a block at a time; the backend holds the \
+           internal devices only (stacks, runs, temporary storage; $(b,file:PATH) puts each in \
+           $(b,PATH.NAME)).  The layers go over every device, the files included.  \
+           $(b,traced) records the access pattern and $(b,cost) charges simulated \
+           seek/transfer time (reported with $(b,--stats)); both see only I/Os that \
+           completed.  $(b,faulty) injects seeded random faults beneath them, so a faulted I/O \
+           is neither counted, traced nor charged; only the order of $(b,faulty) layers among \
+           themselves matters.  A failed run leaves the output file as it was.")
 
 let pp_io name (s : Extmem.Io_stats.t) =
   Printf.eprintf "  %-24s %8d reads %8d writes\n" name s.Extmem.Io_stats.reads

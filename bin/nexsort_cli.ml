@@ -24,26 +24,31 @@ let run verbose algorithm config ordering stats metrics trace targets select dev
   match Cli_common.prepare_trace trace with
   | Error msg -> `Error (false, msg)
   | Ok tracer ->
-  let xml = Cli_common.read_file input_path in
   let spec = Option.value device ~default:Extmem.Device_spec.default in
-  (* the spec governs both endpoints and the sorter's internal devices *)
+  (* the spec's layers go over both endpoints, which are the input and
+     output files themselves; its backend holds the internal devices *)
   let config = { config with Nexsort.Config.device = spec; tracer } in
-  let built_in = Nexsort.Config.build_device config ~name:"input" in
-  let input = built_in.Extmem.Device_spec.device in
-  Extmem.Device.load_string input xml;
-  let output = Nexsort.Config.scratch_device config ~name:"output" in
-  let device_stats () =
+  let on_files sort =
+    Nexsort.Config.with_input config input_path (fun inp ->
+        Nexsort.Config.with_output config output_path (fun out ->
+            ( sort ~input:inp.Extmem.Device_spec.device ~output:out.Extmem.Device_spec.device,
+              Some (inp, out) )))
+  in
+  let device_stats endpoints =
     if stats && device <> None then begin
       Printf.eprintf "device: %s\n" (Extmem.Device_spec.to_string spec);
-      (match built_in.Extmem.Device_spec.trace with
-      | Some trace ->
-          Printf.eprintf "input access pattern: %s\n"
-            (Format.asprintf "%a" Extmem.Trace.pp_summary (Extmem.Trace.summarize trace))
-      | None -> ());
-      let sim =
-        Extmem.Device.simulated_ms input +. Extmem.Device.simulated_ms output
-      in
-      if sim > 0. then Printf.eprintf "endpoint simulated io time: %.2fms\n" sim
+      Option.iter
+        (fun ((inp : Extmem.Device_spec.built), (out : Extmem.Device_spec.built)) ->
+          (match inp.trace with
+          | Some trace ->
+              Printf.eprintf "input access pattern: %s\n"
+                (Format.asprintf "%a" Extmem.Trace.pp_summary (Extmem.Trace.summarize trace))
+          | None -> ());
+          let sim =
+            Extmem.Device.simulated_ms inp.device +. Extmem.Device.simulated_ms out.device
+          in
+          if sim > 0. then Printf.eprintf "endpoint simulated io time: %.2fms\n" sim)
+        endpoints
     end
   in
   let describe = function
@@ -54,120 +59,128 @@ let run verbose algorithm config ordering stats metrics trace targets select dev
   in
   try
     let t0 = Unix.gettimeofday () in
-    (match algorithm with
-    | Nexsort_algo ->
-        (* the single-job CLI is a one-job engine: same admission, carve
-           and release machinery as nexsortd, zero queue wait *)
-        let eng = Engine.for_config ~tracer config in
-        let report, job_section =
-          Fun.protect
-            ~finally:(fun () -> Engine.destroy eng)
-            (fun () ->
-              let report, job =
-                Engine.run eng ~tenant:"cli" config (fun job session ->
-                    (Nexsort.sort_device ~session ~ordering ~input ~output (), job))
-              in
-              (* snapshot after release, so the engine counters include
-                 this job's completion and any leak it left *)
-              (report, Engine.job_json eng job))
-        in
-        Cli_common.write_file output_path (Extmem.Device.contents output);
-        Cli_common.write_metrics metrics
-          (let rep = Nexsort.metrics_report ~config report in
-           Obs.Report.add rep "job" job_section;
-           rep);
-        if stats then begin
-          Printf.eprintf "algorithm: %s\n" (describe algorithm);
-          Printf.eprintf "%s\n" (Format.asprintf "%a" Nexsort.pp_report report);
-          List.iter (fun (n, s) -> Cli_common.pp_io n s) report.Nexsort.breakdown
-        end
-    | Mergesort ->
-        let report = Baselines.Keypath_sort.sort_device ~config ~ordering ~input ~output () in
-        Cli_common.write_file output_path (Extmem.Device.contents output);
-        Cli_common.write_metrics metrics
-          (let open Baselines.Keypath_sort in
-           let rep = Obs.Report.create ~tool:"nexsort-mergesort" in
-           Obs.Report.add rep "counts"
-             (Obs.Json.Obj
-                [ ("records", Obs.Json.Int report.records);
-                  ("record_bytes", Obs.Json.Int report.record_bytes);
-                  ("initial_runs", Obs.Json.Int report.initial_runs);
-                  ("merge_passes", Obs.Json.Int report.merge_passes) ]);
-           Obs.Report.add rep "io"
-             (Obs.Json.Obj
-                [ ("input", Obs.Json.io_stats report.input_io);
-                  ("temp", Obs.Json.io_stats report.temp_io);
-                  ("output", Obs.Json.io_stats report.output_io);
-                  ("total", Obs.Json.io_stats report.total_io) ]);
-           Obs.Report.add rep "phases" (Obs.Span.to_json report.spans);
-           Obs.Report.add rep "timing"
-             (Obs.Json.Obj
-                [ ("wall_s", Obs.Json.Float report.wall_seconds);
-                  ("simulated_ms", Obs.Json.Float report.simulated_ms) ]);
-           rep);
-        if stats then begin
-          Printf.eprintf "algorithm: %s\n" (describe algorithm);
-          Printf.eprintf "records: %d (%d bytes), runs: %d, merge passes: %d, wall: %.3fs\n"
-            report.Baselines.Keypath_sort.records report.Baselines.Keypath_sort.record_bytes
-            report.Baselines.Keypath_sort.initial_runs report.Baselines.Keypath_sort.merge_passes
-            report.Baselines.Keypath_sort.wall_seconds;
-          Cli_common.pp_io "input" report.Baselines.Keypath_sort.input_io;
-          Cli_common.pp_io "temp" report.Baselines.Keypath_sort.temp_io;
-          Cli_common.pp_io "output" report.Baselines.Keypath_sort.output_io
-        end
-    | Xsort ->
-        let selector = Option.map Xmlio.Xpath.parse select in
-        let targets =
-          match targets with
-          | Some t -> String.split_on_char ',' t
-          | None -> []
-        in
-        let report =
-          Baselines.Xsort.sort_device ~config ?selector ~ordering ~targets ~input ~output ()
-        in
-        Cli_common.write_file output_path (Extmem.Device.contents output);
-        Cli_common.write_metrics metrics
-          (let open Baselines.Xsort in
-           let rep = Obs.Report.create ~tool:"nexsort-xsort" in
-           Obs.Report.add rep "counts"
-             (Obs.Json.Obj
-                [ ("targets_sorted", Obs.Json.Int report.targets_sorted);
-                  ("children_sorted", Obs.Json.Int report.children_sorted);
-                  ("spilled_sorts", Obs.Json.Int report.spilled_sorts) ]);
-           Obs.Report.add rep "io"
-             (Obs.Json.Obj
-                [ ("input", Obs.Json.io_stats report.input_io);
-                  ("temp", Obs.Json.io_stats report.temp_io);
-                  ("output", Obs.Json.io_stats report.output_io);
-                  ("total", Obs.Json.io_stats report.total_io) ]);
-           Obs.Report.add rep "timing"
-             (Obs.Json.Obj [ ("wall_s", Obs.Json.Float report.wall_seconds) ]);
-           rep);
-        if stats then begin
-          Printf.eprintf "algorithm: %s\n" (describe algorithm);
-          Printf.eprintf "targets sorted: %d, children sorted: %d, spilled sorts: %d, wall: %.3fs\n"
-            report.Baselines.Xsort.targets_sorted report.Baselines.Xsort.children_sorted
-            report.Baselines.Xsort.spilled_sorts report.Baselines.Xsort.wall_seconds;
-          Cli_common.pp_io "input" report.Baselines.Xsort.input_io;
-          Cli_common.pp_io "temp" report.Baselines.Xsort.temp_io;
-          Cli_common.pp_io "output" report.Baselines.Xsort.output_io
-        end
-    | Treesort ->
-        let sorted =
-          Baselines.Tree_sort.sort_string
-            ?depth_limit:config.Nexsort.Config.depth_limit
-            ~keep_whitespace:config.Nexsort.Config.keep_whitespace ordering xml
-        in
-        Cli_common.write_file output_path sorted;
-        Cli_common.write_metrics metrics
-          (let rep = Obs.Report.create ~tool:"nexsort-treesort" in
-           Obs.Report.add rep "timing"
-             (Obs.Json.Obj [ ("wall_s", Obs.Json.Float (Unix.gettimeofday () -. t0)) ]);
-           rep);
-        if stats then
-          Printf.eprintf "algorithm: %s\nwall: %.3fs\n" (describe algorithm)
-            (Unix.gettimeofday () -. t0));
-    device_stats ();
+    let endpoints =
+      match algorithm with
+      | Nexsort_algo ->
+          (* the single-job CLI is a one-job engine: same admission, carve
+             and release machinery as nexsortd, zero queue wait *)
+          let eng = Engine.for_config ~tracer config in
+          let (report, job_section), endpoints =
+            Fun.protect
+              ~finally:(fun () -> Engine.destroy eng)
+              (fun () ->
+                on_files (fun ~input ~output ->
+                    let report, job =
+                      Engine.run eng ~tenant:"cli" config (fun job session ->
+                          (Nexsort.sort_device ~session ~ordering ~input ~output (), job))
+                    in
+                    (* snapshot after release, so the engine counters include
+                       this job's completion and any leak it left *)
+                    (report, Engine.job_json eng job)))
+          in
+          Cli_common.write_metrics metrics
+            (let rep = Nexsort.metrics_report ~config report in
+             Obs.Report.add rep "job" job_section;
+             rep);
+          if stats then begin
+            Printf.eprintf "algorithm: %s\n" (describe algorithm);
+            Printf.eprintf "%s\n" (Format.asprintf "%a" Nexsort.pp_report report);
+            List.iter (fun (n, s) -> Cli_common.pp_io n s) report.Nexsort.breakdown
+          end;
+          endpoints
+      | Mergesort ->
+          let report, endpoints =
+            on_files (Baselines.Keypath_sort.sort_device ~config ~ordering ())
+          in
+          Cli_common.write_metrics metrics
+            (let open Baselines.Keypath_sort in
+             let rep = Obs.Report.create ~tool:"nexsort-mergesort" in
+             Obs.Report.add rep "counts"
+               (Obs.Json.Obj
+                  [ ("records", Obs.Json.Int report.records);
+                    ("record_bytes", Obs.Json.Int report.record_bytes);
+                    ("initial_runs", Obs.Json.Int report.initial_runs);
+                    ("merge_passes", Obs.Json.Int report.merge_passes) ]);
+             Obs.Report.add rep "io"
+               (Obs.Json.Obj
+                  [ ("input", Obs.Json.io_stats report.input_io);
+                    ("temp", Obs.Json.io_stats report.temp_io);
+                    ("output", Obs.Json.io_stats report.output_io);
+                    ("total", Obs.Json.io_stats report.total_io) ]);
+             Obs.Report.add rep "phases" (Obs.Span.to_json report.spans);
+             Obs.Report.add rep "timing"
+               (Obs.Json.Obj
+                  [ ("wall_s", Obs.Json.Float report.wall_seconds);
+                    ("simulated_ms", Obs.Json.Float report.simulated_ms) ]);
+             rep);
+          if stats then begin
+            Printf.eprintf "algorithm: %s\n" (describe algorithm);
+            Printf.eprintf "records: %d (%d bytes), runs: %d, merge passes: %d, wall: %.3fs\n"
+              report.Baselines.Keypath_sort.records report.Baselines.Keypath_sort.record_bytes
+              report.Baselines.Keypath_sort.initial_runs report.Baselines.Keypath_sort.merge_passes
+              report.Baselines.Keypath_sort.wall_seconds;
+            Cli_common.pp_io "input" report.Baselines.Keypath_sort.input_io;
+            Cli_common.pp_io "temp" report.Baselines.Keypath_sort.temp_io;
+            Cli_common.pp_io "output" report.Baselines.Keypath_sort.output_io
+          end;
+          endpoints
+      | Xsort ->
+          let selector = Option.map Xmlio.Xpath.parse select in
+          let targets =
+            match targets with
+            | Some t -> String.split_on_char ',' t
+            | None -> []
+          in
+          let report, endpoints =
+            on_files (Baselines.Xsort.sort_device ~config ?selector ~ordering ~targets ())
+          in
+          Cli_common.write_metrics metrics
+            (let open Baselines.Xsort in
+             let rep = Obs.Report.create ~tool:"nexsort-xsort" in
+             Obs.Report.add rep "counts"
+               (Obs.Json.Obj
+                  [ ("targets_sorted", Obs.Json.Int report.targets_sorted);
+                    ("children_sorted", Obs.Json.Int report.children_sorted);
+                    ("spilled_sorts", Obs.Json.Int report.spilled_sorts) ]);
+             Obs.Report.add rep "io"
+               (Obs.Json.Obj
+                  [ ("input", Obs.Json.io_stats report.input_io);
+                    ("temp", Obs.Json.io_stats report.temp_io);
+                    ("output", Obs.Json.io_stats report.output_io);
+                    ("total", Obs.Json.io_stats report.total_io) ]);
+             Obs.Report.add rep "timing"
+               (Obs.Json.Obj [ ("wall_s", Obs.Json.Float report.wall_seconds) ]);
+             rep);
+          if stats then begin
+            Printf.eprintf "algorithm: %s\n" (describe algorithm);
+            Printf.eprintf "targets sorted: %d, children sorted: %d, spilled sorts: %d, wall: %.3fs\n"
+              report.Baselines.Xsort.targets_sorted report.Baselines.Xsort.children_sorted
+              report.Baselines.Xsort.spilled_sorts report.Baselines.Xsort.wall_seconds;
+            Cli_common.pp_io "input" report.Baselines.Xsort.input_io;
+            Cli_common.pp_io "temp" report.Baselines.Xsort.temp_io;
+            Cli_common.pp_io "output" report.Baselines.Xsort.output_io
+          end;
+          endpoints
+      | Treesort ->
+          (* the internal-memory reference reads the whole document *)
+          let xml = Cli_common.read_file input_path in
+          let sorted =
+            Baselines.Tree_sort.sort_string
+              ?depth_limit:config.Nexsort.Config.depth_limit
+              ~keep_whitespace:config.Nexsort.Config.keep_whitespace ordering xml
+          in
+          Cli_common.write_file output_path sorted;
+          Cli_common.write_metrics metrics
+            (let rep = Obs.Report.create ~tool:"nexsort-treesort" in
+             Obs.Report.add rep "timing"
+               (Obs.Json.Obj [ ("wall_s", Obs.Json.Float (Unix.gettimeofday () -. t0)) ]);
+             rep);
+          if stats then
+            Printf.eprintf "algorithm: %s\nwall: %.3fs\n" (describe algorithm)
+              (Unix.gettimeofday () -. t0);
+          None
+    in
+    device_stats endpoints;
     Cli_common.write_trace trace tracer;
     `Ok ()
   with

@@ -196,23 +196,17 @@ let tokens line =
 
 (* --- job bodies (run on their own domain) ------------------------- *)
 
-let scratch spec ~name ~block_size s =
-  let d = Extmem.Device_spec.scratch spec ~name ~block_size in
-  Option.iter (Extmem.Device.load_string d) s;
-  d
-
 let run_sort engine cancel (r : sort_req) =
   let spec = Option.value r.sr_device ~default:Extmem.Device_spec.default in
   let config = { r.sr_config with Nexsort.Config.device = spec } in
-  let block_size = config.Nexsort.Config.block_size in
-  let xml = Cli_common.read_file r.sr_input in
-  let input = scratch spec ~name:"input" ~block_size (Some xml) in
-  let output = scratch spec ~name:"output" ~block_size None in
   let report, job =
-    Engine.run ~cancel engine ~tenant:r.sr_tenant config (fun job session ->
-        (Nexsort.sort_device ~session ~ordering:r.sr_ordering ~input ~output (), job))
+    Nexsort.Config.with_input config r.sr_input (fun inp ->
+        Nexsort.Config.with_output config r.sr_output (fun out ->
+            Engine.run ~cancel engine ~tenant:r.sr_tenant config (fun job session ->
+                ( Nexsort.sort_device ~session ~ordering:r.sr_ordering
+                    ~input:inp.Extmem.Device_spec.device ~output:out.Extmem.Device_spec.device (),
+                  job ))))
   in
-  Cli_common.write_file r.sr_output (Extmem.Device.contents output);
   Cli_common.write_metrics r.sr_metrics
     (let rep = Nexsort.metrics_report ~config report in
      Obs.Report.add rep "job" (Engine.job_json engine job);
@@ -224,13 +218,7 @@ let run_sort engine cancel (r : sort_req) =
    admission lock serializes the two-slot acquisition so concurrent
    merges cannot deadlock holding one slot each; single-slot sorts
    queue through the normal path meanwhile. *)
-let run_merge engine merge_lock cancel (r : merge_req) =
-  let spec = Option.value r.mr_device ~default:Extmem.Device_spec.default in
-  let config = { r.mr_config with Nexsort.Config.device = spec } in
-  let block_size = config.Nexsort.Config.block_size in
-  let ldev = scratch spec ~name:"left" ~block_size (Some (Cli_common.read_file r.mr_left)) in
-  let rdev = scratch spec ~name:"right" ~block_size (Some (Cli_common.read_file r.mr_right)) in
-  let odev = scratch spec ~name:"output" ~block_size None in
+let sort_and_merge engine merge_lock cancel (r : merge_req) config ~left ~right ~output =
   Mutex.lock merge_lock;
   let jl, jr =
     match
@@ -250,26 +238,33 @@ let run_merge engine merge_lock cancel (r : merge_req) =
         Mutex.unlock merge_lock;
         raise e
   in
-  let report, job_section =
-    Fun.protect
-      ~finally:(fun () ->
-        Engine.release engine jl;
-        Engine.release engine jr)
-      (fun () ->
-        let sl = Engine.session engine jl in
-        let sr =
-          try Engine.session engine jr
-          with e ->
-            Nexsort.Session.destroy sl;
-            raise e
-        in
-        let report =
-          Xmerge.Struct_merge.sort_and_merge_devices ~config ~fuse:(not r.mr_no_fuse)
-            ~sessions:(sl, sr) ~ordering:r.mr_ordering ~left:ldev ~right:rdev ~output:odev ()
-        in
-        (report, Engine.job_json engine jl))
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.release engine jl;
+      Engine.release engine jr)
+    (fun () ->
+      let sl = Engine.session engine jl in
+      let sr =
+        try Engine.session engine jr
+        with e ->
+          Nexsort.Session.destroy sl;
+          raise e
+      in
+      let report =
+        Xmerge.Struct_merge.sort_and_merge_devices ~config ~fuse:(not r.mr_no_fuse)
+          ~sessions:(sl, sr) ~ordering:r.mr_ordering ~left ~right ~output ()
+      in
+      (report, Engine.job_json engine jl))
+
+let run_merge engine merge_lock cancel (r : merge_req) =
+  let spec = Option.value r.mr_device ~default:Extmem.Device_spec.default in
+  let config = { r.mr_config with Nexsort.Config.device = spec } in
+  let (report, job_section), (ldev, rdev, odev) =
+    Cli_common.with_merge_endpoints config ~left:r.mr_left ~right:r.mr_right
+      ~output:r.mr_output (fun ~left ~right ~output ->
+        ( sort_and_merge engine merge_lock cancel r config ~left ~right ~output,
+          (left, right, output) ))
   in
-  Cli_common.write_file r.mr_output (Extmem.Device.contents odev);
   Cli_common.write_metrics r.mr_metrics
     (let rep = Obs.Report.create ~tool:"nexsortd-merge" in
      Obs.Report.add rep "counts"
@@ -298,10 +293,13 @@ let run_merge engine merge_lock cancel (r : merge_req) =
 let run_update engine cancel (r : update_req) =
   let spec = Option.value r.ur_device ~default:Extmem.Device_spec.default in
   let config = { r.ur_config with Nexsort.Config.device = spec } in
-  let base = Cli_common.read_file r.ur_base in
   let (flushes, final_bytes), job =
     Engine.run ~cancel engine ~tenant:r.ur_tenant config (fun job session ->
-        let t = Xmerge.Ingest.create ~config ~session ~ordering:r.ur_ordering ~base () in
+        let t =
+          Nexsort.Config.with_input config r.ur_base (fun b ->
+              Xmerge.Ingest.create_device ~config ~session ~ordering:r.ur_ordering
+                ~base:b.Extmem.Device_spec.device ())
+        in
         Fun.protect
           ~finally:(fun () -> Xmerge.Ingest.destroy t)
           (fun () ->
@@ -314,7 +312,9 @@ let run_update engine cancel (r : update_req) =
                 if (i + 1) mod r.ur_flush_every = 0 then flush ())
               r.ur_updates;
             if Xmerge.Ingest.pending t > 0 || !flushes = [] then flush ();
-            Cli_common.write_file r.ur_output (Xmerge.Ingest.contents t);
+            Nexsort.Config.with_output config r.ur_output (fun o ->
+                Extmem.Device.copy ~src:(Xmerge.Ingest.base_device t)
+                  ~dst:o.Extmem.Device_spec.device);
             ((List.rev !flushes, Extmem.Device.byte_length (Xmerge.Ingest.base_device t)), job)))
   in
   Cli_common.write_metrics r.ur_metrics

@@ -2,25 +2,23 @@
 
 open Cmdliner
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
 (* Run [gen] and write the result to [output].  With [--device] the
-   generator streams onto a spec-built device (exercising its stack) and
-   the file is written from the device's contents. *)
+   generator streams straight into the output endpoint: a device over the
+   output file under the spec's layers. *)
 let emit device metrics output gen =
-  let s, stats, dev_io =
+  let stats, dev_io =
     match device with
     | None ->
         let s, stats = Xmlgen.Gen.to_string gen in
-        (s, stats, None)
+        Cli_common.write_file output s;
+        (stats, None)
     | Some spec ->
-        let dev = Extmem.Device_spec.scratch spec ~name:"gen" ~block_size:4096 in
-        let stats = Xmlgen.Gen.to_device dev gen in
-        (Extmem.Device.contents dev, stats, Some (Extmem.Io_stats.snapshot (Extmem.Device.stats dev)))
+        let config = Nexsort.Config.make ~block_size:4096 ~device:spec () in
+        Nexsort.Config.with_output config output (fun b ->
+            let dev = b.Extmem.Device_spec.device in
+            let stats = Xmlgen.Gen.to_device dev gen in
+            (stats, Some (Extmem.Io_stats.snapshot (Extmem.Device.stats dev))))
   in
-  write_file output s;
   Cli_common.write_metrics metrics
     (let rep = Obs.Report.create ~tool:"nexsort-gen" in
      Obs.Report.add rep "gen"
@@ -42,8 +40,8 @@ let run seed avg_bytes height max_fanout max_elements fanouts company device met
       `Error (false, "--device is not supported with --company")
   | true, _ ->
       let pair = Xmlgen.Company.generate ~seed () in
-      write_file (output ^ ".personnel.xml") pair.Xmlgen.Company.personnel;
-      write_file (output ^ ".payroll.xml") pair.Xmlgen.Company.payroll;
+      Cli_common.write_file (output ^ ".personnel.xml") pair.Xmlgen.Company.personnel;
+      Cli_common.write_file (output ^ ".payroll.xml") pair.Xmlgen.Company.payroll;
       Cli_common.write_metrics metrics
         (let rep = Obs.Report.create ~tool:"nexsort-gen" in
          Obs.Report.add rep "company"

@@ -3,16 +3,6 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
 let ordering_term =
   let parse s =
     match Nexsort.Ordering.of_spec_string s with
@@ -89,7 +79,10 @@ let with_merge_sessions ~(config : Nexsort.Config.t) f =
    (and once at the end).  Each flush gets its own entry in the metrics'
    "ingest" section: batch sizes, queue counters, merge I/O. *)
 let run_ingest ~ordering ~config ~metrics ~finish base rights flush_every output =
-  let t = Xmerge.Ingest.create ~config ~ordering ~base () in
+  let t =
+    Nexsort.Config.with_input config base (fun b ->
+        Xmerge.Ingest.create_device ~config ~ordering ~base:b.Extmem.Device_spec.device ())
+  in
   Fun.protect
     ~finally:(fun () -> Xmerge.Ingest.destroy t)
     (fun () ->
@@ -106,11 +99,12 @@ let run_ingest ~ordering ~config ~metrics ~finish base rights flush_every output
       in
       List.iteri
         (fun i path ->
-          Xmerge.Ingest.add_update t (read_file path);
+          Xmerge.Ingest.add_update t (Cli_common.read_file path);
           if (i + 1) mod flush_every = 0 then flush ())
         rights;
       if Xmerge.Ingest.pending t > 0 || !flushes = [] then flush ();
-      write_file output (Xmerge.Ingest.contents t);
+      Nexsort.Config.with_output config output (fun o ->
+          Extmem.Device.copy ~src:(Xmerge.Ingest.base_device t) ~dst:o.Extmem.Device_spec.device);
       let flushes = List.rev !flushes in
       let total f = List.fold_left (fun acc r -> acc + f r) 0 flushes in
       let rep = Obs.Report.create ~tool:"nexsort-merge-ingest" in
@@ -144,15 +138,13 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
     ok
   in
   try
-    let left = read_file left_path in
-    let right = match right_paths with r :: _ -> read_file r | [] -> "" in
     match device with
     | _ when ingest_mode && (update_mode || indexed || presorted) ->
         `Error (false, "--ingest does not compose with --update/--indexed/--presorted")
     | _ when flush_every < 1 -> `Error (false, "--flush-every must be >= 1")
     | _ when ingest_mode ->
         let config = Nexsort.Config.make ?device ~tracer () in
-        run_ingest ~ordering ~config ~metrics ~finish left right_paths flush_every output
+        run_ingest ~ordering ~config ~metrics ~finish left_path right_paths flush_every output
     | _ when List.length right_paths <> 1 ->
         `Error (false, "expected exactly one RIGHT document (or pass --ingest)")
     | _ when indexed && update_mode -> `Error (false, "--indexed is not supported with --update")
@@ -161,20 +153,11 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
         (* Index-assisted nested-loop merge (§1's "additional index"): works
            on unsorted inputs; the index's buffer pool is where the pager
            statistics come from. *)
-        let spec = Option.value device ~default:Extmem.Device_spec.default in
-        let block_size = 4096 in
-        let load name s =
-          let d = Extmem.Device_spec.scratch spec ~name ~block_size in
-          Extmem.Device.load_string d s;
-          d
-        in
-        let ldev = load "left" left and rdev = load "right" right in
-        let odev = Extmem.Device_spec.scratch spec ~name:"output" ~block_size in
+        let config = Nexsort.Config.make ~block_size:4096 ?device ~tracer () in
         let r =
-          Xmerge.Indexed_merge.merge_devices ~policy ~ordering ~left:ldev ~right:rdev ~output:odev
-            ()
+          Cli_common.with_merge_endpoints config ~left:left_path ~right:(List.hd right_paths)
+            ~output (Xmerge.Indexed_merge.merge_devices ~policy ~ordering ())
         in
-        write_file output (Extmem.Device.contents odev);
         let open Xmerge.Indexed_merge in
         Printf.eprintf "matched %d elements via a %d-entry index -> %s\n" r.matched_elements
           r.index_entries output;
@@ -210,28 +193,24 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
            rep);
         finish (`Ok ())
     | Some spec ->
-        (* Device-resident path: the raw inputs live on spec-built devices
-           and the sorts + single-pass merge run on top, so the chosen
-           stack carries the whole job's I/O.  Fused (the default), the
-           sorted documents are never materialised on the devices. *)
-        let block_size = 4096 in
-        let config = Nexsort.Config.make ~block_size ~device:spec ~tracer () in
-        let load name s =
-          let d = Extmem.Device_spec.scratch spec ~name ~block_size in
-          Extmem.Device.load_string d s;
-          d
-        in
-        let ldev = load "left" left and rdev = load "right" right in
-        let odev = Extmem.Device_spec.scratch spec ~name:"output" ~block_size in
-        let r =
-          if presorted then
-            Xmerge.Struct_merge.merge_devices ~ordering ~left:ldev ~right:rdev ~output:odev ()
+        (* Device-resident path: the inputs are read from their files
+           through endpoint devices and the sorts + single-pass merge run
+           on top, so the chosen stack carries the whole job's I/O.
+           Fused (the default), the sorted documents are never
+           materialised on the devices. *)
+        let config = Nexsort.Config.make ~block_size:4096 ~device:spec ~tracer () in
+        let merge ~left ~right ~output =
+          if presorted then Xmerge.Struct_merge.merge_devices ~ordering ~left ~right ~output ()
           else
             with_merge_sessions ~config (fun sessions ->
                 Xmerge.Struct_merge.sort_and_merge_devices ~config ~fuse:(not no_fuse) ~sessions
-                  ~ordering ~left:ldev ~right:rdev ~output:odev ())
+                  ~ordering ~left ~right ~output ())
         in
-        write_file output (Extmem.Device.contents odev);
+        let r, (ldev, rdev, odev) =
+          Cli_common.with_merge_endpoints config ~left:left_path ~right:(List.hd right_paths)
+            ~output (fun ~left ~right ~output ->
+              (merge ~left ~right ~output, (left, right, output)))
+        in
         Cli_common.write_metrics metrics
           (let rep = struct_merge_report ~tool:"nexsort-merge" r in
            Obs.Report.add rep "io"
@@ -250,6 +229,8 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
         if sim > 0. then Printf.eprintf "merge simulated io time: %.2fms\n" sim;
         finish (`Ok ())
     | None ->
+    let left = Cli_common.read_file left_path in
+    let right = Cli_common.read_file (List.hd right_paths) in
     let config = Nexsort.Config.make ~tracer () in
     let result, summary, rep =
       if update_mode then begin
@@ -291,7 +272,7 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
           struct_merge_report ~tool:"nexsort-merge" r )
       end
     in
-    write_file output result;
+    Cli_common.write_file output result;
     Cli_common.write_metrics metrics rep;
     Printf.eprintf "%s -> %s\n" summary output;
     finish (`Ok ())

@@ -94,12 +94,97 @@ let subscribe_tracer tracer ~name ~access dev =
     (Extmem.Device.subscribe ~clock:(fun () -> Obs.Tracer.now_ns tracer) dev f
       : Extmem.Device.subscription)
 
-let build_device t ~name =
-  let built = Extmem.Device_spec.build_scratch t.device ~name ~block_size:t.block_size in
+let with_tracer t ~name built =
   if Obs.Tracer.enabled t.tracer then
     subscribe_tracer t.tracer ~name ~access:(built.Extmem.Device_spec.trace <> None)
       built.Extmem.Device_spec.device;
   built
+
+let build_device t ~name =
+  with_tracer t ~name (Extmem.Device_spec.build_scratch t.device ~name ~block_size:t.block_size)
+
+(* ---- endpoints: devices over the user's own files ---- *)
+
+let endpoint t ~name device = with_tracer t ~name (Extmem.Device_spec.apply_layers t.device device)
+
+let sys_error path e = Sys_error (path ^ ": " ^ Unix.error_message e)
+
+let with_input ?(name = "input") t path f =
+  let built =
+    endpoint t ~name
+      (Extmem.Device.file ~name ~readonly:true ~block_size:t.block_size ~path ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Extmem.Device.close built.Extmem.Device_spec.device)
+    (fun () -> f built)
+
+let temp_serial = Atomic.make 0
+
+(* A new empty file named after [path] in [dir], created exclusively with
+   the permissions an ordinary output file gets. *)
+let rec create_temp ~dir path =
+  let tmp =
+    Filename.concat dir
+      (Printf.sprintf ".%s.%d.%d.tmp" (Filename.basename path) (Unix.getpid ())
+         (Atomic.fetch_and_add temp_serial 1))
+  in
+  match Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL; Unix.O_CLOEXEC ] 0o666 with
+  | fd ->
+      Unix.close fd;
+      tmp
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> create_temp ~dir path
+  | exception Unix.Unix_error (e, _, _) -> raise (sys_error path e)
+
+let copy_file src dst =
+  In_channel.with_open_bin src (fun ic ->
+      Out_channel.with_open_bin dst (fun oc ->
+          let buf = Bytes.create 65536 in
+          let rec pump () =
+            match In_channel.input ic buf 0 (Bytes.length buf) with
+            | 0 -> ()
+            | n ->
+                Out_channel.output oc buf 0 n;
+                pump ()
+          in
+          pump ()))
+
+(* The output is written to a temporary file and only becomes [path] once
+   [f] has returned: beside [path], so that a rename replaces it whole,
+   unless [path] is something a rename must not replace (/dev/null, a
+   pipe), which then receives a copy. *)
+let with_output ?(name = "output") t path f =
+  let regular =
+    match Unix.stat path with
+    | { Unix.st_kind = Unix.S_REG; _ } -> true
+    | _ -> false
+    | exception Unix.Unix_error _ -> true
+  in
+  let dir = if regular then Filename.dirname path else Filename.get_temp_dir_name () in
+  let tmp = create_temp ~dir path in
+  match
+    let built =
+      endpoint t ~name (Extmem.Device.file ~name ~block_size:t.block_size ~path:tmp ())
+    in
+    let dev = built.Extmem.Device_spec.device in
+    Fun.protect
+      ~finally:(fun () -> Extmem.Device.close dev)
+      (fun () ->
+        let v = f built in
+        Extmem.Device.flush dev;
+        (try Unix.truncate tmp (Extmem.Device.byte_length dev)
+         with Unix.Unix_error (e, _, _) -> raise (sys_error tmp e));
+        if regular then (
+          try Unix.rename tmp path with Unix.Unix_error (e, _, _) -> raise (sys_error path e))
+        else copy_file tmp path;
+        v)
+  with
+  | v ->
+      if not regular then Sys.remove tmp;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Printexc.raise_with_backtrace e bt
 
 let scratch_device t ~name = (build_device t ~name).Extmem.Device_spec.device
 

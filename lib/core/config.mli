@@ -37,7 +37,9 @@ type t = {
   keep_whitespace : bool;   (** preserve whitespace-only text nodes *)
   device : Extmem.Device_spec.t;
       (** device stack for the sort's internal devices (stacks, runs,
-          scratch): backend plus layers; see {!Extmem.Device_spec} *)
+          scratch): backend plus layers; see {!Extmem.Device_spec}.  The
+          endpoints of {!with_input}/{!with_output} get its layers over
+          the user's files, not its backend *)
   jobs : int;
       (** worker domains for parallel subtree sorting (1..64); 1 runs
           the sort single-threaded on today's exact code path.  Output
@@ -46,7 +48,8 @@ type t = {
   tracer : Obs.Tracer.t;
       (** event-trace sink for the session ({!Obs.Tracer.null} = tracing
           off, the default).  When enabled, every device from
-          {!build_device} gets the tracer's I/O subscriber, phase spans
+          {!build_device}, {!with_input} and {!with_output} gets the
+          tracer's I/O subscriber, phase spans
           and pool events flow onto per-domain tracks, and the CLI flushes
           the trace with [--trace FILE] *)
 }
@@ -80,8 +83,8 @@ val make :
 val memory_bytes : t -> int
 
 val build_device : t -> name:string -> Extmem.Device_spec.built
-(** The one device builder: the sort's internal devices (stacks, run
-    store, scratch) and the CLIs' and bench's input/output endpoints.  It
+(** The device builder for the sort's internal devices (stacks, run
+    store, scratch) and for the bench's in-memory endpoints.  It
     builds [name] through the configured {!field-device} spec
     ({!Extmem.Device_spec.build_scratch}) with the config's block size.
     When the config's tracer is enabled, the device also gets the
@@ -90,6 +93,30 @@ val build_device : t -> name:string -> Extmem.Device_spec.built
     the trace's [ioLatency], and, if the spec has a [traced] layer,
     [access.read:<name>]/[access.write:<name>] counter events whose value
     is the block index. *)
+
+val with_input : ?name:string -> t -> string -> (Extmem.Device_spec.built -> 'a) -> 'a
+(** [with_input t path f] runs [f] on an input endpoint: a read-only
+    block device over the file [path] itself, with the file's blocks and
+    size as its block count and {!Extmem.Device.byte_length}.  Nothing is
+    loaded into memory.  The spec's layers go over the file and the
+    tracer subscribes as in {!build_device} (the spec's backend is not
+    used: it governs the internal devices only).  [name] (default
+    ["input"]) names the device in traces.  The file is closed when [f]
+    returns or raises.
+    @raise Sys_error when [path] cannot be opened or is not a regular
+    file. *)
+
+val with_output : ?name:string -> t -> string -> (Extmem.Device_spec.built -> 'a) -> 'a
+(** [with_output t path f] runs [f] on an output endpoint: a block device
+    over a new temporary file beside [path], layered and traced like
+    {!with_input} ([name] defaults to ["output"]).  When [f] returns, the
+    file is cut to the device's {!Extmem.Device.byte_length} and renamed
+    over [path].  When [f] (or that commit) raises, the temporary file is
+    removed and [path] is left as it was, absent or with its old bytes.
+    An existing [path] that is not a regular file ([/dev/null], a pipe)
+    is not replaced but receives a copy of the result.
+    @raise Sys_error when the temporary file cannot be made or the
+    result cannot be put in place. *)
 
 val scratch_device : t -> name:string -> Extmem.Device.t
 (** [build_device] without the trace and cost handles. *)

@@ -33,9 +33,15 @@ let mem ?(name = "mem") ~block_size () =
     close = (fun () -> ());
   }
 
-let file ?name ~block_size ~path () =
+let file ?name ?(readonly = false) ~block_size ~path () =
   check_block_size block_size;
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let flags =
+    if readonly then [ Unix.O_RDONLY ] else [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ]
+  in
+  let fd =
+    try Unix.openfile path flags 0o644
+    with Unix.Unix_error (e, _, _) -> raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+  in
   {
     name = Option.value name ~default:path;
     block_size;

@@ -40,6 +40,9 @@ type t = {
 val mem : ?name:string -> block_size:int -> unit -> t
 (** A fresh in-memory virtual disk. *)
 
-val file : ?name:string -> block_size:int -> path:string -> unit -> t
-(** [file ~block_size ~path ()] opens (creating or truncating) [path].
-    Unwritten (sparse) blocks read as zeroes. *)
+val file : ?name:string -> ?readonly:bool -> block_size:int -> path:string -> unit -> t
+(** [file ~block_size ~path ()] opens (creating or truncating) [path];
+    with [~readonly:true] it opens the existing file as it is, for reading
+    only.  Unwritten (sparse) blocks, and blocks past the end of the file,
+    read as zeroes.
+    @raise Sys_error when the file cannot be opened. *)

@@ -41,7 +41,24 @@ let of_backend base =
 let in_memory ?(name = "mem") ~block_size () =
   of_backend (Backend.mem ~name ~block_size ())
 
-let file ?name ~block_size ~path () = of_backend (Backend.file ?name ~block_size ~path ())
+let file ?name ?(readonly = false) ~block_size ~path () =
+  (* an existing file opened as it is: its size gives the block count and
+     the byte length, so nothing is loaded *)
+  let size =
+    if not readonly then 0
+    else
+      match Unix.stat path with
+      | { Unix.st_kind = Unix.S_REG; st_size; _ } -> st_size
+      | _ -> raise (Sys_error (path ^ ": not a regular file"))
+      | exception Unix.Unix_error (e, _, _) ->
+          raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+  in
+  let d = of_backend (Backend.file ?name ~readonly ~block_size ~path ()) in
+  if readonly then begin
+    d.blocks <- (size + block_size - 1) / block_size;
+    d.logical_len <- Some size
+  end;
+  d
 
 let push_layer d layer = d.top <- Layer.wrap layer d.top
 
@@ -184,6 +201,16 @@ let contents d =
     end
   done;
   Bytes.unsafe_to_string out
+
+let copy ~src ~dst =
+  if src.block_size <> dst.block_size then invalid_arg "Device.copy: block sizes differ";
+  if dst.blocks > 0 then invalid_arg "Device.copy: destination is not empty";
+  let buf = Bytes.create src.block_size in
+  for i = 0 to src.blocks - 1 do
+    read_block src i buf;
+    write_block dst i buf
+  done;
+  set_byte_length dst (byte_length src)
 
 let flush d = d.top.Backend.flush ()
 

@@ -40,9 +40,14 @@ val in_memory : ?name:string -> block_size:int -> unit -> t
 (** [in_memory ~block_size ()] is a fresh virtual disk.  [block_size] must
     be positive. *)
 
-val file : ?name:string -> block_size:int -> path:string -> unit -> t
+val file : ?name:string -> ?readonly:bool -> block_size:int -> path:string -> unit -> t
 (** [file ~block_size ~path ()] opens (creating or truncating) [path] as a
-    block device backed by the real file system. *)
+    block device backed by the real file system.  With [~readonly:true]
+    it opens an existing regular file as it is: the device starts with
+    the file's blocks allocated and its size as {!byte_length}, nothing is
+    loaded or counted, and the device must only be read.
+    @raise Sys_error when the file cannot be opened or is not a regular
+    file. *)
 
 val of_string : ?name:string -> block_size:int -> string -> t
 (** [of_string ~block_size s] is an in-memory device pre-loaded with the
@@ -127,6 +132,14 @@ val write_block : t -> int -> bytes -> unit
 val contents : t -> string
 (** The whole device contents as a string of {!byte_length} bytes (not
     counted as I/O; for tests and for writing final output files). *)
+
+val copy : src:t -> dst:t -> unit
+(** [copy ~src ~dst] writes every block of [src] to the empty device
+    [dst], one counted read and one counted write per block through one
+    block buffer, and gives [dst] the byte length of [src]: a device
+    streamed out to a file-backed one without a whole-contents copy.
+    @raise Invalid_argument when the block sizes differ or [dst] is not
+    empty. *)
 
 val flush : t -> unit
 (** Flush through the interceptors to the backend (no-op for the built-in

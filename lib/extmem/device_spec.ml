@@ -118,12 +118,7 @@ type built = {
   cost : Cost_model.t option;
 }
 
-let build ?name ~block_size t =
-  let device =
-    match t.backend with
-    | Mem -> Device.in_memory ?name ~block_size ()
-    | File path -> Device.file ?name ~block_size ~path ()
-  in
+let apply_layers t device =
   (* push innermost-first so the head of [t.layers] ends up the outermost
      interceptor *)
   let trace = ref None and cost = ref None in
@@ -138,6 +133,12 @@ let build ?name ~block_size t =
       | Cost params -> cost := Some (Device.attach_cost ~params device))
     (List.rev t.layers);
   { device; trace = !trace; cost = !cost }
+
+let build ?name ~block_size t =
+  apply_layers t
+    (match t.backend with
+    | Mem -> Device.in_memory ?name ~block_size ()
+    | File path -> Device.file ?name ~block_size ~path ())
 
 let build_scratch ~name ~block_size t =
   (* scratch devices share the spec's layers but must not collide on a

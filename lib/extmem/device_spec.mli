@@ -61,10 +61,15 @@ type built = {
   cost : Cost_model.t option;  (** the meter of the last [cost] layer *)
 }
 
+val apply_layers : t -> Device.t -> built
+(** Put the spec's layers over a device built elsewhere, ignoring the
+    spec's backend: its [faulty] interceptors, and a subscriber for each
+    [traced] and [cost] layer.  This is how the CLIs' endpoints, devices
+    over the user's own files, get the stack the spec names. *)
+
 val build : ?name:string -> block_size:int -> t -> built
-(** Instantiate the device: the backend behind the spec's [faulty]
-    interceptors (the head of [layers] outermost), with a subscriber for
-    each [traced] and [cost] layer. *)
+(** Instantiate the device: the spec's backend under {!apply_layers}
+    (the head of [layers] outermost). *)
 
 val build_scratch : name:string -> block_size:int -> t -> built
 (** A scratch/per-component device under the same spec: identical layers,

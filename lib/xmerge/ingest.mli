@@ -70,16 +70,18 @@ val flush_report_json : flush_report -> Obs.Json.t
 (** The report as one metrics object (the per-flush entries of the CLI
     and daemon "ingest" sections). *)
 
-val create :
+val create_device :
   ?config:Nexsort.Config.t ->
   ?session:Nexsort.Session.t ->
   ordering:Nexsort.Ordering.t ->
-  base:string ->
+  base:Extmem.Device.t ->
   unit ->
   t
-(** Sort [base] (via NEXSORT, under [config]) straight onto the ingest's
+(** Sort the document on the device [base] (via NEXSORT, under
+    [config]; a device of [config]'s block size, such as a
+    {!Nexsort.Config.with_input} endpoint) straight onto the ingest's
     base device, building the positional index from the same output
-    stream.  [session] runs the
+    stream.  [base] is only read during the call.  [session] runs the
     initial sort over a pre-built session (the engine path; destroyed by
     the sort as usual).  The ingest holds its own memory budget of
     [config]'s geometry for the queue; flushes additionally use one
@@ -87,6 +89,16 @@ val create :
     does.
     @raise Xmlio.Parser.Error on malformed input.
     @raise Invalid_argument when the ordering is not scan-evaluable. *)
+
+val create :
+  ?config:Nexsort.Config.t ->
+  ?session:Nexsort.Session.t ->
+  ordering:Nexsort.Ordering.t ->
+  base:string ->
+  unit ->
+  t
+(** {!create_device} over an in-memory device holding the string
+    [base]. *)
 
 val add_update : t -> string -> unit
 (** Parse an update document and buffer its operations.  No base I/O:
@@ -105,11 +117,12 @@ val flush : t -> flush_report
     empty queue: returns a [skipped] report with zero I/O. *)
 
 val contents : t -> string
-(** The current sorted base document. *)
+(** The current sorted base document, as one string. *)
 
 val base_device : t -> Extmem.Device.t
 (** The device holding the current base (a fresh one after each
-    non-skipped flush). *)
+    non-skipped flush); {!Extmem.Device.copy} streams it to a file
+    without the whole-document string of {!contents}. *)
 
 val index_keys : t -> int
 (** Entries in the positional index: the distinct keys of the base's

@@ -87,6 +87,10 @@ grep -q 'leaked blocks: 0' $tmp/engd.out || {
   echo "engine smoke: daemon summary reports leaked blocks" >&2; cat $tmp/engd.out >&2; exit 1; }
 grep -q '8 jobs: 8 done, 0 cancelled, 0 failed' $tmp/engd.out || {
   echo "engine smoke: not all daemon jobs completed" >&2; cat $tmp/engd.out >&2; exit 1; }
+# Each job's output endpoint is a temporary file beside its output,
+# renamed over it on success: none may be left behind.
+if ls -A $tmp | grep '\.tmp$' >&2; then
+  echo "engine smoke: the daemon left temporary output files" >&2; exit 1; fi
 for i in 1 2 3 4 5 6 7 8; do
   cmp $tmp/eng$i.xml $tmp/par1.out.xml
   dune exec bench/main.exe -- compare-metrics $tmp/par1.json $tmp/eng$i.json
@@ -110,6 +114,19 @@ sed -n '/^io latency:/,/^$/p' $tmp/trace4.txt > $tmp/trace4_io.txt
 for needle in read:input write:output read:runs write:runs; do
   grep -q "$needle" $tmp/trace4_io.txt || {
     echo "trace smoke: no \"$needle\" row in nextrace's io latency table" >&2; exit 1; }
+done
+# The merge's endpoints (left, right, output) are built like the sort's,
+# so a traced merge gets their io latency rows too.
+dune exec bin/xmlgen_cli.exe -- --seed 3 --fanouts 6,6,4 --avg-bytes 60 -o $tmp/ml.xml > /dev/null
+dune exec bin/xmlgen_cli.exe -- --seed 4 --fanouts 6,6,4 --avg-bytes 60 -o $tmp/mr.xml > /dev/null
+dune exec bin/xmlmerge_cli.exe -- -O @id --device mem --trace $tmp/tracem.json \
+  $tmp/ml.xml $tmp/mr.xml -o $tmp/tracem.out.xml 2> /dev/null
+dune exec bin/nextrace.exe -- --check $tmp/tracem.json
+dune exec bin/nextrace.exe -- --top 100 $tmp/tracem.json | sed -n '/^io latency:/,/^$/p' \
+  > $tmp/tracem_io.txt
+for needle in read:left read:right write:output; do
+  grep -q "$needle" $tmp/tracem_io.txt || {
+    echo "trace smoke: no \"$needle\" row in the merge trace's io latency table" >&2; exit 1; }
 done
 # A traced device spec mirrors block positions into the trace as access.*
 # counters, on the output endpoint as on every other device.

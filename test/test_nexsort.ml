@@ -720,6 +720,137 @@ let test_sort_file_backed_devices () =
       Extmem.Device.close output;
       Sys.remove (in_path ^ ".dev"))
 
+(* ---- endpoints: devices over the user's own files ---- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+let temp_residue dir =
+  List.filter (fun f -> Filename.check_suffix f ".tmp") (Array.to_list (Sys.readdir dir))
+
+(* A private directory for one test's files, removed afterwards. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "endpoints" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let test_endpoints_sort_file_to_file () =
+  (* a sort from an input endpoint into an output endpoint gives the bytes
+     and the I/O counts of the same sort between in-memory devices *)
+  with_temp_dir @@ fun dir ->
+  let xml = gen_doc ~max_elements:300 41 in
+  let in_path = Filename.concat dir "in.xml" and out_path = Filename.concat dir "out.xml" in
+  write_file in_path xml;
+  let config = Config.make ~block_size:256 ~memory_blocks:8 () in
+  let r =
+    Config.with_input config in_path (fun inp ->
+        let d = inp.Extmem.Device_spec.device in
+        check Alcotest.int "byte length" (String.length xml) (Extmem.Device.byte_length d);
+        check Alcotest.int "blocks" ((String.length xml + 255) / 256) (Extmem.Device.block_count d);
+        Config.with_output config out_path (fun out ->
+            Nexsort.sort_device ~config ~ordering:by_id ~input:d
+              ~output:out.Extmem.Device_spec.device ()))
+  in
+  let expected, r' = Nexsort.sort_string ~config ~ordering:by_id xml in
+  check Alcotest.string "output bytes" expected (read_file out_path);
+  check Alcotest.int "input io" (Extmem.Io_stats.total r'.Nexsort.input_io)
+    (Extmem.Io_stats.total r.Nexsort.input_io);
+  check Alcotest.int "total io" (Extmem.Io_stats.total r'.Nexsort.total_io)
+    (Extmem.Io_stats.total r.Nexsort.total_io);
+  check (Alcotest.list Alcotest.string) "no temporary file" [] (temp_residue dir)
+
+let test_endpoints_output_rolls_back () =
+  (* an output endpoint replaces its file only on success: a failure after
+     blocks were written leaves an old file's bytes, or no file *)
+  with_temp_dir @@ fun dir ->
+  let config = Config.make ~block_size:64 () in
+  let path = Filename.concat dir "out.xml" in
+  let write_then_fail (b : Extmem.Device_spec.built) =
+    let w = Extmem.Block_writer.create b.Extmem.Device_spec.device in
+    Extmem.Block_writer.write_string w (String.make 1000 'n');
+    ignore (Extmem.Block_writer.close w : Extmem.Extent.t);
+    failwith "late failure"
+  in
+  let fails () =
+    match Config.with_output config path write_then_fail with
+    | _ -> false
+    | exception Failure _ -> true
+  in
+  check Alcotest.bool "raises" true (fails ());
+  check Alcotest.bool "absent output stays absent" false (Sys.file_exists path);
+  write_file path "old bytes";
+  check Alcotest.bool "raises" true (fails ());
+  check Alcotest.string "old output kept" "old bytes" (read_file path);
+  check (Alcotest.list Alcotest.string) "no temporary file" [] (temp_residue dir);
+  (* on success the file is cut to the byte length, not the last block *)
+  Config.with_output config path (fun b ->
+      let d = b.Extmem.Device_spec.device in
+      let w = Extmem.Block_writer.create d in
+      Extmem.Block_writer.write_string w "new";
+      let e = Extmem.Block_writer.close w in
+      Extmem.Device.set_byte_length d e.Extmem.Extent.bytes);
+  check Alcotest.string "replaced" "new" (read_file path);
+  check (Alcotest.list Alcotest.string) "no temporary file" [] (temp_residue dir)
+
+let live_bytes () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+
+let read_all dev =
+  let r = Extmem.Block_reader.of_device dev in
+  let buf = Bytes.create 4096 in
+  let rec go n =
+    match Extmem.Block_reader.read_bytes r buf 0 (Bytes.length buf) with
+    | 0 -> n
+    | k -> go (n + k)
+  in
+  go 0
+
+let test_endpoints_input_memory_bound () =
+  (* reading a whole input endpoint holds O(B) memory, not the document:
+     the live major heap grows by less than a quarter of the file, where
+     a device loaded with the file's string grows by more *)
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "big.xml" in
+  let config = Config.make () in
+  ignore
+    (Config.with_output config path (fun b ->
+         Xmlgen.Gen.to_device b.Extmem.Device_spec.device
+           (Xmlgen.Gen.exact_shape ~seed:3 ~avg_bytes:200 ~fanouts:[ 30; 30; 25 ])));
+  let size = (Unix.stat path).Unix.st_size in
+  check Alcotest.bool "at least 4 MB" true (size >= 4 lsl 20);
+  let bound = size / 4 in
+  (* live bytes gained from before the device exists until it has been
+     read to the end *)
+  let growth with_device =
+    let before = live_bytes () in
+    with_device (fun dev ->
+        check Alcotest.int "every byte read" size (read_all dev);
+        let grown = live_bytes () - before in
+        (* the device stays live through the measurement *)
+        ignore (Sys.opaque_identity dev);
+        grown)
+  in
+  let endpoint = growth (fun k -> Config.with_input config path (fun b -> k b.Extmem.Device_spec.device)) in
+  check Alcotest.bool
+    (Printf.sprintf "endpoint grows %d bytes, under %d" endpoint bound)
+    true (endpoint < bound);
+  let loaded =
+    growth (fun k ->
+        let d = Extmem.Device.in_memory ~block_size:config.Config.block_size () in
+        Extmem.Device.load_string d (read_file path);
+        k d)
+  in
+  check Alcotest.bool
+    (Printf.sprintf "loaded device grows %d bytes, not under %d" loaded bound)
+    false (loaded < bound)
+
 let test_all_sorters_agree_on_company_docs () =
   (* the three sorters and XSort-on-root-path all agree where they should *)
   let pair = Xmlgen.Company.generate ~seed:77 ~regions:4 ~employees_per_branch:6 () in
@@ -1159,6 +1290,12 @@ let () =
           Alcotest.test_case "file-backed devices" `Quick test_sort_file_backed_devices;
           Alcotest.test_case "all sorters agree" `Quick test_all_sorters_agree_on_company_docs;
           Alcotest.test_case "stress combined features" `Quick test_sort_stress_combined_features;
+        ] );
+      ( "endpoints",
+        [
+          Alcotest.test_case "sort file to file" `Quick test_endpoints_sort_file_to_file;
+          Alcotest.test_case "output rolls back" `Quick test_endpoints_output_rolls_back;
+          Alcotest.test_case "input memory bound" `Quick test_endpoints_input_memory_bound;
         ] );
       ( "lemmas",
         [
