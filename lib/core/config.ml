@@ -94,18 +94,18 @@ let subscribe_tracer tracer ~name ~access dev =
     (Extmem.Device.subscribe ~clock:(fun () -> Obs.Tracer.now_ns tracer) dev f
       : Extmem.Device.subscription)
 
-let with_tracer t ~name built =
+let trace_device t ~name built =
   if Obs.Tracer.enabled t.tracer then
     subscribe_tracer t.tracer ~name ~access:(built.Extmem.Device_spec.trace <> None)
       built.Extmem.Device_spec.device;
   built
 
 let build_device t ~name =
-  with_tracer t ~name (Extmem.Device_spec.build_scratch t.device ~name ~block_size:t.block_size)
+  trace_device t ~name (Extmem.Device_spec.build_scratch t.device ~name ~block_size:t.block_size)
 
 (* ---- endpoints: devices over the user's own files ---- *)
 
-let endpoint t ~name device = with_tracer t ~name (Extmem.Device_spec.apply_layers t.device device)
+let endpoint t ~name device = trace_device t ~name (Extmem.Device_spec.apply_layers t.device device)
 
 let sys_error path e = Sys_error (path ^ ": " ^ Unix.error_message e)
 
@@ -153,13 +153,14 @@ let copy_file src dst =
    unless [path] is something a rename must not replace (/dev/null, a
    pipe), which then receives a copy. *)
 let with_output ?(name = "output") t path f =
-  let regular =
+  (* absent or a regular file: replaced by a rename *)
+  let replace =
     match Unix.stat path with
     | { Unix.st_kind = Unix.S_REG; _ } -> true
     | _ -> false
     | exception Unix.Unix_error _ -> true
   in
-  let dir = if regular then Filename.dirname path else Filename.get_temp_dir_name () in
+  let dir = if replace then Filename.dirname path else Filename.get_temp_dir_name () in
   let tmp = create_temp ~dir path in
   match
     let built =
@@ -173,13 +174,13 @@ let with_output ?(name = "output") t path f =
         Extmem.Device.flush dev;
         (try Unix.truncate tmp (Extmem.Device.byte_length dev)
          with Unix.Unix_error (e, _, _) -> raise (sys_error tmp e));
-        if regular then (
+        if replace then (
           try Unix.rename tmp path with Unix.Unix_error (e, _, _) -> raise (sys_error path e))
         else copy_file tmp path;
         v)
   with
   | v ->
-      if not regular then Sys.remove tmp;
+      if not replace then Sys.remove tmp;
       v
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
