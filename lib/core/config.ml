@@ -107,8 +107,6 @@ let build_device t ~name =
 
 let endpoint t ~name device = trace_device t ~name (Extmem.Device_spec.apply_layers t.device device)
 
-let sys_error path e = Sys_error (path ^ ": " ^ Unix.error_message e)
-
 let with_input ?(name = "input") t path f =
   let built =
     endpoint t ~name
@@ -120,20 +118,24 @@ let with_input ?(name = "input") t path f =
 
 let temp_serial = Atomic.make 0
 
-(* A new empty file named after [path] in [dir], created exclusively with
-   the permissions an ordinary output file gets. *)
-let rec create_temp ~dir path =
+(* A new empty file named after [path] in [dir], created exclusively. *)
+let rec create_temp ~perm ~dir path =
   let tmp =
     Filename.concat dir
       (Printf.sprintf ".%s.%d.%d.tmp" (Filename.basename path) (Unix.getpid ())
          (Atomic.fetch_and_add temp_serial 1))
   in
-  match Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL; Unix.O_CLOEXEC ] 0o666 with
+  match Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL; Unix.O_CLOEXEC ] perm with
   | fd ->
       Unix.close fd;
       tmp
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> create_temp ~dir path
-  | exception Unix.Unix_error (e, _, _) -> raise (sys_error path e)
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> create_temp ~perm ~dir path
+
+(* Give [tmp] the owner (where permitted) and permission bits of the file
+   [st] it is to replace; chown first, as it may clear set-id bits. *)
+let take_identity tmp st =
+  (try Unix.chown tmp st.Unix.st_uid st.Unix.st_gid with Unix.Unix_error _ -> ());
+  Unix.chmod tmp st.Unix.st_perm
 
 let copy_file src dst =
   In_channel.with_open_bin src (fun ic ->
@@ -149,19 +151,25 @@ let copy_file src dst =
           pump ()))
 
 (* The output is written to a temporary file and only becomes [path] once
-   [f] has returned: beside [path], so that a rename replaces it whole,
-   unless [path] is something a rename must not replace (/dev/null, a
-   pipe), which then receives a copy. *)
-let with_output ?(name = "output") t path f =
-  (* absent or a regular file: replaced by a rename *)
-  let replace =
-    match Unix.stat path with
-    | { Unix.st_kind = Unix.S_REG; _ } -> true
-    | _ -> false
-    | exception Unix.Unix_error _ -> true
+   [f] has returned.  An absent file, or a regular file with no other
+   name, is replaced by renaming the temporary file, made beside it, over
+   it.  Anything else keeps its identity and receives a copy: a symbolic
+   link (the file it names gets the bytes, or is created), a file with
+   hard links, /dev/null or a pipe (which a rename must not replace).
+   Until the rename the temporary file is private to its owner, unless
+   [path] is new and gets what an ordinary new file gets. *)
+let with_output t path f =
+  let name = "output" in
+  let fail e = raise (Extmem.Backend.sys_error path e) in
+  let replace, like =
+    match Unix.lstat path with
+    | { Unix.st_kind = Unix.S_REG; st_nlink; _ } as st -> (st_nlink = 1, Some st)
+    | _ -> (false, None)
+    | exception Unix.Unix_error _ -> (true, None)
   in
   let dir = if replace then Filename.dirname path else Filename.get_temp_dir_name () in
-  let tmp = create_temp ~dir path in
+  let perm = if replace && Option.is_none like then 0o666 else 0o600 in
+  let tmp = try create_temp ~perm ~dir path with Unix.Unix_error (e, _, _) -> fail e in
   match
     let built =
       endpoint t ~name (Extmem.Device.file ~name ~block_size:t.block_size ~path:tmp ())
@@ -172,11 +180,13 @@ let with_output ?(name = "output") t path f =
       (fun () ->
         let v = f built in
         Extmem.Device.flush dev;
-        (try Unix.truncate tmp (Extmem.Device.byte_length dev)
-         with Unix.Unix_error (e, _, _) -> raise (sys_error tmp e));
-        if replace then (
-          try Unix.rename tmp path with Unix.Unix_error (e, _, _) -> raise (sys_error path e))
-        else copy_file tmp path;
+        (try
+           Unix.truncate tmp (Extmem.Device.byte_length dev);
+           if replace then (
+             Option.iter (take_identity tmp) like;
+             Unix.rename tmp path)
+         with Unix.Unix_error (e, _, _) -> fail e);
+        if not replace then copy_file tmp path;
         v)
   with
   | v ->

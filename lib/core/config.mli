@@ -106,15 +106,18 @@ val with_input : ?name:string -> t -> string -> (Extmem.Device_spec.built -> 'a)
     @raise Sys_error when [path] cannot be opened or is not a regular
     file. *)
 
-val with_output : ?name:string -> t -> string -> (Extmem.Device_spec.built -> 'a) -> 'a
+val with_output : t -> string -> (Extmem.Device_spec.built -> 'a) -> 'a
 (** [with_output t path f] runs [f] on an output endpoint: a block device
-    over a new temporary file beside [path], layered and traced like
-    {!with_input} ([name] defaults to ["output"]).  When [f] returns, the
-    file is cut to the device's {!Extmem.Device.byte_length} and renamed
-    over [path].  When [f] (or that commit) raises, the temporary file is
-    removed and [path] is left as it was, absent or with its old bytes.
-    An existing [path] that is not a regular file ([/dev/null], a pipe)
-    is not replaced but receives a copy of the result.
+    named ["output"] over a new temporary file, layered and traced like
+    {!with_input}.  When [f] returns, the file is cut to the device's
+    {!Extmem.Device.byte_length} and put in place of [path].  An absent
+    [path], or a regular file with no other name, is replaced by renaming
+    the temporary file (made beside it) over it; a replaced file's
+    permission bits and, where permitted, owner carry over.  Any other
+    [path] (a symbolic link, a file with hard links, [/dev/null], a pipe)
+    keeps its identity and receives a copy of the result.  When [f] (or
+    that commit) raises, the temporary file is removed and [path] is left
+    as it was, absent or with its old bytes.
     @raise Sys_error when the temporary file cannot be made or the
     result cannot be put in place. *)
 

@@ -40,9 +40,15 @@ type t = {
 val mem : ?name:string -> block_size:int -> unit -> t
 (** A fresh in-memory virtual disk. *)
 
-val file : ?name:string -> ?readonly:bool -> block_size:int -> path:string -> unit -> t
-(** [file ~block_size ~path ()] opens (creating or truncating) [path];
-    with [~readonly:true] it opens the existing file as it is, for reading
-    only.  Unwritten (sparse) blocks, and blocks past the end of the file,
-    read as zeroes.
-    @raise Sys_error when the file cannot be opened. *)
+val file : ?name:string -> ?readonly:bool -> block_size:int -> path:string -> unit -> t * int
+(** [file ~block_size ~path ()] opens (creating or truncating) [path] and
+    returns it with its size in bytes (0 after the truncation); with
+    [~readonly:true] it opens the existing regular file as it is, for
+    reading only.  Unwritten (sparse) blocks, and blocks past the end of
+    the file, read as zeroes.
+    @raise Sys_error when the file cannot be opened, or is opened
+    read-only and is not a regular file. *)
+
+val sys_error : string -> Unix.error -> exn
+(** [sys_error path e] is the [Sys_error] reporting [e] on [path], as
+    [path: message]. *)

@@ -44,16 +44,8 @@ let in_memory ?(name = "mem") ~block_size () =
 let file ?name ?(readonly = false) ~block_size ~path () =
   (* an existing file opened as it is: its size gives the block count and
      the byte length, so nothing is loaded *)
-  let size =
-    if not readonly then 0
-    else
-      match Unix.stat path with
-      | { Unix.st_kind = Unix.S_REG; st_size; _ } -> st_size
-      | _ -> raise (Sys_error (path ^ ": not a regular file"))
-      | exception Unix.Unix_error (e, _, _) ->
-          raise (Sys_error (path ^ ": " ^ Unix.error_message e))
-  in
-  let d = of_backend (Backend.file ?name ~readonly ~block_size ~path ()) in
+  let base, size = Backend.file ?name ~readonly ~block_size ~path () in
+  let d = of_backend base in
   if readonly then begin
     d.blocks <- (size + block_size - 1) / block_size;
     d.logical_len <- Some size
