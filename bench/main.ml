@@ -79,7 +79,9 @@ let run_nexsort ~config doc_dev =
   let sim0 = Extmem.Device.simulated_ms doc_dev in
   let output = Config.scratch_device config ~name:"out" in
   let report, seconds =
-    time (fun () -> Nexsort.sort_device ~config ~ordering ~input:doc_dev ~output ())
+    time (fun () ->
+        Engine.with_session config (fun session ->
+            Nexsort.sort_device ~session ~ordering ~input:doc_dev ~output ()))
   in
   {
     io = Extmem.Io_stats.total report.Nexsort.total_io;
@@ -463,7 +465,10 @@ let motivation () =
             let sort doc =
               let input = Extmem.Device.of_string ~block_size:bs doc in
               let output = Extmem.Device.in_memory ~block_size:bs () in
-              let rep = Nexsort.sort_device ~config ~ordering:merge_ordering ~input ~output () in
+              let rep =
+                Engine.with_session config (fun session ->
+                    Nexsort.sort_device ~session ~ordering:merge_ordering ~input ~output ())
+              in
               (Extmem.Io_stats.total rep.Nexsort.total_io, output)
             in
             let io1, d1 = sort pair.Xmlgen.Company.personnel in
@@ -535,7 +540,7 @@ let tenants () =
     stats.Xmlgen.Gen.elements;
   let xml = Extmem.Device.contents doc in
   let config = Config.make ~block_size:1024 ~memory_blocks:16 ~jobs:1 () in
-  let per_job = Nexsort.Session.job_blocks config + Nexsort.Session.ext_blocks config in
+  let per_job = Nexsort.Session.job_blocks ~workers:0 config in
   let reference = run_nexsort ~config (with_block_size 1024 doc) in
   List.iter
     (fun k ->
@@ -635,7 +640,7 @@ let ingest () =
   List.iter
     (fun k ->
       let update = update_doc k in
-      let sorted_base, _ = Nexsort.sort_string ~config ~ordering base in
+      let sorted_base, _ = Engine.sort_string ~config ~ordering base in
       let t = Xmerge.Ingest.create ~config ~ordering ~base () in
       let report =
         Fun.protect
@@ -799,7 +804,10 @@ let wall () =
     let config = Config.make ~block_size:1024 ~memory_blocks:16 ~jobs () in
     let input = Extmem.Device.of_string ~name:"input" ~block_size:1024 contents in
     let output = Extmem.Device.in_memory ~name:"out" ~block_size:1024 () in
-    ignore (Nexsort.sort_device ~config ~ordering ~input ~output () : Nexsort.report)
+    ignore
+      (Engine.with_session config (fun session ->
+           Nexsort.sort_device ~session ~ordering ~input ~output ())
+        : Nexsort.report)
   in
   (* the traced series measures the tracer's own overhead against
      nexsort-j1: same sort, one live tracer reset (not reallocated)
@@ -812,7 +820,10 @@ let wall () =
     let input = Config.scratch_device config ~name:"input" in
     Extmem.Device.load_string input contents;
     let output = Config.scratch_device config ~name:"output" in
-    ignore (Nexsort.sort_device ~config ~ordering ~input ~output () : Nexsort.report)
+    ignore
+      (Engine.with_session config (fun session ->
+           Nexsort.sort_device ~session ~ordering ~input ~output ())
+        : Nexsort.report)
   in
   let mergesort () =
     let config = Config.make ~block_size:1024 ~memory_blocks:16 () in
@@ -970,7 +981,10 @@ let write_metrics path =
      gc section would also measure whatever the experiments before it
      allocated *)
   Gc.minor ();
-  let report = Nexsort.sort_device ~config ~ordering ~input ~output () in
+  let report =
+    Engine.with_session config (fun session ->
+        Nexsort.sort_device ~session ~ordering ~input ~output ())
+  in
   Obs.Report.write_file (Nexsort.metrics_report ~tool:"bench" ~config report) path;
   Printf.printf "\nwrote metrics report: %s\n" path
 

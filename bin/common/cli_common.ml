@@ -22,6 +22,40 @@ let with_merge_endpoints config ~left ~right ~output f =
           Nexsort.Config.with_output config output (fun o ->
               f ~left:(dev l) ~right:(dev r) ~output:(dev o))))
 
+(* Incremental maintenance over a job's [session]: sort the [base] file
+   into an Xmerge.Ingest, apply each [updates] file as an update
+   document, flushing after every [flush_every] documents (and once at
+   the end), then write the base to [output].  The job's cancellation
+   poll runs before each document.  [on_flush n r] sees flush [n]'s
+   report.  Returns the flush reports in order, the final base size and
+   the indexed key count. *)
+let ingest_files ~session ~ordering ~flush_every ~on_flush ~base ~updates output =
+  let config = session.Nexsort.Session.config in
+  let t =
+    Nexsort.Config.with_input config base (fun b ->
+        Xmerge.Ingest.create_device ~session ~ordering ~base:b.Extmem.Device_spec.device ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Xmerge.Ingest.destroy t)
+    (fun () ->
+      let flushes = ref [] in
+      let flush () =
+        let r = Xmerge.Ingest.flush t in
+        flushes := r :: !flushes;
+        on_flush (List.length !flushes) r
+      in
+      List.iteri
+        (fun i path ->
+          session.Nexsort.Session.poll ();
+          Xmerge.Ingest.add_update t (read_file path);
+          if (i + 1) mod flush_every = 0 then flush ())
+        updates;
+      if Xmerge.Ingest.pending t > 0 || !flushes = [] then flush ();
+      let base = Xmerge.Ingest.base_device t in
+      Nexsort.Config.with_output config output (fun o ->
+          Extmem.Device.copy ~src:base ~dst:o.Extmem.Device_spec.device);
+      (List.rev !flushes, Extmem.Device.byte_length base, Xmerge.Ingest.index_keys t))
+
 let ordering_term =
   let doc =
     "Ordering specification: comma-separated $(b,tag=criterion) rules plus an optional default \

@@ -100,7 +100,7 @@ let test_document cc doc =
   | exception e -> Error ("oracle raised " ^ Printexc.to_string e)
   | expected -> (
       Verify.Probes.clear ();
-      (match Nexsort.sort_string ~config ~ordering doc with
+      (match Engine.sort_string ~config ~ordering doc with
       | exception e -> Error ("nexsort raised " ^ Printexc.to_string e)
       | out, _report ->
           if out <> expected then Error "nexsort output differs from oracle"
@@ -108,7 +108,7 @@ let test_document cc doc =
       >>= fun () ->
       probe_failures () >>= fun () ->
       (match Verify.Validator.check ?depth_limit ~ordering ~input:doc
-               (fst (Nexsort.sort_string ~config ~ordering doc))
+               (fst (Engine.sort_string ~config ~ordering doc))
        with
       | Ok () -> Ok ()
       | Error e -> Error ("validator rejects nexsort output: " ^ e))
@@ -254,7 +254,10 @@ let run_fault_case ~seed j =
     let input = Extmem.Device.of_string ~name:"input" ~block_size doc in
     let output = Extmem.Device.in_memory ~name:"output" ~block_size () in
     prep ~input ~output;
-    match Nexsort.sort_device ~config ~ordering ~input ~output () with
+    match
+      Engine.with_session config (fun session ->
+          Nexsort.sort_device ~session ~ordering ~input ~output ())
+    with
     | _report -> Ok (Completed, Some (Extmem.Device.contents output))
     | exception Extmem.Device.Fault _ -> Ok (Aborted, None)
   in
@@ -262,7 +265,7 @@ let run_fault_case ~seed j =
     match kind with
     | 0 -> (
         (* seeded random faults on the sorter's internal devices *)
-        match Nexsort.sort_string ~config ~ordering doc with
+        match Engine.sort_string ~config ~ordering doc with
         | out, _ -> Ok (Completed, Some out)
         | exception Extmem.Device.Fault _ -> Ok (Aborted, None))
     | 1 ->
@@ -466,7 +469,8 @@ let run_update_case ~seed j =
 
 (* ------------------------------------------------------------------ *)
 (* Multi-tenant pass: the same differential case matrix, but every
-   NEXSORT run goes through one shared [Engine], [tenants] domains deep.
+   NEXSORT run goes through one shared [Engine] and its worker pool,
+   [tenants] domains deep.
    The schedule is deterministic — case [i] belongs to tenant
    [i mod tenants] — so a reproducer line carrying the seed and the
    tenant count replays the same interleaving pressure.  Oracle outputs
@@ -499,10 +503,13 @@ let run_tenant_pass ~seed ~tenants ~cases ~only ~verbose failures =
         (i, cc, doc, expected))
       indices
   in
-  let engine_bs = 4096 in
+  (* one shared pool serves every case: [jobs > 1] cases offload their
+     subtree sorts to it, and each job is sized for its workers *)
+  let engine_bs = 4096 and workers = 2 in
   let engine_blocks cc =
     let bytes =
-      (Nexsort.Session.job_blocks cc.config + Nexsort.Session.ext_blocks cc.config)
+      (Nexsort.Session.job_blocks ~workers cc.config
+      + Nexsort.Session.ext_blocks ~workers cc.config)
       * cc.config.Nexsort.Config.block_size
     in
     (bytes + engine_bs - 1) / engine_bs
@@ -511,9 +518,10 @@ let run_tenant_pass ~seed ~tenants ~cases ~only ~verbose failures =
     List.fold_left (fun acc (_, cc, _, _) -> max acc (engine_blocks cc)) 1 prepared
   in
   let eng =
-    Engine.create ~memory_blocks:(max_job + (max_job / 2)) ~block_size:engine_bs ()
+    Engine.create ~workers ~memory_blocks:(max_job + (max_job / 2)) ~block_size:engine_bs ()
   in
   let results = Array.make (List.length prepared) None in
+  let offloaded = Atomic.make 0 in
   let run_case t pos (i, cc, doc, expected) =
     let r =
       match expected with
@@ -527,9 +535,12 @@ let run_tenant_pass ~seed ~tenants ~cases ~only ~verbose failures =
                 let block_size = cc.config.Nexsort.Config.block_size in
                 let input = Extmem.Device.of_string ~name:"input" ~block_size doc in
                 let output = Extmem.Device.in_memory ~name:"output" ~block_size () in
-                let (_ : Nexsort.Sorter.report) =
+                let report =
                   Nexsort.sort_device ~session ~ordering:cc.ordering ~input ~output ()
                 in
+                List.iter
+                  (fun w -> ignore (Atomic.fetch_and_add offloaded w.Nexsort.Sort_pool.w_tasks))
+                  report.Nexsort.workers;
                 Extmem.Device.contents output)
           with
           | out ->
@@ -560,6 +571,12 @@ let run_tenant_pass ~seed ~tenants ~cases ~only ~verbose failures =
           Printf.eprintf "  equivalent: nexsort %s <doc.xml>\n" cc.cli_flags;
           Printf.eprintf "  document (%d bytes):\n%s\n" (String.length doc) doc)
     prepared;
+  let parallel = List.exists (fun (_, cc, _, _) -> cc.config.Nexsort.Config.jobs > 1) prepared in
+  if parallel && Atomic.get offloaded = 0 then begin
+    incr failures;
+    Printf.eprintf "FAIL tenant pass: no --jobs > 1 case sorted a subtree on the engine's pool\n";
+    Printf.eprintf "  reproduce: nexfuzz --seed %d --tenants %d\n" seed tenants
+  end;
   if leaked <> 0 || still_used <> 0 then begin
     incr failures;
     Printf.eprintf

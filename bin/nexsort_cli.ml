@@ -64,11 +64,8 @@ let run verbose algorithm config ordering stats metrics trace targets select dev
       | Nexsort_algo ->
           (* the single-job CLI is a one-job engine: same admission, carve
              and release machinery as nexsortd, zero queue wait *)
-          let eng = Engine.for_config ~tracer config in
           let (report, job_section), endpoints =
-            Fun.protect
-              ~finally:(fun () -> Engine.destroy eng)
-              (fun () ->
+            Engine.with_engine config (fun eng ->
                 on_files (fun ~input ~output ->
                     let report, job =
                       Engine.run eng ~tenant:"cli" config (fun job session ->

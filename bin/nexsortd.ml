@@ -214,55 +214,22 @@ let run_sort engine cancel (r : sort_req) =
   Printf.sprintf "sort %s -> %s (%d events, %d subtree sorts)" r.sr_input r.sr_output
     report.Nexsort.events report.Nexsort.subtree_sorts
 
-(* A fused merge holds two sessions, i.e. two engine slots.  The
-   admission lock serializes the two-slot acquisition so concurrent
-   merges cannot deadlock holding one slot each; single-slot sorts
-   queue through the normal path meanwhile. *)
-let sort_and_merge engine merge_lock cancel (r : merge_req) config ~left ~right ~output =
-  Mutex.lock merge_lock;
-  let jl, jr =
-    match
-      let jl = Engine.acquire ~name:"merge-left" ~cancel engine ~tenant:r.mr_tenant config in
-      let jr =
-        try Engine.acquire ~name:"merge-right" ~cancel engine ~tenant:r.mr_tenant config
-        with e ->
-          Engine.release engine jl;
-          raise e
-      in
-      (jl, jr)
-    with
-    | pair ->
-        Mutex.unlock merge_lock;
-        pair
-    | exception e ->
-        Mutex.unlock merge_lock;
-        raise e
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Engine.release engine jl;
-      Engine.release engine jr)
-    (fun () ->
-      let sl = Engine.session engine jl in
-      let sr =
-        try Engine.session engine jr
-        with e ->
-          Nexsort.Session.destroy sl;
-          raise e
-      in
-      let report =
-        Xmerge.Struct_merge.sort_and_merge_devices ~config ~fuse:(not r.mr_no_fuse)
-          ~sessions:(sl, sr) ~ordering:r.mr_ordering ~left ~right ~output ()
-      in
-      (report, Engine.job_json engine jl))
-
-let run_merge engine merge_lock cancel (r : merge_req) =
+(* A fused merge holds two sessions at once: the engine admits the pair
+   as one unit, so concurrent merges cannot deadlock holding one slot
+   each. *)
+let run_merge engine cancel (r : merge_req) =
   let spec = Option.value r.mr_device ~default:Extmem.Device_spec.default in
   let config = { r.mr_config with Nexsort.Config.device = spec } in
   let (report, job_section), (ldev, rdev, odev) =
     Cli_common.with_merge_endpoints config ~left:r.mr_left ~right:r.mr_right
       ~output:r.mr_output (fun ~left ~right ~output ->
-        ( sort_and_merge engine merge_lock cancel r config ~left ~right ~output,
+        ( Engine.run_pair ~name:"merge" ~cancel engine ~tenant:r.mr_tenant config
+            (fun job sessions ->
+              let report =
+                Xmerge.Struct_merge.sort_and_merge_devices ~fuse:(not r.mr_no_fuse) ~sessions
+                  ~ordering:r.mr_ordering ~left ~right ~output ()
+              in
+              (report, Engine.job_json engine job)),
           (left, right, output) ))
   in
   Cli_common.write_metrics r.mr_metrics
@@ -293,29 +260,12 @@ let run_merge engine merge_lock cancel (r : merge_req) =
 let run_update engine cancel (r : update_req) =
   let spec = Option.value r.ur_device ~default:Extmem.Device_spec.default in
   let config = { r.ur_config with Nexsort.Config.device = spec } in
-  let (flushes, final_bytes), job =
+  let (flushes, final_bytes, _), job =
     Engine.run ~cancel engine ~tenant:r.ur_tenant config (fun job session ->
-        let t =
-          Nexsort.Config.with_input config r.ur_base (fun b ->
-              Xmerge.Ingest.create_device ~config ~session ~ordering:r.ur_ordering
-                ~base:b.Extmem.Device_spec.device ())
-        in
-        Fun.protect
-          ~finally:(fun () -> Xmerge.Ingest.destroy t)
-          (fun () ->
-            let flushes = ref [] in
-            let flush () = flushes := Xmerge.Ingest.flush t :: !flushes in
-            List.iteri
-              (fun i path ->
-                if Atomic.get cancel then raise Engine.Cancelled;
-                Xmerge.Ingest.add_update t (Cli_common.read_file path);
-                if (i + 1) mod r.ur_flush_every = 0 then flush ())
-              r.ur_updates;
-            if Xmerge.Ingest.pending t > 0 || !flushes = [] then flush ();
-            Nexsort.Config.with_output config r.ur_output (fun o ->
-                Extmem.Device.copy ~src:(Xmerge.Ingest.base_device t)
-                  ~dst:o.Extmem.Device_spec.device);
-            ((List.rev !flushes, Extmem.Device.byte_length (Xmerge.Ingest.base_device t)), job)))
+        ( Cli_common.ingest_files ~session ~ordering:r.ur_ordering
+            ~flush_every:r.ur_flush_every ~on_flush:(fun _ _ -> ()) ~base:r.ur_base
+            ~updates:r.ur_updates r.ur_output,
+          job ))
   in
   Cli_common.write_metrics r.ur_metrics
     (let rep = Obs.Report.create ~tool:"nexsortd-update" in
@@ -336,11 +286,11 @@ let run_update engine cancel (r : update_req) =
   Printf.sprintf "update %s (%d docs, %d flushes) -> %s" r.ur_base (List.length r.ur_updates)
     (List.length flushes) r.ur_output
 
-let job_body engine merge_lock cancel request () =
+let job_body engine cancel request () =
   match
     match request with
     | Sort r -> run_sort engine cancel r
-    | Merge r -> run_merge engine merge_lock cancel r
+    | Merge r -> run_merge engine cancel r
     | Update r -> run_update engine cancel r
   with
   | summary -> Done summary
@@ -362,7 +312,6 @@ let job_body engine merge_lock cancel request () =
 
 type daemon = {
   engine : Engine.t;
-  merge_lock : Mutex.t;
   mutable jobs : entry list;  (* newest first *)
   mutable next_id : int;
 }
@@ -420,7 +369,7 @@ let submit out d request =
     | Update r ->
         (Printf.sprintf "update %s (%d docs)" r.ur_base (List.length r.ur_updates), r.ur_tenant)
   in
-  let body = job_body d.engine d.merge_lock cancel request in
+  let body = job_body d.engine cancel request in
   let e =
     { e_id = id; e_label = label; e_cancel = cancel; e_domain = Domain.spawn body;
       e_outcome = None; e_reported = false }
@@ -542,7 +491,7 @@ let serve_socket path d =
 
 let run memory block_size workers socket jobfile =
   let engine = Engine.create ~workers ~memory_blocks:memory ~block_size () in
-  let d = { engine; merge_lock = Mutex.create (); jobs = []; next_id = 1 } in
+  let d = { engine; jobs = []; next_id = 1 } in
   let code =
     match (socket, jobfile) with
     | Some path, _ -> serve_socket path d
@@ -574,8 +523,9 @@ let cmd =
       value & opt int 0
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "Worker domains in the shared sort pool (0: no shared pool; jobs with \
-             $(b,--jobs) > 1 then spawn private pools).")
+            "Worker domains in the shared sort pool.  Jobs with $(b,--jobs) > 1 sort \
+             subtrees on these workers; with 0 (no pool) every job sorts on its own \
+             thread.")
   in
   let socket_term =
     Arg.(

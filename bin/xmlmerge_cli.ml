@@ -43,90 +43,44 @@ let struct_merge_report ~tool (r : Xmerge.Struct_merge.report) =
   Obs.Report.add rep "phases" (Obs.Span.to_json r.Xmerge.Struct_merge.spans);
   rep
 
-(* The fused sort+merge holds both its sort sessions at once, so it runs
-   over a two-slot engine: two jobs admitted up front, each session
-   carved from the shared engine budget.  [f] must consume both sessions
-   (the merge destroys them on every exit path); release is idempotent
-   leak accounting either way. *)
-let with_merge_sessions ~(config : Nexsort.Config.t) f =
-  let eng = Engine.for_config ~tracer:config.Nexsort.Config.tracer ~slots:2 config in
-  Fun.protect
-    ~finally:(fun () -> Engine.destroy eng)
-    (fun () ->
-      let jl = Engine.acquire ~name:"merge-left" eng ~tenant:"merge" config in
-      let jr =
-        try Engine.acquire ~name:"merge-right" eng ~tenant:"merge" config
-        with e ->
-          Engine.release eng jl;
-          raise e
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Engine.release eng jl;
-          Engine.release eng jr)
-        (fun () ->
-          let sl = Engine.session eng jl in
-          let sr =
-            try Engine.session eng jr
-            with e ->
-              Nexsort.Session.destroy sl;
-              raise e
-          in
-          f (sl, sr)))
-
 (* --ingest: keep the sorted base live under a stream of update
    documents through Xmerge.Ingest, flushing every [flush_every] docs
    (and once at the end).  Each flush gets its own entry in the metrics'
    "ingest" section: batch sizes, queue counters, merge I/O. *)
 let run_ingest ~ordering ~config ~metrics ~finish base rights flush_every output =
-  let t =
-    Nexsort.Config.with_input config base (fun b ->
-        Xmerge.Ingest.create_device ~config ~ordering ~base:b.Extmem.Device_spec.device ())
+  let on_flush n (r : Xmerge.Ingest.flush_report) =
+    Printf.eprintf "flush %d: %d ops from %d docs%s, %d index-dropped, io r=%d w=%d, base %dB\n" n
+      r.batch_ops r.batch_docs
+      (if r.skipped then " (skipped)" else "")
+      r.index_dropped r.flush_io.Extmem.Io_stats.reads r.flush_io.Extmem.Io_stats.writes
+      r.base_bytes
   in
-  Fun.protect
-    ~finally:(fun () -> Xmerge.Ingest.destroy t)
-    (fun () ->
-      let flushes = ref [] in
-      let flush () =
-        let r = Xmerge.Ingest.flush t in
-        flushes := r :: !flushes;
-        Printf.eprintf
-          "flush %d: %d ops from %d docs%s, %d index-dropped, io r=%d w=%d, base %dB\n"
-          (List.length !flushes) r.Xmerge.Ingest.batch_ops r.Xmerge.Ingest.batch_docs
-          (if r.Xmerge.Ingest.skipped then " (skipped)" else "")
-          r.Xmerge.Ingest.index_dropped r.Xmerge.Ingest.flush_io.Extmem.Io_stats.reads
-          r.Xmerge.Ingest.flush_io.Extmem.Io_stats.writes r.Xmerge.Ingest.base_bytes
-      in
-      List.iteri
-        (fun i path ->
-          Xmerge.Ingest.add_update t (Cli_common.read_file path);
-          if (i + 1) mod flush_every = 0 then flush ())
-        rights;
-      if Xmerge.Ingest.pending t > 0 || !flushes = [] then flush ();
-      Nexsort.Config.with_output config output (fun o ->
-          Extmem.Device.copy ~src:(Xmerge.Ingest.base_device t) ~dst:o.Extmem.Device_spec.device);
-      let flushes = List.rev !flushes in
-      let total f = List.fold_left (fun acc r -> acc + f r) 0 flushes in
-      let rep = Obs.Report.create ~tool:"nexsort-merge-ingest" in
-      Obs.Report.add rep "counts"
-        (Obs.Json.Obj
-           [ ("update_docs", Obs.Json.Int (List.length rights));
-             ("flushes", Obs.Json.Int (List.length flushes));
-             ("batch_ops", Obs.Json.Int (total (fun r -> r.Xmerge.Ingest.batch_ops)));
-             ("index_dropped", Obs.Json.Int (total (fun r -> r.Xmerge.Ingest.index_dropped)));
-             ("indexed_keys", Obs.Json.Int (Xmerge.Ingest.index_keys t)) ]);
-      Obs.Report.add rep "ingest"
-        (Obs.Json.List (List.map Xmerge.Ingest.flush_report_json flushes));
-      Obs.Report.add rep "io"
-        (Obs.Json.Obj
-           [ ( "flush_reads",
-               Obs.Json.Int (total (fun r -> r.Xmerge.Ingest.flush_io.Extmem.Io_stats.reads)) );
-             ( "flush_writes",
-               Obs.Json.Int (total (fun r -> r.Xmerge.Ingest.flush_io.Extmem.Io_stats.writes)) ) ]);
-      Cli_common.write_metrics metrics rep;
-      Printf.eprintf "ingested %d update docs in %d flushes -> %s\n" (List.length rights)
-        (List.length flushes) output;
-      finish (`Ok ()))
+  let flushes, _, indexed_keys =
+    Engine.with_session config (fun session ->
+        Cli_common.ingest_files ~session ~ordering ~flush_every ~on_flush ~base ~updates:rights
+          output)
+  in
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 flushes in
+  let rep = Obs.Report.create ~tool:"nexsort-merge-ingest" in
+  Obs.Report.add rep "counts"
+    (Obs.Json.Obj
+       [ ("update_docs", Obs.Json.Int (List.length rights));
+         ("flushes", Obs.Json.Int (List.length flushes));
+         ("batch_ops", Obs.Json.Int (total (fun r -> r.Xmerge.Ingest.batch_ops)));
+         ("index_dropped", Obs.Json.Int (total (fun r -> r.Xmerge.Ingest.index_dropped)));
+         ("indexed_keys", Obs.Json.Int indexed_keys) ]);
+  Obs.Report.add rep "ingest"
+    (Obs.Json.List (List.map Xmerge.Ingest.flush_report_json flushes));
+  Obs.Report.add rep "io"
+    (Obs.Json.Obj
+       [ ( "flush_reads",
+           Obs.Json.Int (total (fun r -> r.Xmerge.Ingest.flush_io.Extmem.Io_stats.reads)) );
+         ( "flush_writes",
+           Obs.Json.Int (total (fun r -> r.Xmerge.Ingest.flush_io.Extmem.Io_stats.writes)) ) ]);
+  Cli_common.write_metrics metrics rep;
+  Printf.eprintf "ingested %d update docs in %d flushes -> %s\n" (List.length rights)
+    (List.length flushes) output;
+  finish (`Ok ())
 
 let run ordering presorted update_mode ingest_mode flush_every indexed policy device no_fuse
     metrics trace left_path right_paths output =
@@ -202,8 +156,8 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
         let merge ~left ~right ~output =
           if presorted then Xmerge.Struct_merge.merge_devices ~ordering ~left ~right ~output ()
           else
-            with_merge_sessions ~config (fun sessions ->
-                Xmerge.Struct_merge.sort_and_merge_devices ~config ~fuse:(not no_fuse) ~sessions
+            Engine.with_session_pair config (fun sessions ->
+                Xmerge.Struct_merge.sort_and_merge_devices ~fuse:(not no_fuse) ~sessions
                   ~ordering ~left ~right ~output ())
         in
         let r, (ldev, rdev, odev) =
@@ -258,13 +212,9 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
       else begin
         let out, r =
           if presorted then Xmerge.Struct_merge.merge_strings ~ordering left right
-          else if no_fuse then
-            (* unfused strings sort in memory — no sessions to carve *)
-            Xmerge.Struct_merge.sort_and_merge_strings ~config ~fuse:false ~ordering left right
           else
-            with_merge_sessions ~config (fun sessions ->
-                Xmerge.Struct_merge.sort_and_merge_strings ~config ~sessions ~ordering left
-                  right)
+            Xmerge.Struct_merge.sort_and_merge_strings ~config ~fuse:(not no_fuse) ~ordering left
+              right
         in
         ( out,
           Printf.sprintf "matched %d elements, emitted %d events"

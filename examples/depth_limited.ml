@@ -19,7 +19,7 @@ let () =
     stats.Xmlgen.Gen.height stats.Xmlgen.Gen.bytes;
   let ordering = Nexsort.Ordering.by_attr "id" in
   let run label config =
-    let sorted, report = Nexsort.sort_string ~config ~ordering doc in
+    let sorted, report = Engine.sort_string ~config ~ordering doc in
     Printf.printf "%-12s total I/O = %4d blocks, subtree sorts = %d\n" label
       (Extmem.Io_stats.total report.Nexsort.total_io)
       report.Nexsort.subtree_sorts;

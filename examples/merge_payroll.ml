@@ -25,8 +25,8 @@ let () =
   let config = Nexsort.Config.make ~block_size:512 ~memory_blocks:16 () in
 
   (* Sort both inputs... *)
-  let d1_sorted, r1 = Nexsort.sort_string ~config ~ordering pair.Xmlgen.Company.personnel in
-  let d2_sorted, r2 = Nexsort.sort_string ~config ~ordering pair.Xmlgen.Company.payroll in
+  let d1_sorted, r1 = Engine.sort_string ~config ~ordering pair.Xmlgen.Company.personnel in
+  let d2_sorted, r2 = Engine.sort_string ~config ~ordering pair.Xmlgen.Company.payroll in
   Printf.printf "sorted D1 with %d subtree sorts, D2 with %d\n" r1.Nexsort.subtree_sorts
     r2.Nexsort.subtree_sorts;
 

@@ -39,8 +39,8 @@ let () =
      this toy document exercises the machinery; defaults are 4 KiB blocks
      and 64 blocks of memory. *)
   let config = Nexsort.Config.make ~block_size:128 ~memory_blocks:8 () in
-  (* 3. Sort. *)
-  let sorted, report = Nexsort.sort_string ~config ~ordering document in
+  (* 3. Sort, as the one job of a one-job engine. *)
+  let sorted, report = Engine.sort_string ~config ~ordering document in
   print_endline "--- sorted document ---";
   print_endline (Xmlio.Tree.to_string ~indent:true (Xmlio.Tree.of_string sorted));
   print_endline "--- what happened ---";

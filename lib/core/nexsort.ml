@@ -1,7 +1,8 @@
 (** NEXSORT — sorting XML in external memory (Silberstein & Yang, ICDE 2004).
 
     The library's entry points live in {!Sorter} and are also included
-    here, so [Nexsort.sort_string] works directly.  Supporting modules:
+    here, so [Nexsort.sort_device] works directly; sessions come from an
+    engine job ([Engine], one library up).  Supporting modules:
     {!Key} and {!Ordering} (sort criteria), {!Config} (algorithm
     parameters), {!Entry}, {!Keypath}, {!Session} and {!Subtree_sort}
     (the machinery, exposed for the baselines, benchmarks and tests). *)

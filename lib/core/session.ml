@@ -11,9 +11,6 @@ type t = {
   mutable temp_sim_ms : float;
   registry : Obs.Registry.t;
   pool : (Sort_pool.t * Sort_pool.view) option;
-  pool_host : Sort_pool.t option;
-      (* a pool spawned for this session alone (standalone [--jobs N]);
-         shut down at destroy.  [None] when the pool is engine-shared. *)
   poll : unit -> unit;
   enc_scratch : Extmem.Codec.Enc.t;
       (* main-thread encode scratch; workers carry their own *)
@@ -43,62 +40,33 @@ let register_probes t =
   Obs.Probe.device reg ~prefix:"runs" (Extmem.Run_store.device t.runs);
   Obs.Probe.frame_arena reg ~prefix:"arena" t.arena
 
-(* How many pool workers serve this config: the shared pool's worker
-   count when one is given, else the config's own [jobs]; zero on the
-   single-threaded path (the pool is not used at all). *)
-let pool_workers ?pool (config : Config.t) =
-  if config.Config.jobs <= 1 then 0
-  else match pool with Some p -> Sort_pool.workers p | None -> config.Config.jobs
+(* How many pool workers serve a job of this config on an engine whose
+   pool has [workers] workers (0 without a pool): zero on the
+   single-threaded path, where the pool is not used at all. *)
+let pool_workers ~workers (config : Config.t) = if config.Config.jobs <= 1 then 0 else workers
 
 (* The size of a job's budget: the algorithm-visible [memory_blocks]
    plus the pool writer buffers the view reserves on top, so the blocks
    the algorithm can see — and every size-based decision — are identical
    to the single-threaded path.  Engine admission carves exactly this. *)
-let job_blocks ?pool (config : Config.t) =
-  config.Config.memory_blocks + (pool_workers ?pool config * Sort_pool.slab_blocks)
+let job_blocks ~workers (config : Config.t) =
+  config.Config.memory_blocks + (pool_workers ~workers config * Sort_pool.slab_blocks)
 
 (* Headroom for offloaded external subtree sorts: each in-flight
    external task carves at most the job's full arena, and at most one
    task per worker is in flight. *)
-let ext_blocks ?pool (config : Config.t) =
-  pool_workers ?pool config * config.Config.memory_blocks
+let ext_blocks ~workers (config : Config.t) =
+  pool_workers ~workers config * config.Config.memory_blocks
 
-let create ?budget ?pool ?ext_budget ?(poll = ignore) (config : Config.t) =
-  let workers = pool_workers ?pool config in
-  let budget =
-    match budget with
-    | Some b -> b
-    | None ->
-        Extmem.Memory_budget.create ~blocks:(job_blocks ?pool config)
-          ~block_size:config.Config.block_size
-  in
+let create ~budget ?pool ~poll (config : Config.t) =
   let arena = Extmem.Frame_arena.create ~budget () in
-  let tracer = config.Config.tracer in
   let stack_dev name = Config.scratch_device config ~name in
   let dict = Xmlio.Dict.create () in
   let runs = Extmem.Run_store.create (stack_dev "runs") in
-  let pool_host, the_pool =
-    if workers = 0 then (None, None)
-    else
-      match pool with
-      | Some p -> (None, Some p)
-      | None ->
-          let p = Sort_pool.create ~tracer ~workers () in
-          (Some p, Some p)
-  in
   let pool =
-    match the_pool with
-    | None -> None
-    | Some p ->
-        let ext_budget =
-          match ext_budget with
-          | Some _ as eb -> eb
-          | None ->
-              Some
-                (Extmem.Memory_budget.create ~blocks:(ext_blocks ~pool:p config)
-                   ~block_size:config.Config.block_size)
-        in
-        Some (p, Sort_pool.view p ~config ~runs ~budget ~ext_budget)
+    Option.map
+      (fun (p, ext_budget) -> (p, Sort_pool.view p ~config ~runs ~budget ~ext_budget))
+      pool
   in
   (* The input buffer is charged by the scan pipeline stage (see
      [Sorter.scan_source]), not here.  Each stack leases its own window
@@ -126,7 +94,6 @@ let create ?budget ?pool ?ext_budget ?(poll = ignore) (config : Config.t) =
       temp_sim_ms = 0.;
       registry = Obs.Registry.create ();
       pool;
-      pool_host;
       poll;
       enc_scratch = Extmem.Codec.Enc.create ~capacity:256 ();
       destroyed = false;
@@ -151,10 +118,9 @@ let destroy t =
     t.destroyed <- true;
     (* the view first: waiting out in-flight worker tasks and returning
        the writer buffers must precede the teardown probes on every exit
-       path, including a worker raising mid-sort.  Engine-shared pools
-       survive — only this job's view closes. *)
+       path, including a worker raising mid-sort.  The engine's pool
+       survives — only this job's view closes. *)
     (match t.pool with Some (p, v) -> Sort_pool.close_view p v | None -> ());
-    (match t.pool_host with Some p -> Sort_pool.shutdown p | None -> ());
     Extmem.Ext_stack.close t.data_stack;
     Extmem.Ext_stack.close t.path_stack;
     Extmem.Ext_stack.close t.out_stack;

@@ -8,11 +8,13 @@
     analysis in §4.2 (input, subtree sorts, stack paging, run reads,
     output) can be measured directly.
 
-    A session is {e one job's view} of its resources.  Standalone it
-    creates everything itself; under an {!Engine} it is handed a budget
-    carved from the engine's, a view of the engine's shared
-    {!Sort_pool}, and a poll hook for cooperative cancellation — the
-    session never knows the difference. *)
+    A session is {e one engine job's view} of its resources, and the
+    engine is its only constructor ([Engine.session]): the job's budget
+    is carved from the engine's, the job gets a view of the engine's
+    shared {!Sort_pool} (when the engine has one and the config asks
+    for parallel sorting) and a poll hook for cooperative cancellation.
+    One-job callers go through a one-job engine ([Engine.with_session],
+    [Engine.sort_string]). *)
 
 type t = {
   config : Config.t;
@@ -39,18 +41,14 @@ type t = {
           ([runs.store.*]) and their devices ([dev.*]); see
           {!Obs.Probe} *)
   pool : (Sort_pool.t * Sort_pool.view) option;
-      (** the worker pool serving this job and this job's view of it;
-          [None] when [config.jobs = 1] (the single-threaded code path).
-          The pool may be shared with other jobs (engine); the view
-          never is. *)
-  pool_host : Sort_pool.t option;
-      (** a pool spawned for this session alone (standalone
-          [--jobs N]); shut down at {!destroy}.  [None] when the pool in
-          {!field-pool} is engine-shared, or when there is no pool. *)
+      (** the engine's worker pool and this job's view of it; [None]
+          on the single-threaded code path ([config.jobs = 1], or an
+          engine without a pool).  The pool is shared with other jobs;
+          the view never is. *)
   poll : unit -> unit;
       (** cooperative cancellation hook, called at scan and output
           checkpoints; raises to abort the job (the engine's poll raises
-          [Engine.Cancelled]).  Defaults to a no-op. *)
+          [Engine.Cancelled]). *)
   enc_scratch : Extmem.Codec.Enc.t;
       (** reusable encode scratch for the main thread's record path
           (entry/record encoding between phases); worker domains carry
@@ -58,50 +56,44 @@ type t = {
   mutable destroyed : bool;  (** set by {!destroy} *)
 }
 
-val job_blocks : ?pool:Sort_pool.t -> Config.t -> int
-(** The budget size one job needs: the algorithm-visible
-    [config.memory_blocks] plus the pool writer buffers its view
+val job_blocks : workers:int -> Config.t -> int
+(** The budget size one job needs on an engine whose pool has [workers]
+    workers (0 without a pool): the algorithm-visible
+    [config.memory_blocks] plus the pool writer buffers the view
     reserves on top ([workers * Sort_pool.slab_blocks] when
-    [config.jobs > 1], with the worker count taken from [pool] when the
-    job will share one).  {!create} sizes its own budget this way;
-    engine admission carves exactly this much, so the blocks the
-    algorithm can see are identical either way. *)
+    [config.jobs > 1]).  Engine admission carves exactly this much, so
+    the blocks the algorithm can see do not depend on the pool. *)
 
-val ext_blocks : ?pool:Sort_pool.t -> Config.t -> int
+val ext_blocks : workers:int -> Config.t -> int
 (** Headroom blocks for offloaded external subtree sorts: each
     in-flight external task carves at most the job's full arena, one
-    task per worker.  Zero when [config.jobs = 1]. *)
+    task per worker.  Zero when [config.jobs = 1] or [workers = 0]. *)
 
 val create :
-  ?budget:Extmem.Memory_budget.t ->
-  ?pool:Sort_pool.t ->
-  ?ext_budget:Extmem.Memory_budget.t ->
-  ?poll:(unit -> unit) ->
+  budget:Extmem.Memory_budget.t ->
+  ?pool:Sort_pool.t * Extmem.Memory_budget.t ->
+  poll:(unit -> unit) ->
   Config.t ->
   t
-(** Build the frame arena, stacks and run store.  Each stack leases its
-    own window from the arena — the data-stack window, the path-stack
-    window and one block for the output-location stack (the input buffer
-    is charged by the scan pipeline stage).  What remains of the budget
-    is the sorting arena.  The data-stack window is {e elastic}: it
-    borrows idle arena blocks to avoid paging and gives them back via
-    {!reclaim} whenever a phase actually reserves memory.  Because the
-    window draws only on this session's own budget, its borrowing can
-    never touch another tenant's blocks.
+(** Build the frame arena, stacks and run store over a job's carved
+    [budget] (of {!job_blocks} blocks).  Only [Engine.session] calls
+    this.  Each stack leases its own window from the arena — the
+    data-stack window, the path-stack window and one block for the
+    output-location stack (the input buffer is charged by the scan
+    pipeline stage).  What remains of the budget is the sorting arena.
+    The data-stack window is {e elastic}: it borrows idle arena blocks
+    to avoid paging and gives them back via {!reclaim} whenever a phase
+    actually reserves memory.  Because the window draws only on this
+    session's own budget, its borrowing can never touch another
+    tenant's blocks.
 
-    [budget] supplies the job's memory (an engine-carved sub-budget); it
-    must hold {!job_blocks} blocks.  Omitted, a private budget of that
-    size is created.
-
-    When [config.jobs > 1] the session sorts subtrees through a
-    {!Sort_pool}: [pool] names a shared (engine) pool to open a view on,
-    else a private pool of [config.jobs] workers is spawned (and shut
-    down at {!destroy}).  The view's writer buffers are reserved in the
-    job budget — which {!job_blocks} inflates by exactly that much, so
-    the [memory_blocks] visible to the algorithm, and every size-based
-    decision, are unchanged.  [ext_budget] supplies the headroom
-    offloaded external sorts carve their arenas from ({!ext_blocks}
-    blocks); omitted, a private one is created.
+    [pool] is the engine's pool and the job's carved external-sort
+    headroom ({!ext_blocks} blocks); given, the session sorts subtrees
+    through a view of that pool, whose writer buffers are reserved in
+    [budget] — which {!job_blocks} inflates by exactly that much, so the
+    [memory_blocks] visible to the algorithm, and every size-based
+    decision, are unchanged.  Omitted, every subtree sort runs on the
+    calling thread.
 
     [poll] is called at scan and output checkpoints; raise from it to
     abort the job cooperatively. *)
@@ -130,8 +122,7 @@ val leaked_blocks : t -> int
 val destroy : t -> unit
 (** Tear the session down: close the pool view first (waiting out
     in-flight worker tasks and returning the writer buffers — also when
-    a worker raised mid-sort), shut down the pool if this session owns
-    it, close every stack window (frames and leases go back to the
+    a worker raised mid-sort), close every stack window (frames and leases go back to the
     budget, nothing is flushed), close the stack and run devices, then
     run the registered {!add_destroy_probe} hooks.  Idempotent; costs no
     I/O.  {!Sorter} destroys its session on every exit path, so after a

@@ -71,7 +71,7 @@ type view = {
   v_config : Config.t;
   v_runs : Extmem.Run_store.t;
   v_budget : Extmem.Memory_budget.t;  (* writer buffers reserved here *)
-  v_ext_budget : Extmem.Memory_budget.t option;
+  v_ext_budget : Extmem.Memory_budget.t;
   v_devs : Extmem.Device.t array;     (* per-worker scratch run devices *)
   v_buffers : bytes array;            (* per-worker run-writer buffers *)
   v_tasks_done : int Atomic.t array;
@@ -136,13 +136,8 @@ let run_external_task v w ~arena_blocks ~scan payloads emit =
     | `Forward -> Forest.forward_records ~enc:w.scratch ~depth_limit input
     | `Reverse -> Forest.reverse_records ~enc:w.scratch ~depth_limit input
   in
-  let ext_budget =
-    match v.v_ext_budget with
-    | Some b -> b
-    | None -> invalid_arg "Sort_pool: external task on a view without headroom"
-  in
   let sub =
-    Extmem.Memory_budget.carve ext_budget
+    Extmem.Memory_budget.carve v.v_ext_budget
       ~who:(Printf.sprintf "external sort (worker %d)" w.index)
       ~blocks:arena_blocks ()
   in
@@ -259,7 +254,7 @@ let create ?(tracer = Obs.Tracer.null) ~workers:n () =
 let view t ~(config : Config.t) ~runs ~budget ~ext_budget =
   let n = Array.length t.workers in
   (* the per-worker run-writer buffers are the job's memory: reserved in
-     the job budget, which [Session.create] inflates by exactly this
+     the job budget, which [Session.job_blocks] inflates by exactly this
      total so the blocks visible to the algorithm are unchanged *)
   Extmem.Memory_budget.reserve budget ~who:"pool writer buffers" (n * slab_blocks);
   let bs = config.Config.block_size in

@@ -47,13 +47,13 @@ val view :
   config:Config.t ->
   runs:Extmem.Run_store.t ->
   budget:Extmem.Memory_budget.t ->
-  ext_budget:Extmem.Memory_budget.t option ->
+  ext_budget:Extmem.Memory_budget.t ->
   view
 (** Open a job's view.  Reserves [workers t * slab_blocks] blocks in
     [budget] (as ["pool writer buffers"]) and creates one scratch run
-    device per worker via [config].  [ext_budget], when given, supplies
-    the arena blocks for {!submit_external} tasks; carves from it are
-    charged there, never to [budget].
+    device per worker via [config].  [ext_budget] supplies the arena
+    blocks for {!submit_external} tasks; carves from it are charged
+    there, never to [budget].
     @raise Extmem.Memory_budget.Exhausted if [budget] cannot cover the
     writer buffers. *)
 

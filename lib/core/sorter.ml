@@ -591,7 +591,8 @@ let scan_source ?dict ~keep_whitespace input =
 
 (* Scan the input and open the root's sorted entries as a pull stream:
    the shared front end of {!sort_device} and {!open_stream}. *)
-let open_sorted ~session ~config ~ordering ~input ~io_meter ~sim_meter =
+let open_sorted ~session ~ordering ~input ~io_meter ~sim_meter =
+  let config = session.Session.config in
   let spans =
     Obs.Spans.create ~io:io_meter ~sim_ms:sim_meter ~tracer:config.Config.tracer "sort"
   in
@@ -723,38 +724,44 @@ let build_report (st : state) ~input_io ~output_io ~extra_sim ~t0 =
       | None -> []);
   }
 
-let sort_device ?config ?session ~ordering ~input ~output () =
-  (* an engine-provided session brings its own config (and budget, pool
-     view, poll hook); standalone calls build a one-job session here *)
-  let config =
-    match session with
-    | Some s -> s.Session.config
-    | None -> Option.value config ~default:(Config.make ())
-  in
-  Config.validate_ordering config ordering;
+(* The shared setup of {!sort_device} and {!open_stream}: validate the
+   ordering, then scan.  The session is the caller's to destroy from the
+   moment this returns; if anything here raises — the ordering check
+   included — it is destroyed before the exception leaves.  [output] is
+   the device the caller will write, metered into the phase spans. *)
+let open_session ~session ~ordering ~input ?output () =
   let t0 = Unix.gettimeofday () in
-  let session = match session with Some s -> s | None -> Session.create config in
   (* span meters: cumulative I/O and simulated time over every device the
      sort touches, so phase deltas attribute all of it *)
+  let devices = input :: Option.to_list output in
   let io_meter () =
-    Extmem.Io_stats.add
-      (Extmem.Io_stats.add
-         (Extmem.Io_stats.snapshot (Extmem.Device.stats input))
-         (Extmem.Io_stats.snapshot (Extmem.Device.stats output)))
-      (Session.total_io session)
+    List.fold_left
+      (fun acc d -> Extmem.Io_stats.add acc (Extmem.Io_stats.snapshot (Extmem.Device.stats d)))
+      (Session.total_io session) devices
   in
   let sim_meter () =
-    Session.simulated_ms session
-    +. Extmem.Device.simulated_ms input
-    +. Extmem.Device.simulated_ms output
+    List.fold_left
+      (fun acc d -> acc +. Extmem.Device.simulated_ms d)
+      (Session.simulated_ms session) devices
   in
+  match
+    Config.validate_ordering session.Session.config ordering;
+    open_sorted ~session ~ordering ~input ~io_meter ~sim_meter
+  with
+  | st, entries -> (st, entries, t0)
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Session.destroy session;
+      Printexc.raise_with_backtrace e bt
+
+let sort_device ~session ~ordering ~input ~output () =
+  let st, entries, t0 = open_session ~session ~ordering ~input ~output () in
   (* the session is destroyed on every exit path — also on a fault or
      budget exhaustion mid-sort — so its windows return to the budget
      and the registered teardown probes can verify nothing leaked *)
   Fun.protect
     ~finally:(fun () -> Session.destroy session)
     (fun () ->
-      let st, entries = open_sorted ~session ~config ~ordering ~input ~io_meter ~sim_meter in
       in_span st "output" (fun () ->
           Pipe.run_opened ~spans:st.spans ~budget:session.Session.budget
             { Pipe.pull = event_stream st entries.Pipe.pull; close = entries.Pipe.close }
@@ -764,14 +771,6 @@ let sort_device ?config ?session ~ordering ~input ~output () =
         ~output_io:(Extmem.Io_stats.snapshot (Extmem.Device.stats output))
         ~extra_sim:(Extmem.Device.simulated_ms input +. Extmem.Device.simulated_ms output)
         ~t0)
-
-let sort_string ?config ~ordering s =
-  let config = Option.value config ~default:(Config.make ()) in
-  let input = Config.scratch_device config ~name:"input" in
-  Extmem.Device.load_string input s;
-  let output = Config.scratch_device config ~name:"output" in
-  let report = sort_device ~config ~ordering ~input ~output () in
-  (Extmem.Device.contents output, report)
 
 (* ---- event-stream front end (cross-tool fusion) ---- *)
 
@@ -784,28 +783,8 @@ type stream = {
   mutable s_report : report option;
 }
 
-let open_stream ?config ?session ~ordering ~input () =
-  let config =
-    match session with
-    | Some s -> s.Session.config
-    | None -> Option.value config ~default:(Config.make ())
-  in
-  Config.validate_ordering config ordering;
-  let t0 = Unix.gettimeofday () in
-  let session = match session with Some s -> s | None -> Session.create config in
-  let io_meter () =
-    Extmem.Io_stats.add
-      (Extmem.Io_stats.snapshot (Extmem.Device.stats input))
-      (Session.total_io session)
-  in
-  let sim_meter () = Session.simulated_ms session +. Extmem.Device.simulated_ms input in
-  let st, entries =
-    try open_sorted ~session ~config ~ordering ~input ~io_meter ~sim_meter
-    with e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Session.destroy session;
-      Printexc.raise_with_backtrace e bt
-  in
+let open_stream ~session ~ordering ~input () =
+  let st, entries, t0 = open_session ~session ~ordering ~input () in
   {
     s_st = st;
     s_input = input;

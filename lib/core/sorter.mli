@@ -75,8 +75,7 @@ type report = {
 }
 
 val sort_device :
-  ?config:Config.t ->
-  ?session:Session.t ->
+  session:Session.t ->
   ordering:Ordering.t ->
   input:Extmem.Device.t ->
   output:Extmem.Device.t ->
@@ -87,19 +86,15 @@ val sort_device :
     own I/O counters record the input/output passes; all intermediate I/O
     is on session-private devices, reported in [breakdown].
 
-    [session] runs the sort over a pre-built session — the engine path,
-    where the session carries an engine-carved budget, a shared pool
-    view and a cancellation poll.  It is destroyed here on every exit
-    path, exactly like a self-created one, and overrides [config] (the
-    session's own config is used).
+    [session] is an engine job's session ([Engine.session]; one-job
+    callers use [Engine.with_session] or [Engine.sort_string]), and its
+    config is the sort's config.  The session is destroyed here on
+    every exit path, the ordering check included, so its carved budget
+    holds no blocks when the engine releases the job.
 
     @raise Xmlio.Parser.Error on malformed input.
     @raise Invalid_argument on a configuration/ordering mismatch (see
     {!Config.validate_ordering}). *)
-
-val sort_string :
-  ?config:Config.t -> ordering:Ordering.t -> string -> string * report
-(** Convenience wrapper over in-memory devices. *)
 
 type stream
 (** An in-progress sort whose output phase is exposed as an XML event
@@ -110,16 +105,11 @@ type stream
     run-tree traversal lazily. *)
 
 val open_stream :
-  ?config:Config.t ->
-  ?session:Session.t ->
-  ordering:Ordering.t ->
-  input:Extmem.Device.t ->
-  unit ->
-  stream
+  session:Session.t -> ordering:Ordering.t -> input:Extmem.Device.t -> unit -> stream
 (** Run the sorting phase on [input] and return the sorted document as a
-    pull stream of XML events.  Same raising behaviour (and the same
-    [session] semantics — destroyed at {!stream_finish} or on a raise
-    here) as {!sort_device}. *)
+    pull stream of XML events.  Same setup and raising behaviour as
+    {!sort_device}; the session is destroyed at {!stream_finish}, or
+    here if this raises. *)
 
 val stream_events : stream -> Xmlio.Event.t option
 (** Next event of the sorted document, [None] at the end. *)

@@ -1,6 +1,7 @@
 (* The multi-tenant sort engine: one process-wide memory budget, one
    shared worker pool and one admission queue serving many concurrent
-   sort jobs.
+   sort jobs.  Every sort session is built here ([session]), one-job
+   callers included ([with_session]).
 
    A job's whole footprint is two carves out of the engine budget — its
    session budget ([Session.job_blocks]) and, for parallel jobs, its
@@ -10,7 +11,8 @@
    with per-tenant fairness: waiters are served in arrival order among
    tenants with equally many running jobs, tenants with fewer running
    jobs first, and nobody skips ahead of a waiter the budget cannot yet
-   fit (small jobs cannot starve a large one).
+   fit (small jobs cannot starve a large one).  The two halves of a
+   fused merge queue as one waiter and are carved together.
 
    Release is where the leak ledger lives: whatever a job's carves still
    hold after its session was destroyed — a phase that failed to release
@@ -37,10 +39,11 @@ type job = {
 
 type waiter = {
   w_tenant : string;
-  w_seq : int;
+  w_seq : int;  (* the first of [w_halves] consecutive job numbers *)
+  w_halves : int;  (* sessions admitted together: 2 for a fused merge *)
   w_config : Nexsort.Config.t;
   w_cancel : bool Atomic.t;
-  mutable w_granted : (Extmem.Memory_budget.t * Extmem.Memory_budget.t option) option;
+  mutable w_granted : (Extmem.Memory_budget.t * Extmem.Memory_budget.t option) list option;
 }
 
 type t = {
@@ -107,34 +110,46 @@ let running_count t tenant = Option.value (Hashtbl.find_opt t.running tenant) ~d
 
 let who ~tenant ~seq = Printf.sprintf "%s#%d" tenant seq
 
-(* Try to carve one waiter's budgets.  [Exhausted] means "not now" —
-   the waiter stays queued. *)
+let workers t = match t.pool with Some p -> Nexsort.Sort_pool.workers p | None -> 0
+
+(* Try to carve all of one waiter's budgets: for each of its halves the
+   session budget and, for parallel jobs, the external-sort headroom.
+   [Exhausted] means "not now": everything carved so far goes back and
+   the waiter stays queued, so a pair never holds one half while it
+   waits for the other. *)
 let try_grant t (w : waiter) =
-  let config = w.w_config in
-  let label = who ~tenant:w.w_tenant ~seq:w.w_seq in
-  let main_blocks = Nexsort.Session.job_blocks ?pool:t.pool config in
-  let ext = Nexsort.Session.ext_blocks ?pool:t.pool config in
-  let bs = config.Nexsort.Config.block_size in
+  let config = w.w_config and workers = workers t in
+  let carve who blocks =
+    Extmem.Memory_budget.carve t.budget ~block_size:config.Nexsort.Config.block_size ~who
+      ~blocks ()
+  in
+  let carve_half i =
+    let label = who ~tenant:w.w_tenant ~seq:(w.w_seq + i) in
+    let main = carve label (Nexsort.Session.job_blocks ~workers config) in
+    match Nexsort.Session.ext_blocks ~workers config with
+    | 0 -> (main, None)
+    | ext -> (
+        try (main, Some (carve (label ^ " ext") ext))
+        with e ->
+          Extmem.Memory_budget.uncarve main;
+          raise e)
+  in
+  let granted = ref [] in
   match
-    Extmem.Memory_budget.carve t.budget ~block_size:bs ~who:label ~blocks:main_blocks ()
+    for i = 0 to w.w_halves - 1 do
+      granted := carve_half i :: !granted
+    done
   with
-  | exception Extmem.Memory_budget.Exhausted _ -> false
-  | main -> (
-      if ext = 0 then begin
-        w.w_granted <- Some (main, None);
-        true
-      end
-      else
-        match
-          Extmem.Memory_budget.carve t.budget ~block_size:bs ~who:(label ^ " ext")
-            ~blocks:ext ()
-        with
-        | exception Extmem.Memory_budget.Exhausted _ ->
-            Extmem.Memory_budget.uncarve main;
-            false
-        | eb ->
-            w.w_granted <- Some (main, Some eb);
-            true)
+  | () ->
+      w.w_granted <- Some (List.rev !granted);
+      true
+  | exception Extmem.Memory_budget.Exhausted _ ->
+      List.iter
+        (fun (main, ext) ->
+          Extmem.Memory_budget.uncarve main;
+          Option.iter Extmem.Memory_budget.uncarve ext)
+        !granted;
+      false
 
 (* Admission, under the engine lock.  Order waiters by (tenant's running
    jobs, arrival): a tenant with fewer jobs in flight goes first, FIFO
@@ -145,7 +160,7 @@ let admit_locked t =
   let granted = ref false in
   let continue_ = ref true in
   while !continue_ do
-      let pending =
+    let pending =
       List.filter
         (fun w -> w.w_granted = None && not (Atomic.get w.w_cancel))
         t.waiting
@@ -160,7 +175,8 @@ let admit_locked t =
     | [] -> continue_ := false
     | best :: _ ->
         if try_grant t best then begin
-          Hashtbl.replace t.running best.w_tenant (running_count t best.w_tenant + 1);
+          Hashtbl.replace t.running best.w_tenant
+            (running_count t best.w_tenant + best.w_halves);
           granted := true
         end
         else continue_ := false
@@ -169,10 +185,12 @@ let admit_locked t =
 
 let remove_waiter t w = t.waiting <- List.filter (fun w' -> w' != w) t.waiting
 
-(* Block until the engine grants this job its budgets (admission), then
-   return the job handle.  Raises [Cancelled] if the job is cancelled
-   while queued. *)
-let acquire ?(name = "") ?cancel t ~tenant (config : Nexsort.Config.t) =
+(* Block until the engine grants one job per name their budgets at once
+   (admission), then return their handles; an empty name means
+   "tenant#seq".  Raises [Cancelled] if the jobs are cancelled while
+   queued. *)
+let acquire_halves ~names ?cancel t ~tenant (config : Nexsort.Config.t) =
+  let halves = List.length names in
   let t0 = Unix.gettimeofday () in
   Mutex.lock t.lock;
   if t.destroyed then begin
@@ -182,14 +200,14 @@ let acquire ?(name = "") ?cancel t ~tenant (config : Nexsort.Config.t) =
   let w =
     {
       w_tenant = tenant;
-      w_seq =
-        (t.seq <- t.seq + 1;
-         t.seq);
+      w_seq = t.seq + 1;
+      w_halves = halves;
       w_config = config;
       w_cancel = (match cancel with Some c -> c | None -> Atomic.make false);
       w_granted = None;
     }
   in
+  t.seq <- t.seq + halves;
   t.waiting <- t.waiting @ [ w ];
   admit_locked t;
   if w.w_granted = None then begin
@@ -202,34 +220,35 @@ let acquire ?(name = "") ?cancel t ~tenant (config : Nexsort.Config.t) =
   done;
   let result = w.w_granted in
   remove_waiter t w;
-  (match result with
-  | None ->
-      (* cancelled or engine death: we may have been granted in a race —
-         no: result was None — just leave *)
-      Mutex.unlock t.lock;
-      if was_queued then Obs.Tracer.end_s t.tracer "engine.queue_wait";
-      if Atomic.get w.w_cancel then begin
-        Obs.Counter.incr t.c_cancelled;
-        raise Cancelled
-      end
-      else invalid_arg "Engine.acquire: engine destroyed while queued"
-  | Some _ -> Mutex.unlock t.lock);
+  Mutex.unlock t.lock;
   if was_queued then Obs.Tracer.end_s t.tracer "engine.queue_wait";
-  let main, ext = Option.get result in
-  let wait_s = Unix.gettimeofday () -. t0 in
-  Obs.Counter.incr t.c_admitted;
-  Obs.Counter.add t.c_queue_wait_ms (int_of_float (wait_s *. 1000.));
-  {
-    j_tenant = tenant;
-    j_name = (if name = "" then who ~tenant ~seq:w.w_seq else name);
-    j_seq = w.w_seq;
-    j_config = config;
-    j_budget = main;
-    j_ext = ext;
-    j_cancel = w.w_cancel;
-    j_queue_wait_s = wait_s;
-    j_released = false;
-  }
+  match result with
+  | None when Atomic.get w.w_cancel ->
+      Obs.Counter.incr t.c_cancelled;
+      raise Cancelled
+  | None -> invalid_arg "Engine.acquire: engine destroyed while queued"
+  | Some carves ->
+      let wait_s = Unix.gettimeofday () -. t0 in
+      Obs.Counter.add t.c_admitted halves;
+      Obs.Counter.add t.c_queue_wait_ms (int_of_float (wait_s *. 1000.));
+      List.mapi
+        (fun i ((main, ext), name) ->
+          let seq = w.w_seq + i in
+          {
+            j_tenant = tenant;
+            j_name = (if name = "" then who ~tenant ~seq else name);
+            j_seq = seq;
+            j_config = config;
+            j_budget = main;
+            j_ext = ext;
+            j_cancel = w.w_cancel;
+            j_queue_wait_s = wait_s;
+            j_released = false;
+          })
+        (List.combine carves names)
+
+let acquire ?(name = "") ?cancel t ~tenant config =
+  List.hd (acquire_halves ~names:[ name ] ?cancel t ~tenant config)
 
 (* Cancellation takes the raw flag, not the job handle: a queued job is
    still blocked inside [acquire] and has no handle yet, so callers that
@@ -245,11 +264,11 @@ let cancel_flag (j : job) = j.j_cancel
 
 let cancel_job t (j : job) = cancel t j.j_cancel
 
-let poll_of (j : job) () = if Atomic.get j.j_cancel then raise Cancelled
-
 let session t (j : job) =
-  Nexsort.Session.create ~budget:j.j_budget ?pool:t.pool
-    ?ext_budget:j.j_ext ~poll:(poll_of j) j.j_config
+  let pool = match (t.pool, j.j_ext) with Some p, Some eb -> Some (p, eb) | _ -> None in
+  Nexsort.Session.create ~budget:j.j_budget ?pool
+    ~poll:(fun () -> if Atomic.get j.j_cancel then raise Cancelled)
+    j.j_config
 
 (* Return a job's carves to the engine.  The session must already be
    destroyed (Sorter does this on every exit path); anything its carves
@@ -278,39 +297,33 @@ let release t (j : job) =
     Mutex.unlock t.lock
   end
 
-(* Run one job end to end: admission, session, [f], teardown, release.
-   [f] normally consumes the session via [Sorter.sort_device ~session]
-   (which destroys it); the redundant destroy here is idempotent and
-   covers [f] raising before it got that far.  Always releases — a
-   faulted or cancelled job provably returns every block (minus what
-   the leak counter records). *)
-let run ?name ?cancel t ~tenant (config : Nexsort.Config.t) f =
-  let j = acquire ?name ?cancel t ~tenant config in
-  let session =
-    match session t j with
-    | s -> s
-    | exception e ->
-        release t j;
-        raise e
+(* Build the jobs' sessions, apply [f] to them, and on every exit path
+   destroy each session that was built, then release every job.  [f]
+   normally consumes the sessions via [Sorter.sort_device ~session]
+   (which destroys them); the destroys here are idempotent and cover [f]
+   raising before it got that far.  A faulted or cancelled job provably
+   returns every block (minus what the leak counter records). *)
+let with_sessions t jobs f =
+  let rec build acc = function
+    | [] -> f (List.rev acc)
+    | j :: rest ->
+        let s = session t j in
+        Fun.protect
+          ~finally:(fun () -> Nexsort.Session.destroy s)
+          (fun () -> build (s :: acc) rest)
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Nexsort.Session.destroy session;
-      release t j)
-    (fun () -> f j session)
+  Fun.protect ~finally:(fun () -> List.iter (release t) jobs) (fun () -> build [] jobs)
 
-(* An engine sized for exactly [slots] jobs of this config — the
-   single-job CLI path ([slots = 1]) and the two-stream merge
-   ([slots = 2], which must hold both its sessions at once): the same
-   admission, carve and release machinery, with a budget sized so those
-   admissions succeed immediately.  Without a pool, [Session.job_blocks]
-   sizes the job for [config.jobs] workers — exactly the worker count
-   the engine pool is created with, so the carve matches. *)
-let for_config ?tracer ?(slots = 1) (config : Nexsort.Config.t) =
-  let workers = if config.Nexsort.Config.jobs > 1 then config.Nexsort.Config.jobs else 0 in
-  let per_job = Nexsort.Session.job_blocks config + Nexsort.Session.ext_blocks config in
-  create ?tracer ~workers ~memory_blocks:(slots * per_job)
-    ~block_size:config.Nexsort.Config.block_size ()
+let run ?name ?cancel t ~tenant config f =
+  let j = acquire ?name ?cancel t ~tenant config in
+  with_sessions t [ j ] (function [ s ] -> f j s | _ -> assert false)
+
+let run_pair ?(name = "") ?cancel t ~tenant config f =
+  let names = if name = "" then [ ""; "" ] else [ name ^ "-left"; name ^ "-right" ] in
+  match acquire_halves ~names ?cancel t ~tenant config with
+  | jl :: _ as jobs ->
+      with_sessions t jobs (function [ sl; sr ] -> f jl (sl, sr) | _ -> assert false)
+  | [] -> assert false
 
 let destroy t =
   Mutex.lock t.lock;
@@ -325,6 +338,39 @@ let destroy t =
     Mutex.unlock t.lock;
     match t.pool with Some p -> Nexsort.Sort_pool.shutdown p | None -> ()
   end
+
+(* An engine sized for exactly [slots] jobs of this config — the
+   single-job CLI path ([slots = 1]) and the two-stream merge
+   ([slots = 2], one {!run_pair}): the same admission, carve and release
+   machinery, with a budget sized so those admissions succeed
+   immediately.  Its pool has [config.jobs] workers, so [--jobs N] runs
+   on exactly N workers. *)
+let for_config ?(slots = 1) (config : Nexsort.Config.t) =
+  let workers = if config.Nexsort.Config.jobs > 1 then config.Nexsort.Config.jobs else 0 in
+  let per_job =
+    Nexsort.Session.job_blocks ~workers config + Nexsort.Session.ext_blocks ~workers config
+  in
+  create ~tracer:config.Nexsort.Config.tracer ~workers ~memory_blocks:(slots * per_job)
+    ~block_size:config.Nexsort.Config.block_size ()
+
+let with_engine ?slots config f =
+  let t = for_config ?slots config in
+  Fun.protect ~finally:(fun () -> destroy t) (fun () -> f t)
+
+let with_session config f =
+  with_engine config (fun t -> run t ~tenant:"local" config (fun _ s -> f s))
+
+let with_session_pair config f =
+  with_engine ~slots:2 config (fun t -> run_pair t ~tenant:"local" config (fun _ ss -> f ss))
+
+let sort_string ?(config = Nexsort.Config.make ()) ~ordering s =
+  let input = Nexsort.Config.scratch_device config ~name:"input" in
+  Extmem.Device.load_string input s;
+  let output = Nexsort.Config.scratch_device config ~name:"output" in
+  let report =
+    with_session config (fun session -> Nexsort.sort_device ~session ~ordering ~input ~output ())
+  in
+  (Extmem.Device.contents output, report)
 
 let queue_wait_s (j : job) = j.j_queue_wait_s
 

@@ -2,14 +2,17 @@
     budget, one shared {!Nexsort.Sort_pool}, a metrics registry and a
     tracer — plus admission control, serving many concurrent sort jobs.
 
-    A {!Nexsort.Session} used to own all of this for its one sort; under
-    the engine it is a per-job view instead: {!acquire} carves the job's
+    The engine is the only constructor of a {!Nexsort.Session}, which
+    is one job's view of these resources: {!acquire} carves the job's
     budgets out of the engine's (queuing the job when they do not fit,
     rather than raising [Exhausted]), {!session} builds the session over
     the carves, and {!release} returns them — force-reclaiming and
     counting whatever a faulted job leaked, so one tenant's abort can
-    never shrink the engine.  The single-job CLIs run through
-    {!for_config}: one-job engine, same machinery.
+    never shrink the engine.  One-job callers (the CLIs, tests, the
+    session-less forms in [Xmerge]) run on a one-job engine
+    ({!for_config}, {!with_session}, {!sort_string}): same machinery.
+    A fused merge holds two sessions at once; {!run_pair} admits both as
+    one unit.
 
     {b Admission} is FIFO with per-tenant fairness: among queued jobs,
     the tenant with the fewest running jobs goes first (arrival order
@@ -40,16 +43,17 @@ val create :
   t
 (** An engine with [memory_blocks] blocks of [block_size] bytes to carve
     jobs from, and a shared pool of [workers] worker domains (0, the
-    default, spawns no pool — parallel jobs then spawn private pools).
+    default, spawns no pool — every job then sorts on its own thread,
+    whatever its [config.jobs]).
     Job budgets of other block sizes are carved cross-granularity
     (charged in engine blocks, rounded up). *)
 
-val for_config : ?tracer:Obs.Tracer.t -> ?slots:int -> Nexsort.Config.t -> t
+val for_config : ?slots:int -> Nexsort.Config.t -> t
 (** An engine sized for exactly [slots] (default 1) concurrent jobs of
-    [config]: the single-job CLI path, running one sort through the same
-    admission/carve/release machinery with zero queue wait.  Use
-    [slots = 2] for the fused two-stream merge, which holds both its
-    sessions at once. *)
+    [config], with [config]'s tracer and a pool of [config.jobs] workers
+    when [config.jobs > 1]: the single-job CLI path, running one sort
+    through the same admission/carve/release machinery with zero queue
+    wait.  Use [slots = 2] for one {!run_pair}. *)
 
 val acquire :
   ?name:string ->
@@ -67,10 +71,10 @@ val acquire :
     @raise Invalid_argument on a destroyed engine. *)
 
 val session : t -> job -> Nexsort.Session.t
-(** The job's session: its carved budget, a view of the engine pool (for
-    parallel configs), its external-sort headroom and its cancellation
-    poll.  Destroyed by the sorter on every exit path, like any
-    session. *)
+(** The job's session — the only way to build one: its carved budget, a
+    view of the engine pool and its external-sort headroom (for parallel
+    configs on an engine with a pool), and its cancellation poll.
+    Destroyed by the sorter on every exit path. *)
 
 val release : t -> job -> unit
 (** Return the job's carves to the engine and re-run admission.  Call
@@ -92,6 +96,40 @@ val run :
     [f] already consumed it via [Sorter.sort_device ~session]) and
     {!release}.  The engine-path equivalent of one CLI invocation. *)
 
+val run_pair :
+  ?name:string ->
+  ?cancel:bool Atomic.t ->
+  t ->
+  tenant:string ->
+  Nexsort.Config.t ->
+  (job -> Nexsort.Session.t * Nexsort.Session.t -> 'a) ->
+  'a
+(** {!run} for the two sessions of a fused merge.  Both halves are
+    admitted as one unit — carved together or not at all — so a pair
+    never holds one slot while it waits for the other, and concurrent
+    pairs cannot deadlock.  On every exit path both sessions are
+    destroyed and both jobs released.  [f] gets the left half's job
+    handle (named [name ^ "-left"] when [name] is given). *)
+
+val with_session : Nexsort.Config.t -> (Nexsort.Session.t -> 'a) -> 'a
+(** [f] over the one job of a one-job engine ({!for_config}), which is
+    destroyed afterwards. *)
+
+val with_session_pair :
+  Nexsort.Config.t -> (Nexsort.Session.t * Nexsort.Session.t -> 'a) -> 'a
+(** [f] over one {!run_pair} of a two-slot engine. *)
+
+val with_engine : ?slots:int -> Nexsort.Config.t -> (t -> 'a) -> 'a
+(** [f] over [for_config ?slots config], destroyed afterwards. *)
+
+val sort_string :
+  ?config:Nexsort.Config.t ->
+  ordering:Nexsort.Ordering.t ->
+  string ->
+  string * Nexsort.report
+(** Sort a document held in a string on a one-job engine, over
+    in-memory devices of [config] (default {!Nexsort.Config.make}). *)
+
 val cancel : t -> bool Atomic.t -> unit
 (** Flip a job's cancellation flag (the one passed to {!acquire} as
     [cancel], or read off a handle via {!cancel_flag}) and wake the
@@ -104,10 +142,6 @@ val cancel_job : t -> job -> unit
 
 val cancel_flag : job -> bool Atomic.t
 (** The job's cancellation flag. *)
-
-val poll_of : job -> unit -> unit
-(** The job's poll hook ({!session} installs it automatically; exposed
-    for callers building their own sessions). *)
 
 val queue_wait_s : job -> float
 (** Seconds the job spent in the admission queue (0 when admitted

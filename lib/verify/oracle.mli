@@ -21,4 +21,4 @@ val sort_string :
   ?depth_limit:int -> ?keep_whitespace:bool -> Nexsort.Ordering.t -> string -> string
 (** Parse, sort, serialize.  Serialization goes through {!Xmlio.Writer}
     with the same settings as the external sorters' output phase, so the
-    result is byte-comparable to [Nexsort.sort_string]. *)
+    result is byte-comparable to [Engine.sort_string]. *)

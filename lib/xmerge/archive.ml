@@ -169,7 +169,7 @@ let versions archive =
   List.rev !out
 
 let sort_doc ?config ~ordering doc =
-  let sorted, _ = Nexsort.sort_string ?config ~ordering doc in
+  let sorted, _ = Engine.sort_string ?config ~ordering doc in
   sorted
 
 let init ?config ~ordering ~version doc =

@@ -68,6 +68,6 @@ let apply_strings ~ordering ~base ~updates =
   (Buffer.contents buf, report)
 
 let sort_and_apply_strings ?config ~ordering ~base ~updates () =
-  let sorted_base, _ = Nexsort.sort_string ?config ~ordering base in
-  let sorted_updates, _ = Nexsort.sort_string ?config ~ordering updates in
+  let sorted_base, _ = Engine.sort_string ?config ~ordering base in
+  let sorted_updates, _ = Engine.sort_string ?config ~ordering updates in
   apply_strings ~ordering ~base:sorted_base ~updates:sorted_updates

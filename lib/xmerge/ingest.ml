@@ -437,13 +437,14 @@ let pq_cmp a b =
   if c <> 0 then c
   else compare (Keypath.decode_payload a) (Keypath.decode_payload b)
 
-let create_device ?(config = Nexsort.Config.make ()) ?session ~ordering ~base () =
+let create_device ~session ~ordering ~base () =
+  let config = session.Nexsort.Session.config in
   let bs = config.Nexsort.Config.block_size in
   let base_dev = Nexsort.Config.scratch_device config ~name:"ingest-base-0" in
   (* the initial sort streams straight onto the base device *)
   let root_name = ref None in
   let index =
-    let stream = Nexsort.open_stream ~config ?session ~ordering ~input:base () in
+    let stream = Nexsort.open_stream ~session ~ordering ~input:base () in
     match
       let w = open_base ~config ~ordering base_dev in
       let rec pump () =
@@ -493,9 +494,9 @@ let create_device ?(config = Nexsort.Config.make ()) ?session ~ordering ~base ()
     destroyed = false;
   }
 
-let create ?(config = Nexsort.Config.make ()) ?session ~ordering ~base () =
-  create_device ~config ?session ~ordering
-    ~base:(Extmem.Device.of_string ~block_size:config.Nexsort.Config.block_size base) ()
+let create ?(config = Nexsort.Config.make ()) ~ordering ~base () =
+  let base = Extmem.Device.of_string ~block_size:config.Nexsort.Config.block_size base in
+  Engine.with_session config (fun session -> create_device ~session ~ordering ~base ())
 
 let check_live t = if t.destroyed then invalid_arg "Ingest: session destroyed"
 

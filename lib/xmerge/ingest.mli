@@ -71,34 +71,26 @@ val flush_report_json : flush_report -> Obs.Json.t
     and daemon "ingest" sections). *)
 
 val create_device :
-  ?config:Nexsort.Config.t ->
-  ?session:Nexsort.Session.t ->
+  session:Nexsort.Session.t ->
   ordering:Nexsort.Ordering.t ->
   base:Extmem.Device.t ->
   unit ->
   t
-(** Sort the document on the device [base] (via NEXSORT, under
-    [config]; a device of [config]'s block size, such as a
+(** Sort the document on the device [base] (via NEXSORT, over [session],
+    an engine job's session, which the sort destroys as usual; [base] is
+    a device of the session config's block size, such as a
     {!Nexsort.Config.with_input} endpoint) straight onto the ingest's
     base device, building the positional index from the same output
-    stream.  [base] is only read during the call.  [session] runs the
-    initial sort over a pre-built session (the engine path; destroyed by
-    the sort as usual).  The ingest holds its own memory budget of
-    [config]'s geometry for the queue; flushes additionally use one
-    parser/writer block per device, as {!Struct_merge.merge_devices}
-    does.
+    stream.  [base] is only read during the call.  The ingest holds its
+    own memory budget of the session config's geometry for the queue;
+    flushes additionally use one parser/writer block per device, as
+    {!Struct_merge.merge_devices} does.
     @raise Xmlio.Parser.Error on malformed input.
     @raise Invalid_argument when the ordering is not scan-evaluable. *)
 
-val create :
-  ?config:Nexsort.Config.t ->
-  ?session:Nexsort.Session.t ->
-  ordering:Nexsort.Ordering.t ->
-  base:string ->
-  unit ->
-  t
-(** {!create_device} over an in-memory device holding the string
-    [base]. *)
+val create : ?config:Nexsort.Config.t -> ordering:Nexsort.Ordering.t -> base:string -> unit -> t
+(** {!create_device} over an in-memory device holding the string [base],
+    on the session of a one-job engine ([Engine.with_session]). *)
 
 val add_update : t -> string -> unit
 (** Parse an update document and buffer its operations.  No base I/O:

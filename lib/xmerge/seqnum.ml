@@ -24,7 +24,7 @@ let annotate ?(offset = 0) doc =
 
 let restore ?config doc =
   let ordering = Nexsort.Ordering.by_attr seq_attr in
-  let sorted, _ = Nexsort.sort_string ?config ~ordering doc in
+  let sorted, _ = Engine.sort_string ?config ~ordering doc in
   let rec strip_tree (node : Tree.t) =
     match node with
     | Tree.Text _ -> node

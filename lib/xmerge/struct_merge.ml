@@ -314,13 +314,10 @@ let merge_devices ~ordering ~left ~right ~output () =
    (each drives its own NEXSORT session — the root's final merge runs
    lazily as the merge pulls), so neither sorted document is ever
    materialised. *)
-let merge_sorted_streams ?io ?sessions ~ordering ~config ~left ~right ~emit () =
-  let sess_l, sess_r =
-    match sessions with Some (a, b) -> (Some a, Some b) | None -> (None, None)
-  in
-  let sl = Nexsort.open_stream ~config ?session:sess_l ~ordering ~input:left () in
+let merge_sorted_streams ?io ~sessions:(sess_l, sess_r) ~ordering ~left ~right ~emit () =
+  let sl = Nexsort.open_stream ~session:sess_l ~ordering ~input:left () in
   let sr =
-    try Nexsort.open_stream ~config ?session:sess_r ~ordering ~input:right ()
+    try Nexsort.open_stream ~session:sess_r ~ordering ~input:right ()
     with e ->
       ignore (Nexsort.stream_finish sl);
       raise e
@@ -330,13 +327,12 @@ let merge_sorted_streams ?io ?sessions ~ordering ~config ~left ~right ~emit () =
       ignore (Nexsort.stream_finish sl);
       ignore (Nexsort.stream_finish sr))
     (fun () ->
-      merge_events ?io ~tracer:config.Nexsort.Config.tracer ~ordering
+      merge_events ?io ~tracer:sess_l.Nexsort.Session.config.Nexsort.Config.tracer ~ordering
         ~left:(fun () -> Nexsort.stream_events sl)
         ~right:(fun () -> Nexsort.stream_events sr)
         ~emit ())
 
-let sort_and_merge_devices ?(config = Nexsort.Config.make ()) ?(fuse = true) ?sessions
-    ~ordering ~left ~right ~output () =
+let sort_and_merge_devices ?(fuse = true) ~sessions ~ordering ~left ~right ~output () =
   if fuse then begin
     let bw = Extmem.Block_writer.create output in
     let writer = Xmlio.Writer.to_block_writer bw in
@@ -348,7 +344,7 @@ let sort_and_merge_devices ?(config = Nexsort.Config.make ()) ?(fuse = true) ?se
         (Extmem.Io_stats.snapshot (Extmem.Device.stats output))
     in
     let report =
-      merge_sorted_streams ~io ?sessions ~ordering ~config ~left ~right
+      merge_sorted_streams ~io ~sessions ~ordering ~left ~right
         ~emit:(Xmlio.Writer.event writer) ()
     in
     Xmlio.Writer.close writer;
@@ -359,21 +355,18 @@ let sort_and_merge_devices ?(config = Nexsort.Config.make ()) ?(fuse = true) ?se
   else begin
     (* unfused: materialise both sorted documents on scratch devices,
        then run the single-pass device merge *)
-    let sess_l, sess_r =
-      match sessions with Some (a, b) -> (Some a, Some b) | None -> (None, None)
-    in
-    let sorted name session input =
-      let d = Nexsort.Config.scratch_device config ~name in
-      ignore (Nexsort.sort_device ~config ?session ~ordering ~input ~output:d ());
+    let sorted name (session : Nexsort.Session.t) input =
+      let d = Nexsort.Config.scratch_device session.Nexsort.Session.config ~name in
+      ignore (Nexsort.sort_device ~session ~ordering ~input ~output:d ());
       d
     in
-    let ldev = sorted "sorted-left" sess_l left in
-    let rdev = sorted "sorted-right" sess_r right in
+    let ldev = sorted "sorted-left" (fst sessions) left in
+    let rdev = sorted "sorted-right" (snd sessions) right in
     merge_devices ~ordering ~left:ldev ~right:rdev ~output ()
   end
 
-let sort_and_merge_strings ?config ?(fuse = true) ?sessions ~ordering left right =
-  let config = Option.value config ~default:(Nexsort.Config.make ()) in
+let sort_and_merge_strings ?(config = Nexsort.Config.make ()) ?(fuse = true) ~ordering left
+    right =
   if fuse then begin
     let load name s =
       let d = Nexsort.Config.scratch_device config ~name in
@@ -384,14 +377,15 @@ let sort_and_merge_strings ?config ?(fuse = true) ?sessions ~ordering left right
     let buf = Buffer.create 1024 in
     let writer = Xmlio.Writer.to_buffer buf in
     let report =
-      merge_sorted_streams ?sessions ~ordering ~config ~left ~right
-        ~emit:(Xmlio.Writer.event writer) ()
+      Engine.with_session_pair config (fun sessions ->
+          merge_sorted_streams ~sessions ~ordering ~left ~right
+            ~emit:(Xmlio.Writer.event writer) ())
     in
     Xmlio.Writer.close writer;
     (Buffer.contents buf, report)
   end
   else begin
-    let sorted_l, _ = Nexsort.sort_string ~config ~ordering left in
-    let sorted_r, _ = Nexsort.sort_string ~config ~ordering right in
+    let sorted_l, _ = Engine.sort_string ~config ~ordering left in
+    let sorted_r, _ = Engine.sort_string ~config ~ordering right in
     merge_strings ~ordering sorted_l sorted_r
   end

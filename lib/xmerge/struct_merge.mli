@@ -78,36 +78,33 @@ val merge_devices :
 val sort_and_merge_strings :
   ?config:Nexsort.Config.t ->
   ?fuse:bool ->
-  ?sessions:Nexsort.Session.t * Nexsort.Session.t ->
   ordering:Nexsort.Ordering.t ->
   string ->
   string ->
   string * report
 (** Convenience for unsorted inputs: NEXSORT both, then merge.  With
     [fuse] (the default) the two sorts are opened as event streams
-    ({!Nexsort.open_stream}) and the merge pulls from them directly, so
-    neither sorted document is materialised; [~fuse:false] restores the
-    three-pass sort/sort/merge sequence.  Each fused sort runs its own
-    session with its own memory budget, unless [sessions] supplies the
-    (left, right) pair — the engine path, where both sessions carve
-    from one engine budget; they are destroyed here on every exit path
-    (ignored on the unfused string path, which sorts in memory). *)
+    ({!Nexsort.open_stream}) over the session pair of a two-slot engine
+    ([Engine.with_session_pair]), and the merge pulls from them
+    directly, so neither sorted document is materialised; [~fuse:false]
+    restores the three-pass sort/sort/merge sequence, each sort on a
+    one-job engine ([Engine.sort_string]). *)
 
 val sort_and_merge_devices :
-  ?config:Nexsort.Config.t ->
   ?fuse:bool ->
-  ?sessions:Nexsort.Session.t * Nexsort.Session.t ->
+  sessions:Nexsort.Session.t * Nexsort.Session.t ->
   ordering:Nexsort.Ordering.t ->
   left:Extmem.Device.t ->
   right:Extmem.Device.t ->
   output:Extmem.Device.t ->
   unit ->
   report
-(** Sort both device-resident documents and merge them onto [output].
-    Fused (default), the sorted documents exist only as event streams —
-    the whole job writes each input's sorted runs once and the merged
-    output once, skipping the two sorted-document materialisation
-    passes.  [~fuse:false] sorts onto scratch devices first and then
-    runs {!merge_devices}.  [sessions] runs the two sorts over
-    pre-built (left, right) sessions — see
-    {!sort_and_merge_strings}. *)
+(** Sort both device-resident documents and merge them onto [output],
+    the left one over the first of [sessions] and the right one over
+    the second ([Engine.run_pair]; both sessions are destroyed here on
+    every exit path, and the first one's config is used for scratch
+    devices and tracing).  Fused (default), the sorted documents exist
+    only as event streams — the whole job writes each input's sorted
+    runs once and the merged output once, skipping the two
+    sorted-document materialisation passes.  [~fuse:false] sorts onto
+    scratch devices first and then runs {!merge_devices}. *)

@@ -96,6 +96,25 @@ for i in 1 2 3 4 5 6 7 8; do
   dune exec bench/main.exe -- compare-metrics $tmp/par1.json $tmp/eng$i.json
   dune exec bench/main.exe -- compare-metrics $tmp/eng$i.json $tmp/par1.json
 done
+# The same through a daemon with a shared pool: --jobs 2 requests sort
+# their subtrees on the engine's two workers (a job of 16 + 2 writer
+# buffer + 32 headroom blocks, two at a time), and must stay just as
+# invisible in the output and the I/O bill.
+for i in 1 2 3 4; do
+  t=acme; [ $((i % 2)) -eq 0 ] && t=bravo
+  echo "sort -B 1024 -M 16 --jobs 2 $tmp/par.xml -o $tmp/engw$i.xml --metrics $tmp/engw$i.json --tenant $t" \
+    >> $tmp/engw_jobs.txt
+done
+dune exec bin/nexsortd.exe -- --workers 2 --memory 100 --block-size 1024 $tmp/engw_jobs.txt \
+  > $tmp/engwd.out
+grep -q '4 jobs: 4 done, 0 cancelled, 0 failed; leaked blocks: 0' $tmp/engwd.out || {
+  echo "engine smoke: the --workers daemon failed a job or leaked" >&2; cat $tmp/engwd.out >&2
+  exit 1; }
+for i in 1 2 3 4; do
+  cmp $tmp/engw$i.xml $tmp/par1.out.xml
+  dune exec bench/main.exe -- compare-metrics $tmp/par1.json $tmp/engw$i.json
+  dune exec bench/main.exe -- compare-metrics $tmp/engw$i.json $tmp/par1.json
+done
 dune exec bin/nexfuzz.exe -- --tenants 4 --cases 24 --fault-cases 0 > /dev/null
 
 # Trace smoke: a --jobs 4 traced sort must produce a trace that nextrace

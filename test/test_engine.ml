@@ -55,7 +55,7 @@ let test_concurrent_jobs_equal_sequential =
       in
       let reference =
         List.map
-          (fun (_, _, xml) -> Nexsort.sort_string ~config ~ordering:by_id xml)
+          (fun (_, _, xml) -> Engine.sort_string ~config ~ordering:by_id xml)
           jobs
         |> List.map (fun (out, rep) ->
                (out, Extmem.Io_stats.total rep.Nexsort.total_io))
@@ -93,7 +93,7 @@ let test_concurrent_external_offload () =
     Config.make ~block_size:128 ~memory_blocks:10 ~threshold:200_000 ~degeneration:false
       ~jobs ()
   in
-  let ref_out, ref_rep = Nexsort.sort_string ~config:(mk 1) ~ordering:by_id xml in
+  let ref_out, ref_rep = Engine.sort_string ~config:(mk 1) ~ordering:by_id xml in
   check Alcotest.bool "reference run spills externally" true
     (ref_rep.Nexsort.external_sorts > 0);
   let config = mk 2 in
@@ -182,6 +182,52 @@ let test_tenant_fairness () =
     (Extmem.Memory_budget.used_blocks (Engine.budget eng));
   Engine.destroy eng
 
+let test_pair_admitted_as_one_unit () =
+  (* a fused merge's two sessions are carved together or not at all:
+     while a held job leaves room for only one of them, the pair holds
+     nothing; once the slot frees, it gets both *)
+  let config = job_config () in
+  let eng = Engine.create ~memory_blocks:16 ~block_size:128 () in
+  let holder = Engine.acquire eng ~tenant:"holder" config in
+  let budgets = ref [] in
+  let pair =
+    Domain.spawn (fun () ->
+        Engine.run_pair ~name:"merge" eng ~tenant:"pair" config (fun job (sl, sr) ->
+            budgets := [ sl.Nexsort.Session.budget; sr.Nexsort.Session.budget ];
+            Engine.job_name job))
+  in
+  Unix.sleepf 0.1;
+  check Alcotest.int "a waiting pair holds no slot" 8
+    (Extmem.Memory_budget.used_blocks (Engine.budget eng));
+  Engine.release eng holder;
+  check Alcotest.string "the left half names the pair" "merge-left" (Domain.join pair);
+  (match !budgets with
+  | [ l; r ] -> check Alcotest.bool "one carve per half" true (l != r)
+  | _ -> Alcotest.fail "the pair never ran");
+  check Alcotest.int "budget empty" 0 (Extmem.Memory_budget.used_blocks (Engine.budget eng));
+  Engine.destroy eng
+
+let test_rejected_ordering_destroys_session () =
+  (* the ordering check is part of the sort: a config/ordering mismatch
+     raises with the session already destroyed, so its job releases
+     without a leak *)
+  let config = Config.make ~block_size:128 ~memory_blocks:8 ~encoding:Config.Packed () in
+  let eng = Engine.create ~memory_blocks:8 ~block_size:128 () in
+  let job = Engine.acquire eng ~tenant:"t" config in
+  let session = Engine.session eng job in
+  let input = Extmem.Device.of_string ~block_size:128 "<r><a><b>1</b></a></r>" in
+  let output = Extmem.Device.in_memory ~block_size:128 () in
+  (match
+     Nexsort.sort_device ~session ~ordering:(Nexsort.Ordering.of_spec_string "a/b") ~input
+       ~output ()
+   with
+  | _ -> Alcotest.fail "a subtree-derived key under Packed was accepted"
+  | exception Invalid_argument _ -> ());
+  check Alcotest.bool "session destroyed" true session.Nexsort.Session.destroyed;
+  Engine.release eng job;
+  check Alcotest.int "nothing leaked" 0 (Engine.leaked_blocks eng);
+  Engine.destroy eng
+
 (* --- abort and containment ---------------------------------------- *)
 
 exception Boom
@@ -212,7 +258,7 @@ let test_faulted_job_leaves_engine_quiescent () =
   in
   Domain.join faulty;
   let out, _ = Domain.join queued in
-  let ref_out, _ = Nexsort.sort_string ~config ~ordering:by_id xml in
+  let ref_out, _ = Engine.sort_string ~config ~ordering:by_id xml in
   check Alcotest.string "queued job unaffected by the fault" ref_out out;
   check Alcotest.int "engine budget empty" 0
     (Extmem.Memory_budget.used_blocks (Engine.budget eng));
@@ -321,6 +367,7 @@ let () =
         [
           Alcotest.test_case "queues and completes" `Quick test_admission_queues_and_completes;
           Alcotest.test_case "tenant fairness" `Quick test_tenant_fairness;
+          Alcotest.test_case "pair admitted as one unit" `Quick test_pair_admitted_as_one_unit;
         ] );
       ( "containment",
         [
@@ -328,6 +375,8 @@ let () =
             test_faulted_job_leaves_engine_quiescent;
           Alcotest.test_case "cancel running job" `Quick test_cancel_running_job;
           Alcotest.test_case "cancel queued job" `Quick test_cancel_queued_job;
+          Alcotest.test_case "rejected ordering destroys the session" `Quick
+            test_rejected_ordering_destroys_session;
         ] );
       ( "isolation",
         [

@@ -713,7 +713,7 @@ let test_ext_stack_borrow_across_session_reclaim () =
      Session.reclaim takes it all back without losing data, and destroy
      empties the ledger and is idempotent *)
   let config = Nexsort.Config.make ~block_size:512 ~memory_blocks:64 () in
-  let session = Nexsort.Session.create config in
+  Engine.with_session config @@ fun session ->
   let budget = session.Nexsort.Session.budget in
   let baseline = Extmem.Memory_budget.used_blocks budget in
   Nexsort.Session.reclaim session;

@@ -84,7 +84,7 @@ let test_measured_within_bound () =
       let xml, stats =
         Xmlgen.Gen.to_string (fun sink -> Xmlgen.Gen.exact_shape ~avg_bytes:60 ~fanouts sink)
       in
-      let _, report = Nexsort.sort_string ~config ~ordering xml in
+      let _, report = Engine.sort_string ~config ~ordering xml in
       let avg = stats.Xmlgen.Gen.bytes / max 1 stats.Xmlgen.Gen.elements in
       let p =
         {

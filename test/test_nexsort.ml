@@ -22,6 +22,11 @@ let tiny_config ?depth_limit ?(degeneration = true) ?(encoding = Config.Dict)
 
 let by_id = Ordering.by_attr "id"
 
+(* One device-to-device sort on a one-job engine. *)
+let sort_device ~config ~ordering ~input ~output () =
+  Engine.with_session config (fun session ->
+      Nexsort.sort_device ~session ~ordering ~input ~output ())
+
 (* ------------------------------------------------------------------ *)
 (* Key *)
 
@@ -160,7 +165,7 @@ let test_ordering_composite_and_desc () =
     "<staff><employee last=\"Yang\" first=\"Jun\"/><employee last=\"Silber\" first=\"Adam\"/>\
      <employee last=\"Silber\" first=\"Aaron\"/></staff>"
   in
-  let sorted, _ = Nexsort.sort_string ~config:(tiny_config ()) ~ordering xml in
+  let sorted, _ = Engine.sort_string ~config:(tiny_config ()) ~ordering xml in
   check tree_eq "compound key"
     (parse
        "<staff><employee last=\"Silber\" first=\"Aaron\"/><employee last=\"Silber\" first=\"Adam\"/>\
@@ -169,7 +174,7 @@ let test_ordering_composite_and_desc () =
   (* descending *)
   let desc = Ordering.make (Ordering.Desc (Ordering.By_attr "id")) in
   let sorted, _ =
-    Nexsort.sort_string ~config:(tiny_config ()) ~ordering:desc
+    Engine.sort_string ~config:(tiny_config ()) ~ordering:desc
       "<r id=\"0\"><a id=\"1\"/><a id=\"3\"/><a id=\"2\"/></r>"
   in
   check tree_eq "descending"
@@ -186,7 +191,7 @@ let test_ordering_composite_subtree () =
   let xml =
     "<r><e n=\"2\"><name>b</name></e><e n=\"1\"><name>b</name></e><e n=\"9\"><name>a</name></e></r>"
   in
-  let sorted, _ = Nexsort.sort_string ~config:(tiny_config ()) ~ordering xml in
+  let sorted, _ = Engine.sort_string ~config:(tiny_config ()) ~ordering xml in
   check tree_eq "mixed compound"
     (Baselines.Tree_sort.sort_tree ordering (parse xml))
     (parse sorted)
@@ -280,7 +285,7 @@ let test_keypath_compare () =
 (* NEXSORT vs the internal-memory oracle *)
 
 let nexsort_matches_oracle ?depth_limit ~config ~ordering xml =
-  let sorted, report = Nexsort.sort_string ~config ~ordering xml in
+  let sorted, report = Engine.sort_string ~config ~ordering xml in
   let expected = Baselines.Tree_sort.sort_tree ?depth_limit ordering (parse xml) in
   check tree_eq ("sorted " ^ xml) expected (parse sorted);
   report
@@ -296,7 +301,7 @@ let test_sort_small_flat () =
 
 let test_sort_figure_1 () =
   let sorted, _ =
-    Nexsort.sort_string ~config:(tiny_config ()) ~ordering:Xmlgen.Company.ordering
+    Engine.sort_string ~config:(tiny_config ()) ~ordering:Xmlgen.Company.ordering
       Xmlgen.Company.figure_1_d1
   in
   (* Figure 1's sorted D1: regions AC < NE; branches Atlanta < Durham;
@@ -323,7 +328,7 @@ let test_sort_deep_chain () =
 let test_sort_duplicate_keys_stable () =
   (* equal keys keep document order via the position tiebreak *)
   let xml = "<r id=\"0\"><a id=\"1\" n=\"first\"/><a id=\"1\" n=\"second\"/><a id=\"0\"/></r>" in
-  let sorted, _ = Nexsort.sort_string ~config:(tiny_config ()) ~ordering:by_id xml in
+  let sorted, _ = Engine.sort_string ~config:(tiny_config ()) ~ordering:by_id xml in
   check tree_eq "stable"
     (parse "<r id=\"0\"><a id=\"0\"/><a id=\"1\" n=\"first\"/><a id=\"1\" n=\"second\"/></r>")
     (parse sorted)
@@ -331,7 +336,7 @@ let test_sort_duplicate_keys_stable () =
 let test_sort_mixed_text_children () =
   (* text nodes have Null keys: they come first, in document order *)
   let xml = "<r id=\"0\">alpha<b id=\"2\"/>beta<a id=\"1\"/></r>" in
-  let sorted, _ = Nexsort.sort_string ~config:(tiny_config ()) ~ordering:by_id xml in
+  let sorted, _ = Engine.sort_string ~config:(tiny_config ()) ~ordering:by_id xml in
   check tree_eq "text first, doc order"
     (parse "<r id=\"0\">alphabeta<a id=\"1\"/><b id=\"2\"/></r>")
     (parse sorted)
@@ -387,7 +392,7 @@ let test_sort_flat_fragments_path_stack_constant () =
     Xmlgen.Gen.to_string (fun sink -> Xmlgen.Gen.exact_shape ~seed:5 ~fanouts:[ 5_000 ] sink)
   in
   let config = Config.make ~block_size:256 ~memory_blocks:16 () in
-  let sorted, r = Nexsort.sort_string ~config ~ordering:by_id xml in
+  let sorted, r = Engine.sort_string ~config ~ordering:by_id xml in
   check Alcotest.bool
     (Printf.sprintf "hundreds of fragments (%d)" r.Nexsort.fragment_runs)
     true
@@ -414,7 +419,7 @@ let test_sort_nested_fragmented_elements () =
     ^ "</big>" ^ leaves "b" 300 211 ^ "</r>"
   in
   let config = tiny_config () in
-  let sorted, r = Nexsort.sort_string ~config ~ordering:by_id xml in
+  let sorted, r = Engine.sort_string ~config ~ordering:by_id xml in
   check Alcotest.bool
     (Printf.sprintf "both elements merged fragments (%d merges)" r.Nexsort.fragment_merges)
     true
@@ -441,7 +446,7 @@ let test_sort_subtree_keys () =
 let test_sort_by_text_ordering () =
   let xml = "<r><w>delta</w><w>alpha</w><w>charlie</w><w>bravo</w></r>" in
   let ordering = Ordering.make Ordering.By_text in
-  let sorted, _ = Nexsort.sort_string ~config:(tiny_config ()) ~ordering xml in
+  let sorted, _ = Engine.sort_string ~config:(tiny_config ()) ~ordering xml in
   check tree_eq "by text"
     (parse "<r><w>alpha</w><w>bravo</w><w>charlie</w><w>delta</w></r>")
     (parse sorted)
@@ -459,26 +464,26 @@ let test_sort_depth_limited () =
 let test_sort_idempotent () =
   let xml = gen_doc 4 in
   let config = tiny_config () in
-  let once, _ = Nexsort.sort_string ~config ~ordering:by_id xml in
-  let twice, _ = Nexsort.sort_string ~config ~ordering:by_id once in
+  let once, _ = Engine.sort_string ~config ~ordering:by_id xml in
+  let twice, _ = Engine.sort_string ~config ~ordering:by_id once in
   check tree_eq "idempotent" (parse once) (parse twice)
 
 let test_sort_output_is_sorted_invariant () =
   let xml = gen_doc 5 in
-  let sorted, _ = Nexsort.sort_string ~config:(tiny_config ()) ~ordering:by_id xml in
+  let sorted, _ = Engine.sort_string ~config:(tiny_config ()) ~ordering:by_id xml in
   check Alcotest.bool "invariant" true (Baselines.Tree_sort.sorted by_id (parse sorted))
 
 let test_sort_packed_rejects_subtree_keys () =
   let ordering = Ordering.make Ordering.By_text in
   try
     ignore
-      (Nexsort.sort_string ~config:(tiny_config ~encoding:Config.Packed ()) ~ordering "<a/>");
+      (Engine.sort_string ~config:(tiny_config ~encoding:Config.Packed ()) ~ordering "<a/>");
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
 let test_sort_malformed_input () =
   try
-    ignore (Nexsort.sort_string ~config:(tiny_config ()) ~ordering:by_id "<a><b></a>");
+    ignore (Engine.sort_string ~config:(tiny_config ()) ~ordering:by_id "<a><b></a>");
     Alcotest.fail "expected parse error"
   with Xmlio.Parser.Error _ -> ()
 
@@ -486,12 +491,12 @@ let test_sort_fusion_off_same_output () =
   (* root fusion is a pure optimization: identical output, fewer I/Os *)
   let xml = gen_doc 21 in
   let with_fusion, rf =
-    Nexsort.sort_string
+    Engine.sort_string
       ~config:(Config.make ~block_size:128 ~memory_blocks:8 ~root_fusion:true ())
       ~ordering:by_id xml
   in
   let without_fusion, rn =
-    Nexsort.sort_string
+    Engine.sort_string
       ~config:(Config.make ~block_size:128 ~memory_blocks:8 ~root_fusion:false ())
       ~ordering:by_id xml
   in
@@ -508,8 +513,8 @@ let prop_fusion_identical =
     (fun (seed, memory_blocks) ->
       let xml = gen_doc ~max_elements:200 seed in
       let mk root_fusion = Config.make ~block_size:128 ~memory_blocks ~root_fusion () in
-      let fused, _ = Nexsort.sort_string ~config:(mk true) ~ordering:by_id xml in
-      let unfused, _ = Nexsort.sort_string ~config:(mk false) ~ordering:by_id xml in
+      let fused, _ = Engine.sort_string ~config:(mk true) ~ordering:by_id xml in
+      let unfused, _ = Engine.sort_string ~config:(mk false) ~ordering:by_id xml in
       String.equal fused unfused)
 
 let test_fusion_saves_exactly_root_run_io () =
@@ -523,8 +528,8 @@ let test_fusion_saves_exactly_root_run_io () =
     Config.make ~block_size:128 ~memory_blocks:8 ~threshold:1_000_000 ~degeneration:false
       ~root_fusion ()
   in
-  let fused, rf = Nexsort.sort_string ~config:(mk true) ~ordering:by_id xml in
-  let unfused, rn = Nexsort.sort_string ~config:(mk false) ~ordering:by_id xml in
+  let fused, rf = Engine.sort_string ~config:(mk true) ~ordering:by_id xml in
+  let unfused, rn = Engine.sort_string ~config:(mk false) ~ordering:by_id xml in
   check Alcotest.string "same output" unfused fused;
   check Alcotest.int "root is the only subtree sort" 1 rn.Nexsort.subtree_sorts;
   check Alcotest.int "and it ran externally" 1 rn.Nexsort.external_sorts;
@@ -547,14 +552,14 @@ let test_output_fault_leaves_whole_blocks () =
   let xml = gen_doc 23 in
   let config = tiny_config () in
   let bs = config.Config.block_size in
-  let reference, _ = Nexsort.sort_string ~config ~ordering:by_id xml in
+  let reference, _ = Engine.sort_string ~config ~ordering:by_id xml in
   check Alcotest.bool "document spans several blocks" true (String.length reference > 3 * bs);
   let input = Extmem.Device.of_string ~block_size:bs xml in
   let output = Extmem.Device.in_memory ~block_size:bs () in
   Extmem.Device.push_layer output
     (Extmem.Layer.fault_hook (fun op i -> op = Extmem.Backend.Write && i = 2));
   (try
-     ignore (Nexsort.sort_device ~config ~ordering:by_id ~input ~output ());
+     ignore (sort_device ~config ~ordering:by_id ~input ~output ());
      Alcotest.fail "expected Device.Fault"
    with Extmem.Device.Fault (Extmem.Device.Write, 2) -> ());
   (* blocks before the faulted one arrived intact *)
@@ -577,13 +582,13 @@ let test_sort_input_fault_surfaces () =
   Extmem.Device.push_layer input
     (Extmem.Layer.fault_hook (fun op i -> !armed && op = Extmem.Backend.Read && i = 2));
   (try
-     ignore (Nexsort.sort_device ~config ~ordering:by_id ~input ~output ());
+     ignore (sort_device ~config ~ordering:by_id ~input ~output ());
      Alcotest.fail "expected Device.Fault"
    with Extmem.Device.Fault (Extmem.Device.Read, 2) -> ());
   (* disarming the fault layer lets the same devices finish the job *)
   armed := false;
   let output2 = Extmem.Device.in_memory ~block_size:config.Config.block_size () in
-  let r = Nexsort.sort_device ~config ~ordering:by_id ~input ~output:output2 () in
+  let r = sort_device ~config ~ordering:by_id ~input ~output:output2 () in
   check Alcotest.bool "recovered" true (r.Nexsort.elements > 0)
 
 let test_sort_jobs_equivalence () =
@@ -595,12 +600,12 @@ let test_sort_jobs_equivalence () =
     (fun seed ->
       let xml = gen_doc ~height:5 ~max_elements:600 seed in
       let mk jobs = Config.make ~block_size:128 ~memory_blocks:8 ~jobs () in
-      let ref_out, ref_rep = Nexsort.sort_string ~config:(mk 1) ~ordering:by_id xml in
+      let ref_out, ref_rep = Engine.sort_string ~config:(mk 1) ~ordering:by_id xml in
       check Alcotest.int (Printf.sprintf "seed %d jobs 1 has no worker rows" seed) 0
         (List.length ref_rep.Nexsort.workers);
       List.iter
         (fun jobs ->
-          let out, rep = Nexsort.sort_string ~config:(mk jobs) ~ordering:by_id xml in
+          let out, rep = Engine.sort_string ~config:(mk jobs) ~ordering:by_id xml in
           check Alcotest.string (Printf.sprintf "seed %d jobs %d bytes" seed jobs) ref_out out;
           check Alcotest.int
             (Printf.sprintf "seed %d jobs %d total io" seed jobs)
@@ -623,7 +628,7 @@ let test_aborted_external_sort_restores_budget () =
      exactly as a completed sort would: every sort lease released and the
      window shed back to its configured size *)
   let config = Config.make ~block_size:256 ~memory_blocks:12 () in
-  let session = Nexsort.Session.create config in
+  Engine.with_session config @@ fun session ->
   let budget = session.Nexsort.Session.budget in
   let baseline = Extmem.Memory_budget.used_blocks budget in
   let run variant =
@@ -677,7 +682,7 @@ let test_report_io_accounting () =
   let config = tiny_config () in
   let input = Extmem.Device.of_string ~block_size:config.Config.block_size xml in
   let output = Extmem.Device.in_memory ~block_size:config.Config.block_size () in
-  let r = Nexsort.sort_device ~config ~ordering:by_id ~input ~output () in
+  let r = sort_device ~config ~ordering:by_id ~input ~output () in
   let bs = config.Config.block_size in
   let in_blocks = (String.length xml + bs - 1) / bs in
   check Alcotest.int "input read exactly once" in_blocks r.Nexsort.input_io.Extmem.Io_stats.reads;
@@ -710,7 +715,7 @@ let test_sort_file_backed_devices () =
       Extmem.Io_stats.reset (Extmem.Device.stats input);
       let output = Extmem.Device.file ~block_size:bs ~path:out_path () in
       let config = Config.make ~block_size:bs ~memory_blocks:8 () in
-      let r = Nexsort.sort_device ~config ~ordering:by_id ~input ~output () in
+      let r = sort_device ~config ~ordering:by_id ~input ~output () in
       check Alcotest.bool "sorted elements" true (r.Nexsort.elements > 100);
       let sorted = Extmem.Device.contents output in
       check tree_eq "file-backed result"
@@ -754,10 +759,10 @@ let test_endpoints_sort_file_to_file () =
         check Alcotest.int "byte length" (String.length xml) (Extmem.Device.byte_length d);
         check Alcotest.int "blocks" ((String.length xml + 255) / 256) (Extmem.Device.block_count d);
         Config.with_output config out_path (fun out ->
-            Nexsort.sort_device ~config ~ordering:by_id ~input:d
+            sort_device ~config ~ordering:by_id ~input:d
               ~output:out.Extmem.Device_spec.device ()))
   in
-  let expected, r' = Nexsort.sort_string ~config ~ordering:by_id xml in
+  let expected, r' = Engine.sort_string ~config ~ordering:by_id xml in
   check Alcotest.string "output bytes" expected (read_file out_path);
   check Alcotest.int "input io" (Extmem.Io_stats.total r'.Nexsort.input_io)
     (Extmem.Io_stats.total r.Nexsort.input_io);
@@ -857,7 +862,7 @@ let test_all_sorters_agree_on_company_docs () =
   let doc = pair.Xmlgen.Company.personnel in
   let ordering = Xmlgen.Company.ordering in
   let config = tiny_config () in
-  let nx, _ = Nexsort.sort_string ~config ~ordering doc in
+  let nx, _ = Engine.sort_string ~config ~ordering doc in
   let kp, _ = Baselines.Keypath_sort.sort_string ~config ~ordering doc in
   let ts = Baselines.Tree_sort.sort_string ordering doc in
   check tree_eq "nexsort = treesort" (parse ts) (parse nx);
@@ -880,7 +885,7 @@ let test_sort_stress_combined_features () =
   let config =
     Config.make ~block_size:128 ~memory_blocks:8 ~encoding:Config.Packed ~degeneration:true ()
   in
-  let sorted, report = Nexsort.sort_string ~config ~ordering xml in
+  let sorted, report = Engine.sort_string ~config ~ordering xml in
   check tree_eq "stress"
     (Baselines.Tree_sort.sort_tree ordering (parse xml))
     (parse sorted);
@@ -892,7 +897,7 @@ let test_sort_stress_combined_features () =
 let lemma_breakdown ~config xml =
   let input = Extmem.Device.of_string ~block_size:config.Config.block_size xml in
   let output = Extmem.Device.in_memory ~block_size:config.Config.block_size () in
-  let r = Nexsort.sort_device ~config ~ordering:by_id ~input ~output () in
+  let r = sort_device ~config ~ordering:by_id ~input ~output () in
   let get name = Extmem.Io_stats.total (List.assoc name r.Nexsort.breakdown) in
   (r, get)
 
@@ -1127,7 +1132,7 @@ let prop_xsort_does_less_than_nexsort =
       let xs, _ =
         Baselines.Xsort.sort_string ~config:(tiny_config ()) ~ordering:by_id ~targets:[ "n1" ] xml
       in
-      let nx, _ = Nexsort.sort_string ~config:(tiny_config ()) ~ordering:by_id xml in
+      let nx, _ = Engine.sort_string ~config:(tiny_config ()) ~ordering:by_id xml in
       (* NEXSORT's output always satisfies the invariant; XSort's only has
          to when the document happens to be shallow *)
       Baselines.Tree_sort.sorted by_id (parse nx)
@@ -1183,7 +1188,7 @@ let prop_nexsort_equals_oracle =
   QCheck.Test.make ~name:"NEXSORT = oracle on random documents and configs" ~count:120
     (QCheck.pair arb_doc arb_config)
     (fun (xml, config) ->
-      let sorted, _ = Nexsort.sort_string ~config ~ordering:by_id xml in
+      let sorted, _ = Engine.sort_string ~config ~ordering:by_id xml in
       let expected = Baselines.Tree_sort.sort_tree by_id (parse xml) in
       Xmlio.Tree.equal expected (parse sorted))
 
@@ -1210,14 +1215,14 @@ let prop_structure_preserved =
         go "" t;
         List.sort compare !acc
       in
-      let sorted, _ = Nexsort.sort_string ~config:(tiny_config ()) ~ordering:by_id xml in
+      let sorted, _ = Engine.sort_string ~config:(tiny_config ()) ~ordering:by_id xml in
       edges (parse xml) = edges (parse sorted))
 
 let prop_subtree_ordering_equals_oracle =
   QCheck.Test.make ~name:"NEXSORT with subtree-derived keys = oracle" ~count:40 arb_doc
     (fun xml ->
       let ordering = Ordering.make ~rules:[ ("n3", Ordering.By_text) ] (Ordering.By_attr "id") in
-      let sorted, _ = Nexsort.sort_string ~config:(tiny_config ()) ~ordering xml in
+      let sorted, _ = Engine.sort_string ~config:(tiny_config ()) ~ordering xml in
       Xmlio.Tree.equal (Baselines.Tree_sort.sort_tree ordering (parse xml)) (parse sorted))
 
 (* ------------------------------------------------------------------ *)

@@ -114,7 +114,7 @@ let test_nexsort_output_validates () =
   Verify.Probes.clear ();
   let doc = pathological_doc ~max_elements:200 4242 in
   let config = Nexsort.Config.make ~block_size:512 ~memory_blocks:16 () in
-  let out, _ = Nexsort.Sorter.sort_string ~config ~ordering:(Ordering.by_attr "id") doc in
+  let out, _ = Engine.sort_string ~config ~ordering:(Ordering.by_attr "id") doc in
   (match Validator.check ~ordering:(Ordering.by_attr "id") ~input:doc out with
   | Ok () -> ()
   | Error e -> Alcotest.failf "sorted document rejected: %s" e);
@@ -131,7 +131,7 @@ let test_probes_clean_after_fault () =
     Nexsort.Config.make ~block_size:512 ~memory_blocks:16
       ~device:(Extmem.Device_spec.parse "faulty:p=1.0,seed=7/mem") ()
   in
-  (match Nexsort.Sorter.sort_string ~config ~ordering:(Ordering.by_attr "id") doc with
+  (match Engine.sort_string ~config ~ordering:(Ordering.by_attr "id") doc with
   | _ -> Alcotest.fail "sort on an always-faulting device succeeded"
   | exception Extmem.Backend.Fault _ -> ()
   | exception e -> Alcotest.failf "expected Device.Fault, got %s" (Printexc.to_string e));
@@ -155,7 +155,7 @@ let test_probes_clean_after_worker_fault () =
             (Extmem.Device_spec.parse (Printf.sprintf "faulty:p=1.0,seed=%d/mem" seed))
           ()
       in
-      match Nexsort.Sorter.sort_string ~config ~ordering:(Ordering.by_attr "id") doc with
+      match Engine.sort_string ~config ~ordering:(Ordering.by_attr "id") doc with
       | _ -> Alcotest.fail "sort on an always-faulting device succeeded"
       | exception Extmem.Backend.Fault _ -> ()
       | exception e -> Alcotest.failf "expected Device.Fault, got %s" (Printexc.to_string e))
@@ -167,7 +167,7 @@ let test_probe_sees_leak () =
   (* check_session must actually report a dirty session, otherwise the
      clean results above prove nothing *)
   let config = Nexsort.Config.make ~block_size:512 ~memory_blocks:16 () in
-  let session = Nexsort.Session.create config in
+  Engine.with_session config @@ fun session ->
   check Alcotest.bool "live session is flagged" true
     (Verify.Probes.check_session session <> []);
   Nexsort.Session.destroy session;

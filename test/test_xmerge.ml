@@ -88,7 +88,9 @@ let test_sort_and_merge_devices_fused_saves_io () =
     let right = load "right" pair.Xmlgen.Company.payroll in
     let output = Extmem.Device.in_memory ~name:"output" ~block_size:bs () in
     ignore
-      (Xmerge.Struct_merge.sort_and_merge_devices ~config ~fuse ~ordering ~left ~right ~output ()
+      (Engine.with_session_pair config (fun sessions ->
+           Xmerge.Struct_merge.sort_and_merge_devices ~fuse ~sessions ~ordering ~left ~right
+             ~output ())
         : Xmerge.Struct_merge.report);
     ( Extmem.Device.contents output,
       Extmem.Io_stats.total (Extmem.Io_stats.snapshot (Extmem.Device.stats left))
@@ -221,8 +223,8 @@ let test_merge_mismatched_roots () =
 let test_merge_devices_single_pass () =
   let pair = Xmlgen.Company.generate ~seed:3 ~regions:3 ~branches_per_region:2 () in
   let ordering = Xmlgen.Company.ordering in
-  let sl, _ = Nexsort.sort_string ~config ~ordering pair.Xmlgen.Company.personnel in
-  let sr, _ = Nexsort.sort_string ~config ~ordering pair.Xmlgen.Company.payroll in
+  let sl, _ = Engine.sort_string ~config ~ordering pair.Xmlgen.Company.personnel in
+  let sr, _ = Engine.sort_string ~config ~ordering pair.Xmlgen.Company.payroll in
   let bs = 128 in
   let left = Extmem.Device.of_string ~block_size:bs sl in
   let right = Extmem.Device.of_string ~block_size:bs sr in
@@ -250,8 +252,8 @@ let prop_merge_equals_reference =
           ()
       in
       let ordering = Xmlgen.Company.ordering in
-      let sl, _ = Nexsort.sort_string ~config ~ordering pair.Xmlgen.Company.personnel in
-      let sr, _ = Nexsort.sort_string ~config ~ordering pair.Xmlgen.Company.payroll in
+      let sl, _ = Engine.sort_string ~config ~ordering pair.Xmlgen.Company.personnel in
+      let sr, _ = Engine.sort_string ~config ~ordering pair.Xmlgen.Company.payroll in
       let merged, _ = Xmerge.Struct_merge.merge_strings ~ordering sl sr in
       Xmlio.Tree.equal (ref_merge_strings ordering sl sr) (parse merged))
 
@@ -424,7 +426,7 @@ let test_seqnum_roundtrip () =
   let doc = "<r id=\"0\"><b id=\"9\"><y id=\"5\"/><x id=\"7\"/></b><a id=\"3\">text</a></r>" in
   let annotated = Xmerge.Seqnum.annotate doc in
   (* sorting scrambles the sibling order... *)
-  let sorted, _ = Nexsort.sort_string ~config ~ordering:by_id annotated in
+  let sorted, _ = Engine.sort_string ~config ~ordering:by_id annotated in
   check Alcotest.bool "sorting changed the order" true
     (Xmerge.Seqnum.strip sorted <> doc);
   (* ...and restore brings the original order back exactly *)
@@ -460,7 +462,7 @@ let prop_seqnum_restores_any_document =
               ~max_fanout:5 sink)
       in
       let sorted, _ =
-        Nexsort.sort_string ~config ~ordering:by_id (Xmerge.Seqnum.annotate doc)
+        Engine.sort_string ~config ~ordering:by_id (Xmerge.Seqnum.annotate doc)
       in
       Xmlio.Tree.equal (parse doc) (parse (Xmerge.Seqnum.restore ~config sorted)))
 
@@ -812,7 +814,7 @@ let prop_ingest_partition_invariant =
       let oracle =
         List.fold_left
           (fun acc doc -> fst (apply acc doc))
-          (fst (Nexsort.sort_string ~config:ingest_config ~ordering:by_id base))
+          (fst (Engine.sort_string ~config:ingest_config ~ordering:by_id base))
           docs
       in
       let t = Xmerge.Ingest.create ~config:ingest_config ~ordering:by_id ~base () in
