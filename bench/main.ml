@@ -477,8 +477,8 @@ let motivation () =
             Extmem.Io_stats.reset (Extmem.Device.stats d2);
             let out2 = Extmem.Device.in_memory ~block_size:bs () in
             ignore
-              (Xmerge.Struct_merge.merge_devices ~ordering:merge_ordering ~left:d1 ~right:d2
-                 ~output:out2 ());
+              (Xmerge.Struct_merge.merge_devices ~pass:Xmerge.Struct_merge.merge
+                 ~ordering:merge_ordering ~left:d1 ~right:d2 ~output:out2 ());
             io1 + io2
             + Extmem.Io_stats.total (Extmem.Device.stats d1)
             + Extmem.Io_stats.total (Extmem.Device.stats d2)

@@ -14,21 +14,39 @@ let write_file path contents =
 
 (* The endpoints of a two-document job: block devices over the [left]
    and [right] files and the [output] file, under the config's layers;
-   the output replaces its file only when [f] returns. *)
+   the output replaces its file only when [f] returns.  Returns [f]'s
+   result and the three devices, for the job's report. *)
 let with_merge_endpoints config ~left ~right ~output f =
   let dev (b : Extmem.Device_spec.built) = b.Extmem.Device_spec.device in
   Nexsort.Config.with_input ~name:"left" config left (fun l ->
       Nexsort.Config.with_input ~name:"right" config right (fun r ->
           Nexsort.Config.with_output config output (fun o ->
-              f ~left:(dev l) ~right:(dev r) ~output:(dev o))))
+              let l = dev l and r = dev r and o = dev o in
+              (f ~left:l ~right:r ~output:o, (l, r, o)))))
+
+(* A merge job's report, the same in every tool: the pass's counts and
+   phases, and the I/O of the job's three endpoints. *)
+let merge_report ?(tool = "nexsort-merge") (r : Xmerge.Struct_merge.report) (left, right, output) =
+  let rep = Obs.Report.create ~tool in
+  Obs.Report.add rep "counts"
+    (Obs.Json.Obj
+       [ ("left_events", Obs.Json.Int r.Xmerge.Struct_merge.left_events);
+         ("right_events", Obs.Json.Int r.Xmerge.Struct_merge.right_events);
+         ("output_events", Obs.Json.Int r.Xmerge.Struct_merge.output_events);
+         ("matched_elements", Obs.Json.Int r.Xmerge.Struct_merge.matched_elements) ]);
+  Obs.Report.add rep "phases" (Obs.Span.to_json r.Xmerge.Struct_merge.spans);
+  let io d = Obs.Json.io_stats (Extmem.Io_stats.snapshot (Extmem.Device.stats d)) in
+  Obs.Report.add rep "io"
+    (Obs.Json.Obj [ ("left", io left); ("right", io right); ("output", io output) ]);
+  rep
 
 (* Incremental maintenance over a job's [session]: sort the [base] file
    into an Xmerge.Ingest, apply each [updates] file as an update
    document, flushing after every [flush_every] documents (and once at
    the end), then write the base to [output].  The job's cancellation
    poll runs before each document.  [on_flush n r] sees flush [n]'s
-   report.  Returns the flush reports in order, the final base size and
-   the indexed key count. *)
+   report.  Returns the flush reports in order and the indexed key
+   count. *)
 let ingest_files ~session ~ordering ~flush_every ~on_flush ~base ~updates output =
   let config = session.Nexsort.Session.config in
   let t =
@@ -54,7 +72,27 @@ let ingest_files ~session ~ordering ~flush_every ~on_flush ~base ~updates output
       let base = Xmerge.Ingest.base_device t in
       Nexsort.Config.with_output config output (fun o ->
           Extmem.Device.copy ~src:base ~dst:o.Extmem.Device_spec.device);
-      (List.rev !flushes, Extmem.Device.byte_length base, Xmerge.Ingest.index_keys t))
+      (List.rev !flushes, Xmerge.Ingest.index_keys t))
+
+(* An ingest job's report, the same in every tool: totals over its
+   [flushes], one entry per flush, and the flushes' block I/O. *)
+let ingest_report ~update_docs (flushes, indexed_keys) =
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 flushes in
+  let flush_io f = total (fun r -> f r.Xmerge.Ingest.flush_io) in
+  let rep = Obs.Report.create ~tool:"nexsort-merge-ingest" in
+  Obs.Report.add rep "counts"
+    (Obs.Json.Obj
+       [ ("update_docs", Obs.Json.Int update_docs);
+         ("flushes", Obs.Json.Int (List.length flushes));
+         ("batch_ops", Obs.Json.Int (total (fun r -> r.Xmerge.Ingest.batch_ops)));
+         ("index_dropped", Obs.Json.Int (total (fun r -> r.Xmerge.Ingest.index_dropped)));
+         ("indexed_keys", Obs.Json.Int indexed_keys) ]);
+  Obs.Report.add rep "ingest" (Obs.Json.List (List.map Xmerge.Ingest.flush_report_json flushes));
+  Obs.Report.add rep "io"
+    (Obs.Json.Obj
+       [ ("flush_reads", Obs.Json.Int (flush_io (fun s -> s.Extmem.Io_stats.reads)));
+         ("flush_writes", Obs.Json.Int (flush_io (fun s -> s.Extmem.Io_stats.writes))) ]);
+  rep
 
 let ordering_term =
   let doc =

@@ -30,7 +30,6 @@ open Cmdliner
 type sort_req = {
   sr_config : Nexsort.Config.t;
   sr_ordering : Nexsort.Ordering.t;
-  sr_device : Extmem.Device_spec.t option;
   sr_metrics : string option;
   sr_tenant : string;
   sr_input : string;
@@ -40,7 +39,6 @@ type sort_req = {
 type merge_req = {
   mr_config : Nexsort.Config.t;
   mr_ordering : Nexsort.Ordering.t;
-  mr_device : Extmem.Device_spec.t option;
   mr_metrics : string option;
   mr_no_fuse : bool;
   mr_tenant : string;
@@ -52,7 +50,6 @@ type merge_req = {
 type update_req = {
   ur_config : Nexsort.Config.t;
   ur_ordering : Nexsort.Ordering.t;
-  ur_device : Extmem.Device_spec.t option;
   ur_metrics : string option;
   ur_tenant : string;
   ur_flush_every : int;
@@ -88,14 +85,20 @@ let tenant_term =
 let output_term =
   Arg.(value & opt string "sorted.xml" & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Output file.")
 
+(* A request's config, its --device spec included. *)
+let config_term =
+  let with_device config device =
+    { config with Nexsort.Config.device = Option.value device ~default:Extmem.Device_spec.default }
+  in
+  Term.(const with_device $ Cli_common.config_term $ Cli_common.device_term)
+
 let sort_cmd =
-  let build config ordering device metrics tenant input output =
+  let build config ordering metrics tenant input output =
     `Ok
       (Sort
          {
            sr_config = config;
            sr_ordering = ordering;
-           sr_device = device;
            sr_metrics = metrics;
            sr_tenant = tenant;
            sr_input = input;
@@ -105,19 +108,18 @@ let sort_cmd =
   Cmd.v (Cmd.info "sort")
     Term.(
       ret
-        (const build $ Cli_common.config_term $ Cli_common.ordering_term
-       $ Cli_common.device_term $ Cli_common.metrics_term $ tenant_term
+        (const build $ config_term $ Cli_common.ordering_term $ Cli_common.metrics_term
+       $ tenant_term
        $ Arg.(required & pos 0 (some string) None & info [] ~docv:"INPUT")
        $ output_term))
 
 let merge_cmd =
-  let build config ordering device metrics no_fuse tenant left right output =
+  let build config ordering metrics no_fuse tenant left right output =
     `Ok
       (Merge
          {
            mr_config = config;
            mr_ordering = ordering;
-           mr_device = device;
            mr_metrics = metrics;
            mr_no_fuse = no_fuse;
            mr_tenant = tenant;
@@ -129,15 +131,14 @@ let merge_cmd =
   Cmd.v (Cmd.info "merge")
     Term.(
       ret
-        (const build $ Cli_common.config_term $ Cli_common.ordering_term
-       $ Cli_common.device_term $ Cli_common.metrics_term $ Cli_common.no_fuse_term
-       $ tenant_term
+        (const build $ config_term $ Cli_common.ordering_term $ Cli_common.metrics_term
+       $ Cli_common.no_fuse_term $ tenant_term
        $ Arg.(required & pos 0 (some string) None & info [] ~docv:"LEFT")
        $ Arg.(required & pos 1 (some string) None & info [] ~docv:"RIGHT")
        $ output_term))
 
 let update_cmd =
-  let build config ordering device metrics tenant flush_every base updates output =
+  let build config ordering metrics tenant flush_every base updates output =
     if flush_every < 1 then `Error (false, "--flush-every must be >= 1")
     else if updates = [] then `Error (false, "update: expected at least one UPDATE document")
     else
@@ -146,7 +147,6 @@ let update_cmd =
            {
              ur_config = config;
              ur_ordering = ordering;
-             ur_device = device;
              ur_metrics = metrics;
              ur_tenant = tenant;
              ur_flush_every = flush_every;
@@ -163,8 +163,8 @@ let update_cmd =
   Cmd.v (Cmd.info "update")
     Term.(
       ret
-        (const build $ Cli_common.config_term $ Cli_common.ordering_term
-       $ Cli_common.device_term $ Cli_common.metrics_term $ tenant_term $ flush_every_term
+        (const build $ config_term $ Cli_common.ordering_term $ Cli_common.metrics_term
+       $ tenant_term $ flush_every_term
        $ Arg.(required & pos 0 (some string) None & info [] ~docv:"BASE")
        $ Arg.(value & pos_right 0 string [] & info [] ~docv:"UPDATE")
        $ output_term))
@@ -197,8 +197,7 @@ let tokens line =
 (* --- job bodies (run on their own domain) ------------------------- *)
 
 let run_sort engine cancel (r : sort_req) =
-  let spec = Option.value r.sr_device ~default:Extmem.Device_spec.default in
-  let config = { r.sr_config with Nexsort.Config.device = spec } in
+  let config = r.sr_config in
   let report, job =
     Nexsort.Config.with_input config r.sr_input (fun inp ->
         Nexsort.Config.with_output config r.sr_output (fun out ->
@@ -218,36 +217,19 @@ let run_sort engine cancel (r : sort_req) =
    as one unit, so concurrent merges cannot deadlock holding one slot
    each. *)
 let run_merge engine cancel (r : merge_req) =
-  let spec = Option.value r.mr_device ~default:Extmem.Device_spec.default in
-  let config = { r.mr_config with Nexsort.Config.device = spec } in
-  let (report, job_section), (ldev, rdev, odev) =
-    Cli_common.with_merge_endpoints config ~left:r.mr_left ~right:r.mr_right
-      ~output:r.mr_output (fun ~left ~right ~output ->
-        ( Engine.run_pair ~name:"merge" ~cancel engine ~tenant:r.mr_tenant config
-            (fun job sessions ->
-              let report =
-                Xmerge.Struct_merge.sort_and_merge_devices ~fuse:(not r.mr_no_fuse) ~sessions
-                  ~ordering:r.mr_ordering ~left ~right ~output ()
-              in
-              (report, Engine.job_json engine job)),
-          (left, right, output) ))
+  let config = r.mr_config in
+  let (report, job), endpoints =
+    Cli_common.with_merge_endpoints config ~left:r.mr_left ~right:r.mr_right ~output:r.mr_output
+      (fun ~left ~right ~output ->
+        Engine.run_pair ~name:"merge" ~cancel engine ~tenant:r.mr_tenant config
+          (fun job sessions ->
+            ( Xmerge.Struct_merge.sort_and_merge_devices ~fuse:(not r.mr_no_fuse) ~sessions
+                ~pass:Xmerge.Struct_merge.merge ~ordering:r.mr_ordering ~left ~right ~output (),
+              Engine.job_json engine job )))
   in
   Cli_common.write_metrics r.mr_metrics
-    (let rep = Obs.Report.create ~tool:"nexsortd-merge" in
-     Obs.Report.add rep "counts"
-       (Obs.Json.Obj
-          [
-            ("output_events", Obs.Json.Int report.Xmerge.Struct_merge.output_events);
-            ("matched_elements", Obs.Json.Int report.Xmerge.Struct_merge.matched_elements);
-          ]);
-     Obs.Report.add rep "io"
-       (Obs.Json.Obj
-          [
-            ("left", Obs.Json.io_stats (Extmem.Io_stats.snapshot (Extmem.Device.stats ldev)));
-            ("right", Obs.Json.io_stats (Extmem.Io_stats.snapshot (Extmem.Device.stats rdev)));
-            ("output", Obs.Json.io_stats (Extmem.Io_stats.snapshot (Extmem.Device.stats odev)));
-          ]);
-     Obs.Report.add rep "job" job_section;
+    (let rep = Cli_common.merge_report report endpoints in
+     Obs.Report.add rep "job" job;
      rep);
   Printf.sprintf "merge %s + %s -> %s (%d matched)" r.mr_left r.mr_right r.mr_output
     report.Xmerge.Struct_merge.matched_elements
@@ -258,29 +240,15 @@ let run_merge engine cancel (r : merge_req) =
    any other running job.  Cancellation is observed between update
    documents. *)
 let run_update engine cancel (r : update_req) =
-  let spec = Option.value r.ur_device ~default:Extmem.Device_spec.default in
-  let config = { r.ur_config with Nexsort.Config.device = spec } in
-  let (flushes, final_bytes, _), job =
-    Engine.run ~cancel engine ~tenant:r.ur_tenant config (fun job session ->
+  let ((flushes, _) as ingested), job =
+    Engine.run ~cancel engine ~tenant:r.ur_tenant r.ur_config (fun job session ->
         ( Cli_common.ingest_files ~session ~ordering:r.ur_ordering
             ~flush_every:r.ur_flush_every ~on_flush:(fun _ _ -> ()) ~base:r.ur_base
             ~updates:r.ur_updates r.ur_output,
           job ))
   in
   Cli_common.write_metrics r.ur_metrics
-    (let rep = Obs.Report.create ~tool:"nexsortd-update" in
-     let total f = List.fold_left (fun acc fr -> acc + f fr) 0 flushes in
-     Obs.Report.add rep "counts"
-       (Obs.Json.Obj
-          [
-            ("update_docs", Obs.Json.Int (List.length r.ur_updates));
-            ("flushes", Obs.Json.Int (List.length flushes));
-            ("batch_ops", Obs.Json.Int (total (fun fr -> fr.Xmerge.Ingest.batch_ops)));
-            ("index_dropped", Obs.Json.Int (total (fun fr -> fr.Xmerge.Ingest.index_dropped)));
-            ("base_bytes", Obs.Json.Int final_bytes);
-          ]);
-     Obs.Report.add rep "ingest"
-       (Obs.Json.List (List.map Xmerge.Ingest.flush_report_json flushes));
+    (let rep = Cli_common.ingest_report ~update_docs:(List.length r.ur_updates) ingested in
      Obs.Report.add rep "job" (Engine.job_json engine job);
      rep);
   Printf.sprintf "update %s (%d docs, %d flushes) -> %s" r.ur_base (List.length r.ur_updates)

@@ -3,19 +3,6 @@
 
 open Cmdliner
 
-let ordering_term =
-  let parse s =
-    match Nexsort.Ordering.of_spec_string s with
-    | o -> Ok o
-    | exception Invalid_argument msg -> Error (`Msg msg)
-  in
-  Arg.(
-    value
-    & opt (conv (parse, fun ppf _ -> Format.pp_print_string ppf "<ordering>"))
-        (Nexsort.Ordering.by_attr "id")
-    & info [ "ordering"; "O" ] ~docv:"SPEC"
-        ~doc:"Ordering specification (see $(b,nexsort --help)); must be scan-evaluable.")
-
 let policy_term =
   let policies =
     List.map
@@ -32,17 +19,6 @@ let policy_term =
            merged output is identical under every policy; only the index pager counters move. \
            No other mode reads it.")
 
-let struct_merge_report ~tool (r : Xmerge.Struct_merge.report) =
-  let rep = Obs.Report.create ~tool in
-  Obs.Report.add rep "counts"
-    (Obs.Json.Obj
-       [ ("left_events", Obs.Json.Int r.Xmerge.Struct_merge.left_events);
-         ("right_events", Obs.Json.Int r.Xmerge.Struct_merge.right_events);
-         ("output_events", Obs.Json.Int r.Xmerge.Struct_merge.output_events);
-         ("matched_elements", Obs.Json.Int r.Xmerge.Struct_merge.matched_elements) ]);
-  Obs.Report.add rep "phases" (Obs.Span.to_json r.Xmerge.Struct_merge.spans);
-  rep
-
 (* --ingest: keep the sorted base live under a stream of update
    documents through Xmerge.Ingest, flushing every [flush_every] docs
    (and once at the end).  Each flush gets its own entry in the metrics'
@@ -55,29 +31,13 @@ let run_ingest ~ordering ~config ~metrics ~finish base rights flush_every output
       r.index_dropped r.flush_io.Extmem.Io_stats.reads r.flush_io.Extmem.Io_stats.writes
       r.base_bytes
   in
-  let flushes, _, indexed_keys =
+  let ((flushes, _) as ingested) =
     Engine.with_session config (fun session ->
         Cli_common.ingest_files ~session ~ordering ~flush_every ~on_flush ~base ~updates:rights
           output)
   in
-  let total f = List.fold_left (fun acc r -> acc + f r) 0 flushes in
-  let rep = Obs.Report.create ~tool:"nexsort-merge-ingest" in
-  Obs.Report.add rep "counts"
-    (Obs.Json.Obj
-       [ ("update_docs", Obs.Json.Int (List.length rights));
-         ("flushes", Obs.Json.Int (List.length flushes));
-         ("batch_ops", Obs.Json.Int (total (fun r -> r.Xmerge.Ingest.batch_ops)));
-         ("index_dropped", Obs.Json.Int (total (fun r -> r.Xmerge.Ingest.index_dropped)));
-         ("indexed_keys", Obs.Json.Int indexed_keys) ]);
-  Obs.Report.add rep "ingest"
-    (Obs.Json.List (List.map Xmerge.Ingest.flush_report_json flushes));
-  Obs.Report.add rep "io"
-    (Obs.Json.Obj
-       [ ( "flush_reads",
-           Obs.Json.Int (total (fun r -> r.Xmerge.Ingest.flush_io.Extmem.Io_stats.reads)) );
-         ( "flush_writes",
-           Obs.Json.Int (total (fun r -> r.Xmerge.Ingest.flush_io.Extmem.Io_stats.writes)) ) ]);
-  Cli_common.write_metrics metrics rep;
+  Cli_common.write_metrics metrics
+    (Cli_common.ingest_report ~update_docs:(List.length rights) ingested);
   Printf.eprintf "ingested %d update docs in %d flushes -> %s\n" (List.length rights)
     (List.length flushes) output;
   finish (`Ok ())
@@ -92,23 +52,21 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
     ok
   in
   try
-    match device with
+    let config = Nexsort.Config.make ?device ~tracer () in
+    match () with
     | _ when ingest_mode && (update_mode || indexed || presorted) ->
         `Error (false, "--ingest does not compose with --update/--indexed/--presorted")
     | _ when flush_every < 1 -> `Error (false, "--flush-every must be >= 1")
     | _ when ingest_mode ->
-        let config = Nexsort.Config.make ?device ~tracer () in
         run_ingest ~ordering ~config ~metrics ~finish left_path right_paths flush_every output
     | _ when List.length right_paths <> 1 ->
         `Error (false, "expected exactly one RIGHT document (or pass --ingest)")
     | _ when indexed && update_mode -> `Error (false, "--indexed is not supported with --update")
-    | Some _ when update_mode -> `Error (false, "--device is not supported with --update")
     | _ when indexed ->
         (* Index-assisted nested-loop merge (§1's "additional index"): works
            on unsorted inputs; the index's buffer pool is where the pager
            statistics come from. *)
-        let config = Nexsort.Config.make ~block_size:4096 ?device ~tracer () in
-        let r =
+        let r, _ =
           Cli_common.with_merge_endpoints config ~left:left_path ~right:(List.hd right_paths)
             ~output (Xmerge.Indexed_merge.merge_devices ~policy ~ordering ())
         in
@@ -146,86 +104,53 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
              (Obs.Json.Obj [ ("wall_s", Obs.Json.Float r.wall_seconds) ]);
            rep);
         finish (`Ok ())
-    | Some spec ->
-        (* Device-resident path: the inputs are read from their files
-           through endpoint devices and the sorts + single-pass merge run
-           on top, so the chosen stack carries the whole job's I/O.
-           Fused (the default), the sorted documents are never
-           materialised on the devices. *)
-        let config = Nexsort.Config.make ~block_size:4096 ~device:spec ~tracer () in
-        let merge ~left ~right ~output =
-          if presorted then Xmerge.Struct_merge.merge_devices ~ordering ~left ~right ~output ()
-          else
-            Engine.with_session_pair config (fun sessions ->
-                Xmerge.Struct_merge.sort_and_merge_devices ~fuse:(not no_fuse) ~sessions
-                  ~ordering ~left ~right ~output ())
-        in
-        let r, (ldev, rdev, odev) =
+    | _ ->
+        (* Every other mode is one structural merge over the files'
+           endpoint devices: a pass ([Struct_merge.merge], or
+           [Batch_update.apply] for --update) over presorted inputs, or
+           after sorting both on a session pair, fused unless --no-fuse. *)
+        let merge pass =
           Cli_common.with_merge_endpoints config ~left:left_path ~right:(List.hd right_paths)
             ~output (fun ~left ~right ~output ->
-              (merge ~left ~right ~output, (left, right, output)))
+              if presorted then
+                Xmerge.Struct_merge.merge_devices ~tracer ~pass ~ordering ~left ~right ~output ()
+              else
+                Engine.with_session_pair config (fun sessions ->
+                    Xmerge.Struct_merge.sort_and_merge_devices ~fuse:(not no_fuse) ~sessions ~pass
+                      ~ordering ~left ~right ~output ()))
         in
-        Cli_common.write_metrics metrics
-          (let rep = struct_merge_report ~tool:"nexsort-merge" r in
-           Obs.Report.add rep "io"
-             (Obs.Json.Obj
-                [ ("left", Obs.Json.io_stats (Extmem.Io_stats.snapshot (Extmem.Device.stats ldev)));
-                  ("right", Obs.Json.io_stats (Extmem.Io_stats.snapshot (Extmem.Device.stats rdev)));
-                  ("output", Obs.Json.io_stats (Extmem.Io_stats.snapshot (Extmem.Device.stats odev)))
-                ]);
-           rep);
-        Printf.eprintf "matched %d elements, emitted %d events -> %s\n"
-          r.Xmerge.Struct_merge.matched_elements r.Xmerge.Struct_merge.output_events output;
+        let rep, summary, (ldev, rdev, odev) =
+          if update_mode then begin
+            let r, endpoints = merge Xmerge.Batch_update.apply in
+            let open Xmerge.Batch_update in
+            let rep = Cli_common.merge_report ~tool:"nexsort-merge-update" r.merge endpoints in
+            Obs.Report.add rep "updates"
+              (Obs.Json.Obj
+                 [ ("deletes", Obs.Json.Int r.deletes);
+                   ("replaces", Obs.Json.Int r.replaces);
+                   ("unmatched_deletes", Obs.Json.Int r.unmatched_deletes) ]);
+            ( rep,
+              Printf.sprintf "matched %d, deletes %d, replaces %d, no-op deletes %d"
+                r.merge.Xmerge.Struct_merge.matched_elements r.deletes r.replaces
+                r.unmatched_deletes,
+              endpoints )
+          end
+          else begin
+            let r, endpoints = merge Xmerge.Struct_merge.merge in
+            ( Cli_common.merge_report r endpoints,
+              Printf.sprintf "matched %d elements, emitted %d events"
+                r.Xmerge.Struct_merge.matched_elements r.Xmerge.Struct_merge.output_events,
+              endpoints )
+          end
+        in
+        Cli_common.write_metrics metrics rep;
+        Printf.eprintf "%s -> %s\n" summary output;
         let sim =
           Extmem.Device.simulated_ms ldev +. Extmem.Device.simulated_ms rdev
           +. Extmem.Device.simulated_ms odev
         in
         if sim > 0. then Printf.eprintf "merge simulated io time: %.2fms\n" sim;
         finish (`Ok ())
-    | None ->
-    let left = Cli_common.read_file left_path in
-    let right = Cli_common.read_file (List.hd right_paths) in
-    let config = Nexsort.Config.make ~tracer () in
-    let result, summary, rep =
-      if update_mode then begin
-        let out, r =
-          if presorted then Xmerge.Batch_update.apply_strings ~ordering ~base:left ~updates:right
-          else
-            Xmerge.Batch_update.sort_and_apply_strings ~config ~ordering ~base:left
-              ~updates:right ()
-        in
-        let rep =
-          struct_merge_report ~tool:"nexsort-merge-update" r.Xmerge.Batch_update.merge
-        in
-        Obs.Report.add rep "updates"
-          (Obs.Json.Obj
-             [ ("deletes", Obs.Json.Int r.Xmerge.Batch_update.deletes);
-               ("replaces", Obs.Json.Int r.Xmerge.Batch_update.replaces);
-               ("unmatched_deletes", Obs.Json.Int r.Xmerge.Batch_update.unmatched_deletes) ]);
-        ( out,
-          Printf.sprintf "matched %d, deletes %d, replaces %d, no-op deletes %d"
-            r.Xmerge.Batch_update.merge.Xmerge.Struct_merge.matched_elements
-            r.Xmerge.Batch_update.deletes r.Xmerge.Batch_update.replaces
-            r.Xmerge.Batch_update.unmatched_deletes,
-          rep )
-      end
-      else begin
-        let out, r =
-          if presorted then Xmerge.Struct_merge.merge_strings ~ordering left right
-          else
-            Xmerge.Struct_merge.sort_and_merge_strings ~config ~fuse:(not no_fuse) ~ordering left
-              right
-        in
-        ( out,
-          Printf.sprintf "matched %d elements, emitted %d events"
-            r.Xmerge.Struct_merge.matched_elements r.Xmerge.Struct_merge.output_events,
-          struct_merge_report ~tool:"nexsort-merge" r )
-      end
-    in
-    Cli_common.write_file output result;
-    Cli_common.write_metrics metrics rep;
-    Printf.eprintf "%s -> %s\n" summary output;
-    finish (`Ok ())
   with
   | Xmlio.Parser.Error { line; col; msg } -> `Error (false, Printf.sprintf "%d:%d: %s" line col msg)
   | Xmlio.Tree.Malformed msg -> `Error (false, "malformed document: " ^ msg)
@@ -246,7 +171,7 @@ let cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ ordering_term
+        (const run $ Cli_common.ordering_term
         $ Arg.(
             value & flag
             & info [ "presorted" ] ~doc:"Inputs are already fully sorted; skip the sorting step.")
@@ -255,7 +180,9 @@ let cmd =
             & info [ "update" ]
                 ~doc:
                   "Treat the second document as a batch of updates (__op attributes: merge, \
-                   delete, replace).")
+                   delete, replace) and merge it into the first.  Like a plain merge it runs \
+                   over the two files' devices, sorting both first unless $(b,--presorted), \
+                   fused unless $(b,--no-fuse), under any $(b,--device).")
         $ Arg.(
             value & flag
             & info [ "ingest" ]

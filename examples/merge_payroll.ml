@@ -36,7 +36,10 @@ let () =
   let left = Extmem.Device.of_string ~block_size:bs d1_sorted in
   let right = Extmem.Device.of_string ~block_size:bs d2_sorted in
   let output = Extmem.Device.in_memory ~block_size:bs () in
-  let report = Xmerge.Struct_merge.merge_devices ~ordering ~left ~right ~output () in
+  let report =
+    Xmerge.Struct_merge.merge_devices ~pass:Xmerge.Struct_merge.merge ~ordering ~left ~right
+      ~output ()
+  in
   Printf.printf "merge: matched %d elements; read %d + %d blocks, wrote %d blocks\n"
     report.Xmerge.Struct_merge.matched_elements
     (Extmem.Device.stats left).Extmem.Io_stats.reads

@@ -9,7 +9,7 @@ let op_attr = "__op"
 
 let strip_op attrs = List.filter (fun (k, _) -> k <> op_attr) attrs
 
-let apply_events ~ordering ~base ~updates ~emit =
+let apply_events ?io ?tracer ~ordering ~base ~updates ~emit () =
   let deletes = ref 0 in
   let replaces = ref 0 in
   let on_match ~left_attrs:_ ~right_attrs =
@@ -49,10 +49,13 @@ let apply_events ~ordering ~base ~updates ~emit =
       | e -> emit e
   in
   let merge =
-    Struct_merge.merge_events ~on_match ~rewrite_attrs ~ordering ~left:base ~right:updates
-      ~emit:filtered_emit ()
+    Struct_merge.merge_events ?io ?tracer ~on_match ~rewrite_attrs ~ordering ~left:base
+      ~right:updates ~emit:filtered_emit ()
   in
   { merge; deletes = !deletes; replaces = !replaces; unmatched_deletes = !unmatched_deletes }
+
+let apply ~io ~tracer ~ordering ~left ~right ~emit =
+  apply_events ~io ~tracer ~ordering ~base:left ~updates:right ~emit ()
 
 let apply_strings ~ordering ~base ~updates =
   let pb = Xmlio.Parser.of_string base and pu = Xmlio.Parser.of_string updates in
@@ -62,7 +65,7 @@ let apply_strings ~ordering ~base ~updates =
     apply_events ~ordering
       ~base:(fun () -> Xmlio.Parser.next pb)
       ~updates:(fun () -> Xmlio.Parser.next pu)
-      ~emit:(Xmlio.Writer.event writer)
+      ~emit:(Xmlio.Writer.event writer) ()
   in
   Xmlio.Writer.close writer;
   (Buffer.contents buf, report)

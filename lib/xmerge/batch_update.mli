@@ -14,7 +14,11 @@
 
     [__op] attributes are stripped from the output.  A delete of an
     element that does not exist is a silent no-op (the unmatched update
-    element would otherwise be inserted; deletes are never inserted). *)
+    element would otherwise be inserted; deletes are never inserted).
+
+    Over block devices, {!apply} is the pass of a structural merge
+    ({!Struct_merge.merge_devices}, or {!Struct_merge.sort_and_merge_devices}
+    to sort both first); the string functions are the tests' references. *)
 
 val op_attr : string
 (** The operation-marker attribute name, ["__op"] (shared with
@@ -29,12 +33,18 @@ type report = {
 }
 
 val apply_events :
+  ?io:(unit -> Extmem.Io_stats.t) ->
+  ?tracer:Obs.Tracer.t ->
   ordering:Nexsort.Ordering.t ->
   base:(unit -> Xmlio.Event.t option) ->
   updates:(unit -> Xmlio.Event.t option) ->
   emit:(Xmlio.Event.t -> unit) ->
+  unit ->
   report
 (** Streaming form: both inputs sorted, single pass. *)
+
+val apply : report Struct_merge.pass
+(** {!apply_events} as a pass: the left stream is the base. *)
 
 val apply_strings :
   ordering:Nexsort.Ordering.t -> base:string -> updates:string -> string * report

@@ -706,7 +706,7 @@ let flush t =
           Batch_update.apply_events ~ordering:t.ordering
             ~base:(fun () -> Xmlio.Parser.next pb)
             ~updates:pull_updates
-            ~emit:w.emit
+            ~emit:w.emit ()
         in
         let index = w.finish () in
         let flush_io = Extmem.Io_stats.add flush_io (Extmem.Io_stats.diff (io ()) io_before) in

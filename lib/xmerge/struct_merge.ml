@@ -287,105 +287,74 @@ let merge_strings ~ordering left right =
   Xmlio.Writer.close writer;
   (Buffer.contents buf, report)
 
-let merge_devices ~ordering ~left ~right ~output () =
-  let pl = Xmlio.Parser.of_reader (Extmem.Block_reader.of_device left) in
-  let pr = Xmlio.Parser.of_reader (Extmem.Block_reader.of_device right) in
+type 'r pass =
+  io:(unit -> Extmem.Io_stats.t) ->
+  tracer:Obs.Tracer.t ->
+  ordering:Ordering.t ->
+  left:(unit -> Xmlio.Event.t option) ->
+  right:(unit -> Xmlio.Event.t option) ->
+  emit:(Xmlio.Event.t -> unit) ->
+  'r
+
+let merge ~io ~tracer ~ordering ~left ~right ~emit =
+  merge_events ~io ~tracer ~ordering ~left ~right ~emit ()
+
+(* The one output tail of every device merge: [pass] writes [output]
+   through a block writer, metered over all three devices. *)
+let write_pass pass ~tracer ~ordering ~left ~right ~output next_l next_r =
   let bw = Extmem.Block_writer.create output in
   let writer = Xmlio.Writer.to_block_writer bw in
-  let io () =
-    Extmem.Io_stats.add
-      (Extmem.Io_stats.add
-         (Extmem.Io_stats.snapshot (Extmem.Device.stats left))
-         (Extmem.Io_stats.snapshot (Extmem.Device.stats right)))
-      (Extmem.Io_stats.snapshot (Extmem.Device.stats output))
-  in
-  let report =
-    merge_events ~io ~ordering
-      ~left:(fun () -> Xmlio.Parser.next pl)
-      ~right:(fun () -> Xmlio.Parser.next pr)
-      ~emit:(Xmlio.Writer.event writer) ()
-  in
+  let stats d = Extmem.Io_stats.snapshot (Extmem.Device.stats d) in
+  let io () = Extmem.Io_stats.add (Extmem.Io_stats.add (stats left) (stats right)) (stats output) in
+  let r = pass ~io ~tracer ~ordering ~left:next_l ~right:next_r ~emit:(Xmlio.Writer.event writer) in
   Xmlio.Writer.close writer;
   let extent = Extmem.Block_writer.close bw in
   Extmem.Device.set_byte_length output extent.Extmem.Extent.bytes;
-  report
+  r
 
-(* Fused sort+merge: both inputs are opened as sorted event streams
-   (each drives its own NEXSORT session — the root's final merge runs
-   lazily as the merge pulls), so neither sorted document is ever
-   materialised. *)
-let merge_sorted_streams ?io ~sessions:(sess_l, sess_r) ~ordering ~left ~right ~emit () =
-  let sl = Nexsort.open_stream ~session:sess_l ~ordering ~input:left () in
-  let sr =
-    try Nexsort.open_stream ~session:sess_r ~ordering ~input:right ()
-    with e ->
-      ignore (Nexsort.stream_finish sl);
-      raise e
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Nexsort.stream_finish sl);
-      ignore (Nexsort.stream_finish sr))
-    (fun () ->
-      merge_events ?io ~tracer:sess_l.Nexsort.Session.config.Nexsort.Config.tracer ~ordering
-        ~left:(fun () -> Nexsort.stream_events sl)
-        ~right:(fun () -> Nexsort.stream_events sr)
-        ~emit ())
+let parse dev =
+  let p = Xmlio.Parser.of_reader (Extmem.Block_reader.of_device dev) in
+  fun () -> Xmlio.Parser.next p
 
-let sort_and_merge_devices ?(fuse = true) ~sessions ~ordering ~left ~right ~output () =
+let merge_devices ?(tracer = Obs.Tracer.null) ~pass ~ordering ~left ~right ~output () =
+  write_pass pass ~tracer ~ordering ~left ~right ~output (parse left) (parse right)
+
+(* Fused, each input is a sorted event stream whose root merge runs
+   lazily as the pass pulls: no sorted document is materialised. *)
+let sort_and_merge_devices ?(fuse = true) ~sessions:(sess_l, sess_r) ~pass ~ordering ~left ~right
+    ~output () =
+  let tracer = sess_l.Nexsort.Session.config.Nexsort.Config.tracer in
   if fuse then begin
-    let bw = Extmem.Block_writer.create output in
-    let writer = Xmlio.Writer.to_block_writer bw in
-    let io () =
-      Extmem.Io_stats.add
-        (Extmem.Io_stats.add
-           (Extmem.Io_stats.snapshot (Extmem.Device.stats left))
-           (Extmem.Io_stats.snapshot (Extmem.Device.stats right)))
-        (Extmem.Io_stats.snapshot (Extmem.Device.stats output))
-    in
-    let report =
-      merge_sorted_streams ~io ~sessions ~ordering ~left ~right
-        ~emit:(Xmlio.Writer.event writer) ()
-    in
-    Xmlio.Writer.close writer;
-    let extent = Extmem.Block_writer.close bw in
-    Extmem.Device.set_byte_length output extent.Extmem.Extent.bytes;
-    report
+    let opened session input = Nexsort.open_stream ~session ~ordering ~input () in
+    let finish s () = ignore (Nexsort.stream_finish s) in
+    let sl = opened sess_l left in
+    Fun.protect ~finally:(finish sl) (fun () ->
+        let sr = opened sess_r right in
+        Fun.protect ~finally:(finish sr) (fun () ->
+            write_pass pass ~tracer ~ordering ~left ~right ~output
+              (fun () -> Nexsort.stream_events sl)
+              (fun () -> Nexsort.stream_events sr)))
   end
   else begin
-    (* unfused: materialise both sorted documents on scratch devices,
-       then run the single-pass device merge *)
+    (* unfused: sort both onto scratch devices, then merge those *)
     let sorted name (session : Nexsort.Session.t) input =
       let d = Nexsort.Config.scratch_device session.Nexsort.Session.config ~name in
       ignore (Nexsort.sort_device ~session ~ordering ~input ~output:d ());
       d
     in
-    let ldev = sorted "sorted-left" (fst sessions) left in
-    let rdev = sorted "sorted-right" (snd sessions) right in
-    merge_devices ~ordering ~left:ldev ~right:rdev ~output ()
+    let left = sorted "sorted-left" sess_l left in
+    let right = sorted "sorted-right" sess_r right in
+    merge_devices ~tracer ~pass ~ordering ~left ~right ~output ()
   end
 
-let sort_and_merge_strings ?(config = Nexsort.Config.make ()) ?(fuse = true) ~ordering left
-    right =
-  if fuse then begin
-    let load name s =
-      let d = Nexsort.Config.scratch_device config ~name in
-      Extmem.Device.load_string d s;
-      d
-    in
-    let left = load "left" left and right = load "right" right in
-    let buf = Buffer.create 1024 in
-    let writer = Xmlio.Writer.to_buffer buf in
-    let report =
-      Engine.with_session_pair config (fun sessions ->
-          merge_sorted_streams ~sessions ~ordering ~left ~right
-            ~emit:(Xmlio.Writer.event writer) ())
-    in
-    Xmlio.Writer.close writer;
-    (Buffer.contents buf, report)
-  end
-  else begin
-    let sorted_l, _ = Engine.sort_string ~config ~ordering left in
-    let sorted_r, _ = Engine.sort_string ~config ~ordering right in
-    merge_strings ~ordering sorted_l sorted_r
-  end
+let sort_and_merge_strings ?(config = Nexsort.Config.make ()) ?fuse ~ordering left right =
+  let block_size = config.Nexsort.Config.block_size in
+  let output = Extmem.Device.in_memory ~name:"output" ~block_size () in
+  let report =
+    Engine.with_session_pair config (fun sessions ->
+        sort_and_merge_devices ?fuse ~sessions ~pass:merge ~ordering
+          ~left:(Extmem.Device.of_string ~name:"left" ~block_size left)
+          ~right:(Extmem.Device.of_string ~name:"right" ~block_size right)
+          ~output ())
+  in
+  (Extmem.Device.contents output, report)

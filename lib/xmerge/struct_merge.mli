@@ -21,7 +21,12 @@
     parser reads whole).  A matched pair merges its two Null runs left
     first: a text equal on both sides at the same point is emitted once,
     null-keyed elements with equal tags match, and everything else is
-    copied (no silent data loss). *)
+    copied (no silent data loss).
+
+    The tools merge over block devices, the user's files among them,
+    through {!merge_devices} or {!sort_and_merge_devices}; a batch update
+    is the same job with {!Batch_update.apply} as its {!pass}.  The
+    string functions are the references the tests compare against. *)
 
 exception Not_sorted of string
 (** An input stream violated the sorted-children invariant. *)
@@ -56,24 +61,60 @@ val merge_events :
     matched element pair (default: always [Merge]); [rewrite_attrs]
     post-processes attribute lists on emitted start tags (used by
     {!Batch_update} to strip operation markers); [io] is an optional
-    cumulative I/O meter sampled around the merge for the report's span
-    (supplied by {!merge_devices}); [tracer] mirrors the merge spans
-    onto an event-trace timeline (fused paths pass the config's tracer).
+    cumulative I/O meter sampled around the merge for the report's span;
+    [tracer] mirrors the merge spans onto an event-trace timeline (the
+    device functions below supply both).
     @raise Not_sorted / [Invalid_argument] as described above. *)
 
 val merge_strings :
   ordering:Nexsort.Ordering.t -> string -> string -> string * report
 (** Parse, merge, serialize.  Inputs must already be sorted. *)
 
+type 'r pass =
+  io:(unit -> Extmem.Io_stats.t) ->
+  tracer:Obs.Tracer.t ->
+  ordering:Nexsort.Ordering.t ->
+  left:(unit -> Xmlio.Event.t option) ->
+  right:(unit -> Xmlio.Event.t option) ->
+  emit:(Xmlio.Event.t -> unit) ->
+  'r
+(** One pass over two sorted event streams into [emit]: {!merge} or
+    {!Batch_update.apply}.  The device functions supply the streams, the
+    output writer, an I/O meter over all three devices and the tracer. *)
+
+val merge : report pass
+(** {!merge_events} with the default [on_match] and [rewrite_attrs]. *)
+
 val merge_devices :
+  ?tracer:Obs.Tracer.t ->
+  pass:'r pass ->
   ordering:Nexsort.Ordering.t ->
   left:Extmem.Device.t ->
   right:Extmem.Device.t ->
   output:Extmem.Device.t ->
   unit ->
-  report
-(** Single-pass merge of device-resident sorted documents: I/O cost is
-    one read pass over each input plus one write pass of the output. *)
+  'r
+(** [pass] over device-resident sorted documents: one read pass over
+    each input and one write pass of the output.  [tracer] (default
+    none) records the pass's spans. *)
+
+val sort_and_merge_devices :
+  ?fuse:bool ->
+  sessions:Nexsort.Session.t * Nexsort.Session.t ->
+  pass:'r pass ->
+  ordering:Nexsort.Ordering.t ->
+  left:Extmem.Device.t ->
+  right:Extmem.Device.t ->
+  output:Extmem.Device.t ->
+  unit ->
+  'r
+(** Sort both documents, the left over the first of [sessions] and the
+    right over the second ([Engine.run_pair]; both are destroyed here on
+    every exit path, and the first one's config gives the scratch
+    devices and the tracer), then run [pass] onto [output].  Fused
+    (default), the sorted documents exist only as event streams
+    ({!Nexsort.open_stream}); [~fuse:false] sorts onto scratch devices
+    first and then runs {!merge_devices}. *)
 
 val sort_and_merge_strings :
   ?config:Nexsort.Config.t ->
@@ -82,29 +123,5 @@ val sort_and_merge_strings :
   string ->
   string ->
   string * report
-(** Convenience for unsorted inputs: NEXSORT both, then merge.  With
-    [fuse] (the default) the two sorts are opened as event streams
-    ({!Nexsort.open_stream}) over the session pair of a two-slot engine
-    ([Engine.with_session_pair]), and the merge pulls from them
-    directly, so neither sorted document is materialised; [~fuse:false]
-    restores the three-pass sort/sort/merge sequence, each sort on a
-    one-job engine ([Engine.sort_string]). *)
-
-val sort_and_merge_devices :
-  ?fuse:bool ->
-  sessions:Nexsort.Session.t * Nexsort.Session.t ->
-  ordering:Nexsort.Ordering.t ->
-  left:Extmem.Device.t ->
-  right:Extmem.Device.t ->
-  output:Extmem.Device.t ->
-  unit ->
-  report
-(** Sort both device-resident documents and merge them onto [output],
-    the left one over the first of [sessions] and the right one over
-    the second ([Engine.run_pair]; both sessions are destroyed here on
-    every exit path, and the first one's config is used for scratch
-    devices and tracing).  Fused (default), the sorted documents exist
-    only as event streams — the whole job writes each input's sorted
-    runs once and the merged output once, skipping the two
-    sorted-document materialisation passes.  [~fuse:false] sorts onto
-    scratch devices first and then runs {!merge_devices}. *)
+(** {!sort_and_merge_devices} with {!merge} over in-memory devices, on
+    the session pair of [Engine.with_session_pair]. *)

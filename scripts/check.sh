@@ -147,6 +147,29 @@ for needle in read:left read:right write:output; do
   grep -q "$needle" $tmp/tracem_io.txt || {
     echo "trace smoke: no \"$needle\" row in the merge trace's io latency table" >&2; exit 1; }
 done
+# Merge fence: every xmlmerge mode runs one device path over the files,
+# and a daemon merge job is the same job.  A fused merge, an unfused one,
+# a presorted one over nexsort-sorted copies and a daemon merge must
+# write the same bytes, and the xmlmerge and daemon reports' io sections
+# are pinned equal (both compare directions).
+dune exec bin/nexsort_cli.exe -- -O @id $tmp/ml.xml -o $tmp/ml.sorted.xml
+dune exec bin/nexsort_cli.exe -- -O @id $tmp/mr.xml -o $tmp/mr.sorted.xml
+dune exec bin/xmlmerge_cli.exe -- -O @id --metrics $tmp/mfused.json \
+  $tmp/ml.xml $tmp/mr.xml -o $tmp/mfused.xml 2> /dev/null
+dune exec bin/xmlmerge_cli.exe -- -O @id --no-fuse $tmp/ml.xml $tmp/mr.xml -o $tmp/mnofuse.xml \
+  2> /dev/null
+dune exec bin/xmlmerge_cli.exe -- -O @id --presorted $tmp/ml.sorted.xml $tmp/mr.sorted.xml \
+  -o $tmp/mpresorted.xml 2> /dev/null
+echo "merge -O @id $tmp/ml.xml $tmp/mr.xml -o $tmp/mdaemon.xml --metrics $tmp/mdaemon.json" \
+  > $tmp/mjobs.txt
+dune exec bin/nexsortd.exe -- $tmp/mjobs.txt > $tmp/mjobs.out
+grep -q '1 jobs: 1 done, 0 cancelled, 0 failed; leaked blocks: 0' $tmp/mjobs.out || {
+  echo "merge fence: the daemon merge failed or leaked" >&2; cat $tmp/mjobs.out >&2; exit 1; }
+for m in mnofuse mpresorted mdaemon; do
+  cmp $tmp/mfused.xml $tmp/$m.xml
+done
+dune exec bench/main.exe -- compare-metrics $tmp/mfused.json $tmp/mdaemon.json
+dune exec bench/main.exe -- compare-metrics $tmp/mdaemon.json $tmp/mfused.json
 # A traced device spec mirrors block positions into the trace as access.*
 # counters, on the output endpoint as on every other device.
 dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 --device traced/mem --trace $tmp/tracea.json \

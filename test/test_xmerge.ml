@@ -89,8 +89,8 @@ let test_sort_and_merge_devices_fused_saves_io () =
     let output = Extmem.Device.in_memory ~name:"output" ~block_size:bs () in
     ignore
       (Engine.with_session_pair config (fun sessions ->
-           Xmerge.Struct_merge.sort_and_merge_devices ~fuse ~sessions ~ordering ~left ~right
-             ~output ())
+           Xmerge.Struct_merge.sort_and_merge_devices ~fuse ~sessions
+             ~pass:Xmerge.Struct_merge.merge ~ordering ~left ~right ~output ())
         : Xmerge.Struct_merge.report);
     ( Extmem.Device.contents output,
       Extmem.Io_stats.total (Extmem.Io_stats.snapshot (Extmem.Device.stats left))
@@ -229,7 +229,9 @@ let test_merge_devices_single_pass () =
   let left = Extmem.Device.of_string ~block_size:bs sl in
   let right = Extmem.Device.of_string ~block_size:bs sr in
   let output = Extmem.Device.in_memory ~block_size:bs () in
-  ignore (Xmerge.Struct_merge.merge_devices ~ordering ~left ~right ~output ());
+  ignore
+    (Xmerge.Struct_merge.merge_devices ~pass:Xmerge.Struct_merge.merge ~ordering ~left ~right
+       ~output ());
   let blocks_of s = (String.length s + bs - 1) / bs in
   check Alcotest.int "left read once" (blocks_of sl) (Extmem.Device.stats left).Extmem.Io_stats.reads;
   check Alcotest.int "right read once" (blocks_of sr)
@@ -666,6 +668,38 @@ let test_update_report_counters () =
   check Alcotest.int "mixed unmatched" 1 r.Xmerge.Batch_update.unmatched_deletes;
   check tree_eq "mixed result" (parse {|<r><a id="2"><b/></a><a id="3"/><a id="4"/></r>|})
     (parse out)
+
+(* Over devices an update is Struct_merge's driver with Batch_update.apply
+   as its pass: presorted, fused and unfused, it writes the string
+   reference's bytes and counts the same markers. *)
+let test_update_devices_match_strings () =
+  let base = {|<r><a id="3"/><a id="1"><x/></a>t<a id="2"/></r>|} in
+  let updates =
+    {|<r><a id="4"/><a id="2" __op="replace"><b/></a><a id="1" __op="delete"/><a id="8" __op="delete"/></r>|}
+  in
+  let expected, er = apply base updates in
+  let counts (r : Xmerge.Batch_update.report) = [ r.deletes; r.replaces; r.unmatched_deletes ] in
+  let bs = config.Nexsort.Config.block_size in
+  let run base updates f =
+    let output = Extmem.Device.in_memory ~block_size:bs () in
+    let r =
+      f ~left:(Extmem.Device.of_string ~block_size:bs base)
+        ~right:(Extmem.Device.of_string ~block_size:bs updates) ~output
+    in
+    check Alcotest.string "same bytes" expected (Extmem.Device.contents output);
+    check Alcotest.(list int) "same counts" (counts er) (counts r)
+  in
+  let pass = Xmerge.Batch_update.apply and ordering = by_id in
+  List.iter
+    (fun fuse ->
+      run base updates (fun ~left ~right ~output ->
+          Engine.with_session_pair config (fun sessions ->
+              Xmerge.Struct_merge.sort_and_merge_devices ~fuse ~sessions ~pass ~ordering ~left
+                ~right ~output ())))
+    [ true; false ];
+  let sorted s = fst (Engine.sort_string ~config ~ordering s) in
+  run (sorted base) (sorted updates) (fun ~left ~right ~output ->
+      Xmerge.Struct_merge.merge_devices ~pass ~ordering ~left ~right ~output ())
 
 (* ------------------------------------------------------------------ *)
 (* Ingest: incremental maintenance *)
@@ -1178,6 +1212,8 @@ let () =
           Alcotest.test_case "marker stripped" `Quick test_update_marker_stripped;
           Alcotest.test_case "result stays sorted" `Quick test_update_result_stays_sorted;
           Alcotest.test_case "report counters" `Quick test_update_report_counters;
+          Alcotest.test_case "device path matches strings" `Quick
+            test_update_devices_match_strings;
         ] );
       ( "ingest",
         [
