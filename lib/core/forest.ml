@@ -95,34 +95,51 @@ let rec sort_forest ~depth_limit nodes =
         nodes
       end
 
-let forest_size nodes =
-  let rec count acc n = List.fold_left count (acc + 1) n.children in
-  List.fold_left count 0 nodes
-
 (* ---- serialization ---- *)
 
-(* Emit a node's entries in sorted pre-order to an arbitrary sink of
-   encoded entries (a run writer, or the fused output phase).  The stored
-   payloads pass through byte-identical; [scratch] is only used to encode
+(* Pre-order walk of a sorted forest as a pull stream of encoded entries
+   (into a run writer, a fragment, or the fused output phase).  The walk
+   keeps one frame per open element: the element itself, for its
+   synthesized End entry, and the siblings still to visit after it.  The
+   stored payloads pass through byte-identical; [enc] only encodes the
    synthesized End entries. *)
-let rec emit_node ~packed scratch emit n =
-  emit (Entry.View.payload n.view);
-  match Entry.View.kind n.view with
-  | Entry.View.Vstart ->
-      List.iter (emit_node ~packed scratch emit) n.children;
-      if not packed then
-        emit
-          (Entry.encode_end_to scratch ~level:(Entry.View.level n.view)
-             ~pos:(Entry.View.pos n.view) ~key:None)
-  | Entry.View.Vtext | Entry.View.Vrun_ptr -> ()
-  | Entry.View.Vend -> assert false (* nodes are never built from End entries *)
+let forest_pull ?(enc = Extmem.Codec.Enc.create ~capacity:32 ()) ~packed forest =
+  let todo = ref forest in (* unvisited siblings at the current level *)
+  let frames = ref [] in (* (open element, its unvisited siblings), innermost first *)
+  let rec pull () =
+    match !todo with
+    | n :: rest ->
+        (match Entry.View.kind n.view with
+        | Entry.View.Vstart ->
+            frames := (n, rest) :: !frames;
+            todo := n.children
+        | Entry.View.Vtext | Entry.View.Vrun_ptr -> todo := rest
+        | Entry.View.Vend -> assert false (* nodes are never built from End entries *));
+        Some (Entry.View.payload n.view)
+    | [] -> (
+        match !frames with
+        | [] -> None
+        | (n, rest) :: up ->
+            frames := up;
+            todo := rest;
+            if packed then pull ()
+            else
+              Some
+                (Entry.encode_end_to enc ~level:(Entry.View.level n.view)
+                   ~pos:(Entry.View.pos n.view) ~key:None))
+  in
+  pull
+
+let emit_node ~packed enc emit n = Pipe.drain (forest_pull ~enc ~packed [ n ]) emit
 
 (* ---- key-path record streams (external subtree sorts, §3.1) ----
 
    Like the forest half above, these are pure given their arguments —
-   entry views in, encoded key-path records out — so [Sort_pool] workers
-   can run a full external subtree sort without touching the session.
-   The session-flavoured wrappers stay in [Subtree_sort]. *)
+   entry views in, encoded key-path records out — and [keypath_sort]
+   touches only the budget and scratch device it is handed, so
+   [Sort_pool] workers can run a full external subtree sort without
+   touching the session.  The session-flavoured wrappers stay in
+   [Subtree_sort]. *)
 
 (* The component an entry contributes to key paths: its resolved key and
    position, with the key suppressed below the depth limit so deeper
@@ -217,58 +234,58 @@ let reverse_records ~enc ~depth_limit input =
   in
   next
 
-(* Reconstruction behind a sorted key-path record stream: emit payloads
-   verbatim, synthesizing End entries from level transitions (the
-   open-tag stack is O(height) internal state).  [finish] closes the
-   remaining open tags — call it after the sort has drained. *)
-let keypath_output ~encoding ~enc emit =
+(* Reconstruction of a sorted key-path record stream: each record's
+   payload passes through verbatim, preceded by the End entries of the
+   open elements its level closes (the open-tag stack is O(height)
+   internal state); the last End entries follow once the records run
+   out.  Packed entries get no End entries: closing just pops. *)
+let keypath_output ~encoding ~enc records =
   let packed = encoding = Config.Packed in
-  let opens = ref [] in (* (level, pos) of open Start entries *)
-  let close_down_to level =
-    if not packed then
-      let rec go () =
-        match !opens with
-        | (l, pos) :: rest when l >= level ->
-            emit (Entry.encode_end_to enc ~level:l ~pos ~key:None);
-            opens := rest;
-            go ()
-        | _ -> ()
-      in
-      go ()
-    else opens := List.filter (fun (l, _) -> l < level) !opens
+  let opens = ref [] in (* (level, pos) of open Start entries, innermost first *)
+  let closing = ref max_int in (* close open elements at this level or deeper *)
+  let held = ref None in (* the entry waiting behind those End entries *)
+  let finished = ref false in
+  let rec pull () =
+    match !opens with
+    | (l, pos) :: rest when l >= !closing ->
+        opens := rest;
+        if packed then pull () else Some (Entry.encode_end_to enc ~level:l ~pos ~key:None)
+    | _ -> (
+        match !held with
+        | Some v ->
+            held := None;
+            closing := max_int;
+            (match Entry.View.kind v with
+            | Entry.View.Vstart -> opens := (Entry.View.level v, Entry.View.pos v) :: !opens
+            | Entry.View.Vtext | Entry.View.Vrun_ptr | Entry.View.Vend -> ());
+            Some (Entry.View.payload v)
+        | None when !finished -> None
+        | None ->
+            (match records () with
+            | Some record ->
+                let v = Entry.View.of_payload encoding (Keypath.decode_payload record) in
+                closing := Entry.View.level v;
+                held := Some v
+            | None ->
+                finished := true;
+                closing := 0);
+            pull ())
   in
-  let output record =
-    let payload = Keypath.decode_payload record in
-    let v = Entry.View.of_payload encoding payload in
-    close_down_to (Entry.View.level v);
-    emit payload;
-    match Entry.View.kind v with
-    | Entry.View.Vstart -> opens := (Entry.View.level v, Entry.View.pos v) :: !opens
-    | Entry.View.Vtext | Entry.View.Vrun_ptr | Entry.View.Vend -> ()
-  in
-  (output, fun () -> close_down_to 0)
+  pull
 
-(* Pull-based pre-order walk of a sorted forest: an explicit work list
-   replaces emit_node's recursion so the sorted entries can feed a
-   pipeline stage one at a time. *)
-let forest_pull ~packed forest =
-  let scratch = Extmem.Codec.Enc.create ~capacity:32 () in
-  let work = ref (List.map (fun n -> `Node n) forest) in
-  fun () ->
-    match !work with
-    | [] -> None
-    | `End (level, pos) :: rest ->
-        work := rest;
-        Some (Entry.encode_end_to scratch ~level ~pos ~key:None)
-    | `Node n :: rest ->
-        let rest =
-          match Entry.View.kind n.view with
-          | Entry.View.Vstart ->
-              let level = Entry.View.level n.view and pos = Entry.View.pos n.view in
-              let rest = if packed then rest else `End (level, pos) :: rest in
-              List.map (fun c -> `Node c) n.children @ rest
-          | Entry.View.Vtext | Entry.View.Vrun_ptr -> rest
-          | Entry.View.Vend -> assert false (* nodes are never built from End entries *)
-        in
-        work := rest;
-        Some (Entry.View.payload n.view)
+(* A key-path external sort of an entry-view stream (§3.1), opened: run
+   formation and every merge pass but the last consume [input] here; the
+   returned stream is the final merge with the reconstruction on top.
+   Closing it releases what the sort still holds. *)
+let keypath_sort ?arena ~budget ~temp ~encoding ~enc ~depth_limit ~scan input =
+  let records =
+    match scan with
+    | `Forward -> forward_records ~enc ~depth_limit input
+    | `Reverse -> reverse_records ~enc ~depth_limit input
+  in
+  let o =
+    Extsort.External_sort.sort_open ?arena ~budget ~temp ~cmp:Keypath.compare_encoded
+      ~input:records ()
+  in
+  { Pipe.pull = keypath_output ~encoding ~enc o.Extsort.External_sort.pull;
+    close = o.Extsort.External_sort.close }

@@ -31,16 +31,16 @@ val sort_forest : depth_limit:int option -> node list -> node list
 (** Sort every sibling list, leaving levels beyond [depth_limit] in
     document order. *)
 
-val forest_size : node list -> int
+val forest_pull :
+  ?enc:Extmem.Codec.Enc.t -> packed:bool -> node list -> unit -> string option
+(** The sorted pre-order walk of a forest as a pull stream of encoded
+    entries: stored payloads pass through verbatim, and End entries are
+    synthesized (via [enc], by default a private scratch encoder) unless
+    [packed]. *)
 
 val emit_node : packed:bool -> Extmem.Codec.Enc.t -> (string -> unit) -> node -> unit
-(** Emit a node's entries in sorted pre-order, passing stored payloads
-    through verbatim and synthesizing End entries (via the scratch
-    encoder) unless [packed]. *)
-
-val forest_pull : packed:bool -> node list -> unit -> string option
-(** Pull-based pre-order walk of a sorted forest, for feeding a pipeline
-    stage one entry at a time. *)
+(** [emit_node ~packed enc emit n] drains {!forest_pull} over [n] into
+    [emit]. *)
 
 (** {2 Key-path record streams}
 
@@ -48,7 +48,7 @@ val forest_pull : packed:bool -> node list -> unit -> string option
     encoded {!Keypath} records out, and reconstruction of sorted records
     back into entries.  Like the forest functions, these touch no session
     or shared state, so {!Sort_pool} workers can run a whole run-spilling
-    subtree sort on a private scratch device. *)
+    subtree sort on a private scratch device and sub-budget. *)
 
 val forward_records :
   enc:Extmem.Codec.Enc.t ->
@@ -73,10 +73,27 @@ val reverse_records :
 val keypath_output :
   encoding:Config.encoding ->
   enc:Extmem.Codec.Enc.t ->
-  (string -> unit) ->
-  (string -> unit) * (unit -> unit)
-(** [keypath_output ~encoding ~enc emit] is the reconstruction sink for a
-    sorted key-path record stream: the returned output function emits
-    each record's payload verbatim, synthesizing End entries from level
-    transitions (unless packed); the returned finish closes the remaining
-    open tags — call it once the sort has drained. *)
+  (unit -> string option) ->
+  unit ->
+  string option
+(** [keypath_output ~encoding ~enc records] reconstructs the entries of a
+    sorted key-path record stream: each record's payload verbatim, with
+    End entries synthesized from level transitions (unless packed), the
+    last ones once [records] is exhausted. *)
+
+val keypath_sort :
+  ?arena:Extmem.Frame_arena.t ->
+  budget:Extmem.Memory_budget.t ->
+  temp:Extmem.Device.t ->
+  encoding:Config.encoding ->
+  enc:Extmem.Codec.Enc.t ->
+  depth_limit:int option ->
+  scan:[ `Forward | `Reverse ] ->
+  (unit -> Entry.View.t option) ->
+  string Pipe.opened
+(** A key-path external sort of an entry-view stream, opened
+    ({!Extsort.External_sort.sort_open} under {!keypath_output}): the
+    records come from {!forward_records} or {!reverse_records} by [scan],
+    run formation and all but the final merge pass consume the input
+    here, and the returned stream is the final merge.  Its [close]
+    releases what the sort still holds; the caller owns [temp]. *)

@@ -144,15 +144,19 @@ let reclaim t = Extmem.Ext_stack.shed t.data_stack
 let leaked_blocks t =
   match t.pool with Some (_, v) -> Sort_pool.leaked_blocks v | None -> 0
 
-let with_temp t f =
+let open_temp t =
   reclaim t;
   let dev = Config.scratch_device t.config ~name:"temp" in
-  Fun.protect
-    ~finally:(fun () ->
+  let retired = ref false in
+  let retire () =
+    if not !retired then begin
+      retired := true;
       Extmem.Io_stats.accumulate ~into:t.temp_stats (Extmem.Device.stats dev);
       t.temp_sim_ms <- t.temp_sim_ms +. Extmem.Device.simulated_ms dev;
-      Extmem.Device.close dev)
-    (fun () -> f dev)
+      Extmem.Device.close dev
+    end
+  in
+  (dev, retire)
 
 let encode_entry t e = Entry.encode_to t.config.Config.encoding t.dict t.enc_scratch e
 

@@ -138,10 +138,10 @@ val add_destroy_probe : (t -> unit) -> unit
     destroy runs in exception finalizers, where a raising probe would
     mask the original failure. *)
 
-val with_temp : t -> (Extmem.Device.t -> 'a) -> 'a
-(** Run a scope with a fresh scratch device; its I/O counters are folded
-    into {!field-temp_stats} afterwards, also on exceptions.  Calls
-    {!reclaim} first — scratch scopes exist to run external sorts, which
+val open_temp : t -> Extmem.Device.t * (unit -> unit)
+(** A fresh scratch device and its idempotent [retire], which folds the
+    device's I/O counters into {!field-temp_stats} and closes it.  Calls
+    {!reclaim} first — scratch devices exist to run external sorts, which
     reserve the arena. *)
 
 val encode_entry : t -> Entry.t -> string

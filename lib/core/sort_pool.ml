@@ -114,28 +114,13 @@ let workers t = Array.length t.workers
 let task_run = function
   | Sort { run; _ } | Copy { run; _ } | External { run; _ } -> run
 
-(* An external subtree sort, entirely off-session: key-path records are
-   built from the payload views by the same pure stream the
-   single-threaded path uses, the sort's arena is a private sub-budget
-   carved from the view's headroom (sized exactly like the -j1 lease),
-   and scratch I/O retires into the view's temp totals. *)
-let run_external_task v w ~arena_blocks ~scan payloads emit =
+(* An external subtree sort, entirely off-session: the same key-path
+   sort the single-threaded path opens, over a private sub-budget carved
+   from the view's headroom (sized exactly like the -j1 lease) and a
+   private scratch device whose I/O retires into the view's temp
+   totals. *)
+let run_external_task v w ~arena_blocks ~scan views emit =
   let config = v.v_config in
-  let encoding = config.Config.encoding in
-  let depth_limit = config.Config.depth_limit in
-  let pending = ref (List.map (Entry.View.of_payload encoding) payloads) in
-  let input () =
-    match !pending with
-    | [] -> None
-    | x :: rest ->
-        pending := rest;
-        Some x
-  in
-  let records =
-    match scan with
-    | `Forward -> Forest.forward_records ~enc:w.scratch ~depth_limit input
-    | `Reverse -> Forest.reverse_records ~enc:w.scratch ~depth_limit input
-  in
   let sub =
     Extmem.Memory_budget.carve v.v_ext_budget
       ~who:(Printf.sprintf "external sort (worker %d)" w.index)
@@ -153,32 +138,42 @@ let run_external_task v w ~arena_blocks ~scan payloads emit =
       (* a leak is counted above, never masked by an uncarve raise *)
       Extmem.Memory_budget.uncarve ~force:true sub)
     (fun () ->
-      let output, finish = Forest.keypath_output ~encoding ~enc:w.scratch emit in
-      ignore
-        (Extsort.External_sort.sort ~budget:sub ~temp ~cmp:Keypath.compare_encoded
-           ~input:records ~output ()
-          : Extsort.External_sort.stats);
-      finish ())
+      let pending = ref views in
+      let input () =
+        match !pending with
+        | [] -> None
+        | x :: rest ->
+            pending := rest;
+            Some x
+      in
+      let s =
+        Forest.keypath_sort ~budget:sub ~temp ~encoding:config.Config.encoding ~enc:w.scratch
+          ~depth_limit:config.Config.depth_limit ~scan input
+      in
+      Fun.protect ~finally:s.Pipe.close (fun () -> Pipe.drain s.Pipe.pull emit))
 
+(* Run a task into the worker's run writer: each kind drains the same
+   stream the single-threaded path drains into a run. *)
 let run_task (v, task) w =
+  let config = v.v_config in
   let writer = Extmem.Block_writer.create ~buffer:v.v_buffers.(w.index) v.v_devs.(w.index) in
   let emit = Extmem.Block_writer.write_record writer in
+  let payloads =
+    match task with
+    | Sort { payloads; _ } | Copy { payloads; _ } | External { payloads; _ } -> payloads
+  in
+  let views () = List.map (Entry.View.of_payload config.Config.encoding) payloads in
   (match task with
-  | Sort { payloads; _ } ->
-      let packed = v.v_config.Config.encoding = Config.Packed in
-      let views = List.map (Entry.View.of_payload v.v_config.Config.encoding) payloads in
+  | Sort _ ->
       let forest =
-        Forest.sort_forest ~depth_limit:v.v_config.Config.depth_limit
-          (Forest.build_forest views)
+        Forest.sort_forest ~depth_limit:config.Config.depth_limit (Forest.build_forest (views ()))
       in
-      List.iter (Forest.emit_node ~packed w.scratch emit) forest;
-      ignore (Atomic.fetch_and_add v.v_entries.(w.index) (List.length payloads))
-  | Copy { payloads; _ } ->
-      List.iter emit payloads;
-      ignore (Atomic.fetch_and_add v.v_entries.(w.index) (List.length payloads))
-  | External { payloads; scan; arena_blocks; _ } ->
-      run_external_task v w ~arena_blocks ~scan payloads emit;
-      ignore (Atomic.fetch_and_add v.v_entries.(w.index) (List.length payloads)));
+      Pipe.drain
+        (Forest.forest_pull ~enc:w.scratch ~packed:(config.Config.encoding = Config.Packed) forest)
+        emit
+  | Copy _ -> List.iter emit payloads
+  | External { scan; arena_blocks; _ } -> run_external_task v w ~arena_blocks ~scan (views ()) emit);
+  ignore (Atomic.fetch_and_add v.v_entries.(w.index) (List.length payloads));
   let extent = Extmem.Block_writer.close writer in
   Atomic.incr v.v_tasks_done.(w.index);
   (v.v_devs.(w.index), extent)

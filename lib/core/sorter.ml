@@ -118,11 +118,11 @@ type state = {
      path stack stays the only store of frames *)
   mutable top_children_loc : int;
   mutable top_flevel : int;
-  (* root fusion: when [fuse], the root's collapse opens its final
-     sort/merge as a pull stream here instead of materialising the root
-     run; the output phase consumes it *)
+  (* root fusion: when [fuse], the root's sorted stream is kept open
+     here instead of being drained into the root run; the output phase
+     consumes it *)
   fuse : bool;
-  mutable root : ((unit -> string option) * (unit -> unit)) option;
+  mutable root : string Pipe.opened option;
   spans : Obs.Spans.t;
   gc0 : Gc.stat;  (* GC counters when the sort opened (quick_stat) *)
   mw0 : float;  (* Gc.minor_words at open: exact, unlike quick_stat's
@@ -192,6 +192,12 @@ let collect_payloads st ~from_ =
    When the children accumulated for the innermost open element fill the
    sorting arena, sort them in memory now and park them as an incomplete
    sorted run, exactly like external merge sort's initial run creation. *)
+
+(* The data-stack entries from [from_] up, sorted into a fragment run. *)
+let write_fragment st ~from_ =
+  st.n_fragment_runs <- st.n_fragment_runs + 1;
+  Subtree_sort.write_fragment st.session (collect_views st ~from_)
+
 let maybe_degenerate st =
   let path = st.session.Session.path_stack in
   if degeneration st && not (Extmem.Ext_stack.is_empty path) then begin
@@ -207,11 +213,7 @@ let maybe_degenerate st =
     let region = Extmem.Ext_stack.length st.session.Session.data_stack - children_loc in
     if region >= Session.arena_bytes st.session && region > 0 then begin
       in_span st "fragment_write" @@ fun () ->
-      let views = collect_views st ~from_:children_loc in
-      let forest =
-        Subtree_sort.sort_forest ~depth_limit:(depth_limit st) (Subtree_sort.build_forest views)
-      in
-      let frag = Subtree_sort.write_fragment st.session forest in
+      let frag = write_fragment st ~from_:children_loc in
       Log.debug (fun m ->
           m "degeneration: level %d filled the arena, fragment run %d (%d bytes)" st.top_flevel
             frag region);
@@ -219,11 +221,29 @@ let maybe_degenerate st =
       (* the new id goes just below the frame: O(1) path-stack work *)
       let top = pop_frame st in
       Extmem.Ext_stack.push path (encode_frag_id frag);
-      push_frame st { top with nfrags = top.nfrags + 1 };
-      st.n_fragment_runs <- st.n_fragment_runs + 1
+      push_frame st { top with nfrags = top.nfrags + 1 }
     end
     end
   end
+
+(* ---- subtree sorts (Figure 4, lines 10-12) ---- *)
+
+(* How a complete subtree gets sorted: a merge of its fragments when it
+   has any; a verbatim copy at the depth limit (d_s = d+1, §3.2: "no
+   sorting is needed but the subtree is still written to disk, ensuring
+   that we do not carry large subtrees along" — it holds no run pointers,
+   since nothing deeper ever collapses); else an in-memory or a key-path
+   external sort, by size. *)
+let sort_kind st frame frags ~size =
+  let at_limit =
+    match depth_limit st with
+    | Some d -> frame.flevel = d + 1 && frame.flevel > 1
+    | None -> false
+  in
+  if frags <> [] then `Merge frags
+  else if at_limit then `Copy
+  else if size <= Session.arena_bytes st.session then `In_memory
+  else `External
 
 let external_scan_input st frame =
   let data = st.session.Session.data_stack in
@@ -238,184 +258,77 @@ let external_scan_input st frame =
           Some (Session.view_entry st.session (Extmem.Ext_stack.pop data))
         else None )
 
-(* Sort the complete subtree beginning at [frame.loc] and replace it by a
-   run pointer (Figure 4, lines 10-12). *)
-let collapse st frame resolved_key =
-  in_span st "subtree_sorts" @@ fun () ->
-  let data = st.session.Session.data_stack in
-  let size = Extmem.Ext_stack.length data - frame.loc in
-  let run =
-    if size <= Session.arena_bytes st.session then begin
-      st.n_in_memory <- st.n_in_memory + 1;
-      Log.debug (fun m ->
-          m "collapse: level %d pos %d, %d bytes, in-memory sort" frame.flevel frame.fpos size);
-      match st.session.Session.pool with
-      | Some (pool, view) ->
-          (* parallel path: claim the run id here — the same sequence
-             point where the single-threaded path registers the run — and
-             hand the pure sort (over the raw payloads) to a worker *)
-          let run = Extmem.Run_store.reserve st.session.Session.runs in
-          Sort_pool.submit_sort pool view ~run (collect_payloads st ~from_:frame.loc);
-          run
-      | None -> Subtree_sort.sort_in_memory st.session (collect_views st ~from_:frame.loc)
-    end
-    else begin
-      st.n_external <- st.n_external + 1;
-      match st.session.Session.pool with
-      | Some (pool, view) ->
-          (* offloaded external sort: mirror the single-threaded sequence
-             exactly — reclaim, drain the scan input with the same stack
-             mechanics (a reverse scan pops; a forward scan reads), then
-             hand the pure key-path sort to a worker along with the very
-             arena size the inline sort would have leased, so run
-             structure and scratch I/O match the [--jobs 1] bill *)
-          Session.reclaim st.session;
-          let scan, payloads =
-            if st.scan_evaluable then (`Forward, collect_payloads st ~from_:frame.loc)
-            else begin
-              let acc = ref [] in
-              while Extmem.Ext_stack.length data > frame.loc do
-                acc := Extmem.Ext_stack.pop data :: !acc
-              done;
-              (`Reverse, List.rev !acc (* pop order: reverse document order *))
-            end
-          in
-          let arena_blocks =
-            Extmem.Memory_budget.available_blocks st.session.Session.budget
-          in
-          Log.debug (fun m ->
-              m
-                "collapse: level %d pos %d, %d bytes > arena, external key-path sort \
-                 offloaded (%s scan, %d-block arena)"
-                frame.flevel frame.fpos size
-                (match scan with `Forward -> "forward" | `Reverse -> "reverse")
-                arena_blocks);
-          let run = Extmem.Run_store.reserve st.session.Session.runs in
-          Sort_pool.submit_external pool view ~run ~scan ~arena_blocks payloads;
-          run
-      | None ->
-          let scan, input = external_scan_input st frame in
-          Log.debug (fun m ->
-              m "collapse: level %d pos %d, %d bytes > arena, external key-path sort (%s scan)"
-                frame.flevel frame.fpos size
-                (match scan with `Forward -> "forward" | `Reverse -> "reverse"));
-          let id, _stats = Subtree_sort.sort_external st.session ~input ~scan in
-          id
-    end
-  in
-  st.n_subtree_sorts <- st.n_subtree_sorts + 1;
-  Extmem.Ext_stack.truncate_to data frame.loc;
-  push_data st
-    (Entry.Run_ptr { level = frame.flevel; pos = frame.fpos; key = resolved_key; run; bytes = size })
-
-(* Depth-limited sorting, d_s = d+1 case (§3.2): "no sorting is needed but
-   the subtree is still written to disk, ensuring that we do not carry
-   large subtrees along".  The subtree below the limit contains no run
-   pointers (nothing deeper ever collapses), so it is copied verbatim —
-   streaming, with no memory requirement. *)
-let collapse_copy st frame resolved_key =
-  in_span st "subtree_copy" @@ fun () ->
-  let data = st.session.Session.data_stack in
-  let size = Extmem.Ext_stack.length data - frame.loc in
-  Log.debug (fun m ->
-      m "collapse: level %d pos %d, %d bytes, verbatim copy (depth limit)" frame.flevel
-        frame.fpos size);
-  let run =
-    match st.session.Session.pool with
-    | Some (pool, view) ->
-        let run = Extmem.Run_store.reserve st.session.Session.runs in
-        Sort_pool.submit_copy pool view ~run (collect_payloads st ~from_:frame.loc);
-        run
-    | None ->
-        let w = Extmem.Run_store.begin_run st.session.Session.runs in
-        Extmem.Ext_stack.iter_entries_from data ~pos:frame.loc (fun payload ->
-            Extmem.Block_writer.write_record w payload);
-        Extmem.Run_store.finish_run st.session.Session.runs w
-  in
-  st.n_subtree_sorts <- st.n_subtree_sorts + 1;
-  Extmem.Ext_stack.truncate_to data frame.loc;
-  push_data st
-    (Entry.Run_ptr { level = frame.flevel; pos = frame.fpos; key = resolved_key; run; bytes = size })
-
-(* Root fusion: the root's final sort/merge is opened as a pull stream
-   (saves writing and re-reading the whole document once); the output
-   phase pulls it straight into the XML writer.  The stream is built
-   before truncating the stack — run formation consumes the stack here,
-   but the final merge is deferred to the consumer. *)
-let open_root_source st frame frags =
-  in_span st "root_sort" @@ fun () ->
-  let data = st.session.Session.data_stack in
-  let result =
-    if frags <> [] then begin
-      let tail = collect_views st ~from_:frame.children_loc in
+(* Open the sorted entries of the complete subtree at [frame.loc], and
+   name the buffer a drain into a run leases (see [Subtree_sort.to_run]).
+   Opening may consume the subtree's data-stack entries (a reverse scan
+   pops them); the caller truncates the rest. *)
+let open_subtree st frame kind =
+  let session = st.session in
+  let data = session.Session.data_stack in
+  match kind with
+  | `Merge frags ->
+      (* the children after the last fragment become one more *)
       let fragments =
-        if tail = [] then frags
-        else begin
-          let forest =
-            Subtree_sort.sort_forest ~depth_limit:(depth_limit st) (Subtree_sort.build_forest tail)
-          in
-          st.n_fragment_runs <- st.n_fragment_runs + 1;
-          frags @ [ Subtree_sort.write_fragment st.session forest ]
-        end
+        if Extmem.Ext_stack.length data > frame.children_loc then
+          frags @ [ write_fragment st ~from_:frame.children_loc ]
+        else frags
       in
+      (* the element's own Start entry is the first entry at frame.loc *)
       let start_view =
         match Extmem.Ext_stack.cursor_from data ~pos:frame.loc () with
-        | Some payload -> Session.view_entry st.session payload
+        | Some payload -> Session.view_entry session payload
         | None -> assert false
       in
       st.n_fragment_merges <- st.n_fragment_merges + 1;
-      Subtree_sort.merge_fragments_source st.session ~start_view ~fragments
-    end
-    else begin
-      if not (packed st) then
-        push_end st ~level:frame.flevel ~pos:frame.fpos ~key:(Some Key.Null);
-      let size = Extmem.Ext_stack.length data - frame.loc in
-      if size <= Session.arena_bytes st.session then begin
-        st.n_in_memory <- st.n_in_memory + 1;
-        ( Subtree_sort.sort_in_memory_source st.session (collect_views st ~from_:frame.loc),
-          ignore )
-      end
-      else begin
-        st.n_external <- st.n_external + 1;
-        let scan, input = external_scan_input st frame in
-        let s = Subtree_sort.sort_external_source st.session ~input ~scan in
-        (s.Subtree_sort.pull, s.Subtree_sort.close)
-      end
-    end
-  in
-  st.n_subtree_sorts <- st.n_subtree_sorts + 1;
-  Extmem.Ext_stack.truncate_to data frame.loc;
-  result
+      (Subtree_sort.merge_fragments_source session ~start_view ~fragments, None)
+  | `Copy -> ({ Pipe.pull = Extmem.Ext_stack.cursor_from data ~pos:frame.loc; close = ignore }, None)
+  | `In_memory ->
+      st.n_in_memory <- st.n_in_memory + 1;
+      (Subtree_sort.sort_in_memory_source session (collect_views st ~from_:frame.loc), None)
+  | `External ->
+      st.n_external <- st.n_external + 1;
+      let scan, input = external_scan_input st frame in
+      ( Subtree_sort.sort_external_source session ~input ~scan,
+        Some "external sort output buffer" )
 
-(* Merge an element's fragments (plus its unsorted tail children) into its
-   complete run. *)
-let collapse_fragments st frame frags resolved_key =
-  in_span st "fragment_merge" @@ fun () ->
-  let data = st.session.Session.data_stack in
-  let size = Extmem.Ext_stack.length data - frame.loc in
-  let tail = collect_views st ~from_:frame.children_loc in
-  let fragments =
-    if tail = [] then frags
-    else begin
-      let forest =
-        Subtree_sort.sort_forest ~depth_limit:(depth_limit st) (Subtree_sort.build_forest tail)
+(* The parallel path: claim the run id here — the same sequence point
+   where the single-threaded path registers the run — and hand the pure
+   work over the raw payloads to a worker.  An offloaded external sort
+   mirrors the single-threaded sequence exactly: reclaim, drain the scan
+   input with the same stack mechanics (a reverse scan pops; a forward
+   scan reads), and pass along the very arena size the inline sort would
+   have leased, so run structure and scratch I/O match the [--jobs 1]
+   bill. *)
+let submit st pool view frame kind =
+  let session = st.session in
+  let data = session.Session.data_stack in
+  match kind with
+  | `Copy ->
+      let run = Extmem.Run_store.reserve session.Session.runs in
+      Sort_pool.submit_copy pool view ~run (collect_payloads st ~from_:frame.loc);
+      run
+  | `In_memory ->
+      st.n_in_memory <- st.n_in_memory + 1;
+      let run = Extmem.Run_store.reserve session.Session.runs in
+      Sort_pool.submit_sort pool view ~run (collect_payloads st ~from_:frame.loc);
+      run
+  | `External ->
+      st.n_external <- st.n_external + 1;
+      Session.reclaim session;
+      let scan, payloads =
+        if st.scan_evaluable then (`Forward, collect_payloads st ~from_:frame.loc)
+        else begin
+          let acc = ref [] in
+          while Extmem.Ext_stack.length data > frame.loc do
+            acc := Extmem.Ext_stack.pop data :: !acc
+          done;
+          (`Reverse, List.rev !acc (* pop order: reverse document order *))
+        end
       in
-      st.n_fragment_runs <- st.n_fragment_runs + 1;
-      frags @ [ Subtree_sort.write_fragment st.session forest ]
-    end
-  in
-  (* the element's own Start entry is the first entry at frame.loc *)
-  let start_view =
-    match Extmem.Ext_stack.cursor_from data ~pos:frame.loc () with
-    | Some payload -> Session.view_entry st.session payload
-    | None -> assert false
-  in
-  let run = Subtree_sort.merge_fragments st.session ~start_view ~fragments in
-  st.n_fragment_merges <- st.n_fragment_merges + 1;
-  st.n_subtree_sorts <- st.n_subtree_sorts + 1;
-  Extmem.Ext_stack.truncate_to data frame.loc;
-  push_data st
-    (Entry.Run_ptr { level = frame.flevel; pos = frame.fpos; key = resolved_key; run; bytes = size })
+      let arena_blocks = Extmem.Memory_budget.available_blocks session.Session.budget in
+      let run = Extmem.Run_store.reserve session.Session.runs in
+      Sort_pool.submit_external pool view ~run ~scan ~arena_blocks payloads;
+      run
 
 (* [p] is the parser's reusable scratch: everything needed later is
    copied out here (the encoded entry, the frame fields). *)
@@ -452,6 +365,10 @@ let on_text st content =
        content);
   maybe_degenerate st
 
+(* An element ended: its subtree is complete.  The root's sorted stream
+   goes to the output phase under root fusion; otherwise a subtree big
+   enough (and the root always) is sorted into a run — by a worker when
+   the pool takes that kind — and replaced by a pointer to it. *)
 let on_end st =
   let key_end = Ordering.Evaluator.on_end st.evaluator in
   let frame, frags = pop_element st in
@@ -461,32 +378,62 @@ let on_end st =
     | Some k -> k
     | None -> Option.value key_end ~default:Key.Null
   in
-  if st.fuse && frame.flevel = 1 then st.root <- Some (open_root_source st frame frags)
+  let data = st.session.Session.data_stack in
+  let is_root = frame.flevel = 1 in
+  let fused = st.fuse && is_root in
+  (* a fragment merge synthesizes the element's End entry itself.  The
+     fused root's carries Null: the root has no siblings, so its key
+     orders nothing, and Null keeps its external sort's key paths short *)
+  if frags = [] && not (packed st) then
+    push_end st ~level:frame.flevel ~pos:frame.fpos
+      ~key:(Some (if fused then Key.Null else resolved_key));
+  let size = Extmem.Ext_stack.length data - frame.loc in
+  if fused then begin
+    in_span st "root_sort" @@ fun () ->
+    st.root <- Some (fst (open_subtree st frame (sort_kind st frame frags ~size)));
+    st.n_subtree_sorts <- st.n_subtree_sorts + 1;
+    Extmem.Ext_stack.truncate_to data frame.loc
+  end
   else begin
-      if frags <> [] then collapse_fragments st frame frags resolved_key
-      else begin
-        if not (packed st) then
-          push_end st ~level:frame.flevel ~pos:frame.fpos ~key:(Some resolved_key);
-        let size = Extmem.Ext_stack.length st.session.Session.data_stack - frame.loc in
-        let is_root = frame.flevel = 1 in
-        let depth_ok =
-          match depth_limit st with
-          | None -> true
-          | Some d -> frame.flevel <= d + 1
-        in
-        let threshold = st.session.Session.config.Config.threshold in
-        let at_limit =
-          match depth_limit st with
-          | Some d -> frame.flevel = d + 1
-          | None -> false
-        in
-        if (size >= threshold || is_root) && depth_ok then
-          if at_limit && not is_root then collapse_copy st frame resolved_key
-          else collapse st frame resolved_key
-      end;
-      (* the parent's children region just grew (run pointer or uncollapsed
-         subtree): it may now fill the arena *)
-      maybe_degenerate st
+    let depth_ok =
+      match depth_limit st with
+      | None -> true
+      | Some d -> frame.flevel <= d + 1
+    in
+    if frags <> [] || ((size >= st.session.Session.config.Config.threshold || is_root) && depth_ok)
+    then begin
+      let kind = sort_kind st frame frags ~size in
+      Log.debug (fun m ->
+          m "collapse: level %d pos %d, %d bytes, %s" frame.flevel frame.fpos size
+            (match kind with
+            | `Merge f -> Printf.sprintf "merge of %d fragments" (List.length f)
+            | `Copy -> "verbatim copy (depth limit)"
+            | `In_memory -> "in-memory sort"
+            | `External -> "external key-path sort"));
+      let span =
+        match kind with
+        | `Merge _ -> "fragment_merge"
+        | `Copy -> "subtree_copy"
+        | `In_memory | `External -> "subtree_sorts"
+      in
+      in_span st span @@ fun () ->
+      let run =
+        match (st.session.Session.pool, kind) with
+        | Some (pool, view), ((`Copy | `In_memory | `External) as kind) ->
+            submit st pool view frame kind
+        | Some _, `Merge _ | None, _ ->
+            let entries, buffer = open_subtree st frame kind in
+            Subtree_sort.to_run ?buffer st.session entries
+      in
+      st.n_subtree_sorts <- st.n_subtree_sorts + 1;
+      Extmem.Ext_stack.truncate_to data frame.loc;
+      push_data st
+        (Entry.Run_ptr
+           { level = frame.flevel; pos = frame.fpos; key = resolved_key; run; bytes = size })
+    end;
+    (* the parent's children region just grew (run pointer or uncollapsed
+       subtree): it may now fill the arena *)
+    maybe_degenerate st
   end
 
 (* ---- output phase (Figure 4, lines 13-21) ---- *)
@@ -650,11 +597,11 @@ let open_sorted ~session ~ordering ~input ~io_meter ~sim_meter =
   Session.reclaim session;
   let entries =
     match st.root with
-    | Some (pull, close) ->
-        (* root fusion: the root collapse opened its final merge as a
-           stream; the data stack is empty *)
+    | Some entries ->
+        (* root fusion: the root's sorted stream is open; the data stack
+           is empty *)
         assert (Extmem.Ext_stack.is_empty session.Session.data_stack);
-        { Pipe.pull; close }
+        entries
     | None ->
         (* the data stack now holds the single run pointer of the root *)
         let root_run =

@@ -5,173 +5,57 @@
    are the input bytes (End entries synthesized from level transitions
    are the only encoding done here). *)
 
-type node = Forest.node = {
-  view : Entry.View.t;
-  mutable key : Key.t;
-  mutable children : node list; (* reversed while building *)
-}
-
-let build_forest = Forest.build_forest
-
-let sort_forest = Forest.sort_forest
-
-let forest_size = Forest.forest_size
-
 let packed (session : Session.t) = session.Session.config.Config.encoding = Config.Packed
 
-let emit_node (session : Session.t) emit n =
-  Forest.emit_node ~packed:(packed session) session.Session.enc_scratch emit n
-
-let write_node session w n = emit_node session (Extmem.Block_writer.write_record w) n
-
-let forest_pull session forest = Forest.forest_pull ~packed:(packed session) forest
+let to_run ?buffer (session : Session.t) (s : string Pipe.opened) =
+  let drain () =
+    let w = Extmem.Run_store.begin_run session.Session.runs in
+    Pipe.drain s.Pipe.pull (Extmem.Block_writer.write_record w);
+    Extmem.Run_store.finish_run session.Session.runs w
+  in
+  Fun.protect ~finally:s.Pipe.close (fun () ->
+      match buffer with
+      | None -> drain ()
+      | Some who -> Extmem.Frame_arena.with_lease session.Session.arena ~who 1 (fun _ -> drain ()))
 
 let sort_in_memory_source (session : Session.t) views =
   let depth_limit = session.Session.config.Config.depth_limit in
-  forest_pull session (sort_forest ~depth_limit (build_forest views))
-
-let sort_in_memory_to (session : Session.t) views emit =
-  let depth_limit = session.Session.config.Config.depth_limit in
-  let forest = sort_forest ~depth_limit (build_forest views) in
-  List.iter (emit_node session emit) forest
-
-let sort_in_memory (session : Session.t) views =
-  let w = Extmem.Run_store.begin_run session.Session.runs in
-  sort_in_memory_to session views (Extmem.Block_writer.write_record w);
-  Extmem.Run_store.finish_run session.Session.runs w
+  let forest = Forest.sort_forest ~depth_limit (Forest.build_forest views) in
+  { Pipe.pull = Forest.forest_pull ~enc:session.Session.enc_scratch ~packed:(packed session) forest;
+    close = ignore }
 
 (* ---- key-path external sort ---- *)
 
-(* The pure record streams and reconstruction live in [Forest] (shared
-   with the worker pool, which runs whole external sorts off-session);
-   these wrappers bind them to the session's encoder and config. *)
-
-let forward_records (session : Session.t) ~depth_limit input =
-  Forest.forward_records ~enc:session.Session.enc_scratch ~depth_limit input
-
-let reverse_records (session : Session.t) ~depth_limit input =
-  Forest.reverse_records ~enc:session.Session.enc_scratch ~depth_limit input
-
-let sort_external_to (session : Session.t) ~input ~scan emit =
-  let depth_limit = session.Session.config.Config.depth_limit in
-  let records =
-    match scan with
-    | `Forward -> forward_records session ~depth_limit input
-    | `Reverse -> reverse_records session ~depth_limit input
-  in
-  let output, finish =
-    Forest.keypath_output ~encoding:session.Session.config.Config.encoding
-      ~enc:session.Session.enc_scratch emit
-  in
-  let stats =
-    try
-      Session.with_temp session (fun temp ->
-          Extsort.External_sort.sort ~arena:session.Session.arena
-            ~budget:session.Session.budget ~temp ~cmp:Keypath.compare_encoded ~input:records
-            ~output ())
-    with e ->
+(* The scratch device is retired when the stream closes, which its end
+   does too. *)
+let sort_external_source (session : Session.t) ~input ~scan =
+  let config = session.Session.config in
+  let temp, retire = Session.open_temp session in
+  match
+    Forest.keypath_sort ~arena:session.Session.arena ~budget:session.Session.budget ~temp
+      ~encoding:config.Config.encoding ~enc:session.Session.enc_scratch
+      ~depth_limit:config.Config.depth_limit ~scan input
+  with
+  | s ->
+      let close () =
+        s.Pipe.close ();
+        retire ()
+      in
+      let pull () =
+        match s.Pipe.pull () with
+        | Some _ as entry -> entry
+        | None ->
+            close ();
+            None
+      in
+      { Pipe.pull; close }
+  | exception e ->
       (* The input callback pops the data stack, which may have re-grown
          its borrowed window mid-sort; shed it so an aborted subtree sort
          leaves the budget exactly as a completed one would. *)
       Session.reclaim session;
-      raise e
-  in
-  finish ();
-  stats
-
-let sort_external (session : Session.t) ~input ~scan =
-  let w = Extmem.Run_store.begin_run session.Session.runs in
-  let stats = sort_external_to session ~input ~scan (Extmem.Block_writer.write_record w) in
-  let id = Extmem.Run_store.finish_run session.Session.runs w in
-  (id, stats)
-
-type streamed = {
-  pull : unit -> string option;
-  close : unit -> unit;
-  stats : Extsort.External_sort.stats;
-}
-
-(* Streaming variant of [sort_external_to]: run formation and all but the
-   last merge pass happen here (consuming [input]); the returned pull is
-   the final merge with entry reconstruction fused on top, so the root
-   sort's sorted entries flow straight into the output phase without a
-   materialised run.  The scratch device outlives [Session.with_temp]'s
-   scope, so its retirement bookkeeping is inlined into [close]. *)
-let sort_external_source (session : Session.t) ~input ~scan =
-  let depth_limit = session.Session.config.Config.depth_limit in
-  let records =
-    match scan with
-    | `Forward -> forward_records session ~depth_limit input
-    | `Reverse -> reverse_records session ~depth_limit input
-  in
-  Session.reclaim session;
-  let temp = Config.scratch_device session.Session.config ~name:"temp" in
-  let retired = ref false in
-  let retire () =
-    if not !retired then begin
-      retired := true;
-      Extmem.Io_stats.accumulate ~into:session.Session.temp_stats (Extmem.Device.stats temp);
-      session.Session.temp_sim_ms <-
-        session.Session.temp_sim_ms +. Extmem.Device.simulated_ms temp;
-      Extmem.Device.close temp
-    end
-  in
-  let o =
-    try
-      Extsort.External_sort.sort_open ~arena:session.Session.arena
-        ~budget:session.Session.budget ~temp ~cmp:Keypath.compare_encoded ~input:records ()
-    with e ->
-      (* As in [sort_external_to]: reclaim any blocks the data stack
-         re-borrowed while the aborted sort was draining it. *)
-      Session.reclaim session;
       retire ();
       raise e
-  in
-  let encoding = session.Session.config.Config.encoding in
-  let opens = ref [] in (* (level, pos) of open Start entries *)
-  let pending = Queue.create () in (* encoded entries ready to emit *)
-  let close_down_to level =
-    if not (packed session) then
-      let rec go () =
-        match !opens with
-        | (l, pos) :: rest when l >= level ->
-            Queue.push
-              (Entry.encode_end_to session.Session.enc_scratch ~level:l ~pos ~key:None)
-              pending;
-            opens := rest;
-            go ()
-        | _ -> ()
-      in
-      go ()
-    else opens := List.filter (fun (l, _) -> l < level) !opens
-  in
-  let finished = ref false in
-  let rec pull () =
-    if not (Queue.is_empty pending) then Some (Queue.pop pending)
-    else if !finished then None
-    else
-      match o.Extsort.External_sort.pull () with
-      | Some record ->
-          let payload = Keypath.decode_payload record in
-          let v = Entry.View.of_payload encoding payload in
-          close_down_to (Entry.View.level v);
-          Queue.push payload pending;
-          (match Entry.View.kind v with
-          | Entry.View.Vstart -> opens := (Entry.View.level v, Entry.View.pos v) :: !opens
-          | Entry.View.Vtext | Entry.View.Vrun_ptr | Entry.View.Vend -> ());
-          pull ()
-      | None ->
-          finished := true;
-          close_down_to 0;
-          o.Extsort.External_sort.close ();
-          retire ();
-          pull ()
-  in
-  let close () =
-    o.Extsort.External_sort.close ();
-    retire ()
-  in
-  { pull; close; stats = o.Extsort.External_sort.stats }
 
 (* ---- fragments (graceful degeneration, §3.2) ---- *)
 
@@ -192,36 +76,27 @@ let decode_header s =
 
 let is_header s = String.length s > 0 && s.[0] = header_prefix
 
-let write_fragment (session : Session.t) nodes =
+let write_fragment (session : Session.t) views =
   let depth_limit = session.Session.config.Config.depth_limit in
   (* below the depth limit chunks must keep document order: their headers
      carry Null keys so the merge falls back to the position tiebreak *)
-  let header_key n =
+  let header_key (n : Forest.node) =
     match depth_limit with
-    | Some d when Entry.View.level n.view > d + 1 -> Key.Null
-    | Some _ | None -> n.key
+    | Some d when Entry.View.level n.Forest.view > d + 1 -> Key.Null
+    | Some _ | None -> n.Forest.key
   in
   let w = Extmem.Run_store.begin_run session.Session.runs in
+  let emit = Extmem.Block_writer.write_record w in
   List.iter
-    (fun n ->
-      Extmem.Block_writer.write_record w
-        (encode_header (header_key n) (Entry.View.pos n.view));
-      write_node session w n)
-    nodes;
+    (fun (n : Forest.node) ->
+      emit (encode_header (header_key n) (Entry.View.pos n.Forest.view));
+      Forest.emit_node ~packed:(packed session) session.Session.enc_scratch emit n)
+    (Forest.sort_forest ~depth_limit (Forest.build_forest views));
   Extmem.Run_store.finish_run session.Session.runs w
 
-(* Fragment merges account their reader buffers against the budget, but
-   clamped to what is free: [fan_in] guarantees at least a 2-way merge
-   even on degenerate budgets (the paper's minimum), so the floor may
-   over-commit by design rather than fail. *)
-let reserve_clamped (session : Session.t) ~who n =
-  let budget = session.Session.budget in
-  let n = min n (Extmem.Memory_budget.available_blocks budget) in
-  Extmem.Memory_budget.reserve budget ~who n;
-  n
-
 (* Chunk-level pull merge of fragment runs.  [keep_headers] preserves
-   chunk headers (intermediate passes); the final pass drops them. *)
+   chunk headers (intermediate passes); the final pass drops them.  The
+   first record of every run is read here. *)
 let fragment_batch_pull (session : Session.t) ~keep_headers ~fragments =
   let readers =
     List.map
@@ -280,16 +155,28 @@ let fragment_batch_pull (session : Session.t) ~keep_headers ~fragments =
   in
   pull
 
-let merge_fragment_batch session ~keep_headers ~fragments emit =
-  let pull = fragment_batch_pull session ~keep_headers ~fragments in
-  let rec go () =
-    match pull () with
-    | None -> ()
-    | Some r ->
-        emit r;
-        go ()
+(* A merge of fragment runs whose reader buffers are reserved under
+   [who] for as long as it is open — released by [close], also when the
+   first reads fault.  The reservation is clamped to what is free: the
+   fan-in guarantees at least a 2-way merge even on degenerate budgets
+   (the paper's minimum), so the floor may over-commit by design rather
+   than fail. *)
+let open_fragment_batch (session : Session.t) ~who ~blocks ~keep_headers ~fragments =
+  let budget = session.Session.budget in
+  let held = min blocks (Extmem.Memory_budget.available_blocks budget) in
+  Extmem.Memory_budget.reserve budget ~who held;
+  let released = ref false in
+  let close () =
+    if not !released then begin
+      released := true;
+      Extmem.Memory_budget.release budget ~who held
+    end
   in
-  go ()
+  match fragment_batch_pull session ~keep_headers ~fragments with
+  | pull -> { Pipe.pull; close }
+  | exception e ->
+      close ();
+      raise e
 
 let fan_in (session : Session.t) =
   max 2 (Extmem.Memory_budget.available_blocks session.Session.budget - 1)
@@ -313,90 +200,43 @@ let rec reduce_fragments session fragments =
     let next =
       List.map
         (fun batch ->
-          let held =
-            reserve_clamped session ~who:"fragment merge" (List.length batch + 1)
-          in
-          Fun.protect
-            ~finally:(fun () ->
-              Extmem.Memory_budget.release session.Session.budget ~who:"fragment merge" held)
-            (fun () ->
-              let w = Extmem.Run_store.begin_run session.Session.runs in
-              merge_fragment_batch session ~keep_headers:true ~fragments:batch
-                (Extmem.Block_writer.write_record w);
-              Extmem.Run_store.finish_run session.Session.runs w))
+          (* the batch's readers plus the output run's writer buffer *)
+          to_run session
+            (open_fragment_batch session ~who:"fragment merge"
+               ~blocks:(List.length batch + 1) ~keep_headers:true ~fragments:batch))
         (batches fragments)
     in
     reduce_fragments session next
   end
 
-(* the wrapped, merged element; fragments must already fit the fan-in.
-   [start_view]'s payload passes through verbatim. *)
-let merged_pull session ~start_view ~fragments =
-  let inner = fragment_batch_pull session ~keep_headers:false ~fragments in
+(* The wrapped, merged element; [start_view]'s payload passes through
+   verbatim. *)
+let merge_fragments_source (session : Session.t) ~start_view ~fragments =
+  (* reduce first: intermediate merge passes open their own runs *)
+  let fragments = reduce_fragments session fragments in
+  let merged =
+    open_fragment_batch session ~who:"fragment merge fan-in" ~blocks:(List.length fragments)
+      ~keep_headers:false ~fragments
+  in
   let st = ref `Start in
-  let rec pull () =
+  let pull () =
     match !st with
     | `Start ->
         st := `Body;
         Some (Entry.View.payload start_view)
     | `Body -> (
-        match inner () with
+        match merged.Pipe.pull () with
         | Some r -> Some r
         | None ->
-            st := `Tail;
-            pull ())
-    | `Tail -> (
-        st := `Done;
-        match Entry.View.kind start_view with
-        | Entry.View.Vstart when not (packed session) ->
-            Some
-              (Entry.encode_end_to session.Session.enc_scratch
-                 ~level:(Entry.View.level start_view) ~pos:(Entry.View.pos start_view)
-                 ~key:None)
-        | Entry.View.Vstart | Entry.View.Vend | Entry.View.Vtext | Entry.View.Vrun_ptr ->
-            None)
+            st := `Done;
+            (match Entry.View.kind start_view with
+            | Entry.View.Vstart when not (packed session) ->
+                Some
+                  (Entry.encode_end_to session.Session.enc_scratch
+                     ~level:(Entry.View.level start_view) ~pos:(Entry.View.pos start_view)
+                     ~key:None)
+            | Entry.View.Vstart | Entry.View.Vend | Entry.View.Vtext | Entry.View.Vrun_ptr ->
+                None))
     | `Done -> None
   in
-  pull
-
-let merge_fragments_source (session : Session.t) ~start_view ~fragments =
-  (* reduce first: intermediate merge passes open their own runs *)
-  let fragments = reduce_fragments session fragments in
-  let held = reserve_clamped session ~who:"fragment merge fan-in" (List.length fragments) in
-  let released = ref false in
-  let release () =
-    if not !released then begin
-      released := true;
-      Extmem.Memory_budget.release session.Session.budget ~who:"fragment merge fan-in" held
-    end
-  in
-  let inner = merged_pull session ~start_view ~fragments in
-  let pull () =
-    match inner () with
-    | Some r -> Some r
-    | None ->
-        release ();
-        None
-  in
-  (pull, release)
-
-let drain_into pull emit =
-  let rec go () =
-    match pull () with
-    | None -> ()
-    | Some r ->
-        emit r;
-        go ()
-  in
-  go ()
-
-let merge_fragments_to (session : Session.t) ~start_view ~fragments emit =
-  let pull, close = merge_fragments_source session ~start_view ~fragments in
-  Fun.protect ~finally:close (fun () -> drain_into pull emit)
-
-let merge_fragments (session : Session.t) ~start_view ~fragments =
-  let pull, close = merge_fragments_source session ~start_view ~fragments in
-  Fun.protect ~finally:close (fun () ->
-      let w = Extmem.Run_store.begin_run session.Session.runs in
-      drain_into pull (Extmem.Block_writer.write_record w);
-      Extmem.Run_store.finish_run session.Session.runs w)
+  { merged with Pipe.pull }

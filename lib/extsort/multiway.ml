@@ -54,7 +54,13 @@ let merge_pull ?arena ?lease ?who ~cmp ~inputs () =
   let release () =
     match lease with Some l -> Extmem.Frame_arena.close_lease l | None -> ()
   in
-  let h, cur = make_heap ~cmp ~inputs in
+  (* the first reads may fault: the lease must not outlive them *)
+  let h, cur =
+    try make_heap ~cmp ~inputs
+    with e ->
+      release ();
+      raise e
+  in
   let pull () =
     if Heap.is_empty h then begin
       release ();

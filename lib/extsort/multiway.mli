@@ -53,4 +53,6 @@ val merge_pull :
     when the stream is exhausted or [close] is called (whichever comes
     first; [close] is idempotent).  With [?lease] the caller hands over
     an already-held lease instead (covering the fan-in buffers it
-    opened); the merge assumes ownership and closes it the same way. *)
+    opened); the merge assumes ownership and closes it the same way.
+    The first record of every input is read here; if that raises, the
+    lease is closed before the exception leaves. *)

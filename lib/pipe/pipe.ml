@@ -1,15 +1,9 @@
 type 'a pull = unit -> 'a option
 
 type 'a source = {
-  s_desc : string list;  (* stage names, source first *)
+  s_who : string;
   s_mem : int;
   s_open : unit -> 'a pull * (unit -> unit);
-}
-
-type ('a, 'b) transform = {
-  t_who : string;
-  t_mem : int;
-  t_fn : 'a pull -> 'b pull;
 }
 
 type 'a sink = {
@@ -20,56 +14,22 @@ type 'a sink = {
 
 type 'a opened = { pull : 'a pull; close : unit -> unit }
 
-let source ?(mem = 0) ~who open_ = { s_desc = [ who ]; s_mem = mem; s_open = open_ }
-
-let of_pull ?(mem = 0) ~who pull = source ~mem ~who (fun () -> (pull, ignore))
-
-let of_list ~who items =
-  source ~who (fun () ->
-      let rest = ref items in
-      let pull () =
-        match !rest with
-        | [] -> None
-        | x :: tl ->
-            rest := tl;
-            Some x
-      in
-      (pull, ignore))
+let source ?(mem = 0) ~who open_ = { s_who = who; s_mem = mem; s_open = open_ }
 
 let of_run ?(who = "run reader") store id =
   source ~mem:1 ~who (fun () -> (Extmem.Run_store.read_run store id, ignore))
-
-let transform ?(mem = 0) ~who fn = { t_who = who; t_mem = mem; t_fn = fn }
-
-let map ~who f =
-  transform ~who (fun pull () -> match pull () with None -> None | Some x -> Some (f x))
-
-let via src tr =
-  {
-    s_desc = src.s_desc @ [ tr.t_who ];
-    s_mem = src.s_mem + tr.t_mem;
-    s_open =
-      (fun () ->
-        let pull, close = src.s_open () in
-        (tr.t_fn pull, close));
-  }
 
 let sink ?(mem = 0) ~who open_ = { k_who = who; k_mem = mem; k_open = open_ }
 
 let fn_sink ~who push = sink ~who (fun () -> (push, ignore))
 
-let mem_need src = src.s_mem
-let sink_mem snk = snk.k_mem
-let describe src = String.concat " -> " src.s_desc
-let sink_who snk = snk.k_who
-
 let in_span spans name f =
   match spans with None -> f () | Some sp -> Obs.Spans.with_span sp name f
 
 let open_source ?spans ~budget src =
-  let who = describe src in
+  let who = src.s_who in
   Extmem.Memory_budget.reserve budget ~who src.s_mem;
-  let pull, close_stages =
+  let pull, close_source =
     try in_span spans ("open:" ^ who) src.s_open
     with e ->
       Extmem.Memory_budget.release budget ~who src.s_mem;
@@ -81,7 +41,7 @@ let open_source ?spans ~budget src =
       closed := true;
       Fun.protect
         ~finally:(fun () -> Extmem.Memory_budget.release budget ~who src.s_mem)
-        close_stages
+        close_source
     end
   in
   { pull; close }

@@ -71,6 +71,46 @@ cmp $tmp/par1.out.xml $tmp/par4.out.xml
 dune exec bench/main.exe -- compare-metrics $tmp/par1.json $tmp/par4.json
 dune exec bench/main.exe -- compare-metrics $tmp/par4.json $tmp/par1.json
 
+# Sort fence: each kind of subtree sort opens one stream, which a run
+# drains, the fused output phase consumes, or a worker drains.  Over
+# shapes that reach every kind — in-memory subtree runs, a forward and a
+# reverse-scan external root (a threshold above the document,
+# degeneration off, by @id and by text), fragment merges (the flat
+# documents) and verbatim copies (--depth-limit 1) — the default, the
+# unfused and the --jobs 4 outputs must be byte-identical, and the -j1
+# and -j4 reports' io sections pinned equal (both compare directions).
+dune exec bin/xmlgen_cli.exe -- --seed 7 --fanouts 3000 --avg-bytes 120 -o $tmp/flat.xml \
+  > /dev/null 2>&1
+dune exec bin/xmlgen_cli.exe -- --seed 9 --fanouts 3,1500 --avg-bytes 120 -o $tmp/f31500.xml \
+  > /dev/null 2>&1
+fence=0
+while read -r doc args; do
+  fence=$((fence + 1))
+  f=$tmp/fence$fence
+  # (stdin is the shape list: keep it from the commands)
+  dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args --metrics $f.j1.json \
+    -o $f.xml $tmp/$doc < /dev/null > /dev/null
+  dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args --no-fuse -o $f.nofuse.xml $tmp/$doc \
+    < /dev/null > /dev/null
+  dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args --jobs 4 --metrics $f.j4.json \
+    -o $f.j4.xml $tmp/$doc < /dev/null > /dev/null
+  for m in nofuse j4; do
+    cmp $f.xml $f.$m.xml || {
+      echo "sort fence: $doc $args: the $m output differs" >&2; exit 1; }
+  done
+  dune exec bench/main.exe -- compare-metrics $f.j1.json $f.j4.json < /dev/null > /dev/null
+  dune exec bench/main.exe -- compare-metrics $f.j4.json $f.j1.json < /dev/null > /dev/null
+done <<EOF
+par.xml -O @id
+par.xml -t 100000000 --no-degeneration -O @id
+par.xml -t 100000000 --no-degeneration -O text
+flat.xml -O @id
+f31500.xml -O @id
+f31500.xml --no-degeneration -O @id
+f31500.xml --no-degeneration -O text
+f31500.xml --depth-limit 1 -O @id
+EOF
+
 # Engine smoke: the multi-tenant daemon must serve interleaved jobs from
 # two tenants under a queue-forcing budget and stay invisible in the
 # result — every output byte-identical to a standalone single-job CLI

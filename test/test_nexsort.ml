@@ -507,15 +507,39 @@ let test_sort_fusion_off_same_output () =
 let prop_fusion_identical =
   (* fusion must be invisible in the output: for any generated document
      and memory geometry, the fused and unfused paths produce
-     byte-identical sorted XML *)
-  QCheck.Test.make ~name:"fused and unfused outputs are byte-identical" ~count:20
-    QCheck.(pair (int_bound 1000) (int_range 8 16))
-    (fun (seed, memory_blocks) ->
-      let xml = gen_doc ~max_elements:200 seed in
-      let mk root_fusion = Config.make ~block_size:128 ~memory_blocks ~root_fusion () in
-      let fused, _ = Engine.sort_string ~config:(mk true) ~ordering:by_id xml in
-      let unfused, _ = Engine.sort_string ~config:(mk false) ~ordering:by_id xml in
-      String.equal fused unfused)
+     byte-identical sorted XML — whichever kind of sort the root's
+     stream comes from: an in-memory sort or a mix of subtree runs, a
+     forward or a reverse-scan external sort (a threshold above the
+     document, degeneration off, by @id or by text), or a fragment merge
+     (a flat document) *)
+  QCheck.Test.make ~name:"fused and unfused outputs are byte-identical" ~count:40
+    QCheck.(triple (int_bound 1000) (int_range 8 16) (int_bound 3))
+    (fun (seed, memory_blocks, shape) ->
+      let default root_fusion = Config.make ~block_size:128 ~memory_blocks ~root_fusion () in
+      let external_root root_fusion =
+        Config.make ~block_size:128 ~memory_blocks ~threshold:1_000_000 ~degeneration:false
+          ~root_fusion ()
+      in
+      let exact fanouts =
+        fst
+          (Xmlgen.Gen.to_string (fun sink ->
+               Xmlgen.Gen.exact_shape ~seed ~avg_bytes:40 ~fanouts sink))
+      in
+      let external_ran (r : Nexsort.report) = r.Nexsort.external_sorts = 1 in
+      let xml, mk, ordering, root_kind_ran =
+        match shape with
+        | 0 -> (gen_doc ~max_elements:200 seed, default, by_id, fun _ -> true)
+        | 1 -> (exact [ 6; 6; 5 ], external_root, by_id, external_ran)
+        | 2 -> (exact [ 6; 6; 5 ], external_root, Ordering.make Ordering.By_text, external_ran)
+        | _ ->
+            ( exact [ 300 ],
+              default,
+              by_id,
+              fun (r : Nexsort.report) -> r.Nexsort.fragment_merges = 1 )
+      in
+      let fused, rf = Engine.sort_string ~config:(mk true) ~ordering xml in
+      let unfused, rn = Engine.sort_string ~config:(mk false) ~ordering xml in
+      root_kind_ran rf && root_kind_ran rn && String.equal fused unfused)
 
 let test_fusion_saves_exactly_root_run_io () =
   (* a threshold larger than the document makes the root the only subtree
@@ -623,10 +647,13 @@ let test_sort_jobs_equivalence () =
 exception Boom
 
 let test_aborted_external_sort_restores_budget () =
-  (* an exception raised mid-external-sort — while the data-stack window
-     may hold borrowed arena blocks — must leave the session's budget
-     exactly as a completed sort would: every sort lease released and the
-     window shed back to its configured size *)
+  (* an external sort abandoned midway — while the data-stack window may
+     hold borrowed arena blocks — must leave the session's budget exactly
+     as a completed sort would: every sort lease released and the window
+     shed back to its configured size.  The one external opener is
+     abandoned both ways the sorter uses it: its input raises while a
+     drain into a run is being set up, and an opened root stream is
+     closed after its first entry, as a failing output phase does. *)
   let config = Config.make ~block_size:256 ~memory_blocks:12 () in
   Engine.with_session config @@ fun session ->
   let budget = session.Nexsort.Session.budget in
@@ -635,36 +662,38 @@ let test_aborted_external_sort_restores_budget () =
     let fed = ref 0 in
     let input () =
       incr fed;
-      if !fed > 30 then raise Boom
-      else begin
-        (* push the data stack while the sort drains input, as the real
-           scan does; if the budget has slack the window re-borrows *)
-        Extmem.Ext_stack.push session.Nexsort.Session.data_stack (String.make 64 'x');
-        Some
-          (Nexsort.Session.view_entry session
-             (Nexsort.Session.encode_entry session
-                (Nexsort.Entry.Start
-                   {
-                     level = 2;
-                     pos = !fed;
-                     name = "e";
-                     attrs = [];
-                     key = Some (Key.Num (float_of_int !fed));
-                   })))
-      end
+      match variant with
+      | `Run when !fed > 30 -> raise Boom
+      | `Root when !fed > 300 -> None
+      | `Run | `Root ->
+          (* push the data stack while the sort drains input, as the real
+             scan does; if the budget has slack the window re-borrows *)
+          Extmem.Ext_stack.push session.Nexsort.Session.data_stack (String.make 64 'x');
+          Some
+            (Nexsort.Session.view_entry session
+               (Nexsort.Session.encode_entry session
+                  (Nexsort.Entry.Start
+                     {
+                       level = 2;
+                       pos = !fed;
+                       name = "e";
+                       attrs = [];
+                       key = Some (Key.Num (float_of_int !fed));
+                     })))
     in
-    (try
-       (match variant with
-       | `Sink ->
-           ignore
-             (Nexsort.Subtree_sort.sort_external_to session ~input ~scan:`Forward ignore
-               : Extsort.External_sort.stats)
-       | `Source ->
-           ignore
-             (Nexsort.Subtree_sort.sort_external_source session ~input ~scan:`Forward
-               : Nexsort.Subtree_sort.streamed));
-       Alcotest.fail "expected Boom"
-     with Boom -> ());
+    (match variant with
+    | `Run -> (
+        try
+          ignore
+            (Nexsort.Subtree_sort.to_run ~buffer:"external sort output buffer" session
+               (Nexsort.Subtree_sort.sort_external_source session ~input ~scan:`Forward)
+              : Extmem.Run_store.id);
+          Alcotest.fail "expected Boom"
+        with Boom -> ())
+    | `Root ->
+        let s = Nexsort.Subtree_sort.sort_external_source session ~input ~scan:`Forward in
+        check Alcotest.bool "the root stream yields entries" true (s.Pipe.pull () <> None);
+        s.Pipe.close ());
     check Alcotest.int "borrow shed after abort" 0
       (Extmem.Ext_stack.borrowed session.Nexsort.Session.data_stack);
     check Alcotest.int "budget restored after abort" baseline
@@ -674,8 +703,8 @@ let test_aborted_external_sort_restores_budget () =
       ignore (Extmem.Ext_stack.pop session.Nexsort.Session.data_stack)
     done
   in
-  run `Sink;
-  run `Source
+  run `Run;
+  run `Root
 
 let test_report_io_accounting () =
   let xml = gen_doc 6 in

@@ -163,6 +163,45 @@ let test_probes_clean_after_worker_fault () =
   check (Alcotest.list Alcotest.string) "no leaks after worker aborts" []
     (Verify.Probes.violations ())
 
+let test_fault_sweep_no_leaks () =
+  (* A sweep of sparse fault schedules over the sort paths that hold
+     memory across a first read: fragment merges (the flat documents,
+     degeneration on), key-path external sorts (degeneration off) and
+     their fused root streams.  Wherever a fault lands — also between a
+     reservation and the first record of a merge — teardown must find
+     the budget empty and the arena quiescent. *)
+  Verify.Probes.install ();
+  Verify.Probes.clear ();
+  let doc seed fanouts =
+    fst (Xmlgen.Gen.to_string (Xmlgen.Gen.exact_shape ~seed ~avg_bytes:120 ~fanouts))
+  in
+  let docs = [ ("3000", doc 7 [ 3000 ]); ("3,1500", doc 9 [ 3; 1500 ]) ] in
+  for seed = 1 to 300 do
+    List.iter
+      (fun (shape, xml) ->
+        List.iter
+          (fun (root_fusion, degeneration) ->
+            let config =
+              Nexsort.Config.make ~block_size:1024 ~memory_blocks:16 ~root_fusion ~degeneration
+                ~device:
+                  (Extmem.Device_spec.parse (Printf.sprintf "faulty:p=0.002,seed=%d/mem" seed))
+                ()
+            in
+            (match Engine.sort_string ~config ~ordering:(Ordering.by_attr "id") xml with
+            | _ -> ()
+            | exception Extmem.Backend.Fault _ -> ()
+            | exception e ->
+                Alcotest.failf "seed %d, %s: expected Device.Fault, got %s" seed shape
+                  (Printexc.to_string e));
+            match Verify.Probes.violations () with
+            | [] -> ()
+            | vs ->
+                Alcotest.failf "seed %d, %s, fusion %b, degeneration %b: %s" seed shape
+                  root_fusion degeneration (String.concat "; " vs))
+          [ (true, true); (false, true); (true, false); (false, false) ])
+      docs
+  done
+
 let test_probe_sees_leak () =
   (* check_session must actually report a dirty session, otherwise the
      clean results above prove nothing *)
@@ -200,6 +239,7 @@ let () =
           Alcotest.test_case "clean after fault abort" `Quick test_probes_clean_after_fault;
           Alcotest.test_case "clean after worker fault abort" `Quick
             test_probes_clean_after_worker_fault;
+          Alcotest.test_case "clean after a fault sweep" `Quick test_fault_sweep_no_leaks;
           Alcotest.test_case "sees a leak" `Quick test_probe_sees_leak;
         ] );
     ]
