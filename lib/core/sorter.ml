@@ -20,6 +20,7 @@ type report = {
   external_sorts : int;
   fragment_runs : int;
   fragment_merges : int;
+  merge_passes : int;
   runs_created : int;
   run_blocks : int;
   input_io : Extmem.Io_stats.t;
@@ -113,6 +114,7 @@ type state = {
   mutable n_external : int;
   mutable n_fragment_runs : int;
   mutable n_fragment_merges : int;
+  mutable merge_passes : int;   (* most passes one fragment merge took *)
   (* the top path-stack frame's [children_loc] and [flevel], so
      degeneration need not read the path stack after every event; the
      path stack stays the only store of frames *)
@@ -280,7 +282,9 @@ let open_subtree st frame kind =
         | None -> assert false
       in
       st.n_fragment_merges <- st.n_fragment_merges + 1;
-      (Subtree_sort.merge_fragments_source session ~start_view ~fragments, None)
+      let merged, passes = Subtree_sort.merge_fragments_source session ~start_view ~fragments in
+      st.merge_passes <- max st.merge_passes passes;
+      (merged, None)
   | `Copy -> ({ Pipe.pull = Extmem.Ext_stack.cursor_from data ~pos:frame.loc; close = ignore }, None)
   | `In_memory ->
       st.n_in_memory <- st.n_in_memory + 1;
@@ -559,6 +563,7 @@ let open_sorted ~session ~ordering ~input ~io_meter ~sim_meter =
       n_external = 0;
       n_fragment_runs = 0;
       n_fragment_merges = 0;
+      merge_passes = 0;
       top_children_loc = 0;
       top_flevel = 0;
       fuse = config.Config.root_fusion;
@@ -651,6 +656,7 @@ let build_report (st : state) ~input_io ~output_io ~extra_sim ~t0 =
     external_sorts = st.n_external;
     fragment_runs = st.n_fragment_runs;
     fragment_merges = st.n_fragment_merges;
+    merge_passes = st.merge_passes;
     runs_created = Extmem.Run_store.run_count session.Session.runs;
     run_blocks = Extmem.Run_store.total_run_blocks session.Session.runs;
     input_io;
@@ -823,6 +829,7 @@ let metrics_report ?(tool = "nexsort") ~config r =
          ("external_sorts", Obs.Json.Int r.external_sorts);
          ("fragment_runs", Obs.Json.Int r.fragment_runs);
          ("fragment_merges", Obs.Json.Int r.fragment_merges);
+         ("merge_passes", Obs.Json.Int r.merge_passes);
          ("runs_created", Obs.Json.Int r.runs_created);
          ("run_blocks", Obs.Json.Int r.run_blocks);
        ]);

@@ -45,6 +45,9 @@ type report = {
   external_sorts : int;   (** subtree sorts that needed key-path extsort *)
   fragment_runs : int;    (** incomplete runs created by degeneration *)
   fragment_merges : int;  (** elements whose fragments had to be merged *)
+  merge_passes : int;
+      (** the most merge passes one fragment merge took, its final merge
+          included (0 without fragment merges) *)
   runs_created : int;     (** total sorted runs (incl. intermediates) *)
   run_blocks : int;       (** blocks occupied by all runs (Lemma 4.8) *)
   input_io : Extmem.Io_stats.t;

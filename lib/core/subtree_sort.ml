@@ -94,64 +94,57 @@ let write_fragment (session : Session.t) views =
     (Forest.sort_forest ~depth_limit (Forest.build_forest views));
   Extmem.Run_store.finish_run session.Session.runs w
 
-(* Chunk-level pull merge of fragment runs.  [keep_headers] preserves
-   chunk headers (intermediate passes); the final pass drops them.  The
-   first record of every run is read here. *)
+(* Chunk-level pull merge of fragment runs.  [keep_headers] passes the
+   chunk headers through as read (intermediate passes); the final pass
+   drops them.  The first record of every run is read here.  The work
+   list is a heap of the runs' next chunks in (key, pos, reader index)
+   order: every run has at most one chunk in it, so the order is total
+   and the merge stable. *)
+type chunk = { key : Key.t; pos : int; reader : int; header : string }
+
+let chunk_before a b =
+  let c = Key.compare a.key b.key in
+  c < 0 || (c = 0 && (a.pos < b.pos || (a.pos = b.pos && a.reader < b.reader)))
+
 let fragment_batch_pull (session : Session.t) ~keep_headers ~fragments =
   let readers =
-    List.map
-      (fun id ->
-        let r = Extmem.Run_store.open_run session.Session.runs id in
-        let first = Extmem.Block_reader.read_record r in
-        (r, ref first))
-      fragments
+    Array.of_list
+      (List.map
+         (fun id ->
+           let r = Extmem.Run_store.open_run session.Session.runs id in
+           (r, Extmem.Block_reader.read_record r))
+         fragments)
   in
-  (* sorted work list keyed by (key, pos, reader index) for stability *)
-  let items : (Key.t * int * int) list ref = ref [] in
-  let insert ((k, p, i) as item) =
-    let rec ins = function
-      | [] -> [ item ]
-      | (k', p', i') :: _ as l
-        when Key.compare k k' < 0
-             || (Key.compare k k' = 0 && (p < p' || (p = p' && i < i'))) -> item :: l
-      | x :: rest -> x :: ins rest
-    in
-    items := ins !items
+  let chunks = Extsort.Heap.create ~less:chunk_before in
+  let add reader header =
+    let key, pos = decode_header header in
+    Extsort.Heap.push chunks { key; pos; reader; header }
   in
-  let readers = Array.of_list readers in
   Array.iteri
-    (fun i (_, pending) ->
-      match !pending with
-      | Some h when is_header h ->
-          let k, p = decode_header h in
-          insert (k, p, i)
+    (fun i (_, first) ->
+      match first with
+      | Some h when is_header h -> add i h
       | Some _ -> raise (Extmem.Codec.Corrupt "fragment run does not start with a header")
       | None -> ())
     readers;
-  let current = ref None in (* reader whose chunk is being copied *)
+  let current = ref (-1) in (* reader whose chunk is being copied *)
   let rec pull () =
-    match !current with
-    | Some i -> (
-        let r, pending = readers.(i) in
-        match Extmem.Block_reader.read_record r with
-        | None ->
-            pending := None;
-            current := None;
-            pull ()
-        | Some rec_ when is_header rec_ ->
-            pending := Some rec_;
-            let k', p' = decode_header rec_ in
-            insert (k', p', i);
-            current := None;
-            pull ()
-        | Some rec_ -> Some rec_)
-    | None -> (
-        match !items with
-        | [] -> None
-        | (k, p, i) :: rest ->
-            items := rest;
-            current := Some i;
-            if keep_headers then Some (encode_header k p) else pull ())
+    if !current >= 0 then
+      match Extmem.Block_reader.read_record (fst readers.(!current)) with
+      | None ->
+          current := -1;
+          pull ()
+      | Some r when is_header r ->
+          add !current r;
+          current := -1;
+          pull ()
+      | Some _ as r -> r
+    else if Extsort.Heap.is_empty chunks then None
+    else begin
+      let c = Extsort.Heap.pop chunks in
+      current := c.reader;
+      if keep_headers then Some c.header else pull ()
+    end
   in
   pull
 
@@ -160,8 +153,9 @@ let fragment_batch_pull (session : Session.t) ~keep_headers ~fragments =
    first reads fault.  The reservation is clamped to what is free: the
    fan-in guarantees at least a 2-way merge even on degenerate budgets
    (the paper's minimum), so the floor may over-commit by design rather
-   than fail. *)
-let open_fragment_batch (session : Session.t) ~who ~blocks ~keep_headers ~fragments =
+   than fail.  [on_close] runs after the release. *)
+let open_fragment_batch ?(on_close = ignore) (session : Session.t) ~who ~blocks ~keep_headers
+    ~fragments =
   let budget = session.Session.budget in
   let held = min blocks (Extmem.Memory_budget.available_blocks budget) in
   Extmem.Memory_budget.reserve budget ~who held;
@@ -169,7 +163,8 @@ let open_fragment_batch (session : Session.t) ~who ~blocks ~keep_headers ~fragme
   let close () =
     if not !released then begin
       released := true;
-      Extmem.Memory_budget.release budget ~who held
+      Extmem.Memory_budget.release budget ~who held;
+      on_close ()
     end
   in
   match fragment_batch_pull session ~keep_headers ~fragments with
@@ -178,45 +173,86 @@ let open_fragment_batch (session : Session.t) ~who ~blocks ~keep_headers ~fragme
       close ();
       raise e
 
-let fan_in (session : Session.t) =
-  max 2 (Extmem.Memory_budget.available_blocks session.Session.budget - 1)
+(* A merge of [free] blocks: its readers plus one block for its output. *)
+let fan_in free = max 2 (free - 1)
 
-let rec reduce_fragments session fragments =
+(* Intermediate passes: merge [width] runs at a time (the readers plus
+   the output run's writer buffer) until at most [target] remain. *)
+let reduce_fragments session ~width ~target fragments =
+  let rec batches = function
+    | [] -> []
+    | ids ->
+        let rec take n acc = function
+          | rest when n = 0 -> (List.rev acc, rest)
+          | [] -> (List.rev acc, [])
+          | x :: tl -> take (n - 1) (x :: acc) tl
+        in
+        let b, rest = take width [] ids in
+        b :: batches rest
+  in
+  let rec go fragments =
+    if List.length fragments <= target then fragments
+    else
+      go
+        (List.map
+           (fun batch ->
+             to_run session
+               (open_fragment_batch session ~who:"fragment merge"
+                  ~blocks:(List.length batch + 1) ~keep_headers:true ~fragments:batch))
+           (batches fragments))
+  in
+  go fragments
+
+(* The passes [reduce_fragments] makes over [n] runs. *)
+let rec passes_needed ~width ~target n =
+  if n <= target then 0 else 1 + passes_needed ~width ~target ((n + width - 1) / width)
+
+(* Window lending.  At an element's end the stack windows sit idle: the
+   data stack holds only the ancestors' entries, the path stack their
+   frames, the output-location stack nothing, and none of them is pushed
+   until the merge is done.  When their blocks would save the merge a
+   pass, they are lent to it.  The output-location stack is restored
+   before the final batch opens — under root fusion the output phase
+   consumes that batch and pushes onto it — so the passes aim at what
+   the final batch can reserve without it; the other two windows come
+   back when the batch closes.  Lending costs a write-back of the dirty
+   window blocks and their page-ins later, so a merge that lending
+   would not shorten (one that fits one pass, say) lends nothing. *)
+let merge_passes (session : Session.t) fragments =
   Session.reclaim session;
-  let k = fan_in session in
-  if List.length fragments <= k then fragments
-  else begin
-    let rec batches = function
-      | [] -> []
-      | ids ->
-          let rec take n acc = function
-            | rest when n = 0 -> (List.rev acc, rest)
-            | [] -> (List.rev acc, [])
-            | x :: tl -> take (n - 1) (x :: acc) tl
-          in
-          let b, rest = take k [] ids in
-          b :: batches rest
-    in
-    let next =
-      List.map
-        (fun batch ->
-          (* the batch's readers plus the output run's writer buffer *)
-          to_run session
-            (open_fragment_batch session ~who:"fragment merge"
-               ~blocks:(List.length batch + 1) ~keep_headers:true ~fragments:batch))
-        (batches fragments)
-    in
-    reduce_fragments session next
-  end
+  let data = session.Session.data_stack and path = session.Session.path_stack in
+  let out = session.Session.out_stack in
+  let free = Extmem.Memory_budget.available_blocks session.Session.budget in
+  let window = Extmem.Ext_stack.window_blocks in
+  let plain = fan_in free in
+  let target = fan_in (free + window data + window path) in
+  let width = fan_in (free + window data + window path + window out) in
+  let n = List.length fragments in
+  let plain_passes = passes_needed ~width:plain ~target:plain n in
+  let lent_passes = passes_needed ~width ~target n in
+  if plain_passes <= lent_passes then
+    (reduce_fragments session ~width:plain ~target:plain fragments, plain_passes)
+  else
+    match
+      List.iter Extmem.Ext_stack.lend [ data; path; out ];
+      reduce_fragments session ~width ~target fragments
+    with
+    | reduced ->
+        Extmem.Ext_stack.restore out;
+        (reduced, lent_passes)
+    | exception e ->
+        List.iter Extmem.Ext_stack.restore [ out; path; data ];
+        raise e
 
 (* The wrapped, merged element; [start_view]'s payload passes through
    verbatim. *)
 let merge_fragments_source (session : Session.t) ~start_view ~fragments =
-  (* reduce first: intermediate merge passes open their own runs *)
-  let fragments = reduce_fragments session fragments in
+  let fragments, passes = merge_passes session fragments in
   let merged =
     open_fragment_batch session ~who:"fragment merge fan-in" ~blocks:(List.length fragments)
-      ~keep_headers:false ~fragments
+      ~keep_headers:false ~fragments ~on_close:(fun () ->
+        Extmem.Ext_stack.restore session.Session.path_stack;
+        Extmem.Ext_stack.restore session.Session.data_stack)
   in
   let st = ref `Start in
   let pull () =
@@ -239,4 +275,4 @@ let merge_fragments_source (session : Session.t) ~start_view ~fragments =
                 None))
     | `Done -> None
   in
-  { merged with Pipe.pull }
+  ({ merged with Pipe.pull }, passes + 1)

@@ -64,9 +64,15 @@ val merge_fragments_source :
   Session.t ->
   start_view:Entry.View.t ->
   fragments:Extmem.Run_store.id list ->
-  string Pipe.opened
+  string Pipe.opened * int
 (** The merge of an element's fragment runs (in creation order) into its
     complete sorted stream, wrapped in the element's start (and, unless
-    packed, end) entry.  Intermediate passes first reduce the fragments
-    to the memory fan-in, writing runs of their own; the final fan-in is
-    reserved (clamped to the 2-way floor) until [close]. *)
+    packed, end) entry, and the number of merge passes it takes, the
+    final merge included.  When the fragments exceed the memory fan-in,
+    intermediate passes first reduce them to what the final merge can
+    reserve, writing runs of their own.  When that saves a pass, the
+    three stack windows, idle at an element's end, are lent to those
+    passes ({!Extmem.Ext_stack.lend}): the output-location stack's
+    window is restored before the final merge opens, the other two when
+    the stream closes — on every path, a fault included.  The final
+    fan-in is reserved (clamped to the 2-way floor) until [close]. *)

@@ -10,7 +10,8 @@
    Window memory comes from a [Frame_arena]: the base window is a lease of
    [resident_blocks] frames under "<name> window", and with [~borrow:true]
    a second elastic lease "<name> window (borrowed)" grows over idle
-   budget blocks and shrinks as the stack does.  Frame buffers are
+   budget blocks and shrinks as the stack does.  While the window is lent
+   ([lend]) both leases are empty and so is the deque.  Frame buffers are
    recycled through the arena pool (zero-filled on reuse, so a recycled
    block is indistinguishable from a fresh [Bytes.create]). *)
 
@@ -33,6 +34,7 @@ type t = {
   scratch : bytes;         (* for reads that bypass the window *)
   mutable scratch_idx : int; (* block currently in scratch, -1 = none *)
   trailer : bytes;         (* the top entry's u32 length, reused by pop/top *)
+  mutable lent : bool;     (* window given back to the budget by [lend] *)
   (* paging metrics (see Obs.Probe.ext_stack) *)
   mutable pushes : int;
   mutable pops : int;
@@ -68,6 +70,7 @@ let create ?(name = "ext stack") ?(resident_blocks = 1) ?arena ?(borrow = false)
     scratch = Bytes.create bs;
     scratch_idx = -1;
     trailer = Bytes.create 4;
+    lent = false;
     pushes = 0;
     pops = 0;
     page_ins = 0;
@@ -108,8 +111,12 @@ let frame_of st b =
   assert (is_resident st b);
   Deque.get st.resident (b - st.front_idx)
 
-(* Window frames come from (and return to) the arena pool. *)
-let fresh_frame st = { data = Frame_arena.take st.arena st.bs; dirty = false }
+(* Window frames come from (and return to) the arena pool.  A lent
+   window holds no frames, so every push, pop or top on it needs one
+   from here. *)
+let fresh_frame st =
+  assert (not st.lent);
+  { data = Frame_arena.take st.arena st.bs; dirty = false }
 
 let drop_frame st frame = Frame_arena.give st.arena frame.data
 
@@ -174,6 +181,31 @@ let shed st =
         evict_front st
       done;
       Frame_arena.shrink l (Frame_arena.lease_blocks l)
+
+(* Lending: the whole window — base and borrowed blocks — goes back to
+   the budget for another phase to use while the stack sits idle.  Dirty
+   blocks are written back first, so the device holds every live byte
+   and [restore] needs no I/O of its own: blocks page back in one at a
+   time, when a pop or a push onto a partial block needs them. *)
+let lend st =
+  if not st.lent then begin
+    while Deque.length st.resident > 0 do
+      evict_front st
+    done;
+    Option.iter (fun l -> Frame_arena.shrink l (Frame_arena.lease_blocks l)) st.borrow;
+    Frame_arena.shrink st.window st.limit;
+    st.lent <- true
+  end
+
+let restore st =
+  if st.lent then begin
+    Frame_arena.grow st.window st.limit;
+    st.lent <- false
+  end
+
+let lent st = st.lent
+
+let window_blocks st = st.limit
 
 (* Teardown: every window frame goes back to the arena pool and both
    leases are released.  Nothing is flushed — close is for ending a

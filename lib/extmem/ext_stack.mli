@@ -103,6 +103,30 @@ val shed : t -> unit
     borrowed block back to the budget.  Call before another phase
     reserves memory.  No-op without [?borrow]. *)
 
+val lend : t -> unit
+(** Give the whole window to another phase while the stack sits idle:
+    write back the dirty resident blocks, give the base and borrowed
+    leases back to the budget, and leave the window empty.  Pushing,
+    popping or reading the top while lent is a programming error
+    (asserted); {!length}, {!truncate_to} and the forward scans still
+    work (scans read through the scratch buffer).  No-op when already
+    lent. *)
+
+val restore : t -> unit
+(** End a {!lend}: re-lease the base window from the budget.  Blocks come
+    back by the no-prefetch rule — each is paged in only when a pop (or
+    a push onto a partial block) needs it.  No-op unless lent.
+    @raise Memory_budget.Exhausted when the budget cannot cover the
+    window again. *)
+
+val window_blocks : t -> int
+(** The configured window size ([resident_blocks] at {!create}): the
+    blocks the base window lease holds, except while lent. *)
+
+val lent : t -> bool
+(** Whether the window is lent.  {!close} leaves the flag as it finds it,
+    so a teardown check can tell a window that was never restored. *)
+
 val close : t -> unit
 (** Release the window: every resident frame returns to the arena pool
     and both leases (base window and borrowed blocks) are released back

@@ -2,6 +2,7 @@ type t = {
   total : int;
   bs : int;
   mutable used : int;
+  mutable peak : int; (* high-water mark of [used] *)
   ledger : (string, int) Hashtbl.t; (* who -> blocks currently held *)
   lock : Mutex.t;
   (* a carved sub-budget remembers the pool it was carved from, the owner
@@ -15,7 +16,7 @@ exception Exhausted of string
 let create ~blocks ~block_size =
   if blocks < 1 then invalid_arg "Memory_budget.create: need at least one block";
   if block_size < 1 then invalid_arg "Memory_budget.create: block_size must be positive";
-  { total = blocks; bs = block_size; used = 0; ledger = Hashtbl.create 8;
+  { total = blocks; bs = block_size; used = 0; peak = 0; ledger = Hashtbl.create 8;
     lock = Mutex.create (); parent = None }
 
 let block_size b = b.bs
@@ -45,6 +46,7 @@ let reserve_u b ~who n =
          (Printf.sprintf "%s needs %d blocks but only %d of %d are free (%s)" who n
             (b.total - b.used) b.total (pp_holders_u b)));
   b.used <- b.used + n;
+  if b.used > b.peak then b.peak <- b.used;
   Hashtbl.replace b.ledger who (held_u b who + n)
 
 let release_u b ~who n =
@@ -58,6 +60,8 @@ let release_u b ~who n =
   if h - n = 0 then Hashtbl.remove b.ledger who else Hashtbl.replace b.ledger who (h - n)
 
 let used_blocks b = Mutex.protect b.lock (fun () -> b.used)
+
+let peak_blocks b = Mutex.protect b.lock (fun () -> b.peak)
 
 let available_blocks b = Mutex.protect b.lock (fun () -> b.total - b.used)
 
@@ -83,7 +87,7 @@ let carve b ?block_size ~who ~blocks () =
      rounding up so a sub-budget can never out-commit its slab *)
   let parent_blocks = (blocks * bs + b.bs - 1) / b.bs in
   reserve b ~who parent_blocks;
-  { total = blocks; bs; used = 0; ledger = Hashtbl.create 8;
+  { total = blocks; bs; used = 0; peak = 0; ledger = Hashtbl.create 8;
     lock = Mutex.create (); parent = Some (b, who, parent_blocks) }
 
 let uncarve ?(force = false) child =

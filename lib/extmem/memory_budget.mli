@@ -36,6 +36,9 @@ val total_blocks : t -> int
 
 val used_blocks : t -> int
 
+val peak_blocks : t -> int
+(** The most blocks ever reserved at once. *)
+
 val available_blocks : t -> int
 
 val available_bytes : t -> int

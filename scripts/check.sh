@@ -57,6 +57,12 @@ dune exec bench/main.exe -- --quick policy-sweep > /dev/null
 # experiment exits non-zero on either failure).
 dune exec bench/main.exe -- --quick ingest > /dev/null
 
+# Graceful-degeneration parity (§3.2, A-deg): on a flat document NEXSORT
+# with degeneration is an external merge sort, so it must not cost more
+# block I/Os than the key-path merge sort (the experiment exits non-zero
+# when it does).
+dune exec bench/main.exe -- --quick ablate-degen > /dev/null
+
 # Parallel smoke: the worker pool must be invisible in the output and in
 # the I/O bill.  Sort the same document with --jobs 1 and --jobs 4 and
 # require byte-identical results plus identical metrics counters (the

@@ -592,6 +592,45 @@ let test_ext_stack_borrow_window () =
     check Alcotest.string "pop order" (Printf.sprintf "entry-%03d" i) (Extmem.Ext_stack.pop st)
   done
 
+let test_ext_stack_lend_restore () =
+  (* lending writes the dirty window back and gives every window block
+     (base and borrowed) to the budget; a push while lent is asserted;
+     restore re-leases the base window and the blocks page back in one
+     at a time as pops reach them *)
+  let d = Extmem.Device.in_memory ~block_size:16 () in
+  let budget = Extmem.Memory_budget.create ~blocks:8 ~block_size:16 in
+  let arena = Extmem.Frame_arena.create ~budget () in
+  let st = Extmem.Ext_stack.create ~name:"test" ~resident_blocks:2 ~arena ~borrow:true d in
+  for i = 0 to 99 do
+    Extmem.Ext_stack.push st (Printf.sprintf "entry-%03d" i)
+  done;
+  check Alcotest.bool "borrowed before lending" true (Extmem.Ext_stack.borrowed st > 0);
+  let resident = Extmem.Ext_stack.resident_blocks st in
+  let writes = Extmem.Ext_stack.writebacks st in
+  Extmem.Ext_stack.lend st;
+  check Alcotest.int "every dirty resident block written back" (writes + resident)
+    (Extmem.Ext_stack.writebacks st);
+  check Alcotest.int "nothing charged while lent" 0 (Extmem.Memory_budget.used_blocks budget);
+  check Alcotest.int "window empty" 0 (Extmem.Ext_stack.resident_blocks st);
+  check Alcotest.bool "lent" true (Extmem.Ext_stack.lent st);
+  (match Extmem.Ext_stack.push st "x" with
+  | () -> Alcotest.fail "push onto a lent window"
+  | exception Assert_failure _ -> ());
+  let page_ins = Extmem.Ext_stack.page_ins st in
+  Extmem.Ext_stack.restore st;
+  check Alcotest.int "restore re-leases the base window" 2
+    (Extmem.Memory_budget.used_blocks budget);
+  check Alcotest.int "restore reads nothing" page_ins (Extmem.Ext_stack.page_ins st);
+  (* the top entry's bytes [len - size, len) span these blocks *)
+  let len = Extmem.Ext_stack.length st in
+  let top_blocks = ((len - 1) / 16) - ((len - Extmem.Ext_stack.framed_size "entry-099") / 16) + 1 in
+  ignore (Extmem.Ext_stack.pop st);
+  check Alcotest.int "the first pop pages in only the top entry's blocks" (page_ins + top_blocks)
+    (Extmem.Ext_stack.page_ins st);
+  for i = 98 downto 0 do
+    check Alcotest.string "pop order" (Printf.sprintf "entry-%03d" i) (Extmem.Ext_stack.pop st)
+  done
+
 let test_ext_stack_borrow_release_on_truncate () =
   let d = Extmem.Device.in_memory ~block_size:16 () in
   let budget = Extmem.Memory_budget.create ~blocks:8 ~block_size:16 in
@@ -1968,6 +2007,7 @@ let () =
           Alcotest.test_case "scan and truncate" `Quick test_ext_stack_scan_and_truncate;
           Alcotest.test_case "interleaved after spill" `Quick test_ext_stack_interleaved_after_spill;
           Alcotest.test_case "borrow window" `Quick test_ext_stack_borrow_window;
+          Alcotest.test_case "lend and restore the window" `Quick test_ext_stack_lend_restore;
           Alcotest.test_case "borrow released on truncate" `Quick
             test_ext_stack_borrow_release_on_truncate;
           Alcotest.test_case "borrow stops at exhaustion" `Quick

@@ -404,6 +404,94 @@ let test_sort_flat_fragments_path_stack_constant () =
   check Alcotest.string "byte-identical to Tree_sort" (Baselines.Tree_sort.sort_string by_id xml)
     sorted
 
+let test_flat_merge_borrows_stack_windows () =
+  (* A flat document at -B 1024 -M 16: the root's end finds the input
+     buffer and the three stack windows (4 + 2 + 1 blocks) held, a fan-in
+     of 7, too small for its hundreds of fragments.  The windows sit idle
+     then and are lent to the merge: 14-way intermediate passes (15 free
+     blocks: 14 readers and the output run's writer) until at most 13
+     runs remain — what the final merge can reserve once the
+     output-location stack has its window back. *)
+  let xml, _ =
+    Xmlgen.Gen.to_string (fun sink ->
+        Xmlgen.Gen.exact_shape ~seed:1 ~avg_bytes:100 ~fanouts:[ 25_000 ] sink)
+  in
+  let config = Config.make ~block_size:1024 ~memory_blocks:16 () in
+  let bs = config.Config.block_size in
+  let input () = Extmem.Device.of_string ~block_size:bs xml in
+  let windows_restored what session =
+    check (Alcotest.list Alcotest.string) (what ^ ": budget empty, no window lent") []
+      (Verify.Probes.check_session session);
+    List.iter
+      (fun st ->
+        check Alcotest.bool (what ^ ": window not lent") false (Extmem.Ext_stack.lent st))
+      Nexsort.Session.[ session.data_stack; session.path_stack; session.out_stack ]
+  in
+  let output = Extmem.Device.in_memory ~block_size:bs () in
+  let r =
+    Engine.with_session config (fun session ->
+        let r = Nexsort.sort_device ~session ~ordering:by_id ~input:(input ()) ~output () in
+        check Alcotest.bool "budget peak within M" true
+          (Extmem.Memory_budget.peak_blocks session.Nexsort.Session.budget
+          <= config.Config.memory_blocks);
+        windows_restored "after the sort" session;
+        r)
+  in
+  let n = r.Nexsort.fragment_runs in
+  let ceil_div a b = (a + b - 1) / b in
+  let n1 = ceil_div n 14 in
+  let n2 = ceil_div n1 14 in
+  check Alcotest.bool
+    (Printf.sprintf "%d fragments need two 14-way passes" n)
+    true
+    (n1 > 13 && n2 <= 13);
+  check Alcotest.int "two intermediate passes and the final merge" 3 r.Nexsort.merge_passes;
+  check Alcotest.int "runs: fragments and two passes' outputs" (n + n1 + n2)
+    r.Nexsort.runs_created;
+  check Alcotest.int "every run written once and read once" (2 * r.Nexsort.run_blocks)
+    (Extmem.Io_stats.total (List.assoc "runs" r.Nexsort.breakdown));
+  check Alcotest.string "sorted like the oracle" (Verify.Oracle.sort_string by_id xml)
+    (Extmem.Device.contents output);
+  let _, ms = Baselines.Keypath_sort.sort_string ~config ~ordering:by_id xml in
+  let nx_io = Extmem.Io_stats.total r.Nexsort.total_io in
+  let ms_io = Extmem.Io_stats.total ms.Baselines.Keypath_sort.total_io in
+  check Alcotest.bool
+    (Printf.sprintf "NEXSORT %d I/Os <= key-path merge sort %d" nx_io ms_io)
+    true (nx_io <= ms_io);
+  (* a run read faults in the first intermediate pass, then in the final
+     merge (the fused root stream, in the output phase) *)
+  List.iter
+    (fun (what, nth) ->
+      Engine.with_session config (fun session ->
+          let reads = ref 0 in
+          Extmem.Device.push_layer
+            (Extmem.Run_store.device session.Nexsort.Session.runs)
+            (Extmem.Layer.fault_hook (fun op _ ->
+                 op = Extmem.Backend.Read
+                 && (incr reads;
+                     !reads = nth)));
+          (match
+             Nexsort.sort_device ~session ~ordering:by_id ~input:(input ())
+               ~output:(Extmem.Device.in_memory ~block_size:bs ()) ()
+           with
+          | _ -> Alcotest.failf "%s: expected Device.Fault" what
+          | exception Extmem.Device.Fault (Extmem.Device.Read, _) -> ());
+          windows_restored what session))
+    [ ("fault in an intermediate pass", 10); ("fault in the final merge", r.Nexsort.run_blocks - 3) ];
+  (* an abandoned root stream: the final merge holds a buffer for every
+     run it reads, with the data and path windows still lent *)
+  Engine.with_session config (fun session ->
+      let s = Nexsort.open_stream ~session ~ordering:by_id ~input:(input ()) () in
+      ignore (Nexsort.stream_events s);
+      check Alcotest.int "final merge reserves every reader" n2
+        (Extmem.Memory_budget.held session.Nexsort.Session.budget "fragment merge fan-in");
+      check Alcotest.bool "data window lent" true
+        (Extmem.Ext_stack.lent session.Nexsort.Session.data_stack);
+      check Alcotest.bool "output-location window back for the output phase" false
+        (Extmem.Ext_stack.lent session.Nexsort.Session.out_stack);
+      ignore (Nexsort.stream_finish s);
+      windows_restored "after an abandoned root stream" session)
+
 let test_sort_nested_fragmented_elements () =
   (* a fragmented element nested between fragments of its fragmented
      parent: the child's ids sit above the parent's frame and must come
@@ -1301,6 +1389,8 @@ let () =
           Alcotest.test_case "flat wide external" `Quick test_sort_flat_wide_no_degen_external;
           Alcotest.test_case "flat fragments keep path-stack I/O constant" `Quick
             test_sort_flat_fragments_path_stack_constant;
+          Alcotest.test_case "flat merge borrows the stack windows" `Quick
+            test_flat_merge_borrows_stack_windows;
           Alcotest.test_case "nested fragmented elements" `Quick
             test_sort_nested_fragmented_elements;
           Alcotest.test_case "subtree-derived keys" `Quick test_sort_subtree_keys;

@@ -211,6 +211,14 @@ let test_probe_sees_leak () =
     (Verify.Probes.check_session session <> []);
   Nexsort.Session.destroy session;
   check (Alcotest.list Alcotest.string) "destroyed session is clean" []
+    (Verify.Probes.check_session session);
+  (* a window lent to a merge and never restored is flagged at teardown,
+     though closing the stack returned its blocks *)
+  Engine.with_session config @@ fun session ->
+  Extmem.Ext_stack.lend session.Nexsort.Session.path_stack;
+  Nexsort.Session.destroy session;
+  check (Alcotest.list Alcotest.string) "a lent window is a leak"
+    [ "window leak: the path stack window is still lent" ]
     (Verify.Probes.check_session session)
 
 let () =
