@@ -460,14 +460,15 @@ let motivation () =
       let il = Extmem.Device.of_string ~block_size:bs pair.Xmlgen.Company.personnel in
       let ir = Extmem.Device.of_string ~block_size:bs pair.Xmlgen.Company.payroll in
       let iout = Extmem.Device.in_memory ~block_size:bs () in
+      let config = Config.make ~block_size:bs ~memory_blocks:16 () in
       let indexed, indexed_s =
         time (fun () ->
-            Xmerge.Indexed_merge.merge_devices ~ordering:merge_ordering ~left:il ~right:ir
-              ~output:iout ())
+            Engine.with_session config (fun session ->
+                Xmerge.Indexed_merge.merge_devices ~arena:session.Nexsort.Session.arena
+                  ~ordering:merge_ordering ~left:il ~right:ir ~output:iout ()))
       in
       let indexed_io = Extmem.Io_stats.total indexed.Xmerge.Indexed_merge.total_io in
       (* sort-merge: NEXSORT both, then a single-pass structural merge *)
-      let config = Config.make ~block_size:bs ~memory_blocks:16 () in
       let sorted_io, sm_s =
         time (fun () ->
             let sort doc =
@@ -497,9 +498,9 @@ let motivation () =
         (float_of_int naive_io /. float_of_int sorted_io);
       Printf.printf "%10s naive access pattern on the right document: %s\n" ""
         (Format.asprintf "%a" Extmem.Trace.pp_summary seeks);
+      let pager = indexed.Xmerge.Indexed_merge.pager in
       Printf.printf "%10s index buffer pool: %d hits, %d misses, %d evictions, %d writebacks\n" ""
-        indexed.Xmerge.Indexed_merge.pager_hits indexed.Xmerge.Indexed_merge.pager_misses
-        indexed.Xmerge.Indexed_merge.pager_evictions indexed.Xmerge.Indexed_merge.pager_writebacks)
+        pager.hits pager.misses pager.evictions pager.writebacks)
     sizes
 
 (* ------------------------------------------------------------------ *)
@@ -535,14 +536,14 @@ let xsort () =
 
 (* ------------------------------------------------------------------ *)
 (* E-tenant: concurrent tenants through one engine — queue wait and
-   paging per tenant.  The engine budget admits two jobs at a time, so
+   I/O per tenant.  The engine budget admits two jobs at a time, so
    K tenants measure the admission queue, not just the sorter: every
    output is still byte-identical to the single-job run (asserted), the
    per-tenant I/O bill is identical, and the queue-wait column is where
    the contention shows. *)
 
 let tenants () =
-  heading "E-tenant / concurrent tenants: queue wait and hit ratio per tenant";
+  heading "E-tenant / concurrent tenants: queue wait per tenant";
   let doc, stats = fig5_doc () in
   subnote "input: %d elements; per-job memory 16 blocks of 1 KiB; engine fits 2 jobs"
     stats.Xmlgen.Gen.elements;
@@ -560,16 +561,7 @@ let tenants () =
             let report =
               Nexsort.sort_device ~session ~ordering ~input ~output ()
             in
-            let hits, misses =
-              List.fold_left
-                (fun (h, m) (_, o) ->
-                  (h + o.Extmem.Frame_arena.hits, m + o.Extmem.Frame_arena.misses))
-                (0, 0) report.Nexsort.arena
-            in
-            ( Engine.queue_wait_s job,
-              Extmem.Io_stats.total report.Nexsort.total_io,
-              hits,
-              misses ))
+            (Engine.queue_wait_s job, Extmem.Io_stats.total report.Nexsort.total_io))
       in
       let domains =
         List.init k (fun i ->
@@ -580,13 +572,8 @@ let tenants () =
       Engine.destroy eng;
       Printf.printf "%d tenants:\n" k;
       List.iter
-        (fun (tenant, (wait_s, io, hits, misses)) ->
-          let ratio =
-            if hits + misses = 0 then "    -"
-            else Printf.sprintf "%5.2f" (float_of_int hits /. float_of_int (hits + misses))
-          in
-          Printf.printf "  %-4s | wait %8.1fms | hit ratio %s | %8d io%s\n" tenant
-            (wait_s *. 1000.) ratio io
+        (fun (tenant, (wait_s, io)) ->
+          Printf.printf "  %-4s | wait %8.1fms | %8d io%s\n" tenant (wait_s *. 1000.) io
             (if io = reference.io then "" else "  <-- DIVERGES FROM SINGLE-JOB RUN");
           if io <> reference.io then exit 1)
         rows;
@@ -680,59 +667,6 @@ let ingest () =
     [ 1; 4; 16 ];
   if !failures > 0 then begin
     Printf.eprintf "ingest: %d batch size(s) failed the incremental-maintenance gate\n" !failures;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* P-sweep: the index B-tree's buffer-pool replacement policies —
-   identical output, different paging.  This is a CI gate
-   (scripts/check.sh runs it): a policy producing a different output
-   digest is a correctness bug in the cache, and four identical sets of
-   counters mean the policy no longer reaches the pool, so the
-   experiment exits non-zero on either. *)
-
-let policy_sweep () =
-  heading "P-sweep / replacement policies: byte-identical output, different paging";
-  (* sized so the index outgrows its 8-frame pool and the policies
-     actually have to evict (and so diverge in their counters) *)
-  let employees = if !quick then 48 else 96 in
-  let pair =
-    Xmlgen.Company.generate ~seed:11 ~regions:6 ~branches_per_region:6
-      ~employees_per_branch:employees ()
-  in
-  subnote "indexed merge: company pair, %d employees/branch, 8-frame index pool" employees;
-  let runs =
-    List.map
-      (fun p ->
-        let out, r =
-          Xmerge.Indexed_merge.merge_strings ~policy:p ~ordering:Xmlgen.Company.ordering
-            pair.Xmlgen.Company.personnel pair.Xmlgen.Company.payroll
-        in
-        let open Xmerge.Indexed_merge in
-        ( p,
-          Digest.to_hex (Digest.string out),
-          (r.pager_hits, r.pager_misses, r.pager_evictions, r.pager_writebacks) ))
-      Extmem.Frame_arena.all_policies
-  in
-  let _, reference, _ = List.hd runs in
-  let mismatches = ref 0 in
-  List.iter
-    (fun (p, digest, (hits, misses, evictions, writebacks)) ->
-      let ok = String.equal digest reference in
-      if not ok then incr mismatches;
-      Printf.printf "  %-8s %-5s : md5=%s  hits=%d misses=%d evictions=%d writebacks=%d\n"
-        (Extmem.Frame_arena.policy_to_string p)
-        (if ok then "OK" else "DIFF")
-        digest hits misses evictions writebacks)
-    runs;
-  if !mismatches > 0 then begin
-    Printf.eprintf "policy-sweep: %d run(s) diverged from the reference digest\n" !mismatches;
-    exit 1
-  end;
-  subnote "  indexed merge: all policies byte-identical";
-  let counters = List.sort_uniq compare (List.map (fun (_, _, c) -> c) runs) in
-  if List.length counters < 2 then begin
-    prerr_endline "policy-sweep: every policy reported the same pager counters";
     exit 1
   end
 
@@ -1006,8 +940,8 @@ let validate_metrics path =
   in
   List.iter
     (fun k -> ignore (require k json "top-level"))
-    [ "schema_version"; "tool"; "config"; "counts"; "io"; "pager"; "arena"; "gc"; "phases";
-      "metrics"; "timing" ];
+    [ "schema_version"; "tool"; "config"; "counts"; "io"; "arena"; "gc"; "phases"; "metrics";
+      "timing" ];
   let gc = require "gc" json "top-level" in
   List.iter
     (fun k -> ignore (require k gc "gc"))
@@ -1128,7 +1062,6 @@ let experiments =
     ("ablate-runs", ablate_runs);
     ("motivation", motivation);
     ("xsort", xsort);
-    ("policy-sweep", policy_sweep);
     ("tenants", tenants);
     ("ingest", ingest);
     ("micro", micro);

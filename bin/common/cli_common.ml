@@ -219,9 +219,9 @@ let pp_io name (s : Extmem.Io_stats.t) =
   Printf.eprintf "  %-24s %8d reads %8d writes\n" name s.Extmem.Io_stats.reads
     s.Extmem.Io_stats.writes
 
-let pp_pager name ~hits ~misses ~evictions ~writebacks =
-  Printf.eprintf "  %-24s %8d hits  %8d misses  %8d evictions  %8d writebacks\n" name hits misses
-    evictions writebacks
+let pp_pager name (s : Extmem.Btree.stats) =
+  Printf.eprintf "  %-24s %8d hits  %8d misses  %8d evictions  %8d writebacks\n" name s.hits
+    s.misses s.evictions s.writebacks
 
 let metrics_term =
   Arg.(

@@ -3,22 +3,6 @@
 
 open Cmdliner
 
-let policy_term =
-  let policies =
-    List.map
-      (fun p -> (Extmem.Frame_arena.policy_to_string p, p))
-      Extmem.Frame_arena.all_policies
-  in
-  Arg.(
-    value
-    & opt (Arg.enum policies) Extmem.Frame_arena.Lru
-    & info [ "policy" ] ~docv:"POLICY"
-        ~doc:
-          "With $(b,--indexed): replacement policy of the index B-tree's buffer pool, \
-           $(b,lru), $(b,clock), $(b,mru) or $(b,stack) (evict the lowest block index).  The \
-           merged output is identical under every policy; only the index pager counters move. \
-           No other mode reads it.")
-
 (* --ingest: keep the sorted base live under a stream of update
    documents through Xmerge.Ingest, flushing every [flush_every] docs
    (and once at the end).  Each flush gets its own entry in the metrics'
@@ -42,7 +26,7 @@ let run_ingest ~ordering ~config ~metrics ~finish base rights flush_every output
     (List.length flushes) output;
   finish (`Ok ())
 
-let run ordering presorted update_mode ingest_mode flush_every indexed policy device no_fuse
+let run ordering presorted update_mode ingest_mode flush_every indexed device no_fuse
     metrics trace left_path right_paths output =
   match Cli_common.prepare_trace trace with
   | Error msg -> `Error (false, msg)
@@ -64,11 +48,14 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
     | _ when indexed && update_mode -> `Error (false, "--indexed is not supported with --update")
     | _ when indexed ->
         (* Index-assisted nested-loop merge (§1's "additional index"): works
-           on unsorted inputs; the index's buffer pool is where the pager
-           statistics come from. *)
+           on unsorted inputs; the index's buffer pool, leased from the
+           job's arena, is where the pager statistics come from. *)
         let r, _ =
           Cli_common.with_merge_endpoints config ~left:left_path ~right:(List.hd right_paths)
-            ~output (Xmerge.Indexed_merge.merge_devices ~policy ~ordering ())
+            ~output (fun ~left ~right ~output ->
+              Engine.with_session config (fun session ->
+                  Xmerge.Indexed_merge.merge_devices ~arena:session.Nexsort.Session.arena
+                    ~ordering ~left ~right ~output ()))
         in
         let open Xmerge.Indexed_merge in
         Printf.eprintf "matched %d elements via a %d-entry index -> %s\n" r.matched_elements
@@ -77,8 +64,7 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
         Cli_common.pp_io "right" r.right_io;
         Cli_common.pp_io "index" r.index_io;
         Cli_common.pp_io "output" r.output_io;
-        Cli_common.pp_pager "index pager" ~hits:r.pager_hits ~misses:r.pager_misses
-          ~evictions:r.pager_evictions ~writebacks:r.pager_writebacks;
+        Cli_common.pp_pager "index pager" r.pager;
         Cli_common.write_metrics metrics
           (let rep = Obs.Report.create ~tool:"nexsort-merge-indexed" in
            Obs.Report.add rep "counts"
@@ -95,10 +81,10 @@ let run ordering presorted update_mode ingest_mode flush_every indexed policy de
                   ("total", Obs.Json.io_stats r.total_io) ]);
            Obs.Report.add rep "pager"
              (Obs.Json.Obj
-                [ ("hits", Obs.Json.Int r.pager_hits);
-                  ("misses", Obs.Json.Int r.pager_misses);
-                  ("evictions", Obs.Json.Int r.pager_evictions);
-                  ("writebacks", Obs.Json.Int r.pager_writebacks) ]);
+                [ ("hits", Obs.Json.Int r.pager.hits);
+                  ("misses", Obs.Json.Int r.pager.misses);
+                  ("evictions", Obs.Json.Int r.pager.evictions);
+                  ("writebacks", Obs.Json.Int r.pager.writebacks) ]);
            Obs.Report.add rep "phases" (Obs.Span.to_json r.spans);
            Obs.Report.add rep "timing"
              (Obs.Json.Obj [ ("wall_s", Obs.Json.Float r.wall_seconds) ]);
@@ -200,7 +186,6 @@ let cmd =
                 ~doc:
                   "Use the index-assisted nested-loop merge instead of sort-then-merge (works on \
                    unsorted inputs; reports the index buffer pool's hit/miss statistics).")
-        $ policy_term
         $ Cli_common.device_term
         $ Cli_common.no_fuse_term
         $ Cli_common.metrics_term

@@ -797,10 +797,6 @@ let owner_stats_json (s : Extmem.Frame_arena.owner_stats) =
     [
       ("held", Obs.Json.Int s.Extmem.Frame_arena.held);
       ("peak", Obs.Json.Int s.Extmem.Frame_arena.peak);
-      ("hits", Obs.Json.Int s.Extmem.Frame_arena.hits);
-      ("misses", Obs.Json.Int s.Extmem.Frame_arena.misses);
-      ("evictions", Obs.Json.Int s.Extmem.Frame_arena.evictions);
-      ("writebacks", Obs.Json.Int s.Extmem.Frame_arena.writebacks);
     ]
 
 let metrics_report ?(tool = "nexsort") ~config r =
@@ -844,25 +840,6 @@ let metrics_report ?(tool = "nexsort") ~config r =
          ("total", Obs.Json.io_stats r.total_io);
          ( "components",
            Obs.Json.Obj (List.map (fun (n, s) -> (n, Obs.Json.io_stats s)) r.breakdown) );
-       ]);
-  (* the NEXSORT pipeline is purely streaming — its arena owners are
-     leases, not caches, so these totals are zero — but the section is
-     always present so report consumers see a stable schema; paged
-     algorithms (indexed merge) fill it in *)
-  let tot =
-    List.fold_left
-      (fun (h, m, e, w) (_, (s : Extmem.Frame_arena.owner_stats)) ->
-        (h + s.hits, m + s.misses, e + s.evictions, w + s.writebacks))
-      (0, 0, 0, 0) r.arena
-  in
-  let hits, misses, evictions, writebacks = tot in
-  Obs.Report.add rep "pager"
-    (Obs.Json.Obj
-       [
-         ("hits", Obs.Json.Int hits);
-         ("misses", Obs.Json.Int misses);
-         ("evictions", Obs.Json.Int evictions);
-         ("writebacks", Obs.Json.Int writebacks);
        ]);
   Obs.Report.add rep "arena"
     (Obs.Json.Obj (List.map (fun (who, s) -> (who, owner_stats_json s)) r.arena));

@@ -68,9 +68,8 @@ type report = {
       (** final values of the session's metric registry (stack paging
           counters, run-store gauges, per-device I/O) *)
   arena : (string * Extmem.Frame_arena.owner_stats) list;
-      (** per-owner frame-arena accounting (held/peak blocks and cache
-          hit/miss/eviction/writeback counters), sorted by owner name;
-          owners persist past lease close and cache detach *)
+      (** per-owner frame-arena accounting (held/peak blocks), sorted
+          by owner name; owners persist past lease close *)
   jobs : int;  (** configured worker count *)
   workers : Sort_pool.worker_stats list;
       (** per-worker tasks/entries/I/O of the parallel path; empty at
@@ -127,9 +126,7 @@ val metrics_report : ?tool:string -> config:Config.t -> report -> Obs.Report.t
 (** The machine-readable run report behind [--metrics]: sections [config]
     (parameter echo), [counts], [io] (the §4.2 per-phase breakdown —
     [input] / [subtree_sorts] / [stack_paging] / [runs] / [output] — plus
-    [total] and the raw per-component stats), [pager] (cache totals over
-    the session arena; always zero, since a session attaches no cache,
-    but kept so every report has the same shape), [arena]
-    (per-owner frame accounting), [gc] (allocation words/collections over
+    [total] and the raw per-component stats), [arena]
+    (per-owner frame accounting: held and peak), [gc] (allocation words/collections over
     the sort, schema v2), [phases] (the span tree), [metrics] (registry
     dump) and [timing].  [tool] defaults to ["nexsort"]. *)

@@ -16,9 +16,36 @@ type node =
       mutable seps : string list;   (* n separators; subtree i holds keys < seps.(i) *)
     }
 
+(* The buffer pool: [frames] page frames on a lease from the caller's
+   arena, faulted in block by block, evicted least-recently-touched
+   first and written back only when dirty.  A free frame has stamp 0,
+   below every touched frame's, so the least-stamped frame is always the
+   victim: a free one while any is left. *)
+type frame = {
+  mutable block : int; (* -1 = free *)
+  data : bytes;
+  mutable dirty : bool;
+  mutable stamp : int; (* tick of the last touch *)
+}
+
+type stats = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  writebacks : int;
+}
+
 type t = {
   dev : Device.t;
-  cache : Frame_arena.cache;
+  arena : Frame_arena.t;
+  lease : Frame_arena.lease;
+  frames : frame array;
+  map : (int, int) Hashtbl.t; (* block -> frame index *)
+  mutable tick : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+  mutable writebacks : int;
   cmp : string -> string -> int;
   meta_block : int;
   mutable root : int;
@@ -86,9 +113,57 @@ let decode_node s =
       Internal { children = first :: children; seps }
   | k -> raise (Codec.Corrupt (Printf.sprintf "Btree: bad node kind %d" k))
 
-let load t block = decode_node (Frame_arena.read_page t.cache block)
+(* ---- buffer pool ---- *)
 
-let store t block node = Frame_arena.write_page t.cache block (encode_node node)
+let write_back t f =
+  if f.dirty then begin
+    Device.write_block t.dev f.block f.data;
+    f.dirty <- false;
+    t.writebacks <- t.writebacks + 1
+  end
+
+let victim t =
+  let best = ref 0 in
+  Array.iteri (fun i f -> if f.stamp < t.frames.(!best).stamp then best := i) t.frames;
+  !best
+
+(* The frame holding [block] (allocated on the device), faulting it in
+   on a miss. *)
+let frame_for t block =
+  let f =
+    match Hashtbl.find_opt t.map block with
+    | Some i ->
+        t.hits <- t.hits + 1;
+        t.frames.(i)
+    | None ->
+        t.misses <- t.misses + 1;
+        let i = victim t in
+        let f = t.frames.(i) in
+        if f.block <> -1 then begin
+          t.evictions <- t.evictions + 1;
+          write_back t f;
+          Hashtbl.remove t.map f.block
+        end;
+        Device.read_block t.dev block f.data;
+        f.block <- block;
+        Hashtbl.replace t.map block i;
+        f
+  in
+  t.tick <- t.tick + 1;
+  f.stamp <- t.tick;
+  f
+
+let read_page t block = Bytes.to_string (frame_for t block).data
+
+let write_page t block s =
+  let f = frame_for t block in
+  Bytes.fill f.data 0 (Bytes.length f.data) '\000';
+  Bytes.blit_string s 0 f.data 0 (String.length s);
+  f.dirty <- true
+
+let load t block = decode_node (read_page t block)
+
+let store t block node = write_page t block (encode_node node)
 
 let node_fits t node = String.length (encode_node node) <= Device.block_size t.dev
 
@@ -99,46 +174,60 @@ let write_meta t =
   Codec.put_u8 b magic;
   Codec.put_varint b t.root;
   Codec.put_varint b t.count;
-  Frame_arena.write_page t.cache t.meta_block (Buffer.contents b)
+  write_page t t.meta_block (Buffer.contents b)
 
 let alloc_block t =
   let block = Device.allocate t.dev 1 in
   block
 
-(* The tree's buffer pool: [frames] frames from a private unbudgeted
-   arena. *)
-let attach_cache ?policy ~frames dev =
-  Frame_arena.attach (Frame_arena.create ()) ~who:"btree" ?policy ~frames dev
+(* A tree whose meta page is the next block of [dev], its buffer pool
+   leased from [arena]. *)
+let fresh ~arena ?(frames = 8) ~cmp dev =
+  if frames < 1 then invalid_arg "Btree: frames must be >= 1";
+  let lease = Frame_arena.lease arena ~who:"btree" frames in
+  let bs = Device.block_size dev in
+  {
+    dev;
+    arena;
+    lease;
+    frames =
+      Array.init frames (fun _ ->
+          { block = -1; data = Frame_arena.take arena bs; dirty = false; stamp = 0 });
+    map = Hashtbl.create (2 * frames);
+    tick = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    writebacks = 0;
+    cmp;
+    meta_block = Device.allocate dev 1;
+    root = 0;
+    count = 0;
+  }
 
-(* A tree whose meta page is the next block of [dev]. *)
-let fresh ?policy ?(frames = 8) ~cmp dev =
-  let cache = attach_cache ?policy ~frames dev in
-  { dev; cache; cmp; meta_block = Device.allocate dev 1; root = 0; count = 0 }
-
-let create ?policy ?frames ~cmp dev =
-  let t = fresh ?policy ?frames ~cmp dev in
+let create ~arena ?frames ~cmp dev =
+  let t = fresh ~arena ?frames ~cmp dev in
   let root = alloc_block t in
   t.root <- root;
   store t root (Leaf { next = None; entries = [] });
   write_meta t;
   t
 
-let reopen ?policy ?(frames = 8) ~cmp dev =
-  let cache = attach_cache ?policy ~frames dev in
-  let t = { dev; cache; cmp; meta_block = 0; root = 0; count = 0 } in
-  let c = Codec.cursor (Frame_arena.read_page cache 0) in
-  if Codec.get_u8 c <> magic then raise (Codec.Corrupt "Btree.reopen: bad magic");
-  t.root <- Codec.get_varint c;
-  t.count <- Codec.get_varint c;
-  t
-
 let length t = t.count
 
 let flush t =
   write_meta t;
-  Frame_arena.flush t.cache
+  Array.iter (fun f -> if f.block <> -1 then write_back t f) t.frames
 
-let cache t = t.cache
+let close t =
+  if Frame_arena.lease_blocks t.lease > 0 then begin
+    Array.iter (fun f -> Frame_arena.give t.arena f.data) t.frames;
+    Hashtbl.reset t.map;
+    Frame_arena.close_lease t.lease
+  end
+
+let stats t =
+  { hits = t.hits; misses = t.misses; evictions = t.evictions; writebacks = t.writebacks }
 
 (* ---- search ---- *)
 
@@ -274,34 +363,6 @@ let insert t ~key ~value =
       t.root <- new_root);
   write_meta t
 
-(* ---- deletion (leaf-local, no rebalancing) ---- *)
-
-let rec delete_in t block key =
-  match load t block with
-  | Leaf l ->
-      let found = ref false in
-      let entries =
-        List.filter
-          (fun (k, _) ->
-            if t.cmp k key = 0 then begin
-              found := true;
-              false
-            end
-            else true)
-          l.entries
-      in
-      if !found then begin
-        store t block (Leaf { next = l.next; entries });
-        t.count <- t.count - 1
-      end;
-      !found
-  | Internal i -> delete_in t (List.nth i.children (child_for t i.seps key)) key
-
-let delete t key =
-  let r = delete_in t t.root key in
-  if r then write_meta t;
-  r
-
 (* ---- iteration ---- *)
 
 let rec leftmost_leaf_for t block key =
@@ -381,8 +442,8 @@ type loader = {
   mutable levels : level list; (* lowest internal level first *)
 }
 
-let bulk_loader ?policy ?frames ~cmp dev =
-  let tree = fresh ?policy ?frames ~cmp dev in
+let bulk_loader ~arena ?frames ~cmp dev =
+  let tree = fresh ~arena ?frames ~cmp dev in
   {
     tree;
     page = Bytes.create (Device.block_size dev);

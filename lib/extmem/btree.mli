@@ -4,9 +4,12 @@
     scans half of a subtree on average to find a matching element —
     {e "unless there is an additional index"}.  This is that index: a
     disk-resident B+-tree over a {!Device.t}, accessed page by page
-    through a {!Frame_arena.cache} — the B-tree's own buffer pool, the one
-    replacement-policy cache in the system — so hot paths stay cached
-    within a bounded frame budget.
+    through its own buffer pool, so hot paths stay cached within a
+    bounded frame budget.  The pool's frames are a {!Frame_arena.lease}
+    (owner ["btree"]) taken from the arena the caller passes; the page
+    layout and the one replacement rule, least-recently-used, are the
+    tree's own.  A miss takes a free frame first, else evicts the
+    least-recently-touched page, writing it back only when dirty.
     The indexed-merge comparator in [bench/main.exe motivation] is built
     on it.
 
@@ -14,9 +17,8 @@
     on keys.  Structure: a meta page (root pointer, entry count), internal
     pages of separator keys and child pointers, and leaf pages chained
     left-to-right for range scans.  Nodes split when their serialized form
-    outgrows the block.  Deletion removes entries from leaves without
-    rebalancing (pages may become sparse but never incorrect) — the usage
-    here is build-once, query-many.
+    outgrows the block.  The usage here is build-once, query-many, so
+    there is no deletion.
 
     Keys may appear at most once ({!insert} replaces).  A single key/value
     pair must fit a quarter block, guaranteeing internal fan-out of at
@@ -25,24 +27,16 @@
 type t
 
 val create :
-  ?policy:Frame_arena.policy ->
+  arena:Frame_arena.t ->
   ?frames:int ->
   cmp:(string -> string -> int) ->
   Device.t ->
   t
 (** Initialise a fresh tree on an empty device region (allocates the meta
-    page and an empty root leaf).  [frames] (default 8) is the size of the
-    buffer pool, a private unbudgeted arena's cache owned by ["btree"];
-    [policy] (default {!Frame_arena.Lru}) is its replacement policy. *)
-
-val reopen :
-  ?policy:Frame_arena.policy ->
-  ?frames:int ->
-  cmp:(string -> string -> int) ->
-  Device.t ->
-  t
-(** Re-attach to a device previously written by {!create} + {!flush} (the
-    comparator must be the one the tree was built with). *)
+    page and an empty root leaf).  [frames] (default 8, at least 1) is
+    the size of the buffer pool, leased from [arena] under ["btree"].
+    @raise Memory_budget.Exhausted when the arena's budget cannot cover
+    the frames. *)
 
 val length : t -> int
 (** Number of entries. *)
@@ -55,9 +49,6 @@ val find : t -> string -> string option
 
 val mem : t -> string -> bool
 
-val delete : t -> string -> bool
-(** Remove a key; [true] if it was present. *)
-
 val iter_from : t -> string -> (string -> string -> bool) -> unit
 (** [iter_from t k f] visits entries with key >= [k] in ascending order,
     until [f key value] returns [false] or the entries run out. *)
@@ -68,8 +59,20 @@ val iter : t -> (string -> string -> unit) -> unit
 val flush : t -> unit
 (** Write all dirty pages back to the device. *)
 
-val cache : t -> Frame_arena.cache
-(** The buffer pool (for {!Frame_arena.hits} and the other counters). *)
+val close : t -> unit
+(** Return the buffer pool's frames to the arena and close its lease,
+    writing nothing back ({!flush} first to persist).  Idempotent; the
+    tree must not be used afterwards. *)
+
+type stats = {
+  hits : int;        (** page accesses served by a resident frame *)
+  misses : int;      (** page accesses that faulted the block in *)
+  evictions : int;   (** misses that displaced a resident page *)
+  writebacks : int;  (** dirty pages written to the device *)
+}
+
+val stats : t -> stats
+(** The buffer pool's cumulative counters. *)
 
 val height : t -> int
 (** Levels from root to leaves (1 = root is a leaf). *)
@@ -79,13 +82,13 @@ val height : t -> int
     Bottom-up construction from entries already in ascending key order:
     each node is filled as far as the block allows and written exactly
     once, left to right, holding one node per level in memory.  The
-    result is an ordinary tree (searchable, updatable, {!flush} +
-    {!reopen}-able) no taller than one built by {!insert}s. *)
+    result is an ordinary tree (searchable and updatable) no taller than
+    one built by {!insert}s. *)
 
 type loader
 
 val bulk_loader :
-  ?policy:Frame_arena.policy ->
+  arena:Frame_arena.t ->
   ?frames:int ->
   cmp:(string -> string -> int) ->
   Device.t ->

@@ -1025,29 +1025,22 @@ module Probe = struct
         float_of_int (Extmem.Run_store.total_run_bytes rs))
 
   let frame_arena reg ~prefix fa =
-    (* Aggregate pull gauges over all owners (sampled at render time, so
+    (* An aggregate pull gauge over all owners (sampled at render time, so
        owners that appear after registration are still counted); the
        per-owner breakdown goes into the report's "arena" section. *)
-    let p name = Printf.sprintf "%s.%s" prefix name in
-    let total f = float_of_int (f (Extmem.Frame_arena.totals fa)) in
-    Registry.gauge reg ~unit_:"blocks" (p "held") (fun () ->
-        total (fun (s : Extmem.Frame_arena.owner_stats) -> s.held));
-    Registry.gauge reg ~unit_:"accesses" (p "hits") (fun () ->
-        total (fun (s : Extmem.Frame_arena.owner_stats) -> s.hits));
-    Registry.gauge reg ~unit_:"accesses" (p "misses") (fun () ->
-        total (fun (s : Extmem.Frame_arena.owner_stats) -> s.misses));
-    Registry.gauge reg ~unit_:"frames" (p "evictions") (fun () ->
-        total (fun (s : Extmem.Frame_arena.owner_stats) -> s.evictions));
-    Registry.gauge reg ~unit_:"blocks" (p "writebacks") (fun () ->
-        total (fun (s : Extmem.Frame_arena.owner_stats) -> s.writebacks))
+    Registry.gauge reg ~unit_:"blocks" (Printf.sprintf "%s.held" prefix) (fun () ->
+        float_of_int (Extmem.Frame_arena.totals fa).Extmem.Frame_arena.held)
 end
 
 module Report = struct
   (* v2: run reports gained the "gc" section (allocation words and
      collection counts over the run).
      v3: ingest tools emit an "ingest" section — a list of per-flush
-     objects (batch sizes, queue counters, merge + I/O deltas). *)
-  let schema_version = 3
+     objects (batch sizes, queue counters, merge + I/O deltas).
+     v4: sort reports lost the always-zero "pager" section and the
+     arena owners their cache counters (only the indexed merge, whose
+     B-tree owns a buffer pool, reports "pager"). *)
+  let schema_version = 4
 
   type t = {
     tool : string;

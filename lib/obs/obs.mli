@@ -310,9 +310,9 @@ module Probe : sig
       [runs.<prefix>.bytes]. *)
 
   val frame_arena : Registry.t -> prefix:string -> Extmem.Frame_arena.t -> unit
-  (** [<prefix>.held|hits|misses|evictions|writebacks]: totals over all
-      arena owners, sampled at render time.  The per-owner breakdown is
-      emitted separately in the metrics report's "arena" section. *)
+  (** [<prefix>.held]: frames held over all arena owners, sampled at
+      render time.  The per-owner breakdown is emitted separately in the
+      metrics report's "arena" section. *)
 end
 
 (** Machine-readable run reports: an ordered list of named JSON sections

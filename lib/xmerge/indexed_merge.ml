@@ -10,10 +10,7 @@ type report = {
   index_io : Extmem.Io_stats.t;
   output_io : Extmem.Io_stats.t;
   total_io : Extmem.Io_stats.t;
-  pager_hits : int;
-  pager_misses : int;
-  pager_evictions : int;
-  pager_writebacks : int;
+  pager : Extmem.Btree.stats;
   wall_seconds : float;
   spans : Obs.Span.t;
 }
@@ -101,13 +98,14 @@ let children_of index parent_off =
       else false);
   List.rev !acc
 
-let merge_devices ?policy ~ordering ~left ~right ~output () =
+let merge_devices ~arena ~ordering ~left ~right ~output () =
   if not (Ordering.all_scan_evaluable ordering) then
     invalid_arg "Indexed_merge: ordering must be scan-evaluable";
   let t0 = Unix.gettimeofday () in
   (* larger blocks pack more index entries per page *)
   let index_dev = Extmem.Device_spec.(scratch default ~name:"index" ~block_size:4096) in
-  let index = Extmem.Btree.create ?policy ~frames:8 ~cmp:compare_keys index_dev in
+  let index = Extmem.Btree.create ~arena ~frames:8 ~cmp:compare_keys index_dev in
+  Fun.protect ~finally:(fun () -> Extmem.Btree.close index) @@ fun () ->
   let io_meter () =
     Extmem.Io_stats.add
       (Extmem.Io_stats.add
@@ -183,7 +181,6 @@ let merge_devices ?policy ~ordering ~left ~right ~output () =
   let right_io = Extmem.Io_stats.snapshot (Extmem.Device.stats right) in
   let index_io = Extmem.Io_stats.snapshot (Extmem.Device.stats index_dev) in
   let output_io = Extmem.Io_stats.snapshot (Extmem.Device.stats output) in
-  let cache = Extmem.Btree.cache index in
   {
     matched_elements = !matched_count;
     index_entries = !entries;
@@ -195,20 +192,7 @@ let merge_devices ?policy ~ordering ~left ~right ~output () =
     total_io =
       Extmem.Io_stats.add left_io
         (Extmem.Io_stats.add right_io (Extmem.Io_stats.add index_io output_io));
-    pager_hits = Extmem.Frame_arena.hits cache;
-    pager_misses = Extmem.Frame_arena.misses cache;
-    pager_evictions = Extmem.Frame_arena.evictions cache;
-    pager_writebacks = Extmem.Frame_arena.writebacks cache;
+    pager = Extmem.Btree.stats index;
     wall_seconds = Unix.gettimeofday () -. t0;
     spans = Obs.Spans.close spans;
   }
-
-let merge_strings ?policy ~ordering ?(block_size = 1024) ?(device = Extmem.Device_spec.default) l r
-    =
-  let left = Extmem.Device_spec.scratch device ~name:"left" ~block_size in
-  Extmem.Device.load_string left l;
-  let right = Extmem.Device_spec.scratch device ~name:"right" ~block_size in
-  Extmem.Device.load_string right r;
-  let output = Extmem.Device_spec.scratch device ~name:"output" ~block_size in
-  let report = merge_devices ?policy ~ordering ~left ~right ~output () in
-  (Extmem.Device.contents output, report)

@@ -24,10 +24,7 @@ type report = {
   index_io : Extmem.Io_stats.t;        (** total index-device I/O *)
   output_io : Extmem.Io_stats.t;
   total_io : Extmem.Io_stats.t;
-  pager_hits : int;        (** index buffer-pool hits (the probe cost) *)
-  pager_misses : int;
-  pager_evictions : int;
-  pager_writebacks : int;
+  pager : Extmem.Btree.stats;  (** the index's buffer pool (the probe cost) *)
   wall_seconds : float;
   spans : Obs.Span.t;
       (** phase spans: [index_build] and [probe_merge] under
@@ -35,7 +32,7 @@ type report = {
 }
 
 val merge_devices :
-  ?policy:Extmem.Frame_arena.policy ->
+  arena:Extmem.Frame_arena.t ->
   ordering:Nexsort.Ordering.t ->
   left:Extmem.Device.t ->
   right:Extmem.Device.t ->
@@ -44,17 +41,7 @@ val merge_devices :
   report
 (** Same semantics and restrictions as {!Naive_merge.merge_devices}; the
     index lives on a private device whose I/O is reported separately.
-    [policy] selects the index buffer pool's replacement policy (default
-    LRU) — the merged output is identical under every policy, only the
-    pager counters move. *)
-
-val merge_strings :
-  ?policy:Extmem.Frame_arena.policy ->
-  ordering:Nexsort.Ordering.t ->
-  ?block_size:int ->
-  ?device:Extmem.Device_spec.t ->
-  string ->
-  string ->
-  string * report
-(** The devices are built through the spec factory (default: plain
-    in-memory). *)
+    Its 8-frame buffer pool is leased from [arena] under ["btree"] and
+    returned on every exit path.
+    @raise Extmem.Memory_budget.Exhausted when the arena's budget has
+    fewer than 8 free blocks. *)

@@ -395,12 +395,19 @@ type base_writer = {
 let open_base ~config ~ordering dev =
   let bw = Extmem.Block_writer.create dev in
   (* blocks big enough for the quarter-block entry limit even under tiny
-     sort geometries; the B-tree's buffer pool is standalone
-     (unaccounted), like any side index *)
+     sort geometries *)
   let index_dev =
     Extmem.Device.in_memory ~block_size:(max 1024 config.Nexsort.Config.block_size) ()
   in
-  let loader = Extmem.Btree.bulk_loader ~frames:index_frames ~cmp:index_cmp index_dev in
+  (* The index's buffer pool leases from an unbudgeted arena of its own,
+     outside M.  At M = 8 the queue's budget already holds a 4-block
+     insert tier and a 2-block fan-in floor, and its merge fan-in grows
+     into the last 2: the index's 4 frames do not fit until one memory
+     plan covers the whole flush. *)
+  let loader =
+    Extmem.Btree.bulk_loader ~arena:(Extmem.Frame_arena.create ()) ~frames:index_frames
+      ~cmp:index_cmp index_dev
+  in
   let complete = ref true in
   let open_key = ref None in
   let sink s =
@@ -669,7 +676,7 @@ let flush t =
          last pass's base and index are swapped in only once every merge
          has completed: a fault mid-flush leaves the old base and its
          index as they were. *)
-      let merge_pass (src, _, flush_io, report) (i, pass_ops) =
+      let merge_pass (src, prev_index, flush_io, report) (i, pass_ops) =
         let root =
           {
             u_name = t.root_name;
@@ -709,6 +716,7 @@ let flush t =
             ~emit:w.emit ()
         in
         let index = w.finish () in
+        Option.iter (fun ix -> Extmem.Btree.close ix.tree) prev_index;
         let flush_io = Extmem.Io_stats.add flush_io (Extmem.Io_stats.diff (io ()) io_before) in
         (spare, Some index, flush_io, Some (add_reports report merge))
       in
@@ -719,6 +727,7 @@ let flush t =
           (List.mapi (fun i p -> (i, p)) passes)
       in
       t.base <- base;
+      Extmem.Btree.close t.index.tree;
       t.index <- Option.get index;
       t.generation <- t.generation + List.length passes;
       (* The old generation just became garbage all at once: megabytes of
@@ -776,5 +785,6 @@ let find_offset t key =
 let destroy t =
   if not t.destroyed then begin
     t.destroyed <- true;
+    Extmem.Btree.close t.index.tree;
     Extsort.Ext_pq.destroy t.pq
   end

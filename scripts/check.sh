@@ -43,12 +43,6 @@ dune exec bench/main.exe -- compare-metrics BENCH_smoke.json $tmp/m.json
 # run — finer than the wall-clock gate below.
 dune exec bench/main.exe -- compare-alloc BENCH_smoke.json $tmp/m.json
 
-# Replacement-policy sweep over the indexed merge's B-tree buffer pool,
-# the one cache with a replacement policy: every policy must produce
-# byte-identical merged output, and the four must not all report the
-# same pager counters (the experiment exits non-zero on either).
-dune exec bench/main.exe -- --quick policy-sweep > /dev/null
-
 # Incremental-maintenance gate (E-ingest): a k-subtree update batch
 # buffered in the external priority queue and flushed through
 # Xmerge.Ingest must cost strictly fewer block I/Os than re-sorting the

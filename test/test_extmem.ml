@@ -1079,239 +1079,14 @@ let prop_ext_stack_push_io_linear =
       ios <= (total_bytes / bs) + 2)
 
 (* ------------------------------------------------------------------ *)
-(* Frame-arena caches (the B-tree's buffer pool) *)
-
-module Fa = Extmem.Frame_arena
-
-let cache ?policy ~frames d = Fa.attach (Fa.create ()) ?policy ~frames d
-
-let page bs s = s ^ String.make (bs - String.length s) '\000'
-
-let cache_test policy () =
-  let d = Extmem.Device.in_memory ~block_size:8 () in
-  ignore (Extmem.Device.allocate d 8);
-  let c = cache ~policy ~frames:3 d in
-  (* write five pages through three frames, read them back *)
-  let pages = [ "abcdefgh"; "ijklmnop"; "qrstuvwx"; "yz012345"; "6789" ] in
-  List.iteri (Fa.write_page c) pages;
-  check (Alcotest.list Alcotest.string) "read back" (List.map (page 8) pages)
-    (List.init 5 (Fa.read_page c));
-  ignore (Fa.read_page c 4);
-  Fa.flush c;
-  (* after flush the device must contain the data *)
-  let b = Bytes.make 8 '?' in
-  Extmem.Device.read_block d 0 b;
-  check Alcotest.string "flushed" "abcdefgh" (Bytes.to_string b);
-  check Alcotest.bool "some hits" true (Fa.hits c > 0);
-  check Alcotest.bool "some misses" true (Fa.misses c > 0)
-
-let test_cache_lru_eviction_order () =
-  let d = Extmem.Device.in_memory ~block_size:4 () in
-  ignore (Extmem.Device.allocate d 10);
-  let c = cache ~policy:Fa.Lru ~frames:2 d in
-  ignore (Fa.read_page c 0);
-  ignore (Fa.read_page c 1);
-  ignore (Fa.read_page c 0);  (* touch block 0 *)
-  ignore (Fa.read_page c 2);  (* evicts block 1 (LRU) *)
-  let misses_before = Fa.misses c in
-  ignore (Fa.read_page c 0);  (* block 0 should still be resident *)
-  check Alcotest.int "block 0 still cached" misses_before (Fa.misses c);
-  ignore (Fa.read_page c 1);  (* block 1 was evicted: miss *)
-  check Alcotest.int "block 1 missed" (misses_before + 1) (Fa.misses c)
-
-let test_cache_victim_order () =
-  (* Two frames.  Each sequence fills both (free frames win, so its
-     first two blocks never evict each other) and its last access faults
-     once; the row names the block the policy must evict and the one it
-     must keep.  Both are observed through the miss counter. *)
-  let rows =
-    [
-      (* stamps 2@1 4@2 2@3; the clock sweeps both bits and comes back to 2 *)
-      (Fa.Lru, [ 2; 4; 2; 6 ], 4, 2);
-      (Fa.Mru, [ 2; 4; 2; 6 ], 2, 4);
-      (Fa.Stack, [ 2; 4; 2; 6 ], 2, 4);
-      (Fa.Clock, [ 2; 4; 2; 6 ], 2, 4);
-      (* stamps 4@1 2@2 4@3: now the newest block is not the lowest *)
-      (Fa.Lru, [ 4; 2; 4; 6 ], 2, 4);
-      (Fa.Mru, [ 4; 2; 4; 6 ], 4, 2);
-      (Fa.Stack, [ 4; 2; 4; 6 ], 2, 4);
-      (Fa.Clock, [ 4; 2; 4; 6 ], 4, 2);
-      (* no re-touch: Mru drops the block just loaded, Clock the first *)
-      (Fa.Lru, [ 2; 4; 6 ], 2, 4);
-      (Fa.Mru, [ 2; 4; 6 ], 4, 2);
-      (Fa.Stack, [ 2; 4; 6 ], 2, 4);
-      (Fa.Clock, [ 2; 4; 6 ], 2, 4);
-    ]
-  in
-  List.iter
-    (fun (policy, seq, evicted, kept) ->
-      let d = Extmem.Device.in_memory ~block_size:4 () in
-      ignore (Extmem.Device.allocate d 8);
-      let c = cache ~policy ~frames:2 d in
-      List.iter (fun b -> ignore (Fa.read_page c b)) seq;
-      let label what =
-        Printf.sprintf "%s %s: %s" (Fa.policy_to_string policy)
-          (String.concat "," (List.map string_of_int seq))
-          what
-      in
-      check Alcotest.int (label "one eviction") 1 (Fa.evictions c);
-      let misses = Fa.misses c in
-      ignore (Fa.read_page c kept);
-      check Alcotest.int (label (Printf.sprintf "%d kept" kept)) misses (Fa.misses c);
-      ignore (Fa.read_page c evicted);
-      check Alcotest.int (label (Printf.sprintf "%d evicted" evicted)) (misses + 1) (Fa.misses c))
-    rows
-
-let test_cache_eviction_writeback_counters () =
-  let d = Extmem.Device.in_memory ~block_size:4 () in
-  ignore (Extmem.Device.allocate d 10);
-  let c = cache ~policy:Fa.Lru ~frames:2 d in
-  ignore (Fa.read_page c 0);   (* miss, empty frame *)
-  ignore (Fa.read_page c 1);   (* miss, empty frame *)
-  check Alcotest.int "no evictions while frames are free" 0 (Fa.evictions c);
-  ignore (Fa.read_page c 2);   (* evicts clean block 0 *)
-  check Alcotest.int "clean eviction counted" 1 (Fa.evictions c);
-  check Alcotest.int "clean eviction writes nothing" 0 (Fa.writebacks c);
-  Fa.write_page c 1 "x";       (* dirty block 1, now MRU *)
-  ignore (Fa.read_page c 0);   (* evicts clean block 2 *)
-  check Alcotest.int "second clean eviction" 2 (Fa.evictions c);
-  check Alcotest.int "still no writeback" 0 (Fa.writebacks c);
-  ignore (Fa.read_page c 2);   (* evicts dirty block 1 *)
-  check Alcotest.int "dirty eviction counted" 3 (Fa.evictions c);
-  check Alcotest.int "dirty eviction written back" 1 (Fa.writebacks c);
-  Fa.flush c;
-  check Alcotest.int "flush of clean frames writes nothing" 1 (Fa.writebacks c);
-  check Alcotest.string "evicted write landed" (page 4 "x") (Fa.read_page c 1)
-
-let test_cache_write_extends_device () =
-  let d = Extmem.Device.in_memory ~block_size:4 () in
-  let c = cache ~frames:2 d in
-  Fa.write_page c 2 "z";
-  Fa.flush c;
-  check Alcotest.bool "extended" true (Extmem.Device.block_count d >= 3);
-  check Alcotest.string "value" (page 4 "z") (Fa.read_page c 2)
-
-let test_cache_policies_same_contents () =
-  (* the policies evict different frames but must produce identical
-     final device contents under the same read/write workload *)
-  let run policy =
-    let d = Extmem.Device.in_memory ~block_size:4 () in
-    ignore (Extmem.Device.allocate d 16);
-    let c = cache ~policy ~frames:3 d in
-    let rng = ref 123456789 in
-    for i = 0 to 499 do
-      rng := (!rng * 1103515245) + 12345;
-      let block = abs !rng mod 16 in
-      if i mod 3 = 0 then ignore (Fa.read_page c block)
-      else Fa.write_page c block (String.make (1 + (i mod 4)) (Char.chr (65 + (i mod 26))))
-    done;
-    Fa.flush c;
-    Extmem.Device.contents d
-  in
-  let lru = run Fa.Lru in
-  List.iter
-    (fun p -> check Alcotest.string ("lru = " ^ Fa.policy_to_string p) lru (run p))
-    Fa.all_policies
-
-let test_cache_clean_evictions_cost_no_writes () =
-  (* dirty-only write-back, asserted through the device's accounting:
-     a read-only workload that overflows the pool many times over must
-     not write a single block *)
-  let check_policy policy =
-    let d = Extmem.Device.in_memory ~block_size:4 () in
-    ignore (Extmem.Device.allocate d 32);
-    let c = cache ~policy ~frames:2 d in
-    Extmem.Io_stats.reset (Extmem.Device.stats d);
-    for i = 0 to 127 do
-      ignore (Fa.read_page c (i mod 32))
-    done;
-    Fa.flush c;
-    let s = Extmem.Device.stats d in
-    check Alcotest.bool "evictions happened" true (Fa.misses c > 2);
-    check Alcotest.int "clean evictions write nothing" 0 s.Extmem.Io_stats.writes;
-    (* one dirty page: exactly the dirty frame is written back *)
-    Fa.write_page c 0 "!";
-    ignore (Fa.read_page c 2);
-    ignore (Fa.read_page c 4);
-    Fa.flush c;
-    check Alcotest.int "only the dirty frame written" 1 s.Extmem.Io_stats.writes
-  in
-  List.iter check_policy Fa.all_policies
-
-let prop_cache_matches_device =
-  QCheck.Test.make ~name:"Cache read/write matches a plain byte array" ~count:150
-    QCheck.(
-      triple (int_range 1 4) (int_bound 3)
-        (list (pair (int_bound 7) (string_of_size (Gen.int_bound 8)))))
-    (fun (frames, pidx, writes) ->
-      let policy = List.nth Fa.all_policies pidx in
-      let d = Extmem.Device.in_memory ~block_size:8 () in
-      ignore (Extmem.Device.allocate d 8);
-      let c = cache ~policy ~frames d in
-      let model = Bytes.make 64 '\000' in
-      List.iter
-        (fun (b, s) ->
-          Fa.write_page c b s;
-          Bytes.blit_string (page 8 s) 0 model (8 * b) 8)
-        writes;
-      let ok = ref true in
-      for b = 0 to 7 do
-        if Fa.read_page c b <> Bytes.sub_string model (8 * b) 8 then ok := false
-      done;
-      Fa.flush c;
-      !ok && Extmem.Device.contents d = Bytes.to_string model)
-
-type cache_op = Read of int | Write of int * string
-
-let prop_cache_page_model =
-  (* interleaved page reads and writes under every policy, some past the
-     end of the device: every read must return the model's page at that
-     moment (a read of an unallocated page is refused), the flushed
-     device must equal the model, and the owner's counters must survive
-     the detach *)
-  QCheck.Test.make ~name:"Frame cache matches a page model under every policy" ~count:200
-    QCheck.(
-      triple (int_range 1 4) (int_bound 3)
-        (list
-           (map
-              (fun (w, b, s) -> if w then Write (b, s) else Read b)
-              (triple bool (int_bound 11) (string_of_size (Gen.int_bound 8))))))
-    (fun (frames, pidx, ops) ->
-      let policy = List.nth Fa.all_policies pidx in
-      let d = Extmem.Device.in_memory ~block_size:8 () in
-      ignore (Extmem.Device.allocate d 8);
-      let arena = Fa.create () in
-      let c = Fa.attach arena ~who:"prop" ~policy ~frames d in
-      let model = ref (Array.make 8 (page 8 "")) in
-      let ok = ref true in
-      List.iter
-        (function
-          | Write (b, s) ->
-              Fa.write_page c b s;
-              let m = !model in
-              if b >= Array.length m then
-                model := Array.init (b + 1) (fun i -> if i < Array.length m then m.(i) else page 8 "");
-              !model.(b) <- page 8 s
-          | Read b -> (
-              match Fa.read_page c b with
-              | got -> if b >= Array.length !model || got <> !model.(b) then ok := false
-              | exception Invalid_argument _ -> if b < Array.length !model then ok := false))
-        ops;
-      Fa.flush c;
-      let same = Extmem.Device.contents d = String.concat "" (Array.to_list !model) in
-      Fa.detach c;
-      let survived =
-        List.mem_assoc "prop" (Fa.owners arena)
-        && (Fa.totals arena).Fa.misses = Fa.misses c
-      in
-      !ok && same && survived)
-
-(* ------------------------------------------------------------------ *)
 (* Btree *)
+
+let btree ?(frames = 4) ~cmp dev =
+  Extmem.Btree.create ~arena:(Extmem.Frame_arena.create ()) ~frames ~cmp dev
 
 let new_btree ?(block_size = 128) ?(frames = 4) () =
   let dev = Extmem.Device.in_memory ~block_size () in
-  (Extmem.Btree.create ~frames ~cmp:compare dev, dev)
+  (btree ~frames ~cmp:compare dev, dev)
 
 let test_btree_basic () =
   let t, _ = new_btree () in
@@ -1327,36 +1102,95 @@ let test_btree_basic () =
   check Alcotest.int "replace keeps length" 3 (Extmem.Btree.length t);
   check (Alcotest.option Alcotest.string) "replaced" (Some "two") (Extmem.Btree.find t "b")
 
-let test_btree_policies () =
-  (* the policy reaches the tree's buffer pool: one insert/find workload
-     on a 3-frame pool answers identically under every policy, and the
-     policies do not all fault the same pages in *)
-  let run policy =
-    let d = Extmem.Device.in_memory ~block_size:256 () in
-    let t = Extmem.Btree.create ~policy ~frames:3 ~cmp:compare d in
-    for i = 0 to 399 do
-      let k = Printf.sprintf "%05d" ((i * 48271) mod 99991) in
-      Extmem.Btree.insert t ~key:k ~value:("v" ^ k)
-    done;
-    (* keys 3i for i < 134 were inserted, the rest are absent *)
-    let finds =
-      List.init 200 (fun i ->
-          Extmem.Btree.find t (Printf.sprintf "%05d" (3 * i * 48271 mod 99991)))
-    in
-    (finds, Fa.misses (Extmem.Btree.cache t))
+(* A two-level tree (a root over several leaves) of the 40 keys
+   "k000".."k039", flushed so every resident page is clean. *)
+let two_level_btree ~frames =
+  let t, dev = new_btree ~frames () in
+  for i = 0 to 39 do
+    Extmem.Btree.insert t ~key:(Printf.sprintf "k%03d" i) ~value:"v"
+  done;
+  Extmem.Btree.flush t;
+  check Alcotest.int "root over leaves" 2 (Extmem.Btree.height t);
+  (t, dev)
+
+(* Stats of [rounds] finds alternating between the first and the last
+   leaf, after one warm-up round. *)
+let alternate_leaves t rounds =
+  let round () =
+    ignore (Extmem.Btree.find t "k000");
+    ignore (Extmem.Btree.find t "k039")
   in
-  let runs = List.map run Fa.all_policies in
-  let finds, _ = List.hd runs in
-  List.iter2
-    (fun p (f, _) ->
-      check
-        (Alcotest.list (Alcotest.option Alcotest.string))
-        ("finds under " ^ Fa.policy_to_string p)
-        finds f)
-    Fa.all_policies runs;
-  check Alcotest.int "finds that hit" 134 (List.length (List.filter Option.is_some finds));
-  let misses = List.sort_uniq compare (List.map snd runs) in
-  check Alcotest.bool "at least two distinct miss counts" true (List.length misses >= 2)
+  round ();
+  let s0 = Extmem.Btree.stats t in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let s1 = Extmem.Btree.stats t in
+  (s1.hits - s0.hits, s1.misses - s0.misses, s1.evictions - s0.evictions)
+
+let test_btree_lru_keeps_root () =
+  (* two frames: the root, touched by every find, is never the
+     least-recently-used page, so each find hits the root and faults its
+     leaf in over the other one *)
+  let t, _ = two_level_btree ~frames:2 in
+  let hits, misses, evictions = alternate_leaves t 5 in
+  check Alcotest.int "root hit on every find" 10 hits;
+  check Alcotest.int "leaf missed on every find" 10 misses;
+  check Alcotest.int "each miss evicts the other leaf" 10 evictions;
+  (* one frame more holds the root and both leaves *)
+  let t, _ = two_level_btree ~frames:3 in
+  let hits, misses, _ = alternate_leaves t 5 in
+  check Alcotest.int "three frames: all hits" 20 hits;
+  check Alcotest.int "three frames: no misses" 0 misses
+
+let test_btree_finds_write_nothing () =
+  (* write-back is dirty-only: finds over a flushed tree that overflow
+     the pool many times over must not write a single block *)
+  let t, dev = two_level_btree ~frames:2 in
+  let io = Extmem.Device.stats dev in
+  Extmem.Io_stats.reset io;
+  for i = 0 to 119 do
+    ignore (Extmem.Btree.find t (Printf.sprintf "k%03d" (i * 7 mod 40)))
+  done;
+  check Alcotest.bool "the pool overflowed" true ((Extmem.Btree.stats t).evictions > 10);
+  check Alcotest.int "clean evictions write nothing" 0 io.Extmem.Io_stats.writes
+
+let test_btree_insert_writes_back_its_pages () =
+  (* one insert into a clean tree dirties its leaf and the meta page:
+     finds that cycle every page through the pool write exactly those
+     two back *)
+  let t, dev = two_level_btree ~frames:2 in
+  let io = Extmem.Device.stats dev in
+  Extmem.Io_stats.reset io;
+  let writebacks = (Extmem.Btree.stats t).writebacks in
+  Extmem.Btree.insert t ~key:"k0195" ~value:"w";
+  for i = 0 to 39 do
+    ignore (Extmem.Btree.find t (Printf.sprintf "k%03d" i))
+  done;
+  check Alcotest.int "leaf and meta written" 2 io.Extmem.Io_stats.writes;
+  check Alcotest.int "counted as write-backs" 2 ((Extmem.Btree.stats t).writebacks - writebacks);
+  check (Alcotest.option Alcotest.string) "insert landed" (Some "w") (Extmem.Btree.find t "k0195")
+
+let test_btree_stats_match_device_io () =
+  (* every miss reads one block, every write-back writes one, and once
+     the pool is full every miss evicts a page *)
+  List.iter
+    (fun frames ->
+      let dev = Extmem.Device.in_memory ~block_size:128 () in
+      let t = btree ~frames ~cmp:compare dev in
+      for i = 0 to 199 do
+        let k = Printf.sprintf "%05d" ((i * 48271) mod 99991) in
+        Extmem.Btree.insert t ~key:k ~value:k;
+        if i mod 3 = 0 then ignore (Extmem.Btree.find t (Printf.sprintf "%05d" (i * 7)))
+      done;
+      Extmem.Btree.flush t;
+      let s = Extmem.Btree.stats t and io = Extmem.Device.stats dev in
+      let label what = Printf.sprintf "%d frames: %s" frames what in
+      check Alcotest.int (label "reads = misses") s.misses io.Extmem.Io_stats.reads;
+      check Alcotest.int (label "writes = write-backs") s.writebacks io.Extmem.Io_stats.writes;
+      check Alcotest.int (label "evictions = misses - frames") (s.misses - frames) s.evictions;
+      check Alcotest.bool (label "hits counted") true (s.hits > 0))
+    [ 2; 3; 4 ]
 
 let test_btree_splits_and_order () =
   let t, _ = new_btree () in
@@ -1390,26 +1224,25 @@ let test_btree_iter_from () =
       List.length !got < 2);
   check Alcotest.int "stopped" 2 (List.length !got)
 
-let test_btree_delete () =
-  let t, _ = new_btree () in
-  List.iter (fun k -> Extmem.Btree.insert t ~key:k ~value:k) [ "a"; "b"; "c" ];
-  check Alcotest.bool "delete b" true (Extmem.Btree.delete t "b");
-  check Alcotest.bool "delete again" false (Extmem.Btree.delete t "b");
-  check Alcotest.int "length" 2 (Extmem.Btree.length t);
-  check (Alcotest.option Alcotest.string) "gone" None (Extmem.Btree.find t "b");
-  check (Alcotest.option Alcotest.string) "others intact" (Some "a") (Extmem.Btree.find t "a")
-
 let test_btree_persistence () =
-  let dev = Extmem.Device.in_memory ~block_size:128 () in
-  let t = Extmem.Btree.create ~cmp:compare dev in
-  for i = 0 to 199 do
-    Extmem.Btree.insert t ~key:(Printf.sprintf "k%03d" i) ~value:(string_of_int i)
-  done;
-  Extmem.Btree.flush t;
-  let t2 = Extmem.Btree.reopen ~cmp:compare dev in
-  check Alcotest.int "count preserved" 200 (Extmem.Btree.length t2);
-  check (Alcotest.option Alcotest.string) "lookup after reopen" (Some "123")
-    (Extmem.Btree.find t2 "k123")
+  (* what a flush leaves on the device does not depend on the pool: at
+     1-4 frames, with dirty pages written back early on eviction, the
+     image equals that of a pool holding every page *)
+  let image frames =
+    let dev = Extmem.Device.in_memory ~block_size:128 () in
+    let t = btree ~frames ~cmp:compare dev in
+    for i = 0 to 199 do
+      Extmem.Btree.insert t ~key:(Printf.sprintf "k%03d" (i * 37 mod 200)) ~value:(string_of_int i)
+    done;
+    Extmem.Btree.flush t;
+    Extmem.Btree.close t;
+    Extmem.Device.contents dev
+  in
+  let reference = image 64 in
+  List.iter
+    (fun frames ->
+      check Alcotest.string (Printf.sprintf "%d frames" frames) reference (image frames))
+    [ 1; 2; 3; 4 ]
 
 let test_btree_entry_too_large () =
   let t, _ = new_btree ~block_size:128 () in
@@ -1421,21 +1254,22 @@ let test_btree_entry_too_large () =
 let test_btree_custom_order () =
   let dev = Extmem.Device.in_memory ~block_size:128 () in
   let cmp a b = compare b a (* descending *) in
-  let t = Extmem.Btree.create ~cmp dev in
+  let t = btree ~cmp dev in
   List.iter (fun k -> Extmem.Btree.insert t ~key:k ~value:k) [ "a"; "b"; "c" ];
   let got = ref [] in
   Extmem.Btree.iter t (fun k _ -> got := k :: !got);
   check (Alcotest.list Alcotest.string) "descending" [ "a"; "b"; "c" ] !got
 
 let prop_btree_matches_map =
-  (* model-based: random insert/replace/delete/lookup traces *)
+  (* model-based: random insert/replace/lookup traces through a pool of
+     1-4 frames *)
   QCheck.Test.make ~name:"Btree behaves like Map" ~count:120
     QCheck.(
-      pair (int_range 96 256)
-        (list (pair (int_bound 3) (pair (int_bound 60) (string_of_size (QCheck.Gen.int_bound 6))))))
-    (fun (block_size, ops) ->
+      triple (int_range 96 256) (int_range 1 4)
+        (list (pair (int_bound 2) (pair (int_bound 60) (string_of_size (QCheck.Gen.int_bound 6))))))
+    (fun (block_size, frames, ops) ->
       let dev = Extmem.Device.in_memory ~block_size () in
-      let t = Extmem.Btree.create ~frames:3 ~cmp:compare dev in
+      let t = btree ~frames ~cmp:compare dev in
       let model = Hashtbl.create 32 in
       List.iter
         (fun (op, (kn, v)) ->
@@ -1444,11 +1278,6 @@ let prop_btree_matches_map =
           | 0 | 1 ->
               Extmem.Btree.insert t ~key:k ~value:v;
               Hashtbl.replace model k v
-          | 2 ->
-              let got = Extmem.Btree.delete t k in
-              let want = Hashtbl.mem model k in
-              Hashtbl.remove model k;
-              if got <> want then QCheck.Test.fail_reportf "delete %s: %b vs %b" k got want
           | _ ->
               let got = Extmem.Btree.find t k in
               let want = Hashtbl.find_opt model k in
@@ -1459,21 +1288,6 @@ let prop_btree_matches_map =
       Extmem.Btree.iter t (fun k v -> got := (k, v) :: !got);
       let want = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []) in
       List.rev !got = want && Extmem.Btree.length t = Hashtbl.length model)
-
-let prop_btree_survives_reopen =
-  QCheck.Test.make ~name:"Btree reopen preserves contents" ~count:60
-    QCheck.(list (pair (int_bound 99) (string_of_size (QCheck.Gen.int_bound 8))))
-    (fun kvs ->
-      let dev = Extmem.Device.in_memory ~block_size:128 () in
-      let t = Extmem.Btree.create ~cmp:compare dev in
-      List.iter (fun (k, v) -> Extmem.Btree.insert t ~key:(Printf.sprintf "%02d" k) ~value:v) kvs;
-      Extmem.Btree.flush t;
-      let t2 = Extmem.Btree.reopen ~cmp:compare dev in
-      List.for_all
-        (fun (k, _) ->
-          Extmem.Btree.find t2 (Printf.sprintf "%02d" k)
-          = Extmem.Btree.find t (Printf.sprintf "%02d" k))
-        kvs)
 
 (* Bulk loading against sequential inserts: ascending keys with runs of
    duplicates (the last value wins), values up to the quarter-block
@@ -1497,10 +1311,12 @@ let prop_btree_bulk_load_matches_inserts =
       in
       let entries = List.rev rev_entries in
       let bulk_dev = Extmem.Device.in_memory ~block_size () in
-      let loader = Extmem.Btree.bulk_loader ~cmp:compare bulk_dev in
+      let loader =
+        Extmem.Btree.bulk_loader ~arena:(Extmem.Frame_arena.create ()) ~cmp:compare bulk_dev
+      in
       List.iter (fun (key, value) -> Extmem.Btree.bulk_add loader ~key ~value) entries;
       let bulk = Extmem.Btree.bulk_finish loader in
-      let ins = Extmem.Btree.create ~cmp:compare (Extmem.Device.in_memory ~block_size ()) in
+      let ins = btree ~cmp:compare (Extmem.Device.in_memory ~block_size ()) in
       List.iter (fun (key, value) -> Extmem.Btree.insert ins ~key ~value) entries;
       let all t =
         let got = ref [] in
@@ -1509,23 +1325,21 @@ let prop_btree_bulk_load_matches_inserts =
       in
       let probes = List.init 8 (fun i -> Printf.sprintf "k%05d" (i * 97)) @ List.map fst entries in
       let same_finds t = List.for_all (fun k -> Extmem.Btree.find t k = Extmem.Btree.find ins k) probes in
-      Extmem.Btree.flush bulk;
-      let reopened = Extmem.Btree.reopen ~cmp:compare bulk_dev in
       if all bulk <> all ins then QCheck.Test.fail_report "iter differs";
       if Extmem.Btree.length bulk <> Extmem.Btree.length ins then
         QCheck.Test.fail_reportf "length %d vs %d" (Extmem.Btree.length bulk)
           (Extmem.Btree.length ins);
       if not (same_finds bulk) then QCheck.Test.fail_report "find differs";
-      if all reopened <> all ins || Extmem.Btree.length reopened <> Extmem.Btree.length ins
-         || not (same_finds reopened)
-      then QCheck.Test.fail_report "differs after flush + reopen";
       if Extmem.Btree.height bulk > Extmem.Btree.height ins then
         QCheck.Test.fail_reportf "height %d > %d" (Extmem.Btree.height bulk)
           (Extmem.Btree.height ins);
       true)
 
 let test_btree_bulk_rejects () =
-  let loader = Extmem.Btree.bulk_loader ~cmp:compare (Extmem.Device.in_memory ~block_size:128 ()) in
+  let loader =
+    Extmem.Btree.bulk_loader ~arena:(Extmem.Frame_arena.create ()) ~cmp:compare
+      (Extmem.Device.in_memory ~block_size:128 ())
+  in
   Extmem.Btree.bulk_add loader ~key:"b" ~value:"1";
   (match Extmem.Btree.bulk_add loader ~key:"a" ~value:"2" with
   | () -> Alcotest.fail "out-of-order key accepted"
@@ -1542,6 +1356,186 @@ let test_btree_bulk_rejects () =
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
     "entries" [ ("b", "3"); ("c", "4") ] (List.rev !got)
+
+(* ------------------------------------------------------------------ *)
+(* Pager: the B-tree's buffer pool, observed through the tree's page
+   accesses.  The pool has one replacement rule, LRU; the cases that
+   once compared several policies compare pool sizes against a pool
+   that holds every page. *)
+
+let find_opt = Alcotest.option Alcotest.string
+
+(* The device image a flush leaves after [f] ran over a fresh tree with
+   a pool of [frames]. *)
+let pool_image ~frames f =
+  let dev = Extmem.Device.in_memory ~block_size:128 () in
+  let t = btree ~frames ~cmp:compare dev in
+  f t;
+  Extmem.Btree.flush t;
+  Extmem.Btree.close t;
+  Extmem.Device.contents dev
+
+let insert_sixty t =
+  for i = 0 to 59 do
+    Extmem.Btree.insert t ~key:(Printf.sprintf "k%03d" (i * 7 mod 60)) ~value:(string_of_int i)
+  done
+
+let test_pager_lru_basics () =
+  (* writes through a two-frame pool: every key reads back before and
+     after the flush, the finds after it fault pages back in from the
+     device, and the flushed image is that of an all-resident pool *)
+  let dev = Extmem.Device.in_memory ~block_size:128 () in
+  let t = btree ~frames:2 ~cmp:compare dev in
+  insert_sixty t;
+  let check_all what =
+    for i = 0 to 59 do
+      check find_opt what (Some (string_of_int i))
+        (Extmem.Btree.find t (Printf.sprintf "k%03d" (i * 7 mod 60)))
+    done
+  in
+  check_all "before flush";
+  Extmem.Btree.flush t;
+  let io = Extmem.Device.stats dev in
+  Extmem.Io_stats.reset io;
+  check_all "after flush";
+  check Alcotest.bool "finds read from the device" true (io.Extmem.Io_stats.reads > 0);
+  let s = Extmem.Btree.stats t in
+  check Alcotest.bool "some hits" true (s.hits > 0);
+  check Alcotest.bool "some misses" true (s.misses > 0);
+  Extmem.Btree.close t;
+  check Alcotest.string "flushed image" (pool_image ~frames:64 insert_sixty)
+    (Extmem.Device.contents dev)
+
+(* [two_level_btree]'s keys "k000", "k039" and "k020" sit in its first,
+   last and a middle leaf; at three frames the root, touched by every
+   find, stays resident and the two other frames hold leaves in LRU
+   order. *)
+let leaf_key = function `A -> "k000" | `B -> "k039" | `C -> "k020"
+
+let find_misses t leaf =
+  let m = (Extmem.Btree.stats t).misses in
+  ignore (Extmem.Btree.find t (leaf_key leaf));
+  (Extmem.Btree.stats t).misses - m
+
+let test_pager_lru_eviction_order () =
+  let t, _ = two_level_btree ~frames:3 in
+  ignore (find_misses t `A);
+  ignore (find_misses t `B);
+  check Alcotest.int "touch the first leaf" 0 (find_misses t `A);
+  check Alcotest.int "a third leaf faults in" 1 (find_misses t `C);
+  check Alcotest.int "the touched leaf is still cached" 0 (find_misses t `A);
+  check Alcotest.int "the least recently used leaf was evicted" 1 (find_misses t `B)
+
+let test_pager_victim_order () =
+  (* each sequence fills the pool (the three most recent pages are
+     resident whatever came before) and its last find faults once; the
+     row names the leaf LRU must evict and the one it must keep *)
+  let rows =
+    [
+      ([ `A; `B; `A; `C ], `B, `A);
+      ([ `B; `A; `B; `C ], `A, `B);
+      ([ `A; `B; `C ], `A, `B);
+    ]
+  in
+  List.iter
+    (fun (seq, evicted, kept) ->
+      let t, _ = two_level_btree ~frames:3 in
+      let label what =
+        Printf.sprintf "lru %s: %s" (String.concat "," (List.map leaf_key seq)) what
+      in
+      let rec run = function
+        | [] -> ()
+        | [ last ] ->
+            let e = (Extmem.Btree.stats t).evictions in
+            check Alcotest.int (label "last find faults") 1 (find_misses t last);
+            check Alcotest.int (label "one eviction") 1 ((Extmem.Btree.stats t).evictions - e)
+        | leaf :: rest ->
+            ignore (find_misses t leaf);
+            run rest
+      in
+      run seq;
+      check Alcotest.int (label (leaf_key kept ^ " kept")) 0 (find_misses t kept);
+      check Alcotest.int (label (leaf_key evicted ^ " evicted")) 1 (find_misses t evicted))
+    rows
+
+let test_pager_pool_sizes_same_contents () =
+  (* pools of 1-4 frames evict different pages at different times but
+     must leave the device image of an all-resident pool under the same
+     interleaved finds, inserts and replacements *)
+  let workload t =
+    let rng = ref 123456789 in
+    for i = 0 to 499 do
+      rng := (!rng * 1103515245) + 12345;
+      let key = Printf.sprintf "k%03d" (abs !rng mod 97) in
+      if i mod 3 = 0 then ignore (Extmem.Btree.find t key)
+      else
+        Extmem.Btree.insert t ~key
+          ~value:(String.make (1 + (i mod 4)) (Char.chr (65 + (i mod 26))))
+    done
+  in
+  let reference = pool_image ~frames:64 workload in
+  List.iter
+    (fun frames ->
+      check Alcotest.string (Printf.sprintf "lru at %d frames" frames) reference
+        (pool_image ~frames workload))
+    [ 1; 2; 3; 4 ]
+
+let prop_pager_matches_resident_image =
+  QCheck.Test.make ~name:"Cache read/write matches a plain byte array" ~count:150
+    QCheck.(
+      pair (int_range 1 4) (list (pair (int_bound 40) (string_of_size (Gen.int_bound 8)))))
+    (fun (frames, writes) ->
+      let model = Hashtbl.create 32 in
+      let ok = ref true in
+      let workload t =
+        List.iter
+          (fun (k, v) ->
+            let key = Printf.sprintf "k%02d" k in
+            Extmem.Btree.insert t ~key ~value:v;
+            Hashtbl.replace model key v)
+          writes;
+        Hashtbl.iter (fun k v -> if Extmem.Btree.find t k <> Some v then ok := false) model
+      in
+      let image = pool_image ~frames workload in
+      !ok && image = pool_image ~frames:64 workload)
+
+type pager_op = Find of int | Insert of int * string
+
+let prop_pager_page_model =
+  (* interleaved finds and inserts through a pool of 1-4 frames: every
+     find returns the model's value at that moment, every miss reads one
+     block and every write-back writes one, a miss evicts once the pool
+     is full, and closing the tree returns its frames to the arena *)
+  QCheck.Test.make ~name:"Frame cache matches a page model under every pool size" ~count:200
+    QCheck.(
+      pair (int_range 1 4)
+        (list
+           (map
+              (fun (w, k, s) -> if w then Insert (k, s) else Find k)
+              (triple bool (int_bound 40) (string_of_size (Gen.int_bound 8))))))
+    (fun (frames, ops) ->
+      let dev = Extmem.Device.in_memory ~block_size:96 () in
+      let arena = Extmem.Frame_arena.create () in
+      let t = Extmem.Btree.create ~arena ~frames ~cmp:compare dev in
+      let model = Hashtbl.create 32 in
+      let key k = Printf.sprintf "k%02d" k in
+      List.iter
+        (function
+          | Insert (k, v) ->
+              Extmem.Btree.insert t ~key:(key k) ~value:v;
+              Hashtbl.replace model (key k) v
+          | Find k ->
+              if Extmem.Btree.find t (key k) <> Hashtbl.find_opt model (key k) then
+                QCheck.Test.fail_reportf "find %s mismatch" (key k))
+        ops;
+      Extmem.Btree.flush t;
+      Extmem.Btree.close t;
+      let s = Extmem.Btree.stats t and io = Extmem.Device.stats dev in
+      let owner = List.assoc "btree" (Extmem.Frame_arena.owners arena) in
+      s.misses = io.Extmem.Io_stats.reads
+      && s.writebacks = io.Extmem.Io_stats.writes
+      && s.evictions = max 0 (s.misses - frames)
+      && owner.held = 0 && owner.peak = frames)
 
 (* ------------------------------------------------------------------ *)
 (* Trace *)
@@ -2027,30 +2021,29 @@ let () =
         ] );
       ( "pager",
         [
-          Alcotest.test_case "lru basics" `Quick (cache_test Fa.Lru);
-          Alcotest.test_case "clock basics" `Quick (cache_test Fa.Clock);
-          Alcotest.test_case "lru eviction order" `Quick test_cache_lru_eviction_order;
-          Alcotest.test_case "victim order per policy" `Quick test_cache_victim_order;
-          Alcotest.test_case "write extends device" `Quick test_cache_write_extends_device;
-          Alcotest.test_case "policies agree on contents" `Quick test_cache_policies_same_contents;
-          Alcotest.test_case "dirty-only writeback" `Quick test_cache_clean_evictions_cost_no_writes;
-          Alcotest.test_case "eviction/writeback counters" `Quick
-            test_cache_eviction_writeback_counters;
-          qcheck prop_cache_matches_device;
-          qcheck prop_cache_page_model;
+          Alcotest.test_case "lru basics" `Quick test_pager_lru_basics;
+          Alcotest.test_case "lru eviction order" `Quick test_pager_lru_eviction_order;
+          Alcotest.test_case "victim order per policy" `Quick test_pager_victim_order;
+          Alcotest.test_case "policies agree on contents" `Quick
+            test_pager_pool_sizes_same_contents;
+          qcheck prop_pager_matches_resident_image;
+          qcheck prop_pager_page_model;
         ] );
       ( "btree",
         [
           Alcotest.test_case "basic" `Quick test_btree_basic;
           Alcotest.test_case "splits and order" `Quick test_btree_splits_and_order;
           Alcotest.test_case "iter_from" `Quick test_btree_iter_from;
-          Alcotest.test_case "delete" `Quick test_btree_delete;
           Alcotest.test_case "persistence" `Quick test_btree_persistence;
           Alcotest.test_case "entry too large" `Quick test_btree_entry_too_large;
           Alcotest.test_case "custom order" `Quick test_btree_custom_order;
-          Alcotest.test_case "policies agree on finds" `Quick test_btree_policies;
+          Alcotest.test_case "lru keeps the root resident" `Quick test_btree_lru_keeps_root;
+          Alcotest.test_case "read-only finds write nothing" `Quick
+            test_btree_finds_write_nothing;
+          Alcotest.test_case "insert writes back its pages" `Quick
+            test_btree_insert_writes_back_its_pages;
+          Alcotest.test_case "stats match device I/O" `Quick test_btree_stats_match_device_io;
           qcheck prop_btree_matches_map;
-          qcheck prop_btree_survives_reopen;
           qcheck prop_btree_bulk_load_matches_inserts;
           Alcotest.test_case "bulk load rejects" `Quick test_btree_bulk_rejects;
         ] );

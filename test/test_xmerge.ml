@@ -316,6 +316,22 @@ let test_naive_merge_io_pattern () =
   check Alcotest.bool "right side re-read many times" true
     (report.Xmerge.Naive_merge.right_io.Extmem.Io_stats.reads > 3 * right_blocks)
 
+(* The indexed merge of two documents over in-memory devices of [bs]-byte
+   blocks, its B-tree's frames leased from [arena] (unbudgeted by
+   default), and a device spec's layers over the right side. *)
+let indexed_merge ?(arena = Extmem.Frame_arena.create ()) ?(right_layers = "mem") ~bs l r =
+  let left = Extmem.Device.of_string ~block_size:bs l in
+  let right =
+    (Extmem.Device_spec.apply_layers (Extmem.Device_spec.parse right_layers)
+       (Extmem.Device.of_string ~block_size:bs r)).Extmem.Device_spec.device
+  in
+  let output = Extmem.Device.in_memory ~block_size:bs () in
+  let report =
+    Xmerge.Indexed_merge.merge_devices ~arena ~ordering:Xmlgen.Company.ordering ~left ~right
+      ~output ()
+  in
+  (Extmem.Device.contents output, report)
+
 let test_indexed_merge_matches_naive () =
   (* the index changes the I/O pattern, not the answer *)
   let pair = Xmlgen.Company.generate ~seed:23 ~regions:3 ~employees_per_branch:5 () in
@@ -325,8 +341,7 @@ let test_indexed_merge_matches_naive () =
       pair.Xmlgen.Company.payroll
   in
   let indexed, report =
-    Xmerge.Indexed_merge.merge_strings ~ordering pair.Xmlgen.Company.personnel
-      pair.Xmlgen.Company.payroll
+    indexed_merge ~bs:1024 pair.Xmlgen.Company.personnel pair.Xmlgen.Company.payroll
   in
   check tree_eq "same result" (parse naive) (parse indexed);
   check Alcotest.bool "index populated" true (report.Xmerge.Indexed_merge.index_entries > 20)
@@ -337,23 +352,61 @@ let test_indexed_merge_reads_right_less () =
   in
   let ordering = Xmlgen.Company.ordering in
   let bs = 256 in
-  let run_naive () =
+  let naive =
     let left = Extmem.Device.of_string ~block_size:bs pair.Xmlgen.Company.personnel in
     let right = Extmem.Device.of_string ~block_size:bs pair.Xmlgen.Company.payroll in
     let output = Extmem.Device.in_memory ~block_size:bs () in
     Xmerge.Naive_merge.merge_devices ~ordering ~left ~right ~output ()
   in
-  let run_indexed () =
-    let left = Extmem.Device.of_string ~block_size:bs pair.Xmlgen.Company.personnel in
-    let right = Extmem.Device.of_string ~block_size:bs pair.Xmlgen.Company.payroll in
-    let output = Extmem.Device.in_memory ~block_size:bs () in
-    Xmerge.Indexed_merge.merge_devices ~ordering ~left ~right ~output ()
-  in
-  let naive = run_naive () in
-  let indexed = run_indexed () in
+  let _, indexed = indexed_merge ~bs pair.Xmlgen.Company.personnel pair.Xmlgen.Company.payroll in
   check Alcotest.bool "index removes right re-scans" true
     (indexed.Xmerge.Indexed_merge.right_io.Extmem.Io_stats.reads
     < naive.Xmerge.Naive_merge.right_io.Extmem.Io_stats.reads)
+
+let test_indexed_merge_pager_counters () =
+  (* the company pair whose index outgrows its 8-frame LRU pool: output,
+     index I/O and every pager counter are pinned *)
+  let pair =
+    Xmlgen.Company.generate ~seed:11 ~regions:6 ~branches_per_region:6 ~employees_per_branch:48 ()
+  in
+  let out, r =
+    indexed_merge ~bs:1024 pair.Xmlgen.Company.personnel pair.Xmlgen.Company.payroll
+  in
+  let open Xmerge.Indexed_merge in
+  check Alcotest.string "output md5" "3355f162b6e913e02cb3b3c419f8d134"
+    (Digest.to_hex (Digest.string out));
+  check Alcotest.int "index io" 247 (Extmem.Io_stats.total r.index_io);
+  check Alcotest.int "hits" 33297 r.pager.hits;
+  check Alcotest.int "misses" 168 r.pager.misses;
+  check Alcotest.int "evictions" 160 r.pager.evictions;
+  check Alcotest.int "writebacks" 79 r.pager.writebacks
+
+let test_indexed_merge_counts_frames () =
+  (* the index's 8 frames are leased from the caller's arena under
+     "btree": a budget with 7 free blocks refuses them, and a merge
+     gives them back on success and on a device fault alike *)
+  let pair = Xmlgen.Company.generate ~seed:23 ~regions:3 ~employees_per_branch:5 () in
+  let l = pair.Xmlgen.Company.personnel and r = pair.Xmlgen.Company.payroll in
+  let arena blocks =
+    Extmem.Frame_arena.create ~budget:(Extmem.Memory_budget.create ~blocks ~block_size:1024) ()
+  in
+  let btree_held a =
+    match List.assoc_opt "btree" (Extmem.Frame_arena.owners a) with
+    | Some s -> s.Extmem.Frame_arena.held
+    | None -> Alcotest.fail "no btree owner"
+  in
+  (match indexed_merge ~arena:(arena 7) ~bs:1024 l r with
+  | _ -> Alcotest.fail "7 blocks held 8 frames"
+  | exception Extmem.Memory_budget.Exhausted msg ->
+      check Alcotest.bool ("names btree: " ^ msg) true
+        (String.length msg >= 5 && String.sub msg 0 5 = "btree"));
+  let a = arena 8 in
+  ignore (indexed_merge ~arena:a ~bs:1024 l r);
+  check Alcotest.int "held after a merge" 0 (btree_held a);
+  check Alcotest.int "peak" 8 (Extmem.Frame_arena.totals a).Extmem.Frame_arena.peak;
+  match indexed_merge ~arena:a ~right_layers:"faulty:p=1,seed=1/mem" ~bs:1024 l r with
+  | _ -> Alcotest.fail "expected a device fault"
+  | exception Extmem.Device.Fault _ -> check Alcotest.int "held after a fault" 0 (btree_held a)
 
 let test_naive_merge_rejects_fancy_markup () =
   try
@@ -1202,6 +1255,9 @@ let () =
           Alcotest.test_case "rejects fancy markup" `Quick test_naive_merge_rejects_fancy_markup;
           Alcotest.test_case "indexed matches naive" `Quick test_indexed_merge_matches_naive;
           Alcotest.test_case "indexed reads right less" `Quick test_indexed_merge_reads_right_less;
+          Alcotest.test_case "indexed pager counters" `Quick test_indexed_merge_pager_counters;
+          Alcotest.test_case "indexed merge counts its frames" `Quick
+            test_indexed_merge_counts_frames;
         ] );
       ( "batch_update",
         [
