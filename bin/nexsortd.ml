@@ -315,16 +315,17 @@ let counter_value d name =
   | Some v -> int_of_float v
   | None -> 0
 
+let count d p = List.length (List.filter p d.jobs)
+
+let failed d = count d (fun e -> match e.e_outcome with Some (Failed _) -> true | _ -> false)
+
 let summarize out d =
-  let count p = List.length (List.filter p d.jobs) in
-  let finished = count (fun e -> match e.e_outcome with Some (Done _) -> true | _ -> false) in
-  let cancelled = count (fun e -> e.e_outcome = Some Cancelled) in
-  let failed = count (fun e -> match e.e_outcome with Some (Failed _) -> true | _ -> false) in
+  let finished = count d (fun e -> match e.e_outcome with Some (Done _) -> true | _ -> false) in
+  let cancelled = count d (fun e -> e.e_outcome = Some Cancelled) in
   Printf.fprintf out "%d jobs: %d done, %d cancelled, %d failed; leaked blocks: %d\n"
-    (List.length d.jobs) finished cancelled failed
+    (List.length d.jobs) finished cancelled (failed d)
     (Engine.leaked_blocks d.engine);
-  flush out;
-  if failed > 0 then 1 else 0
+  flush out
 
 let submit out d request =
   let id = d.next_id in
@@ -405,16 +406,22 @@ let process_line out d line =
 
 (* Drain the daemon: cancel nothing, let queued jobs complete, report
    them, summarize.  [forced] (bad request) cancels whatever is still
-   outstanding first so the process can exit promptly with 124. *)
+   outstanding first so the process can exit promptly with 124.  Every
+   job is joined before the report, which is best effort: a socket
+   client may hang up before it, and the engine is torn down all the
+   same. *)
 let shutdown ?(forced = false) out d code =
   if forced then
     List.iter
       (fun e -> if e.e_outcome = None then Engine.cancel d.engine e.e_cancel)
       d.jobs;
-  wait_all out d;
-  let summary_code = summarize out d in
+  List.iter (fun e -> ignore (join_entry e)) d.jobs;
+  (try
+     wait_all out d;
+     summarize out d
+   with Sys_error _ -> ());
   Engine.destroy d.engine;
-  if code >= 0 then code else summary_code
+  if code >= 0 then code else if failed d > 0 then 1 else 0
 
 let serve_channel out d ic =
   let rec loop () =
@@ -427,7 +434,16 @@ let serve_channel out d ic =
   in
   loop ()
 
+(* A client's end: closing the channel (not just the descriptor) drops
+   a reply it could not deliver, so no later flush of the channel ever
+   writes into a reused descriptor. *)
+let hang_up out = close_out_noerr out
+
+(* One connection at a time.  SIGPIPE is ignored, so a client that hangs
+   up before its reply surfaces as [Sys_error] (EPIPE) on that
+   connection's channel: the daemon closes it and accepts the next. *)
 let serve_socket path d =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   Unix.bind sock (Unix.ADDR_UNIX path);
@@ -444,13 +460,14 @@ let serve_socket path d =
           | `Continue -> conn_loop ()
           | `Quit code ->
               let code = shutdown ~forced:(code >= 0) out d code in
-              (try flush out with Sys_error _ -> ());
-              (try Unix.close conn with Unix.Unix_error _ -> ());
+              hang_up out;
               (try Unix.unlink path with Unix.Unix_error _ -> ());
-              Some code)
-      | exception End_of_file ->
-          (try flush out with Sys_error _ -> ());
-          (try Unix.close conn with Unix.Unix_error _ -> ());
+              Some code
+          | exception Sys_error _ ->
+              hang_up out;
+              None)
+      | exception (End_of_file | Sys_error _) ->
+          hang_up out;
           None
     in
     match conn_loop () with Some code -> code | None -> accept_loop ()

@@ -16,8 +16,6 @@ type node = {
   mutable children : node list; (** reversed while building *)
 }
 
-val node_of_view : Entry.View.t -> node
-
 val build_forest : Entry.View.t list -> node list
 (** Rebuild the sibling forest from entry views in document order.  End
     entries resolve their element's key and close it; in packed mode
@@ -70,17 +68,6 @@ val reverse_records :
     data stack); End entries precede their subtrees and carry the
     authoritative element keys. *)
 
-val keypath_output :
-  encoding:Config.encoding ->
-  enc:Extmem.Codec.Enc.t ->
-  (unit -> string option) ->
-  unit ->
-  string option
-(** [keypath_output ~encoding ~enc records] reconstructs the entries of a
-    sorted key-path record stream: each record's payload verbatim, with
-    End entries synthesized from level transitions (unless packed), the
-    last ones once [records] is exhausted. *)
-
 val keypath_sort :
   ?arena:Extmem.Frame_arena.t ->
   budget:Extmem.Memory_budget.t ->
@@ -92,8 +79,10 @@ val keypath_sort :
   (unit -> Entry.View.t option) ->
   string Pipe.opened
 (** A key-path external sort of an entry-view stream, opened
-    ({!Extsort.External_sort.sort_open} under {!keypath_output}): the
-    records come from {!forward_records} or {!reverse_records} by [scan],
-    run formation and all but the final merge pass consume the input
-    here, and the returned stream is the final merge.  Its [close]
-    releases what the sort still holds; the caller owns [temp]. *)
+    ({!Extsort.External_sort.sort_open}, its sorted records turned back
+    into entries: payloads verbatim, End entries synthesized from level
+    transitions unless packed): the records come from {!forward_records}
+    or {!reverse_records} by [scan], run formation and all but the final
+    merge pass consume the input here, and the returned stream is the
+    final merge.  Its [close] releases what the sort still holds; the
+    caller owns [temp]. *)

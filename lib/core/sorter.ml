@@ -442,19 +442,153 @@ let on_end st =
 
 (* ---- output phase (Figure 4, lines 13-21) ---- *)
 
+(* A reader of a pointed run — the one being read, or one suspended at a
+   run pointer — and the leased frame it reads into. *)
+type run_reader = {
+  reader : Extmem.Block_reader.t;
+  run : Extmem.Run_store.id;
+  frame : bytes;
+}
+
+(* The run traversal: the depth-first walk through the tree of runs.
+   Every reader's frame, active or suspended, is held on one arena
+   lease ("run traversal").  At a run pointer the enclosing reader is
+   suspended {e resident}, its buffered block and position kept on
+   [resident], so resuming it costs no I/O.  Only when the budget has no
+   frame for the new reader does the paper's external output-location
+   stack take over: the oldest resident reader is spilled onto it as a
+   (run, offset) entry and its frame reused — or, with none resident,
+   the enclosing reader itself — and its resume reopens the run at the
+   offset, re-reading that block.  Memory stays within the budget and
+   O(1) in the document's height. *)
+type traversal = {
+  t_session : Session.t;
+  lease : Extmem.Frame_arena.lease;
+  mutable spare : bytes list; (* leased frames no reader holds *)
+  resident : run_reader Extmem.Deque.t; (* suspended readers, oldest first *)
+  mutable active : run_reader option;
+  mutable lent : Extmem.Ext_stack.t list option; (* idle windows lent, once tried *)
+}
+
+let traversal_open session =
+  {
+    t_session = session;
+    lease = Extmem.Frame_arena.lease session.Session.arena ~who:"run traversal" 0;
+    spare = [];
+    resident = Extmem.Deque.create ();
+    active = None;
+    lent = None;
+  }
+
+let open_reader t run frame =
+  { reader = Extmem.Run_store.open_run ~buffer:frame t.t_session.Session.runs run; run; frame }
+
+let take_frame t =
+  Extmem.Frame_arena.take t.t_session.Session.arena
+    (Extmem.Device.block_size (Extmem.Run_store.device t.t_session.Session.runs))
+
+(* The data and path stacks are empty for the whole output phase, and
+   an empty stack holds no resident blocks, so lending their windows
+   costs no I/O.  The first time the budget is full they are lent to
+   the traversal (unless a fused root merge holds them already); the
+   close restores them. *)
+let lend_idle_windows t =
+  let s = t.t_session in
+  let idle =
+    List.filter
+      (fun st -> not (Extmem.Ext_stack.lent st))
+      [ s.Session.data_stack; s.Session.path_stack ]
+  in
+  List.iter Extmem.Ext_stack.lend idle;
+  t.lent <- Some idle
+
+(* A frame for one more reader: a spare one, else one more from the
+   budget when it has one.  The lease only grows: a frame a reader
+   gives up stays leased as a spare for the next descent. *)
+let leased_frame t =
+  match t.spare with
+  | f :: rest ->
+      t.spare <- rest;
+      Some f
+  | [] ->
+      let grow () = Extmem.Frame_arena.try_grow t.lease 1 in
+      if grow () || (t.lent = None && (lend_idle_windows t; grow ())) then Some (take_frame t)
+      else None
+
+let spill t r =
+  Extmem.Ext_stack.push t.t_session.Session.out_stack
+    (encode_out_loc r.run (Extmem.Block_reader.position r.reader))
+
+(* Enter the run a pointer names. *)
+let descend t run =
+  let frame =
+    match (t.active, leased_frame t) with
+    | None, Some f -> f
+    | Some a, Some f ->
+        Extmem.Deque.push_back t.resident a;
+        f
+    | None, None ->
+        (* the output phase always finds a block free — the input scan's,
+           at least — so this raises only on a budget held from outside *)
+        Extmem.Frame_arena.grow t.lease 1;
+        take_frame t
+    | Some a, None when Extmem.Deque.is_empty t.resident ->
+        spill t a;
+        a.frame
+    | Some a, None ->
+        let oldest = Extmem.Deque.pop_front t.resident in
+        spill t oldest;
+        Extmem.Deque.push_back t.resident a;
+        oldest.frame
+  in
+  t.active <- Some (open_reader t run frame)
+
+(* The active run ended: resume the reader it was entered from — the
+   newest resident one, else the newest spilled one (spilled readers
+   are all older than resident ones), else none: back at the root. *)
+let resume t a =
+  let out_stack = t.t_session.Session.out_stack in
+  if not (Extmem.Deque.is_empty t.resident) then begin
+    t.spare <- a.frame :: t.spare;
+    t.active <- Some (Extmem.Deque.pop_back t.resident)
+  end
+  else if not (Extmem.Ext_stack.is_empty out_stack) then begin
+    let run, off = decode_out_loc (Extmem.Ext_stack.pop out_stack) in
+    let r = open_reader t run a.frame in
+    Extmem.Block_reader.seek r.reader off;
+    t.active <- Some r
+  end
+  else begin
+    t.spare <- a.frame :: t.spare;
+    t.active <- None
+  end
+
+(* Return every frame; idempotent, and safe mid-traversal (a fault or
+   an abandoned stream). *)
+let traversal_close t =
+  let give f = Extmem.Frame_arena.give t.t_session.Session.arena f in
+  Option.iter (fun r -> give r.frame) t.active;
+  t.active <- None;
+  Extmem.Deque.iter (fun r -> give r.frame) t.resident;
+  Extmem.Deque.clear t.resident;
+  List.iter give t.spare;
+  t.spare <- [];
+  Extmem.Frame_arena.close_lease t.lease;
+  Option.iter (List.iter Extmem.Ext_stack.restore) t.lent;
+  t.lent <- Some []
+
 (* Event expansion: encoded entries in final document order become XML
    events.  Run pointers trigger the depth-first traversal of the
-   pointed run in place, driven by the external output-location stack;
-   End events are synthesized from level transitions via the open-tag
-   recovery stack of §3.2 — O(height) internal state.  This is the
-   generic transform behind both the fused and the materialised output
-   path, and behind {!stream_events}. *)
-let event_stream st entries =
+   pointed run in place ([traversal]); End events are synthesized from
+   level transitions via the open-tag recovery stack of §3.2 — O(height)
+   internal state.  This is the generic transform behind both the fused
+   and the materialised output path, and behind {!stream_events}; its
+   close returns the traversal's frames and closes [entries]. *)
+let event_stream st (entries : string Pipe.opened) =
   let session = st.session in
-  let out_stack = session.Session.out_stack in
+  let tr = traversal_open session in
   let pending : Xmlio.Event.t Queue.t = Queue.create () in
   let opens : (string * int) Extmem.Vec.t = Extmem.Vec.create () in
-  let reader = ref None in (* (block reader, its run id) during run DFS *)
   let finished = ref false in
   let close_to level =
     while Extmem.Vec.length opens > 0 && snd (Extmem.Vec.top opens) >= level do
@@ -471,33 +605,19 @@ let event_stream st entries =
         Extmem.Vec.push opens (name, level)
     | Entry.End _ -> () (* already closed by close_to *)
     | Entry.Text { content; _ } -> Queue.push (Xmlio.Event.Text content) pending
-    | Entry.Run_ptr { run; _ } ->
-        (* descend; remember where to resume in the enclosing run *)
-        (match !reader with
-        | Some (r, cur) ->
-            Extmem.Ext_stack.push out_stack
-              (encode_out_loc cur (Extmem.Block_reader.position r))
-        | None -> ());
-        reader := Some (Extmem.Run_store.open_run session.Session.runs run, run)
+    | Entry.Run_ptr { run; _ } -> descend tr run
   in
   let rec next () =
     if not (Queue.is_empty pending) then Some (Queue.pop pending)
     else if !finished then None
     else begin
-      (match !reader with
-      | Some (r, _) -> (
-          match Extmem.Block_reader.read_record r with
+      (match tr.active with
+      | Some a -> (
+          match Extmem.Block_reader.read_record a.reader with
           | Some payload -> handle payload
-          | None ->
-              if Extmem.Ext_stack.is_empty out_stack then reader := None
-              else begin
-                let run, off = decode_out_loc (Extmem.Ext_stack.pop out_stack) in
-                let r = Extmem.Run_store.open_run session.Session.runs run in
-                Extmem.Block_reader.seek r off;
-                reader := Some (r, run)
-              end)
+          | None -> resume tr a)
       | None -> (
-          match entries () with
+          match entries.Pipe.pull () with
           | Some payload -> handle payload
           | None ->
               close_to 1;
@@ -505,10 +625,13 @@ let event_stream st entries =
       next ()
     end
   in
-  fun () ->
+  let pull () =
     (* cancellation checkpoint: one poll per pulled output event *)
     session.Session.poll ();
     next ()
+  in
+  let close () = Fun.protect ~finally:entries.Pipe.close (fun () -> traversal_close tr) in
+  { Pipe.pull; close }
 
 (* The terminal pipeline stage: XML events into the serialized document.
    The close flushes the block writer before validating writer depth, so
@@ -717,8 +840,7 @@ let sort_device ~session ~ordering ~input ~output () =
     (fun () ->
       in_span st "output" (fun () ->
           Pipe.run_opened ~spans:st.spans ~budget:session.Session.budget
-            { Pipe.pull = event_stream st entries.Pipe.pull; close = entries.Pipe.close }
-            (writer_sink output));
+            (event_stream st entries) (writer_sink output));
       build_report st
         ~input_io:(Extmem.Io_stats.snapshot (Extmem.Device.stats input))
         ~output_io:(Extmem.Io_stats.snapshot (Extmem.Device.stats output))
@@ -738,11 +860,12 @@ type stream = {
 
 let open_stream ~session ~ordering ~input () =
   let st, entries, t0 = open_session ~session ~ordering ~input () in
+  let events = event_stream st entries in
   {
     s_st = st;
     s_input = input;
-    s_events = event_stream st entries.Pipe.pull;
-    s_close = entries.Pipe.close;
+    s_events = events.Pipe.pull;
+    s_close = events.Pipe.close;
     s_t0 = t0;
     s_report = None;
   }

@@ -15,8 +15,12 @@
     sort comes from.
 
     {b Output phase}: the collapsed document is a tree of sorted runs
-    connected by run pointers; an explicit depth-first traversal driven by
-    an external output-location stack streams it back out as XML text.
+    connected by run pointers; an explicit depth-first traversal streams
+    it back out as XML text.  A reader suspended at a run pointer stays
+    resident, on a frame of the session arena's ["run traversal"] lease,
+    so resuming it costs no I/O; only when the budget has no frame for a
+    descent is the oldest one spilled onto the external output-location
+    stack, the paper's [(run, offset)] entry, and re-read on resume.
 
     {b Extensions} (§3.2), all selectable via {!Config.t}: graceful
     degeneration into external merge sort on flat inputs (incomplete

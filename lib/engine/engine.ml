@@ -262,8 +262,6 @@ let cancel t (flag : bool Atomic.t) =
 
 let cancel_flag (j : job) = j.j_cancel
 
-let cancel_job t (j : job) = cancel t j.j_cancel
-
 let session t (j : job) =
   let pool = match (t.pool, j.j_ext) with Some p, Some eb -> Some (p, eb) | _ -> None in
   Nexsort.Session.create ~budget:j.j_budget ?pool

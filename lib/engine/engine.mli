@@ -19,7 +19,7 @@
     breaks ties), and nobody skips ahead of a queued job the budget
     cannot yet fit — a stream of small jobs cannot starve a large one.
 
-    {b Cancellation} is cooperative: {!cancel_job} flips the job's flag;
+    {b Cancellation} is cooperative: {!cancel} flips the job's flag;
     its session polls the flag at scan and output checkpoints and raises
     {!Cancelled}, after which the normal teardown path (session destroy,
     pool-view close, {!release}) returns every block. *)
@@ -137,9 +137,6 @@ val cancel : t -> bool Atomic.t -> unit
     a running one raises at its next poll checkpoint.  Safe from any
     thread. *)
 
-val cancel_job : t -> job -> unit
-(** {!cancel} via the job handle. *)
-
 val cancel_flag : job -> bool Atomic.t
 (** The job's cancellation flag. *)
 
@@ -171,10 +168,7 @@ val leaked_blocks : t -> int
 (** Total blocks force-reclaimed from faulted jobs so far (the value of
     the [engine.leaked_blocks] counter). *)
 
-val metrics_json : t -> Obs.Json.t
-(** The registry snapshot as one flat JSON object (integral values
-    render as ints). *)
-
 val job_json : t -> job -> Obs.Json.t
 (** The per-job ["job"] report section: job name, tenant, queue wait and
-    the {!metrics_json} snapshot at report time. *)
+    the engine's {!registry} snapshot at report time, as one flat
+    object (integral values render as ints). *)

@@ -3,9 +3,10 @@
     Holds exactly one internal-memory block as its buffer; a block read is
     issued each time the stream crosses a block boundary, so scanning [n]
     bytes costs [ceil(n / block_size)] I/Os.  {!seek} supports the output
-    phase of NEXSORT, which resumes reading a sorted run just after the
-    location where a run pointer was found: seeking to a byte offset costs
-    at most one block read (for the block containing the offset). *)
+    phase of NEXSORT, which resumes a spilled run reader (one the budget
+    could not keep resident) just after the location where a run pointer
+    was found: seeking to a byte offset costs at most one block read (for
+    the block containing the offset). *)
 
 type t
 

@@ -9,8 +9,9 @@
     Memory is held as a {b lease}: a named reservation of [n] frames
     with elastic grow/shrink.  The arena owns no page layout and no
     cache: the components that hold frames (stack windows, stream
-    buffers, run-formation arenas, merge fan-in, {!Btree}'s buffer
-    pool) each manage their own blocks on their lease.
+    buffers, run-formation arenas, merge fan-in, the output phase's run
+    readers, {!Btree}'s buffer pool) each manage their own blocks on
+    their lease.
 
     Every reservation is recorded under its owner's [who] label, so
     budget exhaustion names the holders and the per-owner held/peak

@@ -39,9 +39,6 @@ let merge ?arena ?who ~cmp ~inputs ~output () =
   | None -> body ()
   | Some a -> Extmem.Frame_arena.with_lease a ~who k (fun _ -> body ())
 
-let merge_list ?arena ?who ~cmp ~inputs ~output () =
-  merge ?arena ?who ~cmp ~inputs:(Array.of_list inputs) ~output ()
-
 let merge_pull ?arena ?lease ?who ~cmp ~inputs () =
   let k = Array.length inputs in
   let who = match who with Some w -> w | None -> default_who k in

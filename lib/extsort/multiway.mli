@@ -30,15 +30,6 @@ val merge :
 
     @raise Extmem.Memory_budget.Exhausted when the fan-in does not fit. *)
 
-val merge_list :
-  ?arena:Extmem.Frame_arena.t ->
-  ?who:string ->
-  cmp:(string -> string -> int) ->
-  inputs:(unit -> string option) list ->
-  output:(string -> unit) ->
-  unit ->
-  unit
-
 val merge_pull :
   ?arena:Extmem.Frame_arena.t ->
   ?lease:Extmem.Frame_arena.lease ->

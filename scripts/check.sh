@@ -79,8 +79,11 @@ dune exec bench/main.exe -- compare-metrics $tmp/par4.json $tmp/par1.json
 # documents) and verbatim copies (--depth-limit 1) — the default, the
 # unfused and the --jobs 4 outputs must be byte-identical, and the -j1
 # and -j4 reports' io sections pinned equal (both compare directions).
+# The deep smoke shape at -t 1024 nests runs two deep, so the output
+# phase suspends a reader at a run pointer and resumes it from memory.
 dune exec bin/xmlgen_cli.exe -- --seed 7 --fanouts 3000 --avg-bytes 120 -o $tmp/flat.xml \
   > /dev/null 2>&1
+dune exec bin/xmlgen_cli.exe -- --seed 1 --fanouts 6,6,6,4,2,2 -o $tmp/deep.xml > /dev/null 2>&1
 dune exec bin/xmlgen_cli.exe -- --seed 9 --fanouts 3,1500 --avg-bytes 120 -o $tmp/f31500.xml \
   > /dev/null 2>&1
 fence=0
@@ -109,6 +112,7 @@ f31500.xml -O @id
 f31500.xml --no-degeneration -O @id
 f31500.xml --no-degeneration -O text
 f31500.xml --depth-limit 1 -O @id
+deep.xml -t 1024 -O @id
 EOF
 
 # Engine smoke: the multi-tenant daemon must serve interleaved jobs from

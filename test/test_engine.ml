@@ -354,6 +354,82 @@ let test_borrow_stays_inside_carve () =
     (Extmem.Memory_budget.used_blocks (Engine.budget eng));
   Engine.destroy eng
 
+(* The socket daemon outlives a client that hangs up before its reply.
+   Client 0 keeps the daemon (one connection at a time) busy while
+   client 1 connects, asks for the status and hangs up, so the reply to
+   client 1 is written after it has gone: EPIPE, which must close that
+   connection only.  Client 2 is then served, and its quit drains the
+   engine. *)
+let test_daemon_survives_client_hang_up () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let exe = Filename.concat (Sys.getcwd ()) "../bin/nexsortd.exe" in
+  let dir = Filename.temp_dir "nexsortd" "" in
+  let path = Filename.concat dir "d.sock" in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process exe [| exe; "--memory"; "8"; "--socket"; path |] devnull devnull devnull
+  in
+  let connect () =
+    let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.setsockopt_float s Unix.SO_RCVTIMEO 10.;
+    match Unix.connect s (Unix.ADDR_UNIX path) with
+    | () -> Some s
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
+        Unix.close s;
+        None
+  in
+  let rec connect_when_listening tries =
+    match connect () with
+    | Some s -> s
+    | None when tries > 0 ->
+        Unix.sleepf 0.05;
+        connect_when_listening (tries - 1)
+    | None -> Alcotest.fail "the daemon is not listening"
+  in
+  let send s line = ignore (Unix.write_substring s line 0 (String.length line)) in
+  let read_all s =
+    let buf = Buffer.create 256 and chunk = Bytes.create 256 in
+    let rec go () =
+      match Unix.read s chunk 0 256 with
+      | 0 -> Buffer.contents buf
+      | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          go ()
+    in
+    go ()
+  in
+  let status = "engine: 0 running, 0 waiting, 0 admitted, 0 completed; leaked blocks: 0\n" in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      Unix.close devnull;
+      (try Sys.remove path with Sys_error _ -> ());
+      Sys.rmdir dir)
+    (fun () ->
+      let c0 = connect_when_listening 200 in
+      send c0 "status\n";
+      let got = Bytes.create (String.length status) in
+      check Alcotest.int "client 0 is being served" (String.length status)
+        (Unix.read c0 got 0 (Bytes.length got));
+      let c1 = connect_when_listening 0 in
+      send c1 "status\n";
+      Unix.close c1;
+      Unix.close c0;
+      let c2 =
+        match connect () with
+        | Some s -> s
+        | None -> Alcotest.fail "the daemon died with the client that hung up"
+      in
+      send c2 "status\nquit\n";
+      check Alcotest.string "the next client is served, and nothing leaked"
+        (status ^ "0 jobs: 0 done, 0 cancelled, 0 failed; leaked blocks: 0\n")
+        (read_all c2);
+      Unix.close c2;
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED code -> check Alcotest.int "clean exit" 0 code
+      | _ -> Alcotest.fail "the daemon was killed")
+
 let () =
   Alcotest.run "engine"
     [
@@ -382,5 +458,10 @@ let () =
         [
           Alcotest.test_case "borrowing stays inside the carve" `Quick
             test_borrow_stays_inside_carve;
+        ] );
+      ( "daemon",
+        [
+          Alcotest.test_case "socket client hangs up before its reply" `Quick
+            test_daemon_survives_client_hang_up;
         ] );
     ]

@@ -492,6 +492,144 @@ let test_flat_merge_borrows_stack_windows () =
       ignore (Nexsort.stream_finish s);
       windows_restored "after an abandoned root stream" session)
 
+(* The output phase keeps suspended run readers resident: resuming one
+   costs no I/O, and only the readers the budget cannot hold are spilled
+   onto the output-location stack, to be re-read at their offset. *)
+let test_run_traversal_reads_each_block_once () =
+  let runs_reads (r : Nexsort.report) =
+    (List.assoc "runs" r.Nexsort.breakdown).Extmem.Io_stats.reads
+  in
+  let runs_writes (r : Nexsort.report) =
+    (List.assoc "runs" r.Nexsort.breakdown).Extmem.Io_stats.writes
+  in
+  let traversal_peak session =
+    match List.assoc_opt "run traversal" (Extmem.Frame_arena.owners session.Nexsort.Session.arena) with
+    | Some s -> s.Extmem.Frame_arena.peak
+    | None -> 0
+  in
+  let clean what session =
+    check (Alcotest.list Alcotest.string) (what ^ ": nothing leaked or lent") []
+      (Verify.Probes.check_session session);
+    List.iter
+      (fun st -> check Alcotest.bool (what ^ ": window restored") false (Extmem.Ext_stack.lent st))
+      Nexsort.Session.[ session.data_stack; session.path_stack; session.out_stack ]
+  in
+  (* [sort config xml f]: sort on a fresh session, then [f session report] *)
+  let sort config xml f =
+    let bs = config.Config.block_size in
+    let output = Extmem.Device.in_memory ~block_size:bs () in
+    Engine.with_session config (fun session ->
+        let r =
+          Nexsort.sort_device ~session ~ordering:by_id
+            ~input:(Extmem.Device.of_string ~block_size:bs xml) ~output ()
+        in
+        check Alcotest.bool "budget peak within M" true
+          (Extmem.Memory_budget.peak_blocks session.Nexsort.Session.budget
+          <= config.Config.memory_blocks);
+        clean "after the sort" session;
+        f session r;
+        Extmem.Device.contents output)
+  in
+  (* a deep-shaped document: run nesting 2, every reader resident *)
+  let deep, _ =
+    Xmlgen.Gen.to_string (fun sink ->
+        Xmlgen.Gen.exact_shape ~seed:1 ~fanouts:[ 6; 6; 6; 4; 2; 2 ] sink)
+  in
+  let sorted =
+    sort (Config.make ~block_size:1024 ~memory_blocks:8 ()) deep (fun session r ->
+        check Alcotest.int "a reader was suspended" 2 (traversal_peak session);
+        check Alcotest.int "nothing spilled" 0
+          (Extmem.Ext_stack.pushes session.Nexsort.Session.out_stack);
+        check Alcotest.int "runs written once" r.Nexsort.run_blocks (runs_writes r);
+        check Alcotest.int "runs read once" r.Nexsort.run_blocks (runs_reads r))
+  in
+  check Alcotest.string "deep: byte-identical to Tree_sort"
+    (Baselines.Tree_sort.sort_string by_id deep) sorted;
+  (* a spine of 50 nested runs at M = 8: the budget holds four readers,
+     so the oldest are spilled, and each resume of a spilled reader
+     re-reads the block at its offset (two offsets fall on a block
+     boundary and re-read nothing) *)
+  let spine, _ =
+    Xmlgen.Gen.to_string (fun sink ->
+        Xmlgen.Gen.adversarial ~k:8 ~n_elements:400 ~avg_bytes:60 sink)
+  in
+  let config = tiny_config () in
+  let expected = Baselines.Tree_sort.sort_string by_id spine in
+  let sorted =
+    sort config spine (fun session r ->
+        check Alcotest.int "four readers resident at most" 4 (traversal_peak session);
+        check Alcotest.int "spilled readers" 45
+          (Extmem.Ext_stack.pushes session.Nexsort.Session.out_stack);
+        check Alcotest.int "run blocks" 469 r.Nexsort.run_blocks;
+        check Alcotest.int "runs read once, spilled resumes again" (469 + 43) (runs_reads r);
+        check Alcotest.int "total I/O" 1619 (Extmem.Io_stats.total r.Nexsort.total_io))
+  in
+  check Alcotest.string "spine: byte-identical to Tree_sort" expected sorted;
+  let input () = Extmem.Device.of_string ~block_size:config.Config.block_size spine in
+  let held session =
+    match List.assoc_opt "run traversal" (Extmem.Frame_arena.owners session.Nexsort.Session.arena) with
+    | Some s -> s.Extmem.Frame_arena.held
+    | None -> 0
+  in
+  let drain s =
+    let rec go acc =
+      match Nexsort.stream_events s with Some e -> go (e :: acc) | None -> List.rev acc
+    in
+    go []
+  in
+  (* with one frame and no more — the rest of the budget taken, the
+     idle windows already lent — every nested descent spills the
+     enclosing reader and every resume re-reads: the paper's traversal,
+     I/O for I/O *)
+  let streamed =
+    Engine.with_session config (fun session ->
+        let s = Nexsort.open_stream ~session ~ordering:by_id ~input:(input ()) () in
+        let budget = session.Nexsort.Session.budget in
+        let windows = Nexsort.Session.[ session.data_stack; session.path_stack ] in
+        List.iter Extmem.Ext_stack.lend windows;
+        let hog = Extmem.Memory_budget.available_blocks budget - 1 in
+        Extmem.Memory_budget.reserve budget ~who:"test hog" hog;
+        let events = drain s in
+        check Alcotest.int "one frame leased" 1 (traversal_peak session);
+        check Alcotest.int "every nested descent spilled" 48
+          (Extmem.Ext_stack.pushes session.Nexsort.Session.out_stack);
+        Extmem.Memory_budget.release budget ~who:"test hog" hog;
+        List.iter Extmem.Ext_stack.restore windows;
+        let r = Nexsort.stream_finish s in
+        check Alcotest.int "every resume re-read" (469 + 46) (runs_reads r);
+        clean "after a starved traversal" session;
+        events)
+  in
+  check Alcotest.bool "starved traversal: same events" true
+    (streamed = Xmlio.Tree.to_events (parse expected));
+  (* a run read faults while readers are resident and spilled *)
+  Engine.with_session config (fun session ->
+      Extmem.Device.push_layer
+        (Extmem.Run_store.device session.Nexsort.Session.runs)
+        (Extmem.Layer.fault_hook (fun op _ ->
+             op = Extmem.Backend.Read
+             && held session >= 3
+             && Extmem.Ext_stack.pushes session.Nexsort.Session.out_stack > 0));
+      (match
+         Nexsort.sort_device ~session ~ordering:by_id ~input:(input ())
+           ~output:(Extmem.Device.in_memory ~block_size:config.Config.block_size ()) ()
+       with
+      | _ -> Alcotest.fail "expected Device.Fault"
+      | exception Extmem.Device.Fault (Extmem.Device.Read, _) -> ());
+      clean "after a fault mid-descent" session);
+  (* a stream abandoned with readers resident *)
+  Engine.with_session config (fun session ->
+      let s = Nexsort.open_stream ~session ~ordering:by_id ~input:(input ()) () in
+      let rec until_resident () =
+        if held session < 3 then
+          match Nexsort.stream_events s with
+          | Some _ -> until_resident ()
+          | None -> Alcotest.fail "no reader was suspended"
+      in
+      until_resident ();
+      ignore (Nexsort.stream_finish s);
+      clean "after an abandoned stream" session)
+
 let test_sort_nested_fragmented_elements () =
   (* a fragmented element nested between fragments of its fragmented
      parent: the child's ids sit above the parent's frame and must come
@@ -1391,6 +1529,8 @@ let () =
             test_sort_flat_fragments_path_stack_constant;
           Alcotest.test_case "flat merge borrows the stack windows" `Quick
             test_flat_merge_borrows_stack_windows;
+          Alcotest.test_case "run traversal reads each run block once" `Quick
+            test_run_traversal_reads_each_block_once;
           Alcotest.test_case "nested fragmented elements" `Quick
             test_sort_nested_fragmented_elements;
           Alcotest.test_case "subtree-derived keys" `Quick test_sort_subtree_keys;
