@@ -119,10 +119,12 @@ let encoding_term =
   in
   Arg.(
     value
-    & opt (Arg.enum encodings) Nexsort.Config.Dict
+    & opt (some (Arg.enum encodings)) None
     & info [ "encoding" ] ~docv:"ENC"
         ~doc:"Entry encoding: $(b,plain), $(b,dict) (name compression) or $(b,packed) (dict + \
-              end-tag elimination; scan-evaluable orderings only).")
+              end-tag elimination; scan-evaluable orderings only).  Default: $(b,packed) when \
+              every key of the ordering is known at its start tag (no $(b,text) or descendant \
+              path criterion), $(b,dict) otherwise.")
 
 let no_fuse_term =
   Arg.(
@@ -175,13 +177,13 @@ let config_term =
              identical for every value; 1 (the default) runs fully single-threaded.")
   in
   let build block_size memory_blocks threshold depth_limit no_degeneration keep_whitespace no_fuse
-      encoding jobs =
+      encoding ordering jobs =
     (* Config.make rejects inconsistent sizes; surface that as a clean
        one-line CLI error instead of an uncaught exception *)
     match
       Nexsort.Config.make ~block_size ~memory_blocks ?threshold ?depth_limit
-        ~degeneration:(not no_degeneration) ~root_fusion:(not no_fuse) ~encoding ~keep_whitespace
-        ~jobs ()
+        ~degeneration:(not no_degeneration) ~root_fusion:(not no_fuse) ?encoding ~ordering
+        ~keep_whitespace ~jobs ()
     with
     | config -> Ok config
     | exception Invalid_argument msg -> Error msg
@@ -189,7 +191,7 @@ let config_term =
   Term.term_result'
     Term.(
       const build $ block_size $ memory_blocks $ threshold $ depth_limit $ no_degeneration
-      $ keep_whitespace $ no_fuse_term $ encoding_term $ jobs)
+      $ keep_whitespace $ no_fuse_term $ encoding_term $ ordering_term $ jobs)
 
 let device_term =
   let parse s =

@@ -41,10 +41,14 @@ let differential_config ~seed i =
   let scan = Ordering.all_scan_evaluable ordering in
   let block_size = [| 512; 1024; 4096 |].(Xmlgen.Splitmix.int rng 3) in
   let memory_blocks = [| 8; 16; 64 |].(Xmlgen.Splitmix.int rng 3) in
+  (* [None]: no encoding given, so the config resolves it from the
+     ordering (packed when scan-evaluable, dict otherwise) *)
   let encoding =
-    if scan && i mod 6 = 0 then Nexsort.Config.Packed
-    else if i mod 6 = 3 then Nexsort.Config.Plain
-    else Nexsort.Config.Dict
+    match i mod 6 with
+    | 0 when scan -> Some Nexsort.Config.Packed
+    | 1 | 4 -> None
+    | 3 -> Some Nexsort.Config.Plain
+    | _ -> Some Nexsort.Config.Dict
   in
   let depth_limit = if i mod 7 = 5 then Some 2 else None in
   let device =
@@ -55,13 +59,16 @@ let differential_config ~seed i =
      appears, so parallel runs are differentially checked on every path *)
   let jobs = [| 1; 2; 4 |].(i / 4 mod 3) in
   let config =
-    Nexsort.Config.make ~block_size ~memory_blocks ?depth_limit ~root_fusion:fuse ~encoding
-      ~device ~jobs ()
+    Nexsort.Config.make ~block_size ~memory_blocks ?depth_limit ~root_fusion:fuse ?encoding
+      ~ordering ~device ~jobs ()
   in
   let cli_flags =
-    Printf.sprintf "-O '%s' -B %d -M %d --encoding %s --jobs %d%s%s%s" ordering_spec block_size
-      memory_blocks
-      (match encoding with Plain -> "plain" | Dict -> "dict" | Packed -> "packed")
+    Printf.sprintf "-O '%s' -B %d -M %d%s --jobs %d%s%s%s" ordering_spec block_size memory_blocks
+      (match encoding with
+      | None -> ""
+      | Some Plain -> " --encoding plain"
+      | Some Dict -> " --encoding dict"
+      | Some Packed -> " --encoding packed")
       jobs
       (if fuse then "" else " --no-fuse")
       (match depth_limit with None -> "" | Some d -> Printf.sprintf " -d %d" d)

@@ -17,10 +17,12 @@
    so a budget too small for the submitted set exercises queuing, not
    failure.  "wait" (and end of input) joins every job and reports each
    outcome in submission order — the deterministic sequence point the
-   cram tests and check.sh gate on.  Malformed requests and cancels of
-   unknown jobs are one-line errors with exit 124 (the CLI convention);
-   end of input with jobs still queued is a clean shutdown: everything
-   completes, then the summary and exit 0/1.
+   cram tests and check.sh gate on.  In a job file or on stdin,
+   malformed requests and cancels of unknown jobs are one-line errors
+   with exit 124 (the CLI convention); on a socket they get one
+   "error: ..." reply line and the daemon keeps serving.  End of input
+   with jobs still queued is a clean shutdown: everything completes,
+   then the summary and exit 0/1.
 
    The scheduler is the point, not the wire format: the socket mode
    serves the same line protocol to one client at a time. *)
@@ -347,36 +349,23 @@ let submit out d request =
   Printf.fprintf out "[%d] queued %s tenant=%s\n" id label tenant;
   flush out
 
-(* One request line.  [`Continue] keeps reading; [`Quit code] drains and
-   exits. *)
+(* One request line.  [`Continue] keeps reading; [`Bad msg] refuses the
+   line (an unknown request, bad arguments, a cancel of an unknown job);
+   [`Quit] drains and exits. *)
 let process_line out d line =
+  let submit_request cmd args =
+    match eval_request cmd args with
+    | Ok req ->
+        submit out d req;
+        `Continue
+    | Error msg -> `Bad msg
+  in
   match tokens line with
   | [] -> `Continue
   | cmd :: _ when String.length cmd > 0 && cmd.[0] = '#' -> `Continue
-  | "sort" :: args -> (
-      match eval_request sort_cmd args with
-      | Ok req ->
-          submit out d req;
-          `Continue
-      | Error msg ->
-          Printf.eprintf "nexsortd: %s\n%!" msg;
-          `Quit 124)
-  | "merge" :: args -> (
-      match eval_request merge_cmd args with
-      | Ok req ->
-          submit out d req;
-          `Continue
-      | Error msg ->
-          Printf.eprintf "nexsortd: %s\n%!" msg;
-          `Quit 124)
-  | "update" :: args -> (
-      match eval_request update_cmd args with
-      | Ok req ->
-          submit out d req;
-          `Continue
-      | Error msg ->
-          Printf.eprintf "nexsortd: %s\n%!" msg;
-          `Quit 124)
+  | "sort" :: args -> submit_request sort_cmd args
+  | "merge" :: args -> submit_request merge_cmd args
+  | "update" :: args -> submit_request update_cmd args
   | [ "cancel"; id ] -> (
       match Option.bind (int_of_string_opt id) (find_job d) with
       | Some e ->
@@ -384,9 +373,7 @@ let process_line out d line =
           Printf.fprintf out "[%d] cancel requested\n" e.e_id;
           flush out;
           `Continue
-      | None ->
-          Printf.eprintf "nexsortd: cancel: unknown job %s\n%!" id;
-          `Quit 124)
+      | None -> `Bad ("cancel: unknown job " ^ id))
   | [ "status" ] ->
       Printf.fprintf out "engine: %d running, %d waiting, %d admitted, %d completed; leaked blocks: %d\n"
         (counter_value d "engine.running_jobs")
@@ -399,18 +386,17 @@ let process_line out d line =
   | [ "wait" ] ->
       wait_all out d;
       `Continue
-  | [ "quit" ] -> `Quit (-1)  (* clean drain, exit by summary *)
-  | cmd :: _ ->
-      Printf.eprintf "nexsortd: unknown request %S\n%!" cmd;
-      `Quit 124
+  | [ "quit" ] -> `Quit
+  | cmd :: _ -> `Bad (Printf.sprintf "unknown request %S" cmd)
 
 (* Drain the daemon: cancel nothing, let queued jobs complete, report
-   them, summarize.  [forced] (bad request) cancels whatever is still
-   outstanding first so the process can exit promptly with 124.  Every
+   them, summarize, and return the exit code: 1 if a job failed, else 0.
+   [forced] (a bad request in a job file or on stdin) cancels whatever is
+   still outstanding first so the process can exit promptly with 124.  Every
    job is joined before the report, which is best effort: a socket
    client may hang up before it, and the engine is torn down all the
    same. *)
-let shutdown ?(forced = false) out d code =
+let shutdown ?(forced = false) out d =
   if forced then
     List.iter
       (fun e -> if e.e_outcome = None then Engine.cancel d.engine e.e_cancel)
@@ -421,7 +407,7 @@ let shutdown ?(forced = false) out d code =
      summarize out d
    with Sys_error _ -> ());
   Engine.destroy d.engine;
-  if code >= 0 then code else if failed d > 0 then 1 else 0
+  if forced then 124 else if failed d > 0 then 1 else 0
 
 let serve_channel out d ic =
   let rec loop () =
@@ -429,8 +415,11 @@ let serve_channel out d ic =
     | line -> (
         match process_line out d line with
         | `Continue -> loop ()
-        | `Quit code -> shutdown ~forced:(code >= 0) out d code)
-    | exception End_of_file -> shutdown out d (-1)
+        | `Bad msg ->
+            Printf.eprintf "nexsortd: %s\n%!" msg;
+            shutdown ~forced:true out d
+        | `Quit -> shutdown out d)
+    | exception End_of_file -> shutdown out d
   in
   loop ()
 
@@ -439,9 +428,11 @@ let serve_channel out d ic =
    writes into a reused descriptor. *)
 let hang_up out = close_out_noerr out
 
-(* One connection at a time.  SIGPIPE is ignored, so a client that hangs
-   up before its reply surfaces as [Sys_error] (EPIPE) on that
-   connection's channel: the daemon closes it and accepts the next. *)
+(* One connection at a time.  A bad request gets one error line on its
+   connection, and the daemon keeps serving: other clients' jobs are not
+   touched.  SIGPIPE is ignored, so a client that hangs up before its
+   reply surfaces as [Sys_error] (EPIPE) on that connection's channel:
+   the daemon closes it and accepts the next. *)
 let serve_socket path d =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -456,10 +447,16 @@ let serve_socket path d =
     let rec conn_loop () =
       match input_line ic with
       | line -> (
-          match process_line out d line with
+          match
+            match process_line out d line with
+            | `Bad msg ->
+                Printf.fprintf out "error: %s\n%!" msg;
+                `Continue
+            | (`Continue | `Quit) as r -> r
+          with
           | `Continue -> conn_loop ()
-          | `Quit code ->
-              let code = shutdown ~forced:(code >= 0) out d code in
+          | `Quit ->
+              let code = shutdown out d in
               hang_up out;
               (try Unix.unlink path with Unix.Unix_error _ -> ());
               Some code

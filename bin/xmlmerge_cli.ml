@@ -36,7 +36,7 @@ let run ordering presorted update_mode ingest_mode flush_every indexed device no
     ok
   in
   try
-    let config = Nexsort.Config.make ?device ~tracer () in
+    let config = Nexsort.Config.make ?device ~ordering ~tracer () in
     match () with
     | _ when ingest_mode && (update_mode || indexed || presorted) ->
         `Error (false, "--ingest does not compose with --update/--indexed/--presorted")

@@ -20,9 +20,17 @@ type t = {
 }
 
 let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(degeneration = true)
-    ?(root_fusion = true) ?(encoding = Dict) ?data_stack_blocks ?(path_stack_blocks = 2)
+    ?(root_fusion = true) ?encoding ?ordering ?data_stack_blocks ?(path_stack_blocks = 2)
     ?(keep_whitespace = false) ?(device = Extmem.Device_spec.default) ?(jobs = 1)
     ?(tracer = Obs.Tracer.null) () =
+  (* End-tag elimination needs every key known at its start tag; without
+     an ordering to check, the encoding stays [Dict]. *)
+  let encoding =
+    match (encoding, ordering) with
+    | Some e, _ -> e
+    | None, Some o when Ordering.all_scan_evaluable o -> Packed
+    | None, (Some _ | None) -> Dict
+  in
   let threshold = Option.value threshold ~default:(2 * block_size) in
   (* The data stack oscillates: entries accumulate until a subtree reaches
      the threshold and is truncated away.  A window that covers twice the

@@ -62,6 +62,7 @@ val make :
   ?degeneration:bool ->
   ?root_fusion:bool ->
   ?encoding:encoding ->
+  ?ordering:Ordering.t ->
   ?data_stack_blocks:int ->
   ?path_stack_blocks:int ->
   ?keep_whitespace:bool ->
@@ -71,8 +72,14 @@ val make :
   unit ->
   t
 (** Defaults: 4 KiB blocks, 64 memory blocks, threshold [2 * block_size],
-    no depth limit, degeneration and root fusion on, [Dict] encoding, 2 path-stack
-    resident blocks, whitespace dropped, 1 job.  The data-stack window
+    no depth limit, degeneration and root fusion on, 2 path-stack
+    resident blocks, whitespace dropped, 1 job.  Without [encoding] the
+    encoding follows [ordering], the ordering the config will sort by:
+    [Packed] when it is {!Ordering.all_scan_evaluable} (every key is known
+    at its start tag, so end tags can be dropped), [Dict] otherwise or
+    when no ordering is given.  An explicit [encoding] is kept as given;
+    [Packed] with a subtree-derived key is rejected by
+    {!validate_ordering}.  The data-stack window
     defaults to covering twice the threshold (so the stack's oscillation
     between subtree collapses stays resident), clamped so the fixed
     buffers and a 3-block sort arena still fit the memory budget.

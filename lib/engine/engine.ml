@@ -361,7 +361,8 @@ let with_session config f =
 let with_session_pair config f =
   with_engine ~slots:2 config (fun t -> run_pair t ~tenant:"local" config (fun _ ss -> f ss))
 
-let sort_string ?(config = Nexsort.Config.make ()) ~ordering s =
+let sort_string ?config ~ordering s =
+  let config = Option.value config ~default:(Nexsort.Config.make ~ordering ()) in
   let input = Nexsort.Config.scratch_device config ~name:"input" in
   Extmem.Device.load_string input s;
   let output = Nexsort.Config.scratch_device config ~name:"output" in

@@ -128,7 +128,8 @@ val sort_string :
   string ->
   string * Nexsort.report
 (** Sort a document held in a string on a one-job engine, over
-    in-memory devices of [config] (default {!Nexsort.Config.make}). *)
+    in-memory devices of [config] (default [Nexsort.Config.make ~ordering ()],
+    whose encoding follows the ordering). *)
 
 val cancel : t -> bool Atomic.t -> unit
 (** Flip a job's cancellation flag (the one passed to {!acquire} as

@@ -15,8 +15,6 @@ type run_formation =
    are cut. *)
 let record_overhead = 16
 
-let sorted_run_input reader () = Extmem.Block_reader.read_record reader
-
 (* Run-writer and run-reader block buffers come from the frame arena's
    pool; the covering reservation is the caller's lease (run formation,
    merge fan-in, ...), so pool traffic itself is not an accounting op. *)
@@ -144,7 +142,8 @@ let open_inputs fa store ids =
     (List.map
        (fun id ->
          let buffer = Extmem.Frame_arena.take fa bs in
-         sorted_run_input (Extmem.Run_store.open_run ~buffer store id))
+         let reader = Extmem.Run_store.open_run ~buffer store id in
+         fun () -> Extmem.Block_reader.read_record reader)
        ids)
 
 let batches fan_in ids =

@@ -98,7 +98,3 @@ val sort :
 
     @raise Extmem.Memory_budget.Exhausted when fewer than 3 blocks are
     free. *)
-
-val sorted_run_input : Extmem.Block_reader.t -> unit -> string option
-(** Adapter: read framed records back from a run written by this module
-    (or any {!Extmem.Block_writer.write_record} stream). *)

@@ -501,7 +501,8 @@ let create_device ~session ~ordering ~base () =
     destroyed = false;
   }
 
-let create ?(config = Nexsort.Config.make ()) ~ordering ~base () =
+let create ?config ~ordering ~base () =
+  let config = Option.value config ~default:(Nexsort.Config.make ~ordering ()) in
   let base = Extmem.Device.of_string ~block_size:config.Nexsort.Config.block_size base in
   Engine.with_session config (fun session -> create_device ~session ~ordering ~base ())
 

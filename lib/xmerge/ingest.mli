@@ -90,7 +90,8 @@ val create_device :
 
 val create : ?config:Nexsort.Config.t -> ordering:Nexsort.Ordering.t -> base:string -> unit -> t
 (** {!create_device} over an in-memory device holding the string [base],
-    on the session of a one-job engine ([Engine.with_session]). *)
+    on the session of a one-job engine ([Engine.with_session]) of
+    [config] (default [Nexsort.Config.make ~ordering ()]). *)
 
 val add_update : t -> string -> unit
 (** Parse an update document and buffer its operations.  No base I/O:

@@ -347,7 +347,8 @@ let sort_and_merge_devices ?(fuse = true) ~sessions:(sess_l, sess_r) ~pass ~orde
     merge_devices ~tracer ~pass ~ordering ~left ~right ~output ()
   end
 
-let sort_and_merge_strings ?(config = Nexsort.Config.make ()) ?fuse ~ordering left right =
+let sort_and_merge_strings ?config ?fuse ~ordering left right =
+  let config = Option.value config ~default:(Nexsort.Config.make ~ordering ()) in
   let block_size = config.Nexsort.Config.block_size in
   let output = Extmem.Device.in_memory ~name:"output" ~block_size () in
   let report =

@@ -124,4 +124,5 @@ val sort_and_merge_strings :
   string ->
   string * report
 (** {!sort_and_merge_devices} with {!merge} over in-memory devices, on
-    the session pair of [Engine.with_session_pair]. *)
+    the session pair of [Engine.with_session_pair] of [config] (default
+    [Nexsort.Config.make ~ordering ()]). *)

@@ -45,9 +45,9 @@ let of_events evs =
   if !rest <> [] then raise (Malformed "trailing events after the root element");
   t
 
-let of_parser p = of_next (fun () -> Parser.next p)
-
-let of_string ?keep_whitespace s = of_parser (Parser.of_string ?keep_whitespace s)
+let of_string ?keep_whitespace s =
+  let p = Parser.of_string ?keep_whitespace s in
+  of_next (fun () -> Parser.next p)
 
 let to_events t =
   let rec go acc = function

@@ -26,10 +26,8 @@ exception Malformed of string
 val of_events : Event.t list -> t
 (** Build the tree of the single root element of the stream. *)
 
-val of_parser : Parser.t -> t
-(** Drain a parser into a tree.  @raise Parser.Error on malformed XML. *)
-
 val of_string : ?keep_whitespace:bool -> string -> t
+(** Parse a document into a tree.  @raise Parser.Error on malformed XML. *)
 
 val to_events : t -> Event.t list
 

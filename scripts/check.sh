@@ -81,6 +81,9 @@ dune exec bench/main.exe -- compare-metrics $tmp/par4.json $tmp/par1.json
 # and -j4 reports' io sections pinned equal (both compare directions).
 # The deep smoke shape at -t 1024 nests runs two deep, so the output
 # phase suspends a reader at a run pointer and resumes it from memory.
+# An -O @id row also sorts with --encoding dict: the default there is
+# packed (end-tag elimination), and the encoding must not change the
+# output.
 dune exec bin/xmlgen_cli.exe -- --seed 7 --fanouts 3000 --avg-bytes 120 -o $tmp/flat.xml \
   > /dev/null 2>&1
 dune exec bin/xmlgen_cli.exe -- --seed 1 --fanouts 6,6,6,4,2,2 -o $tmp/deep.xml > /dev/null 2>&1
@@ -97,7 +100,16 @@ while read -r doc args; do
     < /dev/null > /dev/null
   dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args --jobs 4 --metrics $f.j4.json \
     -o $f.j4.xml $tmp/$doc < /dev/null > /dev/null
-  for m in nofuse j4; do
+  # An -O @id row runs packed by default; dict must write the same bytes.
+  # (The -O text rows run dict by default.)
+  modes="nofuse j4"
+  case "$args" in
+    *"-O @id"*)
+      dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args --encoding dict -o $f.dict.xml \
+        $tmp/$doc < /dev/null > /dev/null
+      modes="$modes dict" ;;
+  esac
+  for m in $modes; do
     cmp $f.xml $f.$m.xml || {
       echo "sort fence: $doc $args: the $m output differs" >&2; exit 1; }
   done

@@ -354,6 +354,82 @@ let test_borrow_stays_inside_carve () =
     (Extmem.Memory_budget.used_blocks (Engine.budget eng));
   Engine.destroy eng
 
+(* ---- the socket daemon, driven as a child process ---- *)
+
+let bin name = Filename.concat (Sys.getcwd ()) ("../bin/" ^ name)
+
+let connect path =
+  let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float s Unix.SO_RCVTIMEO 10.;
+  match Unix.connect s (Unix.ADDR_UNIX path) with
+  | () -> Some s
+  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
+      Unix.close s;
+      None
+
+let rec connect_when_listening path tries =
+  match connect path with
+  | Some s -> s
+  | None when tries > 0 ->
+      Unix.sleepf 0.05;
+      connect_when_listening path (tries - 1)
+  | None -> Alcotest.fail "the daemon is not listening"
+
+let send s line = ignore (Unix.write_substring s line 0 (String.length line))
+
+(* Everything until the daemon closes the connection. *)
+let read_all s =
+  let buf = Buffer.create 256 and chunk = Bytes.create 256 in
+  let rec go () =
+    match Unix.read s chunk 0 256 with
+    | 0 -> Buffer.contents buf
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+  in
+  go ()
+
+(* One reply line, without its newline. *)
+let read_line s =
+  let buf = Buffer.create 64 and c = Bytes.create 1 in
+  let rec go () =
+    match Unix.read s c 0 1 with
+    | 0 -> Buffer.contents buf
+    | _ when Bytes.get c 0 = '\n' -> Buffer.contents buf
+    | _ ->
+        Buffer.add_char buf (Bytes.get c 0);
+        go ()
+  in
+  go ()
+
+(* [f ~dir ~path pid] with [nexsortd --socket path] running as [pid],
+   [dir] a fresh directory for [f]'s files; the daemon is killed and
+   the directory removed afterwards. *)
+let with_socket_daemon args f =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let exe = bin "nexsortd.exe" in
+  let dir = Filename.temp_dir "nexsortd" "" in
+  let path = Filename.concat dir "d.sock" in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process exe
+      (Array.of_list ((exe :: args) @ [ "--socket"; path ]))
+      devnull devnull devnull
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      Unix.close devnull;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f ~dir ~path pid)
+
+let check_clean_exit pid =
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED code -> check Alcotest.int "clean exit" 0 code
+  | _ -> Alcotest.fail "the daemon was killed"
+
 (* The socket daemon outlives a client that hangs up before its reply.
    Client 0 keeps the daemon (one connection at a time) busy while
    client 1 connects, asks for the status and hangs up, so the reply to
@@ -361,63 +437,19 @@ let test_borrow_stays_inside_carve () =
    connection only.  Client 2 is then served, and its quit drains the
    engine. *)
 let test_daemon_survives_client_hang_up () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let exe = Filename.concat (Sys.getcwd ()) "../bin/nexsortd.exe" in
-  let dir = Filename.temp_dir "nexsortd" "" in
-  let path = Filename.concat dir "d.sock" in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let pid =
-    Unix.create_process exe [| exe; "--memory"; "8"; "--socket"; path |] devnull devnull devnull
-  in
-  let connect () =
-    let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.setsockopt_float s Unix.SO_RCVTIMEO 10.;
-    match Unix.connect s (Unix.ADDR_UNIX path) with
-    | () -> Some s
-    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
-        Unix.close s;
-        None
-  in
-  let rec connect_when_listening tries =
-    match connect () with
-    | Some s -> s
-    | None when tries > 0 ->
-        Unix.sleepf 0.05;
-        connect_when_listening (tries - 1)
-    | None -> Alcotest.fail "the daemon is not listening"
-  in
-  let send s line = ignore (Unix.write_substring s line 0 (String.length line)) in
-  let read_all s =
-    let buf = Buffer.create 256 and chunk = Bytes.create 256 in
-    let rec go () =
-      match Unix.read s chunk 0 256 with
-      | 0 -> Buffer.contents buf
-      | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          go ()
-    in
-    go ()
-  in
   let status = "engine: 0 running, 0 waiting, 0 admitted, 0 completed; leaked blocks: 0\n" in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-      Unix.close devnull;
-      (try Sys.remove path with Sys_error _ -> ());
-      Sys.rmdir dir)
-    (fun () ->
-      let c0 = connect_when_listening 200 in
+  with_socket_daemon [ "--memory"; "8" ] (fun ~dir:_ ~path pid ->
+      let c0 = connect_when_listening path 200 in
       send c0 "status\n";
       let got = Bytes.create (String.length status) in
       check Alcotest.int "client 0 is being served" (String.length status)
         (Unix.read c0 got 0 (Bytes.length got));
-      let c1 = connect_when_listening 0 in
+      let c1 = connect_when_listening path 0 in
       send c1 "status\n";
       Unix.close c1;
       Unix.close c0;
       let c2 =
-        match connect () with
+        match connect path with
         | Some s -> s
         | None -> Alcotest.fail "the daemon died with the client that hung up"
       in
@@ -426,9 +458,71 @@ let test_daemon_survives_client_hang_up () =
         (status ^ "0 jobs: 0 done, 0 cancelled, 0 failed; leaked blocks: 0\n")
         (read_all c2);
       Unix.close c2;
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED code -> check Alcotest.int "clean exit" 0 code
-      | _ -> Alcotest.fail "the daemon was killed")
+      check_clean_exit pid)
+
+(* A bad request on a socket is refused on its own connection: the
+   daemon keeps serving, and another client's queued job completes.
+   Client B queues a sort; client A sends an unknown request, a sort
+   with a bad flag and a cancel of an unknown job, and gets one error
+   line for each; client C then waits for B's job, whose output must
+   equal the CLI's, and finds nothing leaked. *)
+let test_daemon_refuses_bad_request () =
+  with_socket_daemon [ "--memory"; "40"; "--block-size"; "1024" ] (fun ~dir ~path pid ->
+      let file name = Filename.concat dir name in
+      let xml, _ =
+        Xmlgen.Gen.to_string (fun sink ->
+            Xmlgen.Gen.exact_shape ~seed:7 ~avg_bytes:80 ~fanouts:[ 8; 8; 5 ] sink)
+      in
+      Out_channel.with_open_bin (file "doc.xml") (fun oc -> Out_channel.output_string oc xml);
+      let b = connect_when_listening path 200 in
+      send b
+        (Printf.sprintf "sort -B 1024 -M 16 %s -o %s --tenant b\n" (file "doc.xml")
+           (file "daemon.xml"));
+      check Alcotest.string "client B's sort is queued"
+        (Printf.sprintf "[1] queued sort %s tenant=b" (file "doc.xml"))
+        (read_line b);
+      Unix.close b;
+      let a = connect_when_listening path 0 in
+      List.iter
+        (fun (request, reply) ->
+          send a (request ^ "\n");
+          let line = read_line a in
+          check Alcotest.bool
+            (Printf.sprintf "%S gets an error line (%S)" request line)
+            true
+            (String.starts_with ~prefix:("error: " ^ reply) line))
+        [ ("bogus", "unknown request \"bogus\"");
+          ("sort --no-such-flag in.xml", "");
+          ("cancel 99", "cancel: unknown job 99") ];
+      Unix.close a;
+      let c = connect_when_listening path 0 in
+      send c "wait\nstatus\nquit\n";
+      let replies = read_all c in
+      Unix.close c;
+      (match String.split_on_char '\n' replies with
+      | [ finished; status; summary; "" ] ->
+          check Alcotest.bool "client B's job is done" true
+            (String.starts_with ~prefix:"[1] done sort" finished);
+          check Alcotest.string "status: nothing leaked"
+            "engine: 0 running, 0 waiting, 1 admitted, 1 completed; leaked blocks: 0" status;
+          check Alcotest.string "summary" "1 jobs: 1 done, 0 cancelled, 0 failed; leaked blocks: 0"
+            summary
+      | _ -> Alcotest.failf "unexpected replies to wait/status/quit: %S" replies);
+      check_clean_exit pid;
+      let cli = bin "nexsort_cli.exe" in
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      let cli_pid =
+        Unix.create_process cli
+          [| cli; "-B"; "1024"; "-M"; "16"; file "doc.xml"; "-o"; file "cli.xml" |]
+          devnull devnull devnull
+      in
+      Unix.close devnull;
+      (match Unix.waitpid [] cli_pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "the CLI sort failed");
+      let contents name = In_channel.with_open_bin (file name) In_channel.input_all in
+      check Alcotest.string "byte-identical to the CLI's output" (contents "cli.xml")
+        (contents "daemon.xml"))
 
 let () =
   Alcotest.run "engine"
@@ -463,5 +557,7 @@ let () =
         [
           Alcotest.test_case "socket client hangs up before its reply" `Quick
             test_daemon_survives_client_hang_up;
+          Alcotest.test_case "socket bad request keeps the daemon serving" `Quick
+            test_daemon_refuses_bad_request;
         ] );
     ]

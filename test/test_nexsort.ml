@@ -707,6 +707,57 @@ let test_sort_packed_rejects_subtree_keys () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* Without an explicit encoding a config follows its ordering: a
+   scan-evaluable one gets end-tag elimination ([Packed]), which writes
+   the same entries minus the End tags, so the same bytes come out of
+   fewer run blocks; a subtree-derived key keeps [Dict]. *)
+let test_default_encoding_follows_ordering () =
+  let deep, _ =
+    Xmlgen.Gen.to_string (fun sink ->
+        Xmlgen.Gen.exact_shape ~seed:1 ~fanouts:[ 6; 6; 6; 4; 2; 2 ] sink)
+  in
+  (* [sort ?encoding ordering]: the encoding the metrics report names,
+     the output and the total I/O of a -B 1024 -M 16 sort *)
+  let sort ?encoding ordering =
+    let config = Config.make ~block_size:1024 ~memory_blocks:16 ?encoding ~ordering () in
+    let out, r = Engine.sort_string ~config ~ordering deep in
+    let reported =
+      match Obs.Report.to_json (Nexsort.metrics_report ~config r) with
+      | Obs.Json.Obj sections -> (
+          match List.assoc_opt "config" sections with
+          | Some (Obs.Json.Obj c) -> (
+              match List.assoc_opt "encoding" c with Some (Obs.Json.Str e) -> e | _ -> "?")
+          | _ -> "?")
+      | _ -> "?"
+    in
+    (reported, out, Extmem.Io_stats.total r.Nexsort.total_io)
+  in
+  let enc, out, ios = sort by_id in
+  check Alcotest.string "@id: the report says packed" "packed" enc;
+  let _, packed_out, packed_ios = sort ~encoding:Config.Packed by_id in
+  let _, dict_out, dict_ios = sort ~encoding:Config.Dict by_id in
+  check Alcotest.int "@id: the I/Os of an explicit packed sort" packed_ios ios;
+  check Alcotest.bool
+    (Printf.sprintf "@id: fewer I/Os than dict (%d < %d)" ios dict_ios)
+    true (ios < dict_ios);
+  check Alcotest.string "@id: the dict output" dict_out out;
+  check Alcotest.string "@id: the packed output" packed_out out;
+  (* the library entry point that builds its own config resolves alike *)
+  let total (r : Nexsort.report) = Extmem.Io_stats.total r.Nexsort.total_io in
+  let lib_out, r = Engine.sort_string ~ordering:by_id deep in
+  let _, rp =
+    Engine.sort_string ~config:(Config.make ~encoding:Config.Packed ()) ~ordering:by_id deep
+  in
+  check Alcotest.int "@id, default config: the I/Os of packed" (total rp) (total r);
+  check Alcotest.string "@id, default config: the same output" dict_out lib_out;
+  let by_text = Ordering.make Ordering.By_text in
+  let enc, out, _ = sort by_text in
+  check Alcotest.string "text: the report says dict" "dict" enc;
+  let expected = Verify.Oracle.sort_string by_text deep in
+  check Alcotest.string "text: sorted like the oracle" expected out;
+  check Alcotest.string "text, default config: sorted like the oracle" expected
+    (fst (Engine.sort_string ~ordering:by_text deep))
+
 let test_sort_malformed_input () =
   try
     ignore (Engine.sort_string ~config:(tiny_config ()) ~ordering:by_id "<a><b></a>");
@@ -1539,6 +1590,8 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_sort_idempotent;
           Alcotest.test_case "sortedness invariant" `Quick test_sort_output_is_sorted_invariant;
           Alcotest.test_case "packed rejects subtree keys" `Quick test_sort_packed_rejects_subtree_keys;
+          Alcotest.test_case "default encoding follows the ordering" `Quick
+            test_default_encoding_follows_ordering;
           Alcotest.test_case "malformed input" `Quick test_sort_malformed_input;
           Alcotest.test_case "fusion off same output" `Quick test_sort_fusion_off_same_output;
           qcheck prop_fusion_identical;
