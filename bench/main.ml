@@ -22,7 +22,6 @@ let no_fuse = ref false
 let metrics_file = ref None
 let wall_file = ref None
 let trace_file = ref None
-let jobs = ref 1
 
 (* --cost: put a simulated-time (hdd) layer on every device built from a
    bench config — the endpoints below and the sorters' internal stacks —
@@ -37,20 +36,18 @@ let bench_spec () =
 module Config = struct
   include Nexsort.Config
 
-  (* every bench config inherits the harness-wide device spec and worker
-     count; --no-fuse overrides the fusion default for experiments that
-     don't pin it *)
+  (* every bench config inherits the harness-wide device spec; --no-fuse
+     overrides the fusion default for experiments that don't pin it *)
   let make ?block_size ?memory_blocks ?threshold ?depth_limit ?degeneration ?root_fusion
-      ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ?jobs:j ?tracer () =
+      ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ?tracer () =
     let root_fusion =
       match root_fusion with
       | Some _ as r -> r
       | None -> if !no_fuse then Some false else None
     in
-    let jobs = Option.value j ~default:!jobs in
     Nexsort.Config.make ?block_size ?memory_blocks ?threshold ?depth_limit ?degeneration
-      ?root_fusion ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ~jobs
-      ?tracer ~device:(bench_spec ()) ()
+      ?root_fusion ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ?tracer
+      ~device:(bench_spec ()) ()
 end
 
 let ordering = Ordering.by_attr "id"
@@ -548,12 +545,13 @@ let tenants () =
   subnote "input: %d elements; per-job memory 16 blocks of 1 KiB; engine fits 2 jobs"
     stats.Xmlgen.Gen.elements;
   let xml = Extmem.Device.contents doc in
-  let config = Config.make ~block_size:1024 ~memory_blocks:16 ~jobs:1 () in
-  let per_job = Nexsort.Session.job_blocks ~workers:0 config in
+  let config = Config.make ~block_size:1024 ~memory_blocks:16 () in
   let reference = run_nexsort ~config (with_block_size 1024 doc) in
   List.iter
     (fun k ->
-      let eng = Engine.create ~memory_blocks:(2 * per_job) ~block_size:1024 () in
+      let eng =
+        Engine.create ~memory_blocks:(2 * config.Config.memory_blocks) ~block_size:1024 ()
+      in
       let one tenant =
         Engine.run eng ~tenant config (fun job session ->
             let input = Extmem.Device.of_string ~name:"input" ~block_size:1024 xml in
@@ -733,8 +731,7 @@ let micro () =
    Absolute numbers are machine-dependent, so the companion compare-wall
    gate only fails on a > 3x slowdown against the committed baseline —
    enough to catch an accidentally quadratic inner loop without flaking
-   on a busy CI box.  On a single-core box --jobs 4 measures the
-   coordination overhead of the worker pool, not a speedup. *)
+   on a busy CI box. *)
 
 let wall () =
   heading "wall / bechamel: end-to-end wall clock (loose CI gate)";
@@ -742,8 +739,8 @@ let wall () =
   let doc, stats = fig5_doc () in
   subnote "input: %d elements; block size 1 KiB, memory 16 blocks" stats.Xmlgen.Gen.elements;
   let contents = Extmem.Device.contents doc in
-  let nexsort ~jobs () =
-    let config = Config.make ~block_size:1024 ~memory_blocks:16 ~jobs () in
+  let nexsort () =
+    let config = Config.make ~block_size:1024 ~memory_blocks:16 () in
     let input = Extmem.Device.of_string ~name:"input" ~block_size:1024 contents in
     let output = Extmem.Device.in_memory ~name:"out" ~block_size:1024 () in
     ignore
@@ -758,7 +755,7 @@ let wall () =
   let tracer = Obs.Tracer.create () in
   let nexsort_traced () =
     Obs.Tracer.reset tracer;
-    let config = Config.make ~block_size:1024 ~memory_blocks:16 ~jobs:1 ~tracer () in
+    let config = Config.make ~block_size:1024 ~memory_blocks:16 ~tracer () in
     let input = Config.scratch_device config ~name:"input" in
     Extmem.Device.load_string input contents;
     let output = Config.scratch_device config ~name:"output" in
@@ -809,8 +806,7 @@ let wall () =
   let tests =
     Test.make_grouped ~name:"wall"
       [
-        Test.make ~name:"nexsort-j1" (Staged.stage (nexsort ~jobs:1));
-        Test.make ~name:"nexsort-j4" (Staged.stage (nexsort ~jobs:4));
+        Test.make ~name:"nexsort-j1" (Staged.stage nexsort);
         Test.make ~name:"nexsort-traced" (Staged.stage nexsort_traced);
         Test.make ~name:"mergesort" (Staged.stage mergesort);
         Test.make ~name:"codec-decode" (Staged.stage codec_decode);
@@ -1011,10 +1007,9 @@ let compare_metrics baseline_path new_path =
       exit 1
 
 (* compare-alloc BASELINE NEW: fail if NEW's minor or promoted words grew
-   by more than 1 % over BASELINE's.  Allocation of a single-threaded sort
-   is deterministic (repeated runs agree to the word), so unlike wall time
-   it needs no pairs of runs; with worker domains it is not, so both
-   reports must come from --jobs 1. *)
+   by more than 1 % over BASELINE's.  A sort runs on one domain, so its
+   allocation is deterministic (repeated runs agree to the word) and,
+   unlike wall time, needs no pairs of runs. *)
 let compare_alloc baseline_path new_path =
   let tolerance = 0.01 in
   let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("compare-alloc: " ^ m); exit 1) fmt in
@@ -1025,11 +1020,6 @@ let compare_alloc baseline_path new_path =
     | Some _ | None -> fail "%s has no number %s.%s" path section key
   in
   let base_json = read_json baseline_path and new_json = read_json new_path in
-  List.iter
-    (fun (path, json) ->
-      let jobs = number_at path json "config" "jobs" in
-      if jobs <> 1. then fail "%s was run with jobs=%g; allocation is only deterministic at 1" path jobs)
-    [ (baseline_path, base_json); (new_path, new_json) ];
   let regressions =
     List.filter_map
       (fun key ->
@@ -1098,17 +1088,6 @@ let () =
         parse rest
     | "--trace" :: [] ->
         prerr_endline "--trace requires a file argument";
-        exit 2
-    | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some j when j >= 1 && j <= 64 ->
-            jobs := j;
-            parse rest
-        | _ ->
-            Printf.eprintf "--jobs: expected a worker count between 1 and 64, got %S\n" n;
-            exit 2)
-    | "--jobs" :: [] ->
-        prerr_endline "--jobs requires a worker count";
         exit 2
     | "--" :: rest -> parse rest
     | a :: rest -> a :: parse rest

@@ -173,20 +173,24 @@ let config_term =
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains for parallel subtree sorting (1-64).  Output and I/O counters are \
-             identical for every value; 1 (the default) runs fully single-threaded.")
+            "Ignored; must be between 1 and 64.  Every sort runs on one domain: subtree sorts \
+             on worker domains were slower than on one and were removed.  The flag stays so \
+             that scripts which pass it (the perf ledger's traced runs pass $(b,--jobs 2)) \
+             keep working.")
   in
   let build block_size memory_blocks threshold depth_limit no_degeneration keep_whitespace no_fuse
       encoding ordering jobs =
     (* Config.make rejects inconsistent sizes; surface that as a clean
        one-line CLI error instead of an uncaught exception *)
-    match
-      Nexsort.Config.make ~block_size ~memory_blocks ?threshold ?depth_limit
-        ~degeneration:(not no_degeneration) ~root_fusion:(not no_fuse) ?encoding ~ordering
-        ~keep_whitespace ~jobs ()
-    with
-    | config -> Ok config
-    | exception Invalid_argument msg -> Error msg
+    if jobs < 1 || jobs > 64 then Error "option '--jobs': must be between 1 and 64"
+    else
+      match
+        Nexsort.Config.make ~block_size ~memory_blocks ?threshold ?depth_limit
+          ~degeneration:(not no_degeneration) ~root_fusion:(not no_fuse) ?encoding ~ordering
+          ~keep_whitespace ()
+      with
+      | config -> Ok config
+      | exception Invalid_argument msg -> Error msg
   in
   Term.term_result'
     Term.(
@@ -244,9 +248,9 @@ let trace_term =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Write a Chrome trace_event timeline of the run to $(docv) (open in Perfetto or \
-           chrome://tracing; analyse offline with $(b,nextrace)).  Spans, per-worker tracks, \
-           run installs and per-I/O latencies are recorded into bounded per-domain ring \
-           buffers; overflow drops events (counted) rather than blocking.")
+           chrome://tracing; analyse offline with $(b,nextrace)).  Spans, counters and \
+           per-I/O latencies are recorded into bounded per-domain ring buffers; overflow \
+           drops events (counted) rather than blocking.")
 
 (* Fail before doing any work if the trace path cannot be written, so a
    bad --trace dies with a one-line error instead of a completed sort

@@ -2,7 +2,7 @@
 
    Each differential case generates a pathological document, sorts it with
    NEXSORT and the baselines across a sampled config matrix (block size,
-   memory budget, fusion, encoding, jobs, device spec), and
+   memory budget, fusion, encoding, device spec), and
    demands byte-identical agreement with the in-memory reference oracle
    plus a pass through the independent streaming validator and the
    resource-invariant probes.
@@ -54,22 +54,20 @@ let differential_config ~seed i =
   let device =
     if i mod 3 = 0 then Extmem.Device_spec.parse "traced/mem" else Extmem.Device_spec.default
   in
-  (* decorrelated from the device (i mod 3) and fusion (i / 4 mod 2)
-     picks: over a 12-case cycle every (jobs, device, fuse) combination
-     appears, so parallel runs are differentially checked on every path *)
-  let jobs = [| 1; 2; 4 |].(i / 4 mod 3) in
+  (* the device (i mod 3) and fusion (i / 4 mod 2) picks are
+     decorrelated: over a 12-case cycle every (device, fuse) combination
+     appears *)
   let config =
     Nexsort.Config.make ~block_size ~memory_blocks ?depth_limit ~root_fusion:fuse ?encoding
-      ~ordering ~device ~jobs ()
+      ~ordering ~device ()
   in
   let cli_flags =
-    Printf.sprintf "-O '%s' -B %d -M %d%s --jobs %d%s%s%s" ordering_spec block_size memory_blocks
+    Printf.sprintf "-O '%s' -B %d -M %d%s%s%s%s" ordering_spec block_size memory_blocks
       (match encoding with
       | None -> ""
       | Some Plain -> " --encoding plain"
       | Some Dict -> " --encoding dict"
       | Some Packed -> " --encoding packed")
-      jobs
       (if fuse then "" else " --no-fuse")
       (match depth_limit with None -> "" | Some d -> Printf.sprintf " -d %d" d)
       (if i mod 3 = 0 then " --device traced/mem" else "")
@@ -242,16 +240,13 @@ let run_fault_case ~seed j =
   let fuse = j / 4 mod 2 = 0 in
   let block_size = 512 in
   let kind = j mod 3 in
-  (* decorrelated from the fault kind (j mod 3): faults must also abort
-     cleanly when they fire inside a worker domain *)
-  let jobs = [| 1; 2; 4 |].(j / 4 mod 3) in
   let device =
     if kind = 0 then
       Extmem.Device_spec.parse (Printf.sprintf "faulty:p=0.02,seed=%d/mem" (seed + j))
     else Extmem.Device_spec.default
   in
   let config =
-    Nexsort.Config.make ~block_size ~memory_blocks:16 ~root_fusion:fuse ~device ~jobs ()
+    Nexsort.Config.make ~block_size ~memory_blocks:16 ~root_fusion:fuse ~device ()
   in
   let ( >>= ) r f = Result.bind r f in
   Verify.Probes.clear ();
@@ -476,8 +471,8 @@ let run_update_case ~seed j =
 
 (* ------------------------------------------------------------------ *)
 (* Multi-tenant pass: the same differential case matrix, but every
-   NEXSORT run goes through one shared [Engine] and its worker pool,
-   [tenants] domains deep.
+   NEXSORT run goes through one shared [Engine], [tenants] domains
+   deep.
    The schedule is deterministic — case [i] belongs to tenant
    [i mod tenants] — so a reproducer line carrying the seed and the
    tenant count replays the same interleaving pressure.  Oracle outputs
@@ -510,25 +505,18 @@ let run_tenant_pass ~seed ~tenants ~cases ~only ~verbose failures =
         (i, cc, doc, expected))
       indices
   in
-  (* one shared pool serves every case: [jobs > 1] cases offload their
-     subtree sorts to it, and each job is sized for its workers *)
-  let engine_bs = 4096 and workers = 2 in
+  let engine_bs = 4096 in
   let engine_blocks cc =
-    let bytes =
-      (Nexsort.Session.job_blocks ~workers cc.config
-      + Nexsort.Session.ext_blocks ~workers cc.config)
-      * cc.config.Nexsort.Config.block_size
-    in
+    let bytes = Nexsort.Config.memory_bytes cc.config in
     (bytes + engine_bs - 1) / engine_bs
   in
   let max_job =
     List.fold_left (fun acc (_, cc, _, _) -> max acc (engine_blocks cc)) 1 prepared
   in
   let eng =
-    Engine.create ~workers ~memory_blocks:(max_job + (max_job / 2)) ~block_size:engine_bs ()
+    Engine.create ~memory_blocks:(max_job + (max_job / 2)) ~block_size:engine_bs ()
   in
   let results = Array.make (List.length prepared) None in
-  let offloaded = Atomic.make 0 in
   let run_case t pos (i, cc, doc, expected) =
     let r =
       match expected with
@@ -542,12 +530,9 @@ let run_tenant_pass ~seed ~tenants ~cases ~only ~verbose failures =
                 let block_size = cc.config.Nexsort.Config.block_size in
                 let input = Extmem.Device.of_string ~name:"input" ~block_size doc in
                 let output = Extmem.Device.in_memory ~name:"output" ~block_size () in
-                let report =
-                  Nexsort.sort_device ~session ~ordering:cc.ordering ~input ~output ()
-                in
-                List.iter
-                  (fun w -> ignore (Atomic.fetch_and_add offloaded w.Nexsort.Sort_pool.w_tasks))
-                  report.Nexsort.workers;
+                ignore
+                  (Nexsort.sort_device ~session ~ordering:cc.ordering ~input ~output ()
+                    : Nexsort.report);
                 Extmem.Device.contents output)
           with
           | out ->
@@ -578,12 +563,6 @@ let run_tenant_pass ~seed ~tenants ~cases ~only ~verbose failures =
           Printf.eprintf "  equivalent: nexsort %s <doc.xml>\n" cc.cli_flags;
           Printf.eprintf "  document (%d bytes):\n%s\n" (String.length doc) doc)
     prepared;
-  let parallel = List.exists (fun (_, cc, _, _) -> cc.config.Nexsort.Config.jobs > 1) prepared in
-  if parallel && Atomic.get offloaded = 0 then begin
-    incr failures;
-    Printf.eprintf "FAIL tenant pass: no --jobs > 1 case sorted a subtree on the engine's pool\n";
-    Printf.eprintf "  reproduce: nexfuzz --seed %d --tenants %d\n" seed tenants
-  end;
   if leaked <> 0 || still_used <> 0 then begin
     incr failures;
     Printf.eprintf
@@ -648,7 +627,7 @@ let run smoke seed cases fault_cases update_cases only faults_only updates_only 
             (Xmlgen.Gen.pathological ~seed:(seed + 104729 + (31 * j)) ~max_elements:250)
         in
         print_failure ~seed ~kind:"fault" ~case:j
-          ~cli_flags:(Printf.sprintf "--jobs %d" [| 1; 2; 4 |].(j / 4 mod 3))
+          ~cli_flags:("-O @id -B 512 -M 16" ^ if j / 4 mod 2 = 0 then "" else " --no-fuse")
           ~doc msg
   in
   let updates_aborted = ref 0 in

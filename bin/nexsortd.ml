@@ -471,8 +471,8 @@ let serve_socket path d =
   in
   accept_loop ()
 
-let run memory block_size workers socket jobfile =
-  let engine = Engine.create ~workers ~memory_blocks:memory ~block_size () in
+let run memory block_size socket jobfile =
+  let engine = Engine.create ~memory_blocks:memory ~block_size () in
   let d = { engine; jobs = []; next_id = 1 } in
   let code =
     match (socket, jobfile) with
@@ -500,15 +500,6 @@ let cmd =
       value & opt int 4096
       & info [ "block-size"; "B" ] ~docv:"BYTES" ~doc:"Engine budget block size.")
   in
-  let workers_term =
-    Arg.(
-      value & opt int 0
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Worker domains in the shared sort pool.  Jobs with $(b,--jobs) > 1 sort \
-             subtrees on these workers; with 0 (no pool) every job sorts on its own \
-             thread.")
-  in
   let socket_term =
     Arg.(
       value & opt (some string) None
@@ -520,6 +511,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "nexsortd" ~version:"1.0.0" ~doc)
-    Term.(const run $ memory_term $ block_size_term $ workers_term $ socket_term $ jobfile_term)
+    Term.(const run $ memory_term $ block_size_term $ socket_term $ jobfile_term)
 
 let () = exit (Cmd.eval cmd)

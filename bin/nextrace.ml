@@ -2,9 +2,8 @@
 
    Loads a Chrome trace_event JSON timeline (as written by Obs.Tracer),
    rebuilds per-track span trees, and prints a self-profile: top spans
-   by self-time, per-worker busy/idle/barrier breakdown, and I/O latency
-   percentiles per device.  --diff compares two traces side by side
-   (e.g. a -j1 run against a -j4 run). *)
+   by self-time and I/O latency percentiles per device.  --diff compares
+   two traces side by side (e.g. a run before and after a change). *)
 
 open Cmdliner
 
@@ -205,44 +204,6 @@ let top_spans trace =
     trace.tr_tracks
   |> List.sort (fun (_, _, a) (_, _, b) -> compare b.a_self a.a_self)
 
-let is_worker tp =
-  String.length tp.tp_name >= 7 && String.sub tp.tp_name 0 7 = "worker "
-
-let span_total tp name =
-  match Hashtbl.find_opt tp.tp_spans name with Some a -> a.a_total | None -> 0
-
-let span_count tp name =
-  match Hashtbl.find_opt tp.tp_spans name with Some a -> a.a_count | None -> 0
-
-let sort_by_name = List.sort (fun a b -> compare a.tp_name b.tp_name)
-
-let print_workers trace =
-  let workers = sort_by_name (List.filter is_worker trace.tr_tracks) in
-  if workers <> [] then begin
-    Printf.printf "\nworkers:\n";
-    Printf.printf "  %-12s %10s %10s %6s\n" "track" "busy ms" "idle ms" "tasks";
-    List.iter
-      (fun tp ->
-        let busy = span_total tp "task:sort" + span_total tp "task:copy" in
-        let tasks = span_count tp "task:sort" + span_count tp "task:copy" in
-        Printf.printf "  %-12s %10.3f %10.3f %6d\n" tp.tp_name (ms busy)
-          (ms (span_total tp "worker.idle"))
-          tasks)
-      workers;
-    let main = List.find_opt (fun tp -> tp.tp_name = "main") trace.tr_tracks in
-    match main with
-    | Some tp ->
-        let drains = span_count tp "pool.drain" in
-        if drains > 0 then
-          Printf.printf "  barrier: pool.drain %d time(s), %.3f ms total\n" drains
-            (ms (span_total tp "pool.drain"));
-        let waits = span_count tp "pool.submit.wait" in
-        if waits > 0 then
-          Printf.printf "  backpressure: pool.submit.wait %d time(s), %.3f ms total\n" waits
-            (ms (span_total tp "pool.submit.wait"))
-    | None -> ()
-  end
-
 let percentile sorted q =
   let n = Array.length sorted in
   if n = 0 then 0
@@ -316,7 +277,6 @@ let print_profile top trace =
         Printf.printf "  %-10.3f %-10.3f %7d  %-24s %s\n" (ms a.a_self) (ms a.a_total) a.a_count
           name track)
     rows;
-  print_workers trace;
   print_io trace;
   print_instants trace;
   print_counters trace
@@ -370,23 +330,7 @@ let print_diff a b =
     (fun (n, ga, gb, d) ->
       Printf.printf "  %-24s %10.3f %10.3f %+10.3f %8d %8d\n" n (ms ga.a_self) (ms gb.a_self)
         (ms d) ga.a_count gb.a_count)
-    rows;
-  List.iter
-    (fun (label, tr) ->
-      let workers = sort_by_name (List.filter is_worker tr.tr_tracks) in
-      if workers <> [] then begin
-        Printf.printf "\n%s workers:\n" label;
-        List.iter
-          (fun tp ->
-            let busy = span_total tp "task:sort" + span_total tp "task:copy" in
-            let tasks = span_count tp "task:sort" + span_count tp "task:copy" in
-            Printf.printf "  %-12s busy %10.3f ms, idle %10.3f ms, %d tasks\n" tp.tp_name
-              (ms busy)
-              (ms (span_total tp "worker.idle"))
-              tasks)
-          workers
-      end)
-    [ ("A", a); ("B", b) ]
+    rows
 
 (* --- CLI --- *)
 

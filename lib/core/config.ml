@@ -15,13 +15,12 @@ type t = {
   path_stack_blocks : int;
   keep_whitespace : bool;
   device : Extmem.Device_spec.t;
-  jobs : int;
   tracer : Obs.Tracer.t;
 }
 
 let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(degeneration = true)
     ?(root_fusion = true) ?encoding ?ordering ?data_stack_blocks ?(path_stack_blocks = 2)
-    ?(keep_whitespace = false) ?(device = Extmem.Device_spec.default) ?(jobs = 1)
+    ?(keep_whitespace = false) ?(device = Extmem.Device_spec.default)
     ?(tracer = Obs.Tracer.null) () =
   (* End-tag elimination needs every key known at its start tag; without
      an ordering to check, the encoding stays [Dict]. *)
@@ -55,7 +54,6 @@ let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(de
   | Some _ | None -> ());
   if data_stack_blocks < 1 then invalid_arg "Config: data_stack_blocks must be >= 1";
   if path_stack_blocks < 2 then invalid_arg "Config: path_stack_blocks must be >= 2";
-  if jobs < 1 || jobs > 64 then invalid_arg "Config: jobs must be between 1 and 64";
   {
     block_size;
     memory_blocks;
@@ -68,7 +66,6 @@ let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(de
     path_stack_blocks;
     keep_whitespace;
     device;
-    jobs;
     tracer;
   }
 

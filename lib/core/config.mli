@@ -40,18 +40,13 @@ type t = {
           scratch): backend plus layers; see {!Extmem.Device_spec}.  The
           endpoints of {!with_input}/{!with_output} get its layers over
           the user's files, not its backend *)
-  jobs : int;
-      (** worker domains for parallel subtree sorting (1..64); 1 runs
-          the sort single-threaded on today's exact code path.  Output
-          and I/O counters are identical for every value — see DESIGN's
-          "Parallel execution" section *)
   tracer : Obs.Tracer.t;
       (** event-trace sink for the session ({!Obs.Tracer.null} = tracing
           off, the default).  When enabled, every device from
           {!build_device}, {!with_input} and {!with_output} gets the
-          tracer's I/O subscriber, phase spans
-          and pool events flow onto per-domain tracks, and the CLI flushes
-          the trace with [--trace FILE] *)
+          tracer's I/O subscriber, phase spans flow onto the running
+          domain's track, and the CLI flushes the trace with
+          [--trace FILE] *)
 }
 
 val make :
@@ -67,13 +62,12 @@ val make :
   ?path_stack_blocks:int ->
   ?keep_whitespace:bool ->
   ?device:Extmem.Device_spec.t ->
-  ?jobs:int ->
   ?tracer:Obs.Tracer.t ->
   unit ->
   t
 (** Defaults: 4 KiB blocks, 64 memory blocks, threshold [2 * block_size],
     no depth limit, degeneration and root fusion on, 2 path-stack
-    resident blocks, whitespace dropped, 1 job.  Without [encoding] the
+    resident blocks, whitespace dropped.  Without [encoding] the
     encoding follows [ordering], the ordering the config will sort by:
     [Packed] when it is {!Ordering.all_scan_evaluable} (every key is known
     at its start tag, so end tags can be dropped), [Dict] otherwise or
@@ -85,7 +79,7 @@ val make :
     buffers and a 3-block sort arena still fit the memory budget.
     @raise Invalid_argument on inconsistent values (non-positive sizes,
     [memory_blocks < 8], threshold smaller than one block, windows too
-    small, jobs outside 1..64). *)
+    small). *)
 
 val memory_bytes : t -> int
 

@@ -6,8 +6,8 @@
    never materialized, and emission re-uses the original encoded payloads
    verbatim (only synthesized End entries are encoded here, and they
    carry no names).  Everything is pure given its arguments — no session,
-   no devices, no shared state — which is what lets [Sort_pool] run it
-   inside worker domains.  The session-flavoured wrappers live in
+   no devices, no shared state — so layer benchmarks can replay it on
+   bare entry views.  The session-flavoured wrappers live in
    [Subtree_sort]. *)
 
 type node = {
@@ -136,10 +136,8 @@ let emit_node ~packed enc emit n = Pipe.drain (forest_pull ~enc ~packed [ n ]) e
 
    Like the forest half above, these are pure given their arguments —
    entry views in, encoded key-path records out — and [keypath_sort]
-   touches only the budget and scratch device it is handed, so
-   [Sort_pool] workers can run a full external subtree sort without
-   touching the session.  The session-flavoured wrappers stay in
-   [Subtree_sort]. *)
+   touches only the budget and scratch device it is handed.  The
+   session-flavoured wrappers stay in [Subtree_sort]. *)
 
 (* The component an entry contributes to key paths: its resolved key and
    position, with the key suppressed below the depth limit so deeper
@@ -277,14 +275,14 @@ let keypath_output ~encoding ~enc records =
    formation and every merge pass but the last consume [input] here; the
    returned stream is the final merge with the reconstruction on top.
    Closing it releases what the sort still holds. *)
-let keypath_sort ?arena ~budget ~temp ~encoding ~enc ~depth_limit ~scan input =
+let keypath_sort ~arena ~budget ~temp ~encoding ~enc ~depth_limit ~scan input =
   let records =
     match scan with
     | `Forward -> forward_records ~enc ~depth_limit input
     | `Reverse -> reverse_records ~enc ~depth_limit input
   in
   let o =
-    Extsort.External_sort.sort_open ?arena ~budget ~temp ~cmp:Keypath.compare_encoded
+    Extsort.External_sort.sort_open ~arena ~budget ~temp ~cmp:Keypath.compare_encoded
       ~input:records ()
   in
   { Pipe.pull = keypath_output ~encoding ~enc o.Extsort.External_sort.pull;

@@ -6,9 +6,9 @@
     decodes names, attributes or text, and emission passes the original
     encoded payloads through byte-identical (End entries synthesized in
     unpacked mode are the only bytes produced here).  No session, device
-    or shared state is touched, so these functions are safe to run inside
-    worker domains ({!Sort_pool}).  {!Subtree_sort} wraps them for the
-    single-threaded path. *)
+    or shared state is touched, so layer benchmarks and tests can drive
+    them on bare entry views.  {!Subtree_sort} wraps them for the
+    sorter. *)
 
 type node = {
   view : Entry.View.t;
@@ -45,8 +45,8 @@ val emit_node : packed:bool -> Extmem.Codec.Enc.t -> (string -> unit) -> node ->
     The pure half of an {e external} subtree sort (§3.1): entry views in,
     encoded {!Keypath} records out, and reconstruction of sorted records
     back into entries.  Like the forest functions, these touch no session
-    or shared state, so {!Sort_pool} workers can run a whole run-spilling
-    subtree sort on a private scratch device and sub-budget. *)
+    or shared state: {!keypath_sort} uses only the budget and scratch
+    device it is handed. *)
 
 val forward_records :
   enc:Extmem.Codec.Enc.t ->
@@ -69,7 +69,7 @@ val reverse_records :
     authoritative element keys. *)
 
 val keypath_sort :
-  ?arena:Extmem.Frame_arena.t ->
+  arena:Extmem.Frame_arena.t ->
   budget:Extmem.Memory_budget.t ->
   temp:Extmem.Device.t ->
   encoding:Config.encoding ->

@@ -15,6 +15,5 @@ module Session = Session
 module Keypath = Keypath
 module Forest = Forest
 module Subtree_sort = Subtree_sort
-module Sort_pool = Sort_pool
 module Sorter = Sorter
 include Sorter

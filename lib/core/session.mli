@@ -10,9 +10,9 @@
 
     A session is {e one engine job's view} of its resources, and the
     engine is its only constructor ([Engine.session]): the job's budget
-    is carved from the engine's, the job gets a view of the engine's
-    shared {!Sort_pool} (when the engine has one and the config asks
-    for parallel sorting) and a poll hook for cooperative cancellation.
+    is carved from the engine's, and the job gets a poll hook for
+    cooperative cancellation.  A session is used by one domain, the one
+    running its job.
     One-job callers go through a one-job engine ([Engine.with_session],
     [Engine.sort_string]). *)
 
@@ -40,44 +40,24 @@ type t = {
           ([stack.data.*], [stack.path.*], [stack.out.*]), run store
           ([runs.store.*]) and their devices ([dev.*]); see
           {!Obs.Probe} *)
-  pool : (Sort_pool.t * Sort_pool.view) option;
-      (** the engine's worker pool and this job's view of it; [None]
-          on the single-threaded code path ([config.jobs = 1], or an
-          engine without a pool).  The pool is shared with other jobs;
-          the view never is. *)
   poll : unit -> unit;
       (** cooperative cancellation hook, called at scan and output
           checkpoints; raises to abort the job (the engine's poll raises
           [Engine.Cancelled]). *)
   enc_scratch : Extmem.Codec.Enc.t;
-      (** reusable encode scratch for the main thread's record path
-          (entry/record encoding between phases); worker domains carry
-          their own — never share this across domains *)
+      (** reusable encode scratch for the record path (entry/record
+          encoding between phases) *)
   mutable destroyed : bool;  (** set by {!destroy} *)
 }
 
-val job_blocks : workers:int -> Config.t -> int
-(** The budget size one job needs on an engine whose pool has [workers]
-    workers (0 without a pool): the algorithm-visible
-    [config.memory_blocks] plus the pool writer buffers the view
-    reserves on top ([workers * Sort_pool.slab_blocks] when
-    [config.jobs > 1]).  Engine admission carves exactly this much, so
-    the blocks the algorithm can see do not depend on the pool. *)
-
-val ext_blocks : workers:int -> Config.t -> int
-(** Headroom blocks for offloaded external subtree sorts: each
-    in-flight external task carves at most the job's full arena, one
-    task per worker.  Zero when [config.jobs = 1] or [workers = 0]. *)
-
 val create :
   budget:Extmem.Memory_budget.t ->
-  ?pool:Sort_pool.t * Extmem.Memory_budget.t ->
   poll:(unit -> unit) ->
   Config.t ->
   t
 (** Build the frame arena, stacks and run store over a job's carved
-    [budget] (of {!job_blocks} blocks).  Only [Engine.session] calls
-    this.  Each stack leases its own window from the arena — the
+    [budget] (of [config.memory_blocks] blocks).  Only [Engine.session]
+    calls this.  Each stack leases its own window from the arena — the
     data-stack window, the path-stack window and one block for the
     output-location stack (the input buffer is charged by the scan
     pipeline stage).  What remains of the budget is the sorting arena.
@@ -87,21 +67,8 @@ val create :
     session's own budget, its borrowing can never touch another
     tenant's blocks.
 
-    [pool] is the engine's pool and the job's carved external-sort
-    headroom ({!ext_blocks} blocks); given, the session sorts subtrees
-    through a view of that pool, whose writer buffers are reserved in
-    [budget] — which {!job_blocks} inflates by exactly that much, so the
-    [memory_blocks] visible to the algorithm, and every size-based
-    decision, are unchanged.  Omitted, every subtree sort runs on the
-    calling thread.
-
     [poll] is called at scan and output checkpoints; raise from it to
     abort the job cooperatively. *)
-
-val sync : t -> unit
-(** Barrier over the worker pool ({!Sort_pool.drain}): every submitted
-    subtree sort is finished and installed afterwards.  Re-raises the
-    first worker failure in run-id order.  A no-op with one job. *)
 
 val arena_bytes : t -> int
 (** Internal-memory bytes available to a subtree sort right now (also the
@@ -114,16 +81,10 @@ val reclaim : t -> unit
     (evicting the window down to its configured size), so a phase about
     to reserve arena memory actually finds it available. *)
 
-val leaked_blocks : t -> int
-(** Blocks aborted offloaded external sorts failed to return to their
-    arenas (see {!Sort_pool.leaked_blocks}); zero on the single-threaded
-    path.  The engine folds this into its per-job leak accounting. *)
-
 val destroy : t -> unit
-(** Tear the session down: close the pool view first (waiting out
-    in-flight worker tasks and returning the writer buffers — also when
-    a worker raised mid-sort), close every stack window (frames and leases go back to the
-    budget, nothing is flushed), close the stack and run devices, then
+(** Tear the session down: close every stack window (frames and leases
+    go back to the budget, nothing is flushed), close the stack and run
+    devices, then
     run the registered {!add_destroy_probe} hooks.  Idempotent; costs no
     I/O.  {!Sorter} destroys its session on every exit path, so after a
     sort — successful or aborted — the budget holds zero blocks unless a
@@ -146,7 +107,7 @@ val open_temp : t -> Extmem.Device.t * (unit -> unit)
 
 val encode_entry : t -> Entry.t -> string
 (** {!Entry.encode} under the session's encoding and dictionary (through
-    the session's scratch encoder; main thread only). *)
+    the session's scratch encoder). *)
 
 val decode_entry : t -> string -> Entry.t
 
@@ -156,8 +117,7 @@ val view_entry : t -> string -> Entry.View.t
 
 val io_breakdown : t -> (string * Extmem.Io_stats.t) list
 (** Per-component I/O counters: data/path/output-location stacks, runs
-    (the store's device plus this job's worker scratch devices), scratch
-    (retired temp devices, main-thread and offloaded). *)
+    (the store's device), scratch (retired temp devices). *)
 
 val total_io : t -> Extmem.Io_stats.t
 (** Sum of {!io_breakdown} (input and output devices are owned by the

@@ -33,8 +33,6 @@ type report = {
   spans : Obs.Span.t;
   metrics : Obs.Json.t;
   arena : (string * Extmem.Frame_arena.owner_stats) list;
-  jobs : int;
-  workers : Sort_pool.worker_stats list;
 }
 
 (* ---- path-stack frames ----
@@ -182,13 +180,6 @@ let collect_views st ~from_ =
       acc := Session.view_entry st.session payload :: !acc);
   List.rev !acc
 
-(* Same range as raw encoded payloads (for handoff to worker domains). *)
-let collect_payloads st ~from_ =
-  let acc = ref [] in
-  Extmem.Ext_stack.iter_entries_from st.session.Session.data_stack ~pos:from_ (fun payload ->
-      acc := payload :: !acc);
-  List.rev !acc
-
 (* ---- graceful degeneration (§3.2) ----
 
    When the children accumulated for the innermost open element fill the
@@ -295,45 +286,6 @@ let open_subtree st frame kind =
       ( Subtree_sort.sort_external_source session ~input ~scan,
         Some "external sort output buffer" )
 
-(* The parallel path: claim the run id here — the same sequence point
-   where the single-threaded path registers the run — and hand the pure
-   work over the raw payloads to a worker.  An offloaded external sort
-   mirrors the single-threaded sequence exactly: reclaim, drain the scan
-   input with the same stack mechanics (a reverse scan pops; a forward
-   scan reads), and pass along the very arena size the inline sort would
-   have leased, so run structure and scratch I/O match the [--jobs 1]
-   bill. *)
-let submit st pool view frame kind =
-  let session = st.session in
-  let data = session.Session.data_stack in
-  match kind with
-  | `Copy ->
-      let run = Extmem.Run_store.reserve session.Session.runs in
-      Sort_pool.submit_copy pool view ~run (collect_payloads st ~from_:frame.loc);
-      run
-  | `In_memory ->
-      st.n_in_memory <- st.n_in_memory + 1;
-      let run = Extmem.Run_store.reserve session.Session.runs in
-      Sort_pool.submit_sort pool view ~run (collect_payloads st ~from_:frame.loc);
-      run
-  | `External ->
-      st.n_external <- st.n_external + 1;
-      Session.reclaim session;
-      let scan, payloads =
-        if st.scan_evaluable then (`Forward, collect_payloads st ~from_:frame.loc)
-        else begin
-          let acc = ref [] in
-          while Extmem.Ext_stack.length data > frame.loc do
-            acc := Extmem.Ext_stack.pop data :: !acc
-          done;
-          (`Reverse, List.rev !acc (* pop order: reverse document order *))
-        end
-      in
-      let arena_blocks = Extmem.Memory_budget.available_blocks session.Session.budget in
-      let run = Extmem.Run_store.reserve session.Session.runs in
-      Sort_pool.submit_external pool view ~run ~scan ~arena_blocks payloads;
-      run
-
 (* [p] is the parser's reusable scratch: everything needed later is
    copied out here (the encoded entry, the frame fields). *)
 let on_start st (p : Xmlio.Event.packed) =
@@ -371,8 +323,8 @@ let on_text st content =
 
 (* An element ended: its subtree is complete.  The root's sorted stream
    goes to the output phase under root fusion; otherwise a subtree big
-   enough (and the root always) is sorted into a run — by a worker when
-   the pool takes that kind — and replaced by a pointer to it. *)
+   enough (and the root always) is sorted into a run and replaced by a
+   pointer to it. *)
 let on_end st =
   let key_end = Ordering.Evaluator.on_end st.evaluator in
   let frame, frags = pop_element st in
@@ -421,14 +373,8 @@ let on_end st =
         | `In_memory | `External -> "subtree_sorts"
       in
       in_span st span @@ fun () ->
-      let run =
-        match (st.session.Session.pool, kind) with
-        | Some (pool, view), ((`Copy | `In_memory | `External) as kind) ->
-            submit st pool view frame kind
-        | Some _, `Merge _ | None, _ ->
-            let entries, buffer = open_subtree st frame kind in
-            Subtree_sort.to_run ?buffer st.session entries
-      in
+      let entries, buffer = open_subtree st frame kind in
+      let run = Subtree_sort.to_run ?buffer st.session entries in
       st.n_subtree_sorts <- st.n_subtree_sorts + 1;
       Extmem.Ext_stack.truncate_to data frame.loc;
       push_data st
@@ -718,9 +664,6 @@ let open_sorted ~session ~ordering ~input ~io_meter ~sim_meter =
         st.n_events st.n_subtree_sorts st.n_in_memory st.n_external st.n_fragment_runs);
   assert (st.level = 0);
   assert (Extmem.Ext_stack.is_empty session.Session.path_stack);
-  (* the one barrier of the parallel path: every submitted subtree sort
-     is finished and installed before anything dereferences a run *)
-  Session.sync session;
   (* any blocks the data-stack window borrowed are idle now *)
   Session.reclaim session;
   let entries =
@@ -793,11 +736,6 @@ let build_report (st : state) ~input_io ~output_io ~extra_sim ~t0 =
     spans = Obs.Spans.close st.spans;
     metrics = Obs.Registry.to_json session.Session.registry;
     arena = Extmem.Frame_arena.owners session.Session.arena;
-    jobs = session.Session.config.Config.jobs;
-    workers =
-      (match session.Session.pool with
-      | Some (_, v) -> Sort_pool.worker_stats v
-      | None -> []);
   }
 
 (* The shared setup of {!sort_device} and {!open_stream}: validate the
@@ -912,7 +850,6 @@ let config_json (c : Config.t) =
       ("path_stack_blocks", Int c.Config.path_stack_blocks);
       ("keep_whitespace", Bool c.Config.keep_whitespace);
       ("device", Str (Extmem.Device_spec.to_string c.Config.device));
-      ("jobs", Int c.Config.jobs);
     ]
 
 let owner_stats_json (s : Extmem.Frame_arena.owner_stats) =
@@ -966,25 +903,6 @@ let metrics_report ?(tool = "nexsort") ~config r =
        ]);
   Obs.Report.add rep "arena"
     (Obs.Json.Obj (List.map (fun (who, s) -> (who, owner_stats_json s)) r.arena));
-  (* per-worker section of the parallel path; always present (with an
-     empty pool at jobs=1) so the schema is stable *)
-  Obs.Report.add rep "workers"
-    (Obs.Json.Obj
-       [
-         ("jobs", Obs.Json.Int r.jobs);
-         ( "pool",
-           Obs.Json.Obj
-             (List.map
-                (fun (ws : Sort_pool.worker_stats) ->
-                  ( Printf.sprintf "worker%d" ws.Sort_pool.w_index,
-                    Obs.Json.Obj
-                      [
-                        ("tasks", Obs.Json.Int ws.Sort_pool.w_tasks);
-                        ("entries", Obs.Json.Int ws.Sort_pool.w_entries);
-                        ("io", Obs.Json.io_stats ws.Sort_pool.w_io);
-                      ] ))
-                r.workers) );
-       ]);
   (* allocation behaviour of the whole sort (schema v2): words are OCaml
      words allocated (minor = all allocation, major includes promotions),
      the per-event rate is the record path's headline number *)

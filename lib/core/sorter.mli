@@ -74,10 +74,6 @@ type report = {
   arena : (string * Extmem.Frame_arena.owner_stats) list;
       (** per-owner frame-arena accounting (held/peak blocks), sorted
           by owner name; owners persist past lease close *)
-  jobs : int;  (** configured worker count *)
-  workers : Sort_pool.worker_stats list;
-      (** per-worker tasks/entries/I/O of the parallel path; empty at
-          [jobs = 1] *)
 }
 
 val sort_device :

@@ -1,5 +1,5 @@
-(* The forest machinery itself is the pure [Forest] module (shared with
-   the worker pool); this module binds it to a session.  Entries travel
+(* The forest machinery itself is the pure [Forest] module; this module
+   binds it to a session.  Entries travel
    through as [Entry.View.t]s over their original encoded payloads: sorts
    and merges never decode names, attributes or text, and emitted bytes
    are the input bytes (End entries synthesized from level transitions

@@ -1,11 +1,10 @@
-(* The multi-tenant sort engine: one process-wide memory budget, one
-   shared worker pool and one admission queue serving many concurrent
-   sort jobs.  Every sort session is built here ([session]), one-job
-   callers included ([with_session]).
+(* The multi-tenant sort engine: one process-wide memory budget and one
+   admission queue serving many concurrent sort jobs, each running on
+   its caller's domain.  Every sort session is built here ([session]),
+   one-job callers included ([with_session]).
 
-   A job's whole footprint is two carves out of the engine budget — its
-   session budget ([Session.job_blocks]) and, for parallel jobs, its
-   external-sort headroom ([Session.ext_blocks]) — both under a
+   A job's whole footprint is one carve out of the engine budget — its
+   session budget of [config.memory_blocks] blocks — under a
    "tenant#seq" ledger label, so the per-owner ledger doubles as the
    per-tenant accounting the admission policy reads.  Admission is FIFO
    with per-tenant fairness: waiters are served in arrival order among
@@ -14,8 +13,8 @@
    fit (small jobs cannot starve a large one).  The two halves of a
    fused merge queue as one waiter and are carved together.
 
-   Release is where the leak ledger lives: whatever a job's carves still
-   hold after its session was destroyed — a phase that failed to release
+   Release is where the leak ledger lives: whatever a job's carve still
+   holds after its session was destroyed — a phase that failed to release
    on an abort path — is counted into [engine.leaked_blocks] and then
    force-reclaimed, so one tenant's fault can never shrink the engine.
    The destroy-probe machinery ([Session.add_destroy_probe]) still fires
@@ -31,7 +30,6 @@ type job = {
   j_seq : int;
   j_config : Nexsort.Config.t;
   j_budget : Extmem.Memory_budget.t;
-  j_ext : Extmem.Memory_budget.t option;
   j_cancel : bool Atomic.t;
   j_queue_wait_s : float;
   mutable j_released : bool;
@@ -43,12 +41,11 @@ type waiter = {
   w_halves : int;  (* sessions admitted together: 2 for a fused merge *)
   w_config : Nexsort.Config.t;
   w_cancel : bool Atomic.t;
-  mutable w_granted : (Extmem.Memory_budget.t * Extmem.Memory_budget.t option) list option;
+  mutable w_granted : Extmem.Memory_budget.t list option;
 }
 
 type t = {
   budget : Extmem.Memory_budget.t;
-  pool : Nexsort.Sort_pool.t option;
   tracer : Obs.Tracer.t;
   registry : Obs.Registry.t;
   lock : Mutex.t;
@@ -65,13 +62,12 @@ type t = {
   mutable destroyed : bool;
 }
 
-let create ?(tracer = Obs.Tracer.null) ?(workers = 0) ~memory_blocks ~block_size () =
+let create ?(tracer = Obs.Tracer.null) ~memory_blocks ~block_size () =
   if memory_blocks < 1 then invalid_arg "Engine.create: need at least one block";
   let registry = Obs.Registry.create () in
   let t =
     {
       budget = Extmem.Memory_budget.create ~blocks:memory_blocks ~block_size;
-      pool = (if workers > 0 then Some (Nexsort.Sort_pool.create ~tracer ~workers ()) else None);
       tracer;
       registry;
       lock = Mutex.create ();
@@ -100,8 +96,6 @@ let registry t = t.registry
 
 let tracer t = t.tracer
 
-let pool t = t.pool
-
 let budget t = t.budget
 
 let leaked_blocks t = Obs.Counter.value t.c_leaked
@@ -110,29 +104,16 @@ let running_count t tenant = Option.value (Hashtbl.find_opt t.running tenant) ~d
 
 let who ~tenant ~seq = Printf.sprintf "%s#%d" tenant seq
 
-let workers t = match t.pool with Some p -> Nexsort.Sort_pool.workers p | None -> 0
-
-(* Try to carve all of one waiter's budgets: for each of its halves the
-   session budget and, for parallel jobs, the external-sort headroom.
-   [Exhausted] means "not now": everything carved so far goes back and
-   the waiter stays queued, so a pair never holds one half while it
-   waits for the other. *)
+(* Try to carve one session budget per half of a waiter.  [Exhausted]
+   means "not now": everything carved so far goes back and the waiter
+   stays queued, so a pair never holds one half while it waits for the
+   other. *)
 let try_grant t (w : waiter) =
-  let config = w.w_config and workers = workers t in
-  let carve who blocks =
-    Extmem.Memory_budget.carve t.budget ~block_size:config.Nexsort.Config.block_size ~who
-      ~blocks ()
-  in
+  let config = w.w_config in
   let carve_half i =
-    let label = who ~tenant:w.w_tenant ~seq:(w.w_seq + i) in
-    let main = carve label (Nexsort.Session.job_blocks ~workers config) in
-    match Nexsort.Session.ext_blocks ~workers config with
-    | 0 -> (main, None)
-    | ext -> (
-        try (main, Some (carve (label ^ " ext") ext))
-        with e ->
-          Extmem.Memory_budget.uncarve main;
-          raise e)
+    Extmem.Memory_budget.carve t.budget ~block_size:config.Nexsort.Config.block_size
+      ~who:(who ~tenant:w.w_tenant ~seq:(w.w_seq + i))
+      ~blocks:config.Nexsort.Config.memory_blocks ()
   in
   let granted = ref [] in
   match
@@ -144,11 +125,7 @@ let try_grant t (w : waiter) =
       w.w_granted <- Some (List.rev !granted);
       true
   | exception Extmem.Memory_budget.Exhausted _ ->
-      List.iter
-        (fun (main, ext) ->
-          Extmem.Memory_budget.uncarve main;
-          Option.iter Extmem.Memory_budget.uncarve ext)
-        !granted;
+      List.iter Extmem.Memory_budget.uncarve !granted;
       false
 
 (* Admission, under the engine lock.  Order waiters by (tenant's running
@@ -232,15 +209,14 @@ let acquire_halves ~names ?cancel t ~tenant (config : Nexsort.Config.t) =
       Obs.Counter.add t.c_admitted halves;
       Obs.Counter.add t.c_queue_wait_ms (int_of_float (wait_s *. 1000.));
       List.mapi
-        (fun i ((main, ext), name) ->
+        (fun i (budget, name) ->
           let seq = w.w_seq + i in
           {
             j_tenant = tenant;
             j_name = (if name = "" then who ~tenant ~seq else name);
             j_seq = seq;
             j_config = config;
-            j_budget = main;
-            j_ext = ext;
+            j_budget = budget;
             j_cancel = w.w_cancel;
             j_queue_wait_s = wait_s;
             j_released = false;
@@ -262,30 +238,22 @@ let cancel t (flag : bool Atomic.t) =
 
 let cancel_flag (j : job) = j.j_cancel
 
-let session t (j : job) =
-  let pool = match (t.pool, j.j_ext) with Some p, Some eb -> Some (p, eb) | _ -> None in
-  Nexsort.Session.create ~budget:j.j_budget ?pool
+let session (_ : t) (j : job) =
+  Nexsort.Session.create ~budget:j.j_budget
     ~poll:(fun () -> if Atomic.get j.j_cancel then raise Cancelled)
     j.j_config
 
-(* Return a job's carves to the engine.  The session must already be
-   destroyed (Sorter does this on every exit path); anything its carves
+(* Return a job's carve to the engine.  The session must already be
+   destroyed (Sorter does this on every exit path); anything its carve
    still hold is a leak — counted, then force-reclaimed so the engine
    budget is whole again no matter what the job did. *)
 let release t (j : job) =
   if not j.j_released then begin
     j.j_released <- true;
     let leak = Extmem.Memory_budget.used_blocks j.j_budget in
-    let leak =
-      leak
-      + (match j.j_ext with Some eb -> Extmem.Memory_budget.used_blocks eb | None -> 0)
-    in
     if leak > 0 then Obs.Counter.add t.c_leaked leak;
     Mutex.lock t.lock;
     Extmem.Memory_budget.uncarve ~force:true j.j_budget;
-    (match j.j_ext with
-    | Some eb -> Extmem.Memory_budget.uncarve ~force:true eb
-    | None -> ());
     (match running_count t j.j_tenant - 1 with
     | 0 -> Hashtbl.remove t.running j.j_tenant
     | n -> Hashtbl.replace t.running j.j_tenant n);
@@ -333,22 +301,17 @@ let destroy t =
     end;
     t.destroyed <- true;
     Condition.broadcast t.admitted;
-    Mutex.unlock t.lock;
-    match t.pool with Some p -> Nexsort.Sort_pool.shutdown p | None -> ()
+    Mutex.unlock t.lock
   end
 
 (* An engine sized for exactly [slots] jobs of this config — the
    single-job CLI path ([slots = 1]) and the two-stream merge
    ([slots = 2], one {!run_pair}): the same admission, carve and release
    machinery, with a budget sized so those admissions succeed
-   immediately.  Its pool has [config.jobs] workers, so [--jobs N] runs
-   on exactly N workers. *)
+   immediately. *)
 let for_config ?(slots = 1) (config : Nexsort.Config.t) =
-  let workers = if config.Nexsort.Config.jobs > 1 then config.Nexsort.Config.jobs else 0 in
-  let per_job =
-    Nexsort.Session.job_blocks ~workers config + Nexsort.Session.ext_blocks ~workers config
-  in
-  create ~tracer:config.Nexsort.Config.tracer ~workers ~memory_blocks:(slots * per_job)
+  create ~tracer:config.Nexsort.Config.tracer
+    ~memory_blocks:(slots * config.Nexsort.Config.memory_blocks)
     ~block_size:config.Nexsort.Config.block_size ()
 
 let with_engine ?slots config f =

@@ -1,12 +1,13 @@
 (** The multi-tenant sort engine: process-wide resources — one memory
-    budget, one shared {!Nexsort.Sort_pool}, a metrics registry and a
-    tracer — plus admission control, serving many concurrent sort jobs.
+    budget, a metrics registry and a tracer — plus admission control,
+    serving many concurrent sort jobs.  Each job runs on its caller's
+    domain; the engine starts none.
 
     The engine is the only constructor of a {!Nexsort.Session}, which
     is one job's view of these resources: {!acquire} carves the job's
-    budgets out of the engine's (queuing the job when they do not fit,
+    budget out of the engine's (queuing the job when it does not fit,
     rather than raising [Exhausted]), {!session} builds the session over
-    the carves, and {!release} returns them — force-reclaiming and
+    the carve, and {!release} returns it — force-reclaiming and
     counting whatever a faulted job leaked, so one tenant's abort can
     never shrink the engine.  One-job callers (the CLIs, tests, the
     session-less forms in [Xmerge]) run on a one-job engine
@@ -22,7 +23,7 @@
     {b Cancellation} is cooperative: {!cancel} flips the job's flag;
     its session polls the flag at scan and output checkpoints and raises
     {!Cancelled}, after which the normal teardown path (session destroy,
-    pool-view close, {!release}) returns every block. *)
+    {!release}) returns every block. *)
 
 exception Cancelled
 (** Raised by a cancelled job's poll hook at its next checkpoint, and by
@@ -31,29 +32,25 @@ exception Cancelled
 type t
 
 type job
-(** An admitted job: its carved budgets, cancellation flag and queue-wait
+(** An admitted job: its carved budget, cancellation flag and queue-wait
     time.  Obtained from {!acquire}; must be {!release}d. *)
 
 val create :
   ?tracer:Obs.Tracer.t ->
-  ?workers:int ->
   memory_blocks:int ->
   block_size:int ->
   unit ->
   t
 (** An engine with [memory_blocks] blocks of [block_size] bytes to carve
-    jobs from, and a shared pool of [workers] worker domains (0, the
-    default, spawns no pool — every job then sorts on its own thread,
-    whatever its [config.jobs]).
-    Job budgets of other block sizes are carved cross-granularity
-    (charged in engine blocks, rounded up). *)
+    jobs from; a job of [config] takes [config.memory_blocks] blocks of
+    its own block size.  Job budgets of other block sizes are carved
+    cross-granularity (charged in engine blocks, rounded up). *)
 
 val for_config : ?slots:int -> Nexsort.Config.t -> t
 (** An engine sized for exactly [slots] (default 1) concurrent jobs of
-    [config], with [config]'s tracer and a pool of [config.jobs] workers
-    when [config.jobs > 1]: the single-job CLI path, running one sort
-    through the same admission/carve/release machinery with zero queue
-    wait.  Use [slots = 2] for one {!run_pair}. *)
+    [config], with [config]'s tracer: the single-job CLI path, running
+    one sort through the same admission/carve/release machinery with zero
+    queue wait.  Use [slots = 2] for one {!run_pair}. *)
 
 val acquire :
   ?name:string ->
@@ -71,14 +68,13 @@ val acquire :
     @raise Invalid_argument on a destroyed engine. *)
 
 val session : t -> job -> Nexsort.Session.t
-(** The job's session — the only way to build one: its carved budget, a
-    view of the engine pool and its external-sort headroom (for parallel
-    configs on an engine with a pool), and its cancellation poll.
+(** The job's session — the only way to build one: its carved budget and
+    its cancellation poll.
     Destroyed by the sorter on every exit path. *)
 
 val release : t -> job -> unit
-(** Return the job's carves to the engine and re-run admission.  Call
-    after the session was destroyed; blocks still held by the carves at
+(** Return the job's carve to the engine and re-run admission.  Call
+    after the session was destroyed; blocks still held by the carve at
     that point are a leak — added to [engine.leaked_blocks], then
     force-reclaimed so the engine budget is whole regardless.
     Idempotent. *)
@@ -150,13 +146,11 @@ val job_name : job -> string
 val job_tenant : job -> string
 
 val destroy : t -> unit
-(** Shut the engine down: joins the shared pool's workers.
+(** Shut the engine down: a later {!acquire} raises.
     @raise Invalid_argument while jobs are still queued or running.
     Idempotent. *)
 
 val budget : t -> Extmem.Memory_budget.t
-
-val pool : t -> Nexsort.Sort_pool.t option
 
 val tracer : t -> Obs.Tracer.t
 

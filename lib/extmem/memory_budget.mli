@@ -13,13 +13,14 @@
     of failing with a bare count.
 
     Every operation is thread-safe (one internal mutex per budget), so a
-    budget can be shared across domains.  For parallel phases the
-    intended pattern is coarser than per-block locking: {!carve} a fixed
-    slab into a per-domain {e sub-budget} up front, let the domain
-    reserve and release against its private sub-budget without touching
-    the shared pool, and {!uncarve} the slab back when the domain
-    finishes.  The parent's ledger records each slab under the carver's
-    name, so exhaustion messages stay exact across domains. *)
+    budget can be shared across domains.  The multi-tenant engine shares
+    one this way, and coarser than per-block locking: it {!carve}s a
+    fixed slab into a per-job {e sub-budget} at admission, the job —
+    running on its own domain — reserves and releases against its
+    private sub-budget without touching the engine's, and the slab is
+    {!uncarve}d when the job is released.  The parent's ledger records
+    each slab under the carver's name, so exhaustion messages stay exact
+    across domains. *)
 
 type t
 

@@ -1,8 +1,8 @@
 type id = int
 
-(* A slot is either a finished run (with the device it lives on — worker
-   domains write runs to their own scratch devices) or a reservation
-   whose payload is still being produced elsewhere. *)
+(* A slot is either a finished run (with the device it lives on — an
+   installed run may live on another store's device) or a reservation
+   whose payload is not installed yet. *)
 type slot =
   | Ready of { dev : Device.t; extent : Extent.t }
   | Pending

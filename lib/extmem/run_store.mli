@@ -6,14 +6,12 @@
     closed run gets a dense integer id that can be embedded in run-pointer
     entries on the data stack and inside other runs.
 
-    Runs on the store's own device are written one at a time (the main
-    thread never interleaves two subtree sorts), which the store
-    enforces.  For parallel sorting the main thread instead {!reserve}s
-    an id — keeping id assignment a deterministic main-thread sequence —
-    and a worker later {!install}s the finished payload, which may live
-    on the worker's private scratch device.  All store operations are
-    main-thread only: workers hand (device, extent) pairs back for the
-    main thread to install. *)
+    Runs on the store's own device are written one at a time (a sort
+    never interleaves two subtree sorts), which the store enforces.  A
+    run written elsewhere can join the store by reference: {!reserve} an
+    id, then {!install} the (device, extent) pair that holds it — this is
+    how [Extsort.Ext_pq.meld] adopts another queue's runs.  A store is
+    not thread-safe; one domain uses it. *)
 
 type t
 
@@ -42,7 +40,7 @@ val reserve : t -> id
 
 val install : t -> id -> dev:Device.t -> extent:Extent.t -> unit
 (** Fill a {!reserve}d slot with a finished run, possibly on a device
-    other than the store's own (a worker's scratch device).
+    other than the store's own (another store's device).
     @raise Invalid_argument on an unknown id or an already-installed
     run. *)
 

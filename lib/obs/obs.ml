@@ -287,9 +287,10 @@ module Json = struct
       ]
 end
 
-(* Counters are the one observability primitive bumped from worker
-   domains, so they are atomic.  Histograms, spans and the registry stay
-   main-thread only. *)
+(* Counters are the one observability primitive bumped from several
+   domains at once (the engine's, by concurrent jobs each on its own
+   domain), so they are atomic.  Histograms, spans and a registry's
+   membership stay with one domain. *)
 module Counter = struct
   type t = {
     name : string;
@@ -500,8 +501,8 @@ module Tracer = struct
      bounded ring of fixed-size records (four parallel int arrays); emitting
      is a handful of array stores plus one monotonic-clock read, no
      allocation, no locking.  When a ring fills, further records are dropped
-     and counted — emitting never blocks.  Flushing (after workers have
-     joined) renders Chrome trace_event JSON loadable in Perfetto. *)
+     and counted — emitting never blocks.  Flushing (once no other domain
+     is emitting) renders Chrome trace_event JSON loadable in Perfetto. *)
 
   type kind = Begin | End | Instant | Count | Complete
 
@@ -533,7 +534,8 @@ module Tracer = struct
   }
 
   (* a device's read/write latency histograms; devices of one name on
-     several domains (workers' temp devices) share them, hence the lock *)
+     several domains (concurrent jobs' devices) share them, hence the
+     lock *)
   and io_latency = { lat_lock : Mutex.t; lat_read : Histogram.t; lat_write : Histogram.t }
 
   let null =
@@ -653,8 +655,6 @@ module Tracer = struct
           tr.t_pos <- p + 1
         end
 
-  let begin_span t id = if t.enabled then emit t Begin id (now_ns t) 0
-  let end_span t id = if t.enabled then emit t End id (now_ns t) 0
   let instant t id = if t.enabled then emit t Instant id (now_ns t) 0
   let counter t id v = if t.enabled then emit t Count id (now_ns t) v
   let complete t id ~start_ns ~dur_ns = if t.enabled then emit t Complete id start_ns dur_ns
@@ -699,7 +699,7 @@ module Tracer = struct
 
   (* Re-arm the tracer for another measured run: zero every ring and forget
      the device latency histograms, but keep the epoch, interned names and
-     domain bindings.  Only call while no worker domains are emitting. *)
+     domain bindings.  Only call while no other domain is emitting. *)
   let reset t =
     if t.enabled then begin
       Mutex.lock t.lock;
@@ -1039,8 +1039,10 @@ module Report = struct
      objects (batch sizes, queue counters, merge + I/O deltas).
      v4: sort reports lost the always-zero "pager" section and the
      arena owners their cache counters (only the indexed merge, whose
-     B-tree owns a buffer pool, reports "pager"). *)
-  let schema_version = 4
+     B-tree owns a buffer pool, reports "pager").
+     v5: sort reports lost the "workers" section and config.jobs (every
+     sort runs on one domain). *)
+  let schema_version = 5
 
   type t = {
     tool : string;

@@ -136,7 +136,7 @@ end
     plus a few array stores — no allocation, no locking, and when the
     ring is full records are dropped and counted rather than blocking.
     The disabled tracer ({!Tracer.null}) reduces every emit to one
-    boolean test.  After worker domains have joined, {!Tracer.to_json}
+    boolean test.  Once no other domain is emitting, {!Tracer.to_json}
     renders Chrome [trace_event] JSON (loadable in Perfetto /
     [chrome://tracing]; analyse offline with [nextrace]). *)
 module Tracer : sig
@@ -176,8 +176,6 @@ module Tracer : sig
   val now_ns : t -> int
   (** Monotonic ns since the tracer epoch. *)
 
-  val begin_span : t -> int -> unit
-  val end_span : t -> int -> unit
   val instant : t -> int -> unit
   val counter : t -> int -> int -> unit
 
@@ -186,7 +184,8 @@ module Tracer : sig
       start relative to the epoch). *)
 
   val begin_s : t -> string -> unit
-  (** [begin_span] with per-call interning, for coarse call sites. *)
+  (** Open a span named by string (interned per call, for coarse call
+      sites); {!end_s} closes it. *)
 
   val end_s : t -> string -> unit
   val instant_s : t -> string -> unit
@@ -211,7 +210,7 @@ module Tracer : sig
   val reset : t -> unit
   (** Zero every ring and forget the device latency histograms, keeping the
       epoch, interned names and domain bindings.  Only call while no
-      worker domain is emitting. *)
+      other domain is emitting. *)
 
   val record_to_json : tid:int -> record -> Json.t
   (** One record as a Chrome [trace_event] object ([ph] B/E/i/C/X;
@@ -225,7 +224,7 @@ module Tracer : sig
   (** Full trace: [{"traceEvents": [...], "displayTimeUnit", "otherData",
       "ioLatency"}].  Each track contributes a [thread_name] metadata
       event, its records in emission order, and a final ["trace.dropped"]
-      counter.  Call only after worker domains have joined. *)
+      counter.  Call only while no other domain is emitting. *)
 
   val write_file : t -> string -> unit
   (** Minified {!to_json} to [path].  Raises [Sys_error] on I/O

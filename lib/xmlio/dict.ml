@@ -8,10 +8,9 @@ type t = {
   mutable table : int array;
   mutable mask : int;
   mutable hash_of_id : int array;
-  (* Worker domains resolve names that were all interned on the main
-     thread, so their lookups are logically read-only — but the main
-     thread may intern new names concurrently (table resize, vector
-     growth), so every operation locks. *)
+  (* Every operation locks, so a dictionary stays consistent (table
+     resize, vector growth) even if domains share it; a sort session's
+     dictionary is used by the one domain running its job. *)
   lock : Mutex.t;
 }
 

@@ -57,33 +57,23 @@ dune exec bench/main.exe -- --quick ingest > /dev/null
 # when it does).
 dune exec bench/main.exe -- --quick ablate-degen > /dev/null
 
-# Parallel smoke: the worker pool must be invisible in the output and in
-# the I/O bill.  Sort the same document with --jobs 1 and --jobs 4 and
-# require byte-identical results plus identical metrics counters (the
-# compare in both directions pins them equal, not merely non-regressing).
-dune exec bin/xmlgen_cli.exe -- --seed 7 --fanouts 8,8,8,5 --avg-bytes 120 -o $tmp/par.xml \
+# The reference sort the engine smoke below compares daemon jobs with.
+dune exec bin/xmlgen_cli.exe -- --seed 7 --fanouts 8,8,8,5 --avg-bytes 120 -o $tmp/doc.xml \
   > /dev/null
-dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 --jobs 1 --metrics $tmp/par1.json \
-  -o $tmp/par1.out.xml $tmp/par.xml > /dev/null
-dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 --jobs 4 --metrics $tmp/par4.json \
-  -o $tmp/par4.out.xml $tmp/par.xml > /dev/null
-cmp $tmp/par1.out.xml $tmp/par4.out.xml
-dune exec bench/main.exe -- compare-metrics $tmp/par1.json $tmp/par4.json
-dune exec bench/main.exe -- compare-metrics $tmp/par4.json $tmp/par1.json
+dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 --metrics $tmp/doc.ref.json \
+  -o $tmp/doc.ref.xml $tmp/doc.xml > /dev/null
 
 # Sort fence: each kind of subtree sort opens one stream, which a run
-# drains, the fused output phase consumes, or a worker drains.  Over
-# shapes that reach every kind — in-memory subtree runs, a forward and a
-# reverse-scan external root (a threshold above the document,
-# degeneration off, by @id and by text), fragment merges (the flat
-# documents) and verbatim copies (--depth-limit 1) — the default, the
-# unfused and the --jobs 4 outputs must be byte-identical, and the -j1
-# and -j4 reports' io sections pinned equal (both compare directions).
-# The deep smoke shape at -t 1024 nests runs two deep, so the output
-# phase suspends a reader at a run pointer and resumes it from memory.
-# An -O @id row also sorts with --encoding dict: the default there is
-# packed (end-tag elimination), and the encoding must not change the
-# output.
+# drains or the fused output phase consumes.  Over shapes that reach
+# every kind — in-memory subtree runs, a forward and a reverse-scan
+# external root (a threshold above the document, degeneration off, by
+# @id and by text), fragment merges (the flat documents) and verbatim
+# copies (--depth-limit 1) — the default and the unfused outputs must be
+# byte-identical.  The deep smoke shape at -t 1024 nests runs two deep,
+# so the output phase suspends a reader at a run pointer and resumes it
+# from memory.  An -O @id row also sorts with --encoding dict: the
+# default there is packed (end-tag elimination), and the encoding must
+# not change the output.
 dune exec bin/xmlgen_cli.exe -- --seed 7 --fanouts 3000 --avg-bytes 120 -o $tmp/flat.xml \
   > /dev/null 2>&1
 dune exec bin/xmlgen_cli.exe -- --seed 1 --fanouts 6,6,6,4,2,2 -o $tmp/deep.xml > /dev/null 2>&1
@@ -94,15 +84,13 @@ while read -r doc args; do
   fence=$((fence + 1))
   f=$tmp/fence$fence
   # (stdin is the shape list: keep it from the commands)
-  dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args --metrics $f.j1.json \
-    -o $f.xml $tmp/$doc < /dev/null > /dev/null
+  dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args -o $f.xml $tmp/$doc < /dev/null \
+    > /dev/null
   dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args --no-fuse -o $f.nofuse.xml $tmp/$doc \
     < /dev/null > /dev/null
-  dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args --jobs 4 --metrics $f.j4.json \
-    -o $f.j4.xml $tmp/$doc < /dev/null > /dev/null
   # An -O @id row runs packed by default; dict must write the same bytes.
   # (The -O text rows run dict by default.)
-  modes="nofuse j4"
+  modes="nofuse"
   case "$args" in
     *"-O @id"*)
       dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args --encoding dict -o $f.dict.xml \
@@ -113,12 +101,10 @@ while read -r doc args; do
     cmp $f.xml $f.$m.xml || {
       echo "sort fence: $doc $args: the $m output differs" >&2; exit 1; }
   done
-  dune exec bench/main.exe -- compare-metrics $f.j1.json $f.j4.json < /dev/null > /dev/null
-  dune exec bench/main.exe -- compare-metrics $f.j4.json $f.j1.json < /dev/null > /dev/null
 done <<EOF
-par.xml -O @id
-par.xml -t 100000000 --no-degeneration -O @id
-par.xml -t 100000000 --no-degeneration -O text
+doc.xml -O @id
+doc.xml -t 100000000 --no-degeneration -O @id
+doc.xml -t 100000000 --no-degeneration -O text
 flat.xml -O @id
 f31500.xml -O @id
 f31500.xml --no-degeneration -O @id
@@ -135,7 +121,7 @@ EOF
 # fuzz run drives the same admission path through the config matrix.
 for i in 1 2 3 4 5 6 7 8; do
   t=acme; [ $((i % 2)) -eq 0 ] && t=bravo
-  echo "sort -B 1024 -M 16 $tmp/par.xml -o $tmp/eng$i.xml --metrics $tmp/eng$i.json --tenant $t" \
+  echo "sort -B 1024 -M 16 $tmp/doc.xml -o $tmp/eng$i.xml --metrics $tmp/eng$i.json --tenant $t" \
     >> $tmp/eng_jobs.txt
 done
 dune exec bin/nexsortd.exe -- --memory 40 --block-size 1024 $tmp/eng_jobs.txt > $tmp/engd.out
@@ -148,46 +134,27 @@ grep -q '8 jobs: 8 done, 0 cancelled, 0 failed' $tmp/engd.out || {
 if ls -A $tmp | grep '\.tmp$' >&2; then
   echo "engine smoke: the daemon left temporary output files" >&2; exit 1; fi
 for i in 1 2 3 4 5 6 7 8; do
-  cmp $tmp/eng$i.xml $tmp/par1.out.xml
-  dune exec bench/main.exe -- compare-metrics $tmp/par1.json $tmp/eng$i.json
-  dune exec bench/main.exe -- compare-metrics $tmp/eng$i.json $tmp/par1.json
-done
-# The same through a daemon with a shared pool: --jobs 2 requests sort
-# their subtrees on the engine's two workers (a job of 16 + 2 writer
-# buffer + 32 headroom blocks, two at a time), and must stay just as
-# invisible in the output and the I/O bill.
-for i in 1 2 3 4; do
-  t=acme; [ $((i % 2)) -eq 0 ] && t=bravo
-  echo "sort -B 1024 -M 16 --jobs 2 $tmp/par.xml -o $tmp/engw$i.xml --metrics $tmp/engw$i.json --tenant $t" \
-    >> $tmp/engw_jobs.txt
-done
-dune exec bin/nexsortd.exe -- --workers 2 --memory 100 --block-size 1024 $tmp/engw_jobs.txt \
-  > $tmp/engwd.out
-grep -q '4 jobs: 4 done, 0 cancelled, 0 failed; leaked blocks: 0' $tmp/engwd.out || {
-  echo "engine smoke: the --workers daemon failed a job or leaked" >&2; cat $tmp/engwd.out >&2
-  exit 1; }
-for i in 1 2 3 4; do
-  cmp $tmp/engw$i.xml $tmp/par1.out.xml
-  dune exec bench/main.exe -- compare-metrics $tmp/par1.json $tmp/engw$i.json
-  dune exec bench/main.exe -- compare-metrics $tmp/engw$i.json $tmp/par1.json
+  cmp $tmp/eng$i.xml $tmp/doc.ref.xml
+  dune exec bench/main.exe -- compare-metrics $tmp/doc.ref.json $tmp/eng$i.json
+  dune exec bench/main.exe -- compare-metrics $tmp/eng$i.json $tmp/doc.ref.json
 done
 dune exec bin/nexfuzz.exe -- --tenants 4 --cases 24 --fault-cases 0 > /dev/null
 
-# Trace smoke: a --jobs 4 traced sort must produce a trace that nextrace
-# validates, carrying the sorter's phase spans and one track per worker.
-dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 --jobs 4 --trace $tmp/trace4.json \
-  -o $tmp/trace4.out.xml $tmp/par.xml > /dev/null
-dune exec bin/nextrace.exe -- --check $tmp/trace4.json
-dune exec bin/nextrace.exe -- --top 100 $tmp/trace4.json > $tmp/trace4.txt
-for needle in input_scan subtree_sorts output 'worker 0' 'worker 1' 'worker 2' 'worker 3'; do
-  grep -q "$needle" $tmp/trace4.txt || {
+# Trace smoke: a traced sort must produce a trace that nextrace
+# validates, carrying the sorter's phase spans.
+dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 --trace $tmp/trace.json \
+  -o $tmp/trace.out.xml $tmp/doc.xml > /dev/null
+dune exec bin/nextrace.exe -- --check $tmp/trace.json
+dune exec bin/nextrace.exe -- --top 100 $tmp/trace.json > $tmp/trace.txt
+for needle in input_scan subtree_sorts output; do
+  grep -q "$needle" $tmp/trace.txt || {
     echo "trace smoke: missing \"$needle\" in nextrace output" >&2; exit 1; }
 done
 # Every device's block I/O reaches the trace through the device's one
 # I/O event: the endpoints and the run devices each get io latency rows.
-sed -n '/^io latency:/,/^$/p' $tmp/trace4.txt > $tmp/trace4_io.txt
+sed -n '/^io latency:/,/^$/p' $tmp/trace.txt > $tmp/trace_io.txt
 for needle in read:input write:output read:runs write:runs; do
-  grep -q "$needle" $tmp/trace4_io.txt || {
+  grep -q "$needle" $tmp/trace_io.txt || {
     echo "trace smoke: no \"$needle\" row in nextrace's io latency table" >&2; exit 1; }
 done
 # The merge's endpoints (left, right, output) are built like the sort's,
@@ -229,7 +196,7 @@ dune exec bench/main.exe -- compare-metrics $tmp/mdaemon.json $tmp/mfused.json
 # A traced device spec mirrors block positions into the trace as access.*
 # counters, on the output endpoint as on every other device.
 dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 --device traced/mem --trace $tmp/tracea.json \
-  -o $tmp/tracea.out.xml $tmp/par.xml > /dev/null
+  -o $tmp/tracea.out.xml $tmp/doc.xml > /dev/null
 dune exec bin/nextrace.exe -- --check $tmp/tracea.json
 grep -q '"access.write:output"' $tmp/tracea.json || {
   echo "trace smoke: a traced/mem sort carries no access.write:output events" >&2; exit 1; }

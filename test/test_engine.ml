@@ -1,8 +1,7 @@
 (* The multi-tenant engine: admission, isolation, abort and the
    concurrency-invisibility property.
 
-   The headline invariant mirrors the parallel sorter's: the engine may
-   run any number of jobs concurrently under any interleaving the
+   The headline invariant: the engine may run any number of jobs concurrently under any interleaving the
    scheduler produces, and every job's output and per-job I/O bill are
    byte-for-byte the ones a standalone single-session run yields.  The
    other half is containment — a faulted or cancelled tenant returns
@@ -60,7 +59,7 @@ let test_concurrent_jobs_equal_sequential =
         |> List.map (fun (out, rep) ->
                (out, Extmem.Io_stats.total rep.Nexsort.total_io))
       in
-      (* room for two jobs at a time: job_blocks = 8 at the same block
+      (* room for two jobs at a time: memory_blocks = 8 at the same block
          size, so 20 blocks queue the other six *)
       let eng =
         Engine.create ~memory_blocks:20 ~block_size:config.Config.block_size ()
@@ -84,20 +83,18 @@ let test_concurrent_jobs_equal_sequential =
         QCheck.Test.fail_report "engine budget not empty after all jobs";
       true)
 
-(* Offloaded external subtree sorts (config.jobs > 1, threshold too big
-   for the arena) stay invisible when the jobs run concurrently through
-   a shared engine pool. *)
-let test_concurrent_external_offload () =
+(* External subtree sorts (threshold too big for the arena) stay
+   invisible when the jobs run concurrently, each on its own domain,
+   through one engine. *)
+let test_concurrent_external_sorts () =
   let xml = gen_doc ~height:5 ~max_elements:500 11 in
-  let mk jobs =
-    Config.make ~block_size:128 ~memory_blocks:10 ~threshold:200_000 ~degeneration:false
-      ~jobs ()
+  let config =
+    Config.make ~block_size:128 ~memory_blocks:10 ~threshold:200_000 ~degeneration:false ()
   in
-  let ref_out, ref_rep = Engine.sort_string ~config:(mk 1) ~ordering:by_id xml in
+  let ref_out, ref_rep = Engine.sort_string ~config ~ordering:by_id xml in
   check Alcotest.bool "reference run spills externally" true
     (ref_rep.Nexsort.external_sorts > 0);
-  let config = mk 2 in
-  let eng = Engine.create ~workers:2 ~memory_blocks:80 ~block_size:128 () in
+  let eng = Engine.create ~memory_blocks:20 ~block_size:128 () in
   let domains =
     List.init 3 (fun i ->
         Domain.spawn (fun () ->
@@ -530,8 +527,8 @@ let () =
       ( "invisibility",
         [
           qcheck test_concurrent_jobs_equal_sequential;
-          Alcotest.test_case "concurrent external offload" `Quick
-            test_concurrent_external_offload;
+          Alcotest.test_case "concurrent external sorts" `Quick
+            test_concurrent_external_sorts;
         ] );
       ( "admission",
         [

@@ -528,9 +528,8 @@ let test_run_store_read_run () =
   check (Alcotest.option Alcotest.string) "exhausted stays exhausted" None (pull ())
 
 let test_run_store_reserve_install () =
-  (* the worker-pool protocol: the main thread reserves the id at the
-     point the run would have been created, a worker installs the payload
-     later from its own scratch device *)
+  (* adoption by reference: an id is reserved first, and the payload is
+     installed later from another device *)
   let d = Extmem.Device.in_memory ~block_size:8 () in
   let rs = Extmem.Run_store.create d in
   let id0 = Extmem.Run_store.reserve rs in
@@ -547,13 +546,13 @@ let test_run_store_reserve_install () =
   let blocks_before = Extmem.Run_store.total_run_blocks rs in
   let wd = Extmem.Device.in_memory ~block_size:8 () in
   let ww = Extmem.Block_writer.create wd in
-  Extmem.Block_writer.write_record ww "worker";
+  Extmem.Block_writer.write_record ww "adopted";
   let extent = Extmem.Block_writer.close ww in
   Extmem.Run_store.install rs id0 ~dev:wd ~extent;
   check Alcotest.bool "pending excluded from totals" true
     (Extmem.Run_store.total_run_blocks rs > blocks_before);
   let pull = Extmem.Run_store.read_run rs id0 in
-  check (Alcotest.option Alcotest.string) "reads from the worker device" (Some "worker")
+  check (Alcotest.option Alcotest.string) "reads from the other device" (Some "adopted")
     (pull ());
   try
     Extmem.Run_store.install rs id0 ~dev:wd ~extent;

@@ -892,35 +892,6 @@ let test_sort_input_fault_surfaces () =
   let r = sort_device ~config ~ordering:by_id ~input ~output:output2 () in
   check Alcotest.bool "recovered" true (r.Nexsort.elements > 0)
 
-let test_sort_jobs_equivalence () =
-  (* the worker pool must be invisible in the result: byte-identical
-     output and an identical I/O bill for every worker count, with the
-     per-worker report rows proving the parallel path actually ran *)
-  let tasks_seen = ref 0 in
-  List.iter
-    (fun seed ->
-      let xml = gen_doc ~height:5 ~max_elements:600 seed in
-      let mk jobs = Config.make ~block_size:128 ~memory_blocks:8 ~jobs () in
-      let ref_out, ref_rep = Engine.sort_string ~config:(mk 1) ~ordering:by_id xml in
-      check Alcotest.int (Printf.sprintf "seed %d jobs 1 has no worker rows" seed) 0
-        (List.length ref_rep.Nexsort.workers);
-      List.iter
-        (fun jobs ->
-          let out, rep = Engine.sort_string ~config:(mk jobs) ~ordering:by_id xml in
-          check Alcotest.string (Printf.sprintf "seed %d jobs %d bytes" seed jobs) ref_out out;
-          check Alcotest.int
-            (Printf.sprintf "seed %d jobs %d total io" seed jobs)
-            (Extmem.Io_stats.total ref_rep.Nexsort.total_io)
-            (Extmem.Io_stats.total rep.Nexsort.total_io);
-          check Alcotest.int (Printf.sprintf "seed %d jobs %d worker rows" seed jobs) jobs
-            (List.length rep.Nexsort.workers);
-          List.iter
-            (fun w -> tasks_seen := !tasks_seen + w.Nexsort.Sort_pool.w_tasks)
-            rep.Nexsort.workers)
-        [ 2; 4 ])
-    [ 3; 17 ];
-  check Alcotest.bool "some subtree sorts ran on workers" true (!tasks_seen > 0)
-
 exception Boom
 
 let test_aborted_external_sort_restores_budget () =
@@ -1600,7 +1571,6 @@ let () =
           Alcotest.test_case "output fault leaves whole blocks" `Quick
             test_output_fault_leaves_whole_blocks;
           Alcotest.test_case "input fault surfaces" `Quick test_sort_input_fault_surfaces;
-          Alcotest.test_case "jobs equivalence" `Quick test_sort_jobs_equivalence;
           Alcotest.test_case "aborted external sort restores budget" `Quick
             test_aborted_external_sort_restores_budget;
           Alcotest.test_case "io accounting" `Quick test_report_io_accounting;

@@ -138,31 +138,6 @@ let test_probes_clean_after_fault () =
   check (Alcotest.list Alcotest.string) "no leaks after abort" []
     (Verify.Probes.violations ())
 
-let test_probes_clean_after_worker_fault () =
-  (* the same abort with a worker pool attached: once the first subtree
-     collapse is offloaded, the faulting write lands on a worker's
-     private run device inside its domain; drain re-raises the fault on
-     the main thread, and destroy must still tear the pool down to a
-     quiescent arena and an empty budget *)
-  Verify.Probes.install ();
-  Verify.Probes.clear ();
-  List.iter
-    (fun seed ->
-      let doc = pathological_doc ~max_elements:250 (100 + seed) in
-      let config =
-        Nexsort.Config.make ~block_size:512 ~memory_blocks:16 ~jobs:2
-          ~device:
-            (Extmem.Device_spec.parse (Printf.sprintf "faulty:p=1.0,seed=%d/mem" seed))
-          ()
-      in
-      match Engine.sort_string ~config ~ordering:(Ordering.by_attr "id") doc with
-      | _ -> Alcotest.fail "sort on an always-faulting device succeeded"
-      | exception Extmem.Backend.Fault _ -> ()
-      | exception e -> Alcotest.failf "expected Device.Fault, got %s" (Printexc.to_string e))
-    [ 1; 2; 3 ];
-  check (Alcotest.list Alcotest.string) "no leaks after worker aborts" []
-    (Verify.Probes.violations ())
-
 let test_fault_sweep_no_leaks () =
   (* A sweep of sparse fault schedules over the sort paths that hold
      memory across a first read: fragment merges (the flat documents,
@@ -245,8 +220,6 @@ let () =
         [
           Alcotest.test_case "nexsort output validates" `Quick test_nexsort_output_validates;
           Alcotest.test_case "clean after fault abort" `Quick test_probes_clean_after_fault;
-          Alcotest.test_case "clean after worker fault abort" `Quick
-            test_probes_clean_after_worker_fault;
           Alcotest.test_case "clean after a fault sweep" `Quick test_fault_sweep_no_leaks;
           Alcotest.test_case "sees a leak" `Quick test_probe_sees_leak;
         ] );
