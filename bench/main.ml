@@ -8,6 +8,7 @@
      dune exec bench/main.exe -- --cost  -- simulated seek/transfer time
                                             on every device (sim=..ms)
      dune exec bench/main.exe micro      -- bechamel micro-benchmarks
+     dune exec bench/main.exe linear-sweep -- the doubling sweep (a gate)
 
    The paper's primary metric is the number of block I/Os; wall-clock
    seconds are reported as well.  Absolute values differ from the paper
@@ -270,7 +271,9 @@ let model () =
       [ `Exact [ 85; 10 ]; `Exact [ 85; 85 ]; `Exact [ 85; 85; 10 ];
         (* the Lemma 4.1 adversary: the shape for which the lower bound is
            tight *)
-        `Adversarial (85, 20_000) ]
+        `Adversarial (85, 20_000);
+        (* at k = 2 the adversary is a spine 20,000 levels deep *)
+        `Adversarial (2, 40_000) ]
   in
   List.iter
     (fun shape ->
@@ -289,7 +292,11 @@ let model () =
       in
       let input = with_block_size 1024 doc in
       let nx = run_nexsort ~config input in
-      let ms = run_mergesort ~config input in
+      (* the merge sort's key paths grow with the height, O(n * height)
+         bytes in all: run it only where that stays small *)
+      let ms =
+        if stats.Xmlgen.Gen.height > 1_000 then None else Some (run_mergesort ~config input)
+      in
       let k = List.fold_left max 1 fanouts in
       let elements_per_block =
         max 1 (1024 / (stats.Xmlgen.Gen.bytes / max 1 stats.Xmlgen.Gen.elements))
@@ -307,11 +314,14 @@ let model () =
       in
       let ms_bound = Iomodel.Model.merge_sort_bound params in
       let lb = Iomodel.Model.lower_bound params in
-      Printf.printf "%-10d %-4d | %-10d %-12.0f %-8.2f | %-10d %-12.0f %-8.2f | %.0f\n"
+      Printf.printf "%-10d %-4d | %-10d %-12.0f %-8.2f | %-10s %-12.0f %-8s | %.0f\n"
         stats.Xmlgen.Gen.elements k nx.io nx_bound
         (float_of_int nx.io /. nx_bound)
-        ms.io ms_bound
-        (float_of_int ms.io /. ms_bound)
+        (match ms with Some ms -> string_of_int ms.io | None -> "-")
+        ms_bound
+        (match ms with
+        | Some ms -> Printf.sprintf "%.2f" (float_of_int ms.io /. ms_bound)
+        | None -> "-")
         lb)
     shapes
 
@@ -667,6 +677,154 @@ let ingest () =
     Printf.eprintf "ingest: %d batch size(s) failed the incremental-maintenance gate\n" !failures;
     exit 1
   end
+
+(* ------------------------------------------------------------------ *)
+(* E-scan: the doubling sweep — no per-event cost may grow with the
+   document's height or width *)
+
+(* Each shape family builds a document from a size n; the sweep sorts
+   sizes n and 2n.  Work linear in the input keeps minor words per input
+   byte flat and doubles the wall time; a per-event cost that grows with
+   n shows as growth in both.  Words are taken per input byte, not per
+   event: in the width families the event count stays fixed while every
+   event doubles, so words per event double by construction there (in
+   the height and fan-out families the two measures coincide). *)
+let sweep_families =
+  let id rng = Random.State.int rng 1_000_000 in
+  let doc n f =
+    let rng = Random.State.make [| n |] in
+    let b = Buffer.create (1 lsl 20) in
+    f b rng;
+    Buffer.contents b
+  in
+  let flat n elt =
+    doc n (fun b rng ->
+        Buffer.add_string b "<r id=\"0\">";
+        for i = 1 to n do
+          elt b rng i
+        done;
+        Buffer.add_string b "</r>")
+  in
+  [
+    (* Lemma 4.1's spine: <a><b>x</b><a>...</a></a>, n levels deep *)
+    ( "spine height",
+      32_000,
+      fun n ->
+        doc n (fun b rng ->
+            for _ = 1 to n do
+              Printf.bprintf b "<a id=\"%d\"><b id=\"%d\">x</b>" (id rng) (id rng)
+            done;
+            for _ = 1 to n do
+              Buffer.add_string b "</a>"
+            done) );
+    ( "attributes per element",
+      3_000,
+      fun n ->
+        doc n (fun b rng ->
+            Buffer.add_string b "<r id=\"0\">";
+            for _ = 1 to 100 do
+              Printf.bprintf b "<e id=\"%d\"" (id rng);
+              for i = 0 to n - 1 do
+                Printf.bprintf b " a%d=\"v\"" i
+              done;
+              Buffer.add_string b "/>"
+            done;
+            Buffer.add_string b "</r>") );
+    ( "fan-out",
+      40_000,
+      fun n -> flat n (fun b rng _ -> Printf.bprintf b "<c id=\"%d\">x</c>" (id rng)) );
+    ( "text length",
+      8_000,
+      fun n ->
+        doc n (fun b rng ->
+            Buffer.add_string b "<r id=\"0\">";
+            for _ = 1 to 100 do
+              Printf.bprintf b "<t id=\"%d\">%s</t>" (id rng) (String.make n 'x')
+            done;
+            Buffer.add_string b "</r>") );
+    ( "name length",
+      200,
+      fun n ->
+        (* eight distinct names of length n *)
+        flat 4_000 (fun b rng i ->
+            let name = String.make n (Char.chr (Char.code 'a' + (i mod 8))) in
+            Printf.bprintf b "<%s id=\"%d\"/>" name (id rng)) );
+    ( "key length",
+      400,
+      fun n ->
+        (* keys share an n-byte prefix, so every comparison reads it *)
+        let prefix = String.make n 'k' in
+        flat 2_000 (fun b rng _ -> Printf.bprintf b "<k id=\"%s%06d\"/>" prefix (id rng)) );
+  ]
+
+let linear_sweep () =
+  heading "E-scan / doubling sweep: per-event cost independent of height and width";
+  subnote
+    "-B 4096 -M 64 -O @id (packed); walls are medians of 5, gated when size n takes >= 0.2 s";
+  let config = Config.make ~block_size:4096 ~memory_blocks:64 ~encoding:Config.Packed () in
+  (* one sort: (wall seconds, minor words, events) *)
+  let sort xml =
+    let input = Extmem.Device.of_string ~name:"input" ~block_size:4096 xml in
+    let output = Config.scratch_device config ~name:"out" in
+    (* every run starts from a collected heap, not the last run's garbage *)
+    Gc.full_major ();
+    let report, seconds =
+      time (fun () ->
+          Engine.with_session config (fun session ->
+              Nexsort.sort_device ~session ~ordering ~input ~output ()))
+    in
+    (seconds, report.Nexsort.gc.Nexsort.gc_minor_words, report.Nexsort.events)
+  in
+  let median l =
+    let a = Array.of_list (List.sort compare l) in
+    a.(Array.length a / 2)
+  in
+  Printf.printf "%-23s %8s %8s | %9s %9s %6s | %8s %8s %6s | %s\n" "family" "n" "bytes"
+    "w/byte n" "w/byte 2n" "ratio" "wall n" "wall 2n" "ratio" "w/event n, 2n";
+  let failures = ref [] in
+  List.iter
+    (fun (family, n, gen) ->
+      let measure n =
+        let xml = gen n in
+        let seconds, words, events = sort xml in
+        let bytes = float_of_int (String.length xml) in
+        (xml, words /. bytes, words /. float_of_int events, seconds)
+      in
+      let xml1, wb1, we1, s1 = measure n in
+      let xml2, wb2, we2, s2 = measure (2 * n) in
+      let words_ratio = wb2 /. wb1 in
+      let words_bad = words_ratio > 1.25 in
+      (* sizes n and 2n alternate, so drifting background load hits both
+         alike; a family that already failed on words is not timed
+         further *)
+      let walls1 = ref [ s1 ] and walls2 = ref [ s2 ] in
+      if not words_bad then
+        for _ = 1 to 4 do
+          List.iter
+            (fun (xml, walls) ->
+              let s, _, _ = sort xml in
+              walls := s :: !walls)
+            [ (xml1, walls1); (xml2, walls2) ]
+        done;
+      let wall1 = median !walls1 and wall2 = median !walls2 in
+      let timed = (not words_bad) && wall1 >= 0.2 in
+      let wall_ratio = wall2 /. wall1 in
+      let wall_bad = timed && wall_ratio > 3. in
+      Printf.printf "%-23s %8d %8d | %9.2f %9.2f %5.2fx%s | %7.3fs %7.3fs %s | %.0f, %.0f\n%!"
+        family n (String.length xml1) wb1 wb2 words_ratio
+        (if words_bad then "!" else " ")
+        wall1 wall2
+        (if timed then Printf.sprintf "%5.2fx%s" wall_ratio (if wall_bad then "!" else " ")
+         else "     - ")
+        we1 we2;
+      if words_bad then failures := (family ^ ": words per byte grew more than 1.25x") :: !failures;
+      if wall_bad then failures := (family ^ ": median wall grew more than 3x") :: !failures)
+    sweep_families;
+  match List.rev !failures with
+  | [] -> subnote "linear-sweep: OK (every family within 1.25x words per byte and 3x wall)"
+  | fs ->
+      List.iter (fun f -> Printf.eprintf "linear-sweep: FAIL %s\n" f) fs;
+      exit 1
 
 (* ------------------------------------------------------------------ *)
 (* micro-benchmarks (bechamel): the hot inner operations *)
@@ -1054,6 +1212,7 @@ let experiments =
     ("xsort", xsort);
     ("tenants", tenants);
     ("ingest", ingest);
+    ("linear-sweep", linear_sweep);
     ("micro", micro);
     ("wall", wall);
   ]
@@ -1115,7 +1274,8 @@ let () =
   | args ->
   let selected =
     match args with
-    | [] -> List.filter (fun (n, _) -> n <> "micro" && n <> "wall") experiments
+    | [] ->
+        List.filter (fun (n, _) -> not (List.mem n [ "micro"; "wall"; "linear-sweep" ])) experiments
     | names ->
         List.map
           (fun n ->

@@ -76,15 +76,15 @@ let rec all_text (e : Xmlio.Tree.element) =
     e.Xmlio.Tree.children;
   Buffer.contents b
 
+(* the first element in document order reached by the path *)
 let rec find_path (e : Xmlio.Tree.element) = function
   | [] -> Some e
   | seg :: rest ->
-      let rec first = function
-        | [] -> None
-        | Xmlio.Tree.Element c :: _ when c.Xmlio.Tree.name = seg -> find_path c rest
-        | _ :: tl -> first tl
-      in
-      first e.Xmlio.Tree.children
+      List.find_map
+        (function
+          | Xmlio.Tree.Element c when c.Xmlio.Tree.name = seg -> find_path c rest
+          | Xmlio.Tree.Element _ | Xmlio.Tree.Text _ -> None)
+        e.Xmlio.Tree.children
 
 let rec key_of_tree_criterion criterion (e : Xmlio.Tree.element) =
   match criterion with
@@ -107,7 +107,9 @@ let key_of_tree t (e : Xmlio.Tree.element) = key_of_tree_criterion (criterion_fo
 (* ---- streaming evaluation ---- *)
 
 module Evaluator = struct
-  (* the state of one subtree-derived leaf criterion of one open element *)
+  (* the state of one subtree-derived leaf criterion of one open element;
+     a path slot's relative depth is the evaluator's depth minus its
+     frame's *)
   type slot =
     | Done of Key.t
     | Text_acc of Buffer.t
@@ -116,22 +118,24 @@ module Evaluator = struct
         mutable progress : int;
         mutable capturing : bool;
         mutable result : Buffer.t option;
-        mutable rel_depth : int;
       }
 
+  (* an open element whose key waits for its subtree *)
   type frame = {
     shape : criterion;
     slots : slot array; (* leaf slots, in the pre-order of [shape] *)
+    fdepth : int; (* the element's absolute depth, root = 1 *)
   }
 
+  (* Only elements with a subtree criterion get a frame, so with a
+     scan-evaluable ordering [live] stays empty and every event is O(1). *)
   type eval = {
     spec : t;
-    mutable frames : frame list; (* innermost first *)
+    mutable depth : int; (* open elements *)
+    mutable live : frame list; (* innermost first *)
   }
 
-  let create spec = { spec; frames = [] }
-
-  let depth e = List.length e.frames
+  let create spec = { spec; depth = 0; live = [] }
 
   (* allocate the leaf slots of a criterion, in pre-order *)
   let slots_of criterion name lookup =
@@ -142,9 +146,7 @@ module Evaluator = struct
       | By_text -> acc := Text_acc (Buffer.create 16) :: !acc
       | By_path path ->
           acc :=
-            Path_acc
-              { path = Array.of_list path; progress = 0; capturing = false; result = None;
-                rel_depth = 0 }
+            Path_acc { path = Array.of_list path; progress = 0; capturing = false; result = None }
             :: !acc
       | Desc c -> go c
       | Composite l -> List.iter go l
@@ -183,21 +185,19 @@ module Evaluator = struct
     in
     go frame.shape
 
-  let all_done frame =
-    Array.for_all (function Done _ -> true | Text_acc _ | Path_acc _ -> false) frame.slots
-
-  (* path-matching state updates for every live slot *)
+  (* path-matching state updates for every live slot, after [e.depth]
+     moved to the new element *)
   let slots_on_start e name =
     List.iter
       (fun frame ->
+        let rel_depth = e.depth - frame.fdepth in
         Array.iter
           (function
             | Done _ | Text_acc _ -> ()
             | Path_acc w ->
-                w.rel_depth <- w.rel_depth + 1;
                 if
                   w.result = None && (not w.capturing)
-                  && w.rel_depth = w.progress + 1
+                  && rel_depth = w.progress + 1
                   && w.progress < Array.length w.path
                   && w.path.(w.progress) = name
                 then begin
@@ -208,62 +208,73 @@ module Evaluator = struct
                   end
                 end)
           frame.slots)
-      e.frames
+      e.live
 
+  (* the element at [e.depth] is closing *)
   let slots_on_end e =
     List.iter
       (fun frame ->
+        let rel_depth = e.depth - frame.fdepth in
         Array.iter
           (function
             | Done _ | Text_acc _ -> ()
             | Path_acc w ->
-                if w.capturing && w.rel_depth = Array.length w.path then w.capturing <- false;
-                if w.rel_depth <= w.progress then w.progress <- w.rel_depth - 1;
-                if w.progress < 0 then w.progress <- 0;
-                w.rel_depth <- w.rel_depth - 1)
+                if w.capturing && rel_depth = Array.length w.path then w.capturing <- false;
+                if rel_depth <= w.progress then w.progress <- max 0 (rel_depth - 1))
           frame.slots)
-      e.frames
+      e.live
 
   let on_start_lookup e name lookup =
-    slots_on_start e name;
+    e.depth <- e.depth + 1;
+    if e.live <> [] then slots_on_start e name;
     let shape = criterion_for e.spec name in
-    let frame = { shape; slots = slots_of shape name lookup } in
-    e.frames <- frame :: e.frames;
-    if all_done frame then Some (assemble frame) else None
+    match key_of_start_criterion shape name lookup with
+    | Some _ as key -> key
+    | None ->
+        e.live <- { shape; slots = slots_of shape name lookup; fdepth = e.depth } :: e.live;
+        None
 
   let on_start e name attrs = on_start_lookup e name (fun a -> List.assoc_opt a attrs)
 
   let on_text e s =
-    (* direct text feeds the innermost frame's text accumulators *)
-    (match e.frames with
-    | frame :: _ ->
-        Array.iter
-          (function
-            | Text_acc b -> Buffer.add_string b s
-            | Done _ | Path_acc _ -> ())
-          frame.slots
-    | [] -> ());
-    (* capturing path slots of any ancestor receive all text below target *)
-    List.iter
-      (fun frame ->
-        Array.iter
-          (function
-            | Path_acc w when w.capturing -> (
-                match w.result with
-                | Some b -> Buffer.add_string b s
-                | None -> ())
-            | Path_acc _ | Done _ | Text_acc _ -> ())
-          frame.slots)
-      e.frames
+    match e.live with
+    | [] -> ()
+    | innermost :: _ ->
+        (* direct text feeds the innermost element's text accumulators,
+           when that element has a frame *)
+        if innermost.fdepth = e.depth then
+          Array.iter
+            (function
+              | Text_acc b -> Buffer.add_string b s
+              | Done _ | Path_acc _ -> ())
+            innermost.slots;
+        (* capturing path slots of any ancestor receive all text below target *)
+        List.iter
+          (fun frame ->
+            Array.iter
+              (function
+                | Path_acc w when w.capturing -> (
+                    match w.result with
+                    | Some b -> Buffer.add_string b s
+                    | None -> ())
+                | Path_acc _ | Done _ | Text_acc _ -> ())
+              frame.slots)
+          e.live
 
   let on_end e =
-    match e.frames with
-    | [] -> invalid_arg "Ordering.Evaluator.on_end: no open element"
-    | frame :: rest ->
-        e.frames <- rest;
-        slots_on_end e;
-        if all_done frame then None (* the key was already delivered at the start tag *)
-        else Some (assemble frame)
+    if e.depth = 0 then invalid_arg "Ordering.Evaluator.on_end: no open element";
+    (* a closing element without a frame had its key delivered at its
+       start tag *)
+    let key =
+      match e.live with
+      | frame :: rest when frame.fdepth = e.depth ->
+          e.live <- rest;
+          Some (assemble frame)
+      | _ -> None
+    in
+    if e.live <> [] then slots_on_end e;
+    e.depth <- e.depth - 1;
+    key
 end
 
 let rec pp_criterion ppf = function

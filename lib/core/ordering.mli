@@ -22,9 +22,9 @@ type criterion =
   | By_attr of string (** value of the named attribute, [Null] if absent *)
   | By_text           (** concatenated direct text children of the element *)
   | By_path of string list
-      (** text content of the first descendant reached by the given tag
-          path (e.g. [["personalInfo"; "name"]]), [Null] when
-          no such descendant exists *)
+      (** text content of the first descendant, in document order,
+          reached by the given tag path (e.g. [["personalInfo"; "name"]]),
+          [Null] when no such descendant exists *)
   | Document_order    (** key [Null]: keep siblings in document order *)
   | Composite of criterion list
       (** lexicographic compound key — the recursively-defined orderings
@@ -70,9 +70,10 @@ val key_of_tree : t -> Xmlio.Tree.element -> Key.t
     The sorting-phase scan feeds every parser event to an evaluator, which
     produces each element's key as early as possible: at the start tag for
     scan-evaluable criteria, at the end tag for subtree criteria.  This is
-    the implementation of §3.2's path-stack augmentation — the per-open-
-    element expression state lives alongside the path stack (O(height)
-    small values). *)
+    the implementation of §3.2's path-stack augmentation.  Only an open
+    element whose key waits for its subtree holds expression state, and
+    each event touches only that state: with a scan-evaluable ordering
+    every event costs O(1), whatever the document's height. *)
 
 module Evaluator : sig
   type eval
@@ -93,8 +94,6 @@ module Evaluator : sig
   val on_end : eval -> Key.t option
   (** Close the innermost element.  [Some key] iff its criterion is a
       subtree criterion. *)
-
-  val depth : eval -> int
 end
 
 val pp_criterion : Format.formatter -> criterion -> unit

@@ -54,15 +54,15 @@ type frame = {
   nfrags : int;        (* fragment id entries directly below the frame *)
 }
 
-let encode_frame f =
-  let buf = Buffer.create 32 in
-  Extmem.Codec.put_varint buf f.loc;
-  Extmem.Codec.put_varint buf f.children_loc;
-  Extmem.Codec.put_varint buf f.fpos;
-  Extmem.Codec.put_varint buf f.flevel;
-  Key.encode_opt buf f.fkey;
-  Extmem.Codec.put_varint buf f.nfrags;
-  Buffer.contents buf
+let encode_frame enc f =
+  Extmem.Codec.Enc.clear enc;
+  Extmem.Codec.Enc.add_varint enc f.loc;
+  Extmem.Codec.Enc.add_varint enc f.children_loc;
+  Extmem.Codec.Enc.add_varint enc f.fpos;
+  Extmem.Codec.Enc.add_varint enc f.flevel;
+  Key.encode_opt_enc enc f.fkey;
+  Extmem.Codec.Enc.add_varint enc f.nfrags;
+  Extmem.Codec.Enc.contents enc
 
 let decode_frame s =
   let c = Extmem.Codec.cursor s in
@@ -74,10 +74,10 @@ let decode_frame s =
   let nfrags = Extmem.Codec.get_varint c in
   { loc; children_loc; fpos; flevel; fkey; nfrags }
 
-let encode_frag_id id =
-  let buf = Buffer.create 4 in
-  Extmem.Codec.put_varint buf id;
-  Buffer.contents buf
+let encode_frag_id enc id =
+  Extmem.Codec.Enc.clear enc;
+  Extmem.Codec.Enc.add_varint enc id;
+  Extmem.Codec.Enc.contents enc
 
 let decode_frag_id s = Extmem.Codec.get_varint (Extmem.Codec.cursor s)
 
@@ -143,13 +143,20 @@ let push_end st ~level ~pos ~key =
 
 let degeneration st = st.session.Session.config.Config.degeneration
 
-let cache_top st f =
+let push_frame st f =
+  Extmem.Ext_stack.push st.session.Session.path_stack
+    (encode_frame st.session.Session.enc_scratch f);
   st.top_children_loc <- f.children_loc;
   st.top_flevel <- f.flevel
 
-let push_frame st f =
-  Extmem.Ext_stack.push st.session.Session.path_stack (encode_frame f);
-  cache_top st f
+(* Re-read the top frame's [children_loc] and [flevel] into the cache,
+   skipping the fields before them and the key after them. *)
+let cache_top st =
+  let c = Extmem.Codec.cursor (Extmem.Ext_stack.top st.session.Session.path_stack) in
+  Extmem.Codec.skip_varint c;
+  st.top_children_loc <- Extmem.Codec.get_varint c;
+  Extmem.Codec.skip_varint c;
+  st.top_flevel <- Extmem.Codec.get_varint c
 
 let pop_frame st = decode_frame (Extmem.Ext_stack.pop st.session.Session.path_stack)
 
@@ -164,8 +171,7 @@ let pop_element st =
     if n = 0 then acc else ids (n - 1) (decode_frag_id (Extmem.Ext_stack.pop path) :: acc)
   in
   let frags = ids frame.nfrags [] in
-  if degeneration st && not (Extmem.Ext_stack.is_empty path) then
-    cache_top st (decode_frame (Extmem.Ext_stack.top path));
+  if degeneration st && not (Extmem.Ext_stack.is_empty path) then cache_top st;
   (frame, frags)
 
 let packed st = st.session.Session.config.Config.encoding = Config.Packed
@@ -213,7 +219,7 @@ let maybe_degenerate st =
       Extmem.Ext_stack.truncate_to st.session.Session.data_stack children_loc;
       (* the new id goes just below the frame: O(1) path-stack work *)
       let top = pop_frame st in
-      Extmem.Ext_stack.push path (encode_frag_id frag);
+      Extmem.Ext_stack.push path (encode_frag_id st.session.Session.enc_scratch frag);
       push_frame st { top with nfrags = top.nfrags + 1 }
     end
     end
@@ -648,17 +654,25 @@ let open_sorted ~session ~ordering ~input ~io_meter ~sim_meter =
     | Config.Plain -> None (* plain entries never consult the dictionary *)
     | Config.Dict | Config.Packed -> Some session.Session.dict
   in
-  in_span st "input_scan" (fun () ->
-      Pipe.run ~spans ~budget:session.Session.budget
-        (scan_source ?dict ~keep_whitespace:config.Config.keep_whitespace input)
-        (Pipe.fn_sink ~who:"sort scan" (fun (p : Xmlio.Event.packed) ->
-             (* cancellation checkpoint: one poll per scan event *)
-             session.Session.poll ();
-             st.n_events <- st.n_events + 1;
-             match p.Xmlio.Event.pkind with
-             | Xmlio.Event.Pstart -> on_start st p
-             | Xmlio.Event.Ptext -> on_text st p.Xmlio.Event.ptext
-             | Xmlio.Event.Pend -> on_end st)));
+  (try
+     in_span st "input_scan" (fun () ->
+         Pipe.run ~spans ~budget:session.Session.budget
+           (scan_source ?dict ~keep_whitespace:config.Config.keep_whitespace input)
+           (Pipe.fn_sink ~who:"sort scan" (fun (p : Xmlio.Event.packed) ->
+                (* cancellation checkpoint: one poll per scan event *)
+                session.Session.poll ();
+                st.n_events <- st.n_events + 1;
+                match p.Xmlio.Event.pkind with
+                | Xmlio.Event.Pstart -> on_start st p
+                | Xmlio.Event.Ptext -> on_text st p.Xmlio.Event.ptext
+                | Xmlio.Event.Pend -> on_end st)))
+   with e ->
+     (* an error after the root closed (a second root element, say)
+        finds the fused root's stream open: close it, so its
+        reservations return before the caller destroys the session *)
+     let bt = Printexc.get_raw_backtrace () in
+     Option.iter (fun (root : string Pipe.opened) -> try root.Pipe.close () with _ -> ()) st.root;
+     Printexc.raise_with_backtrace e bt);
   Log.info (fun m ->
       m "scan done: %d events, %d subtree sorts (%d in-memory, %d external), %d fragments"
         st.n_events st.n_subtree_sorts st.n_in_memory st.n_external st.n_fragment_runs);

@@ -291,10 +291,15 @@ let framed_size payload =
   let n = String.length payload in
   varint_size n + n + 4
 
-(* The frame ([Codec.put_varint] header, payload, [Codec.put_u32]
-   trailer) is written straight into the window. *)
-let push st payload =
-  let n = String.length payload in
+(* Whether one resident block holds all [n] bytes at logical offset
+   [pos]: the byte-at-a-time paths are then not needed. *)
+let resident_span st pos n =
+  pos >= 0 && (pos mod st.bs) + n <= st.bs && is_resident st (pos / st.bs)
+
+let resident_frame st pos = Deque.get st.resident ((pos / st.bs) - st.front_idx)
+
+(* A frame written byte by byte, crossing blocks as it goes. *)
+let push_spanning st payload n =
   let rec header v =
     if v < 0x80 then append_byte st v
     else begin
@@ -307,7 +312,36 @@ let push st payload =
   append_byte st (n land 0xff);
   append_byte st ((n lsr 8) land 0xff);
   append_byte st ((n lsr 16) land 0xff);
-  append_byte st ((n lsr 24) land 0xff);
+  append_byte st ((n lsr 24) land 0xff)
+
+(* The frame ([Codec.put_varint] header, payload, [Codec.put_u32]
+   trailer) is written straight into the window: in one piece when it
+   fits in the resident block at the top, else byte by byte.  Both ways
+   append and evict exactly the same blocks. *)
+let push st payload =
+  let n = String.length payload in
+  let total = varint_size n + n + 4 in
+  if resident_span st st.len total then begin
+    let frame = resident_frame st st.len in
+    let data = frame.data in
+    let rec header i v =
+      if v < 0x80 then begin
+        Bytes.unsafe_set data i (Char.unsafe_chr v);
+        i + 1
+      end
+      else begin
+        Bytes.unsafe_set data i (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+        header (i + 1) (v lsr 7)
+      end
+    in
+    let i = header (st.len mod st.bs) n in
+    Bytes.blit_string payload 0 data i n;
+    Codec.set_u32_at data (i + n) n;
+    frame.dirty <- true;
+    st.len <- st.len + total;
+    if st.len > st.high_water then st.high_water <- st.len
+  end
+  else push_spanning st payload n;
   st.pushes <- st.pushes + 1;
   st.scratch_idx <- -1
 
@@ -365,8 +399,13 @@ let truncate_to st pos =
 (* Payload length of the top entry, from its u32 trailer. *)
 let top_payload_length st =
   if st.len = 0 then invalid_arg "Ext_stack: empty stack";
-  read_resident st (st.len - 4) st.trailer 0 4;
-  Codec.get_u32_at (Bytes.unsafe_to_string st.trailer) 0
+  let pos = st.len - 4 in
+  if resident_span st pos 4 then
+    Codec.get_u32_at (Bytes.unsafe_to_string (resident_frame st pos).data) (pos mod st.bs)
+  else begin
+    read_resident st pos st.trailer 0 4;
+    Codec.get_u32_at (Bytes.unsafe_to_string st.trailer) 0
+  end
 
 let top_entry_start st n =
   let start = st.len - 4 - n - varint_size n in
@@ -374,9 +413,13 @@ let top_entry_start st n =
   start
 
 let read_top_payload st n start =
-  let payload = Bytes.create n in
-  read_resident st (start + varint_size n) payload 0 n;
-  Bytes.unsafe_to_string payload
+  let pos = start + varint_size n in
+  if resident_span st pos n then Bytes.sub_string (resident_frame st pos).data (pos mod st.bs) n
+  else begin
+    let payload = Bytes.create n in
+    read_resident st pos payload 0 n;
+    Bytes.unsafe_to_string payload
+  end
 
 let pop st =
   let n = top_payload_length st in
@@ -431,11 +474,18 @@ let scan_entry st cur =
     shift := !shift + 7;
     if b land 0x80 = 0 then continue := false
   done;
-  let payload = Bytes.create !n in
-  read_bytes_scanning st !cur payload 0 !n;
+  let payload =
+    if resident_span st !cur !n then
+      Bytes.sub_string (resident_frame st !cur).data (!cur mod st.bs) !n
+    else begin
+      let payload = Bytes.create !n in
+      read_bytes_scanning st !cur payload 0 !n;
+      Bytes.unsafe_to_string payload
+    end
+  in
   cur := !cur + !n + 4;
   if !cur > st.len then raise (Codec.Corrupt "Ext_stack: truncated entry during scan");
-  Bytes.unsafe_to_string payload
+  payload
 
 let iter_entries_from st ~pos f =
   let cur = ref pos in

@@ -37,6 +37,7 @@ type t = {
   buf : Buffer.t;                     (* text accumulator *)
   buf2 : Buffer.t;                    (* entity references *)
   abuf : Buffer.t;                    (* attribute values *)
+  attr_set : (string, unit) Hashtbl.t; (* a wide tag's attribute names *)
   (* The name just read is [nsrc.[noff .. noff + nlen)]: a view into the
      window when the name lies inside it, else a copy in [nbuf].  A view
      is valid only until the next refill. *)
@@ -73,6 +74,7 @@ let create ?dict ?(keep_whitespace = false) src win wlen =
     buf = Buffer.create 256;
     buf2 = Buffer.create 64;
     abuf = Buffer.create 64;
+    attr_set = Hashtbl.create 16;
     nbuf = Bytes.create 64;
     nsrc = Bytes.empty;
     noff = 0;
@@ -429,6 +431,29 @@ let read_text_run p =
     end
   end
 
+(* Tags with up to this many attributes find duplicates by comparing
+   names pairwise, allocating nothing; wider tags use [p.attr_set]. *)
+let linear_dup_check_max = 16
+
+(* Fail if [k] repeats one of the tag's first [n] attribute names. *)
+let check_duplicate_attr p k n =
+  let names = p.packed.Event.pattr_names in
+  if n < linear_dup_check_max then begin
+    for i = 0 to n - 1 do
+      if String.equal names.(i) k then fail p "duplicate attribute %s" k
+    done
+  end
+  else begin
+    if n = linear_dup_check_max then begin
+      Hashtbl.reset p.attr_set;
+      for i = 0 to n - 1 do
+        Hashtbl.replace p.attr_set names.(i) ()
+      done
+    end;
+    if Hashtbl.mem p.attr_set k then fail p "duplicate attribute %s" k;
+    Hashtbl.replace p.attr_set k ()
+  end
+
 (* after '<', name start pending: fill [p.packed] with the start tag.
    Returns [true] when the tag was an empty-element tag. *)
 let read_start_tag p =
@@ -457,9 +482,7 @@ let read_start_tag p =
         skip_ws p;
         let v = read_attr_value p in
         let n = pk.Event.pnattrs in
-        for i = 0 to n - 1 do
-          if String.equal pk.Event.pattr_names.(i) k then fail p "duplicate attribute %s" k
-        done;
+        check_duplicate_attr p k n;
         if n >= Array.length pk.Event.pattr_names then Event.packed_grow_attrs pk;
         pk.Event.pattr_names.(n) <- k;
         pk.Event.pattr_ids.(n) <- kid;

@@ -57,6 +57,14 @@ dune exec bench/main.exe -- --quick ingest > /dev/null
 # when it does).
 dune exec bench/main.exe -- --quick ablate-degen > /dev/null
 
+# Doubling sweep (E-scan): each shape family (spine height, attributes
+# per element, fan-out, text, name and key length) sorts sizes n and 2n.
+# Linear work keeps minor words per input byte flat and doubles the wall;
+# the experiment exits non-zero when words per byte grow more than 1.25x
+# or, where size n takes at least 0.2 s, the median wall of 5 grows more
+# than 3x.
+dune exec bench/main.exe -- linear-sweep > /dev/null
+
 # The reference sort the engine smoke below compares daemon jobs with.
 dune exec bin/xmlgen_cli.exe -- --seed 7 --fanouts 8,8,8,5 --avg-bytes 120 -o $tmp/doc.xml \
   > /dev/null

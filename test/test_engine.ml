@@ -225,6 +225,33 @@ let test_rejected_ordering_destroys_session () =
   check Alcotest.int "nothing leaked" 0 (Engine.leaked_blocks eng);
   Engine.destroy eng
 
+let test_late_scan_error_leaks_nothing () =
+  (* the scan fails after the root element closed (a second root), when
+     the fused root's sorted stream is already open: a fragment merge on
+     the flat document, an external sort without degeneration.  Closing
+     that stream returns its reservations before the session goes. *)
+  let flat, _ =
+    Xmlgen.Gen.to_string (fun sink ->
+        Xmlgen.Gen.exact_shape ~seed:7 ~avg_bytes:120 ~fanouts:[ 3000 ] sink)
+  in
+  let xml = flat ^ "<junk/>" in
+  List.iter
+    (fun (what, config) ->
+      let eng = Engine.create ~memory_blocks:40 ~block_size:1024 () in
+      (match engine_sort eng ~tenant:"t" config xml with
+      | _ -> Alcotest.fail "a second root element was accepted"
+      | exception Xmlio.Parser.Error _ -> ());
+      check Alcotest.int (what ^ ": no leaked blocks") 0 (Engine.leaked_blocks eng);
+      check Alcotest.int (what ^ ": engine budget empty") 0
+        (Extmem.Memory_budget.used_blocks (Engine.budget eng));
+      Engine.destroy eng)
+    [
+      ("fragment merge", Config.make ~block_size:1024 ~memory_blocks:16 ());
+      ( "external sort",
+        Config.make ~block_size:1024 ~memory_blocks:16 ~threshold:100_000_000
+          ~degeneration:false () );
+    ]
+
 (* --- abort and containment ---------------------------------------- *)
 
 exception Boom
@@ -544,6 +571,8 @@ let () =
           Alcotest.test_case "cancel queued job" `Quick test_cancel_queued_job;
           Alcotest.test_case "rejected ordering destroys the session" `Quick
             test_rejected_ordering_destroys_session;
+          Alcotest.test_case "late scan error leaks nothing" `Quick
+            test_late_scan_error_leaks_nothing;
         ] );
       ( "isolation",
         [

@@ -134,7 +134,107 @@ let test_evaluator_by_path () =
   (* nested employees: each matches its own personalInfo only *)
   evaluator_vs_oracle
     (Ordering.make ~rules:[ ("e", Ordering.By_path [ "p" ]) ] Ordering.By_tag)
-    "<r><e><p>outer</p><e><p>inner</p></e></e></r>"
+    "<r><e><p>outer</p><e><p>inner</p></e></e></r>";
+  (* the first target in document order: the first [a] has no [b], the
+     second one does *)
+  evaluator_vs_oracle
+    (Ordering.make ~rules:[ ("e", Ordering.By_path [ "a"; "b" ]) ] Ordering.By_tag)
+    "<r><e><a><c>no</c></a><a><b>yes</b></a></e></r>"
+
+(* Random trees over a small tag alphabet and random orderings mixing
+   every criterion under per-tag rules: for every element, the streaming
+   evaluator's key (at its start tag exactly when the criterion is
+   scan-evaluable, else at its end tag) equals [key_of_tree].  Repeated
+   tags put scan-evaluable elements between a path-keyed ancestor and its
+   target, and nest path-keyed elements inside each other. *)
+let eval_tags = [ "a"; "b"; "c"; "d" ]
+
+let gen_criterion =
+  QCheck.Gen.(
+    let leaf =
+      frequency
+        [
+          (2, return Ordering.By_tag);
+          (3, map (fun a -> Ordering.By_attr a) (oneofl [ "id"; "k" ]));
+          (3, return Ordering.By_text);
+          (4, map (fun p -> Ordering.By_path p) (list_size (int_range 1 3) (oneofl eval_tags)));
+          (1, return Ordering.Document_order);
+        ]
+    in
+    sized_size (int_bound 2)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (3, leaf);
+                 (1, map (fun c -> Ordering.Desc c) (self (n - 1)));
+                 (1, map (fun l -> Ordering.Composite l) (list_size (int_range 1 3) (self (n - 1))));
+               ]))
+
+let gen_eval_case =
+  QCheck.Gen.(
+    let gen_tree =
+      sized_size (int_range 1 5)
+      @@ fix (fun self depth ->
+             let* name = oneofl eval_tags in
+             let* attrs =
+               map List.concat
+                 (flatten_l
+                    (List.map
+                       (fun a ->
+                         map
+                           (function Some v -> [ (a, v) ] | None -> [])
+                           (opt (oneofl [ "1"; "2"; "x"; "y" ])))
+                       [ "id"; "k" ]))
+             in
+             let text = map (fun s -> Xmlio.Tree.Text s) (string_size ~gen:(oneofl [ 'x'; 'y'; '1' ]) (int_range 1 3)) in
+             let* children =
+               if depth = 0 then list_size (int_bound 1) text
+               else
+                 list_size (int_bound 4)
+                   (frequency [ (1, text); (3, self (depth - 1)) ])
+             in
+             return (Xmlio.Tree.Element { Xmlio.Tree.name; attrs; children }))
+    in
+    let* tree = gen_tree in
+    let* default = gen_criterion in
+    let* rules = list_size (int_bound 3) (pair (oneofl eval_tags) gen_criterion) in
+    return (tree, Ordering.make ~rules default, (rules, default)))
+
+let print_eval_case (tree, _, (rules, default)) =
+  Format.asprintf "%s@ under %a, default %a" (Xmlio.Tree.to_string tree)
+    (Format.pp_print_list (fun ppf (tag, c) ->
+         Format.fprintf ppf "%s=%a " tag Ordering.pp_criterion c))
+    rules Ordering.pp_criterion default
+
+let prop_evaluator_equals_key_of_tree =
+  QCheck.Test.make ~name:"streaming evaluator = key_of_tree on every element" ~count:500
+    (QCheck.make ~print:print_eval_case gen_eval_case)
+    (fun (tree, ordering, _) ->
+      let evaluator = Ordering.Evaluator.create ordering in
+      let rec walk = function
+        | Xmlio.Tree.Text s -> Ordering.Evaluator.on_text evaluator s
+        | Xmlio.Tree.Element e ->
+            let expected = Ordering.key_of_tree ordering e in
+            let scan = Ordering.scan_evaluable (Ordering.criterion_for ordering e.Xmlio.Tree.name) in
+            let at_start =
+              Ordering.Evaluator.on_start evaluator e.Xmlio.Tree.name e.Xmlio.Tree.attrs
+            in
+            List.iter walk e.Xmlio.Tree.children;
+            let at_end = Ordering.Evaluator.on_end evaluator in
+            let got =
+              match (at_start, at_end) with
+              | Some k, None when scan -> k
+              | None, Some k when not scan -> k
+              | _ -> QCheck.Test.fail_report "key delivered at the wrong tag"
+            in
+            if not (Key.equal expected got) then
+              QCheck.Test.fail_reportf "<%s>: key_of_tree %s, evaluator %s" e.Xmlio.Tree.name
+                (Key.to_string expected) (Key.to_string got)
+      in
+      walk tree;
+      true)
 
 let test_key_compound () =
   let lt a b = Key.compare a b < 0 in
@@ -1519,6 +1619,7 @@ let () =
           Alcotest.test_case "evaluator scan" `Quick test_evaluator_scan;
           Alcotest.test_case "evaluator by_text" `Quick test_evaluator_by_text;
           Alcotest.test_case "evaluator by_path" `Quick test_evaluator_by_path;
+          qcheck prop_evaluator_equals_key_of_tree;
           Alcotest.test_case "compound keys" `Quick test_key_compound;
           Alcotest.test_case "composite and desc" `Quick test_ordering_composite_and_desc;
           Alcotest.test_case "composite with subtree part" `Quick test_ordering_composite_subtree;

@@ -186,6 +186,28 @@ let test_parse_errors () =
   expect_parse_error "<a><![CDATA[x]]</a>" ~msg:"unterminated cdata";
   expect_parse_error "<1tag/>" ~msg:"bad name start"
 
+(* A duplicate attribute gets the same error, at the same position,
+   whether the tag is narrow (names compared pairwise) or wide (a hash
+   set of its names); wide tags that repeat each other's names are
+   fine. *)
+let test_parse_duplicate_attribute () =
+  let attrs n = String.concat "" (List.init n (fun i -> Printf.sprintf " a%d=\"v\"" (i + 1))) in
+  List.iter
+    (fun (before, dup) ->
+      let prefix = "<r" ^ attrs before ^ Printf.sprintf " a%d=\"v\"" dup in
+      match parse (prefix ^ " z=\"v\"/>") with
+      | _ -> Alcotest.fail "duplicate attribute accepted"
+      | exception Xmlio.Parser.Error { line; col; msg } ->
+          check
+            Alcotest.(triple int int string)
+            (Printf.sprintf "attribute %d repeats a%d" (before + 1) dup)
+            (1, String.length prefix + 1, Printf.sprintf "duplicate attribute a%d" dup)
+            (line, col, msg))
+    [ (1, 1); (4_999, 1); (4_999, 4_000) ];
+  let wide = "<e" ^ attrs 40 ^ "/>" in
+  check Alcotest.int "wide tags with the same names" 6
+    (List.length (parse ("<r>" ^ wide ^ wide ^ "</r>")))
+
 let test_parse_error_position () =
   try
     ignore (parse "<a>\n  <b></c>\n</a>");
@@ -906,6 +928,7 @@ let () =
           Alcotest.test_case "whitespace kept" `Quick test_parse_whitespace_kept;
           Alcotest.test_case "peek and depth" `Quick test_parse_peek_and_depth;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "duplicate attribute" `Quick test_parse_duplicate_attribute;
           Alcotest.test_case "error position" `Quick test_parse_error_position;
           Alcotest.test_case "reader io counting" `Quick test_parse_from_reader_counts_io;
           Alcotest.test_case "CRLF across windows" `Quick test_parse_crlf_across_windows;
