@@ -1105,6 +1105,26 @@ let validate_metrics path =
   List.iter
     (fun k -> ignore (require k io "io"))
     [ "input"; "subtree_sorts"; "stack_paging"; "runs"; "output"; "total" ];
+  (* allocation per phase (schema v6): a span's words include its
+     children's, so no child may carry more than its parent *)
+  let rec check_words parent_name parent_words span =
+    let name =
+      match Obs.Json.member "name" span with Some (Obs.Json.Str n) -> n | _ -> "?"
+    in
+    let words =
+      match require "minor_words" span ("span " ^ name) with
+      | Obs.Json.Float f -> f
+      | Obs.Json.Int i -> float_of_int i
+      | _ -> fail "span %S: minor_words is not a number" name
+    in
+    if words > parent_words then
+      fail "span %S allocates %.0f minor words, more than its parent %S (%.0f)" name words
+        parent_name parent_words;
+    match Obs.Json.member "children" span with
+    | Some (Obs.Json.List children) -> List.iter (check_words name words) children
+    | _ -> ()
+  in
+  check_words "(report)" infinity (require "phases" json "top-level");
   Printf.printf "validate-metrics: %s OK\n" path
 
 (* compare-metrics BASELINE NEW: fail if any I/O counter in NEW's "io"

@@ -42,7 +42,7 @@ let get_name enc dict c =
   | Config.Plain -> Extmem.Codec.get_string c
   | Config.Dict | Config.Packed -> Xmlio.Dict.lookup dict (Extmem.Codec.get_varint c)
 
-let encode_to enc dict b e =
+let encode_into enc dict b e =
   Extmem.Codec.Enc.clear b;
   (match e with
   | Start { level; pos; name; attrs; key } ->
@@ -73,7 +73,10 @@ let encode_to enc dict b e =
       Extmem.Codec.Enc.add_varint b pos;
       Key.encode_enc b key;
       Extmem.Codec.Enc.add_varint b run;
-      Extmem.Codec.Enc.add_varint b bytes);
+      Extmem.Codec.Enc.add_varint b bytes)
+
+let encode_to enc dict b e =
+  encode_into enc dict b e;
   Extmem.Codec.Enc.contents b
 
 let encode enc dict e = encode_to enc dict (Extmem.Codec.Enc.create ~capacity:64 ()) e
@@ -81,7 +84,7 @@ let encode enc dict e = encode_to enc dict (Extmem.Codec.Enc.create ~capacity:64
 (* Encode a Start entry straight from a parser-packed event: no [t] record,
    no attr assoc list, and when the parser shares the session dict the
    name ids are already resolved (no dictionary probe here). *)
-let encode_start_of_packed enc dict b ~level ~pos ~key (pk : Xmlio.Event.packed) =
+let encode_start_of_packed_into enc dict b ~level ~pos ~key (pk : Xmlio.Event.packed) =
   Extmem.Codec.Enc.clear b;
   Extmem.Codec.Enc.add_u8 b tag_start;
   Extmem.Codec.Enc.add_varint b level;
@@ -99,23 +102,32 @@ let encode_start_of_packed enc dict b ~level ~pos ~key (pk : Xmlio.Event.packed)
   for i = 0 to n - 1 do
     put_packed_name pk.Xmlio.Event.pattr_names.(i) pk.Xmlio.Event.pattr_ids.(i);
     Extmem.Codec.Enc.add_string b pk.Xmlio.Event.pattr_values.(i)
-  done;
+  done
+
+let encode_start_of_packed enc dict b ~level ~pos ~key pk =
+  encode_start_of_packed_into enc dict b ~level ~pos ~key pk;
   Extmem.Codec.Enc.contents b
 
-let encode_text_to b ~level ~pos content =
+let encode_text_into b ~level ~pos content =
   Extmem.Codec.Enc.clear b;
   Extmem.Codec.Enc.add_u8 b tag_text;
   Extmem.Codec.Enc.add_varint b level;
   Extmem.Codec.Enc.add_varint b pos;
-  Extmem.Codec.Enc.add_string b content;
+  Extmem.Codec.Enc.add_string b content
+
+let encode_text_to b ~level ~pos content =
+  encode_text_into b ~level ~pos content;
   Extmem.Codec.Enc.contents b
 
-let encode_end_to b ~level ~pos ~key =
+let encode_end_into b ~level ~pos ~key =
   Extmem.Codec.Enc.clear b;
   Extmem.Codec.Enc.add_u8 b tag_end;
   Extmem.Codec.Enc.add_varint b level;
   Extmem.Codec.Enc.add_varint b pos;
-  Key.encode_opt_enc b key;
+  Key.encode_opt_enc b key
+
+let encode_end_to b ~level ~pos ~key =
+  encode_end_into b ~level ~pos ~key;
   Extmem.Codec.Enc.contents b
 
 let decode enc dict s =
@@ -148,6 +160,121 @@ let decode enc dict s =
     Run_ptr { level; pos; key; run; bytes }
   end
   else raise (Extmem.Codec.Corrupt (Printf.sprintf "Entry.decode: bad tag %d" tag))
+
+let is_run_ptr payload = String.length payload > 0 && Char.code payload.[0] = tag_run_ptr
+
+let run_of_ptr payload =
+  let c = Extmem.Codec.cursor payload in
+  if Extmem.Codec.get_u8 c <> tag_run_ptr then invalid_arg "Entry.run_of_ptr: not a run pointer";
+  Extmem.Codec.skip_varint c;
+  Extmem.Codec.skip_varint c;
+  Key.skip c;
+  Extmem.Codec.get_varint c
+
+(* ---- output: entries in document order back into XML ----
+
+   Both consumers close elements from level transitions alone (§3.2's
+   end-tag recovery), so [Packed] entries, which have no [End] entries,
+   need nothing more: an entry at level [l] first closes every open
+   element at level [l] or deeper. *)
+
+module Serializer = struct
+  type t = {
+    enc : Config.encoding;
+    dict : Xmlio.Dict.t;
+    w : Xmlio.Writer.t;
+    (* the open elements, innermost last: names and levels *)
+    mutable names : string array;
+    mutable levels : int array;
+    mutable depth : int;
+  }
+
+  let create enc dict w =
+    { enc; dict; w; names = Array.make 16 ""; levels = Array.make 16 0; depth = 0 }
+
+  let close_to t level =
+    while t.depth > 0 && t.levels.(t.depth - 1) >= level do
+      t.depth <- t.depth - 1;
+      Xmlio.Writer.end_element t.w t.names.(t.depth)
+    done
+
+  let push_open t name level =
+    if t.depth = Array.length t.names then begin
+      let grow a x =
+        let b = Array.make (2 * t.depth) x in
+        Array.blit a 0 b 0 t.depth;
+        b
+      in
+      t.names <- grow t.names "";
+      t.levels <- grow t.levels 0
+    end;
+    t.names.(t.depth) <- name;
+    t.levels.(t.depth) <- level;
+    t.depth <- t.depth + 1
+
+  (* A length-prefixed slice: leaves the cursor at its first byte and
+     returns its length. *)
+  let slice c =
+    let n = Extmem.Codec.get_varint c in
+    Extmem.Codec.need c n;
+    n
+
+  let entry t payload =
+    let c = Extmem.Codec.cursor payload in
+    let tag = Extmem.Codec.get_u8 c in
+    let level = Extmem.Codec.get_varint c in
+    Extmem.Codec.skip_varint c (* pos *);
+    close_to t level;
+    if tag = tag_start then begin
+      let name = get_name t.enc t.dict c in
+      Key.skip_opt c;
+      Xmlio.Writer.start_element t.w name;
+      for _ = 1 to Extmem.Codec.get_varint c do
+        let k = get_name t.enc t.dict c in
+        let n = slice c in
+        Xmlio.Writer.attribute t.w k payload c.Extmem.Codec.pos n;
+        c.Extmem.Codec.pos <- c.Extmem.Codec.pos + n
+      done;
+      push_open t name level
+    end
+    else if tag = tag_text then begin
+      let n = slice c in
+      Xmlio.Writer.text t.w payload c.Extmem.Codec.pos n
+    end
+    else if tag = tag_end then () (* closed by [close_to] *)
+    else if tag = tag_run_ptr then invalid_arg "Entry.Serializer: unexpanded run pointer"
+    else raise (Extmem.Codec.Corrupt (Printf.sprintf "Entry.Serializer: bad tag %d" tag))
+
+  let finish t = close_to t 1
+end
+
+module Events = struct
+  type t = {
+    enc : Config.encoding;
+    dict : Xmlio.Dict.t;
+    opens : (string * int) Extmem.Vec.t;
+  }
+
+  let create enc dict = { enc; dict; opens = Extmem.Vec.create () }
+
+  let close_to t level emit =
+    while Extmem.Vec.length t.opens > 0 && snd (Extmem.Vec.top t.opens) >= level do
+      emit (Xmlio.Event.End (fst (Extmem.Vec.pop t.opens)))
+    done
+
+  let entry t payload emit =
+    let e = decode t.enc t.dict payload in
+    close_to t (level e) emit;
+    match e with
+    | Start { name; attrs; level; _ } ->
+        emit (Xmlio.Event.Start (name, attrs));
+        Extmem.Vec.push t.opens (name, level)
+    | End _ -> () (* closed by [close_to] *)
+    | Text { content; _ } -> emit (Xmlio.Event.Text content)
+    | Run_ptr _ -> invalid_arg "Entry.Events: unexpanded run pointer"
+
+  let finish t emit = close_to t 1 emit
+end
 
 module View = struct
   type kind =

@@ -64,6 +64,13 @@ val encode_to : Config.encoding -> Xmlio.Dict.t -> Extmem.Codec.Enc.t -> t -> st
     returned string is freshly allocated, the scratch only amortizes the
     intermediate buffer. *)
 
+val encode_into : Config.encoding -> Xmlio.Dict.t -> Extmem.Codec.Enc.t -> t -> unit
+(** {!encode_to} that leaves the bytes in the scratch encoder (cleared
+    first) instead of copying them out: the [_into] forms feed
+    {!Extmem.Ext_stack.push_bytes} straight from
+    {!Extmem.Codec.Enc.buffer}.  Each [_to] form is its [_into] form
+    followed by {!Extmem.Codec.Enc.contents}. *)
+
 val encode_start_of_packed :
   Config.encoding ->
   Xmlio.Dict.t ->
@@ -78,15 +85,77 @@ val encode_start_of_packed :
     the parser (against the same dictionary) are written as-is.  Produces
     exactly the bytes {!encode} would for the equivalent [Start]. *)
 
+val encode_start_of_packed_into :
+  Config.encoding ->
+  Xmlio.Dict.t ->
+  Extmem.Codec.Enc.t ->
+  level:int ->
+  pos:int ->
+  key:Key.t option ->
+  Xmlio.Event.packed ->
+  unit
+
 val encode_text_to : Extmem.Codec.Enc.t -> level:int -> pos:int -> string -> string
 (** Encode a [Text] entry without building the [t] record. *)
+
+val encode_text_into : Extmem.Codec.Enc.t -> level:int -> pos:int -> string -> unit
 
 val encode_end_to : Extmem.Codec.Enc.t -> level:int -> pos:int -> key:Key.t option -> string
 (** Encode an [End] entry without building the [t] record. *)
 
+val encode_end_into : Extmem.Codec.Enc.t -> level:int -> pos:int -> key:Key.t option -> unit
+
 val decode : Config.encoding -> Xmlio.Dict.t -> string -> t
 (** Inverse of {!encode} for the same encoding and dictionary.
     @raise Extmem.Codec.Corrupt on malformed bytes. *)
+
+val is_run_ptr : string -> bool
+(** Whether an encoded entry is a [Run_ptr], from its tag byte alone. *)
+
+val run_of_ptr : string -> Extmem.Run_store.id
+(** The run an encoded [Run_ptr] names, skipping its other fields.
+    @raise Invalid_argument on any other entry. *)
+
+(** {1 Output: entries in document order back into XML}
+
+    Entries arrive in final document order with run pointers already
+    expanded.  End tags come from level transitions (§3.2): an entry at
+    level [l] first closes every open element at level [l] or deeper,
+    and [finish] closes the rest, so [End] entries are optional — the
+    same code serves [Packed] runs, which have none. *)
+
+(** The output phase's serializer: writes each payload's start tag,
+    attributes, text and derived end tags straight from its bytes
+    through the {!Xmlio.Writer} slice primitives.  Per entry it
+    allocates a cursor and nothing else — no {!t}, {!Xmlio.Event.t} or
+    attribute list ([Plain] names excepted, which are copied out). *)
+module Serializer : sig
+  type t
+
+  val create : Config.encoding -> Xmlio.Dict.t -> Xmlio.Writer.t -> t
+
+  val entry : t -> string -> unit
+  (** @raise Invalid_argument on a [Run_ptr].
+      @raise Extmem.Codec.Corrupt on malformed bytes. *)
+
+  val finish : t -> unit
+  (** Close every element still open. *)
+end
+
+(** The same walk as {!Serializer}, as {!Xmlio.Event.t}s through
+    {!decode}: the adapter for consumers of a sorted event stream
+    (merges and ingest, via [Sorter.open_stream]). *)
+module Events : sig
+  type t
+
+  val create : Config.encoding -> Xmlio.Dict.t -> t
+
+  val entry : t -> string -> (Xmlio.Event.t -> unit) -> unit
+  (** Emit the events one entry stands for, end tags first.
+      @raise Invalid_argument on a [Run_ptr]. *)
+
+  val finish : t -> (Xmlio.Event.t -> unit) -> unit
+end
 
 (** In-place entry views.
 

@@ -115,8 +115,6 @@ let open_temp t =
 
 let encode_entry t e = Entry.encode_to t.config.Config.encoding t.dict t.enc_scratch e
 
-let decode_entry t s = Entry.decode t.config.Config.encoding t.dict s
-
 let view_entry t s = Entry.View.of_payload t.config.Config.encoding s
 
 let io_breakdown t =

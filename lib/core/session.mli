@@ -109,8 +109,6 @@ val encode_entry : t -> Entry.t -> string
 (** {!Entry.encode} under the session's encoding and dictionary (through
     the session's scratch encoder). *)
 
-val decode_entry : t -> string -> Entry.t
-
 val view_entry : t -> string -> Entry.View.t
 (** {!Entry.View.of_payload} under the session's encoding: wrap an
     encoded entry without decoding names, attributes or text. *)

@@ -54,18 +54,22 @@ type frame = {
   nfrags : int;        (* fragment id entries directly below the frame *)
 }
 
-let encode_frame enc f =
-  Extmem.Codec.Enc.clear enc;
-  Extmem.Codec.Enc.add_varint enc f.loc;
-  Extmem.Codec.Enc.add_varint enc f.children_loc;
-  Extmem.Codec.Enc.add_varint enc f.fpos;
-  Extmem.Codec.Enc.add_varint enc f.flevel;
-  Key.encode_opt_enc enc f.fkey;
-  Extmem.Codec.Enc.add_varint enc f.nfrags;
-  Extmem.Codec.Enc.contents enc
+(* Every stack entry is encoded into the session's scratch encoder and
+   pushed straight from its buffer; frames, fragment ids and output
+   locations are read back in place through a stack cursor. *)
+let push_enc stack enc =
+  Extmem.Ext_stack.push_bytes stack (Extmem.Codec.Enc.buffer enc) 0 (Extmem.Codec.Enc.length enc)
 
-let decode_frame s =
-  let c = Extmem.Codec.cursor s in
+let encode_frame enc ~loc ~children_loc ~fpos ~flevel ~fkey ~nfrags =
+  Extmem.Codec.Enc.clear enc;
+  Extmem.Codec.Enc.add_varint enc loc;
+  Extmem.Codec.Enc.add_varint enc children_loc;
+  Extmem.Codec.Enc.add_varint enc fpos;
+  Extmem.Codec.Enc.add_varint enc flevel;
+  Key.encode_opt_enc enc fkey;
+  Extmem.Codec.Enc.add_varint enc nfrags
+
+let decode_frame c =
   let loc = Extmem.Codec.get_varint c in
   let children_loc = Extmem.Codec.get_varint c in
   let fpos = Extmem.Codec.get_varint c in
@@ -74,26 +78,10 @@ let decode_frame s =
   let nfrags = Extmem.Codec.get_varint c in
   { loc; children_loc; fpos; flevel; fkey; nfrags }
 
-let encode_frag_id enc id =
+let push_frag_id stack enc id =
   Extmem.Codec.Enc.clear enc;
   Extmem.Codec.Enc.add_varint enc id;
-  Extmem.Codec.Enc.contents enc
-
-let decode_frag_id s = Extmem.Codec.get_varint (Extmem.Codec.cursor s)
-
-(* ---- output-location stack entries (Figure 4, lines 13-20) ---- *)
-
-let encode_out_loc run off =
-  let buf = Buffer.create 8 in
-  Extmem.Codec.put_varint buf run;
-  Extmem.Codec.put_varint buf off;
-  Buffer.contents buf
-
-let decode_out_loc s =
-  let c = Extmem.Codec.cursor s in
-  let run = Extmem.Codec.get_varint c in
-  let off = Extmem.Codec.get_varint c in
-  (run, off)
+  push_enc stack enc
 
 (* ---- the algorithm ---- *)
 
@@ -131,34 +119,38 @@ type state = {
 
 let in_span st name f = Obs.Spans.with_span st.spans name f
 
-let push_data st entry =
-  Extmem.Ext_stack.push st.session.Session.data_stack (Session.encode_entry st.session entry)
+(* The entry the session's scratch encoder holds, onto the data stack. *)
+let push_scratch st = push_enc st.session.Session.data_stack st.session.Session.enc_scratch
 
-let push_payload st payload = Extmem.Ext_stack.push st.session.Session.data_stack payload
+let push_data st entry =
+  let s = st.session in
+  Entry.encode_into s.Session.config.Config.encoding s.Session.dict s.Session.enc_scratch entry;
+  push_scratch st
 
 (* End entries carry no names, so they encode without touching the
-   dictionary — straight through the session scratch encoder *)
+   dictionary *)
 let push_end st ~level ~pos ~key =
-  push_payload st (Entry.encode_end_to st.session.Session.enc_scratch ~level ~pos ~key)
+  Entry.encode_end_into st.session.Session.enc_scratch ~level ~pos ~key;
+  push_scratch st
 
 let degeneration st = st.session.Session.config.Config.degeneration
 
-let push_frame st f =
-  Extmem.Ext_stack.push st.session.Session.path_stack
-    (encode_frame st.session.Session.enc_scratch f);
-  st.top_children_loc <- f.children_loc;
-  st.top_flevel <- f.flevel
+let push_frame st ~loc ~children_loc ~fpos ~flevel ~fkey ~nfrags =
+  encode_frame st.session.Session.enc_scratch ~loc ~children_loc ~fpos ~flevel ~fkey ~nfrags;
+  push_enc st.session.Session.path_stack st.session.Session.enc_scratch;
+  st.top_children_loc <- children_loc;
+  st.top_flevel <- flevel
 
 (* Re-read the top frame's [children_loc] and [flevel] into the cache,
    skipping the fields before them and the key after them. *)
 let cache_top st =
-  let c = Extmem.Codec.cursor (Extmem.Ext_stack.top st.session.Session.path_stack) in
+  let c = Extmem.Ext_stack.top_cursor st.session.Session.path_stack in
   Extmem.Codec.skip_varint c;
   st.top_children_loc <- Extmem.Codec.get_varint c;
   Extmem.Codec.skip_varint c;
   st.top_flevel <- Extmem.Codec.get_varint c
 
-let pop_frame st = decode_frame (Extmem.Ext_stack.pop st.session.Session.path_stack)
+let pop_frame st = decode_frame (Extmem.Ext_stack.pop_cursor st.session.Session.path_stack)
 
 (* Pop an element's frame and then its fragment ids, which come off
    newest first; consing them back yields creation order.  The parent's
@@ -168,7 +160,8 @@ let pop_element st =
   let path = st.session.Session.path_stack in
   let frame = pop_frame st in
   let rec ids n acc =
-    if n = 0 then acc else ids (n - 1) (decode_frag_id (Extmem.Ext_stack.pop path) :: acc)
+    if n = 0 then acc
+    else ids (n - 1) (Extmem.Codec.get_varint (Extmem.Ext_stack.pop_cursor path) :: acc)
   in
   let frags = ids frame.nfrags [] in
   if degeneration st && not (Extmem.Ext_stack.is_empty path) then cache_top st;
@@ -219,8 +212,9 @@ let maybe_degenerate st =
       Extmem.Ext_stack.truncate_to st.session.Session.data_stack children_loc;
       (* the new id goes just below the frame: O(1) path-stack work *)
       let top = pop_frame st in
-      Extmem.Ext_stack.push path (encode_frag_id st.session.Session.enc_scratch frag);
-      push_frame st { top with nfrags = top.nfrags + 1 }
+      push_frag_id path st.session.Session.enc_scratch frag;
+      push_frame st ~loc:top.loc ~children_loc:top.children_loc ~fpos:top.fpos
+        ~flevel:top.flevel ~fkey:top.fkey ~nfrags:(top.nfrags + 1)
     end
     end
   end
@@ -304,27 +298,20 @@ let on_start st (p : Xmlio.Event.packed) =
       (Xmlio.Event.packed_attr p)
   in
   let loc = Extmem.Ext_stack.length st.session.Session.data_stack in
-  push_payload st
-    (Entry.encode_start_of_packed st.session.Session.config.Config.encoding
-       st.session.Session.dict st.session.Session.enc_scratch ~level:st.level ~pos:st.pos ~key p);
-  push_frame st
-    {
-      loc;
-      children_loc = Extmem.Ext_stack.length st.session.Session.data_stack;
-      fpos = st.pos;
-      flevel = st.level;
-      fkey = key;
-      nfrags = 0;
-    };
+  Entry.encode_start_of_packed_into st.session.Session.config.Config.encoding
+    st.session.Session.dict st.session.Session.enc_scratch ~level:st.level ~pos:st.pos ~key p;
+  push_scratch st;
+  push_frame st ~loc
+    ~children_loc:(Extmem.Ext_stack.length st.session.Session.data_stack)
+    ~fpos:st.pos ~flevel:st.level ~fkey:key ~nfrags:0;
   maybe_degenerate st
 
 let on_text st content =
   st.pos <- st.pos + 1;
   st.n_text <- st.n_text + 1;
   Ordering.Evaluator.on_text st.evaluator content;
-  push_payload st
-    (Entry.encode_text_to st.session.Session.enc_scratch ~level:(st.level + 1) ~pos:st.pos
-       content);
+  Entry.encode_text_into st.session.Session.enc_scratch ~level:(st.level + 1) ~pos:st.pos content;
+  push_scratch st;
   maybe_degenerate st
 
 (* An element ended: its subtree is complete.  The root's sorted stream
@@ -467,9 +454,14 @@ let leased_frame t =
       if grow () || (t.lent = None && (lend_idle_windows t; grow ())) then Some (take_frame t)
       else None
 
+(* A spilled reader is a (run, offset) entry on the output-location
+   stack (Figure 4, lines 13-20). *)
 let spill t r =
-  Extmem.Ext_stack.push t.t_session.Session.out_stack
-    (encode_out_loc r.run (Extmem.Block_reader.position r.reader))
+  let enc = t.t_session.Session.enc_scratch in
+  Extmem.Codec.Enc.clear enc;
+  Extmem.Codec.Enc.add_varint enc r.run;
+  Extmem.Codec.Enc.add_varint enc (Extmem.Block_reader.position r.reader);
+  push_enc t.t_session.Session.out_stack enc
 
 (* Enter the run a pointer names. *)
 let descend t run =
@@ -505,7 +497,9 @@ let resume t a =
     t.active <- Some (Extmem.Deque.pop_back t.resident)
   end
   else if not (Extmem.Ext_stack.is_empty out_stack) then begin
-    let run, off = decode_out_loc (Extmem.Ext_stack.pop out_stack) in
+    let c = Extmem.Ext_stack.pop_cursor out_stack in
+    let run = Extmem.Codec.get_varint c in
+    let off = Extmem.Codec.get_varint c in
     let r = open_reader t run a.frame in
     Extmem.Block_reader.seek r.reader off;
     t.active <- Some r
@@ -529,77 +523,80 @@ let traversal_close t =
   Option.iter (List.iter Extmem.Ext_stack.restore) t.lent;
   t.lent <- Some []
 
-(* Event expansion: encoded entries in final document order become XML
-   events.  Run pointers trigger the depth-first traversal of the
-   pointed run in place ([traversal]); End events are synthesized from
-   level transitions via the open-tag recovery stack of §3.2 — O(height)
-   internal state.  This is the generic transform behind both the fused
-   and the materialised output path, and behind {!stream_events}; its
-   close returns the traversal's frames and closes [entries]. *)
-let event_stream st (entries : string Pipe.opened) =
+(* The one output traversal: encoded entries in final document order,
+   with every run pointer expanded in place by the depth-first walk of
+   [traversal].  Both output paths consume it — the serializer of
+   {!sort_device} and the event adapter of {!open_stream}; its close
+   returns the traversal's frames and closes [entries]. *)
+let payload_stream st (entries : string Pipe.opened) =
   let session = st.session in
   let tr = traversal_open session in
-  let pending : Xmlio.Event.t Queue.t = Queue.create () in
-  let opens : (string * int) Extmem.Vec.t = Extmem.Vec.create () in
-  let finished = ref false in
-  let close_to level =
-    while Extmem.Vec.length opens > 0 && snd (Extmem.Vec.top opens) >= level do
-      let name, _ = Extmem.Vec.pop opens in
-      Queue.push (Xmlio.Event.End name) pending
-    done
-  in
-  let handle payload =
-    let e = Session.decode_entry session payload in
-    close_to (Entry.level e);
-    match e with
-    | Entry.Start { name; attrs; level; _ } ->
-        Queue.push (Xmlio.Event.Start (name, attrs)) pending;
-        Extmem.Vec.push opens (name, level)
-    | Entry.End _ -> () (* already closed by close_to *)
-    | Entry.Text { content; _ } -> Queue.push (Xmlio.Event.Text content) pending
-    | Entry.Run_ptr { run; _ } -> descend tr run
-  in
   let rec next () =
-    if not (Queue.is_empty pending) then Some (Queue.pop pending)
-    else if !finished then None
-    else begin
-      (match tr.active with
-      | Some a -> (
-          match Extmem.Block_reader.read_record a.reader with
-          | Some payload -> handle payload
-          | None -> resume tr a)
-      | None -> (
-          match entries.Pipe.pull () with
-          | Some payload -> handle payload
-          | None ->
-              close_to 1;
-              finished := true));
+    match tr.active with
+    | Some a -> (
+        match Extmem.Block_reader.read_record a.reader with
+        | Some payload -> expand payload
+        | None ->
+            resume tr a;
+            next ())
+    | None -> ( match entries.Pipe.pull () with Some payload -> expand payload | None -> None)
+  and expand payload =
+    if Entry.is_run_ptr payload then begin
+      descend tr (Entry.run_of_ptr payload);
       next ()
     end
+    else Some payload
   in
   let pull () =
-    (* cancellation checkpoint: one poll per pulled output event *)
+    (* cancellation checkpoint: one poll per pulled output entry *)
     session.Session.poll ();
     next ()
   in
   let close () = Fun.protect ~finally:entries.Pipe.close (fun () -> traversal_close tr) in
   { Pipe.pull; close }
 
-(* The terminal pipeline stage: XML events into the serialized document.
-   The close flushes the block writer before validating writer depth, so
-   a failing pipeline still leaves whole blocks behind (see
-   [Pipe.run_opened]'s exception discipline). *)
-let writer_sink output =
+(* The terminal pipeline stage: entries straight into the serialized
+   document.  The close writes the end tags still open, then flushes the
+   block writer before validating writer depth, so a failing pipeline
+   still leaves whole blocks behind (see [Pipe.run_opened]'s exception
+   discipline). *)
+let serializer_sink session output =
   Pipe.sink ~mem:1 ~who:"xml writer" (fun () ->
       let bw = Extmem.Block_writer.create output in
       let w = Xmlio.Writer.to_block_writer bw in
-      let push ev = Xmlio.Writer.event w ev in
+      let ser =
+        Entry.Serializer.create session.Session.config.Config.encoding session.Session.dict w
+      in
       let close () =
+        Entry.Serializer.finish ser;
         let extent = Extmem.Block_writer.close bw in
         Extmem.Device.set_byte_length output extent.Extmem.Extent.bytes;
         Xmlio.Writer.close w
       in
-      (push, close))
+      (Entry.Serializer.entry ser, close))
+
+(* The sorted stream as XML events ({!open_stream}): the traversal's
+   payloads through the [Entry.decode]-based adapter. *)
+let event_stream session (payloads : string Pipe.opened) =
+  let events =
+    Entry.Events.create session.Session.config.Config.encoding session.Session.dict
+  in
+  let pending : Xmlio.Event.t Queue.t = Queue.create () in
+  let emit ev = Queue.push ev pending in
+  let finished = ref false in
+  let rec pull () =
+    if not (Queue.is_empty pending) then Some (Queue.pop pending)
+    else if !finished then None
+    else begin
+      (match payloads.Pipe.pull () with
+      | Some payload -> Entry.Events.entry events payload emit
+      | None ->
+          Entry.Events.finish events emit;
+          finished := true);
+      pull ()
+    end
+  in
+  { Pipe.pull; close = payloads.Pipe.close }
 
 (* ---- driver ---- *)
 
@@ -689,14 +686,10 @@ let open_sorted ~session ~ordering ~input ~io_meter ~sim_meter =
         entries
     | None ->
         (* the data stack now holds the single run pointer of the root *)
-        let root_run =
-          match
-            Session.decode_entry session (Extmem.Ext_stack.pop session.Session.data_stack)
-          with
-          | Entry.Run_ptr { run; _ } -> run
-          | Entry.Start _ | Entry.End _ | Entry.Text _ ->
-              invalid_arg "Nexsort: internal error - root did not collapse"
-        in
+        let top = Extmem.Ext_stack.pop session.Session.data_stack in
+        if not (Entry.is_run_ptr top) then
+          invalid_arg "Nexsort: internal error - root did not collapse";
+        let root_run = Entry.run_of_ptr top in
         assert (Extmem.Ext_stack.is_empty session.Session.data_stack);
         Pipe.open_source ~spans ~budget:session.Session.budget
           (Pipe.of_run ~who:"root run" session.Session.runs root_run)
@@ -792,7 +785,7 @@ let sort_device ~session ~ordering ~input ~output () =
     (fun () ->
       in_span st "output" (fun () ->
           Pipe.run_opened ~spans:st.spans ~budget:session.Session.budget
-            (event_stream st entries) (writer_sink output));
+            (payload_stream st entries) (serializer_sink session output));
       build_report st
         ~input_io:(Extmem.Io_stats.snapshot (Extmem.Device.stats input))
         ~output_io:(Extmem.Io_stats.snapshot (Extmem.Device.stats output))
@@ -812,7 +805,7 @@ type stream = {
 
 let open_stream ~session ~ordering ~input () =
   let st, entries, t0 = open_session ~session ~ordering ~input () in
-  let events = event_stream st entries in
+  let events = event_stream session (payload_stream st entries) in
   {
     s_st = st;
     s_input = input;

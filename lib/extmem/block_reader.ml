@@ -53,33 +53,31 @@ let read_span r dst off len =
   end
 
 let read_bytes r dst off len =
-  let rec go off len got =
-    match read_span r dst off len with
-    | 0 -> got
-    | n -> go (off + n) (len - n) (got + n)
-  in
-  go off len 0
+  let got = ref 0 and more = ref true in
+  while !more do
+    match read_span r dst (off + !got) (len - !got) with
+    | 0 -> more := false
+    | n -> got := !got + n
+  done;
+  !got
 
 let read_record r =
   if at_end r then None
   else begin
-    (* varint length, read byte-at-a-time without boxing an option *)
-    let byte () =
+    (* varint length, byte by byte straight off the buffered block *)
+    let n = ref 0 and shift = ref 0 and more = ref true in
+    while !more do
       if at_end r then raise (Codec.Corrupt "Block_reader.read_record: truncated length");
       ensure_block r;
       let b = Char.code (Bytes.unsafe_get r.buf (r.pos mod Bytes.length r.buf)) in
       r.pos <- r.pos + 1;
-      b
-    in
-    let rec len shift acc =
-      let b = byte () in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else len (shift + 7) acc
-    in
-    let n = len 0 0 in
-    let payload = Bytes.create n in
-    let got = read_bytes r payload 0 n in
-    if got <> n then raise (Codec.Corrupt "Block_reader.read_record: truncated payload");
+      n := !n lor ((b land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      if b land 0x80 = 0 then more := false
+    done;
+    let payload = Bytes.create !n in
+    let got = read_bytes r payload 0 !n in
+    if got <> !n then raise (Codec.Corrupt "Block_reader.read_record: truncated payload");
     Some (Bytes.unsafe_to_string payload)
   end
 

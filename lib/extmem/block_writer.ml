@@ -37,19 +37,27 @@ let flush_block w =
   w.blocks <- w.blocks + 1;
   w.fill <- 0
 
+(* Bytes that do not fit the current block: fill it, flush, repeat. *)
+let rec write_spanning w src off len =
+  if len > 0 then begin
+    let n = min len (Bytes.length w.buf - w.fill) in
+    Bytes.blit src off w.buf w.fill n;
+    w.fill <- w.fill + n;
+    if w.fill = Bytes.length w.buf then flush_block w;
+    write_spanning w src (off + n) (len - n)
+  end
+
 let write_bytes w src off len =
   check_open w;
-  let bs = Bytes.length w.buf in
-  let rec go off len =
-    if len > 0 then begin
-      let n = min len (bs - w.fill) in
-      Bytes.blit src off w.buf w.fill n;
-      w.fill <- w.fill + n;
-      if w.fill = bs then flush_block w;
-      go (off + n) (len - n)
-    end
-  in
-  go off len
+  if len <= Bytes.length w.buf - w.fill then begin
+    (* the common case: one blit into the current block *)
+    Bytes.blit src off w.buf w.fill len;
+    w.fill <- w.fill + len;
+    if w.fill = Bytes.length w.buf then flush_block w
+  end
+  else write_spanning w src off len
+
+let write_substring w s off len = write_bytes w (Bytes.unsafe_of_string s) off len
 
 let write_string w s = write_bytes w (Bytes.unsafe_of_string s) 0 (String.length s)
 

@@ -22,6 +22,9 @@ val create : ?buffer:bytes -> Device.t -> t
 val write_bytes : t -> bytes -> int -> int -> unit
 (** [write_bytes w buf off len] appends [len] bytes of [buf] from [off]. *)
 
+val write_substring : t -> string -> int -> int -> unit
+(** [write_substring w s off len] appends [len] bytes of [s] from [off]. *)
+
 val write_string : t -> string -> unit
 
 val write_char : t -> char -> unit

@@ -127,6 +127,7 @@ module Enc = struct
     t.len <- t.len + 8
 
   let contents t = Bytes.sub_string t.buf 0 t.len
+  let buffer t = t.buf
   let blit t dst dstoff = Bytes.blit t.buf 0 dst dstoff t.len
 end
 

@@ -65,6 +65,12 @@ module Enc : sig
   val contents : t -> string
   (** Copy out the encoded bytes (the only allocation on the encode path). *)
 
+  val buffer : t -> bytes
+  (** The backing buffer itself, not a copy: its first {!length} bytes
+      are the encoded record.  For consumers that copy the record
+      straight out (an {!Ext_stack} push); valid until the next append,
+      which may replace the buffer. *)
+
   val blit : t -> bytes -> int -> unit
   (** [blit t dst off] copies the encoded bytes into [dst] at [off]. *)
 end

@@ -34,6 +34,7 @@ type t = {
   scratch : bytes;         (* for reads that bypass the window *)
   mutable scratch_idx : int; (* block currently in scratch, -1 = none *)
   trailer : bytes;         (* the top entry's u32 length, reused by pop/top *)
+  mutable span : bytes;    (* a spanning top entry's payload, for the cursors *)
   mutable lent : bool;     (* window given back to the budget by [lend] *)
   (* paging metrics (see Obs.Probe.ext_stack) *)
   mutable pushes : int;
@@ -70,6 +71,7 @@ let create ?(name = "ext stack") ?(resident_blocks = 1) ?arena ?(borrow = false)
     scratch = Bytes.create bs;
     scratch_idx = -1;
     trailer = Bytes.create 4;
+    span = Bytes.empty;
     lent = false;
     pushes = 0;
     pops = 0;
@@ -255,7 +257,7 @@ let ensure_tail st =
     maybe_evict st
   end
 
-let append_substring st s off n =
+let append_subbytes st s off n =
   let rec go off n =
     if n > 0 then begin
       ensure_tail st;
@@ -263,7 +265,7 @@ let append_substring st s off n =
       let room = st.bs - within in
       let k = min n room in
       let frame = frame_of st (st.len / st.bs) in
-      Bytes.blit_string s off frame.data within k;
+      Bytes.blit s off frame.data within k;
       frame.dirty <- true;
       st.len <- st.len + k;
       if st.len > st.high_water then st.high_water <- st.len;
@@ -273,7 +275,7 @@ let append_substring st s off n =
   go off n
 
 (* One byte of framing; crosses block boundaries exactly as
-   [append_substring] would, so the window sees the same sequence of
+   [append_subbytes] would, so the window sees the same sequence of
    appends and evictions whether an entry is written whole or in pieces. *)
 let append_byte st c =
   ensure_tail st;
@@ -299,7 +301,7 @@ let resident_span st pos n =
 let resident_frame st pos = Deque.get st.resident ((pos / st.bs) - st.front_idx)
 
 (* A frame written byte by byte, crossing blocks as it goes. *)
-let push_spanning st payload n =
+let push_spanning st payload off n =
   let rec header v =
     if v < 0x80 then append_byte st v
     else begin
@@ -308,7 +310,7 @@ let push_spanning st payload n =
     end
   in
   header n;
-  append_substring st payload 0 n;
+  append_subbytes st payload off n;
   append_byte st (n land 0xff);
   append_byte st ((n lsr 8) land 0xff);
   append_byte st ((n lsr 16) land 0xff);
@@ -318,8 +320,7 @@ let push_spanning st payload n =
    trailer) is written straight into the window: in one piece when it
    fits in the resident block at the top, else byte by byte.  Both ways
    append and evict exactly the same blocks. *)
-let push st payload =
-  let n = String.length payload in
+let push_bytes st payload off n =
   let total = varint_size n + n + 4 in
   if resident_span st st.len total then begin
     let frame = resident_frame st st.len in
@@ -335,15 +336,17 @@ let push st payload =
       end
     in
     let i = header (st.len mod st.bs) n in
-    Bytes.blit_string payload 0 data i n;
+    Bytes.blit payload off data i n;
     Codec.set_u32_at data (i + n) n;
     frame.dirty <- true;
     st.len <- st.len + total;
     if st.len > st.high_water then st.high_water <- st.len
   end
-  else push_spanning st payload n;
+  else push_spanning st payload off n;
   st.pushes <- st.pushes + 1;
   st.scratch_idx <- -1
+
+let push st payload = push_bytes st (Bytes.unsafe_of_string payload) 0 (String.length payload)
 
 (* Bring block [b] into the window, reading it back from the device when it
    was flushed earlier.  Blocks are added at the front (pops walking down)
@@ -434,6 +437,41 @@ let top st =
   let payload = read_top_payload st n (top_entry_start st n) in
   maybe_evict st;
   payload
+
+(* A cursor over the [n] payload bytes at [pos]: over the resident block
+   holding them when [in_place], else over a copy in [span].  Either way
+   nothing is allocated but the cursor (and [span], when an entry
+   outgrows it). *)
+let payload_cursor st pos n ~in_place =
+  if in_place then
+    { Codec.buf = Bytes.unsafe_to_string (resident_frame st pos).data; pos = pos mod st.bs }
+  else begin
+    if Bytes.length st.span < n then st.span <- Bytes.create (max n (2 * Bytes.length st.span));
+    read_resident st pos st.span 0 n;
+    { Codec.buf = Bytes.unsafe_to_string st.span; pos = 0 }
+  end
+
+(* The cursors read in place only from the block at the top of the
+   window: eviction takes blocks from the bottom and the top block
+   survives a truncation that leaves live bytes in it, so the cursor's
+   bytes stay put until the next operation on the stack. *)
+let top_cursor st =
+  let n = top_payload_length st in
+  let pos = top_entry_start st n + varint_size n in
+  let in_place = resident_span st pos n && pos / st.bs = (st.len - 1) / st.bs in
+  let c = payload_cursor st pos n ~in_place in
+  maybe_evict st;
+  c
+
+let pop_cursor st =
+  let n = top_payload_length st in
+  let start = top_entry_start st n in
+  let pos = start + varint_size n in
+  let in_place = resident_span st pos n && pos / st.bs * st.bs < start in
+  let c = payload_cursor st pos n ~in_place in
+  truncate_to st start;
+  st.pops <- st.pops + 1;
+  c
 
 (* Forward scan: resident blocks are read in place; evicted blocks are
    streamed through the scratch buffer without touching the window.  A

@@ -61,12 +61,31 @@ val is_empty : t -> bool
 val push : t -> string -> unit
 (** Push one entry (its payload bytes). *)
 
+val push_bytes : t -> bytes -> int -> int -> unit
+(** [push_bytes st buf off len] pushes [len] bytes of [buf] from [off] as
+    one entry — straight out of an encoder's buffer
+    ({!Codec.Enc.buffer}), with no intermediate string.  {!push} is
+    [push_bytes] over a whole string. *)
+
 val pop : t -> string
 (** Pop the top entry.  @raise Invalid_argument on an empty stack. *)
 
 val top : t -> string
 (** The top entry without removing it.  Pages in exactly the blocks a
     [pop] would.  @raise Invalid_argument on an empty stack. *)
+
+val top_cursor : t -> Codec.cursor
+(** {!top} without the copy: a cursor at the top entry's first payload
+    byte, over the resident block that holds it (or over a stack-owned
+    copy when the entry spans blocks).  The bytes past the payload are
+    not the entry's, so a reader must know where its fields end.  Valid
+    until the next operation on the stack; pages in and evicts exactly
+    as {!top} does. *)
+
+val pop_cursor : t -> Codec.cursor
+(** {!pop} without the copy, as {!top_cursor}: the cursor reads the
+    popped payload in place.  Valid until the next operation on the
+    stack; pages in and evicts exactly as {!pop} does. *)
 
 val framed_size : string -> int
 (** [framed_size payload] is the number of stack bytes an entry with that

@@ -870,11 +870,20 @@ module Span = struct
     mutable wall_s : float;
     io : Extmem.Io_stats.t;
     mutable sim_ms : float;
+    mutable minor_words : float;
     mutable children : t list; (* reversed while recording *)
   }
 
   let make name =
-    { name; count = 0; wall_s = 0.; io = Extmem.Io_stats.create (); sim_ms = 0.; children = [] }
+    {
+      name;
+      count = 0;
+      wall_s = 0.;
+      io = Extmem.Io_stats.create ();
+      sim_ms = 0.;
+      minor_words = 0.;
+      children = [];
+    }
 
   let find t name = List.find_opt (fun c -> c.name = name) t.children
 
@@ -885,6 +894,7 @@ module Span = struct
         ("count", Json.Int t.count);
         ("wall_s", Json.Float t.wall_s);
         ("io", Json.io_stats t.io);
+        ("minor_words", Json.Float t.minor_words);
         ("sim_ms", Json.Float t.sim_ms);
         ("children", Json.List (List.map to_json t.children));
       ]
@@ -896,12 +906,14 @@ module Spans = struct
     wall0 : float;
     io0 : Extmem.Io_stats.t;
     sim0 : float;
+    words0 : float;
   }
 
   type t = {
     clock : unit -> float;
     io : unit -> Extmem.Io_stats.t;
     sim_ms : unit -> float;
+    minor_words : unit -> float;
     tracer : Tracer.t;
     mutable stack : open_span list; (* innermost first; last is the root *)
     mutable closed : bool;
@@ -911,11 +923,17 @@ module Spans = struct
 
   let enter_span t span =
     Tracer.begin_s t.tracer span.Span.name;
-    { span; wall0 = t.clock (); io0 = Extmem.Io_stats.snapshot (t.io ()); sim0 = t.sim_ms () }
+    {
+      span;
+      wall0 = t.clock ();
+      io0 = Extmem.Io_stats.snapshot (t.io ());
+      sim0 = t.sim_ms ();
+      words0 = t.minor_words ();
+    }
 
   let create ?(clock = Unix.gettimeofday) ?(io = zero_io) ?(sim_ms = fun () -> 0.)
-      ?(tracer = Tracer.null) name =
-    let t = { clock; io; sim_ms; tracer; stack = []; closed = false } in
+      ?(minor_words = Gc.minor_words) ?(tracer = Tracer.null) name =
+    let t = { clock; io; sim_ms; minor_words; tracer; stack = []; closed = false } in
     t.stack <- [ enter_span t (Span.make name) ];
     t
 
@@ -927,6 +945,7 @@ module Spans = struct
     Extmem.Io_stats.accumulate ~into:sp.Span.io
       (Extmem.Io_stats.diff (Extmem.Io_stats.snapshot (t.io ())) o.io0);
     sp.Span.sim_ms <- sp.Span.sim_ms +. (t.sim_ms () -. o.sim0);
+    sp.Span.minor_words <- sp.Span.minor_words +. (t.minor_words () -. o.words0);
     (* recording order reversed children; keep them in first-entry order *)
     sp.Span.children <- List.rev sp.Span.children
 
@@ -1041,8 +1060,10 @@ module Report = struct
      arena owners their cache counters (only the indexed merge, whose
      B-tree owns a buffer pool, reports "pager").
      v5: sort reports lost the "workers" section and config.jobs (every
-     sort runs on one domain). *)
-  let schema_version = 5
+     sort runs on one domain).
+     v6: every span (the "phases" tree) carries "minor_words", the
+     words allocated inside it. *)
+  let schema_version = 6
 
   type t = {
     tool : string;

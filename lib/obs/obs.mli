@@ -239,6 +239,9 @@ module Span : sig
     mutable wall_s : float;     (** total wall time inside, seconds *)
     io : Extmem.Io_stats.t;     (** I/O delta accumulated inside *)
     mutable sim_ms : float;     (** simulated-cost delta accumulated inside *)
+    mutable minor_words : float;
+        (** words allocated inside (the minor-heap meter's delta), on
+            the calling domain *)
     mutable children : t list;  (** sub-phases, in first-entry order *)
   }
 
@@ -246,8 +249,8 @@ module Span : sig
   (** Direct child by name. *)
 
   val to_json : t -> Json.t
-  (** [{"name", "count", "wall_s", "io", "sim_ms", "children"}],
-      recursively. *)
+  (** [{"name", "count", "wall_s", "io", "minor_words", "sim_ms",
+      "children"}], recursively. *)
 end
 
 (** Span recorder: scoped phase measurement over caller-supplied meters.
@@ -264,13 +267,16 @@ module Spans : sig
     ?clock:(unit -> float) ->
     ?io:(unit -> Extmem.Io_stats.t) ->
     ?sim_ms:(unit -> float) ->
+    ?minor_words:(unit -> float) ->
     ?tracer:Tracer.t ->
     string ->
     t
   (** [create name] starts a recorder whose root span is [name].
       [clock] defaults to [Unix.gettimeofday]; [io] and [sim_ms] are the
       cumulative meters sampled at phase boundaries and default to
-      constant zero (spans then measure wall time only).  When [tracer]
+      constant zero (spans then measure wall time only); [minor_words]
+      defaults to [Gc.minor_words], so every span also records the words
+      allocated inside it.  When [tracer]
       (default {!Tracer.null}) is enabled, every span entry/exit also
       emits a Begin/End event onto the calling domain's track, so the
       aggregate phase tree and the timeline come from one set of call

@@ -82,16 +82,15 @@ let add_locked d s h =
   d.table.(!i) <- id + 1;
   id
 
-let find_locked_string d s h =
-  let rec probe i =
-    match d.table.(i) with
-    | 0 -> None
-    | slot ->
-        let id = slot - 1 in
-        if d.hash_of_id.(id) = h && String.equal (Extmem.Vec.get d.by_id id) s then Some id
-        else probe ((i + 1) land d.mask)
-  in
-  probe (h land d.mask)
+let rec probe_string d s h i =
+  match d.table.(i) with
+  | 0 -> None
+  | slot ->
+      let id = slot - 1 in
+      if d.hash_of_id.(id) = h && String.equal (Extmem.Vec.get d.by_id id) s then Some id
+      else probe_string d s h ((i + 1) land d.mask)
+
+let find_locked_string d s h = probe_string d s h (h land d.mask)
 
 let intern d s =
   Mutex.protect d.lock (fun () ->
@@ -122,14 +121,33 @@ let intern_bytes d b off len =
       Mutex.unlock d.lock;
       raise e
 
-let find d s = Mutex.protect d.lock (fun () -> find_locked_string d s (hash_string s))
+let find d s =
+  let h = hash_string s in
+  Mutex.lock d.lock;
+  let r = find_locked_string d s h in
+  Mutex.unlock d.lock;
+  r
 
+(* Called once per start tag by the output phase: lock and unlock
+   directly, as [intern_bytes] does, so a lookup allocates nothing. *)
 let lookup d id =
-  Mutex.protect d.lock (fun () ->
-      if id < 0 || id >= Extmem.Vec.length d.by_id then
-        invalid_arg (Printf.sprintf "Dict.lookup: unknown id %d" id);
-      Extmem.Vec.get d.by_id id)
+  Mutex.lock d.lock;
+  if id < 0 || id >= Extmem.Vec.length d.by_id then begin
+    Mutex.unlock d.lock;
+    invalid_arg (Printf.sprintf "Dict.lookup: unknown id %d" id)
+  end;
+  let s = Extmem.Vec.get d.by_id id in
+  Mutex.unlock d.lock;
+  s
 
-let size d = Mutex.protect d.lock (fun () -> Extmem.Vec.length d.by_id)
+let size d =
+  Mutex.lock d.lock;
+  let n = Extmem.Vec.length d.by_id in
+  Mutex.unlock d.lock;
+  n
 
-let to_list d = Mutex.protect d.lock (fun () -> Extmem.Vec.to_list d.by_id)
+let to_list d =
+  Mutex.lock d.lock;
+  let l = Extmem.Vec.to_list d.by_id in
+  Mutex.unlock d.lock;
+  l

@@ -5,36 +5,47 @@ exception Bad_entity of string
    handling folds it to LF), and tab/LF inside attribute values
    (attribute-value normalization folds them to spaces).  This is what
    makes [parse (write doc)] the identity on every string. *)
-let escape generic s =
-  (* fast path: nothing to escape *)
-  let needs c =
-    match c with
-    | '&' | '<' | '>' | '\r' -> true
-    | '"' | '\'' | '\t' | '\n' -> generic
-    | _ -> false
-  in
-  if not (String.exists needs s) then s
+let rec scan ~attr s i stop =
+  if i >= stop then stop
+  else
+    match String.unsafe_get s i with
+    | '&' | '<' | '>' | '\r' -> i
+    | '"' | '\'' | '\t' | '\n' when attr -> i
+    | _ -> scan ~attr s (i + 1) stop
+
+let entity = function
+  | '&' -> "&amp;"
+  | '<' -> "&lt;"
+  | '>' -> "&gt;"
+  | '\r' -> "&#13;"
+  | '"' -> "&quot;"
+  | '\'' -> "&apos;"
+  | '\t' -> "&#9;"
+  | '\n' -> "&#10;"
+  | c -> invalid_arg (Printf.sprintf "Escape.entity: %C needs no escaping" c)
+
+let escape ~attr s =
+  let n = String.length s in
+  let first = scan ~attr s 0 n in
+  if first = n then s (* fast path: nothing to escape *)
   else begin
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '&' -> Buffer.add_string b "&amp;"
-        | '<' -> Buffer.add_string b "&lt;"
-        | '>' -> Buffer.add_string b "&gt;"
-        | '\r' -> Buffer.add_string b "&#13;"
-        | '"' when generic -> Buffer.add_string b "&quot;"
-        | '\'' when generic -> Buffer.add_string b "&apos;"
-        | '\t' when generic -> Buffer.add_string b "&#9;"
-        | '\n' when generic -> Buffer.add_string b "&#10;"
-        | c -> Buffer.add_char b c)
-      s;
+    let b = Buffer.create (n + 8) in
+    let i = ref 0 and j = ref first in
+    while !i < n do
+      Buffer.add_substring b s !i (!j - !i);
+      if !j < n then begin
+        Buffer.add_string b (entity (String.unsafe_get s !j));
+        i := !j + 1;
+        j := scan ~attr s !i n
+      end
+      else i := n
+    done;
     Buffer.contents b
   end
 
-let escape_text = escape false
+let escape_text s = escape ~attr:false s
 
-let escape_attr = escape true
+let escape_attr s = escape ~attr:true s
 
 (* Encode a Unicode code point as UTF-8. *)
 let utf8_of_code_point cp =

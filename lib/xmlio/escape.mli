@@ -11,6 +11,17 @@ val escape_attr : string -> string
     space character becomes a character reference ([&#9;], [&#10;],
     [&#13;]) so it survives attribute-value normalization. *)
 
+val scan : attr:bool -> string -> int -> int -> int
+(** [scan ~attr s i stop] is the index of the first byte of
+    [s.[i..stop)] that needs escaping — as attribute-value text when
+    [attr], as character data otherwise — or [stop] when none does.
+    With {!entity} it escapes a slice in place, allocating nothing:
+    copy [s.[i..j)], write [entity s.[j]], continue from [j + 1]. *)
+
+val entity : char -> string
+(** The reference a byte {!scan} stopped at is written as ([&amp;],
+    [&lt;], [&#9;], ...).  @raise Invalid_argument on any other byte. *)
+
 exception Bad_entity of string
 (** Raised by {!decode_entity} on an unknown or malformed entity. *)
 

@@ -81,7 +81,12 @@ dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 --metrics $tmp/doc.ref.json \
 # so the output phase suspends a reader at a run pointer and resumes it
 # from memory.  An -O @id row also sorts with --encoding dict: the
 # default there is packed (end-tag elimination), and the encoding must
-# not change the output.
+# not change the output.  Every row's default output must also equal
+# the internal-memory tree sort's (`-a treesort`, same -O), which writes
+# through `Xmlio.Writer.event`: this pins the output phase's entry
+# serializer to the event writer on every shape.  Treesort takes every
+# row (it ignores -t and --no-degeneration and applies --depth-limit as
+# NEXSORT does), so none is left out.
 dune exec bin/xmlgen_cli.exe -- --seed 7 --fanouts 3000 --avg-bytes 120 -o $tmp/flat.xml \
   > /dev/null 2>&1
 dune exec bin/xmlgen_cli.exe -- --seed 1 --fanouts 6,6,6,4,2,2 -o $tmp/deep.xml > /dev/null 2>&1
@@ -96,9 +101,11 @@ while read -r doc args; do
     > /dev/null
   dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args --no-fuse -o $f.nofuse.xml $tmp/$doc \
     < /dev/null > /dev/null
+  dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args -a treesort -o $f.treesort.xml \
+    $tmp/$doc < /dev/null > /dev/null
   # An -O @id row runs packed by default; dict must write the same bytes.
   # (The -O text rows run dict by default.)
-  modes="nofuse"
+  modes="nofuse treesort"
   case "$args" in
     *"-O @id"*)
       dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args --encoding dict -o $f.dict.xml \

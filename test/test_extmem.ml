@@ -789,6 +789,56 @@ let test_ext_stack_basic () =
   check Alcotest.string "pop one" "one" (Extmem.Ext_stack.pop st);
   check Alcotest.bool "empty again" true (Extmem.Ext_stack.is_empty st)
 
+(* The copy-free forms against the string forms: two stacks driven by
+   the same pushes, pops and tops read the same payloads and do exactly
+   the same block I/O, whether an entry sits in one block or spans
+   several.  A push_bytes takes its payload from the middle of a larger
+   buffer. *)
+let prop_ext_stack_cursors =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun n -> `Push n) (int_bound 40));
+          (2, return `Pop);
+          (1, return `Top);
+        ])
+  in
+  QCheck.Test.make ~name:"push_bytes / top_cursor / pop_cursor = push / top / pop" ~count:200
+    (QCheck.make QCheck.Gen.(pair (int_range 1 3) (list_size (int_bound 120) op)))
+    (fun (window, ops) ->
+      let mk () = Extmem.Ext_stack.create ~resident_blocks:window (Extmem.Device.in_memory ~block_size:16 ()) in
+      let a = mk () and b = mk () in
+      let model = Stack.create () in
+      let io st = Extmem.Io_stats.snapshot (Extmem.Ext_stack.io_stats st) in
+      let read c n = String.sub c.Extmem.Codec.buf c.Extmem.Codec.pos n in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | `Push n ->
+              let payload = String.init n (fun j -> Char.chr (97 + ((i + j) mod 26))) in
+              Stack.push payload model;
+              Extmem.Ext_stack.push a payload;
+              let buf = Bytes.of_string ("<<<" ^ payload ^ ">>") in
+              Extmem.Ext_stack.push_bytes b buf 3 n
+          | `Pop when not (Stack.is_empty model) ->
+              let want = Stack.pop model in
+              let got_a = Extmem.Ext_stack.pop a in
+              let got_b = read (Extmem.Ext_stack.pop_cursor b) (String.length want) in
+              if got_a <> want || got_b <> want then QCheck.Test.fail_reportf "pop %d: %S %S %S" i want got_a got_b
+          | `Top when not (Stack.is_empty model) ->
+              let want = Stack.top model in
+              let got_a = Extmem.Ext_stack.top a in
+              let got_b = read (Extmem.Ext_stack.top_cursor b) (String.length want) in
+              if got_a <> want || got_b <> want then QCheck.Test.fail_reportf "top %d: %S %S %S" i want got_a got_b
+          | `Pop | `Top -> ());
+          let ia = io a and ib = io b in
+          if ia.Extmem.Io_stats.reads <> ib.Extmem.Io_stats.reads
+             || ia.Extmem.Io_stats.writes <> ib.Extmem.Io_stats.writes
+          then QCheck.Test.fail_reportf "op %d: block I/O differs" i)
+        ops;
+      true)
+
 let test_ext_stack_spills () =
   let d = Extmem.Device.in_memory ~block_size:16 () in
   let st = Extmem.Ext_stack.create ~resident_blocks:1 d in
@@ -1994,6 +2044,7 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_ext_stack_basic;
           Alcotest.test_case "spills" `Quick test_ext_stack_spills;
+          qcheck prop_ext_stack_cursors;
           Alcotest.test_case "no io when resident" `Quick test_ext_stack_no_io_when_resident;
           Alcotest.test_case "paging counters" `Quick test_ext_stack_paging_counters;
           Alcotest.test_case "large entry" `Quick test_ext_stack_large_entry;

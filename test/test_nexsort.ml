@@ -358,6 +358,120 @@ let test_entry_dict_smaller () =
   check Alcotest.bool "smaller" true (dict_len < plain_len)
 
 (* ------------------------------------------------------------------ *)
+(* The output phase's entry serializer *)
+
+(* Values full of the bytes the writer must escape, CR, tab and LF
+   included; never empty (an empty text node does not re-parse) *)
+let gen_value =
+  QCheck.Gen.(
+    string_size ~gen:(oneofl [ 'a'; 'z'; '&'; '<'; '>'; '"'; '\''; '\r'; '\t'; '\n'; ' ' ])
+      (int_range 1 6))
+
+(* Random trees with empty elements, text-only children and deep
+   branches (so a later sibling closes several levels at once); no two
+   text nodes are adjacent, so a re-parse gives the same tree. *)
+let gen_serializer_tree =
+  QCheck.Gen.(
+    sized_size (int_range 1 5)
+    @@ fix (fun self depth ->
+           let* name = oneofl [ "a"; "bee"; "c" ] in
+           let* attrs =
+             map List.concat
+               (flatten_l
+                  (List.map
+                     (fun k -> map (function Some v -> [ (k, v) ] | None -> []) (opt gen_value))
+                     [ "id"; "k" ]))
+           in
+           let* kids =
+             if depth = 0 then list_size (int_bound 1) (map Xmlio.Tree.text gen_value)
+             else
+               list_size (int_bound 4)
+                 (frequency [ (1, map Xmlio.Tree.text gen_value); (3, self (depth - 1)) ])
+           in
+           let rec no_adjacent_text = function
+             | (Xmlio.Tree.Text _ as t) :: Xmlio.Tree.Text _ :: rest -> no_adjacent_text (t :: rest)
+             | x :: rest -> x :: no_adjacent_text rest
+             | [] -> []
+           in
+           return (Xmlio.Tree.element ~attrs name (no_adjacent_text kids))))
+
+(* A tree's entries in document order, as the sorting phase would store
+   them: [End] entries only where the encoding keeps them, keys on some
+   starts and ends so the serializer has keys to skip. *)
+let entries_of_tree enc tree =
+  let pos = ref 0 and acc = ref [] in
+  let add e = acc := e :: !acc in
+  let rec go level = function
+    | Xmlio.Tree.Text content ->
+        incr pos;
+        add (Nexsort.Entry.Text { level; pos = !pos; content })
+    | Xmlio.Tree.Element { name; attrs; children } ->
+        incr pos;
+        let p = !pos in
+        let key = if p mod 2 = 0 then Some (Key.Str name) else None in
+        add (Nexsort.Entry.Start { level; pos = p; name; attrs; key });
+        List.iter (go (level + 1)) children;
+        if enc <> Config.Packed then
+          add (Nexsort.Entry.End { level; pos = p; key = Option.map (fun k -> Key.Rev k) key })
+  in
+  go 1 tree;
+  List.rev !acc
+
+let prop_serializer_matches_writer =
+  QCheck.Test.make ~name:"entry serializer = Entry.decode -> Writer.event" ~count:300
+    (QCheck.make ~print:(fun t -> Format.asprintf "%a" Xmlio.Tree.pp t) gen_serializer_tree)
+    (fun tree ->
+      List.for_all
+        (fun enc ->
+          let dict = Xmlio.Dict.create () in
+          let payloads = List.map (Nexsort.Entry.encode enc dict) (entries_of_tree enc tree) in
+          let serialized =
+            let buf = Buffer.create 256 in
+            let w = Xmlio.Writer.to_buffer buf in
+            let ser = Nexsort.Entry.Serializer.create enc dict w in
+            List.iter (Nexsort.Entry.Serializer.entry ser) payloads;
+            Nexsort.Entry.Serializer.finish ser;
+            Xmlio.Writer.close w;
+            Buffer.contents buf
+          in
+          (* the reference: full decode, end tags from level drops *)
+          let reference =
+            let buf = Buffer.create 256 in
+            let w = Xmlio.Writer.to_buffer buf in
+            let opens = Stack.create () in
+            let close_to level =
+              while (not (Stack.is_empty opens)) && snd (Stack.top opens) >= level do
+                Xmlio.Writer.event w (Xmlio.Event.End (fst (Stack.pop opens)))
+              done
+            in
+            List.iter
+              (fun payload ->
+                let e = Nexsort.Entry.decode enc dict payload in
+                close_to (Nexsort.Entry.level e);
+                match e with
+                | Nexsort.Entry.Start { name; attrs; level; _ } ->
+                    Xmlio.Writer.event w (Xmlio.Event.Start (name, attrs));
+                    Stack.push (name, level) opens
+                | Nexsort.Entry.Text { content; _ } -> Xmlio.Writer.event w (Xmlio.Event.Text content)
+                | Nexsort.Entry.End _ | Nexsort.Entry.Run_ptr _ -> ())
+              payloads;
+            close_to 1;
+            Xmlio.Writer.close w;
+            Buffer.contents buf
+          in
+          if serialized <> reference then
+            QCheck.Test.fail_reportf "%s: serializer %S, reference %S"
+              (match enc with Config.Plain -> "plain" | Config.Dict -> "dict" | Config.Packed -> "packed")
+              serialized reference;
+          (* and the bytes re-parse to the tree itself, which catches an
+             escaping fault the two sides would share *)
+          let back = Xmlio.Tree.of_string ~keep_whitespace:true serialized in
+          if not (Xmlio.Tree.equal back tree) then
+            QCheck.Test.fail_reportf "re-parse of %S differs from the tree" serialized;
+          true)
+        [ Config.Plain; Config.Dict; Config.Packed ])
+
+(* ------------------------------------------------------------------ *)
 (* Keypath records *)
 
 let test_keypath_roundtrip () =
@@ -1630,6 +1744,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_entry_roundtrip;
           Alcotest.test_case "dict compaction shrinks" `Quick test_entry_dict_smaller;
+          qcheck prop_serializer_matches_writer;
         ] );
       ( "keypath",
         [

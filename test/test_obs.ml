@@ -158,6 +158,28 @@ let test_spans_nesting_and_merge () =
   check (Alcotest.float 1e-9) "inner sim" 6. inner.Obs.Span.sim_ms;
   check Alcotest.int "root totals" 6 (Extmem.Io_stats.total root.Obs.Span.io)
 
+(* Each span carries the words allocated inside it, children included:
+   a fake meter makes the deltas exact. *)
+let test_spans_minor_words () =
+  let words = ref 0. in
+  let t = Obs.Spans.create ~minor_words:(fun () -> !words) "root" in
+  for _ = 1 to 2 do
+    Obs.Spans.with_span t "outer" (fun () ->
+        words := !words +. 10.;
+        Obs.Spans.with_span t "inner" (fun () -> words := !words +. 5.))
+  done;
+  let root = Obs.Spans.close t in
+  let outer = Option.get (Obs.Span.find root "outer") in
+  let inner = Option.get (Obs.Span.find outer "inner") in
+  check (Alcotest.float 1e-9) "inner words" 10. inner.Obs.Span.minor_words;
+  check (Alcotest.float 1e-9) "outer includes inner" 30. outer.Obs.Span.minor_words;
+  check (Alcotest.float 1e-9) "root" 30. root.Obs.Span.minor_words;
+  (* the default meter is the domain's own allocation *)
+  let t = Obs.Spans.create "root" in
+  Obs.Spans.with_span t "alloc" (fun () -> ignore (Sys.opaque_identity (Array.make 100 0.)));
+  let alloc = Option.get (Obs.Span.find (Obs.Spans.close t) "alloc") in
+  check Alcotest.bool "Gc meter sees the array" true (alloc.Obs.Span.minor_words >= 100.)
+
 let test_spans_exception_safety () =
   let t = Obs.Spans.create "root" in
   (try Obs.Spans.with_span t "boom" (fun () -> failwith "inside") with Failure _ -> ());
@@ -459,6 +481,7 @@ let () =
         [
           Alcotest.test_case "nesting and merging" `Quick test_spans_nesting_and_merge;
           Alcotest.test_case "exception safety" `Quick test_spans_exception_safety;
+          Alcotest.test_case "allocation per span" `Quick test_spans_minor_words;
           Alcotest.test_case "to_json" `Quick test_spans_to_json;
         ] );
       ( "tracer",

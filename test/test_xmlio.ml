@@ -289,6 +289,44 @@ let test_writer_to_device () =
   Extmem.Device.set_byte_length dev e.Extmem.Extent.bytes;
   check Alcotest.string "device contents" "<root>data</root>" (Extmem.Device.contents dev)
 
+(* The slice primitives escape a value in place: only the slice is
+   written, and the bytes around it (specials included) are not. *)
+let test_writer_slices () =
+  let buf = Buffer.create 64 in
+  let w = Xmlio.Writer.to_buffer buf in
+  let src = "<&x\ty\"z'&>" in
+  Xmlio.Writer.start_element w "r";
+  Xmlio.Writer.attribute w "a" src 2 7;
+  Xmlio.Writer.attribute w "e" src 0 0;
+  Xmlio.Writer.text w src 1 3;
+  Xmlio.Writer.start_element w "c";
+  Xmlio.Writer.end_element w "c";
+  Xmlio.Writer.text w src 8 2;
+  Xmlio.Writer.end_element w "r";
+  Xmlio.Writer.close w;
+  check Alcotest.string "slices" "<r a=\"x&#9;y&quot;z&apos;&amp;\" e=\"\">&amp;x\t<c/>&amp;&gt;</r>"
+    (Buffer.contents buf);
+  (* the same through events *)
+  check Alcotest.string "event wrapper" (Buffer.contents buf)
+    (Xmlio.Writer.events_to_string
+       [
+         Xmlio.Event.Start ("r", [ ("a", String.sub src 2 7); ("e", "") ]);
+         Xmlio.Event.Text (String.sub src 1 3);
+         Xmlio.Event.Start ("c", []);
+         Xmlio.Event.End "c";
+         Xmlio.Event.Text (String.sub src 8 2);
+         Xmlio.Event.End "r";
+       ]);
+  let w = Xmlio.Writer.to_buffer (Buffer.create 8) in
+  Alcotest.check_raises "attribute outside a start tag"
+    (Invalid_argument "Writer: attribute outside a start tag") (fun () ->
+      Xmlio.Writer.attribute w "a" "v" 0 1);
+  (* outside the root, whitespace is dropped and anything else refused *)
+  Xmlio.Writer.text w " x\n" 0 1;
+  Alcotest.check_raises "text outside the root"
+    (Invalid_argument "Writer: text outside the root element") (fun () ->
+      Xmlio.Writer.text w " x\n" 0 2)
+
 (* ------------------------------------------------------------------ *)
 (* Tree *)
 
@@ -366,6 +404,21 @@ let test_dict () =
   check (Alcotest.list Alcotest.string) "ordered" [ "alpha"; "beta" ] (Xmlio.Dict.to_list d);
   Alcotest.check_raises "unknown id" (Invalid_argument "Dict.lookup: unknown id 9") (fun () ->
       ignore (Xmlio.Dict.lookup d 9))
+
+(* A failed lookup releases the dictionary's lock: every operation
+   still works after one. *)
+let test_dict_unknown_id () =
+  let d = Xmlio.Dict.create () in
+  let a = Xmlio.Dict.intern d "alpha" in
+  Alcotest.check_raises "negative id" (Invalid_argument "Dict.lookup: unknown id -1") (fun () ->
+      ignore (Xmlio.Dict.lookup d (-1)));
+  Alcotest.check_raises "id = size" (Invalid_argument "Dict.lookup: unknown id 1") (fun () ->
+      ignore (Xmlio.Dict.lookup d 1));
+  check Alcotest.string "lookup after" "alpha" (Xmlio.Dict.lookup d a);
+  check Alcotest.int "intern after" 1 (Xmlio.Dict.intern d "beta");
+  check (Alcotest.option Alcotest.int) "find after" (Some 1) (Xmlio.Dict.find d "beta");
+  check Alcotest.int "size after" 2 (Xmlio.Dict.size d);
+  check (Alcotest.list Alcotest.string) "to_list after" [ "alpha"; "beta" ] (Xmlio.Dict.to_list d)
 
 (* ------------------------------------------------------------------ *)
 (* Dtd *)
@@ -942,6 +995,7 @@ let () =
           Alcotest.test_case "declaration" `Quick test_writer_decl;
           Alcotest.test_case "unbalanced" `Quick test_writer_unbalanced;
           Alcotest.test_case "to device" `Quick test_writer_to_device;
+          Alcotest.test_case "slices" `Quick test_writer_slices;
         ] );
       ( "tree",
         [
@@ -951,7 +1005,11 @@ let () =
           Alcotest.test_case "fold" `Quick test_tree_fold;
           Alcotest.test_case "malformed" `Quick test_tree_malformed;
         ] );
-      ("dict", [ Alcotest.test_case "basics" `Quick test_dict ]);
+      ( "dict",
+        [
+          Alcotest.test_case "basics" `Quick test_dict;
+          Alcotest.test_case "unknown id" `Quick test_dict_unknown_id;
+        ] );
       ( "dtd",
         [
           Alcotest.test_case "parse" `Quick test_dtd_parse;
