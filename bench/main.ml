@@ -5,8 +5,6 @@
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe fig5       -- one experiment
      dune exec bench/main.exe -- --quick -- scaled-down sizes
-     dune exec bench/main.exe -- --cost  -- simulated seek/transfer time
-                                            on every device (sim=..ms)
      dune exec bench/main.exe micro      -- bechamel micro-benchmarks
      dune exec bench/main.exe linear-sweep -- the doubling sweep (a gate)
 
@@ -18,27 +16,16 @@
 module Ordering = Nexsort.Ordering
 
 let quick = ref false
-let cost = ref false
 let no_fuse = ref false
 let metrics_file = ref None
 let wall_file = ref None
 let trace_file = ref None
 
-(* --cost: put a simulated-time (hdd) layer on every device built from a
-   bench config — the endpoints below and the sorters' internal stacks —
-   and append sim=..ms to each run's detail.  Off by default so the
-   default output stays byte-identical. *)
-let bench_spec () =
-  if !cost then
-    { Extmem.Device_spec.default with
-      Extmem.Device_spec.layers = [ Extmem.Device_spec.Cost Extmem.Cost_model.hdd ] }
-  else Extmem.Device_spec.default
-
 module Config = struct
   include Nexsort.Config
 
-  (* every bench config inherits the harness-wide device spec; --no-fuse
-     overrides the fusion default for experiments that don't pin it *)
+  (* --no-fuse overrides the fusion default for experiments that don't
+     pin it *)
   let make ?block_size ?memory_blocks ?threshold ?depth_limit ?degeneration ?root_fusion
       ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ?tracer () =
     let root_fusion =
@@ -47,8 +34,7 @@ module Config = struct
       | None -> if !no_fuse then Some false else None
     in
     Nexsort.Config.make ?block_size ?memory_blocks ?threshold ?depth_limit ?degeneration
-      ?root_fusion ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ?tracer
-      ~device:(bench_spec ()) ()
+      ?root_fusion ?encoding ?data_stack_blocks ?path_stack_blocks ?keep_whitespace ?tracer ()
 end
 
 let ordering = Ordering.by_attr "id"
@@ -67,14 +53,8 @@ let time f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
-(* the input device is shared across runs, so report per-run simulated
-   time as a delta from its meter's level before the run *)
-let sim_detail base ~before ~total =
-  if !cost then Printf.sprintf "%s sim=%.0fms" base (total -. before) else base
-
 let run_nexsort ~config doc_dev =
   Extmem.Io_stats.reset (Extmem.Device.stats doc_dev);
-  let sim0 = Extmem.Device.simulated_ms doc_dev in
   let output = Config.scratch_device config ~name:"out" in
   let report, seconds =
     time (fun () ->
@@ -85,16 +65,13 @@ let run_nexsort ~config doc_dev =
     io = Extmem.Io_stats.total report.Nexsort.total_io;
     seconds;
     detail =
-      sim_detail ~before:sim0 ~total:report.Nexsort.simulated_ms
-        (Printf.sprintf "sorts=%d(mem %d/ext %d) frags=%d passes=%d"
-           report.Nexsort.subtree_sorts report.Nexsort.in_memory_sorts
-           report.Nexsort.external_sorts report.Nexsort.fragment_runs
-           report.Nexsort.merge_passes);
+      Printf.sprintf "sorts=%d(mem %d/ext %d) frags=%d passes=%d" report.Nexsort.subtree_sorts
+        report.Nexsort.in_memory_sorts report.Nexsort.external_sorts report.Nexsort.fragment_runs
+        report.Nexsort.merge_passes;
   }
 
 let run_mergesort ~config doc_dev =
   Extmem.Io_stats.reset (Extmem.Device.stats doc_dev);
-  let sim0 = Extmem.Device.simulated_ms doc_dev in
   let output = Config.scratch_device config ~name:"out" in
   let report, seconds =
     time (fun () ->
@@ -104,9 +81,8 @@ let run_mergesort ~config doc_dev =
     io = Extmem.Io_stats.total report.Baselines.Keypath_sort.total_io;
     seconds;
     detail =
-      sim_detail ~before:sim0 ~total:report.Baselines.Keypath_sort.simulated_ms
-        (Printf.sprintf "runs=%d passes=%d" report.Baselines.Keypath_sort.initial_runs
-           report.Baselines.Keypath_sort.merge_passes);
+      Printf.sprintf "runs=%d passes=%d" report.Baselines.Keypath_sort.initial_runs
+        report.Baselines.Keypath_sort.merge_passes;
   }
 
 let make_doc ?(avg_bytes = 100) ~fanouts () =
@@ -1105,26 +1081,48 @@ let validate_metrics path =
   List.iter
     (fun k -> ignore (require k io "io"))
     [ "input"; "subtree_sorts"; "stack_paging"; "runs"; "output"; "total" ];
-  (* allocation per phase (schema v6): a span's words include its
-     children's, so no child may carry more than its parent *)
-  let rec check_words parent_name parent_words span =
+  let number ctx = function
+    | Obs.Json.Float f -> f
+    | Obs.Json.Int i -> float_of_int i
+    | _ -> fail "%s is not a number" ctx
+  in
+  let total_of ctx v = number (ctx ^ ".total") (require "total" v ctx) in
+  (* a span's words and I/O include its children's, so no child may
+     carry more words than its parent and the children's I/O may not add
+     up to more than the parent's (I/O exactly: the meter is a count);
+     the report's gc and io intervals hold the root span's *)
+  let rec check_span parent_name parent_words span =
     let name =
       match Obs.Json.member "name" span with Some (Obs.Json.Str n) -> n | _ -> "?"
     in
-    let words =
-      match require "minor_words" span ("span " ^ name) with
-      | Obs.Json.Float f -> f
-      | Obs.Json.Int i -> float_of_int i
-      | _ -> fail "span %S: minor_words is not a number" name
-    in
+    let ctx = "span " ^ name in
+    let words = number (ctx ^ " minor_words") (require "minor_words" span ctx) in
     if words > parent_words then
-      fail "span %S allocates %.0f minor words, more than its parent %S (%.0f)" name words
-        parent_name parent_words;
+      fail "span %S allocates %.0f minor words, more than %s (%.0f)" name words parent_name
+        parent_words;
+    let total = total_of (ctx ^ " io") (require "io" span ctx) in
     match Obs.Json.member "children" span with
-    | Some (Obs.Json.List children) -> List.iter (check_words name words) children
+    | Some (Obs.Json.List children) ->
+        let sum =
+          List.fold_left
+            (fun acc c -> acc +. total_of "child span io" (require "io" c "child span"))
+            0. children
+        in
+        if sum > total then
+          fail "span %S: its children's I/Os add up to %.0f, more than its own %.0f" name sum
+            total;
+        List.iter (check_span (Printf.sprintf "its parent %S" name) words) children
     | _ -> ()
   in
-  check_words "(report)" infinity (require "phases" json "top-level");
+  let phases = require "phases" json "top-level" in
+  let root_total = total_of "root span io" (require "io" phases "root span") in
+  let report_total = total_of "io.total" (require "total" io "io") in
+  if root_total > report_total then
+    fail "the root span counts %.0f I/Os, more than the report's io.total (%.0f)" root_total
+      report_total;
+  check_span "the report's gc.minor_words"
+    (number "gc.minor_words" (require "minor_words" gc "gc"))
+    phases;
   Printf.printf "validate-metrics: %s OK\n" path
 
 (* compare-metrics BASELINE NEW: fail if any I/O counter in NEW's "io"
@@ -1243,9 +1241,6 @@ let () =
     | [] -> []
     | "--quick" :: rest ->
         quick := true;
-        parse rest
-    | "--cost" :: rest ->
-        cost := true;
         parse rest
     | "--no-fuse" :: rest ->
         no_fuse := true;

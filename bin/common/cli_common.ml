@@ -210,16 +210,15 @@ let device_term =
     & info [ "device" ] ~docv:"SPEC"
         ~doc:
           "Device specification: zero or more layers, then a backend — e.g. $(b,mem), \
-           $(b,file:PATH), $(b,traced/mem), $(b,faulty:p=0.001,seed=42/file:PATH), \
-           $(b,cost:profile=hdd/mem).  The input and output are always block devices over the \
-           named files themselves, read and written a block at a time; the backend holds the \
-           internal devices only (stacks, runs, temporary storage; $(b,file:PATH) puts each in \
-           $(b,PATH.NAME)).  The layers go over every device, the files included.  \
-           $(b,traced) records the access pattern and $(b,cost) charges simulated \
-           seek/transfer time (reported with $(b,--stats)); both see only I/Os that \
-           completed.  $(b,faulty) injects seeded random faults beneath them, so a faulted I/O \
-           is neither counted, traced nor charged; only the order of $(b,faulty) layers among \
-           themselves matters.  A failed run leaves the output file as it was.")
+           $(b,file:PATH), $(b,traced/mem), $(b,faulty:p=0.001,seed=42/file:PATH).  The \
+           input and output are always block devices over the named files themselves, read and \
+           written a block at a time; the backend holds the internal devices only (stacks, runs, \
+           temporary storage; $(b,file:PATH) puts each in $(b,PATH.NAME)).  The layers go over \
+           every device, the files included.  $(b,traced) records the access pattern (its seeks \
+           and sequential fraction are reported with $(b,--stats)) and sees only I/Os that \
+           completed.  $(b,faulty) injects seeded random faults beneath it, so a faulted I/O is \
+           neither counted nor traced; only the order of $(b,faulty) layers among themselves \
+           matters.  A failed run leaves the output file as it was.")
 
 let pp_io name (s : Extmem.Io_stats.t) =
   Printf.eprintf "  %-24s %8d reads %8d writes\n" name s.Extmem.Io_stats.reads

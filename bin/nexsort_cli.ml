@@ -38,16 +38,12 @@ let run verbose algorithm config ordering stats metrics trace targets select dev
     if stats && device <> None then begin
       Printf.eprintf "device: %s\n" (Extmem.Device_spec.to_string spec);
       Option.iter
-        (fun ((inp : Extmem.Device_spec.built), (out : Extmem.Device_spec.built)) ->
-          (match inp.trace with
+        (fun ((inp : Extmem.Device_spec.built), _) ->
+          match inp.trace with
           | Some trace ->
               Printf.eprintf "input access pattern: %s\n"
                 (Format.asprintf "%a" Extmem.Trace.pp_summary (Extmem.Trace.summarize trace))
-          | None -> ());
-          let sim =
-            Extmem.Device.simulated_ms inp.device +. Extmem.Device.simulated_ms out.device
-          in
-          if sim > 0. then Printf.eprintf "endpoint simulated io time: %.2fms\n" sim)
+          | None -> ())
         endpoints
     end
   in
@@ -106,9 +102,7 @@ let run verbose algorithm config ordering stats metrics trace targets select dev
                     ("total", Obs.Json.io_stats report.total_io) ]);
              Obs.Report.add rep "phases" (Obs.Span.to_json report.spans);
              Obs.Report.add rep "timing"
-               (Obs.Json.Obj
-                  [ ("wall_s", Obs.Json.Float report.wall_seconds);
-                    ("simulated_ms", Obs.Json.Float report.simulated_ms) ]);
+               (Obs.Json.Obj [ ("wall_s", Obs.Json.Float report.wall_seconds) ]);
              rep);
           if stats then begin
             Printf.eprintf "algorithm: %s\n" (describe algorithm);

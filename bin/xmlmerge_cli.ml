@@ -105,7 +105,7 @@ let run ordering presorted update_mode ingest_mode flush_every indexed device no
                     Xmerge.Struct_merge.sort_and_merge_devices ~fuse:(not no_fuse) ~sessions ~pass
                       ~ordering ~left ~right ~output ()))
         in
-        let rep, summary, (ldev, rdev, odev) =
+        let rep, summary =
           if update_mode then begin
             let r, endpoints = merge Xmerge.Batch_update.apply in
             let open Xmerge.Batch_update in
@@ -118,24 +118,17 @@ let run ordering presorted update_mode ingest_mode flush_every indexed device no
             ( rep,
               Printf.sprintf "matched %d, deletes %d, replaces %d, no-op deletes %d"
                 r.merge.Xmerge.Struct_merge.matched_elements r.deletes r.replaces
-                r.unmatched_deletes,
-              endpoints )
+                r.unmatched_deletes )
           end
           else begin
             let r, endpoints = merge Xmerge.Struct_merge.merge in
             ( Cli_common.merge_report r endpoints,
               Printf.sprintf "matched %d elements, emitted %d events"
-                r.Xmerge.Struct_merge.matched_elements r.Xmerge.Struct_merge.output_events,
-              endpoints )
+                r.Xmerge.Struct_merge.matched_elements r.Xmerge.Struct_merge.output_events )
           end
         in
         Cli_common.write_metrics metrics rep;
         Printf.eprintf "%s -> %s\n" summary output;
-        let sim =
-          Extmem.Device.simulated_ms ldev +. Extmem.Device.simulated_ms rdev
-          +. Extmem.Device.simulated_ms odev
-        in
-        if sim > 0. then Printf.eprintf "merge simulated io time: %.2fms\n" sim;
         finish (`Ok ())
   with
   | Xmlio.Parser.Error { line; col; msg } -> `Error (false, Printf.sprintf "%d:%d: %s" line col msg)

@@ -13,7 +13,6 @@ type report = {
   temp_io : Extmem.Io_stats.t;
   output_io : Extmem.Io_stats.t;
   total_io : Extmem.Io_stats.t;
-  simulated_ms : float;
   wall_seconds : float;
   spans : Obs.Span.t;
 }
@@ -138,12 +137,7 @@ let sort_device ?(config = Config.make ()) ~ordering ~input ~output () =
          (Extmem.Io_stats.snapshot (Extmem.Device.stats temp))
          (Extmem.Io_stats.snapshot (Extmem.Device.stats output)))
   in
-  let sim_meter () =
-    Extmem.Device.simulated_ms input
-    +. Extmem.Device.simulated_ms temp
-    +. Extmem.Device.simulated_ms output
-  in
-  let spans = Obs.Spans.create ~io:io_meter ~sim_ms:sim_meter "keypath_sort" in
+  let spans = Obs.Spans.create ~io:io_meter "keypath_sort" in
   (* scan, run formation, merging and reconstruction are one pipeline here:
      records are pulled from the parser and sorted output is reconstructed
      on the fly, so they share one phase span *)
@@ -179,10 +173,6 @@ let sort_device ?(config = Config.make ()) ~ordering ~input ~output () =
     temp_io;
     output_io;
     total_io = Extmem.Io_stats.add input_io (Extmem.Io_stats.add temp_io output_io);
-    simulated_ms =
-      Extmem.Device.simulated_ms input
-      +. Extmem.Device.simulated_ms temp
-      +. Extmem.Device.simulated_ms output;
     wall_seconds = Unix.gettimeofday () -. t0;
     spans = Obs.Spans.close spans;
   }

@@ -23,9 +23,6 @@ type report = {
   temp_io : Extmem.Io_stats.t;
   output_io : Extmem.Io_stats.t;
   total_io : Extmem.Io_stats.t;
-  simulated_ms : float;
-      (** simulated I/O time across input/temp/output when cost layers are
-          attached; [0.] otherwise *)
   wall_seconds : float;
   spans : Obs.Span.t;
       (** phase spans under ["keypath_sort"]: [scan_sort_reconstruct] (the

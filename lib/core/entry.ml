@@ -19,14 +19,6 @@ type t =
 let level = function
   | Start { level; _ } | End { level; _ } | Text { level; _ } | Run_ptr { level; _ } -> level
 
-let pos = function
-  | Start { pos; _ } | End { pos; _ } | Text { pos; _ } | Run_ptr { pos; _ } -> pos
-
-let sibling_key = function
-  | Start { key; _ } -> Option.value key ~default:Key.Null
-  | Run_ptr { key; _ } -> key
-  | Text _ | End _ -> Key.Null
-
 let tag_start = 0
 let tag_end = 1
 let tag_text = 2
@@ -332,14 +324,6 @@ module View = struct
     | Vrun_ptr -> Key.decode (Extmem.Codec.cursor ~pos:v.body v.payload)
     | Vtext | Vend -> Key.Null
 
-  let run_ptr v =
-    let c = Extmem.Codec.cursor ~pos:v.body v.payload in
-    let key = Key.decode c in
-    let run = Extmem.Codec.get_varint c in
-    let bytes = Extmem.Codec.get_varint c in
-    (key, run, bytes)
-
-  let to_entry dict v = decode v.enc dict v.payload
 end
 
 let pp ppf = function

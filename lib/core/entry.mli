@@ -48,13 +48,6 @@ type t =
 
 val level : t -> int
 
-val pos : t -> int
-
-val sibling_key : t -> Key.t
-(** The key this entry sorts by among its siblings: the element key for
-    [Start]/[Run_ptr] ([Null] when it is on the [End] entry instead),
-    [Null] for [Text]. *)
-
 val encode : Config.encoding -> Xmlio.Dict.t -> t -> string
 (** Serialize.  The dictionary is consulted/extended for [Dict]/[Packed];
     ignored for [Plain]. *)
@@ -168,8 +161,6 @@ end
     entries without a decode/re-encode round trip (and without consulting
     the dictionary at all). *)
 
-type entry := t
-
 module View : sig
   type kind =
     | Vstart
@@ -190,7 +181,9 @@ module View : sig
   val pos : t -> int
 
   val sibling_key : t -> Key.t
-  (** Same semantics as {!Entry.sibling_key}, decoded on demand. *)
+  (** The key this entry sorts by among its siblings, decoded on demand:
+      the element key for [Vstart]/[Vrun_ptr] ([Null] when it is on the
+      [Vend] entry instead), [Null] for [Vtext]. *)
 
   val start_key : t -> Key.t option
   (** The key option of a [Vstart] view. *)
@@ -198,11 +191,6 @@ module View : sig
   val end_key : t -> Key.t option
   (** The key option of a [Vend] view. *)
 
-  val run_ptr : t -> Key.t * Extmem.Run_store.id * int
-  (** [(key, run, bytes)] of a [Vrun_ptr] view. *)
-
-  val to_entry : Xmlio.Dict.t -> t -> entry
-  (** Full decode, for consumers that need names/attributes/text. *)
 end
 
 val pp : Format.formatter -> t -> unit

@@ -22,9 +22,6 @@ val build_forest : Entry.View.t list -> node list
     (no End entries) elements close when a following entry's level shows
     they ended. *)
 
-val compare_siblings : node -> node -> int
-(** Key order, document position as tiebreak. *)
-
 val sort_forest : depth_limit:int option -> node list -> node list
 (** Sort every sibling list, leaving levels beyond [depth_limit] in
     document order. *)
@@ -57,16 +54,6 @@ val forward_records :
 (** Key-path records from an entry-view stream in document order.  Keys
     must be on Start entries (scan-evaluable orderings); keys below
     [depth_limit] are suppressed so deeper levels keep document order. *)
-
-val reverse_records :
-  enc:Extmem.Codec.Enc.t ->
-  depth_limit:int option ->
-  (unit -> Entry.View.t option) ->
-  unit ->
-  string option
-(** Same, for entries arriving in reverse document order (popped from the
-    data stack); End entries precede their subtrees and carry the
-    authoritative element keys. *)
 
 val keypath_sort :
   arena:Extmem.Frame_arena.t ->

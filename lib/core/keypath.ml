@@ -66,8 +66,6 @@ let compare_encoded a b =
   in
   go 0
 
-let pp_component ppf { key; pos } = Format.fprintf ppf "%s#%d" (Key.to_string key) pos
-
 let rec key_display key =
   match key with
   | Key.Null -> "·"

@@ -27,16 +27,10 @@ val decode_path : string -> component list
 
 val decode_payload : string -> string
 
-val payload_offset : string -> int
-(** Offset of the opaque payload within an encoded record, letting callers
-    slice it out (or view it in place) without decoding the path. *)
-
 val compare_encoded : string -> string -> int
 (** Lexicographic comparison of the key paths: component-wise by
     [(Key.compare, pos)], a strict prefix ordering before its extensions.
     Payloads do not participate. *)
-
-val pp_component : Format.formatter -> component -> unit
 
 val path_to_string : component list -> string
 (** Display form, ["/NE/Durham/454"]-style (Table 1). *)

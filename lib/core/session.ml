@@ -8,7 +8,6 @@ type t = {
   out_stack : Extmem.Ext_stack.t;
   runs : Extmem.Run_store.t;
   temp_stats : Extmem.Io_stats.t;
-  mutable temp_sim_ms : float;
   registry : Obs.Registry.t;
   poll : unit -> unit;
   enc_scratch : Extmem.Codec.Enc.t;
@@ -66,7 +65,6 @@ let create ~budget ~poll (config : Config.t) =
           (stack_dev "output-location-stack");
       runs;
       temp_stats = Extmem.Io_stats.create ();
-      temp_sim_ms = 0.;
       registry = Obs.Registry.create ();
       poll;
       enc_scratch = Extmem.Codec.Enc.create ~capacity:256 ();
@@ -107,7 +105,6 @@ let open_temp t =
     if not !retired then begin
       retired := true;
       Extmem.Io_stats.accumulate ~into:t.temp_stats (Extmem.Device.stats dev);
-      t.temp_sim_ms <- t.temp_sim_ms +. Extmem.Device.simulated_ms dev;
       Extmem.Device.close dev
     end
   in
@@ -130,10 +127,3 @@ let total_io t =
   List.fold_left
     (fun acc (_, s) -> Extmem.Io_stats.add acc s)
     (Extmem.Io_stats.create ()) (io_breakdown t)
-
-let simulated_ms t =
-  Extmem.Device.simulated_ms (Extmem.Ext_stack.device t.data_stack)
-  +. Extmem.Device.simulated_ms (Extmem.Ext_stack.device t.path_stack)
-  +. Extmem.Device.simulated_ms (Extmem.Ext_stack.device t.out_stack)
-  +. Extmem.Device.simulated_ms (Extmem.Run_store.device t.runs)
-  +. t.temp_sim_ms

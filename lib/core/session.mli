@@ -32,9 +32,6 @@ type t = {
   temp_stats : Extmem.Io_stats.t;
       (** accumulated I/O of retired scratch devices (external subtree
           sorts and fragment merges) *)
-  mutable temp_sim_ms : float;
-      (** accumulated simulated time of retired scratch devices (when the
-          configured device spec carries a [cost] layer) *)
   registry : Obs.Registry.t;
       (** pull-gauge metrics over every session component — stacks
           ([stack.data.*], [stack.path.*], [stack.out.*]), run store
@@ -121,8 +118,3 @@ val total_io : t -> Extmem.Io_stats.t
 (** Sum of {!io_breakdown} (input and output devices are owned by the
     caller and not included). *)
 
-val simulated_ms : t -> float
-(** Total simulated time charged to the session's internal devices —
-    stacks, run store, retired scratch — when the config's device spec
-    includes a [cost] layer; [0.] otherwise.  Input/output devices are the
-    caller's. *)

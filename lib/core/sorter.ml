@@ -27,7 +27,6 @@ type report = {
   output_io : Extmem.Io_stats.t;
   breakdown : (string * Extmem.Io_stats.t) list;
   total_io : Extmem.Io_stats.t;
-  simulated_ms : float;
   wall_seconds : float;
   gc : gc_stats;  (** allocation/collection delta over the whole sort *)
   spans : Obs.Span.t;
@@ -614,11 +613,14 @@ let scan_source ?dict ~keep_whitespace input =
 
 (* Scan the input and open the root's sorted entries as a pull stream:
    the shared front end of {!sort_device} and {!open_stream}. *)
-let open_sorted ~session ~ordering ~input ~io_meter ~sim_meter =
+let open_sorted ~session ~ordering ~input ~io_meter =
   let config = session.Session.config in
-  let spans =
-    Obs.Spans.create ~io:io_meter ~sim_ms:sim_meter ~tracer:config.Config.tracer "sort"
-  in
+  (* the GC counters are sampled before the root span opens, and the
+     report closes the spans before it takes the GC delta, so the root
+     span's interval lies inside the report's [gc] interval *)
+  let gc0 = Gc.quick_stat () in
+  let mw0 = Gc.minor_words () in
+  let spans = Obs.Spans.create ~io:io_meter ~tracer:config.Config.tracer "sort" in
   let st =
     {
       session;
@@ -641,8 +643,8 @@ let open_sorted ~session ~ordering ~input ~io_meter ~sim_meter =
       fuse = config.Config.root_fusion;
       root = None;
       spans;
-      gc0 = Gc.quick_stat ();
-      mw0 = Gc.minor_words ();
+      gc0;
+      mw0;
     }
   in
   Log.info (fun m -> m "sorting phase: %a" Config.pp config);
@@ -696,12 +698,14 @@ let open_sorted ~session ~ordering ~input ~io_meter ~sim_meter =
   in
   (st, entries)
 
-let build_report (st : state) ~input_io ~output_io ~extra_sim ~t0 =
+let build_report (st : state) ~input_io ~output_io ~t0 =
   let session = st.session in
+  let spans = Obs.Spans.close st.spans in
+  let mw1 = Gc.minor_words () in
   let g1 = Gc.quick_stat () in
   let gc =
     {
-      gc_minor_words = Gc.minor_words () -. st.mw0;
+      gc_minor_words = mw1 -. st.mw0;
       gc_major_words = g1.Gc.major_words -. st.gc0.Gc.major_words;
       gc_promoted_words = g1.Gc.promoted_words -. st.gc0.Gc.promoted_words;
       gc_minor_collections = g1.Gc.minor_collections - st.gc0.Gc.minor_collections;
@@ -737,10 +741,9 @@ let build_report (st : state) ~input_io ~output_io ~extra_sim ~t0 =
     breakdown = Session.io_breakdown session;
     total_io =
       Extmem.Io_stats.add (Extmem.Io_stats.add input_io output_io) (Session.total_io session);
-    simulated_ms = Session.simulated_ms session +. extra_sim;
     wall_seconds = Unix.gettimeofday () -. t0;
     gc;
-    spans = Obs.Spans.close st.spans;
+    spans;
     metrics = Obs.Registry.to_json session.Session.registry;
     arena = Extmem.Frame_arena.owners session.Session.arena;
   }
@@ -752,22 +755,17 @@ let build_report (st : state) ~input_io ~output_io ~extra_sim ~t0 =
    the device the caller will write, metered into the phase spans. *)
 let open_session ~session ~ordering ~input ?output () =
   let t0 = Unix.gettimeofday () in
-  (* span meters: cumulative I/O and simulated time over every device the
-     sort touches, so phase deltas attribute all of it *)
+  (* the span meter: cumulative I/O over every device the sort touches,
+     so phase deltas attribute all of it *)
   let devices = input :: Option.to_list output in
   let io_meter () =
     List.fold_left
       (fun acc d -> Extmem.Io_stats.add acc (Extmem.Io_stats.snapshot (Extmem.Device.stats d)))
       (Session.total_io session) devices
   in
-  let sim_meter () =
-    List.fold_left
-      (fun acc d -> acc +. Extmem.Device.simulated_ms d)
-      (Session.simulated_ms session) devices
-  in
   match
     Config.validate_ordering session.Session.config ordering;
-    open_sorted ~session ~ordering ~input ~io_meter ~sim_meter
+    open_sorted ~session ~ordering ~input ~io_meter
   with
   | st, entries -> (st, entries, t0)
   | exception e ->
@@ -789,7 +787,6 @@ let sort_device ~session ~ordering ~input ~output () =
       build_report st
         ~input_io:(Extmem.Io_stats.snapshot (Extmem.Device.stats input))
         ~output_io:(Extmem.Io_stats.snapshot (Extmem.Device.stats output))
-        ~extra_sim:(Extmem.Device.simulated_ms input +. Extmem.Device.simulated_ms output)
         ~t0)
 
 (* ---- event-stream front end (cross-tool fusion) ---- *)
@@ -829,7 +826,6 @@ let stream_finish s =
             build_report s.s_st
               ~input_io:(Extmem.Io_stats.snapshot (Extmem.Device.stats s.s_input))
               ~output_io:(Extmem.Io_stats.create ())
-              ~extra_sim:(Extmem.Device.simulated_ms s.s_input)
               ~t0:s.s_t0)
       in
       s.s_report <- Some r;
@@ -928,11 +924,7 @@ let metrics_report ?(tool = "nexsort") ~config r =
   Obs.Report.add rep "phases" (Obs.Span.to_json r.spans);
   Obs.Report.add rep "metrics" r.metrics;
   Obs.Report.add rep "timing"
-    (Obs.Json.Obj
-       [
-         ("wall_s", Obs.Json.Float r.wall_seconds);
-         ("simulated_ms", Obs.Json.Float r.simulated_ms);
-       ]);
+    (Obs.Json.Obj [ ("wall_s", Obs.Json.Float r.wall_seconds) ]);
   rep
 
 let pp_report ppf r =
@@ -941,8 +933,7 @@ let pp_report ppf r =
      subtree sorts=%d (in-memory=%d, external=%d), fragments=%d (merges=%d)@,\
      runs=%d (%d blocks)@,\
      io: input=%a output=%a total=%a@,\
-     wall=%.3fs%t@]"
+     wall=%.3fs@]"
     r.events r.elements r.text_nodes r.height r.subtree_sorts r.in_memory_sorts r.external_sorts
     r.fragment_runs r.fragment_merges r.runs_created r.run_blocks Extmem.Io_stats.pp r.input_io
     Extmem.Io_stats.pp r.output_io Extmem.Io_stats.pp r.total_io r.wall_seconds
-    (fun ppf -> if r.simulated_ms > 0. then Format.fprintf ppf "@,simulated io time=%.2fms" r.simulated_ms)

@@ -37,7 +37,9 @@ type gc_stats = {
   gc_major_collections : int;
 }
 (** GC-counter delta ({!Gc.quick_stat}) between opening the sort and
-    building its report: the allocation cost of the whole record path. *)
+    building its report: the allocation cost of the whole record path.
+    The interval holds the root span's, so the root span's [minor_words]
+    never exceed [gc_minor_words]. *)
 
 type report = {
   events : int;           (** parser events consumed, the model's [N] *)
@@ -59,9 +61,6 @@ type report = {
   breakdown : (string * Extmem.Io_stats.t) list;
       (** stacks / runs / scratch, from {!Session.io_breakdown} *)
   total_io : Extmem.Io_stats.t;  (** everything, input and output included *)
-  simulated_ms : float;
-      (** simulated I/O time (session + input + output devices) when cost
-          layers are attached; [0.] otherwise *)
   wall_seconds : float;
   gc : gc_stats;
   spans : Obs.Span.t;

@@ -94,8 +94,6 @@ let create ?(tracer = Obs.Tracer.null) ~memory_blocks ~block_size () =
 
 let registry t = t.registry
 
-let tracer t = t.tracer
-
 let budget t = t.budget
 
 let leaked_blocks t = Obs.Counter.value t.c_leaked
@@ -236,8 +234,6 @@ let cancel t (flag : bool Atomic.t) =
   Condition.broadcast t.admitted;
   Mutex.unlock t.lock
 
-let cancel_flag (j : job) = j.j_cancel
-
 let session (_ : t) (j : job) =
   Nexsort.Session.create ~budget:j.j_budget
     ~poll:(fun () -> if Atomic.get j.j_cancel then raise Cancelled)
@@ -337,8 +333,6 @@ let sort_string ?config ~ordering s =
 let queue_wait_s (j : job) = j.j_queue_wait_s
 
 let job_name (j : job) = j.j_name
-
-let job_tenant (j : job) = j.j_tenant
 
 let metrics_json t =
   let snap = Obs.Registry.snapshot t.registry in

@@ -11,7 +11,7 @@
     counting whatever a faulted job leaked, so one tenant's abort can
     never shrink the engine.  One-job callers (the CLIs, tests, the
     session-less forms in [Xmerge]) run on a one-job engine
-    ({!for_config}, {!with_session}, {!sort_string}): same machinery.
+    ({!with_engine}, {!with_session}, {!sort_string}): same machinery.
     A fused merge holds two sessions at once; {!run_pair} admits both as
     one unit.
 
@@ -45,12 +45,6 @@ val create :
     jobs from; a job of [config] takes [config.memory_blocks] blocks of
     its own block size.  Job budgets of other block sizes are carved
     cross-granularity (charged in engine blocks, rounded up). *)
-
-val for_config : ?slots:int -> Nexsort.Config.t -> t
-(** An engine sized for exactly [slots] (default 1) concurrent jobs of
-    [config], with [config]'s tracer: the single-job CLI path, running
-    one sort through the same admission/carve/release machinery with zero
-    queue wait.  Use [slots = 2] for one {!run_pair}. *)
 
 val acquire :
   ?name:string ->
@@ -108,15 +102,18 @@ val run_pair :
     handle (named [name ^ "-left"] when [name] is given). *)
 
 val with_session : Nexsort.Config.t -> (Nexsort.Session.t -> 'a) -> 'a
-(** [f] over the one job of a one-job engine ({!for_config}), which is
-    destroyed afterwards. *)
+(** [f] over the one job of a one-job engine, which is destroyed
+    afterwards. *)
 
 val with_session_pair :
   Nexsort.Config.t -> (Nexsort.Session.t * Nexsort.Session.t -> 'a) -> 'a
 (** [f] over one {!run_pair} of a two-slot engine. *)
 
 val with_engine : ?slots:int -> Nexsort.Config.t -> (t -> 'a) -> 'a
-(** [f] over [for_config ?slots config], destroyed afterwards. *)
+(** [f] over an engine sized for exactly [slots] (default 1) concurrent
+    jobs of [config], with [config]'s tracer, destroyed afterwards: one
+    sort runs through the same admission/carve/release machinery with
+    zero queue wait.  Use [slots = 2] for one {!run_pair}. *)
 
 val sort_string :
   ?config:Nexsort.Config.t ->
@@ -129,13 +126,9 @@ val sort_string :
 
 val cancel : t -> bool Atomic.t -> unit
 (** Flip a job's cancellation flag (the one passed to {!acquire} as
-    [cancel], or read off a handle via {!cancel_flag}) and wake the
-    admission queue.  A queued job leaves the queue raising {!Cancelled};
-    a running one raises at its next poll checkpoint.  Safe from any
-    thread. *)
-
-val cancel_flag : job -> bool Atomic.t
-(** The job's cancellation flag. *)
+    [cancel]) and wake the admission queue.  A queued job leaves the
+    queue raising {!Cancelled}; a running one raises at its next poll
+    checkpoint.  Safe from any thread. *)
 
 val queue_wait_s : job -> float
 (** Seconds the job spent in the admission queue (0 when admitted
@@ -143,16 +136,12 @@ val queue_wait_s : job -> float
 
 val job_name : job -> string
 
-val job_tenant : job -> string
-
 val destroy : t -> unit
 (** Shut the engine down: a later {!acquire} raises.
     @raise Invalid_argument while jobs are still queued or running.
     Idempotent. *)
 
 val budget : t -> Extmem.Memory_budget.t
-
-val tracer : t -> Obs.Tracer.t
 
 val registry : t -> Obs.Registry.t
 (** Engine metrics: [engine.jobs_admitted] / [jobs_completed] /

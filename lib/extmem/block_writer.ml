@@ -81,13 +81,11 @@ let write_record w payload =
   write_bytes w w.scratch 0 (!i + 1);
   write_string w payload
 
-let bytes_written w = (w.blocks * Bytes.length w.buf) + w.fill
-
-let position = bytes_written
+let position w = (w.blocks * Bytes.length w.buf) + w.fill
 
 let close w =
   check_open w;
-  let bytes = bytes_written w in
+  let bytes = position w in
   if w.fill > 0 then begin
     Bytes.fill w.buf w.fill (Bytes.length w.buf - w.fill) '\000';
     flush_block w

@@ -32,11 +32,9 @@ val write_char : t -> char -> unit
 val write_record : t -> string -> unit
 (** Append a varint-length-framed record. *)
 
-val bytes_written : t -> int
-(** Bytes appended so far (including any still in the buffer). *)
-
 val position : t -> int
-(** Synonym of {!bytes_written}: the stream offset of the next byte. *)
+(** Bytes appended so far (including any still in the buffer): the
+    stream offset of the next byte. *)
 
 val close : t -> Extent.t
 (** Flush the final partial block and return the extent covering the whole

@@ -128,7 +128,6 @@ module Enc = struct
 
   let contents t = Bytes.sub_string t.buf 0 t.len
   let buffer t = t.buf
-  let blit t dst dstoff = Bytes.blit t.buf 0 dst dstoff t.len
 end
 
 type cursor = {

@@ -46,9 +46,6 @@ module Enc : sig
 
   val length : t -> int
   val add_varint : t -> int -> unit
-  val add_uvarint : t -> int -> unit
-  (** Emit the raw 63-bit pattern (logical shifts, accepts "negative" ints). *)
-
   val add_zigzag : t -> int -> unit
   val add_string : t -> string -> unit
   val add_substring : t -> string -> int -> int -> unit
@@ -71,8 +68,6 @@ module Enc : sig
       straight out (an {!Ext_stack} push); valid until the next append,
       which may replace the buffer. *)
 
-  val blit : t -> bytes -> int -> unit
-  (** [blit t dst off] copies the encoded bytes into [dst] at [off]. *)
 end
 
 (** {1 Decoding} *)
@@ -114,11 +109,6 @@ val skip_varint : cursor -> unit
 val compare_sub : string -> int -> int -> string -> int -> int -> int
 (** [compare_sub a ao al b bo bl] compares the slices [a.[ao..ao+al)] and
     [b.[bo..bo+bl)] in [String.compare] order, without allocating. *)
-
-(** {1 Conversions} *)
-
-val zigzag_of_int : int -> int
-val int_of_zigzag : int -> int
 
 (** {1 Fixed-width access into [bytes]} *)
 

@@ -21,7 +21,6 @@ type t = {
   stats : Io_stats.t;
   mutable subs : subscription list;  (* in subscription order *)
   mutable clock : (unit -> int) option;  (* the first timing subscriber's *)
-  mutable cost : Cost_model.t option;
 }
 
 let of_backend base =
@@ -35,7 +34,6 @@ let of_backend base =
     stats = Io_stats.create ();
     subs = [];
     clock = None;
-    cost = None;
   }
 
 let in_memory ?(name = "mem") ~block_size () =
@@ -65,21 +63,6 @@ let subscribe ?clock d f =
 
 let unsubscribe d s = set_subs d (List.filter (fun s' -> s' != s) d.subs)
 
-let attach_cost ?params d =
-  let c = Cost_model.create ?params () in
-  (* the simulated disk head: the block after this meter's previous
-     access on this device; -1 = no access yet (the first one seeks) *)
-  let head = ref (-1) in
-  ignore
-    (subscribe d (fun op i ~start_ns:_ ~dur_ns:_ ->
-         Cost_model.charge c ~sequential:(i = !head) op;
-         head := i + 1)
-      : subscription);
-  d.cost <- Some c;
-  c
-
-let name d = d.name
-
 let block_size d = d.block_size
 
 let block_count d = d.blocks
@@ -92,13 +75,6 @@ let byte_length d =
 let set_byte_length d n = d.logical_len <- Some n
 
 let stats d = d.stats
-
-let cost d = d.cost
-
-let simulated_ms d =
-  match d.cost with
-  | Some c -> Cost_model.elapsed_ms c
-  | None -> 0.
 
 let allocate d n =
   if n < 0 then invalid_arg "Device.allocate: negative count";

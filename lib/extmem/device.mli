@@ -13,11 +13,10 @@
     itself does the accounting: each I/O that comes back from the backend
     is counted in {!stats} and then delivered, as one event, to the
     device's subscribers in subscription order.  Everything that watches
-    I/O is a subscriber: access-pattern traces ({!Trace.attach}),
-    simulated cost ({!attach_cost}), and the event tracer's latency
-    histograms and per-I/O events.  An I/O an interceptor fails is seen by
-    none of them.  Devices are normally built from a textual spec via
-    {!Device_spec}.
+    I/O is a subscriber: access-pattern traces ({!Trace.attach}) and the
+    event tracer's latency histograms and per-I/O events.  An I/O an
+    interceptor fails is seen by none of them.  Devices are normally
+    built from a textual spec via {!Device_spec}.
 
     Devices are append-allocated: {!allocate} extends the device and
     returns the index of the first new block.  Reading a block that was
@@ -31,10 +30,6 @@ type op = Backend.op =
 
 exception Fault of op * int
 (** Alias of {!Backend.Fault}, raised by fault-injection layers. *)
-
-val of_backend : Backend.t -> t
-(** Wrap a raw backend into a device with no interceptors and no
-    subscribers. *)
 
 val in_memory : ?name:string -> block_size:int -> unit -> t
 (** [in_memory ~block_size ()] is a fresh virtual disk.  [block_size] must
@@ -84,13 +79,6 @@ val subscribe :
 val unsubscribe : t -> subscription -> unit
 (** Stop delivering events to a subscriber.  Idempotent. *)
 
-val attach_cost : ?params:Cost_model.params -> t -> Cost_model.t
-(** Subscribe a fresh cost meter and return it; {!simulated_ms} reports
-    its elapsed time from now on.  The meter keeps its own simulated disk
-    head: an access is sequential when it follows this meter's previous
-    access on this device. *)
-
-val name : t -> string
 val block_size : t -> int
 
 val block_count : t -> int
@@ -106,13 +94,6 @@ val set_byte_length : t -> int -> unit
 
 val stats : t -> Io_stats.t
 (** The device's I/O counters (live; mutated by every read/write). *)
-
-val cost : t -> Cost_model.t option
-(** The meter attached by the last {!attach_cost} (or [cost] spec layer). *)
-
-val simulated_ms : t -> float
-(** Simulated time charged to this device's cost meter; [0.] when no cost
-    layer is attached. *)
 
 val allocate : t -> int -> int
 (** [allocate dev n] extends the device by [n] blocks and returns the index

@@ -6,7 +6,6 @@ type layer_spec =
   | Stats
   | Traced
   | Faulty of { p : float; seed : int }
-  | Cost of Cost_model.params
 
 type t = {
   layers : layer_spec list;
@@ -17,8 +16,7 @@ let default = { layers = []; backend = Mem }
 
 let grammar =
   "SPEC ::= [LAYER/]...BACKEND; BACKEND ::= mem | file:PATH; LAYER ::= stats | traced | \
-   faulty[:p=P,seed=N] | cost[:profile=hdd|ssd][,seek=MS][,read=MS][,write=MS] (example: \
-   traced/faulty:p=0.001,seed=42/file:/tmp/dev.img)"
+   faulty[:p=P,seed=N] (example: traced/faulty:p=0.001,seed=42/file:/tmp/dev.img)"
 
 let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("device spec: " ^ m ^ "; " ^ grammar)) fmt
 
@@ -51,23 +49,6 @@ let parse_faulty args =
   if !p < 0. || !p > 1. then fail "faulty: p=%g out of [0,1]" !p;
   Faulty { p = !p; seed = !seed }
 
-let parse_cost args =
-  let params = ref Cost_model.hdd in
-  List.iter
-    (fun (k, v) ->
-      match k with
-      | "profile" -> (
-          match v with
-          | "hdd" -> params := Cost_model.hdd
-          | "ssd" -> params := Cost_model.ssd
-          | v -> fail "cost: unknown profile %S (hdd or ssd)" v)
-      | "seek" -> params := { !params with Cost_model.seek_ms = float_of "cost" v }
-      | "read" -> params := { !params with Cost_model.read_ms = float_of "cost" v }
-      | "write" -> params := { !params with Cost_model.write_ms = float_of "cost" v }
-      | k -> fail "cost: unknown parameter %S" k)
-    (kv_pairs "cost" args);
-  Cost !params
-
 let parse_layer seg =
   let head, args =
     match String.index_opt seg ':' with
@@ -78,7 +59,6 @@ let parse_layer seg =
   | "stats" -> Stats
   | "traced" -> Traced
   | "faulty" -> parse_faulty args
-  | "cost" -> parse_cost args
   | "" -> fail "empty layer before %S" args
   | l -> fail "unknown layer %S" l
 
@@ -105,8 +85,6 @@ let layer_to_string = function
   | Stats -> "stats"
   | Traced -> "traced"
   | Faulty { p; seed } -> Printf.sprintf "faulty:p=%g,seed=%d" p seed
-  | Cost { Cost_model.seek_ms; read_ms; write_ms } ->
-      Printf.sprintf "cost:seek=%g,read=%g,write=%g" seek_ms read_ms write_ms
 
 let to_string t =
   let backend = match t.backend with Mem -> "mem" | File p -> "file:" ^ p in
@@ -115,13 +93,12 @@ let to_string t =
 type built = {
   device : Device.t;
   trace : Trace.t option;
-  cost : Cost_model.t option;
 }
 
 let apply_layers t device =
   (* push innermost-first so the head of [t.layers] ends up the outermost
      interceptor *)
-  let trace = ref None and cost = ref None in
+  let trace = ref None in
   List.iter
     (fun layer ->
       match layer with
@@ -129,10 +106,9 @@ let apply_layers t device =
       | Traced ->
           let tr = Trace.attach device in
           if !trace = None then trace := Some tr
-      | Faulty { p; seed } -> Device.push_layer device (Layer.faulty ~seed ~p ())
-      | Cost params -> cost := Some (Device.attach_cost ~params device))
+      | Faulty { p; seed } -> Device.push_layer device (Layer.faulty ~seed ~p ()))
     (List.rev t.layers);
-  { device; trace = !trace; cost = !cost }
+  { device; trace = !trace }
 
 let build ?name ~block_size t =
   apply_layers t

@@ -154,7 +154,7 @@ val close : t -> unit
     stack afterwards is a programming error. *)
 
 val device : t -> Device.t
-(** The backing device (for layer inspection and simulated-cost totals). *)
+(** The backing device (for layer inspection and I/O totals). *)
 
 val io_stats : t -> Io_stats.t
 (** The underlying device's counters: every page-in is a read, every

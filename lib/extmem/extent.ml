@@ -3,8 +3,3 @@ type t = {
   blocks : int;
   bytes : int;
 }
-
-let empty = { first_block = 0; blocks = 0; bytes = 0 }
-
-let pp ppf e =
-  Format.fprintf ppf "{first=%d; blocks=%d; bytes=%d}" e.first_block e.blocks e.bytes

@@ -9,8 +9,3 @@ type t = {
   blocks : int;       (** number of consecutive blocks *)
   bytes : int;        (** exact byte length of the payload *)
 }
-
-val empty : t
-(** The zero-length extent. *)
-
-val pp : Format.formatter -> t -> unit

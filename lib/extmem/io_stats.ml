@@ -27,5 +27,3 @@ let accumulate ~into s =
 
 let pp ppf s =
   Format.fprintf ppf "{reads=%d; writes=%d; total=%d}" s.reads s.writes (total s)
-
-let to_string s = Format.asprintf "%a" pp s

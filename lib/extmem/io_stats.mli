@@ -36,5 +36,3 @@ val accumulate : into:t -> t -> unit
 
 val pp : Format.formatter -> t -> unit
 (** Prints as ["{reads=<r>; writes=<w>; total=<t>}"]. *)
-
-val to_string : t -> string

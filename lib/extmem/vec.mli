@@ -10,9 +10,6 @@ type 'a t
 val create : unit -> 'a t
 (** [create ()] is a fresh empty vector. *)
 
-val make : int -> 'a -> 'a t
-(** [make n x] is a vector of [n] copies of [x]. *)
-
 val length : 'a t -> int
 (** Number of elements currently stored. *)
 

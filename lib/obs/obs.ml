@@ -299,8 +299,6 @@ module Counter = struct
   }
 
   let make ~name ~unit_ = { name; unit_; value = Atomic.make 0 }
-  let name c = c.name
-  let unit_ c = c.unit_
   let value c = Atomic.get c.value
   let incr c = Atomic.incr c.value
   let add c n = ignore (Atomic.fetch_and_add c.value n)
@@ -325,8 +323,6 @@ module Histogram = struct
   let make ~name ~unit_ =
     { name; unit_; count = 0; sum = 0; min_v = 0; max_v = 0; counts = Array.make n_buckets 0 }
 
-  let name h = h.name
-  let unit_ h = h.unit_
 
   let bucket_index v =
     if v <= 0 then 0
@@ -655,7 +651,6 @@ module Tracer = struct
           tr.t_pos <- p + 1
         end
 
-  let instant t id = if t.enabled then emit t Instant id (now_ns t) 0
   let counter t id v = if t.enabled then emit t Count id (now_ns t) v
   let complete t id ~start_ns ~dur_ns = if t.enabled then emit t Complete id start_ns dur_ns
 
@@ -663,7 +658,6 @@ module Tracer = struct
      hash lookup per event; hot sites pre-intern instead) *)
   let begin_s t name = if t.enabled then emit t Begin (intern t name) (now_ns t) 0
   let end_s t name = if t.enabled then emit t End (intern t name) (now_ns t) 0
-  let instant_s t name = if t.enabled then emit t Instant (intern t name) (now_ns t) 0
 
   let io_latency t ~device =
     let fresh () =
@@ -869,7 +863,6 @@ module Span = struct
     mutable count : int;
     mutable wall_s : float;
     io : Extmem.Io_stats.t;
-    mutable sim_ms : float;
     mutable minor_words : float;
     mutable children : t list; (* reversed while recording *)
   }
@@ -880,7 +873,6 @@ module Span = struct
       count = 0;
       wall_s = 0.;
       io = Extmem.Io_stats.create ();
-      sim_ms = 0.;
       minor_words = 0.;
       children = [];
     }
@@ -895,7 +887,6 @@ module Span = struct
         ("wall_s", Json.Float t.wall_s);
         ("io", Json.io_stats t.io);
         ("minor_words", Json.Float t.minor_words);
-        ("sim_ms", Json.Float t.sim_ms);
         ("children", Json.List (List.map to_json t.children));
       ]
 end
@@ -905,14 +896,12 @@ module Spans = struct
     span : Span.t;
     wall0 : float;
     io0 : Extmem.Io_stats.t;
-    sim0 : float;
     words0 : float;
   }
 
   type t = {
     clock : unit -> float;
     io : unit -> Extmem.Io_stats.t;
-    sim_ms : unit -> float;
     minor_words : unit -> float;
     tracer : Tracer.t;
     mutable stack : open_span list; (* innermost first; last is the root *)
@@ -927,13 +916,12 @@ module Spans = struct
       span;
       wall0 = t.clock ();
       io0 = Extmem.Io_stats.snapshot (t.io ());
-      sim0 = t.sim_ms ();
       words0 = t.minor_words ();
     }
 
-  let create ?(clock = Unix.gettimeofday) ?(io = zero_io) ?(sim_ms = fun () -> 0.)
-      ?(minor_words = Gc.minor_words) ?(tracer = Tracer.null) name =
-    let t = { clock; io; sim_ms; minor_words; tracer; stack = []; closed = false } in
+  let create ?(clock = Unix.gettimeofday) ?(io = zero_io) ?(minor_words = Gc.minor_words)
+      ?(tracer = Tracer.null) name =
+    let t = { clock; io; minor_words; tracer; stack = []; closed = false } in
     t.stack <- [ enter_span t (Span.make name) ];
     t
 
@@ -944,7 +932,6 @@ module Spans = struct
     sp.Span.wall_s <- sp.Span.wall_s +. (t.clock () -. o.wall0);
     Extmem.Io_stats.accumulate ~into:sp.Span.io
       (Extmem.Io_stats.diff (Extmem.Io_stats.snapshot (t.io ())) o.io0);
-    sp.Span.sim_ms <- sp.Span.sim_ms +. (t.sim_ms () -. o.sim0);
     sp.Span.minor_words <- sp.Span.minor_words +. (t.minor_words () -. o.words0);
     (* recording order reversed children; keep them in first-entry order *)
     sp.Span.children <- List.rev sp.Span.children
@@ -1018,8 +1005,7 @@ module Probe = struct
     Registry.gauge reg ~unit_:"blocks" (p "writes") (fun () ->
         float_of_int stats.Extmem.Io_stats.writes);
     Registry.gauge reg ~unit_:"blocks" (p "blocks") (fun () ->
-        float_of_int (Extmem.Device.block_count dev));
-    Registry.gauge reg ~unit_:"ms" (p "sim_ms") (fun () -> Extmem.Device.simulated_ms dev)
+        float_of_int (Extmem.Device.block_count dev))
 
   let ext_stack reg ~prefix st =
     let p name = Printf.sprintf "stack.%s.%s" prefix name in
@@ -1062,8 +1048,10 @@ module Report = struct
      v5: sort reports lost the "workers" section and config.jobs (every
      sort runs on one domain).
      v6: every span (the "phases" tree) carries "minor_words", the
-     words allocated inside it. *)
-  let schema_version = 6
+     words allocated inside it.
+     v7: the simulated-cost meter is gone from the spans, from "timing"
+     and from the device gauges. *)
+  let schema_version = 7
 
   type t = {
     tool : string;

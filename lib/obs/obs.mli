@@ -9,8 +9,8 @@
       log2-bucketed histograms, populated by pull (gauges read component
       state on demand) so that registering a metric never perturbs the
       measured system;
-    - hierarchical {e spans} ({!Spans}) that capture wall time, simulated
-      I/O time and an {!Extmem.Io_stats} delta per named phase, merging
+    - hierarchical {e spans} ({!Spans}) that capture wall time, minor
+      words and an {!Extmem.Io_stats} delta per named phase, merging
       repeated phases of the same name (a sort performs thousands of
       subtree sorts but the report wants one aggregated row);
     - a dependency-free JSON encoder/decoder ({!Json}) and a report
@@ -55,8 +55,6 @@ end
 module Counter : sig
   type t
 
-  val name : t -> string
-  val unit_ : t -> string
   val value : t -> int
   val incr : t -> unit
   val add : t -> int -> unit
@@ -71,8 +69,6 @@ end
 module Histogram : sig
   type t
 
-  val name : t -> string
-  val unit_ : t -> string
   val observe : t -> int -> unit
   val count : t -> int
   val sum : t -> int
@@ -176,7 +172,6 @@ module Tracer : sig
   val now_ns : t -> int
   (** Monotonic ns since the tracer epoch. *)
 
-  val instant : t -> int -> unit
   val counter : t -> int -> int -> unit
 
   val complete : t -> int -> start_ns:int -> dur_ns:int -> unit
@@ -188,7 +183,6 @@ module Tracer : sig
       sites); {!end_s} closes it. *)
 
   val end_s : t -> string -> unit
-  val instant_s : t -> string -> unit
 
   type io_latency
   (** One device name's read and write latency histograms ({!Histogram},
@@ -238,7 +232,6 @@ module Span : sig
     mutable count : int;        (** times the phase was entered *)
     mutable wall_s : float;     (** total wall time inside, seconds *)
     io : Extmem.Io_stats.t;     (** I/O delta accumulated inside *)
-    mutable sim_ms : float;     (** simulated-cost delta accumulated inside *)
     mutable minor_words : float;
         (** words allocated inside (the minor-heap meter's delta), on
             the calling domain *)
@@ -249,8 +242,8 @@ module Span : sig
   (** Direct child by name. *)
 
   val to_json : t -> Json.t
-  (** [{"name", "count", "wall_s", "io", "minor_words", "sim_ms",
-      "children"}], recursively. *)
+  (** [{"name", "count", "wall_s", "io", "minor_words", "children"}],
+      recursively. *)
 end
 
 (** Span recorder: scoped phase measurement over caller-supplied meters.
@@ -266,15 +259,14 @@ module Spans : sig
   val create :
     ?clock:(unit -> float) ->
     ?io:(unit -> Extmem.Io_stats.t) ->
-    ?sim_ms:(unit -> float) ->
     ?minor_words:(unit -> float) ->
     ?tracer:Tracer.t ->
     string ->
     t
   (** [create name] starts a recorder whose root span is [name].
-      [clock] defaults to [Unix.gettimeofday]; [io] and [sim_ms] are the
-      cumulative meters sampled at phase boundaries and default to
-      constant zero (spans then measure wall time only); [minor_words]
+      [clock] defaults to [Unix.gettimeofday]; [io] is the cumulative
+      meter sampled at phase boundaries and defaults to constant zero
+      (spans then measure no I/O); [minor_words]
       defaults to [Gc.minor_words], so every span also records the words
       allocated inside it.  When [tracer]
       (default {!Tracer.null}) is enabled, every span entry/exit also
@@ -302,8 +294,7 @@ end
 module Probe : sig
   val device : Registry.t -> prefix:string -> Extmem.Device.t -> unit
   (** [dev.<prefix>.reads|writes] (blocks), [dev.<prefix>.blocks]
-      (allocated size), [dev.<prefix>.sim_ms] (when a cost layer is
-      attached). *)
+      (allocated size). *)
 
   val ext_stack : Registry.t -> prefix:string -> Extmem.Ext_stack.t -> unit
   (** [stack.<prefix>.pushes|pops] (entries),

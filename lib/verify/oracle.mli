@@ -12,13 +12,11 @@
     criterion, where positions are assigned by a pre-order scan of the
     {e input}, and nothing else about the document changes. *)
 
-val sort_tree : ?depth_limit:int -> Nexsort.Ordering.t -> Xmlio.Tree.t -> Xmlio.Tree.t
-(** Recursively order every element's child list.  With [depth_limit],
-    only child lists of elements at level <= d are sorted (root = 1),
-    mirroring {!Nexsort.Config.depth_limit}. *)
-
 val sort_string :
   ?depth_limit:int -> ?keep_whitespace:bool -> Nexsort.Ordering.t -> string -> string
-(** Parse, sort, serialize.  Serialization goes through {!Xmlio.Writer}
+(** Parse, recursively order every element's child list, serialize.
+    With [depth_limit], only child lists of elements at level <= d are
+    sorted (root = 1), mirroring {!Nexsort.Config.depth_limit}.
+    Serialization goes through {!Xmlio.Writer}
     with the same settings as the external sorters' output phase, so the
     result is byte-comparable to [Engine.sort_string]. *)

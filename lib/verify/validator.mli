@@ -34,17 +34,13 @@ type report = {
   findings : finding list;  (** sortedness violations, capped at 16 *)
 }
 
-val run :
-  ?depth_limit:int -> ordering:Nexsort.Ordering.t -> (unit -> Xmlio.Event.t option) -> report
-(** Drain an event stream.  With [depth_limit], sibling order is only
-    checked for parents at level <= d (root = 1), matching
-    {!Nexsort.Config.depth_limit}; the digest always covers the whole
-    document.  @raise Invalid_argument on an unbalanced stream. *)
-
 val of_string :
   ?depth_limit:int -> ?keep_whitespace:bool -> ordering:Nexsort.Ordering.t -> string -> report
-(** {!run} over a parsed document.  @raise Xmlio.Parser.Error on
-    malformed XML. *)
+(** Check a document in one pass over its events.  With [depth_limit],
+    sibling order is only checked for parents at level <= d (root = 1),
+    matching {!Nexsort.Config.depth_limit}; the digest always covers the
+    whole document.  @raise Xmlio.Parser.Error on malformed XML.
+    @raise Invalid_argument on an unbalanced event stream. *)
 
 val digest_of_string : ?keep_whitespace:bool -> string -> int64
 (** The structural digest alone (computed under [Document_order], which

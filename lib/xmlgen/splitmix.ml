@@ -22,5 +22,3 @@ let in_range t lo hi =
   lo + int t (hi - lo + 1)
 
 let letter t = Char.chr (Char.code 'a' + int t 26)
-
-let split t = { state = next_int64 t }

@@ -9,8 +9,6 @@ type t
 val create : int -> t
 (** Seed a fresh stream. *)
 
-val next_int64 : t -> int64
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [[0, bound)].  [bound] must be positive. *)
 
@@ -19,6 +17,3 @@ val in_range : t -> int -> int -> int
 
 val letter : t -> char
 (** A uniform lowercase letter. *)
-
-val split : t -> t
-(** An independent stream (for generating subtrees in parallel orders). *)

@@ -40,8 +40,6 @@ exception Syntax_error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Syntax_error m)) fmt
 
-let empty = { elements = []; attlists = [] }
-
 (* ---- tokenizing the subset text ---- *)
 
 type cursor = {
@@ -443,24 +441,3 @@ let validate t tree =
   in
   check tree;
   List.rev !violations
-
-let rec pp_model ppf = function
-  | Elem_name n -> Format.pp_print_string ppf n
-  | Seq l ->
-      Format.fprintf ppf "(%a)"
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ") pp_model)
-        l
-  | Choice l ->
-      Format.fprintf ppf "(%a)"
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " | ") pp_model)
-        l
-  | Opt m -> Format.fprintf ppf "%a?" pp_model m
-  | Star m -> Format.fprintf ppf "%a*" pp_model m
-  | Plus m -> Format.fprintf ppf "%a+" pp_model m
-
-let pp_content ppf = function
-  | Empty -> Format.pp_print_string ppf "EMPTY"
-  | Any -> Format.pp_print_string ppf "ANY"
-  | Mixed [] -> Format.pp_print_string ppf "(#PCDATA)"
-  | Mixed l -> Format.fprintf ppf "(#PCDATA | %s)*" (String.concat " | " l)
-  | Children m -> pp_model ppf m

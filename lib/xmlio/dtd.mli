@@ -58,8 +58,6 @@ val parse : string -> t
     of a DOCTYPE), i.e. a sequence of ELEMENT/ATTLIST declarations and
     comments. *)
 
-val empty : t
-
 val element_names : t -> string list
 (** Declared element names, in declaration order. *)
 
@@ -89,5 +87,3 @@ val validate : t -> Tree.t -> violation list
     matching the content model, text where the model forbids it, missing
     REQUIRED attributes, values outside an enumeration, and FIXED
     attribute mismatches.  Empty list = valid. *)
-
-val pp_content : Format.formatter -> content -> unit

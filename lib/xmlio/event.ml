@@ -5,14 +5,6 @@ type t =
   | End of string
   | Text of string
 
-let start_name = function
-  | Start (name, _) -> Some name
-  | End _ | Text _ -> None
-
-let attr k = function
-  | Start (_, attrs) -> List.assoc_opt k attrs
-  | End _ | Text _ -> None
-
 (* Structural, not polymorphic [=]: events may mix interned (physically
    shared) and freshly-built strings, and future representations may hang
    non-comparable state off an event.  Compare the character data only. *)

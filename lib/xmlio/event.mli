@@ -12,13 +12,6 @@ type t =
   | End of string                (** end tag: element name *)
   | Text of string               (** character data (unescaped) *)
 
-val start_name : t -> string option
-(** The element name when the event is a [Start]. *)
-
-val attr : string -> t -> string option
-(** [attr k e] is the value of attribute [k] when [e] is a [Start] that
-    carries it. *)
-
 val equal : t -> t -> bool
 (** Structural equality on the character data (names, attributes in order,
     text).  Implemented by explicit string comparison, not polymorphic [=],

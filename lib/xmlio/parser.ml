@@ -90,10 +90,6 @@ let of_reader ?dict ?keep_whitespace r =
 let of_fn ?dict ?keep_whitespace source =
   create ?dict ?keep_whitespace (Fn source) (Bytes.create 1) 0
 
-let line p = p.line
-
-let col p = p.col
-
 let depth p = List.length p.stack
 
 let offset p = p.base + p.wpos

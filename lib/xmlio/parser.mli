@@ -61,9 +61,6 @@ val peek : t -> Event.t option
 val depth : t -> int
 (** Number of currently open elements. *)
 
-val line : t -> int
-val col : t -> int
-
 val offset : t -> int
 (** The number of raw input bytes the parser has consumed.  Right after
     a [Start] event it is the offset just past the start tag's ['>'] (or

@@ -13,6 +13,11 @@ fi
 dune build @all
 dune runtest
 
+# Dead-export gate: every val of lib/*/*.mli needs a caller outside the
+# tests and its own module, or a line with its reason in
+# scripts/dead_exports.allow (a line naming no dead export fails too).
+dune exec scripts/dead_exports.exe -- scripts/dead_exports.allow
+
 # Scratch files live in a private directory, so two checkouts running
 # the gate at once cannot clobber each other's outputs.
 tmp=$(mktemp -d)

@@ -1807,21 +1807,21 @@ let test_budget_parallel_hammer () =
   with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* composable device stack: layers, specs, simulated cost *)
+(* composable device stack: layers and specs *)
 
 (* One semantics for faults: a faulty layer is an interceptor beneath
    the accounting, so wherever it sits in the spec a faulted I/O is seen
-   by nothing — not counted, traced, charged or timed — while the same
+   by nothing — not counted, traced or timed — while the same
    subscribers see every I/O that completes. *)
 let test_layers_compose () =
   List.iter
     (fun (spec, faults) ->
       let built = Extmem.Device_spec.build ~block_size:8 (Extmem.Device_spec.parse spec) in
       let d = built.Extmem.Device_spec.device in
-      let trace, cost =
-        match (built.Extmem.Device_spec.trace, built.Extmem.Device_spec.cost) with
-        | Some t, Some c -> (t, c)
-        | _ -> Alcotest.failf "%s: missing a trace or cost handle" spec
+      let trace =
+        match built.Extmem.Device_spec.trace with
+        | Some t -> t
+        | None -> Alcotest.failf "%s: missing a trace handle" spec
       in
       let clock = ref 0 in
       let tick () =
@@ -1851,7 +1851,6 @@ let test_layers_compose () =
       let s = Extmem.Device.stats d in
       check Alcotest.int (spec ^ ": stats") done_ (Extmem.Io_stats.total s);
       check Alcotest.int (spec ^ ": trace") done_ (Extmem.Trace.length trace);
-      check Alcotest.int (spec ^ ": cost meter") done_ (Extmem.Cost_model.charged cost);
       check Alcotest.int (spec ^ ": timing subscriber") done_ !timed;
       (* ten subscribe/unsubscribe cycles leave no subscriber called *)
       let stale = ref 0 in
@@ -1875,9 +1874,9 @@ let test_layers_compose () =
       check Alcotest.int (spec ^ ": remaining trace") (if faults then 0 else 1)
         (Extmem.Trace.length t2))
     [
-      ("traced/faulty:p=1,seed=1/cost/mem", true);
-      ("cost/faulty:p=1,seed=1/traced/mem", true);
-      ("traced/cost/mem", false);
+      ("traced/faulty:p=1,seed=1/mem", true);
+      ("faulty:p=1,seed=1/traced/mem", true);
+      ("traced/mem", false);
     ]
 
 let test_device_spec_roundtrip () =
@@ -1893,7 +1892,7 @@ let test_device_spec_roundtrip () =
       "file:/tmp/some/dir/dev.img";
       "traced/mem";
       "faulty:p=0.001,seed=42/file:run.dev";
-      "traced/faulty:p=0.5,seed=7/cost:seek=8,read=0.05,write=0.06/mem";
+      "traced/faulty:p=0.5,seed=7/stats/mem";
     ]
 
 let test_device_spec_malformed () =
@@ -1903,23 +1902,22 @@ let test_device_spec_malformed () =
       | _ -> Alcotest.failf "expected %S to be rejected" s
       | exception Invalid_argument _ -> ())
     [ ""; "bogus"; "traced"; "mem/traced"; "faulty:p=2/mem"; "faulty:p=x/mem";
-      "cost:profile=tape/mem"; "file:"; "/mem"; "traced/" ]
+      "cost:profile=hdd/mem"; "file:"; "/mem"; "traced/" ]
 
 let test_device_spec_build () =
   let built =
     Extmem.Device_spec.build ~block_size:8
-      (Extmem.Device_spec.parse "traced/cost:profile=ssd/mem")
+      (Extmem.Device_spec.parse "traced/faulty:p=0/mem")
   in
   let d = built.Extmem.Device_spec.device in
   check Alcotest.bool "trace handle" true (built.Extmem.Device_spec.trace <> None);
-  check Alcotest.bool "cost handle" true (built.Extmem.Device_spec.cost <> None);
   ignore (Extmem.Device.allocate d 2);
   Extmem.Device.write_block d 0 (Bytes.make 8 'a');
   Extmem.Device.write_block d 1 (Bytes.make 8 'b');
   (match built.Extmem.Device_spec.trace with
   | Some t -> check (Alcotest.list Alcotest.int) "trace" [ 0; 1 ] (Extmem.Trace.blocks t)
   | None -> ());
-  check Alcotest.bool "simulated time accrued" true (Extmem.Device.simulated_ms d > 0.)
+  check Alcotest.int "writes counted" 2 (Extmem.Device.stats d).Extmem.Io_stats.writes
 
 let test_faulty_deterministic () =
   (* the seeded fault layer is a pure function of (seed, access index):
@@ -1946,32 +1944,6 @@ let test_faulty_deterministic () =
   Alcotest.check_raises "p out of range"
     (Invalid_argument "Layer.faulty: p must lie in [0,1]")
     (fun () -> ignore (Extmem.Layer.faulty ~p:2. ()))
-
-let test_cost_layer () =
-  (* same number of I/Os, different layout: the sequential scan must be
-     charged far less simulated time than the strided pattern *)
-  let scan ~stride =
-    let d = Extmem.Device.in_memory ~block_size:4 () in
-    ignore (Extmem.Device.allocate d 64);
-    let c = Extmem.Device.attach_cost d in
-    let buf = Bytes.create 4 in
-    for i = 0 to 63 do
-      Extmem.Device.read_block d (i * stride mod 64) buf
-    done;
-    check Alcotest.int "accesses charged" 64 (Extmem.Cost_model.charged c);
-    (Extmem.Cost_model.seeks c, Extmem.Device.simulated_ms d)
-  in
-  let seq_seeks, seq_ms = scan ~stride:1 in
-  let rand_seeks, rand_ms = scan ~stride:17 in
-  check Alcotest.int "one positioning seek" 1 seq_seeks;
-  check Alcotest.int "every strided access seeks" 64 rand_seeks;
-  check Alcotest.bool "seeky pattern costs more" true (rand_ms > 10. *. seq_ms);
-  (* ssd narrows the gap: seeks are nearly free *)
-  let d = Extmem.Device.in_memory ~block_size:4 () in
-  ignore (Extmem.Device.allocate d 4);
-  let c = Extmem.Device.attach_cost ~params:Extmem.Cost_model.ssd d in
-  Extmem.Device.write_block d 3 (Bytes.make 4 'z');
-  check Alcotest.bool "ssd write charged" true (Extmem.Cost_model.elapsed_ms c < 1.)
 
 (* ------------------------------------------------------------------ *)
 
@@ -2023,7 +1995,6 @@ let () =
           Alcotest.test_case "spec malformed" `Quick test_device_spec_malformed;
           Alcotest.test_case "spec build" `Quick test_device_spec_build;
           Alcotest.test_case "faulty deterministic" `Quick test_faulty_deterministic;
-          Alcotest.test_case "cost layer" `Quick test_cost_layer;
         ] );
       ( "streams",
         [

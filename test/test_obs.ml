@@ -125,23 +125,20 @@ let test_registry_snapshot_diff () =
 (* ------------------------------------------------------------------ *)
 (* Spans: nesting, merging, exception safety *)
 
-let fake_meters () =
+let fake_meter () =
   let io = Extmem.Io_stats.create () in
-  let sim = ref 0. in
-  (io, sim, (fun () -> Extmem.Io_stats.snapshot io), fun () -> !sim)
+  (io, fun () -> Extmem.Io_stats.snapshot io)
 
 let test_spans_nesting_and_merge () =
-  let io, sim, io_m, sim_m = fake_meters () in
+  let io, io_m = fake_meter () in
   let clock = ref 0. in
-  let t = Obs.Spans.create ~clock:(fun () -> !clock) ~io:io_m ~sim_ms:sim_m "root" in
+  let t = Obs.Spans.create ~clock:(fun () -> !clock) ~io:io_m "root" in
   check Alcotest.int "root open" 1 (Obs.Spans.depth t);
   for _ = 1 to 3 do
     Obs.Spans.with_span t "outer" (fun () ->
         clock := !clock +. 1.;
         Extmem.Io_stats.record_read io;
-        Obs.Spans.with_span t "inner" (fun () ->
-            sim := !sim +. 2.;
-            Extmem.Io_stats.record_write io))
+        Obs.Spans.with_span t "inner" (fun () -> Extmem.Io_stats.record_write io))
   done;
   let root = Obs.Spans.close t in
   check Alcotest.int "one merged child" 1 (List.length root.Obs.Span.children);
@@ -155,7 +152,6 @@ let test_spans_nesting_and_merge () =
   check Alcotest.int "inner entered 3x" 3 inner.Obs.Span.count;
   check Alcotest.int "inner writes" 3 inner.Obs.Span.io.Extmem.Io_stats.writes;
   check Alcotest.int "inner no reads" 0 inner.Obs.Span.io.Extmem.Io_stats.reads;
-  check (Alcotest.float 1e-9) "inner sim" 6. inner.Obs.Span.sim_ms;
   check Alcotest.int "root totals" 6 (Extmem.Io_stats.total root.Obs.Span.io)
 
 (* Each span carries the words allocated inside it, children included:
@@ -254,8 +250,8 @@ let trace_events j =
 let test_tracer_overflow () =
   let t = Tracer.create ~capacity:4 () in
   let id = Tracer.intern t "tick" in
-  for _ = 1 to 10 do
-    Tracer.instant t id
+  for v = 1 to 10 do
+    Tracer.counter t id v
   done;
   check Alcotest.int "ring keeps capacity, drops the rest" 6 (Tracer.dropped t);
   let j = Tracer.to_json t in
@@ -289,7 +285,7 @@ let test_tracer_overflow () =
   Tracer.reset t;
   check Alcotest.int "reset clears dropped" 0 (Tracer.dropped t);
   (* the null tracer swallows everything without allocating a ring *)
-  Tracer.instant_s Tracer.null "tick";
+  Tracer.begin_s Tracer.null "tick";
   check Alcotest.int "null tracer drops nothing" 0 (Tracer.dropped Tracer.null)
 
 let test_tracer_multi_domain () =
