@@ -1123,6 +1123,15 @@ let validate_metrics path =
   check_span "the report's gc.minor_words"
     (number "gc.minor_words" (require "minor_words" gc "gc"))
     phases;
+  (* every run is read once and each block freed as it is read, so a
+     finished sort leaves no run block live on its runs device *)
+  (match Option.bind (Obs.Json.member "metrics" json) (Obs.Json.member "gauges") with
+  | Some gauges when Obs.Json.member "dev.runs.blocks" gauges <> None ->
+      let live = require "dev.runs.live_blocks" gauges "metrics.gauges" in
+      let n = number "dev.runs.live_blocks" (require "value" live "dev.runs.live_blocks") in
+      if n <> 0. then
+        fail "the sort finished with %.0f run blocks still live (dev.runs.live_blocks)" n
+  | _ -> ());
   Printf.printf "validate-metrics: %s OK\n" path
 
 (* compare-metrics BASELINE NEW: fail if any I/O counter in NEW's "io"

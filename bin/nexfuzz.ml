@@ -94,6 +94,19 @@ let probe_failures () =
   | [] -> Ok ()
   | v -> Error ("resource probes: " ^ String.concat "; " v)
 
+(* Every run is read once and each of its blocks freed as it is read, so
+   a completed sort leaves its runs device empty. *)
+let runs_device_empty (r : Nexsort.report) =
+  let ( let* ) = Option.bind in
+  match
+    let* gauges = Obs.Json.member "gauges" r.Nexsort.metrics in
+    let* live = Obs.Json.member "dev.runs.live_blocks" gauges in
+    Obs.Json.member "value" live
+  with
+  | Some (Obs.Json.Int 0) -> Ok ()
+  | Some v -> Error ("runs device not empty after the sort: live blocks " ^ Obs.Json.to_string v)
+  | None -> Error "the report carries no dev.runs.live_blocks gauge"
+
 (* The per-document test behind both the case runner and the shrinker:
    every comparison that can fail, first failure wins. *)
 let test_document cc doc =
@@ -107,9 +120,9 @@ let test_document cc doc =
       Verify.Probes.clear ();
       (match Engine.sort_string ~config ~ordering doc with
       | exception e -> Error ("nexsort raised " ^ Printexc.to_string e)
-      | out, _report ->
+      | out, report ->
           if out <> expected then Error "nexsort output differs from oracle"
-          else Ok ())
+          else runs_device_empty report)
       >>= fun () ->
       probe_failures () >>= fun () ->
       (match Verify.Validator.check ?depth_limit ~ordering ~input:doc
@@ -229,8 +242,9 @@ let nth_fault_layer ~op ~n =
 type fault_outcome = Completed | Aborted
 
 (* A fault case either completes (the schedule never fired) with oracle-
-   validated output, or aborts with the typed fault; anything else — a
-   different exception, a leaked budget block, bad output — fails. *)
+   validated output and an empty runs device, or aborts with the typed
+   fault; anything else — a different exception, a leaked budget block,
+   bad output — fails. *)
 let run_fault_case ~seed j =
   let doc_seed = seed + 104729 + (31 * j) in
   let doc, _ =
@@ -260,7 +274,8 @@ let run_fault_case ~seed j =
       Engine.with_session config (fun session ->
           Nexsort.sort_device ~session ~ordering ~input ~output ())
     with
-    | _report -> Ok (Completed, Some (Extmem.Device.contents output))
+    | report ->
+        runs_device_empty report >>= fun () -> Ok (Completed, Some (Extmem.Device.contents output))
     | exception Extmem.Device.Fault _ -> Ok (Aborted, None)
   in
   let outcome =
@@ -268,7 +283,7 @@ let run_fault_case ~seed j =
     | 0 -> (
         (* seeded random faults on the sorter's internal devices *)
         match Engine.sort_string ~config ~ordering doc with
-        | out, _ -> Ok (Completed, Some out)
+        | out, report -> runs_device_empty report >>= fun () -> Ok (Completed, Some out)
         | exception Extmem.Device.Fault _ -> Ok (Aborted, None))
     | 1 ->
         (* fail the Nth endpoint I/O: odd cases the output write, even
@@ -530,14 +545,14 @@ let run_tenant_pass ~seed ~tenants ~cases ~only ~verbose failures =
                 let block_size = cc.config.Nexsort.Config.block_size in
                 let input = Extmem.Device.of_string ~name:"input" ~block_size doc in
                 let output = Extmem.Device.in_memory ~name:"output" ~block_size () in
-                ignore
-                  (Nexsort.sort_device ~session ~ordering:cc.ordering ~input ~output ()
-                    : Nexsort.report);
-                Extmem.Device.contents output)
+                let report =
+                  Nexsort.sort_device ~session ~ordering:cc.ordering ~input ~output ()
+                in
+                (Extmem.Device.contents output, report))
           with
-          | out ->
-              if out = expected then None
-              else Some "engine-path output differs from oracle"
+          | out, report -> (
+              if out <> expected then Some "engine-path output differs from oracle"
+              else match runs_device_empty report with Ok () -> None | Error e -> Some e)
           | exception e -> Some ("engine-path sort raised " ^ Printexc.to_string e))
     in
     results.(pos) <- r

@@ -265,6 +265,7 @@ let job_body engine cancel request () =
   with
   | summary -> Done summary
   | exception Engine.Cancelled -> Cancelled
+  | exception Engine.Too_large msg -> Failed msg
   | exception Xmlio.Parser.Error { line; col; msg } ->
       Failed (Printf.sprintf "%d:%d: %s" line col msg)
   | exception Xmlio.Tree.Malformed msg -> Failed ("malformed document: " ^ msg)

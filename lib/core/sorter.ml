@@ -23,6 +23,7 @@ type report = {
   merge_passes : int;
   runs_created : int;
   run_blocks : int;
+  run_peak_live_blocks : int;
   input_io : Extmem.Io_stats.t;
   output_io : Extmem.Io_stats.t;
   breakdown : (string * Extmem.Io_stats.t) list;
@@ -736,6 +737,8 @@ let build_report (st : state) ~input_io ~output_io ~t0 =
     merge_passes = st.merge_passes;
     runs_created = Extmem.Run_store.run_count session.Session.runs;
     run_blocks = Extmem.Run_store.total_run_blocks session.Session.runs;
+    run_peak_live_blocks =
+      Extmem.Device.peak_live_blocks (Extmem.Run_store.device session.Session.runs);
     input_io;
     output_io;
     breakdown = Session.io_breakdown session;
@@ -931,9 +934,10 @@ let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>events=%d (elements=%d, text=%d), height=%d@,\
      subtree sorts=%d (in-memory=%d, external=%d), fragments=%d (merges=%d)@,\
-     runs=%d (%d blocks)@,\
+     runs=%d (%d blocks written, at most %d live at once)@,\
      io: input=%a output=%a total=%a@,\
      wall=%.3fs@]"
     r.events r.elements r.text_nodes r.height r.subtree_sorts r.in_memory_sorts r.external_sorts
-    r.fragment_runs r.fragment_merges r.runs_created r.run_blocks Extmem.Io_stats.pp r.input_io
+    r.fragment_runs r.fragment_merges r.runs_created r.run_blocks
+    r.run_peak_live_blocks Extmem.Io_stats.pp r.input_io
     Extmem.Io_stats.pp r.output_io Extmem.Io_stats.pp r.total_io r.wall_seconds

@@ -56,6 +56,10 @@ type report = {
           included (0 without fragment merges) *)
   runs_created : int;     (** total sorted runs (incl. intermediates) *)
   run_blocks : int;       (** blocks occupied by all runs (Lemma 4.8) *)
+  run_peak_live_blocks : int;
+      (** the most run blocks written and not yet read at any one time:
+          what an in-memory runs device holds at its peak (each run block
+          is freed once read) *)
   input_io : Extmem.Io_stats.t;
   output_io : Extmem.Io_stats.t;
   breakdown : (string * Extmem.Io_stats.t) list;

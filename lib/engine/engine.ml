@@ -24,6 +24,9 @@ exception Cancelled
 (* raised by a job's poll hook (and out of a pending acquire) after
    [cancel] *)
 
+exception Too_large of string
+(* raised by acquire for a job bigger than the whole engine *)
+
 type job = {
   j_tenant : string;
   j_name : string;
@@ -166,6 +169,19 @@ let remove_waiter t w = t.waiting <- List.filter (fun w' -> w' != w) t.waiting
    queued. *)
 let acquire_halves ~names ?cancel t ~tenant (config : Nexsort.Config.t) =
   let halves = List.length names in
+  (* A waiter larger than the whole engine would wait forever, and with
+     no skip-ahead so would everyone behind it.  Compared in bytes as
+     [Memory_budget.carve] charges them: each half rounded up to whole
+     engine blocks. *)
+  let ebs = Extmem.Memory_budget.block_size t.budget in
+  let half_bytes = config.Nexsort.Config.memory_blocks * config.Nexsort.Config.block_size in
+  let need = halves * ((half_bytes + ebs - 1) / ebs) * ebs
+  and capacity = Extmem.Memory_budget.total_blocks t.budget * ebs in
+  if need > capacity then
+    raise
+      (Too_large
+         (Printf.sprintf "the job needs %d bytes of memory, more than the engine's %d" need
+            capacity));
   let t0 = Unix.gettimeofday () in
   Mutex.lock t.lock;
   if t.destroyed then begin

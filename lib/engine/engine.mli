@@ -29,6 +29,11 @@ exception Cancelled
 (** Raised by a cancelled job's poll hook at its next checkpoint, and by
     {!acquire} if the job is cancelled while still queued. *)
 
+exception Too_large of string
+(** Raised by {!acquire} (and {!run}, {!run_pair}) for a job whose carve
+    exceeds the engine's whole budget, so it could never be admitted;
+    the job is not queued.  The message gives both sizes in bytes. *)
+
 type t
 
 type job
@@ -59,6 +64,7 @@ val acquire :
     flag — pass your own to be able to {!cancel} the job while it is
     still queued (before any [job] handle exists).
     @raise Cancelled if the flag is set while the job queues.
+    @raise Too_large if the engine could never admit the job.
     @raise Invalid_argument on a destroyed engine. *)
 
 val session : t -> job -> Nexsort.Session.t

@@ -10,25 +10,58 @@ type t = {
   read_block : int -> bytes -> unit;
   write_block : int -> bytes -> unit;
   allocate : int -> unit;
+  discard : int -> unit;
   flush : unit -> unit;
   close : unit -> unit;
 }
 
 let check_block_size bs = if bs <= 0 then invalid_arg "Backend: block_size must be positive"
 
+(* Freed buffers kept for reuse.  The cap bounds what a burst of
+   discards with no allocation after it (an output phase reading its
+   runs) can pin; past it a freed buffer is left to the GC. *)
+let free_cap = 64
+
 let mem ?(name = "mem") ~block_size () =
   check_block_size block_size;
   let v : bytes Vec.t = Vec.create () in
+  (* a discarded slot holds [dead]: reading, writing or discarding it
+     again is an error *)
+  let dead = Bytes.empty in
+  let free = Array.make free_cap dead and nfree = ref 0 in
+  let live i =
+    let b = Vec.get v i in
+    if b == dead then invalid_arg (Printf.sprintf "Backend.mem(%s): block %d was discarded" name i);
+    b
+  in
+  let fresh () =
+    if !nfree = 0 then Bytes.make block_size '\000'
+    else begin
+      decr nfree;
+      let b = free.(!nfree) in
+      free.(!nfree) <- dead;
+      Bytes.fill b 0 block_size '\000';
+      b
+    end
+  in
   {
     name;
     block_size;
-    read_block = (fun i buf -> Bytes.blit (Vec.get v i) 0 buf 0 block_size);
-    write_block = (fun i buf -> Bytes.blit buf 0 (Vec.get v i) 0 block_size);
+    read_block = (fun i buf -> Bytes.blit (live i) 0 buf 0 block_size);
+    write_block = (fun i buf -> Bytes.blit buf 0 (live i) 0 block_size);
     allocate =
       (fun n ->
         for _ = 1 to n do
-          Vec.push v (Bytes.make block_size '\000')
+          Vec.push v (fresh ())
         done);
+    discard =
+      (fun i ->
+        let b = live i in
+        Vec.set v i dead;
+        if !nfree < free_cap then begin
+          free.(!nfree) <- b;
+          incr nfree
+        end);
     flush = (fun () -> ());
     close = (fun () -> ());
   }
@@ -83,6 +116,7 @@ let file ?name ?(readonly = false) ~block_size ~path () =
           in
           drain 0);
       allocate = (fun _ -> () (* sparse: the file grows on write *));
+      discard = (fun _ -> () (* the file keeps the block: no hole punching *));
       flush = (fun () -> ());
       close = (fun () -> Unix.close fd);
     }

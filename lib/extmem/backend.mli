@@ -33,19 +33,27 @@ type t = {
   allocate : int -> unit;
       (** Extend the store by [n] blocks reading as zeroes.  May be a no-op
           for sparse stores. *)
+  discard : int -> unit;
+      (** [discard i] tells the store block [i] is dead, like a TRIM: its
+          contents will never be read again, so the store may reclaim
+          them.  The caller has already range-checked [i]. *)
   flush : unit -> unit;  (** Push buffered writes down (no-op for primitives). *)
   close : unit -> unit;  (** Release OS resources. *)
 }
 
 val mem : ?name:string -> block_size:int -> unit -> t
-(** A fresh in-memory virtual disk. *)
+(** A fresh in-memory virtual disk.  A discarded block is dead: reading,
+    writing or discarding it again raises [Invalid_argument].  Its buffer
+    goes onto a free list of at most 64 buffers, which {!allocate}
+    reuses, zeroed, before it allocates new ones. *)
 
 val file : ?name:string -> ?readonly:bool -> block_size:int -> path:string -> unit -> t * int
 (** [file ~block_size ~path ()] opens (creating or truncating) [path] and
     returns it with its size in bytes (0 after the truncation); with
     [~readonly:true] it opens the existing regular file as it is, for
     reading only.  Unwritten (sparse) blocks, and blocks past the end of
-    the file, read as zeroes.
+    the file, read as zeroes.  A discard is a no-op: the block keeps its
+    contents and the file its size.
     @raise Sys_error when the file cannot be opened, or is opened
     read-only and is not a regular file. *)
 

@@ -4,9 +4,10 @@ type t = {
   buf : bytes;
   mutable cur_block : int; (* index within extent of buffered block; -1 = none *)
   mutable pos : int;       (* byte offset within extent *)
+  consume : bool;          (* discard each block once read past *)
 }
 
-let of_extent ?buffer dev extent =
+let make ~consume ?buffer dev extent =
   let bs = Device.block_size dev in
   let buf =
     match buffer with
@@ -16,7 +17,11 @@ let of_extent ?buffer dev extent =
           invalid_arg "Block_reader.of_extent: buffer length must equal the block size";
         b
   in
-  { dev; extent; buf; cur_block = -1; pos = 0 }
+  { dev; extent; buf; cur_block = -1; pos = 0; consume }
+
+let of_extent ?buffer dev extent = make ~consume:false ?buffer dev extent
+
+let of_run ?buffer dev extent = make ~consume:true ?buffer dev extent
 
 let of_device ?buffer dev =
   let bs = Device.block_size dev in
@@ -40,6 +45,16 @@ let ensure_block r =
 
 let block_size r = Bytes.length r.buf
 
+(* Move [n] > 0 bytes on.  A consuming reader discards a block the moment
+   its position leaves it: at the block's end, or at the extent's end
+   inside its last block.  Each block is left once, so each is discarded
+   once, also by a reader given up exactly at a block boundary. *)
+let advance r n =
+  let pos = r.pos + n in
+  r.pos <- pos;
+  if r.consume && (pos mod Bytes.length r.buf = 0 || pos = r.extent.Extent.bytes) then
+    Device.discard r.dev (r.extent.Extent.first_block + ((pos - 1) / Bytes.length r.buf))
+
 let read_span r dst off len =
   let bs = Bytes.length r.buf in
   let within = r.pos mod bs in
@@ -48,7 +63,7 @@ let read_span r dst off len =
   else begin
     ensure_block r;
     Bytes.blit r.buf within dst off n;
-    r.pos <- r.pos + n;
+    advance r n;
     n
   end
 
@@ -70,7 +85,7 @@ let read_record r =
       if at_end r then raise (Codec.Corrupt "Block_reader.read_record: truncated length");
       ensure_block r;
       let b = Char.code (Bytes.unsafe_get r.buf (r.pos mod Bytes.length r.buf)) in
-      r.pos <- r.pos + 1;
+      advance r 1;
       n := !n lor ((b land 0x7f) lsl !shift);
       shift := !shift + 7;
       if b land 0x80 = 0 then more := false

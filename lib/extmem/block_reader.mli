@@ -6,7 +6,8 @@
     phase of NEXSORT, which resumes a spilled run reader (one the budget
     could not keep resident) just after the location where a run pointer
     was found: seeking to a byte offset costs at most one block read (for
-    the block containing the offset). *)
+    the block containing the offset).  A reader made with {!of_run}
+    frees each block once it has read past it. *)
 
 type t
 
@@ -15,6 +16,15 @@ val of_extent : ?buffer:bytes -> Device.t -> Extent.t -> t
     buffer (typically a [Frame_arena] frame, so the reader's memory is
     accounted to its owner); it must be exactly one block long.
     @raise Invalid_argument on a wrong-sized buffer. *)
+
+val of_run : ?buffer:bytes -> Device.t -> Extent.t -> t
+(** A consuming {!of_extent}, for data read exactly once (a sorted run):
+    the reader {!Device.discard}s each block as its position leaves it —
+    at the block's end, and the last block at the end of the extent — so
+    a block is live only until it is read.  Seeking back into a block
+    already left, or reading the extent a second time, finds it
+    discarded.  The extent must own its blocks: no other data may share
+    one. *)
 
 val of_device : ?buffer:bytes -> Device.t -> t
 (** Read a whole device: the extent covering [byte_length] bytes from

@@ -15,6 +15,8 @@ type t = {
   name : string;
   block_size : int;
   mutable blocks : int;
+  mutable live : int;  (* allocated and not discarded *)
+  mutable peak_live : int;
   mutable logical_len : int option;
   base : Backend.t;       (* the raw store; bypassed only by [contents]/preload *)
   mutable top : Backend.t;  (* base under the interceptors *)
@@ -28,6 +30,8 @@ let of_backend base =
     name = base.Backend.name;
     block_size = base.Backend.block_size;
     blocks = 0;
+    live = 0;
+    peak_live = 0;
     logical_len = None;
     base;
     top = base;
@@ -46,6 +50,8 @@ let file ?name ?(readonly = false) ~block_size ~path () =
   let d = of_backend base in
   if readonly then begin
     d.blocks <- (size + block_size - 1) / block_size;
+    d.live <- d.blocks;
+    d.peak_live <- d.blocks;
     d.logical_len <- Some size
   end;
   d
@@ -81,7 +87,22 @@ let allocate d n =
   let first = d.blocks in
   d.base.Backend.allocate n;
   d.blocks <- d.blocks + n;
+  d.live <- d.live + n;
+  if d.live > d.peak_live then d.peak_live <- d.live;
   first
+
+(* Not an I/O: nothing is counted and no subscriber is told.  It goes
+   through the interceptors so a layer may pass it on, but the fault
+   layers do not fail it. *)
+let discard d i =
+  if i < 0 || i >= d.blocks then
+    invalid_arg (Printf.sprintf "Device.discard(%s): block %d out of range [0,%d)" d.name i d.blocks);
+  d.top.Backend.discard i;
+  d.live <- d.live - 1
+
+let live_blocks d = d.live
+
+let peak_live_blocks d = d.peak_live
 
 let rec notify subs op i start_ns dur_ns =
   match subs with

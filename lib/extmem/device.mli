@@ -20,7 +20,9 @@
 
     Devices are append-allocated: {!allocate} extends the device and
     returns the index of the first new block.  Reading a block that was
-    allocated but never written yields zeroes. *)
+    allocated but never written yields zeroes.  A block whose contents
+    are done with can be {!discard}ed; the device counts the blocks still
+    live and the most ever live at once. *)
 
 type t
 
@@ -98,6 +100,21 @@ val stats : t -> Io_stats.t
 val allocate : t -> int -> int
 (** [allocate dev n] extends the device by [n] blocks and returns the index
     of the first one.  Allocation itself performs no I/O. *)
+
+val discard : t -> int -> unit
+(** [discard dev i] declares block [i] dead: it will never be read or
+    written again, so the backend may reclaim it ({!Backend.t}'s
+    [discard]; the in-memory backend frees the block, the file backend
+    ignores it).  A discard is not an I/O: it changes no {!stats}, no
+    subscriber sees it, and fault layers do not fail it.
+    @raise Invalid_argument if [i] is out of range, or (in memory) if
+    it was already discarded. *)
+
+val live_blocks : t -> int
+(** Allocated blocks not yet discarded. *)
+
+val peak_live_blocks : t -> int
+(** The most blocks ever live at once. *)
 
 val read_block : t -> int -> bytes -> unit
 (** [read_block dev i buf] reads block [i] into [buf] (which must be at

@@ -6,17 +6,19 @@
     closed run gets a dense integer id that can be embedded in run-pointer
     entries on the data stack and inside other runs.
 
-    Runs on the store's own device are written one at a time (a sort
-    never interleaves two subtree sorts), which the store enforces.  A
-    run written elsewhere can join the store by reference: {!reserve} an
-    id, then {!install} the (device, extent) pair that holds it — this is
-    how [Extsort.Ext_pq.meld] adopts another queue's runs.  A store is
-    not thread-safe; one domain uses it. *)
+    Runs are written one at a time (a sort never interleaves two subtree
+    sorts), which the store enforces.  A store is not thread-safe; one
+    domain uses it.
+
+    Every run is written once and read once, so its blocks are freed as
+    its reader passes them (see {!open_run}): a store's device holds only
+    the runs still to be read.  Each run starts on a fresh block, so no
+    two runs share one. *)
 
 type t
 
 type id = int
-(** Dense run identifier, assigned at {!finish_run} or {!reserve}. *)
+(** Dense run identifier, assigned at {!finish_run}. *)
 
 val create : Device.t -> t
 (** A store using [dev] for run payloads.  Run metadata (extents) is held
@@ -34,33 +36,24 @@ val begin_run : ?buffer:bytes -> t -> Block_writer.t
 val finish_run : t -> Block_writer.t -> id
 (** Close the writer and register the run; returns its id. *)
 
-val reserve : t -> id
-(** Claim the next run id with no payload yet.  The run stays pending —
-    reading it is an error — until {!install} supplies its extent. *)
-
-val install : t -> id -> dev:Device.t -> extent:Extent.t -> unit
-(** Fill a {!reserve}d slot with a finished run, possibly on a device
-    other than the store's own (another store's device).
-    @raise Invalid_argument on an unknown id or an already-installed
-    run. *)
-
 val open_run : ?buffer:bytes -> t -> id -> Block_reader.t
-(** A fresh sequential reader over the given run, on whichever device
-    holds it.  [buffer] is the reader's block buffer (typically an arena
-    frame).
-    @raise Invalid_argument on an unknown or still-pending id. *)
+(** A fresh sequential reader over the given run.  [buffer] is the
+    reader's block buffer (typically an arena frame).  Runs are read
+    once: the reader consumes the run
+    ({!Block_reader.of_run}), discarding each block once it has read past
+    it.  A reader given up part-way may be followed by a new one that
+    {!Block_reader.seek}s to its position, which re-reads only the
+    block holding that position.
+    @raise Invalid_argument on an unknown id. *)
 
 val read_run : ?buffer:bytes -> t -> id -> unit -> string option
 (** Streaming open: a pull over the run's length-prefixed records, for
     feeding a run into a pipeline without re-materialising it.  The
     reader holds one block of buffer; callers account for it (see
-    [Pipe.of_run]). *)
-
-val run_extent : t -> id -> Extent.t
+    [Pipe.of_run]).  It consumes the run, as {!open_run} does. *)
 
 val total_run_blocks : t -> int
-(** Sum of block counts over all installed runs (Lemma 4.8 measures
-    this); pending reservations contribute nothing. *)
+(** Sum of block counts over all runs (Lemma 4.8 measures this). *)
 
 val total_run_bytes : t -> int
 (** Sum of payload byte counts over all runs. *)

@@ -6,7 +6,6 @@ type reader = {
   mutable head : string;
   pull : unit -> string option;
   buffer : bytes;
-  run_id : Extmem.Run_store.id;
 }
 
 type stats = {
@@ -32,8 +31,6 @@ type t = {
   merge_lease : Extmem.Frame_arena.lease; (* one frame per open reader *)
   readers : reader Heap.t; (* tournament over run heads *)
   mutable live : int;
-  mutable runs_consumed : int; (* records pulled out of run readers *)
-  mutable foreign : bool; (* holds runs adopted from another store *)
   mutable destroyed : bool;
   mutable s_inserts : int;
   mutable s_deletes : int;
@@ -80,8 +77,6 @@ let create ?arena ?buffer_blocks ?spans ~budget ~temp ~cmp () =
     merge_lease = Extmem.Frame_arena.lease fa ~who:"ext pq merge fan-in" 2;
     readers = Heap.create ~less:(fun a b -> cmp a.head b.head < 0);
     live = 0;
-    runs_consumed = 0;
-    foreign = false;
     destroyed = false;
     s_inserts = 0;
     s_deletes = 0;
@@ -108,7 +103,6 @@ let close_reader t r =
 let pull_from_readers t =
   let r = Heap.pop t.readers in
   let v = r.head in
-  t.runs_consumed <- t.runs_consumed + 1;
   (match r.pull () with
   | Some next ->
       r.head <- next;
@@ -122,28 +116,29 @@ let pull_from_readers t =
    compacting the open readers down to one frees their frames first.
    Each compaction closes >= 2 readers and reopens 1, so the recursion
    strictly frees memory and bottoms out at a genuine exhaustion. *)
-let rec open_reader t id =
+let rec make_room t =
   let spare = Extmem.Frame_arena.lease_blocks t.merge_lease - Heap.length t.readers in
   if spare <= 0 && not (Extmem.Frame_arena.try_grow t.merge_lease 1) then begin
     if Heap.length t.readers < 2 then
       raise
         (Extmem.Memory_budget.Exhausted "ext pq merge fan-in: no block for a run reader");
     compact t;
-    open_reader t id
+    make_room t
   end
-  else begin
-    let buffer = Extmem.Frame_arena.take t.fa t.bs in
-    let pull =
-      let br = Extmem.Run_store.open_run ~buffer t.store id in
-      fun () -> Extmem.Block_reader.read_record br
-    in
-    match pull () with
-    | Some head -> Heap.push t.readers { head; pull; buffer; run_id = id }
-    | None ->
-        Extmem.Frame_arena.give t.fa buffer;
-        if Extmem.Frame_arena.lease_blocks t.merge_lease > 2 then
-          Extmem.Frame_arena.shrink t.merge_lease 1
-  end
+
+and open_reader t id =
+  make_room t;
+  let buffer = Extmem.Frame_arena.take t.fa t.bs in
+  let pull =
+    let br = Extmem.Run_store.open_run ~buffer t.store id in
+    fun () -> Extmem.Block_reader.read_record br
+  in
+  match pull () with
+  | Some head -> Heap.push t.readers { head; pull; buffer }
+  | None ->
+      Extmem.Frame_arena.give t.fa buffer;
+      if Extmem.Frame_arena.lease_blocks t.merge_lease > 2 then
+        Extmem.Frame_arena.shrink t.merge_lease 1
 
 (* Merge every open reader's remainder into one fresh run.  The writer
    buffer is the insert tier's slack block, free outside a spill write. *)
@@ -242,44 +237,26 @@ let destroy t =
     Extmem.Frame_arena.close_lease t.buffer_lease
   end
 
-(* Adopt one of [src]'s runs into [dst]'s store by reference. *)
-let adopt dst src_store id =
-  let id' = Extmem.Run_store.reserve dst.store in
-  Extmem.Run_store.install dst.store id'
-    ~dev:(Extmem.Run_store.device src_store)
-    ~extent:(Extmem.Run_store.run_extent src_store id);
-  ensure_fan_in dst;
-  open_reader dst id';
-  dst.foreign <- true
-
 let meld t other =
   check_live t;
   check_live other;
   if t.bs <> other.bs then invalid_arg "Ext_pq.meld: block sizes differ";
   t.s_melds <- t.s_melds + 1;
   let moved = other.live in
-  (* Runs: adopt by reference when the donor's runs are intact on its own
-     store; otherwise compact its remainder into one run first (also the
-     path that strips consumed prefixes and foreign indirections). *)
-  if Heap.length other.readers > 0 then begin
-    if other.runs_consumed = 0 && not other.foreign then begin
-      let ids = ref [] in
-      while Heap.length other.readers > 0 do
-        let r = Heap.pop other.readers in
-        ids := r.run_id :: !ids;
-        close_reader other r
-      done;
-      List.iter (adopt t other.store) (List.rev !ids)
-    end
-    else begin
-      compact other;
-      let r = Heap.pop other.readers in
-      close_reader other r;
-      adopt t other.store r.run_id
-    end
-  end;
+  (* Runs: each open reader moves over as it stands — its head, its
+     position and its frame — so nothing is copied or read again, and
+     what the donor already consumed (and freed) stays behind.  The
+     frame leaves the donor's lease and joins [t]'s. *)
+  while Heap.length other.readers > 0 do
+    let r = Heap.pop other.readers in
+    if Extmem.Frame_arena.lease_blocks other.merge_lease > 2 then
+      Extmem.Frame_arena.shrink other.merge_lease 1;
+    ensure_fan_in t;
+    make_room t;
+    Heap.push t.readers r
+  done;
   (* In-memory tier: re-inserted through [t], may spill.  [add] counts
-     each of these in [live]; the run records adopted by reference above
+     each of these in [live]; the run records moved over above
      bypassed it and are counted here. *)
   let mem_moved = Heap.length other.heap in
   while Heap.length other.heap > 0 do

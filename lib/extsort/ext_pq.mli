@@ -22,15 +22,14 @@
     named leases, so exhaustion and leaks name the queue in the per-who
     ledger.
 
-    [meld] adopts the other queue's runs by id into this queue's store
-    via {!Extmem.Run_store.reserve}/[install] — run payloads stay on the
-    donor's device and are never copied unless the donor had already
-    consumed from its runs (then its remainder is compacted into one
-    run first).  Both queues must use the same block size.
+    [meld] moves the other queue's open run readers into this queue as
+    they stand (head record, position and frame): run payloads stay on
+    the donor's device and are never copied or re-read.  Both queues
+    must use the same block size.
 
-    Consumed run space is not reclaimed until {!destroy}; the store's
-    device is scratch space sized to the queue's lifetime high-water
-    mark, as with external sort temp. *)
+    Run readers consume their runs ({!Extmem.Run_store.open_run}): a run
+    block is freed on the in-memory device once it has been read past,
+    so the store's device holds only what is still queued in runs. *)
 
 type t
 
@@ -80,7 +79,7 @@ val delete_min : t -> string option
 val meld : t -> t -> unit
 (** [meld t other] moves all of [other]'s records into [t] and destroys
     [other].  [other]'s in-memory tier is re-inserted through [t] (and
-    may spill); its runs are adopted by reference as described above.
+    may spill); its open run readers move over as described above.
     @raise Invalid_argument when the block sizes differ. *)
 
 val run_count : t -> int

@@ -1005,7 +1005,11 @@ module Probe = struct
     Registry.gauge reg ~unit_:"blocks" (p "writes") (fun () ->
         float_of_int stats.Extmem.Io_stats.writes);
     Registry.gauge reg ~unit_:"blocks" (p "blocks") (fun () ->
-        float_of_int (Extmem.Device.block_count dev))
+        float_of_int (Extmem.Device.block_count dev));
+    Registry.gauge reg ~unit_:"blocks" (p "live_blocks") (fun () ->
+        float_of_int (Extmem.Device.live_blocks dev));
+    Registry.gauge reg ~unit_:"blocks" (p "peak_live_blocks") (fun () ->
+        float_of_int (Extmem.Device.peak_live_blocks dev))
 
   let ext_stack reg ~prefix st =
     let p name = Printf.sprintf "stack.%s.%s" prefix name in

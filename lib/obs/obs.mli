@@ -294,7 +294,9 @@ end
 module Probe : sig
   val device : Registry.t -> prefix:string -> Extmem.Device.t -> unit
   (** [dev.<prefix>.reads|writes] (blocks), [dev.<prefix>.blocks]
-      (allocated size). *)
+      (allocated size), [dev.<prefix>.live_blocks] (allocated and not
+      discarded) and [dev.<prefix>.peak_live_blocks] (the most ever live
+      at once). *)
 
   val ext_stack : Registry.t -> prefix:string -> Extmem.Ext_stack.t -> unit
   (** [stack.<prefix>.pushes|pops] (entries),

@@ -86,8 +86,9 @@ dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 --metrics $tmp/doc.ref.json \
 # so the output phase suspends a reader at a run pointer and resumes it
 # from memory.  An -O @id row also sorts with --encoding dict: the
 # default there is packed (end-tag elimination), and the encoding must
-# not change the output.  Every row's default output must also equal
-# the internal-memory tree sort's (`-a treesort`, same -O), which writes
+# not change the output.  The default and unfused rows write metrics
+# reports, validated after the loop.  Every row's default output must
+# also equal the internal-memory tree sort's (`-a treesort`, same -O), which writes
 # through `Xmlio.Writer.event`: this pins the output phase's entry
 # serializer to the event writer on every shape.  Treesort takes every
 # row (it ignores -t and --no-degeneration and applies --depth-limit as
@@ -102,10 +103,10 @@ while read -r doc args; do
   fence=$((fence + 1))
   f=$tmp/fence$fence
   # (stdin is the shape list: keep it from the commands)
-  dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args -o $f.xml $tmp/$doc < /dev/null \
-    > /dev/null
-  dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args --no-fuse -o $f.nofuse.xml $tmp/$doc \
+  dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args --metrics $f.json -o $f.xml $tmp/$doc \
     < /dev/null > /dev/null
+  dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args --no-fuse --metrics $f.nofuse.json \
+    -o $f.nofuse.xml $tmp/$doc < /dev/null > /dev/null
   dune exec bin/nexsort_cli.exe -- -B 1024 -M 16 $args -a treesort -o $f.treesort.xml \
     $tmp/$doc < /dev/null > /dev/null
   # An -O @id row runs packed by default; dict must write the same bytes.
@@ -132,6 +133,10 @@ f31500.xml --no-degeneration -O text
 f31500.xml --depth-limit 1 -O @id
 deep.xml -t 1024 -O @id
 EOF
+# Every run is read once and freed block by block as it is read, so
+# each fence sort, fused or not, must end with its runs device empty
+# (validate-metrics fails a report whose dev.runs.live_blocks is not 0).
+dune exec bench/main.exe -- validate-metrics $tmp/fence*.json > /dev/null
 
 # Engine smoke: the multi-tenant daemon must serve interleaved jobs from
 # two tenants under a queue-forcing budget and stay invisible in the

@@ -348,6 +348,65 @@ let test_cancel_queued_job () =
     (Extmem.Memory_budget.used_blocks (Engine.budget eng));
   Engine.destroy eng
 
+(* A job bigger than the whole engine can never be admitted: acquire
+   refuses it at once with Too_large, instead of queueing it for ever
+   (and, since nobody skips ahead, every job behind it).  Each attempt
+   runs on its own domain under a 2 s deadline, and one still blocked
+   then is cancelled, so an engine that queues the job fails the test
+   instead of hanging it. *)
+let test_oversized_job_rejected () =
+  let eng = Engine.create ~memory_blocks:40 ~block_size:1024 () in
+  let attempt f =
+    let flag = Atomic.make false and finished = Atomic.make false in
+    let d =
+      Domain.spawn (fun () ->
+          let outcome =
+            match f flag with
+            | () -> `Admitted
+            | exception Engine.Too_large _ -> `Too_large
+            | exception Engine.Cancelled -> `Blocked
+          in
+          Atomic.set finished true;
+          outcome)
+    in
+    let deadline = Unix.gettimeofday () +. 2. in
+    while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.01
+    done;
+    if not (Atomic.get finished) then Engine.cancel eng flag;
+    Domain.join d
+  in
+  let single config cancel = Engine.release eng (Engine.acquire ~cancel eng ~tenant:"t" config) in
+  let outcome =
+    Alcotest.testable
+      (fun ppf o ->
+        Format.pp_print_string ppf
+          (match o with
+          | `Admitted -> "admitted"
+          | `Too_large -> "too large"
+          | `Blocked -> "blocked (cancelled at the deadline)"))
+      ( = )
+  in
+  check outcome "64 KiB job on a 40 KiB engine" `Too_large
+    (attempt (single (Config.make ~block_size:1024 ~memory_blocks:64 ())));
+  (* a pair is judged as a whole: each 24 KiB half fits, both do not *)
+  check outcome "pair of 24 KiB halves" `Too_large
+    (attempt (fun cancel ->
+         Engine.run_pair ~cancel eng ~tenant:"t"
+           (Config.make ~block_size:1024 ~memory_blocks:24 ())
+           (fun _ _ -> ())));
+  (* the carve rounds up to whole engine blocks: 41 blocks of 1000 bytes
+     are 41,000 bytes, charged as 41 engine blocks *)
+  check outcome "41 x 1000 bytes, 41 engine blocks" `Too_large
+    (attempt (single (Config.make ~block_size:1000 ~memory_blocks:41 ())));
+  check outcome "a job that fills the engine exactly" `Admitted
+    (attempt (single (Config.make ~block_size:1024 ~memory_blocks:40 ())));
+  check outcome "a job behind the refused ones" `Admitted
+    (attempt (single (job_config ())));
+  check Alcotest.int "engine budget empty" 0
+    (Extmem.Memory_budget.used_blocks (Engine.budget eng));
+  Engine.destroy eng
+
 (* --- borrow-window isolation -------------------------------------- *)
 
 let test_borrow_stays_inside_carve () =
@@ -569,6 +628,7 @@ let () =
             test_faulted_job_leaves_engine_quiescent;
           Alcotest.test_case "cancel running job" `Quick test_cancel_running_job;
           Alcotest.test_case "cancel queued job" `Quick test_cancel_queued_job;
+          Alcotest.test_case "oversized job rejected" `Quick test_oversized_job_rejected;
           Alcotest.test_case "rejected ordering destroys the session" `Quick
             test_rejected_ordering_destroys_session;
           Alcotest.test_case "late scan error leaks nothing" `Quick

@@ -391,6 +391,77 @@ let test_device_fault_injection () =
   armed := false;
   Extmem.Device.read_block d 0 b
 
+let raises_invalid name f =
+  match f () with
+  | () -> Alcotest.failf "%s: expected Invalid_argument" name
+  | exception Invalid_argument _ -> ()
+
+(* A discarded in-memory block is dead; its buffer is reused, zeroed, by
+   the next allocation. *)
+let test_device_discard_mem () =
+  let d = Extmem.Device.in_memory ~block_size:8 () in
+  ignore (Extmem.Device.allocate d 3);
+  let x = Bytes.make 8 'x' in
+  Extmem.Device.write_block d 0 x;
+  Extmem.Device.write_block d 1 x;
+  check Alcotest.int "all live" 3 (Extmem.Device.live_blocks d);
+  Extmem.Device.discard d 1;
+  check Alcotest.int "one fewer live" 2 (Extmem.Device.live_blocks d);
+  check Alcotest.int "peak kept" 3 (Extmem.Device.peak_live_blocks d);
+  let b = Bytes.create 8 in
+  raises_invalid "read of a discarded block" (fun () -> Extmem.Device.read_block d 1 b);
+  raises_invalid "write of a discarded block" (fun () -> Extmem.Device.write_block d 1 x);
+  raises_invalid "second discard" (fun () -> Extmem.Device.discard d 1);
+  raises_invalid "discard out of range" (fun () -> Extmem.Device.discard d 3);
+  raises_invalid "negative discard" (fun () -> Extmem.Device.discard d (-1));
+  Extmem.Device.read_block d 0 b;
+  check Alcotest.string "a live neighbour keeps its data" "xxxxxxxx" (Bytes.to_string b);
+  (* the freed buffer held x's; the block it becomes reads as zeroes *)
+  let i = Extmem.Device.allocate d 1 in
+  Extmem.Device.read_block d i b;
+  check Alcotest.string "reused buffer reads as zeroes" (String.make 8 '\000') (Bytes.to_string b);
+  check Alcotest.int "live after reuse" 3 (Extmem.Device.live_blocks d);
+  check Alcotest.int "peak unchanged" 3 (Extmem.Device.peak_live_blocks d);
+  ignore (Extmem.Device.allocate d 1);
+  check Alcotest.int "peak grows past it" 4 (Extmem.Device.peak_live_blocks d)
+
+(* A discard is not an I/O: no count, no subscriber, no fault. *)
+let test_device_discard_not_io () =
+  let d = Extmem.Device.in_memory ~block_size:8 () in
+  ignore (Extmem.Device.allocate d 2);
+  Extmem.Device.write_block d 0 (Bytes.make 8 'a');
+  let seen = ref 0 in
+  ignore (Extmem.Device.subscribe d (fun _ _ ~start_ns:_ ~dur_ns:_ -> incr seen));
+  Extmem.Device.push_layer d (Extmem.Layer.faulty ~p:1. ());
+  let before = Extmem.Io_stats.snapshot (Extmem.Device.stats d) in
+  Extmem.Device.discard d 0;
+  Extmem.Device.discard d 1;
+  check Alcotest.int "no I/O counted" 0
+    (Extmem.Io_stats.total
+       (Extmem.Io_stats.diff (Extmem.Io_stats.snapshot (Extmem.Device.stats d)) before));
+  check Alcotest.int "no subscriber told" 0 !seen;
+  check Alcotest.int "both discarded under faulty:p=1" 0 (Extmem.Device.live_blocks d);
+  (* the fault layer still fails real I/O *)
+  match Extmem.Device.read_block d 0 (Bytes.create 8) with
+  | () -> Alcotest.fail "expected a fault"
+  | exception Extmem.Device.Fault _ -> ()
+
+(* On a file, a discard keeps the block: only the live count moves. *)
+let test_device_discard_file () =
+  let path = Filename.temp_file "nexsort_test" ".dev" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let d = Extmem.Device.file ~block_size:8 ~path () in
+      Extmem.Device.write_block d 0 (Bytes.of_string "abcdefgh");
+      Extmem.Device.discard d 0;
+      check Alcotest.int "not live" 0 (Extmem.Device.live_blocks d);
+      let b = Bytes.create 8 in
+      Extmem.Device.read_block d 0 b;
+      check Alcotest.string "contents kept" "abcdefgh" (Bytes.to_string b);
+      check Alcotest.int "file size kept" 8 (Unix.stat path).Unix.st_size;
+      Extmem.Device.close d)
+
 (* ------------------------------------------------------------------ *)
 (* Block_writer / Block_reader *)
 
@@ -507,6 +578,67 @@ let test_run_store () =
   check Alcotest.string "run 1" "second" (read id1);
   check Alcotest.int "total blocks" 3 (Extmem.Run_store.total_run_blocks rs)
 
+(* A run reader frees each block as it leaves it, the last one at the
+   end of the run; a second reading finds the run gone. *)
+let test_run_store_consumes () =
+  let d = Extmem.Device.in_memory ~block_size:8 () in
+  let rs = Extmem.Run_store.create d in
+  let w = Extmem.Run_store.begin_run rs in
+  List.iter (Extmem.Block_writer.write_record w) [ "abcdefg"; "hi"; "jklmnopqrs"; "t" ];
+  let id = Extmem.Run_store.finish_run rs w in
+  (* 8 + 3 + 11 + 2 = 24 framed bytes: exactly three blocks *)
+  check Alcotest.int "three blocks live" 3 (Extmem.Device.live_blocks d);
+  let pull = Extmem.Run_store.read_run rs id in
+  let next () = Option.get (pull ()) in
+  check Alcotest.string "first record" "abcdefg" (next ());
+  check Alcotest.int "its block ends with it: freed" 2 (Extmem.Device.live_blocks d);
+  check Alcotest.string "second record" "hi" (next ());
+  check Alcotest.int "block 1 still being read" 2 (Extmem.Device.live_blocks d);
+  check Alcotest.string "third record" "jklmnopqrs" (next ());
+  check Alcotest.int "block 1 left" 1 (Extmem.Device.live_blocks d);
+  check Alcotest.string "last record" "t" (next ());
+  check Alcotest.int "the run's end frees its last block" 0 (Extmem.Device.live_blocks d);
+  check (Alcotest.option Alcotest.string) "exhausted" None (pull ());
+  raises_invalid "a second reading" (fun () -> ignore (Extmem.Run_store.read_run rs id ()))
+
+(* The output phase gives a reader up at a run pointer and later opens a
+   new one at its offset.  Either way every block is freed exactly once:
+   given up inside a block, the new reader re-reads that block and frees
+   it; given up exactly at a block boundary, the finished block is
+   already free and the new reader starts on the next one. *)
+let test_run_store_resume_at_offset () =
+  let records = List.init 12 (fun i -> String.make (3 + (i mod 5)) (Char.chr (97 + i))) in
+  let framed = List.fold_left (fun acc r -> acc + 1 + String.length r) 0 records in
+  let at_boundary = ref 0 in
+  for stop = 0 to List.length records do
+    let d = Extmem.Device.in_memory ~block_size:8 () in
+    let rs = Extmem.Run_store.create d in
+    let w = Extmem.Run_store.begin_run rs in
+    List.iter (Extmem.Block_writer.write_record w) records;
+    let id = Extmem.Run_store.finish_run rs w in
+    let r = Extmem.Run_store.open_run rs id in
+    let got = ref [] in
+    for _ = 1 to stop do
+      got := Option.get (Extmem.Block_reader.read_record r) :: !got
+    done;
+    let off = Extmem.Block_reader.position r in
+    if off > 0 && off < framed && off mod 8 = 0 then incr at_boundary;
+    let r' = Extmem.Run_store.open_run rs id in
+    Extmem.Block_reader.seek r' off;
+    let rec rest () =
+      match Extmem.Block_reader.read_record r' with
+      | Some s ->
+          got := s :: !got;
+          rest ()
+      | None -> ()
+    in
+    rest ();
+    let name = Printf.sprintf "given up after %d records (offset %d)" stop off in
+    check (Alcotest.list Alcotest.string) name records (List.rev !got);
+    check Alcotest.int (name ^ ": nothing left live") 0 (Extmem.Device.live_blocks d)
+  done;
+  check Alcotest.bool "some reader was given up at a block boundary" true (!at_boundary > 0)
+
 let test_run_store_exclusive () =
   let d = Extmem.Device.in_memory ~block_size:8 () in
   let rs = Extmem.Run_store.create d in
@@ -526,38 +658,6 @@ let test_run_store_read_run () =
   let rec all acc = match pull () with None -> List.rev acc | Some r -> all (r :: acc) in
   check (Alcotest.list Alcotest.string) "streamed records" [ "alpha"; "beta"; "gamma" ] (all []);
   check (Alcotest.option Alcotest.string) "exhausted stays exhausted" None (pull ())
-
-let test_run_store_reserve_install () =
-  (* adoption by reference: an id is reserved first, and the payload is
-     installed later from another device *)
-  let d = Extmem.Device.in_memory ~block_size:8 () in
-  let rs = Extmem.Run_store.create d in
-  let id0 = Extmem.Run_store.reserve rs in
-  let w = Extmem.Run_store.begin_run rs in
-  Extmem.Block_writer.write_record w "main";
-  let id1 = Extmem.Run_store.finish_run rs w in
-  check Alcotest.int "reserved id is dense" 0 id0;
-  check Alcotest.int "finish_run skips the reservation" 1 id1;
-  check Alcotest.int "count includes pending" 2 (Extmem.Run_store.run_count rs);
-  (try
-     ignore (Extmem.Run_store.open_run rs id0);
-     Alcotest.fail "expected pending rejection"
-   with Invalid_argument _ -> ());
-  let blocks_before = Extmem.Run_store.total_run_blocks rs in
-  let wd = Extmem.Device.in_memory ~block_size:8 () in
-  let ww = Extmem.Block_writer.create wd in
-  Extmem.Block_writer.write_record ww "adopted";
-  let extent = Extmem.Block_writer.close ww in
-  Extmem.Run_store.install rs id0 ~dev:wd ~extent;
-  check Alcotest.bool "pending excluded from totals" true
-    (Extmem.Run_store.total_run_blocks rs > blocks_before);
-  let pull = Extmem.Run_store.read_run rs id0 in
-  check (Alcotest.option Alcotest.string) "reads from the other device" (Some "adopted")
-    (pull ());
-  try
-    Extmem.Run_store.install rs id0 ~dev:wd ~extent;
-    Alcotest.fail "expected double-install rejection"
-  with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Ext_stack *)
@@ -1987,6 +2087,9 @@ let () =
           Alcotest.test_case "of_string" `Quick test_device_of_string;
           Alcotest.test_case "file backend" `Quick test_device_file;
           Alcotest.test_case "fault injection" `Quick test_device_fault_injection;
+          Alcotest.test_case "discard frees a mem block" `Quick test_device_discard_mem;
+          Alcotest.test_case "discard is not an I/O" `Quick test_device_discard_not_io;
+          Alcotest.test_case "discard on a file is a no-op" `Quick test_device_discard_file;
         ] );
       ( "stack",
         [
@@ -2009,7 +2112,8 @@ let () =
           Alcotest.test_case "basic" `Quick test_run_store;
           Alcotest.test_case "exclusive writer" `Quick test_run_store_exclusive;
           Alcotest.test_case "read_run stream" `Quick test_run_store_read_run;
-          Alcotest.test_case "reserve/install" `Quick test_run_store_reserve_install;
+          Alcotest.test_case "readers consume" `Quick test_run_store_consumes;
+          Alcotest.test_case "resume at an offset" `Quick test_run_store_resume_at_offset;
         ] );
       ( "ext_stack",
         [

@@ -844,6 +844,72 @@ let test_run_traversal_reads_each_block_once () =
       ignore (Nexsort.stream_finish s);
       clean "after an abandoned stream" session)
 
+(* Every run is written once and read once, and each block is freed as
+   it is read, so every kind of sort ends with its runs device empty:
+   in-memory runs nested two deep, an external root, a multi-pass
+   fragment merge, verbatim copies under --depth-limit 1, spilled run
+   readers resumed at their offsets (two of them at a block boundary)
+   and an unfused root run.  A flat document's merge passes free their
+   inputs as they go: at most half of the blocks ever written are live
+   at once. *)
+let test_runs_device_ends_empty () =
+  let gen fanouts =
+    fst
+      (Xmlgen.Gen.to_string (fun sink ->
+           Xmlgen.Gen.exact_shape ~seed:1 ~avg_bytes:100 ~fanouts sink))
+  in
+  let deep = gen [ 6; 6; 6; 4; 2; 2 ] and flat = gen [ 25_000 ] in
+  let spine, _ =
+    Xmlgen.Gen.to_string (fun sink ->
+        Xmlgen.Gen.adversarial ~k:8 ~n_elements:400 ~avg_bytes:60 sink)
+  in
+  let big = Config.make ~block_size:1024 ~memory_blocks:16 in
+  (* [check_report report spilled]: [spilled] counts the run readers
+     spilled onto the output-location stack *)
+  let case what ?(check_report = fun _ _ -> ()) (config : Config.t) xml =
+    let bs = config.Config.block_size in
+    let output = Extmem.Device.in_memory ~block_size:bs () in
+    let r, runs, spilled =
+      Engine.with_session config (fun session ->
+          let r =
+            Nexsort.sort_device ~session ~ordering:by_id
+              ~input:(Extmem.Device.of_string ~block_size:bs xml) ~output ()
+          in
+          ( r,
+            Extmem.Run_store.device session.Nexsort.Session.runs,
+            Extmem.Ext_stack.pushes session.Nexsort.Session.out_stack ))
+    in
+    check Alcotest.string (what ^ ": sorted like the oracle")
+      (Verify.Oracle.sort_string ?depth_limit:config.Config.depth_limit by_id xml)
+      (Extmem.Device.contents output);
+    check Alcotest.int (what ^ ": no run block live") 0 (Extmem.Device.live_blocks runs);
+    check Alcotest.int (what ^ ": report's peak is the device's")
+      (Extmem.Device.peak_live_blocks runs) r.Nexsort.run_peak_live_blocks;
+    check_report r spilled
+  in
+  case "in-memory runs" (big ()) deep ~check_report:(fun r _ ->
+      check Alcotest.bool "runs written" true (r.Nexsort.run_blocks > 0));
+  case "external root"
+    (big ~threshold:100_000_000 ~degeneration:false ())
+    deep
+    ~check_report:(fun r _ ->
+      check Alcotest.bool "external sort" true (r.Nexsort.external_sorts > 0));
+  case "multi-pass fragment merge" (big ()) flat ~check_report:(fun r _ ->
+      check Alcotest.int "two intermediate passes and the final merge" 3 r.Nexsort.merge_passes;
+      check Alcotest.bool
+        (Printf.sprintf "peak live %d <= half of %d written" r.Nexsort.run_peak_live_blocks
+           r.Nexsort.run_blocks)
+        true
+        (2 * r.Nexsort.run_peak_live_blocks <= r.Nexsort.run_blocks));
+  case "--depth-limit 1" (big ~depth_limit:1 ()) deep;
+  case "--depth-limit 1, flat" (big ~depth_limit:1 ()) flat;
+  case "spilled readers" (tiny_config ()) spine ~check_report:(fun r spilled ->
+      check Alcotest.int "run blocks" 469 r.Nexsort.run_blocks;
+      check Alcotest.int "spilled readers" 45 spilled);
+  case "--no-fuse" (big ~root_fusion:false ()) flat ~check_report:(fun r _ ->
+      check Alcotest.bool "a root run" true (r.Nexsort.runs_created > r.Nexsort.fragment_runs));
+  case "--no-fuse, deep" (big ~root_fusion:false ()) deep
+
 let test_sort_nested_fragmented_elements () =
   (* a fragmented element nested between fragments of its fragmented
      parent: the child's ids sit above the parent's frame and must come
@@ -1767,6 +1833,7 @@ let () =
             test_sort_flat_fragments_path_stack_constant;
           Alcotest.test_case "flat merge borrows the stack windows" `Quick
             test_flat_merge_borrows_stack_windows;
+          Alcotest.test_case "runs device ends empty" `Quick test_runs_device_ends_empty;
           Alcotest.test_case "run traversal reads each run block once" `Quick
             test_run_traversal_reads_each_block_once;
           Alcotest.test_case "nested fragmented elements" `Quick
