@@ -31,20 +31,6 @@ let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(de
     | None, (Some _ | None) -> Dict
   in
   let threshold = Option.value threshold ~default:(2 * block_size) in
-  (* The data stack oscillates: entries accumulate until a subtree reaches
-     the threshold and is truncated away.  A window that covers twice the
-     threshold keeps that oscillation resident and avoids spilling the
-     whole document through the stack device — provided the budget leaves
-     the fixed buffers (input, path window, output-location window) and a
-     minimal 3-block sort arena. *)
-  let data_stack_blocks =
-    match data_stack_blocks with
-    | Some d -> d
-    | None ->
-        let fixed = 1 + path_stack_blocks + 1 in
-        let want = max (2 * threshold / block_size) ((memory_blocks - fixed) / 3) in
-        max 1 (min want (memory_blocks - fixed - 3))
-  in
   if block_size < 64 then invalid_arg "Config: block_size must be at least 64 bytes";
   if memory_blocks < 8 then invalid_arg "Config: memory_blocks must be at least 8";
   if threshold < block_size then
@@ -52,8 +38,23 @@ let make ?(block_size = 4096) ?(memory_blocks = 64) ?threshold ?depth_limit ?(de
   (match depth_limit with
   | Some d when d < 1 -> invalid_arg "Config: depth_limit must be >= 1"
   | Some _ | None -> ());
-  if data_stack_blocks < 1 then invalid_arg "Config: data_stack_blocks must be >= 1";
   if path_stack_blocks < 2 then invalid_arg "Config: path_stack_blocks must be >= 2";
+  (* The data stack oscillates: entries accumulate until a subtree reaches
+     the threshold and is truncated away.  A window that covers twice the
+     threshold keeps that oscillation resident and avoids spilling the
+     whole document through the stack device; the scan phase's plan gives
+     it that, or a third of what the other stack windows and the input
+     buffer leave, as far as the sort arena's minimum allows. *)
+  let data_stack_blocks =
+    match data_stack_blocks with
+    | Some d -> d
+    | None ->
+        let want = max (2 * threshold / block_size) ((memory_blocks - path_stack_blocks - 2) / 3) in
+        Plan.granted
+          (Plan.scan ~memory_blocks ~path_blocks:path_stack_blocks ~data_blocks:want)
+          "data stack window"
+  in
+  if data_stack_blocks < 1 then invalid_arg "Config: data_stack_blocks must be >= 1";
   {
     block_size;
     memory_blocks;

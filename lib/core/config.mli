@@ -75,8 +75,10 @@ val make :
     [Packed] with a subtree-derived key is rejected by
     {!validate_ordering}.  The data-stack window
     defaults to covering twice the threshold (so the stack's oscillation
-    between subtree collapses stays resident), clamped so the fixed
-    buffers and a 3-block sort arena still fit the memory budget.
+    between subtree collapses stays resident), or a third of what the
+    other windows and the input buffer leave when that is more, as far
+    as the scan phase's plan allows ({!Plan.scan}: the other buffers and
+    a 3-block sort arena come first).
     @raise Invalid_argument on inconsistent values (non-positive sizes,
     [memory_blocks < 8], threshold smaller than one block, windows too
     small). *)

@@ -4,12 +4,14 @@
     here, so [Nexsort.sort_device] works directly; sessions come from an
     engine job ([Engine], one library up).  Supporting modules:
     {!Key} and {!Ordering} (sort criteria), {!Config} (algorithm
-    parameters), {!Entry}, {!Keypath}, {!Session} and {!Subtree_sort}
-    (the machinery, exposed for the baselines, benchmarks and tests). *)
+    parameters), {!Plan} (the split of the job's memory), {!Entry},
+    {!Keypath}, {!Session} and {!Subtree_sort} (the machinery, exposed
+    for the baselines, benchmarks and tests). *)
 
 module Key = Key
 module Ordering = Ordering
 module Config = Config
+module Plan = Plan
 module Entry = Entry
 module Session = Session
 module Keypath = Keypath

@@ -2,12 +2,13 @@ type t = {
   config : Config.t;
   budget : Extmem.Memory_budget.t;
   arena : Extmem.Frame_arena.t;
+  plan : Plan.t;
   dict : Xmlio.Dict.t;
   data_stack : Extmem.Ext_stack.t;
   path_stack : Extmem.Ext_stack.t;
   out_stack : Extmem.Ext_stack.t;
   runs : Extmem.Run_store.t;
-  temp_stats : Extmem.Io_stats.t;
+  temp : Extmem.Device.t;
   registry : Obs.Registry.t;
   poll : unit -> unit;
   enc_scratch : Extmem.Codec.Enc.t;
@@ -35,36 +36,40 @@ let register_probes t =
   Obs.Probe.device reg ~prefix:"path_stack" (Extmem.Ext_stack.device t.path_stack);
   Obs.Probe.device reg ~prefix:"out_stack" (Extmem.Ext_stack.device t.out_stack);
   Obs.Probe.device reg ~prefix:"runs" (Extmem.Run_store.device t.runs);
+  Obs.Probe.device reg ~prefix:"temp" t.temp;
   Obs.Probe.frame_arena reg ~prefix:"arena" t.arena
 
 let create ~budget ~poll (config : Config.t) =
   let arena = Extmem.Frame_arena.create ~budget () in
-  let stack_dev name = Config.scratch_device config ~name in
+  let device name = Config.scratch_device config ~name in
   let dict = Xmlio.Dict.create () in
-  let runs = Extmem.Run_store.create (stack_dev "runs") in
+  let runs = Extmem.Run_store.create (device "runs") in
   (* The input buffer is charged by the scan pipeline stage (see
-     [Sorter.scan_source]), not here.  Each stack leases its own window
-     from the arena — "data stack window", "path stack window",
-     "output location stack window" — so the fixed reservations now live
-     with their owners. *)
+     [Sorter.scan_source]), not here.  Each stack leases the window the
+     scan phase grants it from the arena, under its own name. *)
+  let scan =
+    Plan.scan ~memory_blocks:config.Config.memory_blocks
+      ~path_blocks:config.Config.path_stack_blocks ~data_blocks:config.Config.data_stack_blocks
+  in
+  let stack ?elastic name dev =
+    Extmem.Ext_stack.create ~name ~resident_blocks:(Plan.granted scan (name ^ " window")) ~arena
+      ?elastic (device dev)
+  in
+  let data_stack = stack ~elastic:true "data stack" "data-stack" in
+  let path_stack = stack "path stack" "path-stack" in
+  let out_stack = stack "output location stack" "output-location-stack" in
   let t =
     {
       config;
       budget;
       arena;
+      plan = Plan.create ~budget ~scan ~data:data_stack ~path:path_stack ~out:out_stack;
       dict;
-      data_stack =
-        Extmem.Ext_stack.create ~name:"data stack"
-          ~resident_blocks:config.Config.data_stack_blocks ~arena ~borrow:true
-          (stack_dev "data-stack");
-      path_stack =
-        Extmem.Ext_stack.create ~name:"path stack"
-          ~resident_blocks:config.Config.path_stack_blocks ~arena (stack_dev "path-stack");
-      out_stack =
-        Extmem.Ext_stack.create ~name:"output location stack" ~resident_blocks:1 ~arena
-          (stack_dev "output-location-stack");
+      data_stack;
+      path_stack;
+      out_stack;
       runs;
-      temp_stats = Extmem.Io_stats.create ();
+      temp = device "temp";
       registry = Obs.Registry.create ();
       poll;
       enc_scratch = Extmem.Codec.Enc.create ~capacity:256 ();
@@ -84,31 +89,9 @@ let destroy t =
     Extmem.Device.close (Extmem.Ext_stack.device t.path_stack);
     Extmem.Device.close (Extmem.Ext_stack.device t.out_stack);
     Extmem.Device.close (Extmem.Run_store.device t.runs);
+    Extmem.Device.close t.temp;
     List.iter (fun f -> f t) !destroy_probes
   end
-
-(* Blocks lent to the data-stack window are idle memory, reclaimable at
-   any time ([reclaim]), so they still count as arena: this keeps every
-   size-based decision (in-memory vs external sort, degeneration)
-   independent of how many blocks the stack happens to hold. *)
-let arena_bytes t =
-  Extmem.Memory_budget.available_bytes t.budget
-  + Extmem.Ext_stack.borrowed t.data_stack * Extmem.Memory_budget.block_size t.budget
-
-let reclaim t = Extmem.Ext_stack.shed t.data_stack
-
-let open_temp t =
-  reclaim t;
-  let dev = Config.scratch_device t.config ~name:"temp" in
-  let retired = ref false in
-  let retire () =
-    if not !retired then begin
-      retired := true;
-      Extmem.Io_stats.accumulate ~into:t.temp_stats (Extmem.Device.stats dev);
-      Extmem.Device.close dev
-    end
-  in
-  (dev, retire)
 
 let encode_entry t e = Entry.encode_to t.config.Config.encoding t.dict t.enc_scratch e
 
@@ -120,7 +103,7 @@ let io_breakdown t =
     ("path stack", Extmem.Io_stats.snapshot (Extmem.Ext_stack.io_stats t.path_stack));
     ("output location stack", Extmem.Io_stats.snapshot (Extmem.Ext_stack.io_stats t.out_stack));
     ("runs", Extmem.Io_stats.snapshot (Extmem.Device.stats (Extmem.Run_store.device t.runs)));
-    ("scratch", Extmem.Io_stats.snapshot t.temp_stats);
+    ("scratch", Extmem.Io_stats.snapshot (Extmem.Device.stats t.temp));
   ]
 
 let total_io t =

@@ -24,6 +24,7 @@ type report = {
   runs_created : int;
   run_blocks : int;
   run_peak_live_blocks : int;
+  temp_peak_live_blocks : int;
   input_io : Extmem.Io_stats.t;
   output_io : Extmem.Io_stats.t;
   breakdown : (string * Extmem.Io_stats.t) list;
@@ -33,6 +34,7 @@ type report = {
   spans : Obs.Span.t;
   metrics : Obs.Json.t;
   arena : (string * Extmem.Frame_arena.owner_stats) list;
+  plan : (string * int * Plan.grant list) list;
 }
 
 (* ---- path-stack frames ----
@@ -203,7 +205,7 @@ let maybe_degenerate st =
     if not below_limit then begin
     let children_loc = st.top_children_loc in
     let region = Extmem.Ext_stack.length st.session.Session.data_stack - children_loc in
-    if region >= Session.arena_bytes st.session && region > 0 then begin
+    if region >= Plan.sort_arena_bytes st.session.Session.plan && region > 0 then begin
       in_span st "fragment_write" @@ fun () ->
       let frag = write_fragment st ~from_:children_loc in
       Log.debug (fun m ->
@@ -235,7 +237,7 @@ let sort_kind st frame frags ~size =
   in
   if frags <> [] then `Merge frags
   else if at_limit then `Copy
-  else if size <= Session.arena_bytes st.session then `In_memory
+  else if size <= Plan.sort_arena_bytes st.session.Session.plan then `In_memory
   else `External
 
 let external_scan_input st frame =
@@ -391,9 +393,11 @@ type run_reader = {
 
 (* The run traversal: the depth-first walk through the tree of runs.
    Every reader's frame, active or suspended, is held on one arena
-   lease ("run traversal").  At a run pointer the enclosing reader is
-   suspended {e resident}, its buffered block and position kept on
-   [resident], so resuming it costs no I/O.  Only when the budget has no
+   lease ("run traversal"), which grows over the blocks the output
+   phase's plan leaves free, the idle data and path windows' included.
+   At a run pointer the enclosing reader is suspended {e resident}, its
+   buffered block and position kept on [resident], so resuming it costs
+   no I/O.  Only when the budget has no
    frame for the new reader does the paper's external output-location
    stack take over: the oldest resident reader is spilled onto it as a
    (run, offset) entry and its frame reused — or, with none resident,
@@ -406,7 +410,6 @@ type traversal = {
   mutable spare : bytes list; (* leased frames no reader holds *)
   resident : run_reader Extmem.Deque.t; (* suspended readers, oldest first *)
   mutable active : run_reader option;
-  mutable lent : Extmem.Ext_stack.t list option; (* idle windows lent, once tried *)
 }
 
 let traversal_open session =
@@ -416,7 +419,6 @@ let traversal_open session =
     spare = [];
     resident = Extmem.Deque.create ();
     active = None;
-    lent = None;
   }
 
 let open_reader t run frame =
@@ -425,21 +427,6 @@ let open_reader t run frame =
 let take_frame t =
   Extmem.Frame_arena.take t.t_session.Session.arena
     (Extmem.Device.block_size (Extmem.Run_store.device t.t_session.Session.runs))
-
-(* The data and path stacks are empty for the whole output phase, and
-   an empty stack holds no resident blocks, so lending their windows
-   costs no I/O.  The first time the budget is full they are lent to
-   the traversal (unless a fused root merge holds them already); the
-   close restores them. *)
-let lend_idle_windows t =
-  let s = t.t_session in
-  let idle =
-    List.filter
-      (fun st -> not (Extmem.Ext_stack.lent st))
-      [ s.Session.data_stack; s.Session.path_stack ]
-  in
-  List.iter Extmem.Ext_stack.lend idle;
-  t.lent <- Some idle
 
 (* A frame for one more reader: a spare one, else one more from the
    budget when it has one.  The lease only grows: a frame a reader
@@ -450,9 +437,7 @@ let leased_frame t =
       t.spare <- rest;
       Some f
   | [] ->
-      let grow () = Extmem.Frame_arena.try_grow t.lease 1 in
-      if grow () || (t.lent = None && (lend_idle_windows t; grow ())) then Some (take_frame t)
-      else None
+      if Extmem.Frame_arena.try_grow t.lease 1 then Some (take_frame t) else None
 
 (* A spilled reader is a (run, offset) entry on the output-location
    stack (Figure 4, lines 13-20). *)
@@ -472,8 +457,8 @@ let descend t run =
         Extmem.Deque.push_back t.resident a;
         f
     | None, None ->
-        (* the output phase always finds a block free — the input scan's,
-           at least — so this raises only on a budget held from outside *)
+        (* the output phase's plan grants the traversal a block at least,
+           so this raises only on a budget held from outside *)
         Extmem.Frame_arena.grow t.lease 1;
         take_frame t
     | Some a, None when Extmem.Deque.is_empty t.resident ->
@@ -519,17 +504,17 @@ let traversal_close t =
   Extmem.Deque.clear t.resident;
   List.iter give t.spare;
   t.spare <- [];
-  Extmem.Frame_arena.close_lease t.lease;
-  Option.iter (List.iter Extmem.Ext_stack.restore) t.lent;
-  t.lent <- Some []
+  Extmem.Frame_arena.close_lease t.lease
 
 (* The one output traversal: encoded entries in final document order,
    with every run pointer expanded in place by the depth-first walk of
    [traversal].  Both output paths consume it — the serializer of
-   {!sort_device} and the event adapter of {!open_stream}; its close
-   returns the traversal's frames and closes [entries]. *)
-let payload_stream st (entries : string Pipe.opened) =
+   {!sort_device} ([writer]) and the event adapter of {!open_stream};
+   opening it is the plan's output boundary, and its close returns the
+   traversal's frames and closes [entries]. *)
+let payload_stream st ~writer (entries : string Pipe.opened) =
   let session = st.session in
+  Plan.output session.Session.plan ~writer;
   let tr = traversal_open session in
   let rec next () =
     match tr.active with
@@ -678,8 +663,6 @@ let open_sorted ~session ~ordering ~input ~io_meter =
         st.n_events st.n_subtree_sorts st.n_in_memory st.n_external st.n_fragment_runs);
   assert (st.level = 0);
   assert (Extmem.Ext_stack.is_empty session.Session.path_stack);
-  (* any blocks the data-stack window borrowed are idle now *)
-  Session.reclaim session;
   let entries =
     match st.root with
     | Some entries ->
@@ -739,6 +722,7 @@ let build_report (st : state) ~input_io ~output_io ~t0 =
     run_blocks = Extmem.Run_store.total_run_blocks session.Session.runs;
     run_peak_live_blocks =
       Extmem.Device.peak_live_blocks (Extmem.Run_store.device session.Session.runs);
+    temp_peak_live_blocks = Extmem.Device.peak_live_blocks session.Session.temp;
     input_io;
     output_io;
     breakdown = Session.io_breakdown session;
@@ -749,6 +733,7 @@ let build_report (st : state) ~input_io ~output_io ~t0 =
     spans;
     metrics = Obs.Registry.to_json session.Session.registry;
     arena = Extmem.Frame_arena.owners session.Session.arena;
+    plan = Plan.phases session.Session.plan;
   }
 
 (* The shared setup of {!sort_device} and {!open_stream}: validate the
@@ -786,7 +771,7 @@ let sort_device ~session ~ordering ~input ~output () =
     (fun () ->
       in_span st "output" (fun () ->
           Pipe.run_opened ~spans:st.spans ~budget:session.Session.budget
-            (payload_stream st entries) (serializer_sink session output));
+            (payload_stream st ~writer:true entries) (serializer_sink session output));
       build_report st
         ~input_io:(Extmem.Io_stats.snapshot (Extmem.Device.stats input))
         ~output_io:(Extmem.Io_stats.snapshot (Extmem.Device.stats output))
@@ -805,7 +790,7 @@ type stream = {
 
 let open_stream ~session ~ordering ~input () =
   let st, entries, t0 = open_session ~session ~ordering ~input () in
-  let events = event_stream session (payload_stream st entries) in
+  let events = event_stream session (payload_stream st ~writer:false entries) in
   {
     s_st = st;
     s_input = input;
@@ -909,6 +894,17 @@ let metrics_report ?(tool = "nexsort") ~config r =
        ]);
   Obs.Report.add rep "arena"
     (Obs.Json.Obj (List.map (fun (who, s) -> (who, owner_stats_json s)) r.arena));
+  (* the memory plan (schema v8): each phase's grants, of its last entry *)
+  let open Obs.Json in
+  let grant (g : Plan.grant) =
+    (g.who, Obj [ ("min", Int g.min); ("max", Int g.max); ("granted", Int g.granted) ])
+  in
+  Obs.Report.add rep "plan"
+    (Obj
+       (List.map
+          (fun (phase, n, grants) ->
+            (phase, Obj [ ("entries", Int n); ("grants", Obj (List.map grant grants)) ]))
+          r.plan));
   (* allocation behaviour of the whole sort (schema v2): words are OCaml
      words allocated (minor = all allocation, major includes promotions),
      the per-event rate is the record path's headline number *)
@@ -935,9 +931,12 @@ let pp_report ppf r =
     "@[<v>events=%d (elements=%d, text=%d), height=%d@,\
      subtree sorts=%d (in-memory=%d, external=%d), fragments=%d (merges=%d)@,\
      runs=%d (%d blocks written, at most %d live at once)@,\
+     scratch: %d blocks written, at most %d live at once@,\
      io: input=%a output=%a total=%a@,\
      wall=%.3fs@]"
     r.events r.elements r.text_nodes r.height r.subtree_sorts r.in_memory_sorts r.external_sorts
     r.fragment_runs r.fragment_merges r.runs_created r.run_blocks
-    r.run_peak_live_blocks Extmem.Io_stats.pp r.input_io
+    r.run_peak_live_blocks
+    (List.assoc "scratch" r.breakdown).Extmem.Io_stats.writes
+    r.temp_peak_live_blocks Extmem.Io_stats.pp r.input_io
     Extmem.Io_stats.pp r.output_io Extmem.Io_stats.pp r.total_io r.wall_seconds

@@ -60,6 +60,7 @@ type report = {
       (** the most run blocks written and not yet read at any one time:
           what an in-memory runs device holds at its peak (each run block
           is freed once read) *)
+  temp_peak_live_blocks : int;  (** the same for the scratch device *)
   input_io : Extmem.Io_stats.t;
   output_io : Extmem.Io_stats.t;
   breakdown : (string * Extmem.Io_stats.t) list;
@@ -77,6 +78,7 @@ type report = {
   arena : (string * Extmem.Frame_arena.owner_stats) list;
       (** per-owner frame-arena accounting (held/peak blocks), sorted
           by owner name; owners persist past lease close *)
+  plan : (string * int * Plan.grant list) list;  (** {!Plan.phases} *)
 }
 
 val sort_device :
@@ -130,6 +132,8 @@ val metrics_report : ?tool:string -> config:Config.t -> report -> Obs.Report.t
     (parameter echo), [counts], [io] (the §4.2 per-phase breakdown —
     [input] / [subtree_sorts] / [stack_paging] / [runs] / [output] — plus
     [total] and the raw per-component stats), [arena]
-    (per-owner frame accounting: held and peak), [gc] (allocation words/collections over
+    (per-owner frame accounting: held and peak), [plan] (each phase's
+    entries and its min/max/granted blocks per consumer, schema v8),
+    [gc] (allocation words/collections over
     the sort, schema v2), [phases] (the span tree), [metrics] (registry
     dump) and [timing].  [tool] defaults to ["nexsort"]. *)

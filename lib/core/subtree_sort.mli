@@ -49,11 +49,10 @@ val sort_external_source :
     [Start] entries — scan-evaluable orderings); [`Reverse] consumes
     them top-of-stack first as popped from the data stack (keys taken
     from [End] entries, which always precede their subtrees in reverse
-    order).  Reclaims borrowed stack blocks first ({!Session.reclaim});
-    run formation and every intermediate merge pass consume [input]
-    here, on a scratch device that [close] retires into the session's
-    temp totals.  The final merge's fan-in stays leased until the stream
-    ends or closes. *)
+    order).  Reclaims the data-stack window's elastic blocks first
+    ({!Plan.reclaim}); run formation and every intermediate merge pass
+    consume [input] here, on the session's scratch device.  The final
+    merge's fan-in stays leased until the stream ends or closes. *)
 
 val write_fragment : Session.t -> Entry.View.t list -> Extmem.Run_store.id
 (** Sort a forest of children of one open element (document order,
@@ -70,9 +69,8 @@ val merge_fragments_source :
     packed, end) entry, and the number of merge passes it takes, the
     final merge included.  When the fragments exceed the memory fan-in,
     intermediate passes first reduce them to what the final merge can
-    reserve, writing runs of their own.  When that saves a pass, the
-    three stack windows, idle at an element's end, are lent to those
-    passes ({!Extmem.Ext_stack.lend}): the output-location stack's
-    window is restored before the final merge opens, the other two when
-    the stream closes — on every path, a fault included.  The final
-    fan-in is reserved (clamped to the 2-way floor) until [close]. *)
+    lease, writing runs of their own.  The plan sizes the passes and
+    moves the stack windows at the merge's boundaries
+    ({!Plan.fragment_merge}).  Every batch leases its readers from the
+    arena under ["fragment merge"] or, the final one until [close],
+    ["fragment merge fan-in"]. *)

@@ -65,8 +65,6 @@ let peak_blocks b = Mutex.protect b.lock (fun () -> b.peak)
 
 let available_blocks b = Mutex.protect b.lock (fun () -> b.total - b.used)
 
-let available_bytes b = available_blocks b * b.bs
-
 let held b who = Mutex.protect b.lock (fun () -> held_u b who)
 
 let holders b = Mutex.protect b.lock (fun () -> holders_u b)

@@ -42,8 +42,6 @@ val peak_blocks : t -> int
 
 val available_blocks : t -> int
 
-val available_bytes : t -> int
-
 val reserve : t -> who:string -> int -> unit
 (** [reserve b ~who n] takes [n] blocks, recorded in [who]'s ledger.
     @raise Exhausted naming [who] when fewer than [n] blocks remain. *)

@@ -1054,8 +1054,11 @@ module Report = struct
      v6: every span (the "phases" tree) carries "minor_words", the
      words allocated inside it.
      v7: the simulated-cost meter is gone from the spans, from "timing"
-     and from the device gauges. *)
-  let schema_version = 7
+     and from the device gauges.
+     v8: sort reports carry the memory plan ("plan": each phase's grants
+     per consumer), the arena lists the fragment-merge batches, and the
+     data-stack window has no "(borrowed)" owner. *)
+  let schema_version = 8
 
   type t = {
     tool : string;

@@ -12,12 +12,6 @@ let check_session (s : Nexsort.Session.t) =
     in
     out := Printf.sprintf "budget leak: %d blocks still reserved (%s)" used holders :: !out
   end;
-  List.iter
-    (fun (name, st) ->
-      if Extmem.Ext_stack.lent st then
-        out := Printf.sprintf "window leak: the %s window is still lent" name :: !out)
-    [ ("data stack", s.data_stack); ("path stack", s.path_stack);
-      ("output location stack", s.out_stack) ];
   Extmem.Frame_arena.owners s.arena
   |> List.iter (fun (who, st) ->
          if st.Extmem.Frame_arena.held <> 0 then

@@ -2,8 +2,7 @@
 
     After any sort — successful or aborted by a device fault — the
     session's memory accounting must return to zero: no component may
-    still hold budget blocks, no arena owner may still hold frames, and
-    every stack window a merge borrowed must have been given back.
+    still hold budget blocks and no arena owner may still hold frames.
     A leak here is invisible to output validation (the document can be
     perfectly sorted while a window lease was never released), so the
     fuzz driver checks it separately after every case.
@@ -19,9 +18,8 @@ val install : unit -> unit
 
 val check_session : Nexsort.Session.t -> string list
 (** The invariant violations visible on a session right now: budget
-    blocks still reserved (with holder names), arena owners with
-    [held <> 0], stack windows lent and never restored
-    ({!Extmem.Ext_stack.lend}).  Empty on a clean teardown. *)
+    blocks still reserved (with holder names) and arena owners with
+    [held <> 0].  Empty on a clean teardown. *)
 
 val violations : unit -> string list
 (** Violations recorded by the installed probe since the last {!clear},

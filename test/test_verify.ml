@@ -187,13 +187,14 @@ let test_probe_sees_leak () =
   Nexsort.Session.destroy session;
   check (Alcotest.list Alcotest.string) "destroyed session is clean" []
     (Verify.Probes.check_session session);
-  (* a window lent to a merge and never restored is flagged at teardown,
-     though closing the stack returned its blocks *)
+  (* a lease a phase never closed outlives the session's teardown: the
+     budget and the arena both name its owner *)
   Engine.with_session config @@ fun session ->
-  Extmem.Ext_stack.lend session.Nexsort.Session.path_stack;
+  ignore (Extmem.Frame_arena.lease session.Nexsort.Session.arena ~who:"fragment merge" 2);
   Nexsort.Session.destroy session;
-  check (Alcotest.list Alcotest.string) "a lent window is a leak"
-    [ "window leak: the path stack window is still lent" ]
+  check (Alcotest.list Alcotest.string) "an open lease is a leak"
+    [ "budget leak: 2 blocks still reserved (fragment merge=2)";
+      "arena leak: owner \"fragment merge\" still holds 2 frames" ]
     (Verify.Probes.check_session session)
 
 let () =
