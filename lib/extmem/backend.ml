@@ -11,6 +11,7 @@ type t = {
   write_block : int -> bytes -> unit;
   allocate : int -> unit;
   discard : int -> unit;
+  clear : unit -> unit;
   flush : unit -> unit;
   close : unit -> unit;
 }
@@ -62,6 +63,11 @@ let mem ?(name = "mem") ~block_size () =
           free.(!nfree) <- b;
           incr nfree
         end);
+    clear =
+      (fun () ->
+        (* a cleared disk pins no buffer *)
+        Vec.iteri (fun i _ -> Vec.set v i dead) v;
+        Vec.clear v);
     flush = (fun () -> ());
     close = (fun () -> ());
   }
@@ -117,6 +123,7 @@ let file ?name ?(readonly = false) ~block_size ~path () =
           drain 0);
       allocate = (fun _ -> () (* sparse: the file grows on write *));
       discard = (fun _ -> () (* the file keeps the block: no hole punching *));
+      clear = (fun () -> Unix.ftruncate fd 0);
       flush = (fun () -> ());
       close = (fun () -> Unix.close fd);
     }

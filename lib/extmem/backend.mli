@@ -37,6 +37,7 @@ type t = {
       (** [discard i] tells the store block [i] is dead, like a TRIM: its
           contents will never be read again, so the store may reclaim
           them.  The caller has already range-checked [i]. *)
+  clear : unit -> unit;  (** Drop every block: the next [allocate] starts at 0. *)
   flush : unit -> unit;  (** Push buffered writes down (no-op for primitives). *)
   close : unit -> unit;  (** Release OS resources. *)
 }

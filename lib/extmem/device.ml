@@ -100,6 +100,13 @@ let discard d i =
   d.top.Backend.discard i;
   d.live <- d.live - 1
 
+(* Not an I/O either: the counters and the peak go on across it. *)
+let clear d =
+  d.top.Backend.clear ();
+  d.blocks <- 0;
+  d.live <- 0;
+  d.logical_len <- None
+
 let live_blocks d = d.live
 
 let peak_live_blocks d = d.peak_live

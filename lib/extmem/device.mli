@@ -110,6 +110,11 @@ val discard : t -> int -> unit
     @raise Invalid_argument if [i] is out of range, or (in memory) if
     it was already discarded. *)
 
+val clear : t -> unit
+(** [clear dev] discards every block and empties the device (a file
+    backend truncates its file): the next {!allocate} returns block 0.
+    Not an I/O: {!stats} and {!peak_live_blocks} go on across it. *)
+
 val live_blocks : t -> int
 (** Allocated blocks not yet discarded. *)
 
