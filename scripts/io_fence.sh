@@ -10,8 +10,10 @@
 # runs, forward and reverse-scan external roots, fragment merges with
 # the stack windows taken, depth-limited copies, resident and suspended
 # run readers), the deep smoke shape at -M 8 -t 1024 (the output
-# traversal takes the idle stack windows there) and the flat document
-# under --encoding dict.
+# traversal takes the idle stack windows there), the flat document
+# under --encoding dict, and two baselines that reach the generic
+# external sort directly: key-path merge sort at -M 8 (102 runs, three
+# merge passes) and one-level XSort (one spilled child sort).
 #
 #   scripts/io_fence.sh            compare against BENCH_io.json
 #   scripts/io_fence.sh --update   rewrite BENCH_io.json from this tree
@@ -61,6 +63,8 @@ f31500-depth1-id f31500.xml -B 1024 -M 16 --depth-limit 1 -O @id
 deep-t1024-id deep.xml -B 1024 -M 16 -t 1024 -O @id
 deep-m8-t1024-id deep.xml -B 1024 -M 8 -t 1024 -O @id
 flat-dict flat.xml -B 1024 -M 16 -O @id --encoding dict
+flat-mergesort flat.xml -B 1024 -M 8 -O @id -a mergesort
+flat-xsort flat.xml -B 1024 -M 16 -O @id -a xsort --targets n1
 ROWS
 
 if [ $update -eq 1 ]; then
