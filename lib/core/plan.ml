@@ -31,14 +31,7 @@ let scan ~memory_blocks ~path_blocks ~data_blocks =
 type merge = {
   width : int;
   target : int;
-  passes : int;
 }
-
-(* A merge of [free] blocks: its readers plus one block for its output. *)
-let fan_in free = Stdlib.max 2 (free - 1)
-
-let rec passes_needed ~width ~target n =
-  if n <= target then 0 else 1 + passes_needed ~width ~target ((n + width - 1) / width)
 
 let windows = [ "data stack window"; "path stack window"; "output location stack window" ]
 
@@ -79,15 +72,11 @@ let reclaim t = Extmem.Ext_stack.resize (List.hd t.stacks) (granted t.current "d
 let fragment_merge t ~fragments =
   let g = granted t.scan_grants in
   let free = g "sort arena" and idle = g "data stack window" + g "path stack window" in
+  let fan_in = Extsort.External_sort.fan_in and passes = Extsort.External_sort.passes_needed in
   let plain = fan_in free and target = fan_in (free + idle) in
   let width = fan_in (free + idle + g "output location stack window") in
-  let plain_passes = passes_needed ~width:plain ~target:plain fragments in
-  let lent_passes = passes_needed ~width ~target fragments in
-  let lend = plain_passes > lent_passes in
-  let m =
-    if lend then { width; target; passes = lent_passes }
-    else { width = plain; target = plain; passes = plain_passes }
-  in
+  let lend = passes ~width:plain ~target:plain fragments > passes ~width ~target fragments in
+  let m = if lend then { width; target } else { width = plain; target = plain } in
   let window who = { who; min = 0; max = g who; granted = (if lend then 0 else g who) } in
   enter t "fragment merge"
     ((fixed "input scan" 1 :: List.map window windows)
@@ -102,7 +91,17 @@ let final_batch t m =
     (List.map window (List.filter (fun g -> g.who <> "fragment merge") t.current)
     @ [ { who = "fragment merge fan-in"; min = 2; max = m.target; granted = m.target } ])
 
-let merge_done t = apply t (if t.in_output then t.current else t.scan_grants)
+(* The sort takes every block the phase in force leaves free: its run
+   formation, then each merge batch, then its final merge. *)
+let external_sort t =
+  let held = List.filter (fun g -> g.who <> "sort arena") t.current in
+  let free =
+    Extmem.Memory_budget.total_blocks t.budget - List.fold_left (fun n g -> n + g.granted) 0 held
+  in
+  enter t "external sort" (held @ [ { who = "external sort"; min = 3; max = free; granted = free } ]);
+  free
+
+let sort_done t = apply t (if t.in_output then t.current else t.scan_grants)
 
 (* What the budget holds at the boundary, but the output-location
    window, is the root's open stream: its run reader, or the fused root

@@ -12,7 +12,10 @@
     - {b fragment merge}: when it saves a pass, the idle windows go to
       0 blocks and the intermediate passes take them.
     - {b final batch}: the output-location window comes back; the data
-      and path windows when the batch closes ({!merge_done}).
+      and path windows when the batch closes ({!sort_done}).
+    - {b external sort}: a key-path sort of a subtree too large for the
+      sort arena (§3.1) takes the arena's blocks until its stream closes
+      ({!sort_done}).
     - {b output}: the empty data and path stacks' windows go to the run
       traversal.
 
@@ -40,7 +43,6 @@ val granted : grant list -> string -> int
 type merge = {
   width : int;   (** runs merged by one intermediate batch *)
   target : int;  (** at most this many runs reach the final batch *)
-  passes : int;  (** intermediate passes *)
 }
 
 type t
@@ -64,15 +66,24 @@ val reclaim : t -> unit
 val fragment_merge : t -> fragments:int -> merge
 (** Boundary: a merge of [fragments] runs starts.  Its batches lease
     their readers and, in an intermediate pass, one block for the
-    output run.  The windows go to the passes only when that saves one:
-    it costs their dirty blocks' write-back and later page-ins. *)
+    output run ({!Extsort.External_sort.reduce}).  The windows go to the
+    passes only when that saves one
+    ({!Extsort.External_sort.passes_needed}): it costs their dirty
+    blocks' write-back and later page-ins. *)
 
 val final_batch : t -> merge -> unit
 (** Boundary: the merge's final batch opens. *)
 
-val merge_done : t -> unit
-(** The final batch closed: the windows return to the phase in force,
-    the scan or, for a fused root, the output. *)
+val external_sort : t -> int
+(** Boundary: an external subtree sort starts.  Its one consumer,
+    ["external sort"] (at least 3 blocks), is granted every block the
+    other consumers of the phase in force leave; that grant is
+    returned. *)
+
+val sort_done : t -> unit
+(** A fragment merge's final batch or an external sort's stream closed:
+    the windows return to the phase in force, the scan or, for a fused
+    root, the output. *)
 
 val output : t -> writer:bool -> unit
 (** Boundary: the output traversal starts, with an XML writer when

@@ -26,22 +26,37 @@ let sort_in_memory_source (session : Session.t) views =
 
 (* ---- key-path external sort ---- *)
 
+(* A sort's stream from [open_]: the plan's phase ends when the stream
+   closes, or when opening it raises.  An external sort's input pops the
+   data stack, whose elastic window may have re-grown mid-sort; leaving
+   the phase reclaims it, so an aborted sort leaves the budget exactly as
+   a completed one would. *)
+let closing_phase (session : Session.t) open_ =
+  let plan = session.Session.plan in
+  match open_ () with
+  | exception e ->
+      Plan.sort_done plan;
+      raise e
+  | (s : string Pipe.opened) ->
+      let left = ref false in
+      let leave () = if not !left then (left := true; Plan.sort_done plan) in
+      { s with Pipe.close = (fun () -> Fun.protect ~finally:leave s.Pipe.close) }
+
 let sort_external_source (session : Session.t) ~input ~scan =
   let config = session.Session.config in
   Plan.reclaim session.Session.plan;
   (* whatever an earlier sort left on the scratch device is dead: start
      at block 0, so a file-backed device holds one sort's runs at a time *)
   Extmem.Device.clear session.Session.temp;
-  try
-    Forest.keypath_sort ~arena:session.Session.arena ~budget:session.Session.budget
-      ~temp:session.Session.temp ~encoding:config.Config.encoding ~enc:session.Session.enc_scratch
-      ~depth_limit:config.Config.depth_limit ~scan input
-  with e ->
-    (* The input callback pops the data stack, whose elastic window may
-       have re-grown mid-sort; reclaim it so an aborted subtree sort
-       leaves the budget exactly as a completed one would. *)
-    Plan.reclaim session.Session.plan;
-    raise e
+  let grant = Plan.external_sort session.Session.plan in
+  closing_phase session @@ fun () ->
+  let free = Extmem.Memory_budget.available_blocks session.Session.budget in
+  if free <> grant then
+    failwith
+      (Printf.sprintf "external sort: the plan grants %d blocks, the budget has %d free" grant free);
+  Forest.keypath_sort ~arena:session.Session.arena ~budget:session.Session.budget
+    ~temp:session.Session.temp ~encoding:config.Config.encoding ~enc:session.Session.enc_scratch
+    ~depth_limit:config.Config.depth_limit ~scan input
 
 (* ---- fragments (graceful degeneration, §3.2) ---- *)
 
@@ -134,53 +149,20 @@ let fragment_batch_pull (session : Session.t) ~keep_headers ~fragments =
   in
   pull
 
-(* A merge of fragment runs whose reader buffers are leased from the
-   arena under [who] for as long as it is open — released by [close],
-   also when the first reads fault.  The plan's grant covers [blocks].
-   [on_close] runs after the release. *)
-let open_fragment_batch ?(on_close = ignore) (session : Session.t) ~who ~blocks ~keep_headers
-    ~fragments =
-  let lease = Extmem.Frame_arena.lease session.Session.arena ~who blocks in
-  let released = ref false in
-  let close () =
-    if not !released then begin
-      released := true;
-      Extmem.Frame_arena.close_lease lease;
-      on_close ()
-    end
+(* The final merge of fragment runs, its reader buffers leased from the
+   arena under ["fragment merge fan-in"] until [close], also when the
+   first reads fault. *)
+let open_final_batch (session : Session.t) ~fragments =
+  let lease =
+    Extmem.Frame_arena.lease session.Session.arena ~who:"fragment merge fan-in"
+      (List.length fragments)
   in
-  match fragment_batch_pull session ~keep_headers ~fragments with
+  let close () = Extmem.Frame_arena.close_lease lease in
+  match fragment_batch_pull session ~keep_headers:false ~fragments with
   | pull -> { Pipe.pull; close }
   | exception e ->
       close ();
       raise e
-
-(* Intermediate passes: merge [width] runs at a time (the readers plus
-   the output run's writer buffer) until at most [target] remain. *)
-let reduce_fragments session ~width ~target fragments =
-  let rec batches = function
-    | [] -> []
-    | ids ->
-        let rec take n acc = function
-          | rest when n = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | x :: tl -> take (n - 1) (x :: acc) tl
-        in
-        let b, rest = take width [] ids in
-        b :: batches rest
-  in
-  let rec go fragments =
-    if List.length fragments <= target then fragments
-    else
-      go
-        (List.map
-           (fun batch ->
-             to_run session
-               (open_fragment_batch session ~who:"fragment merge"
-                  ~blocks:(List.length batch + 1) ~keep_headers:true ~fragments:batch))
-           (batches fragments))
-  in
-  go fragments
 
 (* The wrapped, merged element; [start_view]'s payload passes through
    verbatim.  The plan sizes the passes and moves the stack windows at
@@ -189,12 +171,16 @@ let reduce_fragments session ~width ~target fragments =
 let merge_fragments_source (session : Session.t) ~start_view ~fragments =
   let plan = session.Session.plan in
   let m = Plan.fragment_merge plan ~fragments:(List.length fragments) in
-  let fragments = reduce_fragments session ~width:m.Plan.width ~target:m.Plan.target fragments in
-  Plan.final_batch plan m;
-  let merged =
-    open_fragment_batch session ~who:"fragment merge fan-in" ~blocks:(List.length fragments)
-      ~keep_headers:false ~fragments ~on_close:(fun () -> Plan.merge_done plan)
+  let merge batch =
+    to_run session
+      { Pipe.pull = fragment_batch_pull session ~keep_headers:true ~fragments:batch; close = ignore }
   in
+  let fragments, passes =
+    Extsort.External_sort.reduce ~arena:session.Session.arena ~who:"fragment merge"
+      ~width:m.Plan.width ~target:m.Plan.target ~merge fragments
+  in
+  Plan.final_batch plan m;
+  let merged = closing_phase session (fun () -> open_final_batch session ~fragments) in
   let st = ref `Start in
   let pull () =
     match !st with
@@ -216,4 +202,4 @@ let merge_fragments_source (session : Session.t) ~start_view ~fragments =
                 None))
     | `Done -> None
   in
-  ({ merged with Pipe.pull }, m.Plan.passes + 1)
+  ({ merged with Pipe.pull }, passes + 1)

@@ -50,9 +50,13 @@ val sort_external_source :
     them top-of-stack first as popped from the data stack (keys taken
     from [End] entries, which always precede their subtrees in reverse
     order).  Reclaims the data-stack window's elastic blocks first
-    ({!Plan.reclaim}); run formation and every intermediate merge pass
-    consume [input] here, on the session's scratch device.  The final
-    merge's fan-in stays leased until the stream ends or closes. *)
+    ({!Plan.reclaim}), then enters the plan's external-sort phase
+    ({!Plan.external_sort}), which the stream's close leaves; run
+    formation and every intermediate merge pass consume [input] here, on
+    the session's scratch device.  The final merge's fan-in stays leased
+    until the stream ends or closes.
+    @raise Failure when the budget's free blocks differ from the phase's
+    grant. *)
 
 val write_fragment : Session.t -> Entry.View.t list -> Extmem.Run_store.id
 (** Sort a forest of children of one open element (document order,
@@ -68,9 +72,10 @@ val merge_fragments_source :
     complete sorted stream, wrapped in the element's start (and, unless
     packed, end) entry, and the number of merge passes it takes, the
     final merge included.  When the fragments exceed the memory fan-in,
-    intermediate passes first reduce them to what the final merge can
-    lease, writing runs of their own.  The plan sizes the passes and
+    intermediate passes ({!Extsort.External_sort.reduce}) first reduce
+    them to what the final merge can lease, writing runs of their own;
+    the count is the passes they ran.  The plan sizes the passes and
     moves the stack windows at the merge's boundaries
     ({!Plan.fragment_merge}).  Every batch leases its readers from the
-    arena under ["fragment merge"] or, the final one until [close],
-    ["fragment merge fan-in"]. *)
+    arena under ["fragment merge"] (with its output run's block) or, the
+    final one until [close], ["fragment merge fan-in"]. *)

@@ -1,5 +1,3 @@
-let default_who k = Printf.sprintf "%d-way merge" k
-
 (* The heap stores stream indices (unboxed); each stream's head record
    lives in [cur], so no (record, index) pair is allocated per step. *)
 let make_heap ~cmp ~inputs =
@@ -20,37 +18,20 @@ let make_heap ~cmp ~inputs =
     inputs;
   (h, cur)
 
-let merge ?arena ?who ~cmp ~inputs ~output () =
-  let k = Array.length inputs in
-  let who = match who with Some w -> w | None -> default_who k in
-  let body () =
-    let h, cur = make_heap ~cmp ~inputs in
-    while not (Heap.is_empty h) do
-      let i = Heap.pop h in
-      output cur.(i);
-      match inputs.(i) () with
-      | Some r' ->
-          cur.(i) <- r';
-          Heap.push h i
-      | None -> ()
-    done
-  in
-  match arena with
-  | None -> body ()
-  | Some a -> Extmem.Frame_arena.with_lease a ~who k (fun _ -> body ())
+let merge ~cmp ~inputs ~output () =
+  let h, cur = make_heap ~cmp ~inputs in
+  while not (Heap.is_empty h) do
+    let i = Heap.pop h in
+    output cur.(i);
+    match inputs.(i) () with
+    | Some r' ->
+        cur.(i) <- r';
+        Heap.push h i
+    | None -> ()
+  done
 
-let merge_pull ?arena ?lease ?who ~cmp ~inputs () =
-  let k = Array.length inputs in
-  let who = match who with Some w -> w | None -> default_who k in
-  let lease =
-    match (lease, arena) with
-    | Some l, _ -> Some l
-    | None, Some a -> Some (Extmem.Frame_arena.lease a ~who k)
-    | None, None -> None
-  in
-  let release () =
-    match lease with Some l -> Extmem.Frame_arena.close_lease l | None -> ()
-  in
+let merge_pull ~lease ~cmp ~inputs () =
+  let release () = Extmem.Frame_arena.close_lease lease in
   (* the first reads may fault: the lease must not outlive them *)
   let h, cur =
     try make_heap ~cmp ~inputs

@@ -6,18 +6,14 @@
     comparisons and no I/O beyond what the input streams themselves do
     (one buffer block per stream when they are {!Extmem.Block_reader}s).
 
-    Those per-stream buffer blocks are real memory: with [?arena] the
-    merge holds a {!Extmem.Frame_arena.lease} of one block per input for
-    its duration, so an over-wide merge raises
-    {!Extmem.Memory_budget.Exhausted} naming the merge (via [?who],
-    default ["<k>-way merge"]) instead of silently exceeding [M].
+    The merge leases nothing: the caller's lease covers those buffer
+    blocks ({!External_sort.reduce} for a pass's batches, the final
+    merge's opener for {!merge_pull}).
 
     The merge is stable across streams: on equal records, the stream with
     the smaller index wins. *)
 
 val merge :
-  ?arena:Extmem.Frame_arena.t ->
-  ?who:string ->
   cmp:(string -> string -> int) ->
   inputs:(unit -> string option) array ->
   output:(string -> unit) ->
@@ -25,25 +21,19 @@ val merge :
   unit
 (** [merge ~cmp ~inputs ~output ()] drains all input streams into
     [output] in sorted order.  Streams must individually be sorted under
-    [cmp]; this is not checked.  With [?arena], one block per input is
-    leased for the duration of the merge.
-
-    @raise Extmem.Memory_budget.Exhausted when the fan-in does not fit. *)
+    [cmp]; this is not checked. *)
 
 val merge_pull :
-  ?arena:Extmem.Frame_arena.t ->
-  ?lease:Extmem.Frame_arena.lease ->
-  ?who:string ->
+  lease:Extmem.Frame_arena.lease ->
   cmp:(string -> string -> int) ->
   inputs:(unit -> string option) array ->
   unit ->
   (unit -> string option) * (unit -> unit)
-(** Streaming variant for pipeline fusion: [merge_pull ~cmp ~inputs ()]
-    returns [(pull, close)] where [pull] yields the sorted union on
-    demand.  With [?arena], a fan-in lease is taken up front and closed
-    when the stream is exhausted or [close] is called (whichever comes
-    first; [close] is idempotent).  With [?lease] the caller hands over
-    an already-held lease instead (covering the fan-in buffers it
-    opened); the merge assumes ownership and closes it the same way.
-    The first record of every input is read here; if that raises, the
-    lease is closed before the exception leaves. *)
+(** Streaming variant for pipeline fusion: [merge_pull ~lease ~cmp
+    ~inputs ()] returns [(pull, close)] where [pull] yields the sorted
+    union on demand.  [lease] is the caller's, covering the fan-in
+    buffers it opened; the merge assumes ownership and closes it when
+    the stream is exhausted or [close] is called (whichever comes first;
+    [close] is idempotent).  The first record of every input is read
+    here; if that raises, the lease is closed before the exception
+    leaves. *)

@@ -54,66 +54,6 @@ let prop_multiway_equals_list_merge =
       let got = collect (fun output -> Extsort.Multiway.merge ~cmp:compare ~inputs ~output ()) in
       got = List.sort compare (List.concat lists))
 
-let test_multiway_budget_reserved () =
-  (* fan-in buffers are leased from the arena's budget for the merge's
-     duration and released afterwards *)
-  let budget = Extmem.Memory_budget.create ~blocks:4 ~block_size:16 in
-  let arena = Extmem.Frame_arena.create ~budget () in
-  let peak = ref 0 in
-  let first = of_list [ "a" ] in
-  let inputs =
-    [|
-      (fun () ->
-        peak := max !peak (Extmem.Memory_budget.used_blocks budget);
-        first ());
-      of_list [ "b" ];
-      of_list [ "c" ];
-    |]
-  in
-  Extsort.Multiway.merge ~arena ~cmp:compare ~inputs ~output:ignore ();
-  check Alcotest.bool "fan-in reserved during merge" true (!peak >= 3);
-  check Alcotest.int "released after" 0 (Extmem.Memory_budget.used_blocks budget)
-
-let test_multiway_budget_exhausted_names_merge () =
-  let budget = Extmem.Memory_budget.create ~blocks:2 ~block_size:16 in
-  let arena = Extmem.Frame_arena.create ~budget () in
-  let inputs = [| of_list [ "a" ]; of_list [ "b" ]; of_list [ "c" ] |] in
-  (try
-     Extsort.Multiway.merge ~arena ~cmp:compare ~inputs ~output:ignore ();
-     Alcotest.fail "expected Exhausted"
-   with Extmem.Memory_budget.Exhausted who ->
-     let contains s sub =
-       let n = String.length s and m = String.length sub in
-       let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-       go 0
-     in
-     check Alcotest.bool
-       (Printf.sprintf "who names the merge (%s)" who)
-       true (contains who "merge"));
-  check Alcotest.int "nothing leaked" 0 (Extmem.Memory_budget.used_blocks budget)
-
-let test_multiway_pull () =
-  let budget = Extmem.Memory_budget.create ~blocks:4 ~block_size:16 in
-  let arena = Extmem.Frame_arena.create ~budget () in
-  let inputs = [| of_list [ "a"; "c" ]; of_list [ "b"; "d" ] |] in
-  let pull, release = Extsort.Multiway.merge_pull ~arena ~cmp:compare ~inputs () in
-  check Alcotest.int "fan-in held while streaming" 2
-    (Extmem.Memory_budget.used_blocks budget);
-  let rec all acc = match pull () with None -> List.rev acc | Some x -> all (x :: acc) in
-  check (Alcotest.list Alcotest.string) "merged" [ "a"; "b"; "c"; "d" ] (all []);
-  check Alcotest.int "released at exhaustion" 0 (Extmem.Memory_budget.used_blocks budget);
-  release ();
-  check Alcotest.int "release idempotent" 0 (Extmem.Memory_budget.used_blocks budget)
-
-let test_multiway_pull_early_release () =
-  let budget = Extmem.Memory_budget.create ~blocks:4 ~block_size:16 in
-  let arena = Extmem.Frame_arena.create ~budget () in
-  let inputs = [| of_list [ "a"; "c" ]; of_list [ "b" ] |] in
-  let pull, release = Extsort.Multiway.merge_pull ~arena ~cmp:compare ~inputs () in
-  check (Alcotest.option Alcotest.string) "first" (Some "a") (pull ());
-  release ();
-  check Alcotest.int "released early" 0 (Extmem.Memory_budget.used_blocks budget)
-
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
@@ -236,7 +176,8 @@ let test_replacement_selection_sorted_input_one_run () =
     run_sort ~run_formation:`Replacement_selection ~block_size:32 ~blocks:3 records
   in
   check (Alcotest.list Alcotest.string) "sorted" records got;
-  check Alcotest.int "single run" 1 stats.Extsort.External_sort.initial_runs
+  check Alcotest.int "single run" 1 stats.Extsort.External_sort.initial_runs;
+  check Alcotest.int "read back in one pass" 1 stats.Extsort.External_sort.merge_passes
 
 let test_replacement_selection_in_memory () =
   let got, stats, temp, _ = run_sort ~run_formation:`Replacement_selection [ "c"; "a"; "b" ] in
@@ -279,6 +220,99 @@ let prop_extsort_io_bounded =
       (* every run occupies at least one block, so allow one block of
          rounding per initial run per pass on top of the data volume *)
       ios <= 2 * (passes + 1) * (data_blocks + stats.Extsort.External_sort.initial_runs))
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* ------------------------------------------------------------------ *)
+(* The pass driver *)
+
+let test_driver_batch_lease () =
+  (* a batch leases its readers and its output block while it merges, and
+     gives them back after *)
+  let budget = Extmem.Memory_budget.create ~blocks:4 ~block_size:16 in
+  let arena = Extmem.Frame_arena.create ~budget () in
+  let held = ref [] in
+  let merge batch =
+    held := Extmem.Memory_budget.held budget "test merge" :: !held;
+    List.concat batch
+  in
+  let runs, passes =
+    Extsort.External_sort.reduce ~arena ~who:"test merge" ~width:3 ~target:1 ~merge
+      [ [ "a" ]; [ "b" ]; [ "c" ] ]
+  in
+  check (Alcotest.list (Alcotest.list Alcotest.string)) "merged" [ [ "a"; "b"; "c" ] ] runs;
+  check Alcotest.int "one pass" 1 passes;
+  check (Alcotest.list Alcotest.int) "three readers and the output held" [ 4 ] !held;
+  check Alcotest.int "released after" 0 (Extmem.Memory_budget.used_blocks budget)
+
+let test_driver_exhausted_names_merge () =
+  let budget = Extmem.Memory_budget.create ~blocks:3 ~block_size:16 in
+  let arena = Extmem.Frame_arena.create ~budget () in
+  (try
+     ignore
+       (Extsort.External_sort.reduce ~arena ~who:"external sort merge" ~width:3 ~target:1
+          ~merge:List.concat
+          [ [ "a" ]; [ "b" ]; [ "c" ] ]);
+     Alcotest.fail "expected Exhausted"
+   with Extmem.Memory_budget.Exhausted who ->
+     check Alcotest.bool (Printf.sprintf "who names the merge (%s)" who) true (contains who "merge"));
+  check Alcotest.int "nothing leaked" 0 (Extmem.Memory_budget.used_blocks budget)
+
+let prop_driver_passes =
+  QCheck.Test.make ~name:"driver runs passes_needed passes" ~count:300
+    QCheck.(triple (int_range 2 9) (int_range 2 9) (int_range 0 300))
+    (fun (width, target, n) ->
+      let arena = Extmem.Frame_arena.create () in
+      let widest = ref 0 in
+      let merge batch =
+        widest := max !widest (List.length batch);
+        List.concat batch
+      in
+      let runs, passes =
+        Extsort.External_sort.reduce ~arena ~who:"merge" ~width ~target ~merge
+          (List.init n (fun i -> [ i ]))
+      in
+      passes = Extsort.External_sort.passes_needed ~width ~target n
+      && List.length runs <= target
+      && !widest <= width
+      && List.concat runs = List.init n Fun.id)
+
+(* The final merge's opener: [sort_open] over 6 records of which the
+   48-byte formation arena holds 2, so 3 runs reach a 3-way final merge. *)
+let open_final_merge () =
+  let budget = Extmem.Memory_budget.create ~blocks:4 ~block_size:16 in
+  let temp = Extmem.Device.in_memory ~block_size:16 () in
+  let o =
+    Extsort.External_sort.sort_open ~budget ~temp ~cmp:compare
+      ~input:(of_list [ "f"; "c"; "a"; "e"; "b"; "d" ])
+      ()
+  in
+  check Alcotest.int "three runs" 3 o.Extsort.External_sort.stats.Extsort.External_sort.initial_runs;
+  (o, budget)
+
+let test_final_merge_fan_in () =
+  let o, budget = open_final_merge () in
+  check Alcotest.int "fan-in held while streaming" 3
+    (Extmem.Memory_budget.held budget "external sort final merge");
+  check Alcotest.int "and nothing else" 3 (Extmem.Memory_budget.used_blocks budget);
+  let rec all acc =
+    match o.Extsort.External_sort.pull () with None -> List.rev acc | Some x -> all (x :: acc)
+  in
+  check (Alcotest.list Alcotest.string) "merged" [ "a"; "b"; "c"; "d"; "e"; "f" ] (all []);
+  check Alcotest.int "released at exhaustion" 0 (Extmem.Memory_budget.used_blocks budget);
+  o.Extsort.External_sort.close ();
+  check Alcotest.int "close idempotent" 0 (Extmem.Memory_budget.used_blocks budget)
+
+let test_final_merge_early_close () =
+  let o, budget = open_final_merge () in
+  check (Alcotest.option Alcotest.string) "first" (Some "a") (o.Extsort.External_sort.pull ());
+  o.Extsort.External_sort.close ();
+  check Alcotest.int "released early" 0 (Extmem.Memory_budget.used_blocks budget);
+  o.Extsort.External_sort.close ();
+  check Alcotest.int "close again is harmless" 0 (Extmem.Memory_budget.used_blocks budget)
 
 (* ------------------------------------------------------------------ *)
 (* External priority queue *)
@@ -509,12 +543,13 @@ let () =
           Alcotest.test_case "basic" `Quick test_multiway_basic;
           Alcotest.test_case "empty inputs" `Quick test_multiway_empty_inputs;
           Alcotest.test_case "stability" `Quick test_multiway_stability;
-          Alcotest.test_case "budget reserved" `Quick test_multiway_budget_reserved;
-          Alcotest.test_case "budget exhausted names merge" `Quick
-            test_multiway_budget_exhausted_names_merge;
-          Alcotest.test_case "pull merge" `Quick test_multiway_pull;
-          Alcotest.test_case "pull early release" `Quick test_multiway_pull_early_release;
           qcheck prop_multiway_equals_list_merge;
+        ] );
+      ( "pass_driver",
+        [
+          Alcotest.test_case "batch lease" `Quick test_driver_batch_lease;
+          Alcotest.test_case "exhausted names merge" `Quick test_driver_exhausted_names_merge;
+          qcheck prop_driver_passes;
         ] );
       ( "heap",
         [
@@ -539,6 +574,8 @@ let () =
           Alcotest.test_case "empty input" `Quick test_extsort_empty_input;
           Alcotest.test_case "needs three blocks" `Quick test_extsort_needs_three_blocks;
           Alcotest.test_case "custom order" `Quick test_extsort_custom_order;
+          Alcotest.test_case "final merge fan-in" `Quick test_final_merge_fan_in;
+          Alcotest.test_case "final merge early close" `Quick test_final_merge_early_close;
           qcheck prop_extsort_equals_list_sort;
           qcheck prop_extsort_io_bounded;
         ] );

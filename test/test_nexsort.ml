@@ -736,7 +736,7 @@ let test_plan_grants_within_m () =
         Extmem.Memory_budget.release budget ~who:"input scan" 1;
         Nexsort.Plan.output plan ~writer:true;
         Extmem.Memory_budget.release budget ~who:"fragment merge fan-in" readers;
-        Nexsort.Plan.merge_done plan;
+        Nexsort.Plan.sort_done plan;
         Nexsort.Plan.phases plan)
   in
   for m = 8 to 64 do
@@ -1250,6 +1250,9 @@ let test_aborted_external_sort_restores_budget () =
   let config = Config.make ~block_size:256 ~memory_blocks:12 () in
   Engine.with_session config @@ fun session ->
   let budget = session.Nexsort.Session.budget in
+  (* the scan's input buffer, which the plan's external-sort grant
+     leaves out *)
+  Extmem.Memory_budget.reserve budget ~who:"input scan" 1;
   let baseline = Extmem.Memory_budget.used_blocks budget in
   let run variant =
     let fed = ref 0 in
@@ -1297,8 +1300,32 @@ let test_aborted_external_sort_restores_budget () =
       ignore (Extmem.Ext_stack.pop session.Nexsort.Session.data_stack)
     done
   in
+  let free = Extmem.Memory_budget.available_blocks budget in
   run `Run;
-  run `Root
+  run `Root;
+  (* the plan's phase: entered once per sort, granting the free blocks *)
+  let phase () =
+    match
+      List.find_opt (fun (p, _, _) -> p = "external sort")
+        (Nexsort.Plan.phases session.Nexsort.Session.plan)
+    with
+    | Some (_, entries, grants) -> (entries, Nexsort.Plan.granted grants "external sort")
+    | None -> Alcotest.fail "no external sort phase"
+  in
+  check (Alcotest.pair Alcotest.int Alcotest.int) "two entries, each granted the free blocks"
+    (2, free) (phase ());
+  (* a budget that disagrees with the plan's grant is refused before the
+     sort takes anything, and the phase is left *)
+  Extmem.Memory_budget.reserve budget ~who:"stray" 1;
+  (match
+     Nexsort.Subtree_sort.sort_external_source session ~input:(fun () -> None) ~scan:`Forward
+   with
+  | _ -> Alcotest.fail "expected the grant check to fail"
+  | exception Failure _ -> ());
+  check Alcotest.int "third entry" 3 (fst (phase ()));
+  check Alcotest.int "nothing taken" (baseline + 1) (Extmem.Memory_budget.used_blocks budget);
+  Extmem.Memory_budget.release budget ~who:"stray" 1;
+  Extmem.Memory_budget.release budget ~who:"input scan" 1
 
 let test_report_io_accounting () =
   let xml = gen_doc 6 in
@@ -1388,6 +1415,15 @@ let test_scratch_file_holds_one_sort () =
   let sorted, r = Engine.sort_string ~config ~ordering:by_id xml in
   check Alcotest.string "sorted like the oracle" (Verify.Oracle.sort_string by_id xml) sorted;
   check Alcotest.int "two external sorts" 2 r.Nexsort.external_sorts;
+  (match List.find_opt (fun (p, _, _) -> p = "external sort") r.Nexsort.plan with
+  | Some (_, entries, grants) ->
+      check Alcotest.int "one plan entry per external sort" 2 entries;
+      check Alcotest.int "the sort arena's blocks"
+        (Nexsort.Plan.granted (Nexsort.Plan.scan ~memory_blocks:8
+           ~path_blocks:config.Config.path_stack_blocks
+           ~data_blocks:config.Config.data_stack_blocks) "sort arena")
+        (Nexsort.Plan.granted grants "external sort")
+  | None -> Alcotest.fail "no external sort phase");
   let writes = (List.assoc "scratch" r.Nexsort.breakdown).Extmem.Io_stats.writes in
   let size = (Unix.stat (path ^ ".temp")).Unix.st_size in
   check Alcotest.bool
