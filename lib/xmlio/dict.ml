@@ -90,12 +90,10 @@ let rec probe_string d s h i =
       if d.hash_of_id.(id) = h && String.equal (Extmem.Vec.get d.by_id id) s then Some id
       else probe_string d s h ((i + 1) land d.mask)
 
-let find_locked_string d s h = probe_string d s h (h land d.mask)
-
 let intern d s =
   Mutex.protect d.lock (fun () ->
       let h = hash_string s in
-      match find_locked_string d s h with Some id -> id | None -> add_locked d s h)
+      match probe_string d s h (h land d.mask) with Some id -> id | None -> add_locked d s h)
 
 (* The probe for [intern_bytes], a top-level function so the hot path
    allocates no closure: only the result pair, and the string on a miss. *)
@@ -121,13 +119,6 @@ let intern_bytes d b off len =
       Mutex.unlock d.lock;
       raise e
 
-let find d s =
-  let h = hash_string s in
-  Mutex.lock d.lock;
-  let r = find_locked_string d s h in
-  Mutex.unlock d.lock;
-  r
-
 (* Called once per start tag by the output phase: lock and unlock
    directly, as [intern_bytes] does, so a lookup allocates nothing. *)
 let lookup d id =
@@ -139,12 +130,6 @@ let lookup d id =
   let s = Extmem.Vec.get d.by_id id in
   Mutex.unlock d.lock;
   s
-
-let size d =
-  Mutex.lock d.lock;
-  let n = Extmem.Vec.length d.by_id in
-  Mutex.unlock d.lock;
-  n
 
 let to_list d =
   Mutex.lock d.lock;

@@ -19,14 +19,8 @@ val intern_bytes : t -> bytes -> int -> int -> int * string
     first occurrence — the hot path for a parser resolving names straight
     out of its scratch buffer. *)
 
-val find : t -> string -> int option
-(** The id of [s] if already interned. *)
-
 val lookup : t -> int -> string
 (** The string behind an id.  @raise Invalid_argument on unknown ids. *)
-
-val size : t -> int
-(** Number of distinct strings interned. *)
 
 val to_list : t -> string list
 (** All interned strings in id order. *)

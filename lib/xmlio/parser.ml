@@ -32,7 +32,6 @@ type t = {
   mutable peeked_event : Event.t option option;
   mutable root_seen : bool;
   mutable finished : bool;
-  mutable doctype_subset : string option;
   keep_ws : bool;
   buf : Buffer.t;                     (* text accumulator *)
   buf2 : Buffer.t;                    (* entity references *)
@@ -69,7 +68,6 @@ let create ?dict ?(keep_whitespace = false) src win wlen =
     peeked_event = None;
     root_seen = false;
     finished = false;
-    doctype_subset = None;
     keep_ws = keep_whitespace;
     buf = Buffer.create 256;
     buf2 = Buffer.create 64;
@@ -294,24 +292,33 @@ let read_pi p =
   go false
 
 let read_doctype p =
-  (* after "<!DOCTYPE"; the internal subset (between brackets) is captured
-     so a DTD can be recovered with [doctype_subset] *)
-  let subset = Buffer.create 64 in
-  let rec go bracket_depth =
-    match read_char p "unterminated DOCTYPE" with
-    | '[' ->
-        if bracket_depth > 0 then Buffer.add_char subset '[';
-        go (bracket_depth + 1)
-    | ']' ->
-        if bracket_depth > 1 then Buffer.add_char subset ']';
-        go (bracket_depth - 1)
-    | '>' when bracket_depth = 0 -> ()
-    | c ->
-        if bracket_depth > 0 then Buffer.add_char subset c;
-        go bracket_depth
+  (* after "<!DOCTYPE": skip to its closing '>', past the internal
+     subset's brackets.  Quoted literals, comments and PIs are skipped
+     whole, since any of them may hold a ']' or a '>'. *)
+  let eof = "unterminated DOCTYPE" in
+  let rec skip_literal q = if read_char p eof <> q then skip_literal q in
+  let next_is c =
+    if peek p = c then begin
+      junk p c;
+      true
+    end
+    else false
   in
-  go 0;
-  if Buffer.length subset > 0 then p.doctype_subset <- Some (Buffer.contents subset)
+  let rec go depth =
+    match read_char p eof with
+    | '[' -> go (depth + 1)
+    | ']' -> go (depth - 1)
+    | '>' when depth = 0 -> ()
+    | ('"' | '\'') as q ->
+        skip_literal q;
+        go depth
+    | '<' when depth > 0 ->
+        if next_is '?' then read_pi p
+        else if next_is '!' && next_is '-' && next_is '-' then read_comment p;
+        go depth
+    | _ -> go depth
+  in
+  go 0
 
 let read_cdata p =
   (* after "<![CDATA[", contents appended to p.buf *)
@@ -698,8 +705,6 @@ let to_list p =
     | None -> List.rev acc
   in
   go []
-
-let doctype_subset p = p.doctype_subset
 
 (* the character-level [peek] is shadowed here: the public one is the
    event lookahead *)

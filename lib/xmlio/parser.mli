@@ -66,11 +66,5 @@ val offset : t -> int
     a [Start] event it is the offset just past the start tag's ['>'] (or
     ["/>"]).  It does not depend on the source or its block size. *)
 
-val doctype_subset : t -> string option
-(** The internal subset of the document's DOCTYPE (the text between the
-    brackets), once the declaration has been consumed — feed it to
-    {!Dtd.parse} to recover the DTD.  [None] when there is no DOCTYPE or
-    it has no internal subset. *)
-
 val to_list : t -> Event.t list
 (** Drain the parser.  @raise Error on malformed input. *)

@@ -94,11 +94,4 @@ let rec map_children f = function
       let e = { e with children } in
       Element { e with children = f e }
 
-let rec fold f acc t =
-  match t with
-  | Text _ -> f acc t
-  | Element { children; _ } ->
-      let acc = f acc t in
-      List.fold_left (fold f) acc children
-
 let pp ppf t = Format.pp_print_string ppf (to_string ~indent:true t)

@@ -54,7 +54,4 @@ val map_children : (element -> t list) -> t -> t
     the function's result (applied to the element whose children have
     already been rewritten). *)
 
-val fold : ('acc -> t -> 'acc) -> 'acc -> t -> 'acc
-(** Pre-order fold over all nodes. *)
-
 val pp : Format.formatter -> t -> unit

@@ -1,18 +1,19 @@
 (* Dead-export gate: list the values the library interfaces export that
-   nothing calls outside the tests and the module itself, and fail on any
-   that the allowlist does not name.
+   nothing calls outside the tests, the examples and the module itself,
+   and fail on any that the allowlist does not name.
 
      dune exec scripts/dead_exports.exe -- scripts/dead_exports.allow
 
    Run from the repository root.  Exports are the top-level and nested
    [val]s of lib/*/*.mli (vals inside [module type] declarations are
    signatures, not exports).  Callers are the .ml files of lib/, bin/,
-   bench/, perf/ and examples/; a value counts as called when some other
-   file names it qualified by its module ([Device.copy],
-   [Extmem.Device.copy], through a [module D = ...Device] alias or a
-   library-level [include]) or bare under an [open]/[include] of that
-   module.  The match is by the last module name only, so it errs
-   towards "called": an export it lists really has no caller.
+   bench/ and perf/: an example's use, like a test's, keeps nothing
+   alive.  A value counts as called when some other file names it
+   qualified by its module ([Device.copy], [Extmem.Device.copy],
+   through a [module D = ...Device] alias or a library-level
+   [include]) or bare under an [open]/[include] of that module.  The
+   match is by the last module name only, so it errs towards
+   "called": an export it lists really has no caller.
 
    Each allowlist line is an export's dotted name (or a module prefix
    covering all of its vals), then its reason; '#' starts a comment
@@ -187,7 +188,7 @@ let () =
   let callers =
     List.concat_map
       (fun d -> if Sys.file_exists d then ml_files d else [])
-      [ "lib"; "bin"; "bench"; "perf"; "examples" ]
+      [ "lib"; "bin"; "bench"; "perf" ]
   in
   let refs = List.map (fun f -> (f, refs_of_ml f)) callers in
   (* a library module's top-level [include M] makes its name stand for
@@ -242,7 +243,7 @@ let () =
   List.iter
     (fun name ->
       if not (List.exists (fun (entry, _) -> covers entry name) allow) then
-        error "dead export: %s has no caller outside the tests and its own module" name)
+        error "dead export: %s has no caller outside the tests, the examples and its own module" name)
     dead;
   if !errors > 0 then begin
     Printf.eprintf

@@ -522,109 +522,6 @@ let prop_seqnum_restores_any_document =
       Xmlio.Tree.equal (parse doc) (parse (Xmerge.Seqnum.restore ~config sorted)))
 
 (* ------------------------------------------------------------------ *)
-(* Archive (nested merge of versions) *)
-
-let test_archive_init_and_extract () =
-  let doc = "<db id=\"0\"><item id=\"2\">two</item><item id=\"1\">one</item></db>" in
-  let archive, report = Xmerge.Archive.init ~config ~ordering:by_id ~version:"v1" doc in
-  check (Alcotest.list Alcotest.string) "versions" [ "v1" ] (Xmerge.Archive.versions archive);
-  check Alcotest.int "elements added" 3 report.Xmerge.Archive.elements_added;
-  (match Xmerge.Archive.extract ~version:"v1" archive with
-  | Some snapshot ->
-      check tree_eq "extract = sorted original"
-        (parse "<db id=\"0\"><item id=\"1\">one</item><item id=\"2\">two</item></db>")
-        (parse snapshot)
-  | None -> Alcotest.fail "v1 missing");
-  check Alcotest.bool "unknown version" true
-    (Xmerge.Archive.extract ~version:"v9" archive = None)
-
-let test_archive_add_and_extract_all () =
-  let v1 = "<db id=\"0\"><item id=\"1\">alpha</item><item id=\"2\">beta</item></db>" in
-  (* v2: item 2 changes text, item 3 appears, item 1 disappears *)
-  let v2 = "<db id=\"0\"><item id=\"3\">new</item><item id=\"2\">BETA</item></db>" in
-  let archive, _ = Xmerge.Archive.init ~config ~ordering:by_id ~version:"v1" v1 in
-  let archive, report = Xmerge.Archive.add ~config ~ordering:by_id ~version:"v2" ~archive v2 in
-  check (Alcotest.list Alcotest.string) "versions" [ "v1"; "v2" ]
-    (Xmerge.Archive.versions archive);
-  check Alcotest.int "item 3 added" 1 report.Xmerge.Archive.elements_added;
-  let snap v = Option.get (Xmerge.Archive.extract ~version:v archive) in
-  check tree_eq "v1 reconstructed"
-    (Baselines.Tree_sort.sort_tree by_id (parse v1))
-    (parse (snap "v1"));
-  check tree_eq "v2 reconstructed"
-    (Baselines.Tree_sort.sort_tree by_id (parse v2))
-    (parse (snap "v2"))
-
-let test_archive_duplicate_version_rejected () =
-  let archive, _ = Xmerge.Archive.init ~config ~ordering:by_id ~version:"v1" "<db id=\"0\"/>" in
-  try
-    ignore (Xmerge.Archive.add ~config ~ordering:by_id ~version:"v1" ~archive "<db id=\"0\"/>");
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
-
-let test_archive_reserved_names_rejected () =
-  (try
-     ignore (Xmerge.Archive.init ~config ~ordering:by_id ~version:"v1" "<db id=\"0\" __v=\"x\"/>");
-     Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ());
-  try
-    ignore (Xmerge.Archive.init ~config ~ordering:by_id ~version:"v1" "<db id=\"0\"><__text/></db>");
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
-
-let test_archive_is_sorted () =
-  let pair = Xmlgen.Company.generate ~seed:8 () in
-  let ordering = Xmlgen.Company.ordering in
-  let archive, _ =
-    Xmerge.Archive.init ~config ~ordering ~version:"2026-01" pair.Xmlgen.Company.personnel
-  in
-  let archive, _ =
-    Xmerge.Archive.add ~config ~ordering ~version:"2026-02" ~archive pair.Xmlgen.Company.payroll
-  in
-  (* the archive stays fully sorted, so the next merge is one pass *)
-  check Alcotest.bool "archive sorted" true
-    (Baselines.Tree_sort.sorted ordering (parse archive))
-
-let prop_archive_roundtrip =
-  (* every version of a random history is reconstructible, exactly *)
-  QCheck.Test.make ~name:"archive reconstructs every version exactly" ~count:40
-    QCheck.(pair small_nat (int_range 2 4))
-    (fun (seed, nversions) ->
-      let version_doc i =
-        let s, _ =
-          Xmlgen.Gen.to_string (fun sink ->
-              Xmlgen.Gen.random_shape ~seed:(seed + (i * 131)) ~avg_bytes:30 ~max_elements:40
-                ~height:3 ~max_fanout:4 sink)
-        in
-        s
-      in
-      let docs = List.init nversions version_doc in
-      (* all docs share the root tag n1, as archives require *)
-      let archive =
-        List.fold_left
-          (fun acc (i, doc) ->
-            match acc with
-            | None -> Some (fst (Xmerge.Archive.init ~config ~ordering:by_id ~version:(Printf.sprintf "v%d" i) doc))
-            | Some archive ->
-                Some
-                  (fst
-                     (Xmerge.Archive.add ~config ~ordering:by_id
-                        ~version:(Printf.sprintf "v%d" i) ~archive doc)))
-          None
-          (List.mapi (fun i d -> (i, d)) docs)
-      in
-      let archive = Option.get archive in
-      List.for_all
-        (fun (i, doc) ->
-          match Xmerge.Archive.extract ~version:(Printf.sprintf "v%d" i) archive with
-          | None -> false
-          | Some snap ->
-              Xmlio.Tree.equal
-                (Baselines.Tree_sort.sort_tree by_id (parse doc))
-                (parse snap))
-        (List.mapi (fun i d -> (i, d)) docs))
-
-(* ------------------------------------------------------------------ *)
 (* Generators *)
 
 let test_gen_exact_shape () =
@@ -1298,15 +1195,6 @@ let () =
           Alcotest.test_case "order through merge" `Quick test_seqnum_preserves_order_through_merge;
           Alcotest.test_case "rejects reserved" `Quick test_seqnum_rejects_reserved;
           qcheck prop_seqnum_restores_any_document;
-        ] );
-      ( "archive",
-        [
-          Alcotest.test_case "init and extract" `Quick test_archive_init_and_extract;
-          Alcotest.test_case "add and extract all" `Quick test_archive_add_and_extract_all;
-          Alcotest.test_case "duplicate version" `Quick test_archive_duplicate_version_rejected;
-          Alcotest.test_case "reserved names" `Quick test_archive_reserved_names_rejected;
-          Alcotest.test_case "archive stays sorted" `Quick test_archive_is_sorted;
-          qcheck prop_archive_roundtrip;
         ] );
       ( "generators",
         [
