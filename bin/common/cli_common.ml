@@ -24,9 +24,20 @@ let with_merge_endpoints config ~left ~right ~output f =
               let l = dev l and r = dev r and o = dev o in
               (f ~left:l ~right:r ~output:o, (l, r, o)))))
 
+(* A session's block I/O by component, and in total: a merge report's
+   account of one of its sorts. *)
+let sort_io (s : Nexsort.Session.t) =
+  let io = Obs.Json.io_stats in
+  Obs.Json.Obj
+    (List.map (fun (n, st) -> (n, io st)) (Nexsort.Session.io_breakdown s)
+    @ [ ("total", io (Nexsort.Session.total_io s)) ])
+
 (* A merge job's report, the same in every tool: the pass's counts and
-   phases, and the I/O of the job's three endpoints. *)
-let merge_report ?(tool = "nexsort-merge") (r : Xmerge.Struct_merge.report) (left, right, output) =
+   phases, and the I/O of the job's three endpoints and, when it sorted
+   its inputs on a session pair ([sorts], read after the job), of each
+   sort. *)
+let merge_report ?(tool = "nexsort-merge") ?sorts (r : Xmerge.Struct_merge.report)
+    (left, right, output) =
   let rep = Obs.Report.create ~tool in
   Obs.Report.add rep "counts"
     (Obs.Json.Obj
@@ -36,8 +47,13 @@ let merge_report ?(tool = "nexsort-merge") (r : Xmerge.Struct_merge.report) (lef
          ("matched_elements", Obs.Json.Int r.Xmerge.Struct_merge.matched_elements) ]);
   Obs.Report.add rep "phases" (Obs.Span.to_json r.Xmerge.Struct_merge.spans);
   let io d = Obs.Json.io_stats (Extmem.Io_stats.snapshot (Extmem.Device.stats d)) in
+  let sorts =
+    match sorts with
+    | Some (l, r) -> [ ("left_sort", sort_io l); ("right_sort", sort_io r) ]
+    | None -> []
+  in
   Obs.Report.add rep "io"
-    (Obs.Json.Obj [ ("left", io left); ("right", io right); ("output", io output) ]);
+    (Obs.Json.Obj ([ ("left", io left); ("right", io right); ("output", io output) ] @ sorts));
   rep
 
 (* Incremental maintenance over a job's [session]: sort the [base] file

@@ -220,17 +220,18 @@ let run_sort engine cancel (r : sort_req) =
    each. *)
 let run_merge engine cancel (r : merge_req) =
   let config = r.mr_config in
-  let (report, job), endpoints =
+  let (report, job, sorts), endpoints =
     Cli_common.with_merge_endpoints config ~left:r.mr_left ~right:r.mr_right ~output:r.mr_output
       (fun ~left ~right ~output ->
         Engine.run_pair ~name:"merge" ~cancel engine ~tenant:r.mr_tenant config
           (fun job sessions ->
             ( Xmerge.Struct_merge.sort_and_merge_devices ~fuse:(not r.mr_no_fuse) ~sessions
                 ~pass:Xmerge.Struct_merge.merge ~ordering:r.mr_ordering ~left ~right ~output (),
-              Engine.job_json engine job )))
+              Engine.job_json engine job,
+              sessions )))
   in
   Cli_common.write_metrics r.mr_metrics
-    (let rep = Cli_common.merge_report report endpoints in
+    (let rep = Cli_common.merge_report ~sorts report endpoints in
      Obs.Report.add rep "job" job;
      rep);
   Printf.sprintf "merge %s + %s -> %s (%d matched)" r.mr_left r.mr_right r.mr_output

@@ -99,17 +99,21 @@ let run ordering presorted update_mode ingest_mode flush_every indexed device no
           Cli_common.with_merge_endpoints config ~left:left_path ~right:(List.hd right_paths)
             ~output (fun ~left ~right ~output ->
               if presorted then
-                Xmerge.Struct_merge.merge_devices ~tracer ~pass ~ordering ~left ~right ~output ()
+                (Xmerge.Struct_merge.merge_devices ~tracer ~pass ~ordering ~left ~right ~output (),
+                 None)
               else
                 Engine.with_session_pair config (fun sessions ->
-                    Xmerge.Struct_merge.sort_and_merge_devices ~fuse:(not no_fuse) ~sessions ~pass
-                      ~ordering ~left ~right ~output ()))
+                    ( Xmerge.Struct_merge.sort_and_merge_devices ~fuse:(not no_fuse) ~sessions
+                        ~pass ~ordering ~left ~right ~output (),
+                      Some sessions )))
         in
         let rep, summary =
           if update_mode then begin
-            let r, endpoints = merge Xmerge.Batch_update.apply in
+            let (r, sorts), endpoints = merge Xmerge.Batch_update.apply in
             let open Xmerge.Batch_update in
-            let rep = Cli_common.merge_report ~tool:"nexsort-merge-update" r.merge endpoints in
+            let rep =
+              Cli_common.merge_report ~tool:"nexsort-merge-update" ?sorts r.merge endpoints
+            in
             Obs.Report.add rep "updates"
               (Obs.Json.Obj
                  [ ("deletes", Obs.Json.Int r.deletes);
@@ -121,8 +125,8 @@ let run ordering presorted update_mode ingest_mode flush_every indexed device no
                 r.unmatched_deletes )
           end
           else begin
-            let r, endpoints = merge Xmerge.Struct_merge.merge in
-            ( Cli_common.merge_report r endpoints,
+            let (r, sorts), endpoints = merge Xmerge.Struct_merge.merge in
+            ( Cli_common.merge_report ?sorts r endpoints,
               Printf.sprintf "matched %d elements, emitted %d events"
                 r.Xmerge.Struct_merge.matched_elements r.Xmerge.Struct_merge.output_events )
           end
