@@ -7,11 +7,19 @@
 
 let packed (session : Session.t) = session.Session.config.Config.encoding = Config.Packed
 
-let to_run ?buffer (session : Session.t) (s : string Pipe.opened) =
+(* The writer's block comes from the arena's pool and the pointer takes
+   the tail straight out of it, so a run allocates no buffer. *)
+let to_run ?buffer (session : Session.t) (s : string Pipe.opened) ~pointer =
+  let runs = session.Session.runs and arena = session.Session.arena in
   let drain () =
-    let w = Extmem.Run_store.begin_run session.Session.runs in
+    let frame =
+      Extmem.Frame_arena.take arena (Extmem.Device.block_size (Extmem.Run_store.device runs))
+    in
+    Fun.protect ~finally:(fun () -> Extmem.Frame_arena.give arena frame) @@ fun () ->
+    let w = Extmem.Run_store.begin_run ~buffer:frame runs in
     Pipe.drain s.Pipe.pull (Extmem.Block_writer.write_record w);
-    Extmem.Run_store.finish_run session.Session.runs w
+    let run, n = Extmem.Run_store.finish_pointed runs w in
+    pointer run (Bytes.unsafe_to_string frame) n
   in
   Fun.protect ~finally:s.Pipe.close (fun () ->
       match buffer with
@@ -172,8 +180,11 @@ let merge_fragments_source (session : Session.t) ~start_view ~fragments =
   let plan = session.Session.plan in
   let m = Plan.fragment_merge plan ~fragments:(List.length fragments) in
   let merge batch =
-    to_run session
-      { Pipe.pull = fragment_batch_pull session ~keep_headers:true ~fragments:batch; close = ignore }
+    let w = Extmem.Run_store.begin_run session.Session.runs in
+    Pipe.drain
+      (fragment_batch_pull session ~keep_headers:true ~fragments:batch)
+      (Extmem.Block_writer.write_record w);
+    Extmem.Run_store.finish_run session.Session.runs w
   in
   let fragments, passes =
     Extsort.External_sort.reduce ~arena:session.Session.arena ~who:"fragment merge"

@@ -28,9 +28,18 @@
     honour the session's depth limit: the child list of an element at
     level L is sorted only when L <= d (root = level 1). *)
 
-val to_run : ?buffer:string -> Session.t -> string Pipe.opened -> Extmem.Run_store.id
-(** Drain an opened stream into a new registered run, closing the stream
-    on every path.  [buffer] names a one-block arena lease held for the
+val to_run :
+  ?buffer:string ->
+  Session.t ->
+  string Pipe.opened ->
+  pointer:(Extmem.Run_store.id -> string -> int -> 'a) ->
+  'a
+(** Drain an opened stream into a new registered run for a run pointer
+    to name, closing the stream on every path, and return [pointer run
+    s n]: the run's tail, the pointer's to carry
+    ({!Extmem.Run_store.finish_pointed}), is the first [n] bytes of [s],
+    valid during the call only.
+    [buffer] names a one-block arena lease held for the
     drain: the run writer's buffer as an external sort charges it (its
     final merge leaves that block free); the other kinds charge none. *)
 

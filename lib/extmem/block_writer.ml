@@ -92,3 +92,9 @@ let close w =
   end;
   w.closed <- true;
   { Extent.first_block = w.first_block; blocks = w.blocks; bytes }
+
+let close_split w =
+  check_open w;
+  w.closed <- true;
+  ({ Extent.first_block = w.first_block; blocks = w.blocks; bytes = w.blocks * Bytes.length w.buf },
+   w.fill)

@@ -39,3 +39,10 @@ val position : t -> int
 val close : t -> Extent.t
 (** Flush the final partial block and return the extent covering the whole
     stream.  The writer must not be used afterwards. *)
+
+val close_split : t -> Extent.t * int
+(** Close without writing the final partial block: the extent covers the
+    full blocks only ([bytes] is their size), and the bytes past them,
+    the tail, stay at the front of the writer's buffer: their count
+    comes back (fewer than a block, 0 when the stream ends on a
+    boundary).  The writer must not be used afterwards. *)

@@ -1031,7 +1031,9 @@ module Probe = struct
     Registry.gauge reg ~unit_:"blocks" (p "blocks") (fun () ->
         float_of_int (Extmem.Run_store.total_run_blocks rs));
     Registry.gauge reg ~unit_:"bytes" (p "bytes") (fun () ->
-        float_of_int (Extmem.Run_store.total_run_bytes rs))
+        float_of_int (Extmem.Run_store.total_run_bytes rs));
+    Registry.gauge reg ~unit_:"bytes" (p "inline_bytes") (fun () ->
+        float_of_int (Extmem.Run_store.inline_bytes rs))
 
   let frame_arena reg ~prefix fa =
     (* An aggregate pull gauge over all owners (sampled at render time, so

@@ -16,8 +16,9 @@ type 'a opened = { pull : 'a pull; close : unit -> unit }
 
 let source ?(mem = 0) ~who open_ = { s_who = who; s_mem = mem; s_open = open_ }
 
-let of_run ?(who = "run reader") store id =
-  source ~mem:1 ~who (fun () -> (Extmem.Run_store.read_run store id, ignore))
+let of_run ?(who = "run reader") ?tail store id =
+  let mem = match tail with Some tl when Extmem.Block_reader.tail_length tl > 0 -> 2 | _ -> 1 in
+  source ~mem ~who (fun () -> (Extmem.Run_store.read_run ?tail store id, ignore))
 
 let sink ?(mem = 0) ~who open_ = { k_who = who; k_mem = mem; k_open = open_ }
 

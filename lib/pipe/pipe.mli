@@ -42,9 +42,15 @@ val source : ?mem:int -> who:string -> (unit -> 'a pull * (unit -> unit)) -> 'a 
     runs at pipeline-open time, after [mem] blocks (default 0) have been
     reserved, and returns the stream plus its closer. *)
 
-val of_run : ?who:string -> Extmem.Run_store.t -> Extmem.Run_store.id -> string source
-(** Streaming read of a stored run ({!Extmem.Run_store.read_run});
-    declares the reader's one buffer block. *)
+val of_run :
+  ?who:string ->
+  ?tail:Extmem.Block_reader.tail ->
+  Extmem.Run_store.t ->
+  Extmem.Run_store.id ->
+  string source
+(** Streaming read of a stored run ({!Extmem.Run_store.read_run}), [tail]
+    its tail; declares the reader's one buffer block, and one more for a
+    non-empty tail, which the reader holds in memory. *)
 
 val sink : ?mem:int -> who:string -> (unit -> ('a -> unit) * (unit -> unit)) -> 'a sink
 (** [sink ~mem ~who open_] consumes records.  [open_] returns the push
