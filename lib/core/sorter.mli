@@ -56,6 +56,9 @@ type report = {
           included (0 without fragment merges) *)
   runs_created : int;     (** total sorted runs (incl. intermediates) *)
   run_blocks : int;       (** blocks occupied by all runs (Lemma 4.8) *)
+  run_inline_bytes : int;
+      (** the runs' tails: bytes carried in their run pointers instead of
+          device blocks *)
   run_peak_live_blocks : int;
       (** the most run blocks written and not yet read at any one time:
           what an in-memory runs device holds at its peak (each run block

@@ -305,7 +305,9 @@ module Probe : sig
 
   val run_store : Registry.t -> prefix:string -> Extmem.Run_store.t -> unit
   (** [runs.<prefix>.count] (runs), [runs.<prefix>.blocks],
-      [runs.<prefix>.bytes]. *)
+      [runs.<prefix>.bytes] (payload, tails included) and
+      [runs.<prefix>.inline_bytes] (the tails: bytes carried in run
+      pointers instead of device blocks). *)
 
   val frame_arena : Registry.t -> prefix:string -> Extmem.Frame_arena.t -> unit
   (** [<prefix>.held]: frames held over all arena owners, sampled at
