@@ -106,11 +106,12 @@ module Enc = struct
     Bytes.blit_string s off t.buf t.len len;
     t.len <- t.len + len
 
-  let add_raw t s =
-    let n = String.length s in
+  let add_raw_substring t s off n =
     ensure t n;
-    Bytes.blit_string s 0 t.buf t.len n;
+    Bytes.blit_string s off t.buf t.len n;
     t.len <- t.len + n
+
+  let add_raw t s = add_raw_substring t s 0 (String.length s)
 
   let add_u32 t v =
     ensure t 4;

@@ -55,6 +55,10 @@ module Enc : sig
   val add_raw : t -> string -> unit
   (** Append raw bytes with no length prefix. *)
 
+  val add_raw_substring : t -> string -> int -> int -> unit
+  (** [add_raw_substring t s off len]: {!add_raw} of [len] bytes of [s]
+      starting at [off], without an intermediate copy. *)
+
   val add_u8 : t -> int -> unit
   val add_u32 : t -> int -> unit
   val add_f64 : t -> float -> unit
